@@ -26,7 +26,7 @@ from .protocols import (
     monogamy_demo,
 )
 from .serial import ParseError, dumps
-from .systems import TheoryMode, leaf
+from .systems import TheoryMode, compose_systems, dimension, leaf
 from .tomography import span_report, verify_corollary_nab, verify_strict_bilocality
 
 USAGE_ERROR = 2
@@ -115,8 +115,6 @@ def cmd_verify_dims(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    from .systems import compose_systems, dimension
-
     mode = _parse_mode(args.mode)
     reports = []
     ok = True

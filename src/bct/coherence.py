@@ -16,12 +16,10 @@ from . import faults
 from .kernels import (
     Instrument,
     Kernel,
-    add_kernels,
     apply,
     braid_kernel,
     coarse_grain,
     extend_at,
-    identity_kernel,
     kernels_equal,
     null_kernel,
     parallel_compose,
@@ -32,16 +30,21 @@ from .kernels import (
     sequential_compose,
     validate_instrument,
 )
-from .labels import Move, MoveKind, apply_moves_tracked, enumerate_pure_labels
+from .labels import (
+    UNIT,
+    Move,
+    MoveKind,
+    apply_moves_tracked,
+    enumerate_pure_labels,
+    label_to_str,
+)
 from .states import StateVector, add_states, pair, point_effect
 from .systems import (
-    Node,
     SystemTree,
     TheoryMode,
     bibit,
     compose_systems,
     leaf,
-    left_comb,
 )
 
 
@@ -61,12 +64,6 @@ class CheckReport:
         }
 
 
-def _label_str(label) -> str:
-    from .serial import label_to_str
-
-    return label_to_str(label)
-
-
 def check_pentagon(dims: tuple[int, int, int, int],
                    mode: TheoryMode = TheoryMode.BCT) -> CheckReport:
     """((AB)C)D -> A(B(CD)) along the two reassociation paths."""
@@ -82,9 +79,9 @@ def check_pentagon(dims: tuple[int, int, int, int],
         checked += 1
         if one != two:
             return CheckReport("pentagon", {"dims": list(dims), "mode": mode.value},
-                               False, {"label": _label_str(label),
-                                       "path1": _label_str(one[0]),
-                                       "path2": _label_str(two[0])})
+                               False, {"label": label_to_str(label),
+                                       "path1": label_to_str(one[0]),
+                                       "path2": label_to_str(two[0])})
     return CheckReport("pentagon", {"dims": list(dims), "mode": mode.value,
                                     "labels_checked": checked}, True)
 
@@ -104,9 +101,9 @@ def check_hexagon(dims: tuple[int, int, int],
         checked += 1
         if lhs != rhs:
             return CheckReport("hexagon", {"dims": list(dims), "mode": mode.value},
-                               False, {"label": _label_str(label),
-                                       "one_step": _label_str(lhs[0]),
-                                       "two_step": _label_str(rhs[0])})
+                               False, {"label": label_to_str(label),
+                                       "one_step": label_to_str(lhs[0]),
+                                       "two_step": label_to_str(rhs[0])})
     return CheckReport("hexagon", {"dims": list(dims), "mode": mode.value,
                                    "labels_checked": checked}, True)
 
@@ -187,7 +184,6 @@ def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
     half = scalar_kernel(mode, Fraction(1, 2))
     third = scalar_kernel(mode, Fraction(1, 3))
     product = parallel_compose(half, third)
-    from .labels import UNIT
     if product.row(UNIT).get((UNIT, 1)) != Fraction(1, 6):
         return CheckReport("probabilistic", params, False, {"stage": "scalars"})
     weights = [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]

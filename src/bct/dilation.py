@@ -29,6 +29,7 @@ from .kernels import (
     apply,
     is_deterministic,
     is_reversible,
+    validate_instrument,
 )
 from .labels import (
     Move,
@@ -36,6 +37,7 @@ from .labels import (
     NodeLabel,
     PureLabel,
     enumerate_pure_labels,
+    node_signs,
 )
 from .states import (
     EffectVector,
@@ -83,11 +85,7 @@ class FunctionLabel:
 def enumerate_function_labels(d_in: int, d_out: int,
                               mode: TheoryMode) -> list[FunctionLabel]:
     """All (h, xi) pairs, h lexicographic then xi with - before +."""
-    sign_choices: Sequence[tuple[int, ...]]
-    if mode is TheoryMode.CT:
-        sign_choices = [tuple([1] * d_in)]
-    else:
-        sign_choices = [tuple(s) for s in itertools.product((-1, 1), repeat=d_in)]
+    sign_choices = list(itertools.product(node_signs(mode), repeat=d_in))
     out = []
     for h in itertools.product(range(1, d_out + 1), repeat=d_in):
         for xi in sorted(sign_choices):
@@ -140,7 +138,7 @@ def build_processor(a: SystemTree, b: SystemTree,
     program_labels = enumerate_pure_labels(program)
     program_index = dict(zip(functions, program_labels))
 
-    signs = (1,) if mode is TheoryMode.CT else (-1, 1)
+    signs = node_signs(mode)
     rows: dict[PureLabel, dict[tuple[PureLabel, int], Fraction]] = {}
     for fl, sigma in program_index.items():
         for k_label in b_labels:
@@ -250,7 +248,6 @@ def program_sigma(processor: UniversalProcessor,
                                      processor.program_index[fl]),
                           pure_state(processor.b_system, b_first)),
             weight)
-        part = StateVector(part.system, part.coeffs)
         total = part if total is None else add_states(total, part)
     assert total is not None
     return total
@@ -259,10 +256,7 @@ def program_sigma(processor: UniversalProcessor,
 def dilated_apply(processor: UniversalProcessor, sigma: StateVector,
                   effect: EffectVector, rho: StateVector) -> StateVector:
     """Run the sandwich (Sigma, R, effect) on a state of A (x) E."""
-    full = tensor_states(sigma, rho)
-    full = StateVector(full.system, full.coeffs)
-    full = apply_moves_to_vector(full, [Move(MoveKind.ASSOC_L, "")])
-    full = StateVector(full.system, full.coeffs)
+    full = apply_moves_to_vector(tensor_states(sigma, rho), [Move(MoveKind.ASSOC_L, "")])
     staged = apply(processor.kernel, full, "0")
     return apply_effect_at(effect, staged, "00")
 
@@ -279,8 +273,6 @@ def realize_instrument(instrument: Instrument,
     uses is absorbed into the first branch so the effects sum to the unit
     effect.
     """
-    from .kernels import validate_instrument
-
     if not validate_instrument(instrument):
         raise ValueError("not a valid instrument (branch sum must be deterministic)")
     a, b = instrument.in_system, instrument.out_system
@@ -301,7 +293,7 @@ def realize_instrument(instrument: Instrument,
             cells[(b_index[bl], tau)] = cells.get((b_index[bl], tau), ZERO) + w
         channel_cells.append(cells)
 
-    signs = (1,) if processor.mode is TheoryMode.CT else (-1, 1)
+    signs = node_signs(processor.mode)
     effects: list[EffectVector] = []
     zeta_tables: dict = {}
     for outcome, branch in zip(instrument.outcomes, instrument.branches):

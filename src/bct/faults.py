@@ -1,8 +1,17 @@
 """Fault-injection hooks for the consistency suite (test plumbing only).
 
 Each documented mutation breaks one leg of the coherence structure so the
-suite can demonstrate it has power.  Faults are process-global; they are
-meant to be toggled around a single suite run, never during normal use.
+suite can demonstrate it has power, and each alters exactly one code path:
+
+- ASSOC_SIGN: the associator moves in `labels` (`_assoc_r`, `_assoc_l`);
+- BRAID_SIGN: the label-level BRAID move in `labels` (`_braid`); kernel-level
+  braids (`braid_kernel`, the right factor of `parallel_compose`) do not
+  use it;
+- PARALLEL_DROP_TAU: the left factor k1 (x) I inside
+  `kernels.parallel_compose`, never `extend_at` itself.
+
+Faults are process-global; they are meant to be toggled around a single
+suite run, never during normal use.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ Applying a kernel at a subtree works through the regrouping calculus: bring
 the subtree to the head of a bipartition, replace (a e)_u by (b e)_{tau*u},
 and regroup back.  Effects (trivial output) discard the pairing sign;
 preparations (trivial input) split it evenly, which is exactly the state
-composition rule read as a kernel.
+composition rule read as a kernel.  Parallel composition is derived from
+the same extension: k1 (x) k2 = (I (x) k2) o (k1 (x) I), with I (x) k2 the
+braid-conjugate of k2 (x) I.
 """
 
 from __future__ import annotations
@@ -18,21 +20,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import faults
 from .labels import (
     Move,
     NodeLabel,
+    PLUS,
     PureLabel,
     UNIT,
-    UnitLabel,
     apply_moves_tracked,
     enumerate_pure_labels,
     invert_moves,
     label_matches,
+    label_sort_key,
+    node_signs,
     regroup,
-    subtree_system,
 )
 from .states import GeneralizedVector, StateVector, ZERO, ONE
 from .systems import (
@@ -40,26 +43,28 @@ from .systems import (
     TheoryMode,
     Trivial,
     compose_systems,
+    delete_at,
     dimension,
     replace_at,
     subtree_at,
 )
 
 Entry = tuple[PureLabel, int]
+Rows = dict[PureLabel, dict[Entry, Fraction]]
 
 
 @dataclass(frozen=True)
 class Kernel:
     in_system: SystemTree
     out_system: SystemTree
-    rows: dict[PureLabel, dict[Entry, Fraction]] = field(default_factory=dict)
+    rows: Rows = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.in_system.mode is not self.out_system.mode:
             raise ValueError("kernel endpoints must share a theory mode")
         ct = self.in_system.mode is TheoryMode.CT
         out_trivial = isinstance(self.out_system, Trivial)
-        clean: dict[PureLabel, dict[Entry, Fraction]] = {}
+        clean: Rows = {}
         for row_label, entries in self.rows.items():
             if not label_matches(self.in_system, row_label):
                 raise ValueError(f"bad input label {row_label}")
@@ -126,7 +131,7 @@ def reversible_kernel(system_in: SystemTree, system_out: SystemTree,
                       perm: Mapping[PureLabel, PureLabel],
                       signs: Mapping[PureLabel, int] | None = None) -> Kernel:
     """Signed permutation of pure labels (the reversible transformations)."""
-    rows: dict[PureLabel, dict[Entry, Fraction]] = {}
+    rows: Rows = {}
     for src, dst in perm.items():
         tau = 1 if signs is None else signs.get(src, 1)
         if system_in.mode is TheoryMode.CT:
@@ -144,11 +149,18 @@ def braid_kernel(a: SystemTree, b: SystemTree) -> Kernel:
     ba = compose_systems(b, a)
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         return identity_kernel(ab)
-    rows: dict[PureLabel, dict[Entry, Fraction]] = {}
-    for label in enumerate_pure_labels(ab):
-        assert isinstance(label, NodeLabel)
-        rows[label] = {(NodeLabel(label.right, label.left, label.sign), label.sign): ONE}
+    rows = {label: {_braid_entry(label): ONE} for label in enumerate_pure_labels(ab)}
     return Kernel(ab, ba, rows)
+
+
+def _braid_entry(label: PureLabel) -> Entry:
+    """The braid rule (x y)_s -> ((y x)_s, s).
+
+    Kernel-level braids use this rule directly, so the label-level BRAID
+    move (and its fault) stays confined to the regrouping calculus.
+    """
+    assert isinstance(label, NodeLabel)
+    return NodeLabel(label.right, label.left, label.sign), label.sign
 
 
 def state_kernel(rho: StateVector) -> Kernel:
@@ -158,15 +170,11 @@ def state_kernel(rho: StateVector) -> Kernel:
     preparing a pure label splits it evenly, matching state composition.
     """
     mode = rho.system.mode
+    taus = (PLUS,) if isinstance(rho.system, Trivial) else node_signs(mode)
     row: dict[Entry, Fraction] = {}
     for label, value in rho.coeffs.items():
-        if isinstance(rho.system, Trivial):
-            row[(label, 1)] = row.get((label, 1), ZERO) + value
-        elif mode is TheoryMode.CT:
-            row[(label, 1)] = row.get((label, 1), ZERO) + value
-        else:
-            for tau in (-1, 1):
-                row[(label, tau)] = row.get((label, tau), ZERO) + value / 2
+        for tau in taus:
+            row[(label, tau)] = row.get((label, tau), ZERO) + value / len(taus)
     return Kernel(Trivial(mode), rho.system, {UNIT: row} if row else {})
 
 
@@ -184,7 +192,7 @@ def sequential_compose(second: Kernel, first: Kernel) -> Kernel:
     """(second o first); internal signs flip independently, taus multiply."""
     if first.out_system != second.in_system:
         raise ValueError("systems do not chain")
-    rows: dict[PureLabel, dict[Entry, Fraction]] = {}
+    rows: Rows = {}
     for a, row1 in first.rows.items():
         out: dict[Entry, Fraction] = {}
         for (b, tau1), w1 in row1.items():
@@ -196,73 +204,31 @@ def sequential_compose(second: Kernel, first: Kernel) -> Kernel:
     return Kernel(first.in_system, second.out_system, rows)
 
 
-def _extend_left(kernel: Kernel, other: SystemTree) -> Kernel:
-    """kernel (x) I_other on compose(A, other): the flip reaches the environment."""
-    a, b = kernel.in_system, kernel.out_system
+def _with_identity(kernel: Kernel, other: SystemTree, drop_tau: bool = False) -> Rows:
+    """Rows of kernel (x) I_other: the kernel extended at the head of (A other)."""
     if isinstance(other, Trivial):
-        return kernel
-    in_sys = compose_systems(a, other)
-    out_sys = compose_systems(b, other)
-    rows: dict[PureLabel, dict[Entry, Fraction]] = {}
-    drop_tau = faults.active_fault() == faults.PARALLEL_DROP_TAU
-    if isinstance(a, Trivial):
-        # preparation inserted on the left: fresh node sign = emitted flip
-        prep = kernel.row(UNIT)
-        for o in enumerate_pure_labels(other):
-            out: dict[Entry, Fraction] = {}
-            for (bl, tau), w in prep.items():
-                key = ((o, 1) if isinstance(b, Trivial)
-                       else (NodeLabel(bl, o, tau), tau))
-                out[key] = out.get(key, ZERO) + w
-            if out:
-                rows[o] = out
-        return Kernel(in_sys, out_sys, rows)
-    for label in enumerate_pure_labels(in_sys):
-        assert isinstance(label, NodeLabel)
-        al, o, s = label.left, label.right, label.sign
-        out = {}
-        for (bl, tau), w in kernel.row(al).items():
-            if isinstance(b, Trivial):
-                key = (o, s if kernel.mode is TheoryMode.BCT else 1)
-            else:
-                node_sign = s if drop_tau else tau * s
-                key = (NodeLabel(bl, o, node_sign), tau)
-            out[key] = out.get(key, ZERO) + w
-        if out:
-            rows[label] = out
-    return Kernel(in_sys, out_sys, rows)
+        return kernel.rows
+    if not isinstance(kernel.in_system, Trivial):
+        return _extension_rows(kernel, compose_systems(kernel.in_system, other), "0",
+                               drop_tau)
+    # a preparation opens a fresh node whose sign is the emitted flip
+    return {o: {(NodeLabel(b, o, tau), tau): w for (b, tau), w in kernel.row(UNIT).items()}
+            for o in enumerate_pure_labels(other)}
 
 
-def _extend_right(kernel: Kernel, other: SystemTree) -> Kernel:
-    """I_other (x) kernel: the flip is absorbed by the composite node sign."""
-    a, b = kernel.in_system, kernel.out_system
-    if isinstance(other, Trivial):
-        return kernel
-    in_sys = compose_systems(other, a)
-    out_sys = compose_systems(other, b)
-    rows: dict[PureLabel, dict[Entry, Fraction]] = {}
-    if isinstance(a, Trivial):
-        prep = kernel.row(UNIT)
-        for o in enumerate_pure_labels(other):
-            out: dict[Entry, Fraction] = {}
-            for (bl, tau), w in prep.items():
-                key = ((o, 1) if isinstance(b, Trivial)
-                       else (NodeLabel(o, bl, tau), 1))
-                out[key] = out.get(key, ZERO) + w
-            if out:
-                rows[o] = out
-        return Kernel(in_sys, out_sys, rows)
-    for label in enumerate_pure_labels(in_sys):
-        assert isinstance(label, NodeLabel)
-        o, al, s = label.left, label.right, label.sign
-        out = {}
-        for (bl, tau), w in kernel.row(al).items():
-            key = ((o, 1) if isinstance(b, Trivial)
-                   else (NodeLabel(o, bl, tau * s), 1))
-            out[key] = out.get(key, ZERO) + w
-        if out:
-            rows[label] = out
-    return Kernel(in_sys, out_sys, rows)
+def _identity_with(other: SystemTree, kernel: Kernel) -> Rows:
+    """Rows of I_other (x) kernel: kernel (x) I_other conjugated by the braids."""
+    braid_in = not (isinstance(other, Trivial) or isinstance(kernel.in_system, Trivial))
+    braid_out = not (isinstance(other, Trivial) or isinstance(kernel.out_system, Trivial))
+    rows: Rows = {}
+    for x, row in _with_identity(kernel, other).items():
+        label, flip_in = _braid_entry(x) if braid_in else (x, PLUS)
+        out: dict[Entry, Fraction] = {}
+        for (y, tau), w in row.items():
+            y, flip_out = _braid_entry(y) if braid_out else (y, PLUS)
+            out[(y, flip_in * tau * flip_out)] = w
+        rows[label] = out
+    return rows
 
 
 def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
@@ -276,8 +242,11 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
             else scalar_kernel(k1.mode, p * k2.row(UNIT).get((UNIT, 1), ZERO))
     if isinstance(k2.in_system, Trivial) and isinstance(k2.out_system, Trivial):
         return scale_kernel(k1, k2.row(UNIT).get((UNIT, 1), ZERO))
-    left = _extend_left(k1, k2.in_system)
-    right = _extend_right(k2, k1.out_system)
+    a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
+    drop_tau = faults.active_fault() == faults.PARALLEL_DROP_TAU
+    left = Kernel(compose_systems(a, c), compose_systems(b, c),
+                  _with_identity(k1, c, drop_tau))
+    right = Kernel(compose_systems(b, c), compose_systems(b, d), _identity_with(b, k2))
     return sequential_compose(right, left)
 
 
@@ -290,9 +259,7 @@ def scale_kernel(kernel: Kernel, factor: Fraction) -> Kernel:
 def add_kernels(a: Kernel, b: Kernel) -> Kernel:
     if a.in_system != b.in_system or a.out_system != b.out_system:
         raise ValueError("system mismatch")
-    rows: dict[PureLabel, dict[Entry, Fraction]] = {
-        label: dict(row) for label, row in a.rows.items()
-    }
+    rows: Rows = {label: dict(row) for label, row in a.rows.items()}
     for label, row in b.rows.items():
         target = rows.setdefault(label, {})
         for entry, w in row.items():
@@ -310,42 +277,55 @@ def extend_at(kernel: Kernel, system: SystemTree, at: str) -> Kernel:
     Environment flips contributed by the regrouping braids and by the kernel
     itself are tracked exactly, so the result composes correctly.
     """
-    part = subtree_at(system, at)
-    if kernel.in_system != part:
+    if kernel.in_system != subtree_at(system, at):
         raise ValueError("kernel input does not match the selected subtree")
     if at == "":
         return kernel
-    out_trivial = isinstance(kernel.out_system, Trivial)
+    return Kernel(system, _result_system(kernel, system, at),
+                  _extension_rows(kernel, system, at))
+
+
+def _extension_rows(kernel: Kernel, system: SystemTree, at: str,
+                    drop_tau: bool = False) -> Rows:
     moves = regroup(system, at)
     back = invert_moves(moves)
-    result_system = (compose_systems(Trivial(system.mode), _delete(system, at))
-                     if out_trivial else replace_at(system, at, kernel.out_system))
-    rows: dict[PureLabel, dict[Entry, Fraction]] = {}
+    rows: Rows = {}
     for label in enumerate_pure_labels(system):
-        moved, flip_fwd = apply_moves_tracked(label, moves)
-        assert isinstance(moved, NodeLabel)
-        a, rest, u = moved.left, moved.right, moved.sign
         out: dict[Entry, Fraction] = {}
-        for (b, tau), w in kernel.row(a).items():
-            if out_trivial:
-                # effect at head position: pairing sign becomes the flip
-                key = (rest, flip_fwd * u if kernel.mode is TheoryMode.BCT else 1)
-                out[key] = out.get(key, ZERO) + w
-            else:
-                replaced = NodeLabel(b, rest, tau * u)
-                final, flip_back = apply_moves_tracked(replaced, back)
-                key = (final, flip_fwd * tau * flip_back
-                       if kernel.mode is TheoryMode.BCT else 1)
-                out[key] = out.get(key, ZERO) + w
+        for key, w in _act_at(kernel, label, moves, back, drop_tau):
+            out[key] = out.get(key, ZERO) + w
         if out:
             rows[label] = out
-    return Kernel(system, result_system, rows)
+    return rows
 
 
-def _delete(system: SystemTree, at: str) -> SystemTree:
-    from .systems import delete_at
+def _result_system(kernel: Kernel, system: SystemTree, at: str) -> SystemTree:
+    if isinstance(kernel.out_system, Trivial):
+        return delete_at(system, at)
+    return replace_at(system, at, kernel.out_system)
 
-    return delete_at(system, at)
+
+def _act_at(kernel: Kernel, label: PureLabel, moves: list[Move], back: list[Move],
+            drop_tau: bool = False) -> Iterator[tuple[Entry, Fraction]]:
+    """One input label through `kernel` at the subtree that `moves` regroup.
+
+    Regroup the label to (a e)_u, replace it by (b e)_{tau*u}, and regroup
+    back; yields ((output label, environment flip), weight).  An effect at
+    the head leaves e, and the pairing sign u becomes the flip.  With
+    `drop_tau` the new node keeps the sign u (the PARALLEL_DROP_TAU fault).
+    """
+    moved, flip = apply_moves_tracked(label, moves)
+    assert isinstance(moved, NodeLabel)
+    a, rest, u = moved.left, moved.right, moved.sign
+    bct = kernel.mode is TheoryMode.BCT
+    if isinstance(kernel.out_system, Trivial):
+        for w in kernel.row(a).values():
+            yield (rest, flip * u if bct else PLUS), w
+        return
+    for (b, tau), w in kernel.row(a).items():
+        final, flip_back = apply_moves_tracked(
+            NodeLabel(b, rest, u if drop_tau else tau * u), back)
+        yield (final, flip * tau * flip_back if bct else PLUS), w
 
 
 def apply(kernel: Kernel, rho: StateVector, at: str = "") -> StateVector:
@@ -355,33 +335,20 @@ def apply(kernel: Kernel, rho: StateVector, at: str = "") -> StateVector:
     trivial (an effect) the pairing sign is discarded, and when the whole
     tree is consumed tau is marginalized.
     """
-    part = subtree_system(rho.system, at)
-    if kernel.in_system != part:
+    if kernel.in_system != subtree_at(rho.system, at):
         raise ValueError("kernel input does not match the selected subtree")
-    out_trivial = isinstance(kernel.out_system, Trivial)
     out: dict[PureLabel, Fraction] = {}
     if at == "":
-        result_system = kernel.out_system
         for label, value in rho.coeffs.items():
             for (b, _tau), w in kernel.row(label).items():
                 out[b] = out.get(b, ZERO) + w * value
-        return StateVector(result_system, out)
+        return StateVector(kernel.out_system, out)
     moves = regroup(rho.system, at)
     back = invert_moves(moves)
-    result_system = (_delete(rho.system, at) if out_trivial
-                     else replace_at(rho.system, at, kernel.out_system))
     for label, value in rho.coeffs.items():
-        moved, _ = apply_moves_tracked(label, moves)
-        assert isinstance(moved, NodeLabel)
-        a, rest, u = moved.left, moved.right, moved.sign
-        for (b, tau), w in kernel.row(a).items():
-            if out_trivial:
-                out[rest] = out.get(rest, ZERO) + w * value
-            else:
-                replaced = NodeLabel(b, rest, tau * u)
-                final, _ = apply_moves_tracked(replaced, back)
-                out[final] = out.get(final, ZERO) + w * value
-    return StateVector(result_system, out)
+        for (b, _flip), w in _act_at(kernel, label, moves, back):
+            out[b] = out.get(b, ZERO) + w * value
+    return StateVector(_result_system(kernel, rho.system, at), out)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +389,7 @@ def invert_reversible(kernel: Kernel, bound: int | None = None) -> Kernel:
     """Inverse of a signed permutation; the same flips cancel on composition."""
     if not is_reversible(kernel, bound):
         raise ValueError("only reversible kernels invert")
-    rows: dict[PureLabel, dict[Entry, Fraction]] = {}
+    rows: Rows = {}
     for a, row in kernel.rows.items():
         ((b, tau), _weight), = row.items()
         rows[b] = {(a, tau): ONE}
@@ -434,19 +401,13 @@ def atomic_decomposition(kernel: Kernel) -> list[Kernel]:
     if isinstance(kernel.in_system, Trivial):
         raise ValueError("preparations do not decompose entrywise")
     parts = []
-    for a in sorted(kernel.rows, key=_entry_sort_key_label):
+    for a in sorted(kernel.rows, key=label_sort_key):
         for (b, tau), w in sorted(kernel.rows[a].items(),
-                                  key=lambda item: (_entry_sort_key_label(item[0][0]),
+                                  key=lambda item: (label_sort_key(item[0][0]),
                                                     item[0][1])):
             parts.append(Kernel(kernel.in_system, kernel.out_system,
                                 {a: {(b, tau): w}}))
     return parts
-
-
-def _entry_sort_key_label(label: PureLabel):
-    from .labels import label_sort_key
-
-    return label_sort_key(label)
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +534,9 @@ def random_deterministic_kernel(rng: random.Random, in_system: SystemTree,
                                 out_system: SystemTree) -> Kernel:
     in_basis = enumerate_pure_labels(in_system)
     out_basis = enumerate_pure_labels(out_system)
-    taus = (1,) if (in_system.mode is TheoryMode.CT
-                    or isinstance(out_system, Trivial)) else (-1, 1)
+    taus = (PLUS,) if isinstance(out_system, Trivial) else node_signs(in_system.mode)
     targets = [(b, t) for b in out_basis for t in taus]
-    rows: dict[PureLabel, dict[Entry, Fraction]] = {}
+    rows: Rows = {}
     for a in in_basis:
         support = rng.sample(targets, k=min(len(targets), rng.randrange(1, 4)))
         rows[a] = dict(zip(support, _dyadic_split(rng, len(support))))
@@ -608,8 +568,7 @@ def random_instrument(rng: random.Random, in_system: SystemTree,
                       out_system: SystemTree, branches: int = 2) -> Instrument:
     """Split a random channel's entries among branches; sum stays deterministic."""
     channel = random_deterministic_kernel(rng, in_system, out_system)
-    rows_per_branch: list[dict[PureLabel, dict[Entry, Fraction]]] = \
-        [{} for _ in range(branches)]
+    rows_per_branch: list[Rows] = [{} for _ in range(branches)]
     for a, row in channel.rows.items():
         for entry, w in row.items():
             shares = _dyadic_split(rng, branches)

@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 
 from . import faults
 from .config import max_dim
-from .systems import Leaf, Node, SystemTree, TheoryMode, Trivial, dimension
+from .systems import Leaf, Node, SystemTree, TheoryMode, Trivial, dimension, subtree_at
 
 MINUS = -1
 PLUS = 1
@@ -63,6 +63,25 @@ class NodeLabel(PureLabel):
 
 
 UNIT = UnitLabel()
+
+
+def node_signs(mode: TheoryMode) -> tuple[int, ...]:
+    """The signs a composite node takes: both in BCT, only + in CT.
+
+    A product |i>|j> spreads its weight evenly over them, which is the
+    |i>|j> = 1/2 sum_s (ij)_s rule in BCT and |i>|j> = (ij)_+ in CT.
+    """
+    return (PLUS,) if mode is TheoryMode.CT else SIGNS
+
+
+def label_to_str(label: PureLabel) -> str:
+    if isinstance(label, UnitLabel):
+        return "*"
+    if isinstance(label, LeafLabel):
+        return str(label.index)
+    assert isinstance(label, NodeLabel)
+    sign = "+" if label.sign == PLUS else "-"
+    return f"({label_to_str(label.left)} {label_to_str(label.right)}){sign}"
 
 
 def label_matches(system: SystemTree, label: PureLabel) -> bool:
@@ -113,7 +132,7 @@ def _enumerate(system: SystemTree) -> Iterator[PureLabel]:
     if isinstance(system.right, Trivial):
         yield from _enumerate(system.left)
         return
-    signs = (PLUS,) if system.mode is TheoryMode.CT else SIGNS
+    signs = node_signs(system.mode)
     for l in _enumerate(system.left):
         for r in _enumerate(system.right):
             for s in signs:
@@ -150,6 +169,9 @@ class MoveKind(Enum):
 class Move:
     kind: MoveKind
     path: str = ""
+
+
+Rewriter = Callable[[PureLabel], tuple[PureLabel, int]]
 
 
 def invert_move(move: Move) -> Move:
@@ -192,55 +214,42 @@ def _braid(label: PureLabel) -> tuple[PureLabel, int]:
     return NodeLabel(label.right, label.left, new_sign), sign
 
 
-def flip_sign_at(label: PureLabel, path: str, tau: int) -> tuple[PureLabel, int]:
-    """Propagate a sign flip from the subtree at `path` toward the root.
+def _climb(label: PureLabel, path: str, rewrite: Rewriter,
+           depth: int = 0) -> tuple[PureLabel, int]:
+    """Rewrite the subtree at `path` and carry its flip toward the root.
 
     Ancestors reached through left-child links are flipped and the climb
     continues; the first right-child link flips its node and absorbs the
     flip.  Returns (new label, environment flip).
     """
+    if depth == len(path):
+        return rewrite(label)
+    if not isinstance(label, NodeLabel):
+        raise ValueError(f"path {path!r} leaves the label")
+    if path[depth] == "0":
+        child, escaping = _climb(label.left, path, rewrite, depth + 1)
+        return NodeLabel(child, label.right, label.sign * escaping), escaping
+    child, escaping = _climb(label.right, path, rewrite, depth + 1)
+    return NodeLabel(label.left, child, label.sign * escaping), PLUS
+
+
+def flip_sign_at(label: PureLabel, path: str, tau: int) -> tuple[PureLabel, int]:
+    """Propagate a sign flip from the subtree at `path` toward the root."""
     if tau == PLUS:
         return label, PLUS
-    if path == "":
-        return label, tau
+    return _climb(label, path, lambda subtree: (subtree, tau))
 
-    def _walk(l: PureLabel, p: str) -> tuple[PureLabel, int]:
-        if p == "":
-            return l, tau
-        assert isinstance(l, NodeLabel)
-        if p[0] == "0":
-            new_child, escaping = _walk(l.left, p[1:])
-            return NodeLabel(new_child, l.right, l.sign * escaping), escaping
-        new_child, escaping = _walk(l.right, p[1:])
-        # a flip crossing a right-child link is absorbed at this node
-        return NodeLabel(l.left, new_child, l.sign * escaping), PLUS
 
-    return _walk(label, path)
+_REWRITERS: dict[MoveKind, Rewriter] = {
+    MoveKind.ASSOC_R: _assoc_r,
+    MoveKind.ASSOC_L: _assoc_l,
+    MoveKind.BRAID: _braid,
+}
 
 
 def apply_move_tracked(label: PureLabel, move: Move) -> tuple[PureLabel, int]:
     """Apply one move; returns (new label, environment flip in {-1,+1})."""
-    rewriter: Callable[[PureLabel], tuple[PureLabel, int]]
-    if move.kind is MoveKind.ASSOC_R:
-        rewriter = _assoc_r
-    elif move.kind is MoveKind.ASSOC_L:
-        rewriter = _assoc_l
-    else:
-        rewriter = _braid
-
-    def _walk(l: PureLabel, p: str) -> tuple[PureLabel, int]:
-        if p == "":
-            new, flip = rewriter(l)
-            return new, flip
-        if not isinstance(l, NodeLabel):
-            raise ValueError(f"move path {move.path!r} leaves the label")
-        if p[0] == "0":
-            new_child, escaping = _walk(l.left, p[1:])
-            return NodeLabel(new_child, l.right, l.sign * escaping), escaping
-        new_child, escaping = _walk(l.right, p[1:])
-        return NodeLabel(l.left, new_child, l.sign * escaping), PLUS
-
-    return _walk(label, move.path)
+    return _climb(label, move.path, _REWRITERS[move.kind])
 
 
 def apply_move(label: PureLabel, move: Move) -> PureLabel:
@@ -312,8 +321,7 @@ def regroup(system: SystemTree, target: str) -> list[Move]:
     """
     if target == "":
         raise ValueError("cannot regroup the full tree against nothing")
-    if not isinstance(subtree_system(system, target), SystemTree):  # pragma: no cover
-        raise ValueError("bad selector")
+    subtree_at(system, target)  # raises on a selector that leaves the tree
 
     def _regroup(t: SystemTree, p: str, prefix: str) -> list[Move]:
         assert isinstance(t, Node), "selector must address a proper subtree"
@@ -333,11 +341,3 @@ def regroup(system: SystemTree, target: str) -> list[Move]:
 
     return _regroup(system, target, "")
 
-
-def subtree_system(system: SystemTree, path: str) -> SystemTree:
-    node = system
-    for step in path:
-        if not isinstance(node, Node):
-            raise ValueError(f"selector {path!r} leaves the tree")
-        node = node.left if step == "0" else node.right
-    return node

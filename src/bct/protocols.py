@@ -17,7 +17,6 @@ from .kernels import (
     discriminating_measurement,
     is_deterministic,
     reversible_kernel,
-    sequential_compose,
     state_kernel,
 )
 from .labels import (
@@ -27,6 +26,7 @@ from .labels import (
     NodeLabel,
     PureLabel,
     enumerate_pure_labels,
+    label_to_str,
 )
 from .states import (
     StateVector,
@@ -47,7 +47,6 @@ from .systems import (
     bibit,
     compose_systems,
     dimension,
-    leaf,
     left_comb,
 )
 
@@ -75,12 +74,6 @@ class ProtocolReport:
 
 def _fmt(value: Fraction) -> str:
     return str(Fraction(value))
-
-
-def _label_str(label: PureLabel) -> str:
-    from .serial import label_to_str
-
-    return label_to_str(label)
 
 
 def _sign(ch: str | int) -> int:
@@ -146,7 +139,7 @@ def dense_coding(mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport:
                 "message": message,
                 "decoded": decoded,
                 "probability": _fmt(probability),
-                "state": _label_str(next(iter(table))),
+                "state": label_to_str(next(iter(table))),
             })
     return ProtocolReport(
         "dense-coding", {"mode": "BCT", "shared": "(1 b)-"}, outcomes, success,
@@ -203,11 +196,9 @@ def entanglement_swapping(i: int, j: int, s: int | str, k: int, l: int,
     state = tensor_states(
         pure_state(ab, NodeLabel(LeafLabel(i), LeafLabel(j), s)),
         pure_state(cd, NodeLabel(LeafLabel(k), LeafLabel(l), t)))
-    state = StateVector(state.system, state.coeffs)
     # ((AB)(CD)) -> (A ((BC) D)) so the measured pair is contiguous
     regrouped = apply_moves_to_vector(
         state, [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.ASSOC_L, "1")])
-    regrouped = StateVector(regrouped.system, regrouped.coeffs)
     bc = compose_systems(bibit(), bibit())
     outcomes = []
     success = True
@@ -229,7 +220,7 @@ def entanglement_swapping(i: int, j: int, s: int | str, k: int, l: int,
             "outcome": [eff_label.left.index, eff_label.right.index,
                         "+" if r == 1 else "-"],
             "probability": _fmt(probability),
-            "ad_state": _label_str(expected),
+            "ad_state": label_to_str(expected),
         })
     return ProtocolReport(
         "entanglement-swapping",
@@ -242,11 +233,10 @@ def entanglement_swapping(i: int, j: int, s: int | str, k: int, l: int,
 def clone_kernel(system: SystemTree) -> Kernel:
     """Measure-and-reprepare broadcast: rho -> sum_x rho(x) |x>|x>."""
     measure = discriminating_measurement(system)
-    double = compose_systems(system, system)
 
     def reprepare(outcome) -> Instrument:
         copy = tensor_states(pure_state(system, outcome), pure_state(system, outcome))
-        return Instrument((state_kernel(StateVector(double, copy.coeffs)),))
+        return Instrument((state_kernel(copy),))
 
     composed = conditional_compose(measure, reprepare)
     return composed.total()
@@ -267,11 +257,11 @@ def clone_state(rho: StateVector) -> ProtocolReport:
     right = marginal(out, "1")
     success = (out.coeffs == expected and left.coeffs == rho.coeffs
                and right.coeffs == rho.coeffs and is_deterministic(cloner))
-    rows = [{"label": _label_str(label), "weight": _fmt(value)}
+    rows = [{"label": label_to_str(label), "weight": _fmt(value)}
             for label, value in sorted(out.coeffs.items(),
-                                       key=lambda kv: _label_str(kv[0]))]
+                                       key=lambda kv: label_to_str(kv[0]))]
     return ProtocolReport(
-        "clone", {"input": {_label_str(k): _fmt(v) for k, v in rho.coeffs.items()},
+        "clone", {"input": {label_to_str(k): _fmt(v) for k, v in rho.coeffs.items()},
                   "mode": rho.system.mode.value},
         rows, success,
         "conditional measure-and-reprepare; both marginals equal the input")
@@ -297,13 +287,12 @@ def monogamy_demo(mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport:
     }
     for name, (moves, keep) in cases.items():
         moved = apply_moves_to_vector(state, moves)
-        moved = StateVector(moved.system, moved.coeffs)
         reduced = marginal(moved, keep)
         entangled = not is_separable(reduced)
         entangled_count += entangled
         rows.append({
             "pair": name,
-            "marginal": {_label_str(k): _fmt(v) for k, v in reduced.coeffs.items()},
+            "marginal": {label_to_str(k): _fmt(v) for k, v in reduced.coeffs.items()},
             "entangled": entangled,
         })
     success = entangled_count >= 2 if mode is TheoryMode.BCT else entangled_count == 0

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .kernels import Instrument, Kernel
-from .labels import LeafLabel, NodeLabel, PureLabel, UNIT, UnitLabel, label_matches
+from .labels import LeafLabel, NodeLabel, PureLabel, UNIT, label_matches, label_to_str
 from .states import EffectVector, GeneralizedVector, StateVector
 from .systems import (
     Leaf,
@@ -21,6 +21,7 @@ from .systems import (
     SystemTree,
     TheoryMode,
     Trivial,
+    compose_systems,
     leaf,
     trivial,
 )
@@ -92,8 +93,6 @@ def parse_system(text: str, mode: TheoryMode = TheoryMode.BCT) -> SystemTree:
             if pos >= len(text) or text[pos] != ")":
                 fail("expected ')'")
             pos += 1
-            from .systems import compose_systems
-
             return compose_systems(left, right)
         start = pos
         while pos < len(text) and text[pos].isdigit():
@@ -113,16 +112,6 @@ def parse_system(text: str, mode: TheoryMode = TheoryMode.BCT) -> SystemTree:
 
 # ---------------------------------------------------------------------------
 # Labels
-
-
-def label_to_str(label: PureLabel) -> str:
-    if isinstance(label, UnitLabel):
-        return "*"
-    if isinstance(label, LeafLabel):
-        return str(label.index)
-    assert isinstance(label, NodeLabel)
-    sign = "+" if label.sign == 1 else "-"
-    return f"({label_to_str(label.left)} {label_to_str(label.right)}){sign}"
 
 
 def parse_label(text: str, system: SystemTree | None = None) -> PureLabel:

@@ -20,15 +20,21 @@ from .labels import (
     enumerate_pure_labels,
     label_matches,
     move_system_sequence,
+    node_signs,
     regroup,
-    subtree_system,
 )
 from .systems import Node as SysNode
-from .systems import SystemTree, TheoryMode, Trivial, delete_at
+from .systems import (
+    SystemTree,
+    TheoryMode,
+    Trivial,
+    compose_systems,
+    delete_at,
+    subtree_at,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 Coeffs = Mapping[PureLabel, Fraction]
 
@@ -82,10 +88,6 @@ class EffectVector(GeneralizedVector):
                 raise ValueError(f"effect coefficient {value} outside [0,1] at {label}")
 
 
-def null_state(system: SystemTree) -> StateVector:
-    return StateVector(system, {})
-
-
 def pure_state(system: SystemTree, label: PureLabel) -> StateVector:
     return StateVector(system, {label: ONE})
 
@@ -126,8 +128,8 @@ def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> Generaliz
         raise TypeError("effects compose with tensor_effects, not tensor_states")
     if rho.system.mode is not sigma.system.mode:
         raise ValueError("cannot compose states from different theory modes")
-    mode = rho.system.mode
-    system = _compose(rho.system, sigma.system)
+    system = compose_systems(rho.system, sigma.system)
+    signs = node_signs(system.mode)
     out: dict[PureLabel, Fraction] = {}
     for la, va in rho.coeffs.items():
         for lb, vb in sigma.coeffs.items():
@@ -135,31 +137,23 @@ def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> Generaliz
                 out[lb] = out.get(lb, ZERO) + va * vb
             elif isinstance(sigma.system, Trivial):
                 out[la] = out.get(la, ZERO) + va * vb
-            elif mode is TheoryMode.CT:
-                key = NodeLabel(la, lb, 1)
-                out[key] = out.get(key, ZERO) + va * vb
             else:
-                for s in (-1, 1):
+                share = va * vb / len(signs)
+                for s in signs:
                     key = NodeLabel(la, lb, s)
-                    out[key] = out.get(key, ZERO) + va * vb * HALF
+                    out[key] = out.get(key, ZERO) + share
     cls = StateVector if isinstance(rho, StateVector) and isinstance(sigma, StateVector) \
         else type(rho)
     return cls(system, out)
-
-
-def _compose(a: SystemTree, b: SystemTree) -> SystemTree:
-    from .systems import compose_systems
-
-    return compose_systems(a, b)
 
 
 def tensor_effects(a: EffectVector, b: EffectVector) -> EffectVector:
     """Product effect; <a|<b| pairs to a(i)*b(j) on every sign of (ij)."""
     if a.system.mode is not b.system.mode:
         raise ValueError("cannot compose effects from different theory modes")
-    system = _compose(a.system, b.system)
+    system = compose_systems(a.system, b.system)
     out: dict[PureLabel, Fraction] = {}
-    signs = (1,) if a.system.mode is TheoryMode.CT else (-1, 1)
+    signs = node_signs(system.mode)
     for la, va in a.coeffs.items():
         for lb, vb in b.coeffs.items():
             if isinstance(a.system, Trivial):
@@ -196,7 +190,7 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
     the sign independence of local effects.  With `at` the whole tree the
     result is a scalar wrapped as a state of the trivial system.
     """
-    part = subtree_system(rho.system, at)
+    part = subtree_at(rho.system, at)
     if effect.system != part:
         raise ValueError("effect system does not match the selected subtree")
     if at == "":
@@ -216,7 +210,7 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
 
 def marginal(rho: StateVector, keep: str) -> StateVector:
     """Unit effect on the complement of `keep`; unique by causality."""
-    part = subtree_system(rho.system, keep)
+    part = subtree_at(rho.system, keep)
     if keep == "":
         return rho
     moves = regroup(rho.system, keep)
@@ -255,7 +249,7 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
     """
     if rho.system.mode is TheoryMode.CT:
         return True
-    subtree_system(rho.system, part)
+    subtree_at(rho.system, part)
     if part == "":
         raise ValueError("bipartition selector must pick a proper subtree")
     moves = regroup(rho.system, part)

@@ -98,10 +98,6 @@ def compose_systems(a: SystemTree, b: SystemTree) -> SystemTree:
     return Node(a.mode, a, b)
 
 
-def is_trivial(system: SystemTree) -> bool:
-    return isinstance(system, Trivial)
-
-
 def is_elementary(system: SystemTree) -> bool:
     return isinstance(system, Leaf)
 

@@ -13,23 +13,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from .labels import (
-    LeafLabel,
     Move,
     MoveKind,
-    NodeLabel,
     enumerate_pure_labels,
-    label_sort_key,
 )
 from .states import (
     GeneralizedVector,
-    StateVector,
     apply_moves_to_vector,
     discriminating_instrument,
     pure_state,
     tensor_states,
 )
 from .systems import (
-    Node,
     SystemTree,
     TheoryMode,
     Trivial,

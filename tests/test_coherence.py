@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,8 @@ from bct.coherence import (
     run_suite,
 )
 from bct.faults import ASSOC_SIGN, BRAID_SIGN, PARALLEL_DROP_TAU, inject_fault
-from bct.systems import TheoryMode, dimension, left_comb
+from bct.kernels import extend_at, kernels_equal, random_kernel
+from bct.systems import TheoryMode, bibit, compose_systems, dimension, left_comb
 
 
 @pytest.mark.parametrize("dims", list(itertools.product((2, 3), repeat=4)))
@@ -59,6 +61,34 @@ def test_each_fault_fails_at_least_one_check(fault):
     assert failed, f"fault {fault} went undetected"
     for report in failed:
         assert report.counterexample is not None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fault_reach(seed):
+    """Each fault alters one code path and fails only the checks built on it."""
+    def failures(fault):
+        reports = run_suite(SuiteConfig(fault=fault, seed=seed, kernel_pairs=5))
+        return reports, [r for r in reports if not r.passed]
+
+    # the dropped tau reaches parallel_compose's left factor, not extend_at
+    _, failed = failures(PARALLEL_DROP_TAU)
+    assert [(r.name, r.counterexample) for r in failed] == [("sliding", {"trial": 0})]
+    # the label-level sign faults stay out of kernel composition
+    for fault in (ASSOC_SIGN, BRAID_SIGN):
+        reports, failed = failures(fault)
+        assert {r.name for r in failed} == {"hexagon"}
+        if seed == 0:
+            assert (len(failed), len(reports)) == (8, 27)
+
+
+def test_parallel_fault_leaves_extend_at_alone():
+    rng = random.Random(0)
+    system = compose_systems(bibit(), bibit())
+    for _ in range(5):
+        k = random_kernel(rng, bibit(), bibit())
+        plain = extend_at(k, system, "0")
+        with inject_fault(PARALLEL_DROP_TAU):
+            assert kernels_equal(extend_at(k, system, "0"), plain)
 
 
 def test_fault_counterexamples_replay():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from bct.kernels import (
     coarse_grain,
     conditional_compose,
     discriminating_measurement,
+    effect_kernel,
     extend_at,
     identity_kernel,
     is_atomic,
@@ -35,7 +37,14 @@ from bct.kernels import (
     validate_instrument,
 )
 from bct.labels import LeafLabel, NodeLabel, UNIT, enumerate_pure_labels
-from bct.states import StateVector, pair, point_effect, pure_state, tensor_states
+from bct.states import (
+    EffectVector,
+    StateVector,
+    pair,
+    point_effect,
+    pure_state,
+    tensor_states,
+)
 from bct.systems import TheoryMode, Trivial, bibit, compose_systems, leaf, left_comb
 
 F = Fraction
@@ -142,16 +151,54 @@ class TestParallel:
         assert len(atomic_decomposition(out)) == 2
 
     def test_closed_form(self):
+        for mode in (TheoryMode.BCT, TheoryMode.CT):
+            for kinds in itertools.product(("channel", "prep", "effect"), repeat=2):
+                # effect (x) effect is left out: in BCT sequential_compose
+                # keeps the left effect's flip as the tau of a trivial
+                # output, which Kernel rejects
+                if kinds != ("effect", "effect"):
+                    self.check_closed_form(mode, kinds)
+
+    def check_closed_form(self, mode, kinds):
+        """Entries of k1 (x) k2 on ((x y)_s): ((b d)_{t1 t2 s}, t1) for channels.
+
+        A preparation has no input node (s = +1); one on the right opens its
+        node after k1's flip has left, so the node sign is its own t2.  An
+        effect on the left passes its pairing sign s to the flip.
+        """
         rng = random.Random(2)
+        a, b, c, d = leaf(2, mode), leaf(2, mode), leaf(3, mode), leaf(2, mode)
+
+        def random_of(kind, x, y):
+            if kind == "prep":
+                return state_kernel(random_state(rng, y))
+            if kind == "effect":
+                return effect_kernel(EffectVector(x, {l: F(rng.randrange(17), 16)
+                                                      for l in enumerate_pure_labels(x)}))
+            return random_kernel(rng, x, y)
+
         for _ in range(15):
-            k1 = random_kernel(rng, A, B)
-            k2 = random_kernel(rng, C3, A)
+            k1 = random_of(kinds[0], a, b)
+            k2 = random_of(kinds[1], c, d)
             par = parallel_compose(k1, k2)
-            for label in enumerate_pure_labels(compose_systems(A, C3)):
+            prep2 = isinstance(k2.in_system, Trivial)
+            for label in enumerate_pure_labels(compose_systems(k1.in_system,
+                                                               k2.in_system)):
+                if isinstance(k1.in_system, Trivial):
+                    x, y, s = UNIT, label, 1
+                elif prep2:
+                    x, y, s = label, UNIT, 1
+                else:
+                    x, y, s = label.left, label.right, label.sign
                 expected = {}
-                for (b, t1), w1 in k1.row(label.left).items():
-                    for (d, t2), w2 in k2.row(label.right).items():
-                        key = (node(b, d, t1 * t2 * label.sign), t1)
+                for (bl, t1), w1 in k1.row(x).items():
+                    for (dl, t2), w2 in k2.row(y).items():
+                        if bl == UNIT:
+                            key = (dl, s * t2)
+                        elif dl == UNIT:
+                            key = (bl, t1)
+                        else:
+                            key = (node(bl, dl, t2 if prep2 else t1 * t2 * s), t1)
                         expected[key] = expected.get(key, F(0)) + w1 * w2
                 assert par.row(label) == expected
 
