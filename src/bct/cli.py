@@ -1,7 +1,7 @@
 """Command-line harness: coherence suite, tomography, dilations, protocols.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or IO
-error.  All reports are canonical JSON (sorted keys), byte-stable for a
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage, IO
+or resource error (an enumeration bound, input nested too deeply).  All reports are canonical JSON (sorted keys), byte-stable for a
 fixed configuration and seed.  A flat key=value config file can seed any
 flag; explicit flags win.
 """
@@ -289,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -1,4 +1,11 @@
-"""Global configuration: dimension bounds for exhaustive basis enumeration."""
+"""Global configuration: dimension bounds for exhaustive basis enumeration.
+
+One policy holds in every module: a basis is enumerated only when its
+dimension is within `max_dim()`, and whatever is larger is reported from
+the dimension rule or refused.  The universal processor has its own bound on
+its domain (`DILATION_MAX_DIM`), checked by arithmetic before anything of it
+is built; the processor's own systems are enumerated under that bound.
+"""
 
 from __future__ import annotations
 

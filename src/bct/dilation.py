@@ -29,7 +29,6 @@ from .kernels import (
     apply,
     is_deterministic,
     is_reversible,
-    validate_instrument,
 )
 from .labels import (
     Move,
@@ -48,7 +47,6 @@ from .states import (
     pure_state,
     scale,
     tensor_states,
-    unit_effect,
     vectors_equal,
 )
 from .systems import (
@@ -85,13 +83,9 @@ class FunctionLabel:
 def enumerate_function_labels(d_in: int, d_out: int,
                               mode: TheoryMode) -> list[FunctionLabel]:
     """All (h, xi) pairs, h lexicographic then xi with - before +."""
-    sign_choices = list(itertools.product(node_signs(mode), repeat=d_in))
-    out = []
-    for h in itertools.product(range(1, d_out + 1), repeat=d_in):
-        for xi in sorted(sign_choices):
-            out.append(FunctionLabel(h, xi))
-    out.sort(key=FunctionLabel.sort_key)
-    return out
+    return [FunctionLabel(h, xi)
+            for h in itertools.product(range(1, d_out + 1), repeat=d_in)
+            for xi in itertools.product(node_signs(mode), repeat=d_in)]
 
 
 @dataclass(frozen=True)
@@ -115,16 +109,19 @@ def _offset_add(m_index: int, k_index: int, d: int) -> int:
 
 def build_processor(a: SystemTree, b: SystemTree,
                     bound: int = DILATION_MAX_DIM) -> UniversalProcessor:
-    """Construct and verify the universal processor for A -> B."""
+    """Construct and verify the universal processor for A -> B.
+
+    The systems are sized by the dimension rule, and the domain is checked
+    against `bound`, before any label is enumerated.
+    """
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         raise ValueError("the processor needs non-trivial input and output systems")
     if a.mode is not b.mode:
         raise ValueError("systems must share a theory mode")
     mode = a.mode
+    signs = node_signs(mode)
     d_a, d_b = dimension(a), dimension(b)
-    functions = enumerate_function_labels(d_a, d_b, mode)
-    d_bpp = len(functions)
-    program = leaf(d_bpp, mode, name="program")
+    program = leaf((len(signs) * d_b) ** d_a, mode, name="program")
     bprime = compose_systems(program, b)
     aprime = compose_systems(program, a)
     domain = compose_systems(bprime, a)
@@ -133,18 +130,13 @@ def build_processor(a: SystemTree, b: SystemTree,
             f"processor domain dimension {dimension(domain)} exceeds bound {bound}")
     a_labels = enumerate_pure_labels(a)
     b_labels = enumerate_pure_labels(b)
-    a_index = {label: i + 1 for i, label in enumerate(a_labels)}
-    b_index = {label: i + 1 for i, label in enumerate(b_labels)}
-    program_labels = enumerate_pure_labels(program)
-    program_index = dict(zip(functions, program_labels))
+    program_index = dict(zip(enumerate_function_labels(d_a, d_b, mode),
+                             enumerate_pure_labels(program, bound)))
 
-    signs = node_signs(mode)
     rows: dict[PureLabel, dict[tuple[PureLabel, int], Fraction]] = {}
     for fl, sigma in program_index.items():
-        for k_label in b_labels:
-            k = b_index[k_label]
-            for i_label in a_labels:
-                i = a_index[i_label]
+        for k, k_label in enumerate(b_labels, 1):
+            for i, i_label in enumerate(a_labels, 1):
                 m = _offset_add(fl.h[i - 1], k, d_b)
                 tau = fl.xi[i - 1]
                 for s1 in signs:
@@ -154,7 +146,7 @@ def build_processor(a: SystemTree, b: SystemTree,
                                            b_labels[m - 1], s3)
                         rows[source] = {(target, tau): ONE}
     kernel = Kernel(domain, compose_systems(aprime, b), rows)
-    if not is_reversible(kernel, bound):
+    if not is_reversible(kernel):
         raise AssertionError("processor kernel failed the bijection check")
     return UniversalProcessor(a, b, program, bprime, aprime, kernel, program_index)
 
@@ -170,22 +162,13 @@ def decompose_channel(channel: Kernel) -> list[tuple[FunctionLabel, Fraction]]:
     """
     if not is_deterministic(channel):
         raise ValueError("decompose_channel needs a deterministic kernel")
-    mode = channel.mode
     a_labels = enumerate_pure_labels(channel.in_system)
     b_labels = enumerate_pure_labels(channel.out_system)
-    b_index = {label: i + 1 for i, label in enumerate(b_labels)}
-    d_a = len(a_labels)
-    # remaining[i][(m, tau)] with m a 1-based output index
-    remaining: list[dict[tuple[int, int], Fraction]] = []
-    for a in a_labels:
-        row: dict[tuple[int, int], Fraction] = {}
-        for (b, tau), w in channel.row(a).items():
-            row[(b_index[b], tau)] = row.get((b_index[b], tau), ZERO) + w
-        remaining.append(row)
+    remaining = _cell_table(channel, a_labels, b_labels)
 
     out: list[tuple[FunctionLabel, Fraction]] = []
     guard = 0
-    limit = 2 * d_a * len(b_labels)  # every step zeroes at least one cell
+    limit = 2 * len(a_labels) * len(b_labels)  # every step zeroes at least one cell
     while any(remaining):
         guard += 1
         if guard > limit:
@@ -214,6 +197,14 @@ def decompose_channel(channel: Kernel) -> list[tuple[FunctionLabel, Fraction]]:
     for fl, mu in out:
         merged[fl] = merged.get(fl, ZERO) + mu
     return sorted(merged.items(), key=lambda item: item[0].sort_key())
+
+
+def _cell_table(kernel: Kernel, a_labels: Sequence[PureLabel],
+                b_labels: Sequence[PureLabel]) -> list[dict[tuple[int, int], Fraction]]:
+    """Row i of `kernel` (the i-th input label) as {(m, tau): w}, m 1-based."""
+    b_index = {label: m for m, label in enumerate(b_labels, 1)}
+    return [{(b_index[b], tau): w for (b, tau), w in kernel.row(a).items()}
+            for a in a_labels]
 
 
 def function_channel(fl: FunctionLabel, in_system: SystemTree,
@@ -262,7 +253,6 @@ def dilated_apply(processor: UniversalProcessor, sigma: StateVector,
 
 
 def realize_instrument(instrument: Instrument,
-                       env: SystemTree | None = None,
                        processor: UniversalProcessor | None = None,
                        verify: bool = True) -> DilationResult:
     """Realise an instrument as (program state, processor, observation).
@@ -273,30 +263,27 @@ def realize_instrument(instrument: Instrument,
     uses is absorbed into the first branch so the effects sum to the unit
     effect.
     """
-    if not validate_instrument(instrument):
-        raise ValueError("not a valid instrument (branch sum must be deterministic)")
+    try:
+        channel = instrument.total()
+        if not is_deterministic(channel):
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            "not a valid instrument (branch sum must be deterministic)") from None
     a, b = instrument.in_system, instrument.out_system
     if processor is None:
         processor = build_processor(a, b)
-    channel = instrument.total()
     mu = decompose_channel(channel)
-    mu_map = dict(mu)
     sigma = program_sigma(processor, mu)
 
     a_labels = enumerate_pure_labels(a)
     b_labels = enumerate_pure_labels(b)
-    b_index = {label: i + 1 for i, label in enumerate(b_labels)}
-    channel_cells: list[dict[tuple[int, int], Fraction]] = []
-    for al in a_labels:
-        cells: dict[tuple[int, int], Fraction] = {}
-        for (bl, tau), w in channel.row(al).items():
-            cells[(b_index[bl], tau)] = cells.get((b_index[bl], tau), ZERO) + w
-        channel_cells.append(cells)
-
+    channel_cells = _cell_table(channel, a_labels, b_labels)
     signs = node_signs(processor.mode)
     effects: list[EffectVector] = []
     zeta_tables: dict = {}
     for outcome, branch in zip(instrument.outcomes, instrument.branches):
+        branch_cells = _cell_table(branch, a_labels, b_labels)
         coeffs: dict[PureLabel, Fraction] = {}
         table: dict[tuple[FunctionLabel, int], Fraction] = {}
         for fl, _weight in mu:
@@ -304,11 +291,7 @@ def realize_instrument(instrument: Instrument,
             for i, al in enumerate(a_labels):
                 cell = (fl.h[i], fl.xi[i])
                 lam = channel_cells[i].get(cell, ZERO)
-                gamma = ZERO
-                for (bl, tau), w in branch.row(al).items():
-                    if (b_index[bl], tau) == cell:
-                        gamma += w
-                z = gamma / lam if lam else ZERO
+                z = branch_cells[i].get(cell, ZERO) / lam if lam else ZERO
                 if z:
                     table[(fl, i)] = z
                     for s1 in signs:
@@ -318,12 +301,9 @@ def realize_instrument(instrument: Instrument,
 
     # completion: absorb the program labels the channel never uses into the
     # first branch so the observation effects sum to the unit effect
-    total = {}
-    for e in effects:
-        for label, value in e.coeffs.items():
-            total[label] = total.get(label, ZERO) + value
+    total = _summed(effects)
     first = dict(effects[0].coeffs)
-    for label in enumerate_pure_labels(processor.output_ancilla):
+    for label in enumerate_pure_labels(processor.output_ancilla, DILATION_MAX_DIM):
         missing = ONE - total.get(label, ZERO)
         if missing:
             first[label] = first.get(label, ZERO) + missing
@@ -331,25 +311,35 @@ def realize_instrument(instrument: Instrument,
 
     verified = True
     if verify:
-        environment = bibit(processor.mode) if env is None else env
-        ae = compose_systems(a, environment)
-        for effect, branch in zip(effects, instrument.branches):
-            for label in enumerate_pure_labels(ae):
-                probe = pure_state(ae, label)
-                direct = apply(branch, probe, "0")
-                via = dilated_apply(processor, sigma, effect, probe)
-                if not vectors_equal(direct, via):
-                    verified = False
-        unit = unit_effect(processor.output_ancilla)
-        summed: dict[PureLabel, Fraction] = {}
-        for e in effects:
-            for label, value in e.coeffs.items():
-                summed[label] = summed.get(label, ZERO) + value
-        if summed != unit.coeffs or not sigma.is_deterministic:
-            verified = False
+        summed = _summed(effects)
+        verified = (all(_reproduces(processor, sigma, effect, branch)
+                        for effect, branch in zip(effects, instrument.branches))
+                    and len(summed) == dimension(processor.output_ancilla)
+                    and all(value == 1 for value in summed.values())
+                    and sigma.is_deterministic)
 
     return DilationResult(processor, sigma, tuple(effects), instrument.outcomes,
-                          mu_map, zeta_tables, verified)
+                          dict(mu), zeta_tables, verified)
+
+
+def _summed(effects: Sequence[EffectVector]) -> dict[PureLabel, Fraction]:
+    total: dict[PureLabel, Fraction] = {}
+    for e in effects:
+        for label, value in e.coeffs.items():
+            total[label] = total.get(label, ZERO) + value
+    return total
+
+
+def _reproduces(processor: UniversalProcessor, sigma: StateVector,
+                effect: EffectVector, kernel: Kernel) -> bool:
+    """The sandwich and `kernel` agree on every pure label of A (x) E."""
+    ae = compose_systems(processor.a_system, bibit(processor.mode))
+    for label in enumerate_pure_labels(ae):
+        probe = pure_state(ae, label)
+        if not vectors_equal(apply(kernel, probe, "0"),
+                             dilated_apply(processor, sigma, effect, probe)):
+            return False
+    return True
 
 
 def program_channel(channel: Kernel,
@@ -365,8 +355,7 @@ def program_channel(channel: Kernel,
 
 
 def extract_kernel(processor: UniversalProcessor, sigma: StateVector,
-                   effect: EffectVector,
-                   env: SystemTree | None = None) -> Kernel:
+                   effect: EffectVector) -> Kernel:
     """The kernel an arbitrary (sigma, R, effect) sandwich induces on A -> B.
 
     Works for any state of B' and any effect on A', not only program-shaped
@@ -374,7 +363,7 @@ def extract_kernel(processor: UniversalProcessor, sigma: StateVector,
     valid classified kernel (it always does, which tests rely on).
     """
     a, b = processor.a_system, processor.b_system
-    environment = bibit(processor.mode) if env is None else env
+    environment = bibit(processor.mode)
     ae = compose_systems(a, environment)
     e0 = enumerate_pure_labels(environment)[0]
     rows: dict[PureLabel, dict[tuple[PureLabel, int], Fraction]] = {}
@@ -389,10 +378,6 @@ def extract_kernel(processor: UniversalProcessor, sigma: StateVector,
         if row:
             rows[i_label] = row
     kernel = Kernel(a, b, rows)
-    for label in enumerate_pure_labels(ae):
-        probe = pure_state(ae, label)
-        direct = apply(kernel, probe, "0")
-        via = dilated_apply(processor, sigma, effect, probe)
-        if not vectors_equal(direct, via):
-            raise AssertionError("sandwich is not reproduced by its kernel form")
+    if not _reproduces(processor, sigma, effect, kernel):
+        raise AssertionError("sandwich is not reproduced by its kernel form")
     return kernel

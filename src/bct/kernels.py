@@ -189,15 +189,19 @@ def effect_kernel(effect: GeneralizedVector) -> Kernel:
 
 
 def sequential_compose(second: Kernel, first: Kernel) -> Kernel:
-    """(second o first); internal signs flip independently, taus multiply."""
+    """(second o first); internal signs flip independently, taus multiply.
+
+    An effect discards the pairing sign, so into a trivial output tau is +1.
+    """
     if first.out_system != second.in_system:
         raise ValueError("systems do not chain")
+    effect = isinstance(second.out_system, Trivial)
     rows: Rows = {}
     for a, row1 in first.rows.items():
         out: dict[Entry, Fraction] = {}
         for (b, tau1), w1 in row1.items():
             for (c, tau2), w2 in second.row(b).items():
-                key = (c, tau1 * tau2)
+                key = (c, PLUS if effect else tau1 * tau2)
                 out[key] = out.get(key, ZERO) + w1 * w2
         if out:
             rows[a] = out
@@ -256,15 +260,17 @@ def scale_kernel(kernel: Kernel, factor: Fraction) -> Kernel:
     return Kernel(kernel.in_system, kernel.out_system, rows)
 
 
-def add_kernels(a: Kernel, b: Kernel) -> Kernel:
-    if a.in_system != b.in_system or a.out_system != b.out_system:
-        raise ValueError("system mismatch")
-    rows: Rows = {label: dict(row) for label, row in a.rows.items()}
-    for label, row in b.rows.items():
-        target = rows.setdefault(label, {})
-        for entry, w in row.items():
-            target[entry] = target.get(entry, ZERO) + w
-    return Kernel(a.in_system, a.out_system, rows)
+def add_kernels(first: Kernel, *rest: Kernel) -> Kernel:
+    """The entrywise sum of kernels on the same systems, validated once."""
+    rows: Rows = {label: dict(row) for label, row in first.rows.items()}
+    for kernel in rest:
+        if kernel.in_system != first.in_system or kernel.out_system != first.out_system:
+            raise ValueError("system mismatch")
+        for label, row in kernel.rows.items():
+            target = rows.setdefault(label, {})
+            for entry, w in row.items():
+                target[entry] = target.get(entry, ZERO) + w
+    return Kernel(first.in_system, first.out_system, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +362,13 @@ def apply(kernel: Kernel, rho: StateVector, at: str = "") -> StateVector:
 
 
 def is_deterministic(kernel: Kernel) -> bool:
-    """Row sums all equal one (occurs with certainty on every input)."""
-    basis = enumerate_pure_labels(kernel.in_system)
-    return all(kernel.row_sum(label) == 1 for label in basis)
+    """Row sums all equal one (occurs with certainty on every input).
+
+    Row labels are validated and distinct, so a row on every input is a
+    count: as many rows as the input dimension.
+    """
+    return (len(kernel.rows) == dimension(kernel.in_system)
+            and all(sum(row.values()) == 1 for row in kernel.rows.values()))
 
 
 def is_atomic(kernel: Kernel) -> bool:
@@ -369,25 +379,23 @@ def is_atomic(kernel: Kernel) -> bool:
     return len(entries) == 1
 
 
-def is_reversible(kernel: Kernel, bound: int | None = None) -> bool:
-    """Weight-one signed bijection of pure labels (the permutation form)."""
-    if dimension(kernel.in_system) != dimension(kernel.out_system):
+def is_reversible(kernel: Kernel) -> bool:
+    """Weight-one signed bijection of pure labels (the permutation form).
+
+    Counted like `is_deterministic`: a row on every input (rows are never
+    empty), d entries in all, each of weight one, and d distinct targets.
+    """
+    d = dimension(kernel.in_system)
+    if dimension(kernel.out_system) != d or len(kernel.rows) != d:
         return False
-    targets: set[PureLabel] = set()
-    for label in enumerate_pure_labels(kernel.in_system, bound):
-        row = kernel.row(label)
-        if len(row) != 1:
-            return False
-        ((out_label, _tau), weight), = row.items()
-        if weight != 1 or out_label in targets:
-            return False
-        targets.add(out_label)
-    return True
+    entries = [entry for row in kernel.rows.values() for entry in row.items()]
+    return (len(entries) == d and all(w == 1 for _, w in entries)
+            and len({b for (b, _tau), _w in entries}) == d)
 
 
-def invert_reversible(kernel: Kernel, bound: int | None = None) -> Kernel:
+def invert_reversible(kernel: Kernel) -> Kernel:
     """Inverse of a signed permutation; the same flips cancel on composition."""
-    if not is_reversible(kernel, bound):
+    if not is_reversible(kernel):
         raise ValueError("only reversible kernels invert")
     rows: Rows = {}
     for a, row in kernel.rows.items():
@@ -440,10 +448,7 @@ class Instrument:
         return self.branches[0].out_system
 
     def total(self) -> Kernel:
-        total = null_kernel(self.in_system, self.out_system)
-        for k in self.branches:
-            total = add_kernels(total, k)
-        return total
+        return add_kernels(*self.branches)
 
 
 def validate_instrument(branches: Sequence[Kernel] | Instrument) -> bool:
@@ -452,16 +457,10 @@ def validate_instrument(branches: Sequence[Kernel] | Instrument) -> bool:
         branches = branches.branches
     if not branches:
         return False
-    first = branches[0]
     try:
-        total = null_kernel(first.in_system, first.out_system)
-        for k in branches:
-            if k.in_system != first.in_system or k.out_system != first.out_system:
-                return False
-            total = add_kernels(total, k)
+        return is_deterministic(add_kernels(*branches))
     except ValueError:
         return False
-    return is_deterministic(total)
 
 
 def coarse_grain(instrument: Instrument, partition: Sequence[Sequence[int]]) -> Instrument:
@@ -472,10 +471,9 @@ def coarse_grain(instrument: Instrument, partition: Sequence[Sequence[int]]) -> 
     branches = []
     outcomes = []
     for block in partition:
-        merged = null_kernel(instrument.in_system, instrument.out_system)
-        for i in block:
-            merged = add_kernels(merged, instrument.branches[i])
-        branches.append(merged)
+        branches.append(add_kernels(null_kernel(instrument.in_system,
+                                                instrument.out_system),
+                                    *(instrument.branches[i] for i in block)))
         outcomes.append(tuple(instrument.outcomes[i] for i in block))
     return Instrument(tuple(branches), tuple(outcomes))
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .config import max_dim
 from .kernels import (
     Instrument,
     Kernel,
@@ -153,9 +155,11 @@ def capacity_report(n: int, mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport
     system = left_comb([2] * n, mode)
     d = dimension(system)
     expected = 2 ** (2 * n - 1) if mode is TheoryMode.BCT else 2 ** n
+    # the self-checks enumerate the basis only within the bound and within
+    # their cost caps; otherwise the count is the dimension rule's alone
     structural = True
-    if d <= 512:
-        basis = enumerate_pure_labels(system, bound=max(d, 4096))
+    if d <= min(512, max_dim()):
+        basis = enumerate_pure_labels(system)
         structural = len(basis) == d and len(set(basis)) == d
         total = unit_effect(system)
         summed: dict[PureLabel, Fraction] = {}
@@ -163,8 +167,7 @@ def capacity_report(n: int, mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport
             for label, value in point_effect(system, x).coeffs.items():
                 summed[label] = summed.get(label, ZERO) + value
         structural &= summed == total.coeffs
-    if d <= 64:
-        basis = enumerate_pure_labels(system)
+    if d <= min(64, max_dim()):
         for x in basis:
             for y in basis:
                 p = pair(point_effect(system, x), pure_state(system, y))
@@ -308,7 +311,7 @@ def hypersignaling_report(a: SystemTree, b: SystemTree) -> ProtocolReport:
     ab = compose_systems(a, b)
     d_ab = dimension(ab)
     product = dimension(a) * dimension(b)
-    distinguishable = len(enumerate_pure_labels(ab)) if d_ab <= 4096 else d_ab
+    distinguishable = len(enumerate_pure_labels(ab)) if d_ab <= max_dim() else d_ab
     verdict = d_ab > product
     expected = a.mode is TheoryMode.BCT
     return ProtocolReport(

@@ -161,3 +161,13 @@ def test_reports_match_golden_bytes(name, args, capsys):
     code, out = run(args, capsys)
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("system, label", [
+    ("2", "(" * 2000 + "1" + " 1)+" * 2000),
+    ("(" * 2000 + "2" + "*2)" * 2000, "1"),
+], ids=["deep-label", "deep-system"])
+def test_deep_nesting_is_usage_error(tmp_path, capsys, system, label):
+    src = tmp_path / "state.json"
+    src.write_text(json.dumps({"system": system, "coeffs": {label: "1"}}))
+    assert main(["protocol", "clone", "--state", str(src), "--quiet"]) == 2

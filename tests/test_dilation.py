@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bct import dilation
 from bct.dilation import (
     DilationResult,
     FunctionLabel,
@@ -88,6 +89,15 @@ class TestProcessor:
     def test_bound_respected(self):
         with pytest.raises(ValueError):
             build_processor(leaf(3), leaf(3), bound=100)
+
+    def test_bound_checked_before_building(self, monkeypatch):
+        # (5, 5) would need 10^5 function labels for a 10^7-label domain
+        def refuse(*args):
+            raise AssertionError("function labels enumerated above the bound")
+
+        monkeypatch.setattr(dilation, "enumerate_function_labels", refuse)
+        with pytest.raises(ValueError, match="exceeds bound"):
+            build_processor(leaf(5), leaf(5))
 
 
 class TestDecomposition:
@@ -186,6 +196,15 @@ class TestRealization:
         for fl, mu in parts:
             resum = add_kernels(resum, scale_kernel(function_channel(fl, ab, A), mu))
         assert kernels_equal(resum, channel)
+
+    def test_four_to_three_realizes(self):
+        # the output ancilla (10368 labels) is above the user default bound;
+        # the processor's systems are enumerated under the processor's bound
+        rng = random.Random(43)
+        inst = random_instrument(rng, leaf(4), leaf(3), branches=2)
+        result = realize_instrument(inst)
+        assert result.verified
+        assert dimension(result.processor.output_ancilla) == 10368
 
     def test_ct_mode(self):
         rng = random.Random(19)

@@ -18,6 +18,7 @@ from bct.kernels import (
     effect_kernel,
     extend_at,
     identity_kernel,
+    invert_reversible,
     is_atomic,
     is_deterministic,
     is_reversible,
@@ -153,18 +154,15 @@ class TestParallel:
     def test_closed_form(self):
         for mode in (TheoryMode.BCT, TheoryMode.CT):
             for kinds in itertools.product(("channel", "prep", "effect"), repeat=2):
-                # effect (x) effect is left out: in BCT sequential_compose
-                # keeps the left effect's flip as the tau of a trivial
-                # output, which Kernel rejects
-                if kinds != ("effect", "effect"):
-                    self.check_closed_form(mode, kinds)
+                self.check_closed_form(mode, kinds)
 
     def check_closed_form(self, mode, kinds):
         """Entries of k1 (x) k2 on ((x y)_s): ((b d)_{t1 t2 s}, t1) for channels.
 
         A preparation has no input node (s = +1); one on the right opens its
         node after k1's flip has left, so the node sign is its own t2.  An
-        effect on the left passes its pairing sign s to the flip.
+        effect on the left passes its pairing sign s to the flip, unless the
+        right is an effect too: a trivial output has tau +1.
         """
         rng = random.Random(2)
         a, b, c, d = leaf(2, mode), leaf(2, mode), leaf(3, mode), leaf(2, mode)
@@ -193,7 +191,9 @@ class TestParallel:
                 expected = {}
                 for (bl, t1), w1 in k1.row(x).items():
                     for (dl, t2), w2 in k2.row(y).items():
-                        if bl == UNIT:
+                        if bl == UNIT == dl:
+                            key = (UNIT, 1)
+                        elif bl == UNIT:
                             key = (dl, s * t2)
                         elif dl == UNIT:
                             key = (bl, t1)
@@ -201,6 +201,33 @@ class TestParallel:
                             key = (node(bl, dl, t2 if prep2 else t1 * t2 * s), t1)
                         expected[key] = expected.get(key, F(0)) + w1 * w2
                 assert par.row(label) == expected
+
+    def test_effects_commute_with_extension(self):
+        """extend_at(e o k) = extend_at(e) o extend_at(k), and e1 (x) e2 is
+        e2 o (e1 (x) I): an effect after a kernel that flips its
+        environment (tau -1) discards the pairing sign."""
+        rng = random.Random(3)
+        for mode in (TheoryMode.BCT, TheoryMode.CT):
+            a, b, env = leaf(2, mode), leaf(3, mode), leaf(2, mode)
+            for _ in range(10):
+                k = random_kernel(rng, a, b)
+                e = effect_kernel(EffectVector(b, {l: F(rng.randrange(17), 16)
+                                                   for l in enumerate_pure_labels(b)}))
+                e1 = effect_kernel(EffectVector(a, {l: F(rng.randrange(17), 16)
+                                                    for l in enumerate_pure_labels(a)}))
+                ae, be = compose_systems(a, env), compose_systems(b, env)
+                assert kernels_equal(
+                    extend_at(sequential_compose(e, k), ae, "0"),
+                    sequential_compose(extend_at(e, be, "0"), extend_at(k, ae, "0")))
+                ab = compose_systems(a, b)
+                assert kernels_equal(
+                    parallel_compose(e1, e),
+                    sequential_compose(e, extend_at(e1, ab, "0")))
+                abe = compose_systems(ab, env)
+                assert kernels_equal(
+                    extend_at(parallel_compose(e1, e), abe, "0"),
+                    sequential_compose(extend_at(e, be, "0"),
+                                       extend_at(extend_at(e1, ab, "0"), abe, "0")))
 
     def test_scalars_multiply(self):
         out = parallel_compose(scalar_kernel(TheoryMode.BCT, F(1, 2)),
@@ -453,9 +480,22 @@ class TestExtension:
                 moved, flip = apply_move_tracked(label, move)
                 assert via_extension.row(label) == {(moved, flip): Fraction(1)}
 
-    def test_invert_reversible_round_trip(self):
-        from bct.kernels import invert_reversible
+    def test_reversible_above_the_enumeration_bound(self):
+        # reversibility is counted over the rows, not checked by enumerating
+        # the 5000-label basis (above the default bound of 4096)
+        n = 5000
+        system = leaf(n)
+        rows = {lab(i): {(lab(i % n + 1), -1 if i % 2 else 1): F(1)}
+                for i in range(1, n + 1)}
+        k = Kernel(system, system, rows)
+        assert is_reversible(k)
+        inverse = invert_reversible(k)
+        assert inverse.rows == {lab(i % n + 1): {(lab(i), -1 if i % 2 else 1): F(1)}
+                                for i in range(1, n + 1)}
+        rows.pop(lab(1))
+        assert not is_reversible(Kernel(system, system, rows))
 
+    def test_invert_reversible_round_trip(self):
         rng = random.Random(23)
         for _ in range(10):
             r = random_reversible_kernel(rng, AB)

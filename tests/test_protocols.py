@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bct.cli import main
 from bct.kernels import apply, random_reversible_kernel, sequential_compose
 from bct.labels import LeafLabel, NodeLabel, enumerate_pure_labels
 from bct.protocols import (
@@ -182,3 +183,26 @@ def test_probabilities_sum_to_one_per_run():
     assert total == 1
     clone = clone_state(pure_state(A, lab(2)))
     assert sum(Fraction(r["weight"]) for r in clone.outcomes) == 1
+
+
+class TestEnumerationBound:
+    """Above BCT_MAX_DIM the protocols report from the dimension rule."""
+
+    def test_hypersignal_reports_from_the_dimension_rule(self, monkeypatch):
+        monkeypatch.setenv("BCT_MAX_DIM", "16")
+        report = hypersignaling_report(leaf(3), leaf(3))
+        assert report.success
+        assert report.outcomes[0] == {"d_ab": 18, "product": 9,
+                                      "distinguishable": 18,
+                                      "hypersignaling": True}
+
+    def test_capacity_reports_from_the_dimension_rule(self, monkeypatch):
+        monkeypatch.setenv("BCT_MAX_DIM", "16")
+        report = capacity_report(3)
+        assert report.success
+        assert report.outcomes[0] == {"n": 3, "messages": 32, "expected": 32}
+
+    def test_cli_exits_zero(self, monkeypatch, capsys):
+        monkeypatch.setenv("BCT_MAX_DIM", "16")
+        assert main(["protocol", "hypersignal", "--dims", "3,3", "--quiet"]) == 0
+        assert main(["protocol", "capacity", "--n", "3", "--quiet"]) == 0
