@@ -10,13 +10,16 @@ suite can demonstrate it has power, and each alters exactly one code path:
 - PARALLEL_DROP_TAU: the left factor k1 (x) I inside
   `kernels.parallel_compose`, never `extend_at` itself.
 
-Faults are process-global; they are meant to be toggled around a single
-suite run, never during normal use.
+The active fault is a context variable: `inject_fault` scopes it to the
+current context, so a thread started inside the block (which begins with a
+fresh context) runs without it.  Faults are meant to be toggled around a
+single suite run, never during normal use.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 ASSOC_SIGN = "assoc-sign"        # associator inner sign s1*s2 replaced by s2
 BRAID_SIGN = "braid-sign"        # braid flips the swapped node's own sign
@@ -24,21 +27,19 @@ PARALLEL_DROP_TAU = "parallel-drop-tau"  # left extension drops tau from the nod
 
 KNOWN_FAULTS = (ASSOC_SIGN, BRAID_SIGN, PARALLEL_DROP_TAU)
 
-_active: str | None = None
+_active: ContextVar[str | None] = ContextVar("bct_fault", default=None)
 
 
 def active_fault() -> str | None:
-    return _active
+    return _active.get()
 
 
 @contextmanager
 def inject_fault(name: str | None):
-    global _active
     if name is not None and name not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {name!r}; known: {KNOWN_FAULTS}")
-    previous = _active
-    _active = name
+    token = _active.set(name)
     try:
         yield
     finally:
-        _active = previous
+        _active.reset(token)

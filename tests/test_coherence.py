@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import threading
 
 import pytest
 
@@ -12,7 +14,14 @@ from bct.coherence import (
     check_sliding,
     run_suite,
 )
-from bct.faults import ASSOC_SIGN, BRAID_SIGN, PARALLEL_DROP_TAU, inject_fault
+import bct.coherence
+from bct.faults import (
+    ASSOC_SIGN,
+    BRAID_SIGN,
+    PARALLEL_DROP_TAU,
+    active_fault,
+    inject_fault,
+)
 from bct.kernels import extend_at, kernels_equal, random_kernel
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, left_comb
 
@@ -110,8 +119,6 @@ def test_reports_deterministic():
 
 
 def test_fault_context_restores_cleanly():
-    from bct.faults import active_fault
-
     assert active_fault() is None
     with pytest.raises(RuntimeError):
         with inject_fault(BRAID_SIGN):
@@ -121,3 +128,42 @@ def test_fault_context_restores_cleanly():
     with pytest.raises(ValueError):
         with inject_fault("no-such-fault"):
             pass
+
+
+def test_fault_is_scoped_to_its_context():
+    seen = []
+    with inject_fault(BRAID_SIGN):
+        thread = threading.Thread(target=lambda: seen.append(active_fault()))
+        thread.start()
+        thread.join(timeout=10)
+        assert active_fault() == BRAID_SIGN
+    assert not thread.is_alive()
+    assert seen == [None]
+
+
+def _report_bytes(report):
+    # no sort_keys: the key order of params is part of the report
+    return json.dumps(report.to_json())
+
+
+def test_failing_path_reports(monkeypatch):
+    monkeypatch.setattr(bct.coherence, "apply_moves_tracked",
+                        lambda label, moves: (label, len(moves)))
+    assert _report_bytes(check_pentagon((2, 2, 2, 2))) == (
+        '{"name": "pentagon", "params": {"dims": [2, 2, 2, 2], "mode": "BCT"}, '
+        '"passed": false, "counterexample": {"label": "(((1 1)- 1)- 1)-", '
+        '"path1": "(((1 1)- 1)- 1)-", "path2": "(((1 1)- 1)- 1)-"}}')
+    assert _report_bytes(check_hexagon((2, 2, 2))) == (
+        '{"name": "hexagon", "params": {"dims": [2, 2, 2], "mode": "BCT"}, '
+        '"passed": false, "counterexample": {"label": "((1 1)- 1)-", '
+        '"one_step": "((1 1)- 1)-", "two_step": "((1 1)- 1)-"}}')
+
+
+def test_failing_law_reports(monkeypatch):
+    monkeypatch.setattr(bct.coherence, "kernels_equal", lambda k1, k2: False)
+    assert _report_bytes(check_sliding(0, pairs=3)) == (
+        '{"name": "sliding", "params": {"dims": [2, 2, 2, 2], "seed": 0, '
+        '"mode": "BCT"}, "passed": false, "counterexample": {"trial": 0}}')
+    assert _report_bytes(check_bifunctoriality(0, pairs=3)) == (
+        '{"name": "bifunctoriality", "params": {"dims": [2, 2], "seed": 0, '
+        '"mode": "BCT"}, "passed": false, "counterexample": {"trial": 0}}')
