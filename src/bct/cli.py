@@ -33,13 +33,6 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _parse_mode(text: str) -> TheoryMode:
-    try:
-        return TheoryMode(text.upper())
-    except ValueError:
-        raise SystemExit(USAGE_ERROR)
-
-
 def _emit(doc, out: str | None, quiet: bool, summary: str) -> None:
     text = dumps(doc)
     if out:
@@ -75,7 +68,7 @@ def _dims_list(text: str) -> list[tuple[int, ...]]:
 
 
 def cmd_coherence(args) -> int:
-    mode = _parse_mode(args.mode)
+    mode = TheoryMode(args.mode.upper())
     kwargs = {}
     if args.dims_matrix:
         tuples = _dims_list(args.dims_matrix)
@@ -100,7 +93,7 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_verify_dims(args) -> int:
-    mode = _parse_mode(args.mode)
+    mode = TheoryMode(args.mode.upper())
     reports = []
     ok = True
     for dims in _dims_list(args.triples):
@@ -115,7 +108,7 @@ def cmd_verify_dims(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    mode = _parse_mode(args.mode)
+    mode = TheoryMode(args.mode.upper())
     reports = []
     ok = True
     for dims in _dims_list(args.pairs):
@@ -160,7 +153,7 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    mode = _parse_mode(args.mode)
+    mode = TheoryMode(args.mode.upper())
     name = args.name
     if name == "dense-coding":
         report = dense_coding(mode)

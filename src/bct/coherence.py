@@ -12,6 +12,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
+
 from . import faults
 from .kernels import (
     Instrument,
@@ -38,13 +40,13 @@ from .labels import (
     enumerate_pure_labels,
     label_to_str,
 )
-from .states import StateVector, add_states, pair, point_effect
+from .states import StateVector, pair, point_effect
 from .systems import (
-    SystemTree,
     TheoryMode,
     bibit,
     compose_systems,
     leaf,
+    left_comb,
 )
 
 
@@ -64,96 +66,90 @@ class CheckReport:
         }
 
 
+def _paths_agree(name: str, dims: tuple[int, ...], mode: TheoryMode,
+                 first: list[Move], second: list[Move],
+                 keys: tuple[str, str]) -> CheckReport:
+    """Both move sequences send every pure label of the left comb of `dims`
+    to the same label with the same flip; `keys` name the two results in a
+    counterexample."""
+    params = {"dims": list(dims), "mode": mode.value}
+    labels = enumerate_pure_labels(left_comb(dims, mode))
+    for label in labels:
+        one = apply_moves_tracked(label, first)
+        two = apply_moves_tracked(label, second)
+        if one != two:
+            return CheckReport(name, params, False,
+                               {"label": label_to_str(label),
+                                keys[0]: label_to_str(one[0]),
+                                keys[1]: label_to_str(two[0])})
+    return CheckReport(name, {**params, "labels_checked": len(labels)}, True)
+
+
 def check_pentagon(dims: tuple[int, int, int, int],
                    mode: TheoryMode = TheoryMode.BCT) -> CheckReport:
     """((AB)C)D -> A(B(CD)) along the two reassociation paths."""
-    a, b, c, d = (leaf(x, mode) for x in dims)
-    tree = compose_systems(compose_systems(compose_systems(a, b), c), d)
-    path1 = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.ASSOC_R, "")]
-    path2 = [Move(MoveKind.ASSOC_R, "0"), Move(MoveKind.ASSOC_R, ""),
-             Move(MoveKind.ASSOC_R, "1")]
-    checked = 0
-    for label in enumerate_pure_labels(tree):
-        one = apply_moves_tracked(label, path1)
-        two = apply_moves_tracked(label, path2)
-        checked += 1
-        if one != two:
-            return CheckReport("pentagon", {"dims": list(dims), "mode": mode.value},
-                               False, {"label": label_to_str(label),
-                                       "path1": label_to_str(one[0]),
-                                       "path2": label_to_str(two[0])})
-    return CheckReport("pentagon", {"dims": list(dims), "mode": mode.value,
-                                    "labels_checked": checked}, True)
+    return _paths_agree(
+        "pentagon", dims, mode,
+        [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.ASSOC_R, "")],
+        [Move(MoveKind.ASSOC_R, "0"), Move(MoveKind.ASSOC_R, ""),
+         Move(MoveKind.ASSOC_R, "1")],
+        ("path1", "path2"))
 
 
 def check_hexagon(dims: tuple[int, int, int],
                   mode: TheoryMode = TheoryMode.BCT) -> CheckReport:
     """Single exchange of A past BC versus the two sequential exchanges."""
-    a, b, c = (leaf(x, mode) for x in dims)
-    tree = compose_systems(compose_systems(a, b), c)
-    one = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "")]
-    two = [Move(MoveKind.BRAID, "0"), Move(MoveKind.ASSOC_R, ""),
-           Move(MoveKind.BRAID, "1"), Move(MoveKind.ASSOC_L, "")]
-    checked = 0
-    for label in enumerate_pure_labels(tree):
-        lhs = apply_moves_tracked(label, one)
-        rhs = apply_moves_tracked(label, two)
-        checked += 1
-        if lhs != rhs:
-            return CheckReport("hexagon", {"dims": list(dims), "mode": mode.value},
-                               False, {"label": label_to_str(label),
-                                       "one_step": label_to_str(lhs[0]),
-                                       "two_step": label_to_str(rhs[0])})
-    return CheckReport("hexagon", {"dims": list(dims), "mode": mode.value,
-                                   "labels_checked": checked}, True)
+    return _paths_agree(
+        "hexagon", dims, mode,
+        [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "")],
+        [Move(MoveKind.BRAID, "0"), Move(MoveKind.ASSOC_R, ""),
+         Move(MoveKind.BRAID, "1"), Move(MoveKind.ASSOC_L, "")],
+        ("one_step", "two_step"))
 
 
-def _extended_equal(k1: Kernel, k2: Kernel, env: SystemTree) -> bool:
-    e1 = extend_at(k1, compose_systems(k1.in_system, env), "0")
-    e2 = extend_at(k2, compose_systems(k2.in_system, env), "0")
-    return kernels_equal(e1, e2)
+def _law_holds(name: str, seed: int, dims: tuple[int, ...], mode: TheoryMode,
+               pairs: int,
+               sides: Callable[..., tuple[Kernel, Kernel]]) -> CheckReport:
+    """`sides(rng, *leaves)` draws one trial's kernels on the leaves of `dims`
+    and returns the two composites, which must agree once extended by a
+    probe environment on every trial."""
+    rng = random.Random(seed)
+    leaves = [leaf(x, mode) for x in dims]
+    env = bibit(mode)
+    params = {"dims": list(dims), "seed": seed, "mode": mode.value}
+    for trial in range(pairs):
+        lhs, rhs = sides(rng, *leaves)
+        if not kernels_equal(extend_at(lhs, compose_systems(lhs.in_system, env), "0"),
+                             extend_at(rhs, compose_systems(rhs.in_system, env), "0")):
+            return CheckReport(name, params, False, {"trial": trial})
+    return CheckReport(name, {**params, "pairs": pairs}, True)
 
 
 def check_sliding(seed: int, dims: tuple[int, int, int, int] = (2, 2, 2, 2),
                   mode: TheoryMode = TheoryMode.BCT, pairs: int = 10) -> CheckReport:
     """Braiding naturality: S(k1 x k2) = (k2 x k1)S, with a probe environment."""
-    rng = random.Random(seed)
-    a, b, c, d = (leaf(x, mode) for x in dims)
-    env = bibit(mode)
-    for trial in range(pairs):
+    def sides(rng, a, b, c, d):
         k1 = random_kernel(rng, a, b)
         k2 = random_kernel(rng, c, d)
-        lhs = sequential_compose(braid_kernel(b, d), parallel_compose(k1, k2))
-        rhs = sequential_compose(parallel_compose(k2, k1), braid_kernel(a, c))
-        if not _extended_equal(lhs, rhs, env):
-            return CheckReport("sliding", {"dims": list(dims), "seed": seed,
-                                           "mode": mode.value}, False,
-                               {"trial": trial})
-    return CheckReport("sliding", {"dims": list(dims), "seed": seed,
-                                   "mode": mode.value, "pairs": pairs}, True)
+        return (sequential_compose(braid_kernel(b, d), parallel_compose(k1, k2)),
+                sequential_compose(parallel_compose(k2, k1), braid_kernel(a, c)))
+
+    return _law_holds("sliding", seed, dims, mode, pairs, sides)
 
 
 def check_bifunctoriality(seed: int, dims: tuple[int, int] = (2, 2),
                           mode: TheoryMode = TheoryMode.BCT,
                           pairs: int = 10) -> CheckReport:
     """(k2 o k1) x (k4 o k3) = (k2 x k4) o (k1 x k3), with a probe environment."""
-    rng = random.Random(seed)
-    a = leaf(dims[0], mode)
-    b = leaf(dims[1], mode)
-    env = bibit(mode)
-    for trial in range(pairs):
+    def sides(rng, a, b):
         k1 = random_kernel(rng, a, b)
         k2 = random_kernel(rng, b, a)
         k3 = random_kernel(rng, b, a)
         k4 = random_kernel(rng, a, b)
-        lhs = parallel_compose(sequential_compose(k2, k1), sequential_compose(k4, k3))
-        rhs = sequential_compose(parallel_compose(k2, k4), parallel_compose(k1, k3))
-        if not _extended_equal(lhs, rhs, env):
-            return CheckReport("bifunctoriality", {"dims": list(dims), "seed": seed,
-                                                   "mode": mode.value}, False,
-                               {"trial": trial})
-    return CheckReport("bifunctoriality", {"dims": list(dims), "seed": seed,
-                                           "mode": mode.value, "pairs": pairs}, True)
+        return (parallel_compose(sequential_compose(k2, k1), sequential_compose(k4, k3)),
+                sequential_compose(parallel_compose(k2, k4), parallel_compose(k1, k3)))
+
+    return _law_holds("bifunctoriality", seed, dims, mode, pairs, sides)
 
 
 def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
@@ -214,7 +210,6 @@ def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
     # (v) extended instruments map preparation-instruments to
     # preparation-instruments
     ae = compose_systems(a, env)
-    be = compose_systems(b, env)
     preparation = [random_state(rng, ae, deterministic=False) for _ in range(3)]
     deficit = Fraction(1) - sum((p.weight for p in preparation), Fraction(0))
     if deficit < 0:
@@ -222,23 +217,15 @@ def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
         deficit = Fraction(1)
     basis = enumerate_pure_labels(ae)
     preparation.append(StateVector(ae, {basis[0]: deficit}))
+    outputs: list[StateVector] = []
     for branch in inst.branches:
         ext = extend_at(branch, ae, "0")
-        outputs = [apply(ext, p, "") for p in preparation]
-        for out in outputs:
-            if any(v < 0 for v in out.coeffs.values()) or out.weight > 1:
-                return CheckReport("probabilistic", params, False,
-                                   {"stage": "extension-positivity"})
-    totals = None
-    for branch in inst.branches:
-        ext = extend_at(branch, ae, "0")
-        summed = None
-        for p in preparation:
-            o = apply(ext, p, "")
-            summed = o if summed is None else add_states(summed, o)
-        totals = summed if totals is None else add_states(totals, summed)
-    assert totals is not None
-    if not totals.is_deterministic:
+        outputs.extend(apply(ext, p, "") for p in preparation)
+    if any(any(v < 0 for v in out.coeffs.values()) or out.weight > 1
+           for out in outputs):
+        return CheckReport("probabilistic", params, False,
+                           {"stage": "extension-positivity"})
+    if sum((out.weight for out in outputs), Fraction(0)) != 1:
         return CheckReport("probabilistic", params, False,
                            {"stage": "extension-normalization"})
 

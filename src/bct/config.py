@@ -5,6 +5,9 @@ dimension is within `max_dim()`, and whatever is larger is reported from
 the dimension rule or refused.  The universal processor has its own bound on
 its domain (`DILATION_MAX_DIM`), checked by arithmetic before anything of it
 is built; the processor's own systems are enumerated under that bound.
+
+Parsed system and label strings are capped at `MAX_NESTING` levels of
+parentheses.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ DEFAULT_MAX_DIM = 4096
 # enumerates by hand (dims (3,3) already need a 7776-label basis), so the
 # dilation module carries its own default.
 DILATION_MAX_DIM = 262144
+
+# System and label strings nest at most this deep: every tree walker
+# (parsing, hashing, printing, label matching) recurses once per level, and
+# the cap keeps them all well inside the interpreter's recursion limit.
+MAX_NESTING = 200
 
 
 def max_dim() -> int:

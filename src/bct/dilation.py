@@ -41,11 +41,9 @@ from .labels import (
 from .states import (
     EffectVector,
     StateVector,
-    add_states,
     apply_effect_at,
     apply_moves_to_vector,
     pure_state,
-    scale,
     tensor_states,
     vectors_equal,
 )
@@ -231,17 +229,13 @@ class DilationResult:
 def program_sigma(processor: UniversalProcessor,
                   mu: Sequence[tuple[FunctionLabel, Fraction]]) -> StateVector:
     """Sigma = sum mu_{h,xi} |sigma_{h,xi}> |0>, with |0> the first B label."""
-    b_first = enumerate_pure_labels(processor.b_system)[0]
-    total = None
+    zero = pure_state(processor.b_system, enumerate_pure_labels(processor.b_system)[0])
+    coeffs: dict[PureLabel, Fraction] = {}
     for fl, weight in mu:
-        part = scale(
-            tensor_states(pure_state(processor.program_system,
-                                     processor.program_index[fl]),
-                          pure_state(processor.b_system, b_first)),
-            weight)
-        total = part if total is None else add_states(total, part)
-    assert total is not None
-    return total
+        program = pure_state(processor.program_system, processor.program_index[fl])
+        for label, value in tensor_states(program, zero).coeffs.items():
+            coeffs[label] = coeffs.get(label, ZERO) + weight * value
+    return StateVector(processor.input_ancilla, coeffs)
 
 
 def dilated_apply(processor: UniversalProcessor, sigma: StateVector,
@@ -259,9 +253,9 @@ def realize_instrument(instrument: Instrument,
 
     All branches share one program state (the one programming their sum);
     each branch gets an observation effect built from the branch/channel
-    weight ratios.  Whatever part of the program basis the channel never
-    uses is absorbed into the first branch so the effects sum to the unit
-    effect.
+    weight ratios; the first branch's effect is the unit effect minus the
+    others, so it also absorbs whatever part of the program basis the
+    channel never uses.
     """
     try:
         channel = instrument.total()
@@ -280,34 +274,28 @@ def realize_instrument(instrument: Instrument,
     b_labels = enumerate_pure_labels(b)
     channel_cells = _cell_table(channel, a_labels, b_labels)
     signs = node_signs(processor.mode)
-    effects: list[EffectVector] = []
-    zeta_tables: dict = {}
-    for outcome, branch in zip(instrument.outcomes, instrument.branches):
+    tables: list[dict[tuple[FunctionLabel, int], Fraction]] = []
+    for branch in instrument.branches:
         branch_cells = _cell_table(branch, a_labels, b_labels)
-        coeffs: dict[PureLabel, Fraction] = {}
         table: dict[tuple[FunctionLabel, int], Fraction] = {}
         for fl, _weight in mu:
-            sigma_label = processor.program_index[fl]
-            for i, al in enumerate(a_labels):
+            for i in range(len(a_labels)):
                 cell = (fl.h[i], fl.xi[i])
                 lam = channel_cells[i].get(cell, ZERO)
                 z = branch_cells[i].get(cell, ZERO) / lam if lam else ZERO
                 if z:
                     table[(fl, i)] = z
-                    for s1 in signs:
-                        coeffs[NodeLabel(sigma_label, al, s1)] = z
-        effects.append(EffectVector(processor.output_ancilla, coeffs))
-        zeta_tables[outcome] = table
-
-    # completion: absorb the program labels the channel never uses into the
-    # first branch so the observation effects sum to the unit effect
-    total = _summed(effects)
-    first = dict(effects[0].coeffs)
-    for label in enumerate_pure_labels(processor.output_ancilla, DILATION_MAX_DIM):
-        missing = ONE - total.get(label, ZERO)
-        if missing:
-            first[label] = first.get(label, ZERO) + missing
-    effects[0] = EffectVector(processor.output_ancilla, first)
+        tables.append(table)
+    # branch k > 0 observes its ratio on every sign of (sigma_{h,xi} i); the
+    # first branch observes what the others leave of the unit effect, which
+    # also covers the program labels the channel never uses
+    others = [{NodeLabel(processor.program_index[fl], a_labels[i], s1): z
+               for (fl, i), z in table.items() for s1 in signs}
+              for table in tables[1:]]
+    first = {label: ONE - sum((c.get(label, ZERO) for c in others), ZERO)
+             for label in enumerate_pure_labels(processor.output_ancilla,
+                                                DILATION_MAX_DIM)}
+    effects = [EffectVector(processor.output_ancilla, c) for c in (first, *others)]
 
     verified = True
     if verify:
@@ -319,7 +307,7 @@ def realize_instrument(instrument: Instrument,
                     and sigma.is_deterministic)
 
     return DilationResult(processor, sigma, tuple(effects), instrument.outcomes,
-                          dict(mu), zeta_tables, verified)
+                          dict(mu), dict(zip(instrument.outcomes, tables)), verified)
 
 
 def _summed(effects: Sequence[EffectVector]) -> dict[PureLabel, Fraction]:

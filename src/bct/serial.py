@@ -9,9 +9,11 @@ input.  Parse failures raise ParseError with a machine-readable code.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
+from .config import MAX_NESTING
 from .kernels import Instrument, Kernel
 from .labels import LeafLabel, NodeLabel, PureLabel, UNIT, label_matches, label_to_str
 from .states import EffectVector, GeneralizedVector, StateVector
@@ -32,6 +34,9 @@ E_LABEL_RANGE = "E_LABEL_RANGE"
 E_SYSTEM_SYNTAX = "E_SYSTEM_SYNTAX"
 E_MODE = "E_MODE"
 E_SCHEMA = "E_SCHEMA"
+
+_DIMENSION = re.compile(r"\d+")
+_LABEL_LEAF = re.compile(r"\*|\d+")
 
 
 class ParseError(ValueError):
@@ -60,6 +65,58 @@ def parse_fraction(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Trees: systems and labels share one syntax
+
+
+def _parse_tree(text: str, code: str, separator: str, closers: dict[str, Any],
+                leaf_syntax: tuple[re.Pattern, str, Callable[[str], Any]],
+                node: Callable[[Any, Any, Any], Any]) -> Any:
+    """Parse a leaf, or `(x<separator>y)` followed by one of `closers`.
+
+    A closing token's value goes to `node` with the two subtrees;
+    `leaf_syntax` is (token pattern, name for errors, token -> leaf).  Errors
+    carry `code` and the position in the stripped text; nesting deeper than
+    MAX_NESTING is refused at the parenthesis that passes the cap.
+    """
+    shown = text
+    text = text.strip()
+    pattern, leaf_name, make_leaf = leaf_syntax
+    pos = 0
+
+    def fail(message: str):
+        raise ParseError(code, f"{message} at position {pos} in {shown!r}")
+
+    def term(depth: int) -> Any:
+        nonlocal pos
+        if pos >= len(text):
+            fail("unexpected end")
+        if text[pos] == "(":
+            if depth == MAX_NESTING:
+                fail(f"nesting deeper than {MAX_NESTING}")
+            pos += 1
+            left = term(depth + 1)
+            if not text.startswith(separator, pos):
+                fail(f"expected {separator!r}")
+            pos += len(separator)
+            right = term(depth + 1)
+            closer = next((c for c in closers if text.startswith(c, pos)), None)
+            if closer is None:
+                fail("expected " + " or ".join(map(repr, closers)))
+            pos += len(closer)
+            return node(left, right, closers[closer])
+        match = pattern.match(text, pos)
+        if match is None:
+            fail(f"expected {leaf_name}")
+        pos = match.end()
+        return make_leaf(match.group())
+
+    tree = term(0)
+    if pos != len(text):
+        fail("trailing input")
+    return tree
+
+
+# ---------------------------------------------------------------------------
 # Systems
 
 
@@ -73,41 +130,13 @@ def system_to_str(system: SystemTree) -> str:
 
 
 def parse_system(text: str, mode: TheoryMode = TheoryMode.BCT) -> SystemTree:
-    text = text.strip()
-    pos = 0
+    def dimension_leaf(token: str) -> SystemTree:
+        dim = int(token)
+        return trivial(mode) if dim == 1 else leaf(dim, mode)
 
-    def fail(message: str):
-        raise ParseError(E_SYSTEM_SYNTAX, f"{message} at position {pos} in {text!r}")
-
-    def parse_term() -> SystemTree:
-        nonlocal pos
-        if pos >= len(text):
-            fail("unexpected end")
-        if text[pos] == "(":
-            pos += 1
-            left = parse_term()
-            if pos >= len(text) or text[pos] != "*":
-                fail("expected '*'")
-            pos += 1
-            right = parse_term()
-            if pos >= len(text) or text[pos] != ")":
-                fail("expected ')'")
-            pos += 1
-            return compose_systems(left, right)
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            fail("expected a dimension")
-        dim = int(text[start:pos])
-        if dim == 1:
-            return trivial(mode)
-        return leaf(dim, mode)
-
-    tree = parse_term()
-    if pos != len(text):
-        fail("trailing input")
-    return tree
+    return _parse_tree(text, E_SYSTEM_SYNTAX, "*", {")": None},
+                       (_DIMENSION, "a dimension", dimension_leaf),
+                       lambda left, right, _: compose_systems(left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -115,48 +144,13 @@ def parse_system(text: str, mode: TheoryMode = TheoryMode.BCT) -> SystemTree:
 
 
 def parse_label(text: str, system: SystemTree | None = None) -> PureLabel:
-    raw = text
-    text = text.strip()
-    pos = 0
-
-    def fail(message: str):
-        raise ParseError(E_LABEL_SYNTAX, f"{message} at position {pos} in {raw!r}")
-
-    def parse_term() -> PureLabel:
-        nonlocal pos
-        if pos >= len(text):
-            fail("unexpected end")
-        if text[pos] == "*":
-            pos += 1
-            return UNIT
-        if text[pos] == "(":
-            pos += 1
-            left = parse_term()
-            if pos >= len(text) or text[pos] != " ":
-                fail("expected ' '")
-            pos += 1
-            right = parse_term()
-            if pos >= len(text) or text[pos] != ")":
-                fail("expected ')'")
-            pos += 1
-            if pos >= len(text) or text[pos] not in "+-":
-                fail("expected a sign")
-            sign = 1 if text[pos] == "+" else -1
-            pos += 1
-            return NodeLabel(left, right, sign)
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            fail("expected an index")
-        return LeafLabel(int(text[start:pos]))
-
-    label = parse_term()
-    if pos != len(text):
-        fail("trailing input")
+    label = _parse_tree(text, E_LABEL_SYNTAX, " ", {")+": 1, ")-": -1},
+                        (_LABEL_LEAF, "an index",
+                         lambda token: UNIT if token == "*" else LeafLabel(int(token))),
+                        NodeLabel)
     if system is not None and not label_matches(system, label):
         raise ParseError(E_LABEL_RANGE,
-                         f"label {raw!r} is not a pure label of {system_to_str(system)}")
+                         f"label {text!r} is not a pure label of {system_to_str(system)}")
     return label
 
 

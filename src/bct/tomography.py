@@ -67,11 +67,17 @@ def rank(vectors: Sequence[GeneralizedVector]) -> int:
     return r
 
 
-def _product_states(a: SystemTree, b: SystemTree) -> list[GeneralizedVector]:
+def _products(x: SystemTree, y: SystemTree,
+              moves: Sequence[Move] = ()) -> list[GeneralizedVector]:
+    """|u>|v> for every pure label u of x (outer) and v of y, carried along
+    `moves`."""
+    ys = [pure_state(y, v) for v in enumerate_pure_labels(y)]
     out = []
-    for la in enumerate_pure_labels(a):
-        for lb in enumerate_pure_labels(b):
-            out.append(tensor_states(pure_state(a, la), pure_state(b, lb)))
+    for u in enumerate_pure_labels(x):
+        xu = pure_state(x, u)
+        for yv in ys:
+            vector = tensor_states(xu, yv)
+            out.append(apply_moves_to_vector(vector, moves) if moves else vector)
     return out
 
 
@@ -85,7 +91,7 @@ def delta2(a: SystemTree, b: SystemTree) -> int:
         raise ValueError("delta2 needs two non-trivial systems")
     ab = compose_systems(a, b)
     arithmetic = dimension(ab) - dimension(a) * dimension(b)
-    separable_rank = rank(_product_states(a, b))
+    separable_rank = rank(_products(a, b))
     by_rank = dimension(ab) - separable_rank
     if arithmetic != by_rank:
         raise AssertionError(
@@ -105,40 +111,16 @@ def verify_strict_bilocality(a: SystemTree, b: SystemTree) -> bool:
 def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
                          ) -> dict[str, list[GeneralizedVector]]:
     """Spanning families for the four biseparable classes, on ((AB)C)."""
-    ab = compose_systems(a, b)
-    bc = compose_systems(b, c)
-    ac = compose_systems(a, c)
-    families: dict[str, list[GeneralizedVector]] = {}
-    families["products"] = [
-        tensor_states(tensor_states(pure_state(a, la), pure_state(b, lb)),
-                      pure_state(c, lc))
-        for la in enumerate_pure_labels(a)
-        for lb in enumerate_pure_labels(b)
-        for lc in enumerate_pure_labels(c)
-    ]
-    families["ab_c"] = [
-        tensor_states(pure_state(ab, lab), pure_state(c, lc))
-        for lab in enumerate_pure_labels(ab)
-        for lc in enumerate_pure_labels(c)
-    ]
-    # A x (BC), reassociated onto ((AB)C)
-    families["a_bc"] = [
-        apply_moves_to_vector(
-            tensor_states(pure_state(a, la), pure_state(bc, lbc)),
-            [Move(MoveKind.ASSOC_L, "")])
-        for la in enumerate_pure_labels(a)
-        for lbc in enumerate_pure_labels(bc)
-    ]
-    # (AC) x B, braided and reassociated onto ((AB)C)
+    cs = [pure_state(c, lc) for lc in enumerate_pure_labels(c)]
+    # A x (BC) reassociated, and (AC) x B braided and reassociated, onto ((AB)C)
     to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
               Move(MoveKind.ASSOC_L, "")]
-    families["ac_b"] = [
-        apply_moves_to_vector(
-            tensor_states(pure_state(ac, lac), pure_state(b, lb)), to_abc)
-        for lac in enumerate_pure_labels(ac)
-        for lb in enumerate_pure_labels(b)
-    ]
-    return families
+    return {
+        "products": [tensor_states(ab, vc) for ab in _products(a, b) for vc in cs],
+        "ab_c": _products(compose_systems(a, b), c),
+        "a_bc": _products(a, compose_systems(b, c), [Move(MoveKind.ASSOC_L, "")]),
+        "ac_b": _products(compose_systems(a, c), b, to_abc),
+    }
 
 
 @dataclass(frozen=True)
@@ -211,17 +193,15 @@ def corollary_nab(a: SystemTree, b: SystemTree) -> tuple[int, int]:
     Strict bilocality corresponds to n = 2 and l = 0; local tomography (CT)
     to n = 1 and l = 0.  Raises if the support sizes are not uniform.
     """
-    ab = compose_systems(a, b)
     covered: set = set()
     sizes: set[int] = set()
-    for la in enumerate_pure_labels(a):
-        for lb in enumerate_pure_labels(b):
-            support = set(tensor_states(pure_state(a, la), pure_state(b, lb)).coeffs)
-            sizes.add(len(support))
-            covered |= support
+    for product in _products(a, b):
+        support = set(product.coeffs)
+        sizes.add(len(support))
+        covered |= support
     if len(sizes) != 1:
         raise AssertionError(f"non-uniform product supports: {sizes}")
-    l = dimension(ab) - len(covered)
+    l = dimension(compose_systems(a, b)) - len(covered)
     return sizes.pop(), l
 
 

@@ -133,6 +133,8 @@ def test_ct_mode_flows(capsys):
                      "--quiet"], capsys)
     assert code == 0
     assert json.loads(out)[0]["delta2"] == 0
+    assert run(["tomography", "--pairs", "2,2", "--mode", "ct", "--quiet"],
+               capsys) == (0, out)
     code, out = run(["protocol", "monogamy", "--mode", "CT", "--quiet"], capsys)
     assert code == 0 and json.loads(out)["success"]
 

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+import bct.coherence
 from bct.coherence import (
     SuiteConfig,
     check_bifunctoriality,
@@ -14,7 +15,6 @@ from bct.coherence import (
     check_sliding,
     run_suite,
 )
-import bct.coherence
 from bct.faults import (
     ASSOC_SIGN,
     BRAID_SIGN,
@@ -119,6 +119,8 @@ def test_reports_deterministic():
 
 
 def test_fault_context_restores_cleanly():
+    from bct.faults import active_fault
+
     assert active_fault() is None
     with pytest.raises(RuntimeError):
         with inject_fault(BRAID_SIGN):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bct.config import MAX_NESTING
 from bct.kernels import (
     kernels_equal,
     random_deterministic_kernel,
@@ -102,6 +103,31 @@ class TestLabels:
             with pytest.raises(ParseError) as err:
                 parse_label(text)
             assert err.value.code == E_LABEL_SYNTAX
+
+
+class TestNesting:
+    @staticmethod
+    def nested(depth):
+        return ("(" * depth + "2" + "*2)" * depth,
+                "(" * depth + "1" + " 1)+" * depth)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 2000])
+    def test_too_deep_is_a_parse_error(self, depth):
+        system_text, label_text = self.nested(depth)
+        for parse, text, code in ((parse_system, system_text, E_SYSTEM_SYNTAX),
+                                  (parse_label, label_text, E_LABEL_SYNTAX)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.code == code
+            assert f"at position {MAX_NESTING} " in str(err.value)
+
+    def test_deepest_allowed_round_trips(self):
+        system_text, label_text = self.nested(MAX_NESTING)
+        system = parse_system(system_text)
+        label = parse_label(label_text, system)
+        assert {label: 1}[label] == 1
+        assert system_to_str(system) == system_text
+        assert label_to_str(label) == label_text
 
 
 class TestStates:

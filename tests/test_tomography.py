@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bct.labels import LeafLabel, enumerate_pure_labels
 from bct.states import GeneralizedVector, pure_state, tensor_states
 from bct.systems import TheoryMode, bibit, leaf
 from bct.tomography import (
+    _tripartite_families,
     corollary_nab,
     delta2,
     delta3,
@@ -52,6 +56,47 @@ class TestRank:
 
     def test_empty(self):
         assert rank([]) == 0
+
+
+def sympy_rank(vectors):
+    """The rank over QQ of the coefficient matrix, by sympy."""
+    columns = {}
+    for vector in vectors:
+        for label in vector.coeffs:
+            columns.setdefault(label, len(columns))
+    matrix = sympy.zeros(len(vectors), len(columns))
+    for i, vector in enumerate(vectors):
+        for label, value in vector.coeffs.items():
+            matrix[i, columns[label]] = sympy.Rational(value.numerator, value.denominator)
+    return matrix.rank()
+
+
+SPARSE = leaf(5)
+SPARSE_LABELS = enumerate_pure_labels(SPARSE)
+sparse_rows = st.dictionaries(
+    st.integers(0, len(SPARSE_LABELS) - 1),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3)
+
+
+class TestRankOracle:
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
+    def test_families_and_union_match_sympy(self, dims, mode):
+        families = _tripartite_families(*(leaf(d, mode) for d in dims))
+        union = [vector for family in families.values() for vector in family]
+        for vectors in (*families.values(), union):
+            assert rank(vectors) == sympy_rank(vectors)
+
+    @given(st.lists(sparse_rows, max_size=6), st.lists(st.integers(0, 9), max_size=4),
+           st.integers(0, 2), st.randoms(use_true_random=False))
+    def test_sparse_rows_match_sympy(self, rows, repeats, zeros, rnd):
+        vectors = [GeneralizedVector(SPARSE, {SPARSE_LABELS[i]: v for i, v in row.items()})
+                   for row in rows]
+        if vectors:
+            vectors += [vectors[i % len(vectors)] for i in repeats]
+        vectors += [GeneralizedVector(SPARSE, {})] * zeros
+        rnd.shuffle(vectors)
+        assert rank(vectors) == sympy_rank(vectors)
 
 
 class TestDelta2:
