@@ -116,7 +116,7 @@ def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
     to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
               Move(MoveKind.ASSOC_L, "")]
     return {
-        "products": [tensor_states(ab, vc) for ab in _products(a, b) for vc in cs],
+        "products": [tensor_states(p, vc) for p in _products(a, b) for vc in cs],
         "ab_c": _products(compose_systems(a, b), c),
         "a_bc": _products(a, compose_systems(b, c), [Move(MoveKind.ASSOC_L, "")]),
         "ac_b": _products(compose_systems(a, c), b, to_abc),
