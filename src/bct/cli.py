@@ -27,7 +27,12 @@ from .protocols import (
 )
 from .serial import ParseError, dumps
 from .systems import TheoryMode, compose_systems, dimension, leaf
-from .tomography import span_report, verify_corollary_nab, verify_strict_bilocality
+from .tomography import (
+    product_states,
+    span_report,
+    verify_corollary_nab,
+    verify_strict_bilocality,
+)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -115,8 +120,9 @@ def cmd_tomography(args) -> int:
         if len(dims) != 2:
             raise ParseError(serial.E_SCHEMA, f"need dim pairs, got {dims}")
         a, b = (leaf(d, mode) for d in dims)
-        strict = verify_strict_bilocality(a, b)
-        corollary = verify_corollary_nab(a, b)
+        products = product_states(a, b)
+        strict = verify_strict_bilocality(a, b, products)
+        corollary = verify_corollary_nab(a, b, products)
         d_ab = dimension(compose_systems(a, b))
         reports.append({
             "dims": list(dims),

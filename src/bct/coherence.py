@@ -40,7 +40,7 @@ from .labels import (
     enumerate_pure_labels,
     label_to_str,
 )
-from .states import StateVector, pair, point_effect
+from .states import GeneralizedVector, StateVector, pair, point_effect
 from .systems import (
     TheoryMode,
     bibit,
@@ -152,6 +152,12 @@ def check_bifunctoriality(seed: int, dims: tuple[int, int] = (2, 2),
     return _law_holds("bifunctoriality", seed, dims, mode, pairs, sides)
 
 
+def _image(kernel: Kernel, rho: StateVector) -> GeneralizedVector:
+    """`kernel` applied to `rho` as a vector of the span, so that the checks
+    below, not the `StateVector` constructor, judge its positivity."""
+    return apply(kernel, GeneralizedVector(rho.system, rho.coeffs), "")
+
+
 def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
                                       mode: TheoryMode = TheoryMode.BCT
                                       ) -> CheckReport:
@@ -201,9 +207,9 @@ def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
         return CheckReport("probabilistic", params, False, {"stage": "coarse"})
     rho = random_state(rng, a)
     for x in enumerate_pure_labels(b):
-        direct = sum((pair(point_effect(b, x), apply(inst3.branches[i], rho, ""))
+        direct = sum((pair(point_effect(b, x), _image(inst3.branches[i], rho))
                       for i in (0, 2)), Fraction(0))
-        if direct != pair(point_effect(b, x), apply(merged.branches[0], rho, "")):
+        if direct != pair(point_effect(b, x), _image(merged.branches[0], rho)):
             return CheckReport("probabilistic", params, False,
                                {"stage": "coarse-additivity"})
 
@@ -217,10 +223,10 @@ def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
         deficit = Fraction(1)
     basis = enumerate_pure_labels(ae)
     preparation.append(StateVector(ae, {basis[0]: deficit}))
-    outputs: list[StateVector] = []
+    outputs: list[GeneralizedVector] = []
     for branch in inst.branches:
         ext = extend_at(branch, ae, "0")
-        outputs.extend(apply(ext, p, "") for p in preparation)
+        outputs.extend(_image(ext, p) for p in preparation)
     if any(any(v < 0 for v in out.coeffs.values()) or out.weight > 1
            for out in outputs):
         return CheckReport("probabilistic", params, False,

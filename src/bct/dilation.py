@@ -241,9 +241,14 @@ def program_sigma(processor: UniversalProcessor,
 def dilated_apply(processor: UniversalProcessor, sigma: StateVector,
                   effect: EffectVector, rho: StateVector) -> StateVector:
     """Run the sandwich (Sigma, R, effect) on a state of A (x) E."""
+    return apply_effect_at(effect, _staged(processor, sigma, rho), "00")
+
+
+def _staged(processor: UniversalProcessor, sigma: StateVector,
+            rho: StateVector) -> StateVector:
+    """The processor's output on Sigma (x) rho, before any observation."""
     full = apply_moves_to_vector(tensor_states(sigma, rho), [Move(MoveKind.ASSOC_L, "")])
-    staged = apply(processor.kernel, full, "0")
-    return apply_effect_at(effect, staged, "00")
+    return apply(processor.kernel, full, "0")
 
 
 def realize_instrument(instrument: Instrument,
@@ -300,8 +305,8 @@ def realize_instrument(instrument: Instrument,
     verified = True
     if verify:
         summed = _summed(effects)
-        verified = (all(_reproduces(processor, sigma, effect, branch)
-                        for effect, branch in zip(effects, instrument.branches))
+        verified = (_reproduces(processor, sigma,
+                                list(zip(effects, instrument.branches)))
                     and len(summed) == dimension(processor.output_ancilla)
                     and all(value == 1 for value in summed.values())
                     and sigma.is_deterministic)
@@ -319,14 +324,17 @@ def _summed(effects: Sequence[EffectVector]) -> dict[PureLabel, Fraction]:
 
 
 def _reproduces(processor: UniversalProcessor, sigma: StateVector,
-                effect: EffectVector, kernel: Kernel) -> bool:
-    """The sandwich and `kernel` agree on every pure label of A (x) E."""
+                pairs: Sequence[tuple[EffectVector, Kernel]]) -> bool:
+    """Each sandwich (Sigma, R, effect) agrees with its kernel on every pure
+    label of A (x) E; the processor runs once per probe for all pairs."""
     ae = compose_systems(processor.a_system, bibit(processor.mode))
     for label in enumerate_pure_labels(ae):
         probe = pure_state(ae, label)
-        if not vectors_equal(apply(kernel, probe, "0"),
-                             dilated_apply(processor, sigma, effect, probe)):
-            return False
+        staged = _staged(processor, sigma, probe)
+        for effect, kernel in pairs:
+            if not vectors_equal(apply(kernel, probe, "0"),
+                                 apply_effect_at(effect, staged, "00")):
+                return False
     return True
 
 
@@ -366,6 +374,6 @@ def extract_kernel(processor: UniversalProcessor, sigma: StateVector,
         if row:
             rows[i_label] = row
     kernel = Kernel(a, b, rows)
-    if not _reproduces(processor, sigma, effect, kernel):
+    if not _reproduces(processor, sigma, [(effect, kernel)]):
         raise AssertionError("sandwich is not reproduced by its kernel form")
     return kernel

@@ -24,16 +24,16 @@ from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import faults
 from .labels import (
-    Move,
     NodeLabel,
     PLUS,
     PureLabel,
     UNIT,
-    apply_moves_tracked,
+    Transport,
     enumerate_pure_labels,
     invert_moves,
     label_matches,
     label_sort_key,
+    move_table,
     node_signs,
     regroup,
 )
@@ -71,7 +71,8 @@ class Kernel:
             row: dict[Entry, Fraction] = {}
             total = ZERO
             for (out_label, tau), weight in entries.items():
-                weight = Fraction(weight)
+                if not isinstance(weight, Fraction):
+                    weight = Fraction(weight)
                 if weight < 0:
                     raise ValueError("kernel weights must be non-negative")
                 if weight == 0:
@@ -82,7 +83,7 @@ class Kernel:
                     raise ValueError("tau is fixed +1 for effects and in CT mode")
                 if not label_matches(self.out_system, out_label):
                     raise ValueError(f"bad output label {out_label}")
-                row[(out_label, tau)] = row.get((out_label, tau), ZERO) + weight
+                row[(out_label, tau)] = weight
                 total += weight
             if total > 1:
                 raise ValueError(f"row sum {total} exceeds 1 at {row_label}")
@@ -294,11 +295,11 @@ def extend_at(kernel: Kernel, system: SystemTree, at: str) -> Kernel:
 def _extension_rows(kernel: Kernel, system: SystemTree, at: str,
                     drop_tau: bool = False) -> Rows:
     moves = regroup(system, at)
-    back = invert_moves(moves)
+    there, back = move_table(moves), move_table(invert_moves(moves))
     rows: Rows = {}
     for label in enumerate_pure_labels(system):
         out: dict[Entry, Fraction] = {}
-        for key, w in _act_at(kernel, label, moves, back, drop_tau):
+        for key, w in _act_at(kernel, label, there, back, drop_tau):
             out[key] = out.get(key, ZERO) + w
         if out:
             rows[label] = out
@@ -311,16 +312,16 @@ def _result_system(kernel: Kernel, system: SystemTree, at: str) -> SystemTree:
     return replace_at(system, at, kernel.out_system)
 
 
-def _act_at(kernel: Kernel, label: PureLabel, moves: list[Move], back: list[Move],
+def _act_at(kernel: Kernel, label: PureLabel, there: Transport, back: Transport,
             drop_tau: bool = False) -> Iterator[tuple[Entry, Fraction]]:
-    """One input label through `kernel` at the subtree that `moves` regroup.
+    """One input label through `kernel` at the subtree that `there` regroups.
 
     Regroup the label to (a e)_u, replace it by (b e)_{tau*u}, and regroup
     back; yields ((output label, environment flip), weight).  An effect at
     the head leaves e, and the pairing sign u becomes the flip.  With
     `drop_tau` the new node keeps the sign u (the PARALLEL_DROP_TAU fault).
     """
-    moved, flip = apply_moves_tracked(label, moves)
+    moved, flip = there[label]
     assert isinstance(moved, NodeLabel)
     a, rest, u = moved.left, moved.right, moved.sign
     bct = kernel.mode is TheoryMode.BCT
@@ -329,32 +330,34 @@ def _act_at(kernel: Kernel, label: PureLabel, moves: list[Move], back: list[Move
             yield (rest, flip * u if bct else PLUS), w
         return
     for (b, tau), w in kernel.row(a).items():
-        final, flip_back = apply_moves_tracked(
-            NodeLabel(b, rest, u if drop_tau else tau * u), back)
+        final, flip_back = back[NodeLabel(b, rest, u if drop_tau else tau * u)]
         yield (final, flip * tau * flip_back if bct else PLUS), w
 
 
-def apply(kernel: Kernel, rho: StateVector, at: str = "") -> StateVector:
+def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVector:
     """Apply a kernel at a subtree of the state's system.
 
     On the full state environment flips are unobservable; when the output is
     trivial (an effect) the pairing sign is discarded, and when the whole
-    tree is consumed tau is marginalized.
+    tree is consumed tau is marginalized.  A state maps to a validated
+    state; any other vector of the span maps to a `GeneralizedVector`, whose
+    positivity and weight are left to the caller to judge.
     """
     if kernel.in_system != subtree_at(rho.system, at):
         raise ValueError("kernel input does not match the selected subtree")
+    image = StateVector if isinstance(rho, StateVector) else GeneralizedVector
     out: dict[PureLabel, Fraction] = {}
     if at == "":
         for label, value in rho.coeffs.items():
             for (b, _tau), w in kernel.row(label).items():
                 out[b] = out.get(b, ZERO) + w * value
-        return StateVector(kernel.out_system, out)
+        return image(kernel.out_system, out)
     moves = regroup(rho.system, at)
-    back = invert_moves(moves)
+    there, back = move_table(moves), move_table(invert_moves(moves))
     for label, value in rho.coeffs.items():
-        for (b, _flip), w in _act_at(kernel, label, moves, back):
+        for (b, _flip), w in _act_at(kernel, label, there, back):
             out[b] = out.get(b, ZERO) + w * value
-    return StateVector(_result_system(kernel, rho.system, at), out)
+    return image(_result_system(kernel, rho.system, at), out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import faults
 from .config import max_dim
@@ -36,30 +36,45 @@ PLUS = 1
 SIGNS = (MINUS, PLUS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PureLabel:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitLabel(PureLabel):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeafLabel(PureLabel):
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeLabel(PureLabel):
+    """A composite label; it hashes its tree once, on the first `hash`.
+
+    The hash is made of ints only (leaf indices and signs), so a cached hash
+    stays valid in a process with another PYTHONHASHSEED.  It is not computed
+    at construction: the coherence checks build many labels they never hash.
+    """
+
     left: PureLabel = field(default=None)  # type: ignore[assignment]
     right: PureLabel = field(default=None)  # type: ignore[assignment]
     sign: int = PLUS
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sign not in SIGNS:
             raise ValueError(f"sign must be -1 or +1, got {self.sign}")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.left, self.right, self.sign))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 UNIT = UnitLabel()
@@ -112,12 +127,23 @@ def enumerate_pure_labels(system: SystemTree, bound: int | None = None) -> list[
     dim = dimension(system)
     if dim > limit:
         raise ValueError(f"dimension {dim} exceeds enumeration bound {limit}")
-    out = list(_enumerate(system))
-    out.sort(key=label_sort_key)
-    return out
+    return list(_basis(system))
+
+
+# Each system's sorted basis, enumerated once; callers get a fresh list.
+_BASES: dict[SystemTree, tuple[PureLabel, ...]] = {}
+
+
+def _basis(system: SystemTree) -> tuple[PureLabel, ...]:
+    basis = _BASES.get(system)
+    if basis is None:
+        basis = _BASES[system] = tuple(sorted(_enumerate(system), key=label_sort_key))
+    return basis
 
 
 def _enumerate(system: SystemTree) -> Iterator[PureLabel]:
+    """The labels of `system`, unsorted; composites pair the (shared) labels
+    of their children's bases."""
     if isinstance(system, Trivial):
         yield UNIT
         return
@@ -127,14 +153,15 @@ def _enumerate(system: SystemTree) -> Iterator[PureLabel]:
         return
     assert isinstance(system, Node)
     if isinstance(system.left, Trivial):
-        yield from _enumerate(system.right)
+        yield from _basis(system.right)
         return
     if isinstance(system.right, Trivial):
-        yield from _enumerate(system.left)
+        yield from _basis(system.left)
         return
     signs = node_signs(system.mode)
-    for l in _enumerate(system.left):
-        for r in _enumerate(system.right):
+    rights = _basis(system.right)
+    for l in _basis(system.left):
+        for r in rights:
             for s in signs:
                 yield NodeLabel(l, r, s)
 
@@ -266,6 +293,42 @@ def apply_moves_tracked(label: PureLabel, moves: list[Move]) -> tuple[PureLabel,
 
 def apply_moves(label: PureLabel, moves: list[Move]) -> PureLabel:
     return apply_moves_tracked(label, moves)[0]
+
+
+Transport = Mapping[PureLabel, tuple[PureLabel, int]]
+
+
+class _MoveTable(dict):
+    """label -> `apply_moves_tracked(label, moves)`, computed on first lookup."""
+
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: tuple[Move, ...]) -> None:
+        super().__init__()
+        self.moves = moves
+
+    def __missing__(self, label: PureLabel) -> tuple[PureLabel, int]:
+        self[label] = entry = apply_moves_tracked(label, self.moves)
+        return entry
+
+
+_MOVE_TABLES: dict[tuple[str | None, tuple[Move, ...]], _MoveTable] = {}
+
+
+def move_table(moves: Sequence[Move]) -> Transport:
+    """The transport of labels along `moves`: label -> (moved label, flip).
+
+    One table per move sequence and active fault, shared by every caller and
+    filled by the label-level `apply_moves_tracked`, which stays the
+    reference.  Fetch it inside the operation that uses it, so the fault it
+    is keyed on is the one in force.  The law checks of `coherence` test the
+    calculus itself and call `apply_moves_tracked` directly.
+    """
+    key = (faults.active_fault(), tuple(moves))
+    table = _MOVE_TABLES.get(key)
+    if table is None:
+        table = _MOVE_TABLES[key] = _MoveTable(key[1])
+    return table
 
 
 def assoc_move(label: PureLabel, direction: str, path: str = "") -> PureLabel:

@@ -16,10 +16,10 @@ from .labels import (
     NodeLabel,
     PureLabel,
     UNIT,
-    apply_moves,
     enumerate_pure_labels,
     label_matches,
     move_system_sequence,
+    move_table,
     node_signs,
     regroup,
 )
@@ -40,7 +40,8 @@ Coeffs = Mapping[PureLabel, Fraction]
 
 
 def _clean(coeffs: Coeffs) -> dict[PureLabel, Fraction]:
-    return {label: Fraction(value) for label, value in coeffs.items() if value != 0}
+    return {label: value if isinstance(value, Fraction) else Fraction(value)
+            for label, value in coeffs.items() if value != 0}
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,8 @@ def pair(effect: GeneralizedVector, rho: GeneralizedVector) -> Fraction:
 def apply_moves_to_vector(vector: GeneralizedVector, moves: list[Move]) -> GeneralizedVector:
     """Transport a vector along a move sequence (a bijective relabeling)."""
     system = move_system_sequence(vector.system, moves)
-    out = {apply_moves(label, moves): value for label, value in vector.coeffs.items()}
+    table = move_table(moves)
+    out = {table[label][0]: value for label, value in vector.coeffs.items()}
     return type(vector)(system, out)
 
 
@@ -195,11 +197,11 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
         raise ValueError("effect system does not match the selected subtree")
     if at == "":
         return scalar_state(rho.system.mode, pair(effect, rho))
-    moves = regroup(rho.system, at)
+    table = move_table(regroup(rho.system, at))
     remainder = delete_at(rho.system, at)
     out: dict[PureLabel, Fraction] = {}
     for label, value in rho.coeffs.items():
-        moved = apply_moves(label, moves)
+        moved = table[label][0]
         assert isinstance(moved, NodeLabel)
         weight = effect.coeffs.get(moved.left, ZERO)
         if weight != 0:
@@ -213,10 +215,10 @@ def marginal(rho: StateVector, keep: str) -> StateVector:
     part = subtree_at(rho.system, keep)
     if keep == "":
         return rho
-    moves = regroup(rho.system, keep)
+    table = move_table(regroup(rho.system, keep))
     out: dict[PureLabel, Fraction] = {}
     for label, value in rho.coeffs.items():
-        moved = apply_moves(label, moves)
+        moved = table[label][0]
         assert isinstance(moved, NodeLabel)
         out[moved.left] = out.get(moved.left, ZERO) + value
     return StateVector(part, out)
@@ -252,10 +254,10 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
     subtree_at(rho.system, part)
     if part == "":
         raise ValueError("bipartition selector must pick a proper subtree")
-    moves = regroup(rho.system, part)
+    transport = move_table(regroup(rho.system, part))
     table: dict[PureLabel, Fraction] = {}
     for label, value in rho.coeffs.items():
-        moved = apply_moves(label, moves)
+        moved = transport[label][0]
         table[moved] = table.get(moved, ZERO) + value
     for moved, value in table.items():
         assert isinstance(moved, NodeLabel)

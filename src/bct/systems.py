@@ -4,6 +4,11 @@ A system is a binary tree over elementary carriers.  In BCT mode a composite
 of two non-trivial systems has dimension 2*D_A*D_B; in the CT baseline it is
 the ordinary product D_A*D_B.  Trees are compared structurally: two trees
 with the same shape, leaf dimensions and mode are the same system.
+
+Trees are slotted and hash their whole structure on every call.  Unlike
+labels they keep no cached hash: `TheoryMode` hashes by its name, which
+PYTHONHASHSEED varies between processes, so a cached hash would travel with
+a pickled tree and miss every dict of the process that loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ class TheoryMode(Enum):
     CT = "CT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementarySystem:
     dim: int
     name: str | None = None
@@ -27,17 +32,17 @@ class ElementarySystem:
             raise ValueError(f"elementary systems need dim >= 2, got {self.dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemTree:
     mode: TheoryMode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trivial(SystemTree):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf(SystemTree):
     system: ElementarySystem = field(default=None)  # type: ignore[assignment]
 
@@ -46,7 +51,7 @@ class Leaf(SystemTree):
             raise ValueError("Leaf requires an ElementarySystem")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node(SystemTree):
     left: SystemTree = field(default=None)  # type: ignore[assignment]
     right: SystemTree = field(default=None)  # type: ignore[assignment]

@@ -67,10 +67,11 @@ def rank(vectors: Sequence[GeneralizedVector]) -> int:
     return r
 
 
-def _products(x: SystemTree, y: SystemTree,
-              moves: Sequence[Move] = ()) -> list[GeneralizedVector]:
+def product_states(x: SystemTree, y: SystemTree,
+                   moves: Sequence[Move] = ()) -> list[GeneralizedVector]:
     """|u>|v> for every pure label u of x (outer) and v of y, carried along
-    `moves`."""
+    `moves`.  `delta2` and `corollary_nab` take this family of A (x) B, so a
+    caller that needs both builds it once."""
     ys = [pure_state(y, v) for v in enumerate_pure_labels(y)]
     out = []
     for u in enumerate_pure_labels(x):
@@ -81,17 +82,19 @@ def _products(x: SystemTree, y: SystemTree,
     return out
 
 
-def delta2(a: SystemTree, b: SystemTree) -> int:
+def delta2(a: SystemTree, b: SystemTree,
+           products: Sequence[GeneralizedVector] | None = None) -> int:
     """Dimension excess of AB over the span of the separable states.
 
     The arithmetic value D_AB - D_A*D_B is cross-checked against the rank of
-    the product-state family, which spans the separable subspace.
+    the product-state family (`product_states(a, b)` unless given), which
+    spans the separable subspace.
     """
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         raise ValueError("delta2 needs two non-trivial systems")
     ab = compose_systems(a, b)
     arithmetic = dimension(ab) - dimension(a) * dimension(b)
-    separable_rank = rank(_products(a, b))
+    separable_rank = rank(product_states(a, b) if products is None else products)
     by_rank = dimension(ab) - separable_rank
     if arithmetic != by_rank:
         raise AssertionError(
@@ -99,13 +102,15 @@ def delta2(a: SystemTree, b: SystemTree) -> int:
     return arithmetic
 
 
-def verify_strict_bilocality(a: SystemTree, b: SystemTree) -> bool:
+def verify_strict_bilocality(a: SystemTree, b: SystemTree,
+                             products: Sequence[GeneralizedVector] | None = None
+                             ) -> bool:
     """Local tomography fails (delta2 > 0) yet bipartite effects span the dual."""
     ab = compose_systems(a, b)
     effect_rank = rank(discriminating_instrument(ab))
     if a.mode is TheoryMode.CT:
-        return delta2(a, b) == 0 and effect_rank == dimension(ab)
-    return delta2(a, b) > 0 and effect_rank == dimension(ab)
+        return delta2(a, b, products) == 0 and effect_rank == dimension(ab)
+    return delta2(a, b, products) > 0 and effect_rank == dimension(ab)
 
 
 def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
@@ -116,10 +121,10 @@ def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
     to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
               Move(MoveKind.ASSOC_L, "")]
     return {
-        "products": [tensor_states(p, vc) for p in _products(a, b) for vc in cs],
-        "ab_c": _products(compose_systems(a, b), c),
-        "a_bc": _products(a, compose_systems(b, c), [Move(MoveKind.ASSOC_L, "")]),
-        "ac_b": _products(compose_systems(a, c), b, to_abc),
+        "products": [tensor_states(p, vc) for p in product_states(a, b) for vc in cs],
+        "ab_c": product_states(compose_systems(a, b), c),
+        "a_bc": product_states(a, compose_systems(b, c), [Move(MoveKind.ASSOC_L, "")]),
+        "ac_b": product_states(compose_systems(a, c), b, to_abc),
     }
 
 
@@ -187,7 +192,9 @@ def verify_theorem_bilocal(a: SystemTree, b: SystemTree, c: SystemTree) -> bool:
     return report.delta3 == 0 and report.bilocal_identity_holds
 
 
-def corollary_nab(a: SystemTree, b: SystemTree) -> tuple[int, int]:
+def corollary_nab(a: SystemTree, b: SystemTree,
+                  products: Sequence[GeneralizedVector] | None = None
+                  ) -> tuple[int, int]:
     """(n, l): pure labels per product support, labels missed by all products.
 
     Strict bilocality corresponds to n = 2 and l = 0; local tomography (CT)
@@ -195,7 +202,7 @@ def corollary_nab(a: SystemTree, b: SystemTree) -> tuple[int, int]:
     """
     covered: set = set()
     sizes: set[int] = set()
-    for product in _products(a, b):
+    for product in product_states(a, b) if products is None else products:
         support = set(product.coeffs)
         sizes.add(len(support))
         covered |= support
@@ -205,8 +212,9 @@ def corollary_nab(a: SystemTree, b: SystemTree) -> tuple[int, int]:
     return sizes.pop(), l
 
 
-def verify_corollary_nab(a: SystemTree, b: SystemTree) -> bool:
-    n, l = corollary_nab(a, b)
+def verify_corollary_nab(a: SystemTree, b: SystemTree,
+                         products: Sequence[GeneralizedVector] | None = None) -> bool:
+    n, l = corollary_nab(a, b, products)
     if a.mode is TheoryMode.CT:
         return n == 1 and l == 0
     return n == 2 and l == 0

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import bct.tomography
 from bct.cli import main
 from bct.kernels import random_instrument
 from bct.serial import dumps, instrument_to_json, vector_to_json
@@ -173,3 +174,17 @@ def test_deep_nesting_is_usage_error(tmp_path, capsys, system, label):
     src = tmp_path / "state.json"
     src.write_text(json.dumps({"system": system, "coeffs": {label: "1"}}))
     assert main(["protocol", "clone", "--state", str(src), "--quiet"]) == 2
+
+
+def test_tomography_builds_each_product_once(monkeypatch, capsys):
+    calls = []
+    real = bct.tomography.tensor_states
+    monkeypatch.setattr(bct.tomography, "tensor_states",
+                        lambda *args: calls.append(args) or real(*args))
+    code, out = run(["tomography", "--pairs", "3,3", "--quiet"], capsys)
+    assert code == 0
+    assert len(calls) == 9
+    assert out == (
+        '[\n  {\n    "corollary_nab": true,\n    "d_ab": 18,\n    "delta2": 9,\n'
+        '    "dims": [\n      3,\n      3\n    ],\n    "mode": "BCT",\n'
+        '    "strict_bilocality": true\n  }\n]\n')

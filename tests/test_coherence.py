@@ -6,6 +6,7 @@ import threading
 import pytest
 
 import bct.coherence
+from bct.cli import main
 from bct.coherence import (
     SuiteConfig,
     check_bifunctoriality,
@@ -169,3 +170,32 @@ def test_failing_law_reports(monkeypatch):
     assert _report_bytes(check_bifunctoriality(0, pairs=3)) == (
         '{"name": "bifunctoriality", "params": {"dims": [2, 2], "seed": 0, '
         '"mode": "BCT"}, "passed": false, "counterexample": {"trial": 0}}')
+
+
+def _negated_apply(monkeypatch):
+    """`coherence.apply` with its output negated, of the type apply returns."""
+    real = bct.coherence.apply
+
+    def negated(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return type(out)(out.system, {label: -v for label, v in out.coeffs.items()})
+
+    monkeypatch.setattr(bct.coherence, "apply", negated)
+
+
+def test_negative_extension_outputs_fail_positivity(monkeypatch):
+    _negated_apply(monkeypatch)
+    assert _report_bytes(check_probabilistic_compatibility(0)) == (
+        '{"name": "probabilistic", "params": {"dims": [2, 2], "seed": 0, '
+        '"mode": "BCT"}, "passed": false, '
+        '"counterexample": {"stage": "extension-positivity"}}')
+
+
+def test_positivity_failure_exits_one(monkeypatch, tmp_path, capsys):
+    _negated_apply(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["coherence", "--dims-matrix", "2,2,2", "--pairs", "1", "--quiet",
+                 "--out", str(out)]) == 1
+    failing = [r for r in json.loads(out.read_text())["reports"] if not r["passed"]]
+    assert [(r["name"], r["counterexample"]) for r in failing] == [
+        ("probabilistic", {"stage": "extension-positivity"})]

@@ -331,3 +331,32 @@ class TestSandwichConverse:
         inst = random_instrument(rng, A, B, branches=2)
         padded = Instrument(inst.branches + (null_kernel(A, B),))
         assert realize_instrument(padded, processor=proc).verified
+
+
+class TestProbeLoop:
+    def test_each_probe_is_staged_once_for_all_branches(self, monkeypatch):
+        rng = random.Random(21)
+        proc = build_processor(A, B)
+        inst = random_instrument(rng, A, B, branches=3)
+        staged, compared = [], []
+        stage, equal = dilation._staged, dilation.vectors_equal
+        monkeypatch.setattr(dilation, "_staged",
+                            lambda *args: staged.append(args[-1]) or stage(*args))
+        monkeypatch.setattr(dilation, "vectors_equal",
+                            lambda x, y: compared.append(x) or equal(x, y))
+        assert realize_instrument(inst, processor=proc).verified
+        probes = dimension(compose_systems(A, bibit()))
+        assert len(staged) == len({next(iter(p.coeffs)) for p in staged}) == probes
+        assert len(compared) == 3 * probes
+
+    def test_every_branch_is_compared(self):
+        rng = random.Random(22)
+        proc = build_processor(A, B)
+        inst = random_instrument(rng, A, B, branches=3)
+        result = realize_instrument(inst, processor=proc)
+        pairs = list(zip(result.observation, inst.branches))
+        assert dilation._reproduces(proc, result.sigma, pairs)
+        for k in range(3):
+            wrong = list(pairs)
+            wrong[k] = (pairs[k][0], inst.branches[(k + 1) % 3])
+            assert not dilation._reproduces(proc, result.sigma, wrong)

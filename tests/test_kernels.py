@@ -522,6 +522,14 @@ class TestRowSumValidation:
         with pytest.raises(ValueError):
             Kernel(A, Trivial(TheoryMode.BCT), {lab(1): {(UNIT, -1): F(1)}})
 
+    def test_fractions_are_kept_and_other_numbers_converted(self):
+        half = F(1, 2)
+        k = Kernel(A, A, {lab(1): {(lab(1), 1): half, (lab(2), -1): 0},
+                          lab(2): {(lab(2), 1): 1}})
+        assert k.rows[lab(1)][(lab(1), 1)] is half
+        assert k.rows == {lab(1): {(lab(1), 1): half}, lab(2): {(lab(2), 1): F(1)}}
+        assert type(k.rows[lab(2)][(lab(2), 1)]) is F
+
 
 class TestCTMode:
     def test_ct_kernels_compose(self):

@@ -7,6 +7,7 @@ check keeps it that way.
 
 The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses.
+The coherence checks use the label-level calculus, never the move tables.
 """
 
 import ast
@@ -48,3 +49,28 @@ def bound_literals(tree: ast.AST) -> list[int]:
                          ids=lambda p: p.name)
 def test_bounds_come_from_config(path):
     assert bound_literals(ast.parse(path.read_text())) == []
+
+
+TABLE_NAMES = {"move_table", "Transport", "_MoveTable", "_MOVE_TABLES"}
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_coherence_checks_the_calculus_without_the_tables():
+    """Pentagon and hexagon test the label-level moves themselves, so the
+    coherence module never reaches the move tables that memoise them."""
+    source = next(p for p in SOURCES if p.name == "coherence.py")
+    used = names_used(ast.parse(source.read_text()))
+    assert "apply_moves_tracked" in used
+    assert used & TABLE_NAMES == set()
+

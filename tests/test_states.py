@@ -248,6 +248,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             StateVector(A, {node(lab(1), lab(1), 1): F(1)})
 
+    def test_fractions_are_kept_and_other_numbers_converted(self):
+        quarter = F(1, 4)
+        rho = StateVector(A, {lab(1): quarter, lab(2): 0})
+        assert rho.coeffs == {lab(1): quarter} and rho.coeffs[lab(1)] is quarter
+        assert type(StateVector(A, {lab(2): 1}).coeffs[lab(2)]) is F
+
 
 @given(st.sampled_from((1, 2)), st.sampled_from((1, 2)))
 def test_marginals_of_products_recover_factors(i, j):

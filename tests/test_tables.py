@@ -1,0 +1,191 @@
+"""Cached bases and move tables against the label-level calculus.
+
+`labels.move_table` serves (moved label, flip) from a table keyed on the
+move sequence and the active fault, filled by `apply_moves_tracked`;
+`enumerate_pure_labels` keeps each system's sorted basis.  These tests hold
+both to the reference: the same transports under every fault, the same
+suite reports in one process as in fresh ones, bases that callers cannot
+change, and hashes that survive pickling into a process with another
+PYTHONHASHSEED.
+"""
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bct import faults
+from bct.coherence import SuiteConfig, run_suite
+from bct.labels import (
+    LeafLabel,
+    NodeLabel,
+    apply_moves_tracked,
+    enumerate_pure_labels,
+    invert_moves,
+    move_system_sequence,
+    move_table,
+    regroup,
+)
+from bct.systems import Node, SystemTree, TheoryMode, compose_systems, leaf, left_comb
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+FAULTS = (None,) + faults.KNOWN_FAULTS
+
+
+def build(shape, mode: TheoryMode) -> SystemTree:
+    """A system tree from nested pairs of leaf dimensions."""
+    if isinstance(shape, int):
+        return leaf(shape, mode)
+    return compose_systems(build(shape[0], mode), build(shape[1], mode))
+
+
+def subtree_paths(system: SystemTree, prefix: str = "") -> list[str]:
+    if not isinstance(system, Node):
+        return []
+    return [prefix + "0", prefix + "1",
+            *subtree_paths(system.left, prefix + "0"),
+            *subtree_paths(system.right, prefix + "1")]
+
+
+shapes = st.recursive(st.sampled_from((2, 3)), lambda inner: st.tuples(inner, inner),
+                      max_leaves=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes.filter(lambda s: not isinstance(s, int)),
+       mode=st.sampled_from(tuple(TheoryMode)), pick=st.integers(0, 100))
+def test_tables_match_the_calculus_under_every_fault(shape, mode, pick):
+    system = build(shape, mode)
+    paths = subtree_paths(system)
+    at = paths[pick % len(paths)]
+    moves = regroup(system, at)
+    back = invert_moves(moves)
+    regrouped = move_system_sequence(system, moves)
+    for fault in FAULTS:
+        with faults.inject_fault(fault):
+            there_table, back_table = move_table(moves), move_table(back)
+            for label in enumerate_pure_labels(system):
+                assert there_table[label] == apply_moves_tracked(label, moves)
+            for label in enumerate_pure_labels(regrouped):
+                assert back_table[label] == apply_moves_tracked(label, back)
+
+
+def test_a_table_belongs_to_its_fault():
+    moves = regroup(left_comb([2, 2, 2]), "01")
+    tables = []
+    for fault in FAULTS:
+        with faults.inject_fault(fault):
+            tables.append(move_table(moves))
+            assert move_table(list(moves)) is tables[-1]
+    assert len({id(t) for t in tables}) == len(FAULTS)
+
+
+SMALL_SUITE = dict(kernel_pairs=5)
+
+
+def suite_json(fault):
+    return json.dumps([r.to_json() for r in run_suite(SuiteConfig(fault=fault,
+                                                                  **SMALL_SUITE))])
+
+
+def fresh_suite_json(fault) -> str:
+    code = ("import sys; sys.path.insert(0, sys.argv[1]);"
+            "import json; from bct.coherence import SuiteConfig, run_suite;"
+            "fault = None if sys.argv[2] == 'none' else sys.argv[2];"
+            f"config = SuiteConfig(fault=fault, **{SMALL_SUITE!r});"
+            "print(json.dumps([r.to_json() for r in run_suite(config)]))")
+    proc = subprocess.run([sys.executable, "-c", code, SRC, fault or "none"],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+@pytest.fixture(scope="module")
+def fresh_default():
+    return fresh_suite_json(None)
+
+
+@pytest.mark.parametrize("fault", faults.KNOWN_FAULTS)
+def test_suite_reports_do_not_depend_on_what_ran_before(fault, fresh_default):
+    before = suite_json(None)
+    faulted = suite_json(fault)
+    after = suite_json(None)
+    assert before == after == fresh_default
+    assert faulted == fresh_suite_json(fault)
+    assert not all(r["passed"] for r in json.loads(faulted))
+
+
+def test_callers_get_a_fresh_basis(monkeypatch):
+    system = left_comb([2, 3])
+    first = enumerate_pure_labels(system)
+    expected = list(first)
+    first.clear()
+    second = enumerate_pure_labels(system)
+    assert second == expected and second is not first
+    second.reverse()
+    assert enumerate_pure_labels(system) == expected
+    with pytest.raises(ValueError, match="exceeds enumeration bound 11"):
+        enumerate_pure_labels(system, bound=11)
+    monkeypatch.setenv("BCT_MAX_DIM", "11")
+    with pytest.raises(ValueError, match="exceeds enumeration bound 11"):
+        enumerate_pure_labels(system)
+
+
+def test_label_hash_is_cached_and_structural():
+    label = NodeLabel(LeafLabel(1), NodeLabel(LeafLabel(2), LeafLabel(1), -1), 1)
+    assert label._hash is None
+    assert hash(label) == hash((label.left, label.right, label.sign))
+    assert label._hash == hash(label)
+    twin = NodeLabel(LeafLabel(1), NodeLabel(LeafLabel(2), LeafLabel(1), -1), 1)
+    assert twin == label and {label: 1}[twin] == 1
+    assert repr(twin) == ("NodeLabel(left=LeafLabel(index=1), right=NodeLabel("
+                          "left=LeafLabel(index=2), right=LeafLabel(index=1), "
+                          "sign=-1), sign=1)")
+    assert not hasattr(label, "__dict__") and not hasattr(left_comb([2, 3]), "__dict__")
+
+
+PICKLE_WRITER = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from bct.labels import LeafLabel, NodeLabel
+from bct.systems import left_comb
+label = NodeLabel(NodeLabel(LeafLabel(1), LeafLabel(2), -1), LeafLabel(3), 1)
+system = left_comb([2, 3, 3])
+hash(label), hash(system)
+sys.stdout.buffer.write(pickle.dumps((label, system)))
+"""
+
+PICKLE_READER = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from bct.labels import LeafLabel, NodeLabel, enumerate_pure_labels
+from bct.systems import left_comb
+label, system = pickle.loads(sys.stdin.buffer.read())
+fresh_label = NodeLabel(NodeLabel(LeafLabel(1), LeafLabel(2), -1), LeafLabel(3), 1)
+fresh_system = left_comb([2, 3, 3])
+enumerate_pure_labels(fresh_system)
+assert label == fresh_label and system == fresh_system
+assert {fresh_label: "hit"}[label] == "hit" and {label: "hit"}[fresh_label] == "hit"
+assert {fresh_system: "hit"}[system] == "hit" and {system: "hit"}[fresh_system] == "hit"
+assert enumerate_pure_labels(system) == enumerate_pure_labels(fresh_system)
+assert label in set(enumerate_pure_labels(system))
+print("ok")
+"""
+
+
+def test_pickles_hit_a_dict_under_another_hash_seed():
+    def run(script, seed, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", script, SRC], input=data,
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    data = run(PICKLE_WRITER, "1")
+    assert pickle.loads(data)[0]._hash is not None
+    assert run(PICKLE_READER, "2", data).strip() == b"ok"
