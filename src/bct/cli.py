@@ -1,9 +1,10 @@
 """Command-line harness: coherence suite, tomography, dilations, protocols.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage, IO
-or resource error (an enumeration bound, input nested too deeply).  All reports are canonical JSON (sorted keys), byte-stable for a
-fixed configuration and seed.  A flat key=value config file can seed any
-flag; explicit flags win.
+or resource error (an enumeration bound, input nested too deeply, a field
+of the wrong type, a check that would run no trial).  All reports are
+canonical JSON (sorted keys), byte-stable for a fixed configuration and
+seed.  A flat key=value config file can seed any flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -72,11 +73,23 @@ def _dims_list(text: str) -> list[tuple[int, ...]]:
     return groups
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_coherence(args) -> int:
     mode = TheoryMode(args.mode.upper())
     kwargs = {}
-    if args.dims_matrix:
+    if args.dims_matrix is not None:
         tuples = _dims_list(args.dims_matrix)
+        unused = [t for t in tuples if len(t) not in (3, 4)]
+        if unused or not tuples:
+            raise ParseError(serial.E_SCHEMA,
+                             "--dims-matrix needs hexagon triples or pentagon "
+                             f"quadruples, got {args.dims_matrix!r}")
         kwargs["pentagon_dims"] = tuple(t for t in tuples if len(t) == 4) or \
             SuiteConfig.pentagon_dims
         kwargs["hexagon_dims"] = tuple(t for t in tuples if len(t) == 3) or \
@@ -210,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dims-matrix", help="semicolon-separated dim tuples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=100,
+    p.add_argument("--pairs", type=_positive, default=100,
                    help="seeded kernel pairs per kernel-level check")
     p.add_argument("--fault", default="none", choices=["none", *KNOWN_FAULTS])
     p.set_defaults(func=cmd_coherence)

@@ -297,9 +297,11 @@ def realize_instrument(instrument: Instrument,
     others = [{NodeLabel(processor.program_index[fl], a_labels[i], s1): z
                for (fl, i), z in table.items() for s1 in signs}
               for table in tables[1:]]
-    first = {label: ONE - sum((c.get(label, ZERO) for c in others), ZERO)
-             for label in enumerate_pure_labels(processor.output_ancilla,
-                                                DILATION_MAX_DIM)}
+    first = dict.fromkeys(enumerate_pure_labels(processor.output_ancilla,
+                                                DILATION_MAX_DIM), ONE)
+    for c in others:
+        for label, z in c.items():
+            first[label] -= z
     effects = [EffectVector(processor.output_ancilla, c) for c in (first, *others)]
 
     verified = True

@@ -91,6 +91,26 @@ class Kernel:
                 clean[row_label] = row
         object.__setattr__(self, "rows", clean)
 
+    @classmethod
+    def _trusted(cls, in_system: SystemTree, out_system: SystemTree,
+                 rows: Rows) -> Kernel:
+        """A kernel the calculus built from validated kernels.
+
+        Composition, extension, transport and inversion keep every invariant
+        the constructor checks, so only zero weights and empty rows are
+        dropped here.  Anything built from outside input goes through the
+        constructor.
+        """
+        if in_system.mode is not out_system.mode:
+            raise ValueError("kernel endpoints must share a theory mode")
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "in_system", in_system)
+        object.__setattr__(kernel, "out_system", out_system)
+        object.__setattr__(kernel, "rows", {
+            a: clean for a, row in rows.items()
+            if (clean := {entry: w for entry, w in row.items() if w})})
+        return kernel
+
     @property
     def mode(self) -> TheoryMode:
         return self.in_system.mode
@@ -109,7 +129,7 @@ def kernels_equal(a: Kernel, b: Kernel) -> bool:
 
 def identity_kernel(system: SystemTree) -> Kernel:
     rows = {label: {(label, 1): ONE} for label in enumerate_pure_labels(system)}
-    return Kernel(system, system, rows)
+    return Kernel._trusted(system, system, rows)
 
 
 def null_kernel(in_system: SystemTree, out_system: SystemTree) -> Kernel:
@@ -151,7 +171,7 @@ def braid_kernel(a: SystemTree, b: SystemTree) -> Kernel:
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         return identity_kernel(ab)
     rows = {label: {_braid_entry(label): ONE} for label in enumerate_pure_labels(ab)}
-    return Kernel(ab, ba, rows)
+    return Kernel._trusted(ab, ba, rows)
 
 
 def _braid_entry(label: PureLabel) -> Entry:
@@ -206,7 +226,7 @@ def sequential_compose(second: Kernel, first: Kernel) -> Kernel:
                 out[key] = out.get(key, ZERO) + w1 * w2
         if out:
             rows[a] = out
-    return Kernel(first.in_system, second.out_system, rows)
+    return Kernel._trusted(first.in_system, second.out_system, rows)
 
 
 def _with_identity(kernel: Kernel, other: SystemTree, drop_tau: bool = False) -> Rows:
@@ -249,9 +269,10 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
         return scale_kernel(k1, k2.row(UNIT).get((UNIT, 1), ZERO))
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
     drop_tau = faults.active_fault() == faults.PARALLEL_DROP_TAU
-    left = Kernel(compose_systems(a, c), compose_systems(b, c),
-                  _with_identity(k1, c, drop_tau))
-    right = Kernel(compose_systems(b, c), compose_systems(b, d), _identity_with(b, k2))
+    left = Kernel._trusted(compose_systems(a, c), compose_systems(b, c),
+                           _with_identity(k1, c, drop_tau))
+    right = Kernel._trusted(compose_systems(b, c), compose_systems(b, d),
+                            _identity_with(b, k2))
     return sequential_compose(right, left)
 
 
@@ -288,8 +309,8 @@ def extend_at(kernel: Kernel, system: SystemTree, at: str) -> Kernel:
         raise ValueError("kernel input does not match the selected subtree")
     if at == "":
         return kernel
-    return Kernel(system, _result_system(kernel, system, at),
-                  _extension_rows(kernel, system, at))
+    return Kernel._trusted(system, _result_system(kernel, system, at),
+                           _extension_rows(kernel, system, at))
 
 
 def _extension_rows(kernel: Kernel, system: SystemTree, at: str,
@@ -339,9 +360,10 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
 
     On the full state environment flips are unobservable; when the output is
     trivial (an effect) the pairing sign is discarded, and when the whole
-    tree is consumed tau is marginalized.  A state maps to a validated
-    state; any other vector of the span maps to a `GeneralizedVector`, whose
-    positivity and weight are left to the caller to judge.
+    tree is consumed tau is marginalized.  A state maps to a state, valid
+    because the rows are sub-stochastic; any other vector of the span maps
+    to a `GeneralizedVector`, whose positivity and weight are left to the
+    caller to judge.
     """
     if kernel.in_system != subtree_at(rho.system, at):
         raise ValueError("kernel input does not match the selected subtree")
@@ -351,13 +373,13 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
         for label, value in rho.coeffs.items():
             for (b, _tau), w in kernel.row(label).items():
                 out[b] = out.get(b, ZERO) + w * value
-        return image(kernel.out_system, out)
+        return image._trusted(kernel.out_system, out)
     moves = regroup(rho.system, at)
     there, back = move_table(moves), move_table(invert_moves(moves))
     for label, value in rho.coeffs.items():
         for (b, _flip), w in _act_at(kernel, label, there, back):
             out[b] = out.get(b, ZERO) + w * value
-    return image(_result_system(kernel, rho.system, at), out)
+    return image._trusted(_result_system(kernel, rho.system, at), out)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +426,7 @@ def invert_reversible(kernel: Kernel) -> Kernel:
     for a, row in kernel.rows.items():
         ((b, tau), _weight), = row.items()
         rows[b] = {(a, tau): ONE}
-    return Kernel(kernel.out_system, kernel.in_system, rows)
+    return Kernel._trusted(kernel.out_system, kernel.in_system, rows)
 
 
 def atomic_decomposition(kernel: Kernel) -> list[Kernel]:

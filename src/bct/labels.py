@@ -312,6 +312,16 @@ class _MoveTable(dict):
         return entry
 
 
+class _IdentityTransport(dict):
+    """label -> (label, +1): the empty move sequence, which stores nothing."""
+
+    __slots__ = ()
+
+    def __missing__(self, label: PureLabel) -> tuple[PureLabel, int]:
+        return label, PLUS
+
+
+_IDENTITY = _IdentityTransport()
 _MOVE_TABLES: dict[tuple[str | None, tuple[Move, ...]], _MoveTable] = {}
 
 
@@ -322,8 +332,11 @@ def move_table(moves: Sequence[Move]) -> Transport:
     filled by the label-level `apply_moves_tracked`, which stays the
     reference.  Fetch it inside the operation that uses it, so the fault it
     is keyed on is the one in force.  The law checks of `coherence` test the
-    calculus itself and call `apply_moves_tracked` directly.
+    calculus itself and call `apply_moves_tracked` directly.  The empty
+    sequence is the identity under every fault and is served without a table.
     """
+    if not moves:
+        return _IDENTITY
     key = (faults.active_fault(), tuple(moves))
     table = _MOVE_TABLES.get(key)
     if table is None:

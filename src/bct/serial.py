@@ -16,7 +16,7 @@ from typing import Any, Callable
 from .config import MAX_NESTING
 from .kernels import Instrument, Kernel
 from .labels import LeafLabel, NodeLabel, PureLabel, UNIT, label_matches, label_to_str
-from .states import EffectVector, GeneralizedVector, StateVector
+from .states import GeneralizedVector, StateVector
 from .systems import (
     Leaf,
     Node,
@@ -78,6 +78,8 @@ def _parse_tree(text: str, code: str, separator: str, closers: dict[str, Any],
     carry `code` and the position in the stripped text; nesting deeper than
     MAX_NESTING is refused at the parenthesis that passes the cap.
     """
+    if not isinstance(text, str):
+        raise ParseError(code, f"expected a string, got {text!r}")
     shown = text
     text = text.strip()
     pattern, leaf_name, make_leaf = leaf_syntax
@@ -163,6 +165,8 @@ def _mode_to_json(mode: TheoryMode) -> str:
 
 
 def parse_mode(text: str) -> TheoryMode:
+    if not isinstance(text, str):
+        raise ParseError(E_MODE, f"mode must be a string, got {text!r}")
     try:
         return TheoryMode(text)
     except ValueError as exc:
@@ -179,26 +183,16 @@ def vector_to_json(vector: GeneralizedVector) -> dict:
     }
 
 
-def _vector_from_json(doc: dict, cls):
+def state_from_json(doc: dict) -> StateVector:
     _require(doc, ("system", "coeffs"))
-    mode = parse_mode(doc.get("mode", "BCT"))
-    system = parse_system(doc["system"], mode)
-    if not isinstance(doc["coeffs"], dict):
-        raise ParseError(E_SCHEMA, "coeffs must be an object")
+    mode = parse_mode(_field(doc, "mode", "string", "BCT"))
+    system = parse_system(_field(doc, "system", "string"), mode)
     coeffs = {parse_label(k, system): parse_fraction(v)
-              for k, v in doc["coeffs"].items()}
+              for k, v in _field(doc, "coeffs", "object").items()}
     try:
-        return cls(system, coeffs)
+        return StateVector(system, coeffs)
     except ValueError as exc:
         raise ParseError(E_SCHEMA, str(exc)) from exc
-
-
-def state_from_json(doc: dict) -> StateVector:
-    return _vector_from_json(doc, StateVector)
-
-
-def effect_from_json(doc: dict) -> EffectVector:
-    return _vector_from_json(doc, EffectVector)
 
 
 def kernel_to_json(kernel: Kernel) -> dict:
@@ -218,13 +212,11 @@ def kernel_to_json(kernel: Kernel) -> dict:
 
 def kernel_from_json(doc: dict) -> Kernel:
     _require(doc, ("in", "out", "rows"))
-    mode = parse_mode(doc.get("mode", "BCT"))
-    in_system = parse_system(doc["in"], mode)
-    out_system = parse_system(doc["out"], mode)
-    if not isinstance(doc["rows"], dict):
-        raise ParseError(E_SCHEMA, "rows must be an object")
+    mode = parse_mode(_field(doc, "mode", "string", "BCT"))
+    in_system = parse_system(_field(doc, "in", "string"), mode)
+    out_system = parse_system(_field(doc, "out", "string"), mode)
     rows: dict[PureLabel, dict] = {}
-    for a_text, entries in doc["rows"].items():
+    for a_text, entries in _field(doc, "rows", "object").items():
         a = parse_label(a_text, in_system)
         row: dict = {}
         if not isinstance(entries, list):
@@ -232,8 +224,8 @@ def kernel_from_json(doc: dict) -> Kernel:
         for entry in entries:
             if not isinstance(entry, dict) or set(entry) != {"to", "tau", "w"}:
                 raise ParseError(E_SCHEMA, f"bad row entry {entry!r}")
-            b = parse_label(entry["to"], out_system)
-            tau = entry["tau"]
+            b = parse_label(_field(entry, "to", "string"), out_system)
+            tau = _field(entry, "tau", "integer")
             if tau not in (-1, 1):
                 raise ParseError(E_SCHEMA, f"tau must be -1 or 1, got {tau!r}")
             key = (b, tau)
@@ -256,12 +248,16 @@ def instrument_to_json(instrument: Instrument) -> dict:
 
 def instrument_from_json(doc: dict) -> Instrument:
     _require(doc, ("branches",))
-    if not isinstance(doc["branches"], list) or not doc["branches"]:
+    if not _field(doc, "branches", "array"):
         raise ParseError(E_SCHEMA, "branches must be a non-empty list")
-    mode = doc.get("mode", "BCT")
-    branches = tuple(kernel_from_json({**b, "mode": b.get("mode", mode)})
-                     for b in doc["branches"])
-    outcomes = tuple(doc.get("outcomes", ()))
+    mode = _field(doc, "mode", "string", "BCT")
+    for b in doc["branches"]:
+        _require(b, ())
+    branches = tuple(kernel_from_json({"mode": mode, **b}) for b in doc["branches"])
+    outcomes = tuple(_field(doc, "outcomes", "array", []))
+    if not all(_is_type(o, "string") or _is_type(o, "integer") for o in outcomes):
+        raise ParseError(E_SCHEMA,
+                         f"outcomes must be strings or integers, got {outcomes!r}")
     if outcomes and len(outcomes) != len(branches):
         raise ParseError(E_SCHEMA, "outcomes must match branches")
     try:
@@ -276,6 +272,14 @@ def _require(doc: Any, keys: tuple[str, ...]) -> None:
     for key in keys:
         if key not in doc:
             raise ParseError(E_SCHEMA, f"missing required key {key!r}")
+
+
+def _field(doc: dict, key: str, kind: str, default: Any = None) -> Any:
+    """`doc[key]`, or `default` when the key is absent, of schema type `kind`."""
+    value = doc.get(key, default)
+    if not _is_type(value, kind):
+        raise ParseError(E_SCHEMA, f"{key!r} must be of type {kind}, got {value!r}")
+    return value
 
 
 def dumps(doc: Any) -> str:
@@ -370,6 +374,12 @@ _TYPES = {"object": dict, "array": list, "string": str,
           "integer": int, "boolean": bool, "null": type(None)}
 
 
+def _is_type(node: Any, kind: str) -> bool:
+    """JSON typing: a bool is not an integer."""
+    return isinstance(node, _TYPES[kind]) and not (kind == "integer"
+                                                   and isinstance(node, bool))
+
+
 def validate_document(doc: Any, kind: str) -> None:
     """Check a document against the published schema; raises ParseError."""
     schemas = schema()
@@ -383,9 +393,7 @@ def validate_document(doc: Any, kind: str) -> None:
         expected = spec.get("type")
         if expected is not None:
             allowed = expected if isinstance(expected, list) else [expected]
-            if not any(isinstance(node, _TYPES[t]) and not
-                       (t == "integer" and isinstance(node, bool))
-                       for t in allowed):
+            if not any(_is_type(node, t) for t in allowed):
                 raise ParseError(E_SCHEMA, f"{where}: expected {expected}")
         if "enum" in spec and node not in spec["enum"]:
             raise ParseError(E_SCHEMA, f"{where}: {node!r} not in {spec['enum']}")

@@ -57,6 +57,21 @@ class GeneralizedVector:
             if not label_matches(self.system, label):
                 raise ValueError(f"label {label} does not belong to the system")
 
+    @classmethod
+    def _trusted(cls, system: SystemTree, coeffs: Coeffs) -> GeneralizedVector:
+        """A vector of class `cls` that the calculus built from validated inputs.
+
+        Products, transports, marginals and kernel images keep every
+        invariant the constructors check, so only zero coefficients are
+        dropped here.  Anything built from outside input goes through the
+        constructor.
+        """
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "system", system)
+        object.__setattr__(vector, "coeffs",
+                           {label: value for label, value in coeffs.items() if value})
+        return vector
+
     @property
     def weight(self) -> Fraction:
         return sum(self.coeffs.values(), ZERO)
@@ -110,42 +125,41 @@ def validate_effect(vector: GeneralizedVector) -> bool:
     return all(0 <= value <= 1 for value in vector.coeffs.values())
 
 
-def scale(vector: GeneralizedVector, factor: Fraction) -> GeneralizedVector:
-    return type(vector)(vector.system, {l: v * factor for l, v in vector.coeffs.items()})
-
-
-def add_states(a: StateVector, b: StateVector) -> StateVector:
-    if a.system != b.system:
-        raise ValueError("system mismatch")
-    out = dict(a.coeffs)
-    for label, value in b.coeffs.items():
-        out[label] = out.get(label, ZERO) + value
-    return StateVector(a.system, out)
+def _scalar_product(a: GeneralizedVector, b: GeneralizedVector) -> Coeffs | None:
+    """The coefficients of a (x) b when a factor is trivial (a scalar), else None."""
+    if isinstance(a.system, Trivial):
+        scalar, vector = a[UNIT], b.coeffs
+    elif isinstance(b.system, Trivial):
+        scalar, vector = b[UNIT], a.coeffs
+    else:
+        return None
+    return {label: value * scalar for label, value in vector.items()}
 
 
 def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> GeneralizedVector:
-    """Parallel composition; |i>|j> = (1/2) sum_s (ij)_s in BCT, (ij) in CT."""
+    """Parallel composition; |i>|j> = (1/2) sum_s (ij)_s in BCT, (ij) in CT.
+
+    Two states compose to a state and two vectors of the span to a vector,
+    both valid by construction; mixed factors go through the constructor of
+    the first one's class.
+    """
     if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
         raise TypeError("effects compose with tensor_effects, not tensor_states")
     if rho.system.mode is not sigma.system.mode:
         raise ValueError("cannot compose states from different theory modes")
     system = compose_systems(rho.system, sigma.system)
-    signs = node_signs(system.mode)
-    out: dict[PureLabel, Fraction] = {}
-    for la, va in rho.coeffs.items():
-        for lb, vb in sigma.coeffs.items():
-            if isinstance(rho.system, Trivial):
-                out[lb] = out.get(lb, ZERO) + va * vb
-            elif isinstance(sigma.system, Trivial):
-                out[la] = out.get(la, ZERO) + va * vb
-            else:
+    out = _scalar_product(rho, sigma)
+    if out is None:
+        signs = node_signs(system.mode)
+        out = {}
+        for la, va in rho.coeffs.items():
+            for lb, vb in sigma.coeffs.items():
                 share = va * vb / len(signs)
                 for s in signs:
-                    key = NodeLabel(la, lb, s)
-                    out[key] = out.get(key, ZERO) + share
-    cls = StateVector if isinstance(rho, StateVector) and isinstance(sigma, StateVector) \
-        else type(rho)
-    return cls(system, out)
+                    out[NodeLabel(la, lb, s)] = share
+    if type(rho) is type(sigma):
+        return type(rho)._trusted(system, out)
+    return type(rho)(system, out)
 
 
 def tensor_effects(a: EffectVector, b: EffectVector) -> EffectVector:
@@ -153,17 +167,12 @@ def tensor_effects(a: EffectVector, b: EffectVector) -> EffectVector:
     if a.system.mode is not b.system.mode:
         raise ValueError("cannot compose effects from different theory modes")
     system = compose_systems(a.system, b.system)
-    out: dict[PureLabel, Fraction] = {}
-    signs = node_signs(system.mode)
-    for la, va in a.coeffs.items():
-        for lb, vb in b.coeffs.items():
-            if isinstance(a.system, Trivial):
-                out[lb] = out.get(lb, ZERO) + va * vb
-            elif isinstance(b.system, Trivial):
-                out[la] = out.get(la, ZERO) + va * vb
-            else:
-                for s in signs:
-                    out[NodeLabel(la, lb, s)] = va * vb
+    out = _scalar_product(a, b)
+    if out is None:
+        signs = node_signs(system.mode)
+        out = {NodeLabel(la, lb, s): va * vb
+               for la, va in a.coeffs.items() for lb, vb in b.coeffs.items()
+               for s in signs}
     return EffectVector(system, out)
 
 
@@ -182,7 +191,7 @@ def apply_moves_to_vector(vector: GeneralizedVector, moves: list[Move]) -> Gener
     system = move_system_sequence(vector.system, moves)
     table = move_table(moves)
     out = {table[label][0]: value for label, value in vector.coeffs.items()}
-    return type(vector)(system, out)
+    return type(vector)._trusted(system, out)
 
 
 def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> StateVector:
@@ -207,6 +216,8 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
         if weight != 0:
             rest = moved.right
             out[rest] = out.get(rest, ZERO) + weight * value
+    if isinstance(effect, EffectVector) and isinstance(rho, StateVector):
+        return StateVector._trusted(remainder, out)
     return StateVector(remainder, out)
 
 
@@ -221,7 +232,7 @@ def marginal(rho: StateVector, keep: str) -> StateVector:
         moved = table[label][0]
         assert isinstance(moved, NodeLabel)
         out[moved.left] = out.get(moved.left, ZERO) + value
-    return StateVector(part, out)
+    return StateVector._trusted(part, out)
 
 
 def partial_pair_state(effect: GeneralizedVector, rho: StateVector) -> GeneralizedVector:

@@ -188,3 +188,27 @@ def test_tomography_builds_each_product_once(monkeypatch, capsys):
         '[\n  {\n    "corollary_nab": true,\n    "d_ab": 18,\n    "delta2": 9,\n'
         '    "dims": [\n      3,\n      3\n    ],\n    "mode": "BCT",\n'
         '    "strict_bilocality": true\n  }\n]\n')
+
+
+@pytest.mark.parametrize("field, value", [
+    ("system", 7), ("mode", 7), ("coeffs", ["1"]),
+], ids=["system-int", "mode-int", "coeffs-list"])
+def test_mistyped_state_field_is_usage_error(tmp_path, capsys, field, value):
+    src = tmp_path / "state.json"
+    src.write_text(json.dumps({"system": "2", "coeffs": {"1": "1"}, field: value}))
+    assert main(["protocol", "clone", "--state", str(src), "--quiet"]) == 2
+    assert "E_SCHEMA" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_coherence_refuses_zero_trials(capsys, pairs):
+    assert main(["coherence", "--dims-matrix", "2,2,2", "--pairs", pairs,
+                 "--quiet"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("matrix", ["2", "", ";", "2,2,2;2,2"])
+def test_coherence_refuses_a_dims_matrix_no_check_uses(capsys, matrix):
+    assert main(["coherence", "--dims-matrix", matrix, "--pairs", "1",
+                 "--quiet"]) == 2
+    assert capsys.readouterr().out == ""

@@ -549,3 +549,43 @@ class TestCTMode:
         k = atomic_kernel(act, act, lab(1), lab(2))
         rho = pure_state(ab, node(lab(1), lab(1), 1))
         assert apply(k, rho, "0").coeffs == {node(lab(2), lab(1), 1): F(1)}
+
+
+class TestTrustedConstruction:
+    """`Kernel._trusted` serves the calculus; outside input stays checked."""
+
+    def test_drops_zeros_and_empty_rows_only(self):
+        k = Kernel._trusted(A, A, {lab(1): {(lab(1), -1): F(1, 2), (lab(2), 1): F(0)},
+                                   lab(2): {(lab(2), 1): F(0)}})
+        assert k.rows == {lab(1): {(lab(1), -1): F(1, 2)}}
+        assert kernels_equal(k, Kernel(A, A, k.rows))
+
+    def test_refuses_mixed_modes(self):
+        with pytest.raises(ValueError, match="share a theory mode"):
+            Kernel._trusted(A, bibit(TheoryMode.CT), {})
+
+    def test_is_validated_under_the_test_suite(self):
+        with pytest.raises(ValueError, match="negative"):
+            Kernel._trusted(A, A, {lab(1): {(lab(1), 1): F(-1, 2)}})
+
+    def test_compositions_build_no_validated_kernel(self, monkeypatch):
+        rng = random.Random(21)
+        k1, k2 = random_kernel(rng, A, B), random_kernel(rng, B, A)
+        built = []
+        real = Kernel.__post_init__
+        monkeypatch.setattr(Kernel, "__post_init__",
+                            lambda self: built.append(self) or real(self))
+        monkeypatch.setattr(Kernel, "_trusted",
+                            classmethod(Kernel._trusted.__func__.__wrapped__))
+        parallel_compose(k1, k2)
+        sequential_compose(k2, k1)
+        extend_at(k1, AB, "1")
+        invert_reversible(braid_kernel(A, B))
+        apply(k1, pure_state(AB, node(lab(1), lab(2), 1)), "0")
+        assert built == []
+
+    def test_add_kernels_still_refuses_an_overweight_sum(self):
+        half = Kernel(A, A, {lab(1): {(lab(1), 1): F(3, 4)}})
+        with pytest.raises(ValueError, match="row sum 3/2 exceeds 1"):
+            add_kernels(half, half)
+        assert not validate_instrument([half, half])

@@ -229,3 +229,48 @@ class TestSchema:
 
     def test_schema_is_json_serializable(self):
         dumps(schema())
+
+
+class TestFieldTypes:
+    """Every field is type-checked before use: a mistyped one is E_SCHEMA."""
+
+    @pytest.mark.parametrize("doc", [
+        {"system": 7, "coeffs": {"1": "1"}},
+        {"system": ["2"], "coeffs": {"1": "1"}},
+        {"mode": 7, "system": "2", "coeffs": {"1": "1"}},
+        {"system": "2", "coeffs": "1"},
+    ])
+    def test_state(self, doc):
+        with pytest.raises(ParseError) as err:
+            state_from_json(doc)
+        assert err.value.code == E_SCHEMA
+
+    @pytest.mark.parametrize("change", [
+        {"in": 2}, {"out": None}, {"mode": True}, {"rows": []},
+        {"rows": {"1": [{"to": 1, "tau": 1, "w": "1"}]}},
+        {"rows": {"1": [{"to": "1", "tau": True, "w": "1"}]}},
+        {"rows": {"1": [{"to": "1", "tau": "1", "w": "1"}]}},
+    ])
+    def test_kernel(self, change):
+        doc = {"in": "2", "out": "2",
+               "rows": {"1": [{"to": "1", "tau": 1, "w": "1"}]}, **change}
+        with pytest.raises(ParseError) as err:
+            kernel_from_json(doc)
+        assert err.value.code == E_SCHEMA
+
+    @pytest.mark.parametrize("change", [
+        {"branches": {}}, {"branches": [7]}, {"mode": 1},
+        {"outcomes": "ab"}, {"outcomes": [[1], [2]]}, {"outcomes": [True, False]},
+    ])
+    def test_instrument(self, change):
+        rng = random.Random(2)
+        doc = {**instrument_to_json(random_instrument(rng, bibit(), bibit())), **change}
+        with pytest.raises(ParseError) as err:
+            instrument_from_json(doc)
+        assert err.value.code == E_SCHEMA
+
+    def test_library_parsers_refuse_non_strings(self):
+        for parse, code in ((parse_system, E_SYSTEM_SYNTAX), (parse_label, E_LABEL_SYNTAX)):
+            with pytest.raises(ParseError) as err:
+                parse(7)
+            assert err.value.code == code

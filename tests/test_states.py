@@ -294,3 +294,25 @@ def test_every_tripartite_pure_label_has_entangled_pair_marginals():
             moved = apply_moves_to_vector(rho, moves)
             reduced = marginal(StateVector(moved.system, moved.coeffs), keep)
             assert not is_separable(reduced)
+
+
+class TestTrustedConstruction:
+    """Products of validated factors are trusted; mixed inputs stay checked."""
+
+    def test_state_with_a_negative_vector_is_refused(self):
+        negative = GeneralizedVector(B, {lab(1): F(-1, 2)})
+        with pytest.raises(ValueError, match="negative weight"):
+            tensor_states(pure_state(A, lab(1)), negative)
+
+    def test_negative_generalized_effect_is_refused(self):
+        effect = GeneralizedVector(A, {lab(1): F(-1)})
+        with pytest.raises(ValueError, match="negative weight"):
+            apply_effect_at(effect, pure_state(AB, node(lab(1), lab(2), 1)), "0")
+
+    def test_trusted_vectors_keep_their_class_and_drop_zeros(self):
+        rho = StateVector._trusted(A, {lab(1): F(1, 2), lab(2): F(0)})
+        assert type(rho) is StateVector and rho.coeffs == {lab(1): F(1, 2)}
+
+    def test_is_validated_under_the_test_suite(self):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            StateVector._trusted(A, {lab(1): F(1), lab(2): F(1)})

@@ -12,6 +12,7 @@ PYTHONHASHSEED.
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bct import faults
+from bct import faults, labels
 from bct.coherence import SuiteConfig, run_suite
+from bct.dilation import realize_instrument
+from bct.kernels import random_instrument
 from bct.labels import (
     LeafLabel,
     NodeLabel,
@@ -84,6 +87,21 @@ def test_a_table_belongs_to_its_fault():
             tables.append(move_table(moves))
             assert move_table(list(moves)) is tables[-1]
     assert len({id(t) for t in tables}) == len(FAULTS)
+
+
+def test_the_empty_sequence_stores_nothing():
+    rng = random.Random(5)
+    for dims in ((2, 2), (2, 3)):
+        realize_instrument(random_instrument(rng, leaf(dims[0]), leaf(dims[1])))
+    system = left_comb([2, 3, 2])
+    for fault in FAULTS:
+        with faults.inject_fault(fault):
+            empty = move_table(())
+            assert move_table([]) is empty
+            for label in enumerate_pure_labels(system):
+                assert empty[label] == apply_moves_tracked(label, [])
+    assert len(empty) == 0
+    assert not [key for key in labels._MOVE_TABLES if not key[1]]
 
 
 SMALL_SUITE = dict(kernel_pairs=5)
