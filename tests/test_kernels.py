@@ -589,3 +589,28 @@ class TestTrustedConstruction:
         with pytest.raises(ValueError, match="row sum 3/2 exceeds 1"):
             add_kernels(half, half)
         assert not validate_instrument([half, half])
+
+
+class TestTrivialFactors:
+    """A trivial factor scales or leaves the kernel as it is."""
+
+    @pytest.mark.parametrize("mode", tuple(TheoryMode))
+    def test_parallel_with_a_scalar_scales(self, mode):
+        k = random_kernel(random.Random(30), bibit(mode), leaf(3, mode))
+        half = scalar_kernel(mode, F(1, 2))
+        assert kernels_equal(parallel_compose(k, half), scale_kernel(k, F(1, 2)))
+        assert kernels_equal(parallel_compose(half, k), scale_kernel(k, F(1, 2)))
+        assert kernels_equal(parallel_compose(half, scalar_kernel(mode, F(1, 3))),
+                             scalar_kernel(mode, F(1, 6)))
+        assert kernels_equal(parallel_compose(scalar_kernel(mode, F(0)), half),
+                             scalar_kernel(mode, F(0)))
+
+    def test_extension_at_the_root_is_the_kernel(self):
+        k = random_kernel(random.Random(31), AB, C3)
+        assert extend_at(k, AB, "") is k
+
+    @pytest.mark.parametrize("mode", tuple(TheoryMode))
+    def test_braid_with_a_trivial_factor_is_the_identity(self, mode):
+        a, t = leaf(3, mode), Trivial(mode)
+        assert kernels_equal(braid_kernel(a, t), identity_kernel(a))
+        assert kernels_equal(braid_kernel(t, a), identity_kernel(a))

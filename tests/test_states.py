@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bct.labels import LeafLabel, NodeLabel, enumerate_pure_labels
+from bct.labels import UNIT, LeafLabel, NodeLabel, enumerate_pure_labels
 from bct.states import (
     EffectVector,
     GeneralizedVector,
@@ -18,6 +18,7 @@ from bct.states import (
     partial_pair_state,
     point_effect,
     pure_state,
+    scalar_state,
     tensor_effects,
     tensor_states,
     unit_effect,
@@ -316,3 +317,25 @@ class TestTrustedConstruction:
     def test_is_validated_under_the_test_suite(self):
         with pytest.raises(ValueError, match="exceeds 1"):
             StateVector._trusted(A, {lab(1): F(1), lab(2): F(1)})
+
+
+class TestTrivialFactors:
+    """A scalar factor scales; the whole tree as a subtree is the state."""
+
+    def test_state_product_with_a_scalar_scales(self):
+        rho = StateVector(AB, half_pair(1, 2))
+        third = scalar_state(TheoryMode.BCT, F(1, 3))
+        scaled = StateVector(AB, {label: value / 3 for label, value in rho.coeffs.items()})
+        assert tensor_states(rho, third) == scaled
+        assert tensor_states(third, rho) == scaled
+
+    def test_effect_product_with_a_scalar_scales(self):
+        effect = EffectVector(A, {lab(1): F(1, 2), lab(2): F(1)})
+        half = EffectVector(Trivial(TheoryMode.BCT), {UNIT: F(1, 2)})
+        scaled = EffectVector(A, {lab(1): F(1, 4), lab(2): F(1, 2)})
+        assert tensor_effects(effect, half) == scaled
+        assert tensor_effects(half, effect) == scaled
+
+    def test_marginal_on_the_whole_tree_is_the_state(self):
+        rho = StateVector(AB, half_pair(2, 1))
+        assert marginal(rho, "") is rho
