@@ -64,12 +64,16 @@ def _load_config(path: str | None) -> dict[str, str]:
     return values
 
 
-def _dims_list(text: str) -> list[tuple[int, ...]]:
+def _dims_list(text: str, arities: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Semicolon-separated dim tuples: at least one, each of an arity in `arities`."""
     groups = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk:
             groups.append(tuple(int(x) for x in chunk.split(",")))
+    if not groups or any(len(g) not in arities for g in groups):
+        raise ParseError(serial.E_SCHEMA, "need tuples of "
+                         f"{' or '.join(map(str, arities))} dims, got {text!r}")
     return groups
 
 
@@ -84,12 +88,7 @@ def cmd_coherence(args) -> int:
     mode = TheoryMode(args.mode.upper())
     kwargs = {}
     if args.dims_matrix is not None:
-        tuples = _dims_list(args.dims_matrix)
-        unused = [t for t in tuples if len(t) not in (3, 4)]
-        if unused or not tuples:
-            raise ParseError(serial.E_SCHEMA,
-                             "--dims-matrix needs hexagon triples or pentagon "
-                             f"quadruples, got {args.dims_matrix!r}")
+        tuples = _dims_list(args.dims_matrix, (3, 4))
         kwargs["pentagon_dims"] = tuple(t for t in tuples if len(t) == 4) or \
             SuiteConfig.pentagon_dims
         kwargs["hexagon_dims"] = tuple(t for t in tuples if len(t) == 3) or \
@@ -114,9 +113,7 @@ def cmd_verify_dims(args) -> int:
     mode = TheoryMode(args.mode.upper())
     reports = []
     ok = True
-    for dims in _dims_list(args.triples):
-        if len(dims) != 3:
-            raise ParseError(serial.E_SCHEMA, f"need dim triples, got {dims}")
+    for dims in _dims_list(args.triples, (3,)):
         rep = span_report(*(leaf(d, mode) for d in dims))
         ok &= rep.delta3 == 0 and rep.bilocal_identity_holds
         serial.validate_document(rep.to_json(), "span_report")
@@ -129,9 +126,7 @@ def cmd_tomography(args) -> int:
     mode = TheoryMode(args.mode.upper())
     reports = []
     ok = True
-    for dims in _dims_list(args.pairs):
-        if len(dims) != 2:
-            raise ParseError(serial.E_SCHEMA, f"need dim pairs, got {dims}")
+    for dims in _dims_list(args.pairs, (2,)):
         a, b = (leaf(d, mode) for d in dims)
         products = product_states(a, b)
         strict = verify_strict_bilocality(a, b, products)
@@ -152,7 +147,6 @@ def cmd_tomography(args) -> int:
 
 def cmd_dilate(args) -> int:
     doc = json.loads(Path(args.instrument).read_text(encoding="utf-8"))
-    serial.validate_document(doc, "instrument")
     instrument = serial.instrument_from_json(doc)
     result = realize_instrument(instrument)
     out_doc = {
@@ -187,10 +181,8 @@ def cmd_protocol(args) -> int:
     elif name == "monogamy":
         report = monogamy_demo(mode)
     elif name == "hypersignal":
-        dims = tuple(int(x) for x in args.dims.split(","))
-        if len(dims) != 2:
-            raise ParseError(serial.E_SCHEMA, f"--dims needs a pair, got {args.dims!r}")
-        report = hypersignaling_report(leaf(dims[0], mode), leaf(dims[1], mode))
+        [(a, b)] = _dims_list(args.dims, (2,))
+        report = hypersignaling_report(leaf(a, mode), leaf(b, mode))
     elif name == "capacity":
         report = capacity_report(args.n, mode)
     else:  # pragma: no cover - argparse restricts choices
@@ -279,15 +271,13 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     if defaults:
         merged: list[str] = []
-        commands = {"coherence", "verify-dims", "tomography", "dilate",
-                    "protocol", "schema"}
         for key, value in defaults.items():
             flag = f"--{key.replace('_', '-')}"
             if flag not in argv:
                 merged.extend([flag, value])
         # config flags go after the subcommand so argparse scopes them
-        at = next((i for i, a in enumerate(argv) if a in commands), None)
-        if at is not None:
+        if preliminary.command is not None:
+            at = argv.index(preliminary.command)
             argv = argv[:at + 1] + merged + argv[at + 1:]
     try:
         args = parser.parse_args(argv)

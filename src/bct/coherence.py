@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -58,12 +58,7 @@ class CheckReport:
     counterexample: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def _paths_agree(name: str, dims: tuple[int, ...], mode: TheoryMode,

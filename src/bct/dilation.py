@@ -74,9 +74,6 @@ class FunctionLabel:
         if any(s not in (-1, 1) for s in self.xi):
             raise ValueError("xi values must be -1 or +1")
 
-    def sort_key(self) -> tuple:
-        return self.h, tuple(0 if s == -1 else 1 for s in self.xi)
-
 
 def enumerate_function_labels(d_in: int, d_out: int,
                               mode: TheoryMode) -> list[FunctionLabel]:
@@ -194,7 +191,7 @@ def decompose_channel(channel: Kernel) -> list[tuple[FunctionLabel, Fraction]]:
     merged: dict[FunctionLabel, Fraction] = {}
     for fl, mu in out:
         merged[fl] = merged.get(fl, ZERO) + mu
-    return sorted(merged.items(), key=lambda item: item[0].sort_key())
+    return sorted(merged.items(), key=lambda item: (item[0].h, item[0].xi))
 
 
 def _cell_table(kernel: Kernel, a_labels: Sequence[PureLabel],
@@ -302,7 +299,7 @@ def realize_instrument(instrument: Instrument,
     for c in others:
         for label, z in c.items():
             first[label] -= z
-    effects = [EffectVector(processor.output_ancilla, c) for c in (first, *others)]
+    effects = [EffectVector._trusted(processor.output_ancilla, c) for c in (first, *others)]
 
     verified = True
     if verify:

@@ -261,10 +261,7 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     if k1.mode is not k2.mode:
         raise ValueError("cannot compose kernels from different theory modes")
     if isinstance(k1.in_system, Trivial) and isinstance(k1.out_system, Trivial):
-        p = k1.row(UNIT).get((UNIT, 1), ZERO)
-        return scale_kernel(k2, p) if not (isinstance(k2.in_system, Trivial)
-                                           and isinstance(k2.out_system, Trivial)) \
-            else scalar_kernel(k1.mode, p * k2.row(UNIT).get((UNIT, 1), ZERO))
+        return scale_kernel(k2, k1.row(UNIT).get((UNIT, 1), ZERO))
     if isinstance(k2.in_system, Trivial) and isinstance(k2.out_system, Trivial):
         return scale_kernel(k1, k2.row(UNIT).get((UNIT, 1), ZERO))
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system

@@ -29,7 +29,16 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import faults
 from .config import max_dim
-from .systems import Leaf, Node, SystemTree, TheoryMode, Trivial, dimension, subtree_at
+from .systems import (
+    Leaf,
+    Node,
+    SystemTree,
+    TheoryMode,
+    Trivial,
+    dimension,
+    replace_at,
+    subtree_at,
+)
 
 MINUS = -1
 PLUS = 1
@@ -358,27 +367,20 @@ def braid_move(label: PureLabel, path: str = "") -> PureLabel:
 
 def move_system(system: SystemTree, move: Move) -> SystemTree:
     """Shape transport: the system tree a move carries labels onto."""
-
-    def _rewrite(t: SystemTree, p: str) -> SystemTree:
-        if p == "":
-            if move.kind is MoveKind.BRAID:
-                if not isinstance(t, Node):
-                    raise ValueError("braid needs a node")
-                return Node(t.mode, t.right, t.left)
-            if move.kind is MoveKind.ASSOC_R:
-                if not isinstance(t, Node) or not isinstance(t.left, Node):
-                    raise ValueError("assoc right needs shape ((x y) z)")
-                return Node(t.mode, t.left.left, Node(t.mode, t.left.right, t.right))
-            if not isinstance(t, Node) or not isinstance(t.right, Node):
-                raise ValueError("assoc left needs shape (x (y z))")
-            return Node(t.mode, Node(t.mode, t.left, t.right.left), t.right.right)
+    t = subtree_at(system, move.path)
+    if move.kind is MoveKind.BRAID:
         if not isinstance(t, Node):
-            raise ValueError(f"move path {move.path!r} leaves the tree")
-        if p[0] == "0":
-            return Node(t.mode, _rewrite(t.left, p[1:]), t.right)
-        return Node(t.mode, t.left, _rewrite(t.right, p[1:]))
-
-    return _rewrite(system, move.path)
+            raise ValueError("braid needs a node")
+        moved = Node(t.mode, t.right, t.left)
+    elif move.kind is MoveKind.ASSOC_R:
+        if not isinstance(t, Node) or not isinstance(t.left, Node):
+            raise ValueError("assoc right needs shape ((x y) z)")
+        moved = Node(t.mode, t.left.left, Node(t.mode, t.left.right, t.right))
+    else:
+        if not isinstance(t, Node) or not isinstance(t.right, Node):
+            raise ValueError("assoc left needs shape (x (y z))")
+        moved = Node(t.mode, Node(t.mode, t.left, t.right.left), t.right.right)
+    return replace_at(system, move.path, moved)
 
 
 def move_system_sequence(system: SystemTree, moves: list[Move]) -> SystemTree:

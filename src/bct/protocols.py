@@ -7,7 +7,7 @@ resulting states are reported symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .config import max_dim
@@ -30,6 +30,7 @@ from .labels import (
     enumerate_pure_labels,
     label_to_str,
 )
+from .serial import fraction_to_str
 from .states import (
     StateVector,
     apply_effect_at,
@@ -65,17 +66,7 @@ class ProtocolReport:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "inputs": self.inputs,
-            "outcomes": self.outcomes,
-            "success": self.success,
-            "notes": self.notes,
-        }
-
-
-def _fmt(value: Fraction) -> str:
-    return str(Fraction(value))
+        return asdict(self)
 
 
 def _sign(ch: str | int) -> int:
@@ -140,7 +131,7 @@ def dense_coding(mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport:
                 "bob_local": b_value,
                 "message": message,
                 "decoded": decoded,
-                "probability": _fmt(probability),
+                "probability": fraction_to_str(probability),
                 "state": label_to_str(next(iter(table))),
             })
     return ProtocolReport(
@@ -222,7 +213,7 @@ def entanglement_swapping(i: int, j: int, s: int | str, k: int, l: int,
         outcomes.append({
             "outcome": [eff_label.left.index, eff_label.right.index,
                         "+" if r == 1 else "-"],
-            "probability": _fmt(probability),
+            "probability": fraction_to_str(probability),
             "ad_state": label_to_str(expected),
         })
     return ProtocolReport(
@@ -260,11 +251,11 @@ def clone_state(rho: StateVector) -> ProtocolReport:
     right = marginal(out, "1")
     success = (out.coeffs == expected and left.coeffs == rho.coeffs
                and right.coeffs == rho.coeffs and is_deterministic(cloner))
-    rows = [{"label": label_to_str(label), "weight": _fmt(value)}
+    rows = [{"label": label_to_str(label), "weight": fraction_to_str(value)}
             for label, value in sorted(out.coeffs.items(),
                                        key=lambda kv: label_to_str(kv[0]))]
     return ProtocolReport(
-        "clone", {"input": {label_to_str(k): _fmt(v) for k, v in rho.coeffs.items()},
+        "clone", {"input": {label_to_str(k): fraction_to_str(v) for k, v in rho.coeffs.items()},
                   "mode": rho.system.mode.value},
         rows, success,
         "conditional measure-and-reprepare; both marginals equal the input")
@@ -295,7 +286,7 @@ def monogamy_demo(mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport:
         entangled_count += entangled
         rows.append({
             "pair": name,
-            "marginal": {label_to_str(k): _fmt(v) for k, v in reduced.coeffs.items()},
+            "marginal": {label_to_str(k): fraction_to_str(v) for k, v in reduced.coeffs.items()},
             "entangled": entangled,
         })
     success = entangled_count >= 2 if mode is TheoryMode.BCT else entangled_count == 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .config import MAX_NESTING
 from .kernels import Instrument, Kernel
@@ -160,13 +160,7 @@ def parse_label(text: str, system: SystemTree | None = None) -> PureLabel:
 # Vectors, kernels, instruments
 
 
-def _mode_to_json(mode: TheoryMode) -> str:
-    return mode.value
-
-
 def parse_mode(text: str) -> TheoryMode:
-    if not isinstance(text, str):
-        raise ParseError(E_MODE, f"mode must be a string, got {text!r}")
     try:
         return TheoryMode(text)
     except ValueError as exc:
@@ -177,18 +171,16 @@ def vector_to_json(vector: GeneralizedVector) -> dict:
     coeffs = {label_to_str(label): fraction_to_str(value)
               for label, value in vector.coeffs.items()}
     return {
-        "mode": _mode_to_json(vector.system.mode),
+        "mode": vector.system.mode.value,
         "system": system_to_str(vector.system),
         "coeffs": dict(sorted(coeffs.items())),
     }
 
 
 def state_from_json(doc: dict) -> StateVector:
-    _require(doc, ("system", "coeffs"))
-    mode = parse_mode(_field(doc, "mode", "string", "BCT"))
-    system = parse_system(_field(doc, "system", "string"), mode)
-    coeffs = {parse_label(k, system): parse_fraction(v)
-              for k, v in _field(doc, "coeffs", "object").items()}
+    mode = _checked(doc, "state")
+    system = parse_system(doc["system"], mode)
+    coeffs = {label: parse_fraction(v) for label, v in _by_label(doc["coeffs"], system)}
     try:
         return StateVector(system, coeffs)
     except ValueError as exc:
@@ -203,7 +195,7 @@ def kernel_to_json(kernel: Kernel) -> dict:
         entries.sort(key=lambda e: (e["to"], e["tau"]))
         rows[label_to_str(a)] = entries
     return {
-        "mode": _mode_to_json(kernel.mode),
+        "mode": kernel.mode.value,
         "in": system_to_str(kernel.in_system),
         "out": system_to_str(kernel.out_system),
         "rows": dict(sorted(rows.items())),
@@ -211,24 +203,20 @@ def kernel_to_json(kernel: Kernel) -> dict:
 
 
 def kernel_from_json(doc: dict) -> Kernel:
-    _require(doc, ("in", "out", "rows"))
-    mode = parse_mode(_field(doc, "mode", "string", "BCT"))
-    in_system = parse_system(_field(doc, "in", "string"), mode)
-    out_system = parse_system(_field(doc, "out", "string"), mode)
+    return _kernel(doc, _checked(doc, "kernel"))
+
+
+def _kernel(doc: dict, mode: TheoryMode) -> Kernel:
+    """The kernel of a document that has passed the schema."""
+    in_system = parse_system(doc["in"], mode)
+    out_system = parse_system(doc["out"], mode)
     rows: dict[PureLabel, dict] = {}
-    for a_text, entries in _field(doc, "rows", "object").items():
-        a = parse_label(a_text, in_system)
+    for a, entries in _by_label(doc["rows"], in_system):
         row: dict = {}
-        if not isinstance(entries, list):
-            raise ParseError(E_SCHEMA, "row entries must be a list")
         for entry in entries:
-            if not isinstance(entry, dict) or set(entry) != {"to", "tau", "w"}:
+            if set(entry) != {"to", "tau", "w"}:
                 raise ParseError(E_SCHEMA, f"bad row entry {entry!r}")
-            b = parse_label(_field(entry, "to", "string"), out_system)
-            tau = _field(entry, "tau", "integer")
-            if tau not in (-1, 1):
-                raise ParseError(E_SCHEMA, f"tau must be -1 or 1, got {tau!r}")
-            key = (b, tau)
+            key = (parse_label(entry["to"], out_system), entry["tau"])
             row[key] = row.get(key, Fraction(0)) + parse_fraction(entry["w"])
         rows[a] = row
     try:
@@ -239,7 +227,7 @@ def kernel_from_json(doc: dict) -> Kernel:
 
 def instrument_to_json(instrument: Instrument) -> dict:
     return {
-        "mode": _mode_to_json(instrument.in_system.mode),
+        "mode": instrument.in_system.mode.value,
         "branches": [kernel_to_json(k) for k in instrument.branches],
         "outcomes": [o if isinstance(o, (int, str)) else str(o)
                      for o in instrument.outcomes],
@@ -247,17 +235,12 @@ def instrument_to_json(instrument: Instrument) -> dict:
 
 
 def instrument_from_json(doc: dict) -> Instrument:
-    _require(doc, ("branches",))
-    if not _field(doc, "branches", "array"):
+    mode = _checked(doc, "instrument")
+    if not doc["branches"]:
         raise ParseError(E_SCHEMA, "branches must be a non-empty list")
-    mode = _field(doc, "mode", "string", "BCT")
-    for b in doc["branches"]:
-        _require(b, ())
-    branches = tuple(kernel_from_json({"mode": mode, **b}) for b in doc["branches"])
-    outcomes = tuple(_field(doc, "outcomes", "array", []))
-    if not all(_is_type(o, "string") or _is_type(o, "integer") for o in outcomes):
-        raise ParseError(E_SCHEMA,
-                         f"outcomes must be strings or integers, got {outcomes!r}")
+    branches = tuple(_kernel(b, parse_mode(b.get("mode", mode.value)))
+                     for b in doc["branches"])
+    outcomes = tuple(doc.get("outcomes", ()))
     if outcomes and len(outcomes) != len(branches):
         raise ParseError(E_SCHEMA, "outcomes must match branches")
     try:
@@ -266,20 +249,23 @@ def instrument_from_json(doc: dict) -> Instrument:
         raise ParseError(E_SCHEMA, str(exc)) from exc
 
 
-def _require(doc: Any, keys: tuple[str, ...]) -> None:
-    if not isinstance(doc, dict):
-        raise ParseError(E_SCHEMA, f"expected an object, got {type(doc).__name__}")
-    for key in keys:
-        if key not in doc:
-            raise ParseError(E_SCHEMA, f"missing required key {key!r}")
+def _checked(doc: Any, kind: str) -> TheoryMode:
+    """Check `doc` against the published schema of `kind`; return its mode."""
+    validate_document(doc, kind)
+    return parse_mode(doc.get("mode", "BCT"))
 
 
-def _field(doc: dict, key: str, kind: str, default: Any = None) -> Any:
-    """`doc[key]`, or `default` when the key is absent, of schema type `kind`."""
-    value = doc.get(key, default)
-    if not _is_type(value, kind):
-        raise ParseError(E_SCHEMA, f"{key!r} must be of type {kind}, got {value!r}")
-    return value
+def _by_label(doc: dict, system: SystemTree) -> Iterator[tuple[PureLabel, Any]]:
+    """The entries of `doc` under their parsed keys; two spellings of one
+    label are E_SCHEMA."""
+    spelled: dict[PureLabel, str] = {}
+    for text, value in doc.items():
+        label = parse_label(text, system)
+        if label in spelled:
+            raise ParseError(E_SCHEMA, f"keys {spelled[label]!r} and {text!r} "
+                                       "name the same label")
+        spelled[label] = text
+        yield label, value
 
 
 def dumps(doc: Any) -> str:
@@ -381,7 +367,10 @@ def _is_type(node: Any, kind: str) -> bool:
 
 
 def validate_document(doc: Any, kind: str) -> None:
-    """Check a document against the published schema; raises ParseError."""
+    """Check a document against the published schema; raises ParseError.
+
+    A mode outside its enum is E_MODE; every other violation is E_SCHEMA.
+    """
     schemas = schema()
     if kind not in schemas:
         raise ParseError(E_SCHEMA, f"unknown document kind {kind!r}")
@@ -396,7 +385,8 @@ def validate_document(doc: Any, kind: str) -> None:
             if not any(_is_type(node, t) for t in allowed):
                 raise ParseError(E_SCHEMA, f"{where}: expected {expected}")
         if "enum" in spec and node not in spec["enum"]:
-            raise ParseError(E_SCHEMA, f"{where}: {node!r} not in {spec['enum']}")
+            code = E_MODE if where.endswith(".mode") else E_SCHEMA
+            raise ParseError(code, f"{where}: {node!r} not in {spec['enum']}")
         if isinstance(node, dict):
             for key in spec.get("required", ()):
                 if key not in node:

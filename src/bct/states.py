@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .labels import (
     Move,
@@ -206,12 +206,9 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
         raise ValueError("effect system does not match the selected subtree")
     if at == "":
         return scalar_state(rho.system.mode, pair(effect, rho))
-    table = move_table(regroup(rho.system, at))
     remainder = delete_at(rho.system, at)
     out: dict[PureLabel, Fraction] = {}
-    for label, value in rho.coeffs.items():
-        moved = table[label][0]
-        assert isinstance(moved, NodeLabel)
+    for moved, value in _regrouped(rho, at):
         weight = effect.coeffs.get(moved.left, ZERO)
         if weight != 0:
             rest = moved.right
@@ -226,13 +223,20 @@ def marginal(rho: StateVector, keep: str) -> StateVector:
     part = subtree_at(rho.system, keep)
     if keep == "":
         return rho
-    table = move_table(regroup(rho.system, keep))
     out: dict[PureLabel, Fraction] = {}
+    for moved, value in _regrouped(rho, keep):
+        out[moved.left] = out.get(moved.left, ZERO) + value
+    return StateVector._trusted(part, out)
+
+
+def _regrouped(rho: GeneralizedVector, at: str) -> Iterator[tuple[NodeLabel, Fraction]]:
+    """Each coefficient of `rho` under its label regrouped to the two-factor
+    form (a e)_u, with a on the subtree at `at` and e on the complement."""
+    table = move_table(regroup(rho.system, at))
     for label, value in rho.coeffs.items():
         moved = table[label][0]
         assert isinstance(moved, NodeLabel)
-        out[moved.left] = out.get(moved.left, ZERO) + value
-    return StateVector._trusted(part, out)
+        yield moved, value
 
 
 def partial_pair_state(effect: GeneralizedVector, rho: StateVector) -> GeneralizedVector:
@@ -265,13 +269,8 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
     subtree_at(rho.system, part)
     if part == "":
         raise ValueError("bipartition selector must pick a proper subtree")
-    transport = move_table(regroup(rho.system, part))
-    table: dict[PureLabel, Fraction] = {}
-    for label, value in rho.coeffs.items():
-        moved = transport[label][0]
-        table[moved] = table.get(moved, ZERO) + value
+    table = dict(_regrouped(rho, part))
     for moved, value in table.items():
-        assert isinstance(moved, NodeLabel)
         partner = NodeLabel(moved.left, moved.right, -moved.sign)
         if value != table.get(partner, ZERO):
             return False

@@ -212,3 +212,15 @@ def test_coherence_refuses_a_dims_matrix_no_check_uses(capsys, matrix):
     assert main(["coherence", "--dims-matrix", matrix, "--pairs", "1",
                  "--quiet"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("triples", ["", ";", "2,2", "2,2,2;2,2,2,2"])
+def test_verify_dims_refuses_triples_that_run_no_check(capsys, triples):
+    assert main(["verify-dims", "--triples", triples, "--quiet"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("pairs", ["", ";", "2", "2,2;2,2,2"])
+def test_tomography_refuses_pairs_that_run_no_check(capsys, pairs):
+    assert main(["tomography", "--pairs", pairs, "--quiet"]) == 2
+    assert capsys.readouterr().out == ""

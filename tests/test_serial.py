@@ -157,6 +157,12 @@ class TestStates:
             state_from_json(doc)
         assert err.value.code == E_SCHEMA
 
+    def test_two_spellings_of_one_label_are_refused(self):
+        doc = {"system": "2", "coeffs": {"1": "1", " 1": "1"}}
+        with pytest.raises(ParseError, match="'1' and ' 1' name the same label") as err:
+            state_from_json(doc)
+        assert err.value.code == E_SCHEMA
+
 
 class TestKernels:
     def test_round_trip_seeded(self):
@@ -181,6 +187,21 @@ class TestKernels:
             kernel_from_json(doc)
         assert err.value.code == E_SCHEMA
 
+    def test_two_spellings_of_one_row_label_are_refused(self):
+        doc = {"in": "2", "out": "2",
+               "rows": {"1": [{"to": "1", "tau": 1, "w": "1/2"}],
+                        " 1": [{"to": "2", "tau": 1, "w": "1/2"}]}}
+        with pytest.raises(ParseError, match="'1' and ' 1' name the same label") as err:
+            kernel_from_json(doc)
+        assert err.value.code == E_SCHEMA
+
+    def test_repeated_entries_of_a_row_are_summed(self):
+        doc = {"in": "2", "out": "2",
+               "rows": {"1": [{"to": "1", "tau": 1, "w": "1/4"},
+                              {"to": " 1", "tau": 1, "w": "1/4"}]}}
+        assert kernel_from_json(doc).rows == {
+            LeafLabel(1): {(LeafLabel(1), 1): F(1, 2)}}
+
     def test_row_sum_violation_surfaces_as_schema_error(self):
         doc = {"in": "2", "out": "2",
                "rows": {"1": [{"to": "1", "tau": 1, "w": "1"},
@@ -200,6 +221,17 @@ class TestInstruments:
         assert all(kernels_equal(x, y)
                    for x, y in zip(back.branches, inst.branches))
         assert back.outcomes == inst.outcomes
+
+    @pytest.mark.parametrize("where", ["instrument", "branch"])
+    def test_unknown_mode_anywhere_is_a_mode_error(self, where):
+        rng = random.Random(2)
+        doc = instrument_to_json(random_instrument(rng, bibit(), bibit()))
+        for branch in doc["branches"]:
+            branch["mode"] = "BCT"
+        (doc if where == "instrument" else doc["branches"][-1])["mode"] = "QX"
+        with pytest.raises(ParseError) as err:
+            instrument_from_json(doc)
+        assert err.value.code == E_MODE
 
     def test_outcome_mismatch(self):
         rng = random.Random(2)
