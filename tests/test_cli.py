@@ -224,3 +224,9 @@ def test_verify_dims_refuses_triples_that_run_no_check(capsys, triples):
 def test_tomography_refuses_pairs_that_run_no_check(capsys, pairs):
     assert main(["tomography", "--pairs", pairs, "--quiet"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("dims", ["", "2", "2,2,2", "2,2;3,3"])
+def test_hypersignal_refuses_dims_that_are_not_one_pair(capsys, dims):
+    assert main(["protocol", "hypersignal", "--dims", dims, "--quiet"]) == 2
+    assert capsys.readouterr().out == ""
