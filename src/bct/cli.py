@@ -1,10 +1,10 @@
 """Command-line harness: coherence suite, tomography, dilations, protocols.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage, IO
-or resource error (an enumeration bound, input nested too deeply, a field
-of the wrong type, a check that would run no trial).  All reports are
-canonical JSON (sorted keys), byte-stable for a fixed configuration and
-seed.  A flat key=value config file can seed any flag; explicit flags win.
+Exit codes: 0 all checks pass, 1 a check failed, 2 a usage, IO, resource
+or internal error (an enumeration bound, input nested too deeply, a field
+of the wrong type, a check that would run no trial, any other exception).
+All reports are canonical JSON (sorted keys), byte-stable for a fixed
+configuration and seed.  A key=value config file seeds flags; explicit ones win.
 """
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ def cmd_dilate(args) -> int:
         "verified": result.verified,
         "sigma": serial.vector_to_json(result.sigma),
         "observation": [serial.vector_to_json(e) for e in result.observation],
-        "outcomes": [o if isinstance(o, (int, str)) else str(o)
-                     for o in result.outcomes],
+        "outcomes": serial.outcomes_to_json(result.outcomes),
         "mu": {f"h={','.join(map(str, fl.h))};"
                f"xi={','.join('+' if s == 1 else '-' for s in fl.xi)}":
                serial.fraction_to_str(w) for fl, w in result.mu.items()},
@@ -293,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except Exception as exc:  # a crash is never reported as a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -140,7 +140,7 @@ def build_processor(a: SystemTree, b: SystemTree,
                         target = NodeLabel(NodeLabel(sigma, i_label, s1),
                                            b_labels[m - 1], s3)
                         rows[source] = {(target, tau): ONE}
-    kernel = Kernel(domain, compose_systems(aprime, b), rows)
+    kernel = Kernel._trusted(domain, compose_systems(aprime, b), rows)
     if not is_reversible(kernel):
         raise AssertionError("processor kernel failed the bijection check")
     return UniversalProcessor(a, b, program, bprime, aprime, kernel, program_index)
@@ -190,7 +190,7 @@ def decompose_channel(channel: Kernel) -> list[tuple[FunctionLabel, Fraction]]:
         out.append((FunctionLabel(tuple(h), tuple(xi)), lam0))
     merged: dict[FunctionLabel, Fraction] = {}
     for fl, mu in out:
-        merged[fl] = merged.get(fl, ZERO) + mu
+        merged[fl] = merged[fl] + mu if fl in merged else mu
     return sorted(merged.items(), key=lambda item: (item[0].h, item[0].xi))
 
 
@@ -231,7 +231,8 @@ def program_sigma(processor: UniversalProcessor,
     for fl, weight in mu:
         program = pure_state(processor.program_system, processor.program_index[fl])
         for label, value in tensor_states(program, zero).coeffs.items():
-            coeffs[label] = coeffs.get(label, ZERO) + weight * value
+            coeffs[label] = (coeffs[label] + weight * value if label in coeffs
+                             else weight * value)
     return StateVector(processor.input_ancilla, coeffs)
 
 
@@ -318,7 +319,7 @@ def _summed(effects: Sequence[EffectVector]) -> dict[PureLabel, Fraction]:
     total: dict[PureLabel, Fraction] = {}
     for e in effects:
         for label, value in e.coeffs.items():
-            total[label] = total.get(label, ZERO) + value
+            total[label] = total[label] + value if label in total else value
     return total
 
 
@@ -369,7 +370,7 @@ def extract_kernel(processor: UniversalProcessor, sigma: StateVector,
         for label, value in out.coeffs.items():
             assert isinstance(label, NodeLabel) and label.right == e0
             key = (label.left, label.sign)
-            row[key] = row.get(key, ZERO) + value
+            row[key] = row[key] + value if key in row else value
         if row:
             rows[i_label] = row
     kernel = Kernel(a, b, rows)

@@ -37,7 +37,7 @@ from .labels import (
     node_signs,
     regroup,
 )
-from .states import GeneralizedVector, StateVector, ZERO, ONE
+from .states import GeneralizedVector, StateVector, ZERO, ONE, sign_shares
 from .systems import (
     SystemTree,
     TheoryMode,
@@ -138,8 +138,6 @@ def null_kernel(in_system: SystemTree, out_system: SystemTree) -> Kernel:
 
 def scalar_kernel(mode: TheoryMode, value: Fraction) -> Kernel:
     t = Trivial(mode)
-    if value == 0:
-        return Kernel(t, t, {})
     return Kernel(t, t, {UNIT: {(UNIT, 1): Fraction(value)}})
 
 
@@ -191,12 +189,11 @@ def state_kernel(rho: StateVector) -> Kernel:
     preparing a pure label splits it evenly, matching state composition.
     """
     mode = rho.system.mode
-    taus = (PLUS,) if isinstance(rho.system, Trivial) else node_signs(mode)
-    row: dict[Entry, Fraction] = {}
-    for label, value in rho.coeffs.items():
-        for tau in taus:
-            row[(label, tau)] = row.get((label, tau), ZERO) + value / len(taus)
-    return Kernel(Trivial(mode), rho.system, {UNIT: row} if row else {})
+    if isinstance(rho.system, Trivial):
+        return scalar_kernel(mode, rho[UNIT])
+    row = {(label, tau): share for label, value in rho.coeffs.items()
+           for tau, share in sign_shares(mode, value)}
+    return Kernel(Trivial(mode), rho.system, {UNIT: row})
 
 
 def effect_kernel(effect: GeneralizedVector) -> Kernel:
@@ -223,7 +220,7 @@ def sequential_compose(second: Kernel, first: Kernel) -> Kernel:
         for (b, tau1), w1 in row1.items():
             for (c, tau2), w2 in second.row(b).items():
                 key = (c, PLUS if effect else tau1 * tau2)
-                out[key] = out.get(key, ZERO) + w1 * w2
+                out[key] = out[key] + w1 * w2 if key in out else w1 * w2
         if out:
             rows[a] = out
     return Kernel._trusted(first.in_system, second.out_system, rows)
@@ -288,7 +285,7 @@ def add_kernels(first: Kernel, *rest: Kernel) -> Kernel:
         for label, row in kernel.rows.items():
             target = rows.setdefault(label, {})
             for entry, w in row.items():
-                target[entry] = target.get(entry, ZERO) + w
+                target[entry] = target[entry] + w if entry in target else w
     return Kernel(first.in_system, first.out_system, rows)
 
 
@@ -318,7 +315,7 @@ def _extension_rows(kernel: Kernel, system: SystemTree, at: str,
     for label in enumerate_pure_labels(system):
         out: dict[Entry, Fraction] = {}
         for key, w in _act_at(kernel, label, there, back, drop_tau):
-            out[key] = out.get(key, ZERO) + w
+            out[key] = out[key] + w if key in out else w
         if out:
             rows[label] = out
     return rows
@@ -369,13 +366,13 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
     if at == "":
         for label, value in rho.coeffs.items():
             for (b, _tau), w in kernel.row(label).items():
-                out[b] = out.get(b, ZERO) + w * value
+                out[b] = out[b] + w * value if b in out else w * value
         return image._trusted(kernel.out_system, out)
     moves = regroup(rho.system, at)
     there, back = move_table(moves), move_table(invert_moves(moves))
     for label, value in rho.coeffs.items():
         for (b, _flip), w in _act_at(kernel, label, there, back):
-            out[b] = out.get(b, ZERO) + w * value
+            out[b] = out[b] + w * value if b in out else w * value
     return image._trusted(_result_system(kernel, rho.system, at), out)
 
 

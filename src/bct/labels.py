@@ -222,9 +222,23 @@ def invert_moves(moves: list[Move]) -> list[Move]:
     return [invert_move(m) for m in reversed(moves)]
 
 
-def _assoc_r(label: PureLabel) -> tuple[PureLabel, int]:
-    if not isinstance(label, NodeLabel) or not isinstance(label.left, NodeLabel):
+def _shape_assoc_r(t: PureLabel | SystemTree, node: type) -> None:
+    if not isinstance(t, node) or not isinstance(t.left, node):
         raise ValueError("assoc right needs shape ((x y) z)")
+
+
+def _shape_assoc_l(t: PureLabel | SystemTree, node: type) -> None:
+    if not isinstance(t, node) or not isinstance(t.right, node):
+        raise ValueError("assoc left needs shape (x (y z))")
+
+
+def _shape_braid(t: PureLabel | SystemTree, node: type) -> None:
+    if not isinstance(t, node):
+        raise ValueError("braid needs a node")
+
+
+def _assoc_r(label: PureLabel) -> tuple[PureLabel, int]:
+    _shape_assoc_r(label, NodeLabel)
     inner = label.left
     new_inner_sign = label.sign if faults.active_fault() == faults.ASSOC_SIGN \
         else inner.sign * label.sign
@@ -233,8 +247,7 @@ def _assoc_r(label: PureLabel) -> tuple[PureLabel, int]:
 
 
 def _assoc_l(label: PureLabel) -> tuple[PureLabel, int]:
-    if not isinstance(label, NodeLabel) or not isinstance(label.right, NodeLabel):
-        raise ValueError("assoc left needs shape (x (y z))")
+    _shape_assoc_l(label, NodeLabel)
     inner = label.right
     new_outer_sign = inner.sign if faults.active_fault() == faults.ASSOC_SIGN \
         else inner.sign * label.sign
@@ -243,8 +256,7 @@ def _assoc_l(label: PureLabel) -> tuple[PureLabel, int]:
 
 
 def _braid(label: PureLabel) -> tuple[PureLabel, int]:
-    if not isinstance(label, NodeLabel):
-        raise ValueError("braid needs a node")
+    _shape_braid(label, NodeLabel)
     sign = label.sign
     new_sign = -sign if faults.active_fault() == faults.BRAID_SIGN else sign
     return NodeLabel(label.right, label.left, new_sign), sign
@@ -369,16 +381,13 @@ def move_system(system: SystemTree, move: Move) -> SystemTree:
     """Shape transport: the system tree a move carries labels onto."""
     t = subtree_at(system, move.path)
     if move.kind is MoveKind.BRAID:
-        if not isinstance(t, Node):
-            raise ValueError("braid needs a node")
+        _shape_braid(t, Node)
         moved = Node(t.mode, t.right, t.left)
     elif move.kind is MoveKind.ASSOC_R:
-        if not isinstance(t, Node) or not isinstance(t.left, Node):
-            raise ValueError("assoc right needs shape ((x y) z)")
+        _shape_assoc_r(t, Node)
         moved = Node(t.mode, t.left.left, Node(t.mode, t.left.right, t.right))
     else:
-        if not isinstance(t, Node) or not isinstance(t.right, Node):
-            raise ValueError("assoc left needs shape (x (y z))")
+        _shape_assoc_l(t, Node)
         moved = Node(t.mode, Node(t.mode, t.left, t.right.left), t.right.right)
     return replace_at(system, move.path, moved)
 

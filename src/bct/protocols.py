@@ -53,7 +53,6 @@ from .systems import (
     left_comb,
 )
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -156,7 +155,7 @@ def capacity_report(n: int, mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport
         summed: dict[PureLabel, Fraction] = {}
         for x in basis:
             for label, value in point_effect(system, x).coeffs.items():
-                summed[label] = summed.get(label, ZERO) + value
+                summed[label] = summed[label] + value if label in summed else value
         structural &= summed == total.coeffs
     if d <= min(64, max_dim()):
         for x in basis:
@@ -246,7 +245,8 @@ def clone_state(rho: StateVector) -> ProtocolReport:
     for x, w in rho.coeffs.items():
         product = tensor_states(pure_state(rho.system, x), pure_state(rho.system, x))
         for label, value in product.coeffs.items():
-            expected[label] = expected.get(label, ZERO) + w * value
+            expected[label] = (expected[label] + w * value if label in expected
+                               else w * value)
     left = marginal(out, "0")
     right = marginal(out, "1")
     success = (out.coeffs == expected and left.coeffs == rho.coeffs

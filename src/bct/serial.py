@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from .config import MAX_NESTING
 from .kernels import Instrument, Kernel
@@ -229,9 +229,12 @@ def instrument_to_json(instrument: Instrument) -> dict:
     return {
         "mode": instrument.in_system.mode.value,
         "branches": [kernel_to_json(k) for k in instrument.branches],
-        "outcomes": [o if isinstance(o, (int, str)) else str(o)
-                     for o in instrument.outcomes],
+        "outcomes": outcomes_to_json(instrument.outcomes),
     }
+
+
+def outcomes_to_json(outcomes: Sequence[Hashable]) -> list:
+    return [o if isinstance(o, (int, str)) else str(o) for o in outcomes]
 
 
 def instrument_from_json(doc: dict) -> Instrument:

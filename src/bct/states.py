@@ -136,6 +136,13 @@ def _scalar_product(a: GeneralizedVector, b: GeneralizedVector) -> Coeffs | None
     return {label: value * scalar for label, value in vector.items()}
 
 
+def sign_shares(mode: TheoryMode, value: Fraction) -> list[tuple[int, Fraction]]:
+    """|i>|j> = (1/2) sum_s (ij)_s in BCT, (ij) in CT: `value` split over the signs s."""
+    signs = node_signs(mode)
+    share = value / len(signs)
+    return [(s, share) for s in signs]
+
+
 def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> GeneralizedVector:
     """Parallel composition; |i>|j> = (1/2) sum_s (ij)_s in BCT, (ij) in CT.
 
@@ -150,13 +157,9 @@ def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> Generaliz
     system = compose_systems(rho.system, sigma.system)
     out = _scalar_product(rho, sigma)
     if out is None:
-        signs = node_signs(system.mode)
-        out = {}
-        for la, va in rho.coeffs.items():
-            for lb, vb in sigma.coeffs.items():
-                share = va * vb / len(signs)
-                for s in signs:
-                    out[NodeLabel(la, lb, s)] = share
+        out = {NodeLabel(la, lb, s): share
+               for la, va in rho.coeffs.items() for lb, vb in sigma.coeffs.items()
+               for s, share in sign_shares(system.mode, va * vb)}
     if type(rho) is type(sigma):
         return type(rho)._trusted(system, out)
     return type(rho)(system, out)
@@ -173,6 +176,8 @@ def tensor_effects(a: EffectVector, b: EffectVector) -> EffectVector:
         out = {NodeLabel(la, lb, s): va * vb
                for la, va in a.coeffs.items() for lb, vb in b.coeffs.items()
                for s in signs}
+    if isinstance(a, EffectVector) and isinstance(b, EffectVector):
+        return EffectVector._trusted(system, out)
     return EffectVector(system, out)
 
 
@@ -212,7 +217,7 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
         weight = effect.coeffs.get(moved.left, ZERO)
         if weight != 0:
             rest = moved.right
-            out[rest] = out.get(rest, ZERO) + weight * value
+            out[rest] = out[rest] + weight * value if rest in out else weight * value
     if isinstance(effect, EffectVector) and isinstance(rho, StateVector):
         return StateVector._trusted(remainder, out)
     return StateVector(remainder, out)
@@ -225,7 +230,7 @@ def marginal(rho: StateVector, keep: str) -> StateVector:
         return rho
     out: dict[PureLabel, Fraction] = {}
     for moved, value in _regrouped(rho, keep):
-        out[moved.left] = out.get(moved.left, ZERO) + value
+        out[moved.left] = out[moved.left] + value if moved.left in out else value
     return StateVector._trusted(part, out)
 
 

@@ -9,7 +9,7 @@ and the tripartite dimension identity balances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .labels import (
@@ -32,39 +32,42 @@ from .systems import (
     dimension,
 )
 
-ZERO = Fraction(0)
-
 
 def rank(vectors: Sequence[GeneralizedVector]) -> int:
-    """Rank of the coefficient matrix, by exact sparse Gaussian elimination."""
-    if not vectors:
-        return 0
-    system = vectors[0].system
+    """Rank of the coefficient matrix, by fraction-free sparse elimination:
+    each vector scaled by the LCM of its denominators to an integer row; a
+    row against a pivot becomes row*p - pivot*q, p and q the leading entries
+    over their gcd, then is divided by the gcd of its entries to stay small."""
     index: dict = {}
-    pivots: dict[int, dict[int, Fraction]] = {}
-    r = 0
+    pivots: dict[int, dict[int, int]] = {}
     for vector in vectors:
-        if vector.system != system:
+        if vector.system != vectors[0].system:
             raise ValueError("vectors must share a system")
-        row: dict[int, Fraction] = {}
-        for label, value in vector.coeffs.items():
-            col = index.setdefault(label, len(index))
-            row[col] = value
+        scale = lcm(*(value.denominator for value in vector.coeffs.values()))
+        row = {index.setdefault(label, len(index)):
+               value.numerator * (scale // value.denominator)
+               for label, value in vector.coeffs.items()}
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
                 pivots[col] = row
-                r += 1
                 break
-            factor = row[col] / pivot[col]
+            g = gcd(pivot[col], row[col])
+            p, q = pivot[col] // g, row[col] // g
+            for c in row:
+                row[c] *= p
             for c, v in pivot.items():
-                nv = row.get(c, ZERO) - factor * v
+                nv = row.get(c, 0) - q * v
                 if nv:
                     row[c] = nv
                 else:
-                    row.pop(c, None)
-    return r
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+    return len(pivots)
 
 
 def product_states(x: SystemTree, y: SystemTree,

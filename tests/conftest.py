@@ -35,3 +35,17 @@ def validate_trusted_constructions(monkeypatch):
 
     monkeypatch.setattr(Kernel, "_trusted", classmethod(checked_kernel))
     monkeypatch.setattr(GeneralizedVector, "_trusted", classmethod(checked_vector))
+
+
+@pytest.fixture
+def validated_builds(validate_trusted_constructions, monkeypatch):
+    """The kernels and vectors that go through a validating constructor
+    after the test clears this list; the trusted constructors are the
+    originals here, so their own checks in the suite do not count."""
+    built = []
+    for cls in (Kernel, GeneralizedVector):
+        real = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, real=real: built.append(self) or real(self))
+        monkeypatch.setattr(cls, "_trusted", classmethod(cls._trusted.__func__.__wrapped__))
+    return built

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import bct.cli
 import bct.tomography
 from bct.cli import main
 from bct.kernels import random_instrument
@@ -230,3 +231,15 @@ def test_tomography_refuses_pairs_that_run_no_check(capsys, pairs):
 def test_hypersignal_refuses_dims_that_are_not_one_pair(capsys, dims):
     assert main(["protocol", "hypersignal", "--dims", dims, "--quiet"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_an_exception_without_a_rule_is_an_internal_error(monkeypatch, capsys):
+    """Exit 1 means a failed check, so a crash exits 2 and says what it was."""
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bct.cli, "cmd_schema", crash)
+    assert main(["schema", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: RuntimeError: boom" in captured.err

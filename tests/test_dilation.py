@@ -47,6 +47,10 @@ def lab(i):
 
 
 class TestProcessor:
+    def test_processor_kernel_is_built_trusted(self, validated_builds):
+        proc = build_processor(A, B)
+        assert validated_builds == [] and is_reversible(proc.kernel)
+
     def test_program_dimension_indexes_every_function_pair(self):
         proc = build_processor(A, B)
         # one program label per (h, xi) pair: (2*D_B)^D_A of them
@@ -166,6 +170,14 @@ class TestRealization:
         with pytest.raises(ValueError):
             realize_instrument(Instrument((scale_kernel(identity_kernel(A),
                                                         F(1, 2)),)))
+
+    def test_weights_stay_fractions(self):
+        proc = build_processor(A, B)
+        result = realize_instrument(random_instrument(random.Random(19), A, B, 3), proc)
+        weights = [*result.sigma.coeffs.values(), *result.mu.values(),
+                   *(w for e in result.observation for w in e.coeffs.values()),
+                   *(w for table in result.zeta.values() for w in table.values())]
+        assert result.verified and all(type(w) is Fraction for w in weights)
 
     def test_seeded_roundtrips(self):
         rng = random.Random(17)

@@ -41,6 +41,7 @@ from bct.labels import LeafLabel, NodeLabel, UNIT, enumerate_pure_labels
 from bct.states import (
     EffectVector,
     StateVector,
+    apply_effect_at,
     pair,
     point_effect,
     pure_state,
@@ -568,21 +569,34 @@ class TestTrustedConstruction:
         with pytest.raises(ValueError, match="negative"):
             Kernel._trusted(A, A, {lab(1): {(lab(1), 1): F(-1, 2)}})
 
-    def test_compositions_build_no_validated_kernel(self, monkeypatch):
+    def test_compositions_build_no_validated_kernel(self, validated_builds):
         rng = random.Random(21)
         k1, k2 = random_kernel(rng, A, B), random_kernel(rng, B, A)
-        built = []
-        real = Kernel.__post_init__
-        monkeypatch.setattr(Kernel, "__post_init__",
-                            lambda self: built.append(self) or real(self))
-        monkeypatch.setattr(Kernel, "_trusted",
-                            classmethod(Kernel._trusted.__func__.__wrapped__))
+        rho = pure_state(AB, node(lab(1), lab(2), 1))
+        validated_builds.clear()
         parallel_compose(k1, k2)
         sequential_compose(k2, k1)
         extend_at(k1, AB, "1")
         invert_reversible(braid_kernel(A, B))
-        apply(k1, pure_state(AB, node(lab(1), lab(2), 1)), "0")
-        assert built == []
+        apply(k1, rho, "0")
+        assert validated_builds == []
+
+    @pytest.mark.parametrize("mode", tuple(TheoryMode))
+    def test_built_weights_stay_fractions(self, mode):
+        """An accumulation stores its first term as it is, so each weight
+        the calculus builds from validated parts is still a `Fraction`."""
+        rng = random.Random(22)
+        a, c = bibit(mode), leaf(3, mode)
+        ac = compose_systems(a, c)
+        k1, k2 = random_kernel(rng, a, c), random_kernel(rng, c, a)
+        rho = random_state(rng, ac)
+        effect = EffectVector(a, {lab(1): F(1, 3), lab(2): F(1)})
+        weights = [w for kernel in (sequential_compose(k2, k1), extend_at(k1, ac, "0"))
+                   for row in kernel.rows.values() for w in row.values()]
+        for vector in (apply(k1, rho, "0"), apply(extend_at(k1, ac, "0"), rho),
+                       apply_effect_at(effect, rho, "0")):
+            weights += vector.coeffs.values()
+        assert weights and all(type(w) is Fraction for w in weights)
 
     def test_add_kernels_still_refuses_an_overweight_sum(self):
         half = Kernel(A, A, {lab(1): {(lab(1), 1): F(3, 4)}})

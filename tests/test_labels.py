@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -123,6 +124,23 @@ def test_move_shape_errors():
         assoc_move(node(lab(1), lab(2), 1), "right")
     with pytest.raises(ValueError):
         assoc_move(node(lab(1), lab(2), 1), "sideways")
+
+
+@pytest.mark.parametrize("kind, refusal", [
+    (MoveKind.ASSOC_R, "assoc right needs shape ((x y) z)"),
+    (MoveKind.ASSOC_L, "assoc left needs shape (x (y z))"),
+    (MoveKind.BRAID, "braid needs a node"),
+])
+def test_labels_and_trees_refuse_a_move_alike(kind, refusal):
+    """A label and a system tree too flat for a move get the same refusal."""
+    if kind is MoveKind.BRAID:
+        label, tree = lab(1), bibit()
+    else:
+        label, tree = node(lab(1), lab(2), 1), compose_systems(bibit(), bibit())
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        apply_move(label, Move(kind))
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        move_system(tree, Move(kind))
 
 
 def test_regroup_examples():

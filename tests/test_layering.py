@@ -74,3 +74,32 @@ def test_coherence_checks_the_calculus_without_the_tables():
     assert "apply_moves_tracked" in used
     assert used & TABLE_NAMES == set()
 
+
+
+def _gets_zero(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Name) and node.args[1].id == "ZERO")
+
+
+def accumulations_from_zero(tree: ast.AST) -> list[int]:
+    """Lines of `d.get(k, ZERO) + x`: on a first insert that addition builds
+    a new `Fraction` only to copy x."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                   and (_gets_zero(node.left) or _gets_zero(node.right))})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_accumulations_store_the_first_term(path):
+    assert accumulations_from_zero(ast.parse(path.read_text())) == []
+
+
+def test_rank_eliminates_without_fractions():
+    """`tomography.rank` works on integer rows: it names no rational constant
+    or constructor, and has no true division, which on ints gives a float."""
+    source = next(p for p in SOURCES if p.name == "tomography.py")
+    rank = next(node for node in ast.walk(ast.parse(source.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "rank")
+    assert names_used(rank) & {"Fraction", "ZERO", "ONE"} == set()
+    assert not any(isinstance(node, ast.Div) for node in ast.walk(rank))

@@ -318,6 +318,20 @@ class TestTrustedConstruction:
         with pytest.raises(ValueError, match="exceeds 1"):
             StateVector._trusted(A, {lab(1): F(1), lab(2): F(1)})
 
+    def test_product_of_two_effects_builds_no_validated_effect(self, validated_builds):
+        point = point_effect(A, lab(2))
+        half = EffectVector(B, {lab(1): F(1, 2), lab(2): F(1)})
+        validated_builds.clear()
+        product = tensor_effects(point, half)
+        assert validated_builds == [] and type(product) is EffectVector
+        assert product.coeffs == {node(lab(2), b, s): w
+                                  for b, w in half.coeffs.items() for s in (-1, 1)}
+
+    def test_effect_product_with_a_generalized_vector_is_checked(self):
+        double = GeneralizedVector(B, {lab(1): F(2)})
+        with pytest.raises(ValueError, match="outside"):
+            tensor_effects(point_effect(A, lab(1)), double)
+
 
 class TestTrivialFactors:
     """A scalar factor scales; the whole tree as a subtree is the state."""

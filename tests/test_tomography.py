@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct.labels import LeafLabel, enumerate_pure_labels
@@ -97,6 +97,49 @@ class TestRankOracle:
         vectors += [GeneralizedVector(SPARSE, {})] * zeros
         rnd.shuffle(vectors)
         assert rank(vectors) == sympy_rank(vectors)
+
+
+WIDE = leaf(8)
+WIDE_LABELS = enumerate_pure_labels(WIDE)
+# coprime and non-dyadic denominators up to 10^6, and negative entries
+wide_values = st.builds(
+    Fraction, st.integers(-10**6, 10**6).filter(bool),
+    st.one_of(st.integers(1, 10**6), st.sampled_from([3, 7, 999_961, 999_979, 999_983])))
+wide_rows = st.dictionaries(st.integers(0, len(WIDE_LABELS) - 1), wide_values,
+                            min_size=1, max_size=6)
+
+
+@st.composite
+def wide_families(draw):
+    """Rows of up to 6 entries, plus rational combinations of two of them,
+    so that elimination cancels entries with large, unrelated denominators."""
+    rows = draw(st.lists(wide_rows, min_size=1, max_size=6))
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                           st.integers(0, len(rows) - 1), wide_values),
+                                 max_size=3)):
+        combined = dict(rows[i])
+        for k, v in rows[j].items():
+            combined[k] = combined.get(k, 0) + c * v
+        rows.append(combined)
+    vectors = [GeneralizedVector(WIDE, {WIDE_LABELS[k]: v for k, v in row.items()})
+               for row in rows]
+    draw(st.randoms(use_true_random=False)).shuffle(vectors)
+    return vectors
+
+
+class TestWideRankOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_families())
+    def test_wide_rows_match_sympy(self, vectors):
+        assert rank(vectors) == sympy_rank(vectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_families())
+    def test_rank_leaves_its_input_unchanged(self, vectors):
+        before = [(vector.system, dict(vector.coeffs)) for vector in vectors]
+        rank(vectors)
+        assert [(vector.system, vector.coeffs) for vector in vectors] == before
+        assert all(type(v) is Fraction for vector in vectors for v in vector.coeffs.values())
 
 
 class TestDelta2:
