@@ -10,6 +10,7 @@ configuration and seed.  A key=value config file seeds flags; explicit ones win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -115,9 +116,10 @@ def cmd_verify_dims(args) -> int:
     ok = True
     for dims in _dims_list(args.triples, (3,)):
         rep = span_report(*(leaf(d, mode) for d in dims))
-        ok &= rep.delta3 == 0 and rep.bilocal_identity_holds
-        serial.validate_document(rep.to_json(), "span_report")
-        reports.append(rep.to_json())
+        ok &= rep.bilocal
+        doc = rep.to_json()
+        serial.validate_document(doc, "span_report")
+        reports.append(doc)
     _emit(reports, args.out, args.quiet, f"verify-dims: {len(reports)} triples")
     return 0 if ok else CHECK_FAILED
 
@@ -197,6 +199,7 @@ def cmd_schema(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first `main` call, then shared by every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bct",
@@ -217,23 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_positive, default=100,
                    help="seeded kernel pairs per kernel-level check")
     p.add_argument("--fault", default="none", choices=["none", *KNOWN_FAULTS])
-    p.set_defaults(func=cmd_coherence)
 
     p = sub.add_parser("verify-dims", help="tripartite dimension identities")
     common(p)
     p.add_argument("--triples", required=True,
                    help='e.g. "2,2,2;2,2,3;3,3,2"')
-    p.set_defaults(func=cmd_verify_dims)
 
     p = sub.add_parser("tomography", help="bipartite dimension excess reports")
     common(p)
     p.add_argument("--pairs", required=True, help='e.g. "2,2;2,3"')
-    p.set_defaults(func=cmd_tomography)
 
     p = sub.add_parser("dilate", help="realize an instrument on the processor")
     common(p)
     p.add_argument("instrument", help="path to an instrument JSON document")
-    p.set_defaults(func=cmd_dilate)
 
     p = sub.add_parser("protocol", help="run an information-theoretic protocol")
     common(p)
@@ -248,11 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="carriers for capacity")
     p.add_argument("--dims", default="2,2", help="pair dims for hypersignal")
     p.add_argument("--state", help="state JSON path for clone")
-    p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("schema", help="print the JSON schemas")
     common(p)
-    p.set_defaults(func=cmd_schema)
     return parser
 
 
@@ -268,16 +265,14 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if defaults:
-        merged: list[str] = []
+    if defaults and preliminary.command is not None:
+        # appended after argv, config flags land in the subcommand's scope;
+        # a flag given as `--name value` or `--name=value` keeps its value
+        given = {arg.partition("=")[0] for arg in argv}
         for key, value in defaults.items():
             flag = f"--{key.replace('_', '-')}"
-            if flag not in argv:
-                merged.extend([flag, value])
-        # config flags go after the subcommand so argparse scopes them
-        if preliminary.command is not None:
-            at = argv.index(preliminary.command)
-            argv = argv[:at + 1] + merged + argv[at + 1:]
+            if flag not in given:
+                argv += [flag, value]
     try:
         args = parser.parse_args(argv)
     except SystemExit:
@@ -285,8 +280,14 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage()
         return USAGE_ERROR
+    # argparse before 3.12 reads `--flag=--` as an empty list, not a value
+    if any(isinstance(value, list) for value in vars(args).values()):
+        print("error: '--' is not a flag's value", file=sys.stderr)
+        return USAGE_ERROR
+    # looked up per call, not bound into the shared parser
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -39,6 +39,8 @@ from .labels import (
     node_signs,
 )
 from .states import (
+    ONE,
+    ZERO,
     EffectVector,
     StateVector,
     apply_effect_at,
@@ -56,9 +58,6 @@ from .systems import (
     dimension,
     leaf,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,6 @@ def label_matches(system: SystemTree, label: PureLabel) -> bool:
     if isinstance(system, Leaf):
         return isinstance(label, LeafLabel) and 1 <= label.index <= system.system.dim
     assert isinstance(system, Node)
-    if isinstance(system.left, Trivial):
-        return label_matches(system.right, label)
-    if isinstance(system.right, Trivial):
-        return label_matches(system.left, label)
     if not isinstance(label, NodeLabel):
         return False
     if system.mode is TheoryMode.CT and label.sign != PLUS:
@@ -161,12 +157,6 @@ def _enumerate(system: SystemTree) -> Iterator[PureLabel]:
             yield LeafLabel(i)
         return
     assert isinstance(system, Node)
-    if isinstance(system.left, Trivial):
-        yield from _basis(system.right)
-        return
-    if isinstance(system.right, Trivial):
-        yield from _basis(system.left)
-        return
     signs = node_signs(system.mode)
     rights = _basis(system.right)
     for l in _basis(system.left):
@@ -281,13 +271,6 @@ def _climb(label: PureLabel, path: str, rewrite: Rewriter,
     return NodeLabel(label.left, child, label.sign * escaping), PLUS
 
 
-def flip_sign_at(label: PureLabel, path: str, tau: int) -> tuple[PureLabel, int]:
-    """Propagate a sign flip from the subtree at `path` toward the root."""
-    if tau == PLUS:
-        return label, PLUS
-    return _climb(label, path, lambda subtree: (subtree, tau))
-
-
 _REWRITERS: dict[MoveKind, Rewriter] = {
     MoveKind.ASSOC_R: _assoc_r,
     MoveKind.ASSOC_L: _assoc_l,
@@ -300,20 +283,12 @@ def apply_move_tracked(label: PureLabel, move: Move) -> tuple[PureLabel, int]:
     return _climb(label, move.path, _REWRITERS[move.kind])
 
 
-def apply_move(label: PureLabel, move: Move) -> PureLabel:
-    return apply_move_tracked(label, move)[0]
-
-
 def apply_moves_tracked(label: PureLabel, moves: list[Move]) -> tuple[PureLabel, int]:
     flip = PLUS
     for move in moves:
         label, f = apply_move_tracked(label, move)
         flip *= f
     return label, flip
-
-
-def apply_moves(label: PureLabel, moves: list[Move]) -> PureLabel:
-    return apply_moves_tracked(label, moves)[0]
 
 
 Transport = Mapping[PureLabel, tuple[PureLabel, int]]
@@ -363,18 +338,6 @@ def move_table(moves: Sequence[Move]) -> Transport:
     if table is None:
         table = _MOVE_TABLES[key] = _MoveTable(key[1])
     return table
-
-
-def assoc_move(label: PureLabel, direction: str, path: str = "") -> PureLabel:
-    """Associator step at `path`; direction 'right' for ((x y) z) -> (x (y z))."""
-    if direction not in ("left", "right"):
-        raise ValueError("direction must be 'left' or 'right'")
-    kind = MoveKind.ASSOC_R if direction == "right" else MoveKind.ASSOC_L
-    return apply_move(label, Move(kind, path))
-
-
-def braid_move(label: PureLabel, path: str = "") -> PureLabel:
-    return apply_move(label, Move(MoveKind.BRAID, path))
 
 
 def move_system(system: SystemTree, move: Move) -> SystemTree:

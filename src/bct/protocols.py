@@ -32,6 +32,7 @@ from .labels import (
 )
 from .serial import fraction_to_str
 from .states import (
+    ONE,
     StateVector,
     apply_effect_at,
     apply_moves_to_vector,
@@ -52,8 +53,6 @@ from .systems import (
     dimension,
     left_comb,
 )
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

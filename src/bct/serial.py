@@ -217,7 +217,8 @@ def _kernel(doc: dict, mode: TheoryMode) -> Kernel:
             if set(entry) != {"to", "tau", "w"}:
                 raise ParseError(E_SCHEMA, f"bad row entry {entry!r}")
             key = (parse_label(entry["to"], out_system), entry["tau"])
-            row[key] = row.get(key, Fraction(0)) + parse_fraction(entry["w"])
+            w = parse_fraction(entry["w"])
+            row[key] = row[key] + w if key in row else w
         rows[a] = row
     try:
         return Kernel(in_system, out_system, rows)

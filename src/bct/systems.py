@@ -3,7 +3,9 @@
 A system is a binary tree over elementary carriers.  In BCT mode a composite
 of two non-trivial systems has dimension 2*D_A*D_B; in the CT baseline it is
 the ordinary product D_A*D_B.  Trees are compared structurally: two trees
-with the same shape, leaf dimensions and mode are the same system.
+with the same shape, leaf dimensions and mode are the same system.  A tree
+is canonical: the trivial system is a whole tree or absent, never the child
+of a `Node` (`compose_systems` strips it, IA = A = AI, and `Node` refuses it).
 
 Trees are slotted and hash their whole structure on every call.  Unlike
 labels they keep no cached hash: `TheoryMode` hashes by its name, which
@@ -61,6 +63,8 @@ class Node(SystemTree):
             raise ValueError("Node requires two children")
         if self.left.mode is not self.mode or self.right.mode is not self.mode:
             raise ValueError("children must share the parent's theory mode")
+        if isinstance(self.left, Trivial) or isinstance(self.right, Trivial):
+            raise ValueError("a Node has no trivial child; compose_systems strips it")
 
 
 def trivial(mode: TheoryMode = TheoryMode.BCT) -> SystemTree:
@@ -83,10 +87,6 @@ def dimension(system: SystemTree) -> int:
     assert isinstance(system, Node)
     dl = dimension(system.left)
     dr = dimension(system.right)
-    if isinstance(system.left, Trivial):
-        return dr
-    if isinstance(system.right, Trivial):
-        return dl
     if system.mode is TheoryMode.BCT:
         return 2 * dl * dr
     return dl * dr
@@ -101,10 +101,6 @@ def compose_systems(a: SystemTree, b: SystemTree) -> SystemTree:
     if isinstance(b, Trivial):
         return a
     return Node(a.mode, a, b)
-
-
-def is_elementary(system: SystemTree) -> bool:
-    return isinstance(system, Leaf)
 
 
 def leaves(system: SystemTree) -> list[ElementarySystem]:

@@ -154,9 +154,10 @@ class SpanReport:
             "bilocal_identity_holds": self.bilocal_identity_holds,
         }
 
-
-def delta3(a: SystemTree, b: SystemTree, c: SystemTree) -> int:
-    return span_report(a, b, c).delta3
+    @property
+    def bilocal(self) -> bool:
+        """Bilocal discriminability: delta3 = 0 and the dimension identity balances."""
+        return self.delta3 == 0 and self.bilocal_identity_holds
 
 
 def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
@@ -190,9 +191,7 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
 
 
 def verify_theorem_bilocal(a: SystemTree, b: SystemTree, c: SystemTree) -> bool:
-    """Bilocal discriminability: delta3 = 0 and the dimension identity balances."""
-    report = span_report(a, b, c)
-    return report.delta3 == 0 and report.bilocal_identity_holds
+    return span_report(a, b, c).bilocal
 
 
 def corollary_nab(a: SystemTree, b: SystemTree,

@@ -122,9 +122,30 @@ def test_config_file_defaults_and_overrides(tmp_path, capsys):
                      "--quiet"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["seed"] == 5
-    code, out = run(["--config", str(cfg), "coherence", "--seed", "8",
-                     "--dims-matrix", "2,2,2", "--quiet"], capsys)
-    assert json.loads(out)["config"]["seed"] == 8
+    for seed in (["--seed", "8"], ["--seed=8"]):
+        code, out = run(["--config", str(cfg), "coherence", *seed,
+                         "--dims-matrix", "2,2,2", "--quiet"], capsys)
+        assert json.loads(out)["config"]["seed"] == 8
+
+
+def test_config_file_named_like_the_subcommand(tmp_path, monkeypatch, capsys):
+    """Config flags land in the subcommand's scope, whatever the file's name."""
+    monkeypatch.chdir(tmp_path)
+    Path("coherence").write_text("seed=5\npairs=2\n")
+    code, out = run(["--config", "coherence", "coherence", "--dims-matrix", "2,2,2",
+                     "--quiet"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--mode=--"],
+    ["coherence", "--seed=--", "--dims-matrix", "2,2,2", "--pairs", "1"],
+    ["verify-dims", "--triples=--"],
+])
+def test_a_double_dash_value_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_ct_mode_flows(capsys):

@@ -10,13 +10,9 @@ from bct.labels import (
     Move,
     MoveKind,
     NodeLabel,
-    apply_move,
-    apply_moves,
+    apply_move_tracked,
     apply_moves_tracked,
-    assoc_move,
-    braid_move,
     enumerate_pure_labels,
-    flip_sign_at,
     invert_moves,
     label_matches,
     label_sort_key,
@@ -32,6 +28,7 @@ from bct.systems import (
     leaves,
     left_comb,
     subtree_at,
+    trivial,
 )
 
 
@@ -82,26 +79,31 @@ def test_env_var_overrides_bound(monkeypatch):
 
 
 def test_assoc_move_examples():
+    right, left = Move(MoveKind.ASSOC_R), Move(MoveKind.ASSOC_L)
     # ((i j)+ k)-  ->  (i (j k)-)+
     before = node(node(lab(1), lab(2), 1), lab(1), -1)
-    after = assoc_move(before, "right")
+    after = apply_move_tracked(before, right)[0]
     assert after == node(lab(1), node(lab(2), lab(1), -1), 1)
     # all-plus fixed point
     before = node(node(lab(1), lab(2), 1), lab(1), 1)
-    assert assoc_move(before, "right") == node(lab(1), node(lab(2), lab(1), 1), 1)
+    assert apply_move_tracked(before, right)[0] == \
+        node(lab(1), node(lab(2), lab(1), 1), 1)
     # round trip
     before = node(node(lab(1), lab(2), -1), lab(1), -1)
-    there = assoc_move(before, "right")
+    there = apply_move_tracked(before, right)[0]
     assert there == node(lab(1), node(lab(2), lab(1), 1), -1)
-    assert assoc_move(there, "left") == before
+    assert apply_move_tracked(there, left)[0] == before
 
 
 def test_braid_move_examples():
-    assert braid_move(node(lab(1), lab(2), -1)) == node(lab(2), lab(1), -1)
-    twice = braid_move(braid_move(node(lab(1), lab(2), -1)))
+    braid = Move(MoveKind.BRAID)
+    assert apply_move_tracked(node(lab(1), lab(2), -1), braid)[0] == \
+        node(lab(2), lab(1), -1)
+    twice = apply_moves_tracked(node(lab(1), lab(2), -1), [braid, braid])[0]
     assert twice == node(lab(1), lab(2), -1)
     nested = node(node(lab(1), lab(2), 1), lab(1), -1)
-    assert braid_move(nested) == node(lab(1), node(lab(1), lab(2), 1), -1)
+    assert apply_move_tracked(nested, braid)[0] == \
+        node(lab(1), node(lab(1), lab(2), 1), -1)
 
 
 def test_braid_flip_propagation():
@@ -119,11 +121,9 @@ def test_braid_flip_propagation():
 
 def test_move_shape_errors():
     with pytest.raises(ValueError):
-        braid_move(lab(1))
+        apply_move_tracked(lab(1), Move(MoveKind.BRAID))
     with pytest.raises(ValueError):
-        assoc_move(node(lab(1), lab(2), 1), "right")
-    with pytest.raises(ValueError):
-        assoc_move(node(lab(1), lab(2), 1), "sideways")
+        apply_move_tracked(node(lab(1), lab(2), 1), Move(MoveKind.ASSOC_R))
 
 
 @pytest.mark.parametrize("kind, refusal", [
@@ -138,7 +138,7 @@ def test_labels_and_trees_refuse_a_move_alike(kind, refusal):
     else:
         label, tree = node(lab(1), lab(2), 1), compose_systems(bibit(), bibit())
     with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
-        apply_move(label, Move(kind))
+        apply_move_tracked(label, Move(kind))
     with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         move_system(tree, Move(kind))
 
@@ -150,7 +150,7 @@ def test_regroup_examples():
     tree = left_comb([2, 2, 2])
     moves = regroup(tree, "01")
     for label in enumerate_pure_labels(tree):
-        out = apply_moves(label, moves)
+        out = apply_moves_tracked(label, moves)[0]
         assert isinstance(out, NodeLabel) and isinstance(out.left, LeafLabel)
 
 
@@ -237,39 +237,12 @@ def test_path_independence():
     assert compared >= 30
 
 
-def test_flip_sign_closed_form_matches_move_calculus():
-    """tau at a subtree == regroup, flip the pairing sign, regroup back."""
-    for dims in ([2, 2], [2, 2, 2], [2, 3, 2], [2, 2, 2, 2]):
-        tree = left_comb(dims)
-        paths = _all_paths(tree)
-        for path in paths:
-            if path == "":
-                continue
-            moves = regroup(tree, path)
-            back = invert_moves(moves)
-            for label in enumerate_pure_labels(tree):
-                direct, env_direct = flip_sign_at(label, path, -1)
-                two_factor, f1 = apply_moves_tracked(label, moves)
-                flipped = NodeLabel(two_factor.left, two_factor.right,
-                                    -two_factor.sign)
-                again, f2 = apply_moves_tracked(flipped, back)
-                assert direct == again
-                assert env_direct == f1 * -1 * f2
-
-
-def _all_paths(tree, prefix=""):
-    out = [prefix]
-    if isinstance(tree, Node):
-        out += _all_paths(tree.left, prefix + "0")
-        out += _all_paths(tree.right, prefix + "1")
-    return out
-
-
 @given(st.integers(1, 2), st.integers(1, 2), st.sampled_from((-1, 1)),
        st.sampled_from((-1, 1)))
 def test_assoc_round_trip_property(i, j, s1, s2):
     label = node(node(lab(i), lab(j), s1), lab(1), s2)
-    assert assoc_move(assoc_move(label, "right"), "left") == label
+    round_trip = [Move(MoveKind.ASSOC_R), Move(MoveKind.ASSOC_L)]
+    assert apply_moves_tracked(label, round_trip)[0] == label
 
 
 def test_sort_key_orders_signs_minus_first():
@@ -278,11 +251,12 @@ def test_sort_key_orders_signs_minus_first():
     assert label_sort_key(a) < label_sort_key(b)
 
 
-def test_non_canonical_trees_strip_trivial_children():
-    from bct.systems import Node as SysNode
-    from bct.systems import TheoryMode, Trivial, leaf
-
-    tree = SysNode(TheoryMode.BCT, leaf(2), Trivial(TheoryMode.BCT))
-    assert enumerate_pure_labels(tree) == [lab(1), lab(2)]
-    assert label_matches(tree, lab(1))
-    assert not label_matches(tree, node(lab(1), lab(1), 1))
+def test_non_canonical_trees_are_refused():
+    """A Node never has a trivial child; compose_systems strips it instead."""
+    for children in ((leaf(2), trivial()), (trivial(), leaf(2))):
+        with pytest.raises(ValueError, match="compose_systems"):
+            Node(TheoryMode.BCT, *children)
+        tree = compose_systems(*children)
+        assert enumerate_pure_labels(tree) == [lab(1), lab(2)]
+        assert label_matches(tree, lab(1))
+        assert not label_matches(tree, node(lab(1), lab(1), 1))

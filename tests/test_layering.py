@@ -76,15 +76,24 @@ def test_coherence_checks_the_calculus_without_the_tables():
 
 
 
+def _is_zero(node: ast.AST) -> bool:
+    """`ZERO` or `Fraction(0)`."""
+    if isinstance(node, ast.Name):
+        return node.id == "ZERO"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == 0)
+
+
 def _gets_zero(node: ast.AST) -> bool:
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "get" and len(node.args) == 2
-            and isinstance(node.args[1], ast.Name) and node.args[1].id == "ZERO")
+            and _is_zero(node.args[1]))
 
 
 def accumulations_from_zero(tree: ast.AST) -> list[int]:
-    """Lines of `d.get(k, ZERO) + x`: on a first insert that addition builds
-    a new `Fraction` only to copy x."""
+    """Lines of `d.get(k, ZERO) + x` (or `Fraction(0)`): on a first insert
+    that addition builds a new `Fraction` only to copy x."""
     return sorted({node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
                    and (_gets_zero(node.left) or _gets_zero(node.right))})

@@ -8,6 +8,10 @@ and the commands that read such documents (`protocol clone --state` and
 and never a failed check.  `main` reports any exception it has no rule
 for as an internal error with exit 2, so the fuzz also reads stderr: a
 crash fails here rather than passing as a usage error.
+
+The command line is fuzzed the same way: every subcommand, with flags and
+values drawn from all of them and a mutated `key=value` config file, exits
+0 or 2, and 1 only when a fault is injected.
 """
 
 import contextlib
@@ -21,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct.cli import main
+from bct.faults import KNOWN_FAULTS
 from bct.kernels import random_instrument, random_kernel, random_state
 from bct.serial import (
     ParseError,
@@ -106,7 +111,7 @@ def test_parsers_raise_only_parse_errors(state, ct_state, kernel, instrument):
 def exit_code(argv):
     """`main(argv)`, which must not have reported an internal error."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     assert "internal error" not in err.getvalue()
     return code
@@ -124,3 +129,83 @@ def test_clone_exits_zero_or_two(doc_path, state):
 def test_dilate_exits_zero_or_two(doc_path, instrument):
     doc_path.write_text(json.dumps(instrument))
     assert exit_code(["dilate", str(doc_path), "--quiet"]) in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "state.json").write_text(json.dumps(STATE))
+    (root / "instrument.json").write_text(json.dumps(INSTRUMENT))
+    return root
+
+
+# each subcommand with the arguments that keep one run cheap, and its own
+# flags; the fuzzed tokens come after the base, so a drawn flag overrides it
+BASES = [["coherence", "--pairs", "1", "--dims-matrix", "2,2,2"],
+         ["verify-dims", "--triples", "2,2,2"], ["tomography", "--pairs", "2,2"],
+         ["dilate", "{instrument}"], ["schema"],
+         *(["protocol", name] for name in ("dense-coding", "swap", "clone",
+                                            "monogamy", "hypersignal", "capacity"))]
+COMMON = ["mode", "quiet"]  # and --out, left out: it writes where a value points
+OWN = {"coherence": ["dims-matrix", "seed", "pairs", "fault"],
+       "verify-dims": ["triples"], "tomography": ["pairs"], "dilate": [], "schema": [],
+       "protocol": ["i", "j", "s", "k", "l", "t", "n", "dims", "state"]}
+OTHER = ["config", "help", "bogus", "fault", "triples", "state"]
+TOKENS = st.sampled_from([
+    "", "0", "1", "2", "3", "-1", "1/2", "x", "+", "-", "--", "=", "BCT", "ct", "QX",
+    "2,2", "3,2", "2,2,2", "2,3,2", "2,2,2,2", "2,2;", ";", "2,,2",
+    "none", *KNOWN_FAULTS, "{state}", "{instrument}",
+])
+
+
+def flag_names(command):
+    """A subcommand's own flag names two times in three, else another."""
+    own = st.sampled_from(COMMON + OWN[command])
+    return st.one_of(own, own, st.sampled_from(OTHER))
+
+
+@st.composite
+def fuzzed_tokens(draw, command):
+    tokens = []
+    for _ in range(draw(st.integers(0, 3))):
+        flag, value = "--" + draw(flag_names(command)), draw(TOKENS)
+        form = draw(st.sampled_from(["pair", "pair", "joined", "flag", "value"]))
+        tokens += {"pair": [flag, value], "joined": [f"{flag}={value}"],
+                   "flag": [flag], "value": [value]}[form]
+    return tokens
+
+
+@st.composite
+def config_text(draw, command):
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        form = draw(st.sampled_from(["entry", "entry", "entry", "comment", "blank", "bare"]))
+        key, value = draw(flag_names(command)), draw(TOKENS)
+        lines.append({"entry": f"{key}={value}", "comment": f"# {key}",
+                      "blank": "", "bare": key}[form])
+    return "\n".join(lines)
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, config text or None) for one subcommand."""
+    base = draw(st.sampled_from(BASES))
+    return ([*base, *draw(fuzzed_tokens(base[0]))],
+            draw(st.none() | config_text(base[0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=command_lines())
+def test_argv_and_config_exit_zero_or_two(cli_files, line):
+    def placed(text):
+        return (text.replace("{state}", str(cli_files / "state.json"))
+                .replace("{instrument}", str(cli_files / "instrument.json")))
+
+    argv, config = line
+    argv = [placed(token) for token in argv]
+    if config is not None:
+        (cli_files / "run.cfg").write_text(placed(config))
+        argv = ["--config", str(cli_files / "run.cfg"), *argv]
+    code = exit_code(argv)
+    faulted = any(f in token for f in KNOWN_FAULTS for token in [*argv, config or ""])
+    assert code in ((0, 1, 2) if faulted else (0, 2))

@@ -6,14 +6,13 @@ from bct.systems import (
     ElementarySystem,
     Node,
     TheoryMode,
-    Trivial,
     bibit,
     compose_systems,
     delete_at,
     dimension,
-    is_elementary,
     leaf,
     left_comb,
+    replace_at,
     subtree_at,
     trivial,
 )
@@ -36,9 +35,13 @@ def test_trivial_children_are_stripped():
     assert compose_systems(trivial(), bibit()) == bibit()
 
 
-def test_explicit_node_with_trivial_child_still_dimensions():
-    node = Node(TheoryMode.BCT, leaf(5), Trivial(TheoryMode.BCT))
-    assert dimension(node) == 5
+def test_explicit_node_with_trivial_child_is_refused():
+    for path, children in (("1", (leaf(5), trivial())), ("0", (trivial(), leaf(5)))):
+        with pytest.raises(ValueError, match="compose_systems"):
+            Node(TheoryMode.BCT, *children)
+        assert dimension(compose_systems(*children)) == 5
+        with pytest.raises(ValueError, match="compose_systems"):
+            replace_at(compose_systems(leaf(5), bibit()), path, trivial())
 
 
 def test_structural_identity():
@@ -55,12 +58,6 @@ def test_mode_mismatch_rejected():
 def test_elementary_dim_bound():
     with pytest.raises(ValueError):
         ElementarySystem(1)
-
-
-def test_is_elementary():
-    assert is_elementary(bibit())
-    assert not is_elementary(trivial())
-    assert not is_elementary(compose_systems(bibit(), bibit()))
 
 
 def test_paths():

@@ -14,7 +14,6 @@ from bct.tomography import (
     _tripartite_families,
     corollary_nab,
     delta2,
-    delta3,
     rank,
     span_report,
     verify_corollary_nab,
