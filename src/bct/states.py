@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .labels import (
     Move,
@@ -191,12 +191,29 @@ def pair(effect: GeneralizedVector, rho: GeneralizedVector) -> Fraction:
     return sum((value * big[label] for label, value in small.items() if label in big), ZERO)
 
 
+def shared_system(vectors: Sequence[GeneralizedVector]) -> SystemTree | None:
+    """The one system of `vectors` (None for none); raises naming the first vector off it."""
+    for i, vector in enumerate(vectors):
+        if vector.system is not vectors[0].system and vector.system != vectors[0].system:
+            raise ValueError(f"vectors must share a system: vector {i} differs from vector 0")
+    return vectors[0].system if vectors else None
+
+
+def apply_moves_to_vectors(vectors: Sequence[GeneralizedVector],
+                           moves: Sequence[Move]) -> list[GeneralizedVector]:
+    """Transport a family on one system along a move sequence (a bijective
+    relabeling): one tree walk and one move table, one moved system object."""
+    if not vectors:
+        return []
+    system = move_system_sequence(shared_system(vectors), moves)
+    table = move_table(moves)
+    return [type(v)._trusted(system, {table[label][0]: w for label, w in v.coeffs.items()})
+            for v in vectors]
+
+
 def apply_moves_to_vector(vector: GeneralizedVector, moves: list[Move]) -> GeneralizedVector:
     """Transport a vector along a move sequence (a bijective relabeling)."""
-    system = move_system_sequence(vector.system, moves)
-    table = move_table(moves)
-    out = {table[label][0]: value for label, value in vector.coeffs.items()}
-    return type(vector)._trusted(system, out)
+    return apply_moves_to_vectors([vector], moves)[0]
 
 
 def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> StateVector:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .labels import (
     Move,
@@ -19,9 +19,10 @@ from .labels import (
 )
 from .states import (
     GeneralizedVector,
-    apply_moves_to_vector,
+    apply_moves_to_vectors,
     discriminating_instrument,
     pure_state,
+    shared_system,
     tensor_states,
 )
 from .systems import (
@@ -33,20 +34,24 @@ from .systems import (
 )
 
 
-def rank(vectors: Sequence[GeneralizedVector]) -> int:
-    """Rank of the coefficient matrix, by fraction-free sparse elimination:
-    each vector scaled by the LCM of its denominators to an integer row; a
-    row against a pivot becomes row*p - pivot*q, p and q the leading entries
-    over their gcd, then is divided by the gcd of its entries to stay small."""
-    index: dict = {}
-    pivots: dict[int, dict[int, int]] = {}
+def _int_rows(vectors: Sequence[GeneralizedVector], index: dict) -> list[dict[int, int]]:
+    """Each vector times its denominators' LCM: int rows in the columns of `index`."""
+    shared_system(vectors)
+    rows = []
     for vector in vectors:
-        if vector.system != vectors[0].system:
-            raise ValueError("vectors must share a system")
         scale = lcm(*(value.denominator for value in vector.coeffs.values()))
-        row = {index.setdefault(label, len(index)):
-               value.numerator * (scale // value.denominator)
-               for label, value in vector.coeffs.items()}
+        rows.append({index.setdefault(label, len(index)):
+                     value.numerator * (scale // value.denominator)
+                     for label, value in vector.coeffs.items()})
+    return rows
+
+
+def _echelon(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]
+             ) -> dict[int, dict[int, int]]:
+    """`rows` (mutated) reduced into `pivots`, rows by leading column: a row
+    against a pivot becomes row*p - pivot*q, p and q the leading entries over
+    their gcd, then divided by its entries' gcd; a pivot row never changes."""
+    for row in rows:
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -67,22 +72,31 @@ def rank(vectors: Sequence[GeneralizedVector]) -> int:
             if g > 1:
                 for c in row:
                     row[c] //= g
-    return len(pivots)
+    return pivots
+
+
+def _merged(echelons: Iterable[dict[int, dict[int, int]]]) -> dict[int, dict[int, int]]:
+    """An echelon of all rows of `echelons` (over one column index): copies
+    of the others' rows reduced into a copy of the largest one."""
+    largest, *others = sorted(echelons, key=len, reverse=True)
+    return _echelon([dict(row) for echelon in others for row in echelon.values()],
+                    dict(largest))
+
+
+def rank(vectors: Sequence[GeneralizedVector]) -> int:
+    """Rank of the coefficient matrix, by fraction-free sparse elimination."""
+    return len(_echelon(_int_rows(vectors, {}), {}))
 
 
 def product_states(x: SystemTree, y: SystemTree,
                    moves: Sequence[Move] = ()) -> list[GeneralizedVector]:
     """|u>|v> for every pure label u of x (outer) and v of y, carried along
-    `moves`.  `delta2` and `corollary_nab` take this family of A (x) B, so a
-    caller that needs both builds it once."""
+    `moves` as one family.  `delta2` and `corollary_nab` take this family of
+    A (x) B, so a caller that needs both builds it once."""
+    xs = [pure_state(x, u) for u in enumerate_pure_labels(x)]
     ys = [pure_state(y, v) for v in enumerate_pure_labels(y)]
-    out = []
-    for u in enumerate_pure_labels(x):
-        xu = pure_state(x, u)
-        for yv in ys:
-            vector = tensor_states(xu, yv)
-            out.append(apply_moves_to_vector(vector, moves) if moves else vector)
-    return out
+    out = [tensor_states(xu, yv) for xu in xs for yv in ys]
+    return apply_moves_to_vectors(out, moves) if moves else out
 
 
 def delta2(a: SystemTree, b: SystemTree,
@@ -164,13 +178,12 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
     abc = compose_systems(compose_systems(a, b), c)
     d_abc = dimension(abc)
     families = _tripartite_families(a, b, c)
-    union: list[GeneralizedVector] = []
-    class_ranks: dict[str, int] = {}
-    for name, family in families.items():
-        class_ranks[name] = rank(family)
-        union.extend(family)
-    r = rank(union)
-    class_ranks["union"] = r
+    shared_system([family[0] for family in families.values()])  # all on ((AB)C)
+    index: dict = {}  # one column numbering, so that the families' rows merge
+    echelons = {name: _echelon(_int_rows(family, index), {})
+                for name, family in families.items()}
+    class_ranks = {name: len(echelon) for name, echelon in echelons.items()}
+    r = class_ranks["union"] = len(_merged(echelons.values()))
     da, db, dc = dimension(a), dimension(b), dimension(c)
     d2 = {
         "AB": dimension(compose_systems(a, b)) - da * db,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -264,3 +265,46 @@ def test_an_exception_without_a_rule_is_an_internal_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: RuntimeError: boom" in captured.err
+
+
+def assert_check_failed(argv, out_path, capsys):
+    """Exit 1, the report written all the same, and no crash behind it."""
+    assert main([*argv, "--quiet", "--out", str(out_path)]) == 1
+    assert "internal error" not in capsys.readouterr().err
+    return json.loads(out_path.read_text())
+
+
+def test_verify_dims_exits_one_when_delta3_is_not_zero(tmp_path, monkeypatch, capsys):
+    real = bct.cli.span_report
+    monkeypatch.setattr(bct.cli, "span_report",
+                        lambda *systems: dataclasses.replace(real(*systems), delta3=1))
+    reports = assert_check_failed(["verify-dims", "--triples", "2,2,2"],
+                                  tmp_path / "spans.json", capsys)
+    assert [r["delta3"] for r in reports] == [1]
+
+
+def test_tomography_exits_one_when_strict_bilocality_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bct.cli, "verify_strict_bilocality", lambda *args: False)
+    reports = assert_check_failed(["tomography", "--pairs", "2,2"],
+                                  tmp_path / "tomography.json", capsys)
+    assert [r["strict_bilocality"] for r in reports] == [False]
+
+
+def test_dilate_exits_one_when_not_verified(tmp_path, monkeypatch, capsys):
+    real = bct.cli.realize_instrument
+    monkeypatch.setattr(bct.cli, "realize_instrument",
+                        lambda inst: dataclasses.replace(real(inst), verified=False))
+    inst = random_instrument(random.Random(9), bibit(), bibit(), branches=2)
+    src = tmp_path / "instrument.json"
+    src.write_text(dumps(instrument_to_json(inst)))
+    doc = assert_check_failed(["dilate", str(src)], tmp_path / "dilation.json", capsys)
+    assert doc["verified"] is False
+
+
+def test_protocol_exits_one_when_it_does_not_succeed(tmp_path, monkeypatch, capsys):
+    real = bct.cli.dense_coding
+    monkeypatch.setattr(bct.cli, "dense_coding",
+                        lambda mode: dataclasses.replace(real(mode), success=False))
+    doc = assert_check_failed(["protocol", "dense-coding"], tmp_path / "protocol.json",
+                              capsys)
+    assert doc["success"] is False

@@ -104,11 +104,27 @@ def test_accumulations_store_the_first_term(path):
     assert accumulations_from_zero(ast.parse(path.read_text())) == []
 
 
+def elimination_functions(tree: ast.Module, roots: set[str]) -> list[ast.FunctionDef]:
+    """The module's functions named in `roots` and every module function
+    they call, directly or through one another."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, todo = {}, list(roots)
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in found:
+            found[name] = functions[name]
+            todo += [node.func.id for node in ast.walk(found[name])
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    return list(found.values())
+
+
 def test_rank_eliminates_without_fractions():
-    """`tomography.rank` works on integer rows: it names no rational constant
-    or constructor, and has no true division, which on ints gives a float."""
+    """`tomography.rank` and the union merge of `span_report` work on integer
+    rows: no function of the elimination names a rational constant or
+    constructor, or has a true division, which on ints gives a float."""
     source = next(p for p in SOURCES if p.name == "tomography.py")
-    rank = next(node for node in ast.walk(ast.parse(source.read_text()))
-                if isinstance(node, ast.FunctionDef) and node.name == "rank")
-    assert names_used(rank) & {"Fraction", "ZERO", "ONE"} == set()
-    assert not any(isinstance(node, ast.Div) for node in ast.walk(rank))
+    functions = elimination_functions(ast.parse(source.read_text()), {"rank", "_merged"})
+    assert {f.name for f in functions} >= {"rank", "_int_rows", "_echelon", "_merged"}
+    for function in functions:
+        assert names_used(function) & {"Fraction", "ZERO", "ONE"} == set(), function.name
+        assert not any(isinstance(node, ast.Div) for node in ast.walk(function)), function.name

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bct.labels import UNIT, LeafLabel, NodeLabel, enumerate_pure_labels
+from bct.labels import UNIT, LeafLabel, Move, MoveKind, NodeLabel, enumerate_pure_labels
 from bct.states import (
     EffectVector,
     GeneralizedVector,
     StateVector,
     apply_effect_at,
+    apply_moves_to_vector,
+    apply_moves_to_vectors,
     discriminating_instrument,
     is_separable,
     marginal,
@@ -295,6 +297,39 @@ def test_every_tripartite_pure_label_has_entangled_pair_marginals():
             moved = apply_moves_to_vector(rho, moves)
             reduced = marginal(StateVector(moved.system, moved.coeffs), keep)
             assert not is_separable(reduced)
+
+
+class TestFamilyTransport:
+    """`apply_moves_to_vectors` moves a family with one tree walk and one
+    move table; vector by vector, `apply_moves_to_vector` is the reference."""
+
+    MOVES = [[], [Move(MoveKind.ASSOC_R, "")], [Move(MoveKind.BRAID, "0")],
+             [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
+              Move(MoveKind.ASSOC_L, "")]]
+
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    @pytest.mark.parametrize("moves", MOVES, ids=range(len(MOVES)))
+    def test_equals_the_transport_of_each_vector(self, moves, mode):
+        tree = left_comb([2, 3, 2], mode)
+        basis = enumerate_pure_labels(tree)
+        family = [pure_state(tree, label) for label in basis]
+        family += [StateVector(tree, {basis[0]: F(1, 3), basis[-1]: F(1, 2)}),
+                   GeneralizedVector(tree, {basis[1]: F(-7, 5), basis[2]: F(2)}),
+                   EffectVector(tree, {basis[3]: F(1, 2)}),
+                   GeneralizedVector(tree, {})]
+        moved = apply_moves_to_vectors(family, moves)
+        assert moved == [apply_moves_to_vector(vector, moves) for vector in family]
+        assert [type(v) for v in moved] == [type(v) for v in family]
+        assert all(v.system is moved[0].system for v in moved)
+
+    def test_empty_family(self):
+        assert apply_moves_to_vectors([], [Move(MoveKind.BRAID, "")]) == []
+
+    def test_refuses_a_family_on_two_systems_naming_the_vector(self):
+        family = [pure_state(AB, node(lab(1), lab(2), 1))] * 3 + [pure_state(A, lab(1))]
+        with pytest.raises(ValueError, match="^vectors must share a system: "
+                                             "vector 3 differs from vector 0$"):
+            apply_moves_to_vectors(family, [Move(MoveKind.BRAID, "")])
 
 
 class TestTrustedConstruction:

@@ -11,6 +11,9 @@ from bct.labels import LeafLabel, enumerate_pure_labels
 from bct.states import GeneralizedVector, pure_state, tensor_states
 from bct.systems import TheoryMode, bibit, leaf
 from bct.tomography import (
+    _echelon,
+    _int_rows,
+    _merged,
     _tripartite_families,
     corollary_nab,
     delta2,
@@ -56,6 +59,13 @@ class TestRank:
     def test_empty(self):
         assert rank([]) == 0
 
+    def test_names_the_vector_off_the_shared_system(self):
+        v = GeneralizedVector(A, {LeafLabel(1): F(1)})
+        w = GeneralizedVector(leaf(3), {LeafLabel(1): F(1)})
+        with pytest.raises(ValueError, match="^vectors must share a system: "
+                                             "vector 2 differs from vector 0$"):
+            rank([v, v, w, w])
+
 
 def sympy_rank(vectors):
     """The rank over QQ of the coefficient matrix, by sympy."""
@@ -85,6 +95,10 @@ class TestRankOracle:
         union = [vector for family in families.values() for vector in family]
         for vectors in (*families.values(), union):
             assert rank(vectors) == sympy_rank(vectors)
+        report = span_report(*(leaf(d, mode) for d in dims))
+        assert report.class_ranks == {
+            **{name: sympy_rank(family) for name, family in families.items()},
+            "union": sympy_rank(union)}
 
     @given(st.lists(sparse_rows, max_size=6), st.lists(st.integers(0, 9), max_size=4),
            st.integers(0, 2), st.randoms(use_true_random=False))
@@ -96,6 +110,22 @@ class TestRankOracle:
         vectors += [GeneralizedVector(SPARSE, {})] * zeros
         rnd.shuffle(vectors)
         assert rank(vectors) == sympy_rank(vectors)
+
+    @given(st.lists(st.tuples(sparse_rows, st.integers(0, 3)), max_size=8),
+           st.integers(1, 4))
+    def test_merged_group_echelons_match_sympy(self, rows, groups):
+        """Rows split into 1-4 groups, each eliminated alone over one column
+        index: merging the groups' echelons ranks the whole family, and
+        leaves the groups' echelons as they were."""
+        vectors = [GeneralizedVector(SPARSE, {SPARSE_LABELS[i]: v for i, v in row.items()})
+                   for row, _ in rows]
+        parts = [[vector for vector, (_, g) in zip(vectors, rows) if g % groups == k]
+                 for k in range(groups)]
+        index: dict = {}
+        echelons = [_echelon(_int_rows(part, index), {}) for part in parts]
+        before = [{col: dict(row) for col, row in echelon.items()} for echelon in echelons]
+        assert len(_merged(echelons)) == rank(vectors) == sympy_rank(vectors)
+        assert echelons == before
 
 
 WIDE = leaf(8)
@@ -139,6 +169,20 @@ class TestWideRankOracle:
         rank(vectors)
         assert [(vector.system, vector.coeffs) for vector in vectors] == before
         assert all(type(v) is Fraction for vector in vectors for v in vector.coeffs.values())
+
+
+class TestSpanReportRanks:
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    @pytest.mark.parametrize("dims", list(itertools.product((2, 3), repeat=3)))
+    def test_class_ranks_match_rank_of_each_family_and_the_union(self, dims, mode):
+        """`span_report` eliminates each family once and merges the echelons;
+        `rank` eliminates every vector of each family and of their union."""
+        systems = [leaf(d, mode) for d in dims]
+        families = _tripartite_families(*systems)
+        union = [vector for family in families.values() for vector in family]
+        assert span_report(*systems).class_ranks == {
+            **{name: rank(family) for name, family in families.items()},
+            "union": rank(union)}
 
 
 class TestDelta2:
