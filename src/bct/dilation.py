@@ -10,9 +10,12 @@ weights mu_{h,xi} program a single fixed reversible processor
 
 with addition modulo D_B on the output register.  The program system B''
 indexes every (h, xi) pair, so D_B'' = (2 D_B)^{D_A} and R is a bijection
-on pure labels.  Arbitrary instruments are realised by the same processor
-and program state, with one observation effect per branch built from the
-branch/channel weight ratios.
+on pure labels.  R is never tabulated: its kernel serves each row from the
+rule above the first time the row is read, and the bijection is checked by
+index arithmetic (k |-> h(i)+k is a permutation of the output register).
+Arbitrary instruments are realised by the same processor and program
+state, with one observation effect per branch built from the branch/channel
+weight ratios.
 """
 
 from __future__ import annotations
@@ -20,15 +23,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .config import DILATION_MAX_DIM
 from .kernels import (
+    Entry,
     Instrument,
     Kernel,
     apply,
     is_deterministic,
-    is_reversible,
 )
 from .labels import (
     Move,
@@ -101,47 +104,84 @@ def _offset_add(m_index: int, k_index: int, d: int) -> int:
     return (m_index - 1 + k_index - 1) % d + 1
 
 
+class _ProcessorRows(Mapping[PureLabel, dict[Entry, Fraction]]):
+    """The rows of R, each worked out from the rule when first read.
+
+    A source ((sigma k)_{s1} i)_{s3} goes to (((sigma i)_{s1} h(i)+k)_{s3},
+    xi(i)) with weight one; a label outside the domain has no row.  Every
+    row is a single weight-one entry, so the rule keeps the invariants a
+    kernel's rows owe.  Iteration walks the domain's basis.
+    """
+
+    def __init__(self, domain: SystemTree, bound: int,
+                 program_index: dict[FunctionLabel, PureLabel],
+                 a_labels: Sequence[PureLabel], b_labels: Sequence[PureLabel]) -> None:
+        self._domain, self._bound = domain, bound
+        self._signs = node_signs(domain.mode)
+        self._function = {sigma: fl for fl, sigma in program_index.items()}
+        self._k = {label: k for k, label in enumerate(b_labels, 1)}
+        self._i = {label: i for i, label in enumerate(a_labels, 1)}
+        self._b_labels = tuple(b_labels)
+        self._rows: dict[PureLabel, dict[Entry, Fraction]] = {}
+
+    def __getitem__(self, source: PureLabel) -> dict[Entry, Fraction]:
+        try:
+            return self._rows[source]
+        except KeyError:
+            pass
+        head = source.left if isinstance(source, NodeLabel) else None
+        if not (isinstance(head, NodeLabel) and source.sign in self._signs
+                and head.sign in self._signs and head.left in self._function
+                and head.right in self._k and source.right in self._i):
+            raise KeyError(source)
+        sigma, i_label = head.left, source.right
+        fl, i = self._function[sigma], self._i[i_label]
+        m = _offset_add(fl.h[i - 1], self._k[head.right], len(self._b_labels))
+        target = NodeLabel(NodeLabel(sigma, i_label, head.sign),
+                           self._b_labels[m - 1], source.sign)
+        row = self._rows[source] = {(target, fl.xi[i - 1]): ONE}
+        return row
+
+    def __iter__(self) -> Iterator[PureLabel]:
+        return iter(enumerate_pure_labels(self._domain, self._bound))
+
+    def __len__(self) -> int:
+        return dimension(self._domain)
+
+
 def build_processor(a: SystemTree, b: SystemTree,
                     bound: int = DILATION_MAX_DIM) -> UniversalProcessor:
     """Construct and verify the universal processor for A -> B.
 
     The systems are sized by the dimension rule, and the domain is checked
-    against `bound`, before any label is enumerated.
+    against `bound`, before any label is enumerated.  The kernel's rows come
+    from the rule on demand (see `_ProcessorRows`); the bijection is checked
+    on the indices: for every program label and input index i, k |-> h(i)+k
+    must hit each output index exactly once.
     """
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         raise ValueError("the processor needs non-trivial input and output systems")
     if a.mode is not b.mode:
         raise ValueError("systems must share a theory mode")
     mode = a.mode
-    signs = node_signs(mode)
     d_a, d_b = dimension(a), dimension(b)
-    program = leaf((len(signs) * d_b) ** d_a, mode, name="program")
+    program = leaf((len(node_signs(mode)) * d_b) ** d_a, mode, name="program")
     bprime = compose_systems(program, b)
     aprime = compose_systems(program, a)
     domain = compose_systems(bprime, a)
     if dimension(domain) > bound:
         raise ValueError(
             f"processor domain dimension {dimension(domain)} exceeds bound {bound}")
-    a_labels = enumerate_pure_labels(a)
-    b_labels = enumerate_pure_labels(b)
     program_index = dict(zip(enumerate_function_labels(d_a, d_b, mode),
                              enumerate_pure_labels(program, bound)))
-
-    rows: dict[PureLabel, dict[tuple[PureLabel, int], Fraction]] = {}
-    for fl, sigma in program_index.items():
-        for k, k_label in enumerate(b_labels, 1):
-            for i, i_label in enumerate(a_labels, 1):
-                m = _offset_add(fl.h[i - 1], k, d_b)
-                tau = fl.xi[i - 1]
-                for s1 in signs:
-                    for s3 in signs:
-                        source = NodeLabel(NodeLabel(sigma, k_label, s1), i_label, s3)
-                        target = NodeLabel(NodeLabel(sigma, i_label, s1),
-                                           b_labels[m - 1], s3)
-                        rows[source] = {(target, tau): ONE}
+    register = list(range(1, d_b + 1))
+    for fl in program_index:
+        for m in fl.h:
+            if sorted(_offset_add(m, k, d_b) for k in register) != register:
+                raise AssertionError("processor kernel failed the bijection check")
+    rows = _ProcessorRows(domain, bound, program_index,
+                          enumerate_pure_labels(a), enumerate_pure_labels(b))
     kernel = Kernel._trusted(domain, compose_systems(aprime, b), rows)
-    if not is_reversible(kernel):
-        raise AssertionError("processor kernel failed the bijection check")
     return UniversalProcessor(a, b, program, bprime, aprime, kernel, program_index)
 
 

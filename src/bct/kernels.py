@@ -57,7 +57,7 @@ Rows = dict[PureLabel, dict[Entry, Fraction]]
 class Kernel:
     in_system: SystemTree
     out_system: SystemTree
-    rows: Rows = field(default_factory=dict)
+    rows: Mapping[PureLabel, dict[Entry, Fraction]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.in_system.mode is not self.out_system.mode:
@@ -93,20 +93,22 @@ class Kernel:
 
     @classmethod
     def _trusted(cls, in_system: SystemTree, out_system: SystemTree,
-                 rows: Rows) -> Kernel:
+                 rows: Mapping[PureLabel, dict[Entry, Fraction]]) -> Kernel:
         """A kernel the calculus built from validated kernels.
 
         Composition, extension, transport and inversion keep every invariant
         the constructor checks, so only zero weights and empty rows are
-        dropped here.  Anything built from outside input goes through the
-        constructor.
+        dropped here.  Rows given as a read-only mapping other than a dict
+        (a rule that computes each row, such as the universal processor's)
+        owe those invariants themselves and are kept as they are.  Anything
+        built from outside input goes through the constructor.
         """
         if in_system.mode is not out_system.mode:
             raise ValueError("kernel endpoints must share a theory mode")
         kernel = object.__new__(cls)
         object.__setattr__(kernel, "in_system", in_system)
         object.__setattr__(kernel, "out_system", out_system)
-        object.__setattr__(kernel, "rows", {
+        object.__setattr__(kernel, "rows", rows if not isinstance(rows, dict) else {
             a: clean for a, row in rows.items()
             if (clean := {entry: w for entry, w in row.items() if w})})
         return kernel

@@ -120,11 +120,6 @@ def point_effect(system: SystemTree, label: PureLabel) -> EffectVector:
     return EffectVector(system, {label: ONE})
 
 
-def validate_effect(vector: GeneralizedVector) -> bool:
-    """Effects of the theory are exactly the [0,1]-coefficient functionals."""
-    return all(0 <= value <= 1 for value in vector.coeffs.values())
-
-
 def _scalar_product(a: GeneralizedVector, b: GeneralizedVector) -> Coeffs | None:
     """The coefficients of a (x) b when a factor is trivial (a scalar), else None."""
     if isinstance(a.system, Trivial):
@@ -150,19 +145,33 @@ def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> Generaliz
     both valid by construction; mixed factors go through the constructor of
     the first one's class.
     """
-    if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
-        raise TypeError("effects compose with tensor_effects, not tensor_states")
-    if rho.system.mode is not sigma.system.mode:
+    return tensor_products([rho], [sigma])[0]
+
+
+def tensor_products(rhos: Sequence[GeneralizedVector],
+                    sigmas: Sequence[GeneralizedVector]) -> list[GeneralizedVector]:
+    """`tensor_states(rho, sigma)` for every rho of `rhos` (outer) and sigma
+    of `sigmas`, each family on one system; the system of the products is
+    composed once, and every product holds that one object."""
+    if not rhos or not sigmas:
+        return []
+    x, y = shared_system(rhos), shared_system(sigmas)
+    if x.mode is not y.mode:
         raise ValueError("cannot compose states from different theory modes")
-    system = compose_systems(rho.system, sigma.system)
-    out = _scalar_product(rho, sigma)
-    if out is None:
-        out = {NodeLabel(la, lb, s): share
-               for la, va in rho.coeffs.items() for lb, vb in sigma.coeffs.items()
-               for s, share in sign_shares(system.mode, va * vb)}
-    if type(rho) is type(sigma):
-        return type(rho)._trusted(system, out)
-    return type(rho)(system, out)
+    system = compose_systems(x, y)
+    products = []
+    for rho in rhos:
+        for sigma in sigmas:
+            if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
+                raise TypeError("effects compose with tensor_effects, not tensor_states")
+            out = _scalar_product(rho, sigma)
+            if out is None:
+                out = {NodeLabel(la, lb, s): share
+                       for la, va in rho.coeffs.items() for lb, vb in sigma.coeffs.items()
+                       for s, share in sign_shares(system.mode, va * vb)}
+            products.append(type(rho)._trusted(system, out) if type(rho) is type(sigma)
+                            else type(rho)(system, out))
+    return products
 
 
 def tensor_effects(a: EffectVector, b: EffectVector) -> EffectVector:

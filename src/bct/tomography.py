@@ -23,7 +23,7 @@ from .states import (
     discriminating_instrument,
     pure_state,
     shared_system,
-    tensor_states,
+    tensor_products,
 )
 from .systems import (
     SystemTree,
@@ -93,9 +93,8 @@ def product_states(x: SystemTree, y: SystemTree,
     """|u>|v> for every pure label u of x (outer) and v of y, carried along
     `moves` as one family.  `delta2` and `corollary_nab` take this family of
     A (x) B, so a caller that needs both builds it once."""
-    xs = [pure_state(x, u) for u in enumerate_pure_labels(x)]
-    ys = [pure_state(y, v) for v in enumerate_pure_labels(y)]
-    out = [tensor_states(xu, yv) for xu in xs for yv in ys]
+    out = tensor_products([pure_state(x, u) for u in enumerate_pure_labels(x)],
+                          [pure_state(y, v) for v in enumerate_pure_labels(y)])
     return apply_moves_to_vectors(out, moves) if moves else out
 
 
@@ -138,7 +137,7 @@ def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
     to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
               Move(MoveKind.ASSOC_L, "")]
     return {
-        "products": [tensor_states(p, vc) for p in product_states(a, b) for vc in cs],
+        "products": tensor_products(product_states(a, b), cs),
         "ab_c": product_states(compose_systems(a, b), c),
         "a_bc": product_states(a, compose_systems(b, c), [Move(MoveKind.ASSOC_L, "")]),
         "ac_b": product_states(compose_systems(a, c), b, to_abc),
@@ -201,10 +200,6 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
         class_ranks=class_ranks,
         bilocal_identity_holds=(d_abc == rhs),
     )
-
-
-def verify_theorem_bilocal(a: SystemTree, b: SystemTree, c: SystemTree) -> bool:
-    return span_report(a, b, c).bilocal
 
 
 def corollary_nab(a: SystemTree, b: SystemTree,

@@ -12,7 +12,7 @@ from bct.kernels import random_instrument
 from bct.serial import dumps, instrument_to_json, vector_to_json
 from bct.states import StateVector
 from bct.labels import LeafLabel
-from bct.systems import bibit
+from bct.systems import bibit, leaf
 from fractions import Fraction
 
 
@@ -87,6 +87,19 @@ def test_dilate_round_trip(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["verified"] is True
     assert doc["sigma"]["system"] == "(16*2)"
+
+
+def test_dilate_largest_processor_inside_the_bound(tmp_path, capsys):
+    # (4,4) gives a processor domain of exactly DILATION_MAX_DIM labels
+    inst = random_instrument(random.Random(44), leaf(4), leaf(4), branches=2)
+    src = tmp_path / "instrument.json"
+    src.write_text(dumps(instrument_to_json(inst)))
+    out_path = tmp_path / "dilation.json"
+    code, _ = run(["dilate", str(src), "--quiet", "--out", str(out_path)], capsys)
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["verified"] is True
+    assert doc["sigma"]["system"] == "(4096*4)"
 
 
 def test_clone_via_cli(tmp_path, capsys):
@@ -200,13 +213,18 @@ def test_deep_nesting_is_usage_error(tmp_path, capsys, system, label):
 
 
 def test_tomography_builds_each_product_once(monkeypatch, capsys):
-    calls = []
-    real = bct.tomography.tensor_states
-    monkeypatch.setattr(bct.tomography, "tensor_states",
-                        lambda *args: calls.append(args) or real(*args))
+    products = []
+    real = bct.tomography.tensor_products
+
+    def counted(*args):
+        out = real(*args)
+        products.extend(out)
+        return out
+
+    monkeypatch.setattr(bct.tomography, "tensor_products", counted)
     code, out = run(["tomography", "--pairs", "3,3", "--quiet"], capsys)
     assert code == 0
-    assert len(calls) == 9
+    assert len(products) == 9
     assert out == (
         '[\n  {\n    "corollary_nab": true,\n    "d_ab": 18,\n    "delta2": 9,\n'
         '    "dims": [\n      3,\n      3\n    ],\n    "mode": "BCT",\n'

@@ -23,6 +23,7 @@ from bct.kernels import (
     add_kernels,
     apply,
     identity_kernel,
+    invert_reversible,
     is_deterministic,
     is_reversible,
     kernels_equal,
@@ -33,7 +34,7 @@ from bct.kernels import (
     scale_kernel,
     sequential_compose,
 )
-from bct.labels import LeafLabel, NodeLabel, enumerate_pure_labels
+from bct.labels import UNIT, LeafLabel, NodeLabel, enumerate_pure_labels, node_signs
 from bct.states import pure_state, unit_effect, vectors_equal
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf
 
@@ -66,8 +67,6 @@ class TestProcessor:
         assert len(inverse) == dimension(proc.kernel.in_system)
 
     def test_processor_with_its_inverse_is_the_identity(self):
-        from bct.kernels import invert_reversible
-
         proc = build_processor(A, B)
         inverse = invert_reversible(proc.kernel)
         round_trip = sequential_compose(inverse, proc.kernel)
@@ -102,6 +101,90 @@ class TestProcessor:
         monkeypatch.setattr(dilation, "enumerate_function_labels", refuse)
         with pytest.raises(ValueError, match="exceeds bound"):
             build_processor(leaf(5), leaf(5))
+
+
+def reference_rows(proc):
+    """The processor's rows tabulated whole: every (sigma, k, i, s1, s3) of
+    the rule ((sigma k)_{s1} i)_{s3} -> (((sigma i)_{s1} h(i)+k)_{s3}, xi(i))."""
+    signs = node_signs(proc.mode)
+    a_labels = enumerate_pure_labels(proc.a_system)
+    b_labels = enumerate_pure_labels(proc.b_system)
+    d_b = len(b_labels)
+    rows = {}
+    for fl, sigma in proc.program_index.items():
+        for k, k_label in enumerate(b_labels, 1):
+            for i, i_label in enumerate(a_labels, 1):
+                m = (fl.h[i - 1] - 1 + k - 1) % d_b + 1
+                for s1 in signs:
+                    for s3 in signs:
+                        source = NodeLabel(NodeLabel(sigma, k_label, s1), i_label, s3)
+                        target = NodeLabel(NodeLabel(sigma, i_label, s1),
+                                           b_labels[m - 1], s3)
+                        rows[source] = {(target, fl.xi[i - 1]): F(1)}
+    return rows
+
+
+RULE_CASES = [(dims, mode) for dims in [(2, 2), (2, 3), (3, 2), (3, 3)]
+              for mode in TheoryMode]
+
+
+class TestProcessorRule:
+    """The rows the processor serves from its rule equal the whole table."""
+
+    @pytest.mark.parametrize("dims, mode", RULE_CASES)
+    def test_rows_read_one_by_one(self, dims, mode, validated_builds):
+        # with the unwrapped trusted constructor no validation reads the rows
+        # first, so each row is worked out here, in shuffled order
+        proc = build_processor(leaf(dims[0], mode), leaf(dims[1], mode))
+        assert validated_builds == [] and not proc.kernel.rows._rows
+        reference = reference_rows(proc)
+        labels = list(reference)
+        random.Random(sum(dims)).shuffle(labels)
+        for label in labels:
+            assert proc.kernel.row(label) == reference[label]
+
+    @pytest.mark.parametrize("dims, mode", RULE_CASES)
+    def test_rows_read_as_a_whole(self, dims, mode):
+        proc = build_processor(leaf(dims[0], mode), leaf(dims[1], mode))
+        reference = reference_rows(proc)
+        rows = proc.kernel.rows
+        assert len(rows) == len(reference) == dimension(proc.kernel.in_system)
+        assert set(rows) == set(reference)
+        assert dict(rows.items()) == reference
+        assert is_reversible(proc.kernel)
+        round_trip = sequential_compose(invert_reversible(proc.kernel), proc.kernel)
+        assert len(round_trip.rows) == len(reference)
+        assert all(row == {(label, 1): F(1)} for label, row in round_trip.rows.items())
+
+    @pytest.mark.parametrize("mode", TheoryMode)
+    def test_labels_outside_the_domain_have_no_row(self, mode):
+        proc = build_processor(leaf(2, mode), leaf(3, mode))
+        sigma, k, i = LeafLabel(1), LeafLabel(1), LeafLabel(1)
+        outside = [
+            UNIT, i, NodeLabel(sigma, i),
+            NodeLabel(NodeLabel(LeafLabel(1000), k), i),      # no such program
+            NodeLabel(NodeLabel(sigma, LeafLabel(4)), i),     # k beyond D_B
+            NodeLabel(NodeLabel(sigma, k), LeafLabel(3)),     # i beyond D_A
+            NodeLabel(sigma, NodeLabel(k, i)),                # wrong shape
+        ]
+        if mode is TheoryMode.CT:
+            outside += [NodeLabel(NodeLabel(sigma, k, -1), i),
+                        NodeLabel(NodeLabel(sigma, k), i, -1)]
+        for label in outside:
+            assert proc.kernel.row(label) == {}
+            assert label not in proc.kernel.rows
+
+    @pytest.mark.parametrize("offset", [
+        lambda m, k, d: m,
+        lambda m, k, d: min(m + k - 1, d),
+        lambda m, k, d: m + k - 1,
+    ], ids=["constant", "saturating", "unreduced"])
+    def test_a_rule_that_is_not_a_bijection_is_refused(self, monkeypatch, offset):
+        monkeypatch.setattr(dilation, "_offset_add", offset)
+        proc = None
+        with pytest.raises(AssertionError, match="failed the bijection check"):
+            proc = build_processor(leaf(2), leaf(3))
+        assert proc is None
 
 
 class TestDecomposition:

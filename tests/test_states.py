@@ -22,9 +22,9 @@ from bct.states import (
     pure_state,
     scalar_state,
     tensor_effects,
+    tensor_products,
     tensor_states,
     unit_effect,
-    validate_effect,
     vectors_equal,
 )
 from bct.systems import TheoryMode, Trivial, bibit, compose_systems, leaf, left_comb
@@ -72,6 +72,14 @@ class TestTensor:
         rho = StateVector(A, {lab(1): F(1, 3)})
         sigma = StateVector(B, {lab(2): F(1, 2)})
         assert tensor_states(rho, sigma).weight == F(1, 6)
+
+    def test_products_of_families_share_one_system(self):
+        rhos = [pure_state(A, lab(1)), StateVector(A, {lab(1): F(1, 2), lab(2): F(1, 4)})]
+        sigmas = [pure_state(B, x) for x in enumerate_pure_labels(B)]
+        products = tensor_products(rhos, sigmas)
+        assert products == [tensor_states(r, s) for r in rhos for s in sigmas]
+        assert all(p.system is products[0].system for p in products)
+        assert tensor_products(rhos, []) == tensor_products([], sigmas) == []
 
     def test_braid_symmetry(self):
         from bct.labels import Move, MoveKind
@@ -193,14 +201,15 @@ class TestSeparability:
 
 class TestEffects:
     def test_unit_effect_valid(self):
-        assert validate_effect(unit_effect(AB))
+        assert EffectVector(AB, unit_effect(AB).coeffs) == unit_effect(AB)
 
     def test_overweight_coefficient_invalid(self):
-        bad = GeneralizedVector(A, {lab(1): F(3, 2)})
-        assert not validate_effect(bad)
+        for value in (F(3, 2), F(-1, 2)):
+            with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+                EffectVector(A, {lab(1): value})
 
     def test_zero_vector_valid(self):
-        assert validate_effect(GeneralizedVector(A, {}))
+        assert EffectVector(A, {}).coeffs == {}
 
     def test_discriminating_instrument(self):
         effects = discriminating_instrument(AB)

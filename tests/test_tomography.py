@@ -21,7 +21,6 @@ from bct.tomography import (
     span_report,
     verify_corollary_nab,
     verify_strict_bilocality,
-    verify_theorem_bilocal,
 )
 
 F = Fraction
@@ -185,6 +184,13 @@ class TestSpanReportRanks:
             "union": rank(union)}
 
 
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    def test_each_family_is_on_one_system_object(self, mode):
+        for family in _tripartite_families(leaf(2, mode), leaf(3, mode),
+                                           leaf(2, mode)).values():
+            assert all(vector.system is family[0].system for vector in family)
+
+
 class TestDelta2:
     def test_bibit_pair(self):
         assert delta2(A, B) == 4
@@ -214,7 +220,7 @@ class TestDelta3:
         report = span_report(*systems)
         assert report.delta3 == 0
         assert report.bilocal_identity_holds
-        assert verify_theorem_bilocal(*systems)
+        assert report.bilocal
 
     def test_rank_decomposes_additively(self):
         report = span_report(A, B, leaf(3))
