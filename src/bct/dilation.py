@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .config import DILATION_MAX_DIM
@@ -48,6 +49,8 @@ from .states import (
     StateVector,
     apply_effect_at,
     apply_moves_to_vector,
+    int_coeffs,
+    lowest_terms,
     pure_state,
     tensor_states,
     vectors_equal,
@@ -264,15 +267,12 @@ class DilationResult:
 
 def program_sigma(processor: UniversalProcessor,
                   mu: Sequence[tuple[FunctionLabel, Fraction]]) -> StateVector:
-    """Sigma = sum mu_{h,xi} |sigma_{h,xi}> |0>, with |0> the first B label."""
+    """Sigma = sum mu_{h,xi} |sigma_{h,xi}> |0> = (sum mu_{h,xi} |sigma_{h,xi}>) |0>,
+    with |0> the first B label."""
+    program = StateVector(processor.program_system,
+                          {processor.program_index[fl]: weight for fl, weight in mu})
     zero = pure_state(processor.b_system, enumerate_pure_labels(processor.b_system)[0])
-    coeffs: dict[PureLabel, Fraction] = {}
-    for fl, weight in mu:
-        program = pure_state(processor.program_system, processor.program_index[fl])
-        for label, value in tensor_states(program, zero).coeffs.items():
-            coeffs[label] = (coeffs[label] + weight * value if label in coeffs
-                             else weight * value)
-    return StateVector(processor.input_ancilla, coeffs)
+    return tensor_states(program, zero)
 
 
 def dilated_apply(processor: UniversalProcessor, sigma: StateVector,
@@ -331,35 +331,39 @@ def realize_instrument(instrument: Instrument,
     # branch k > 0 observes its ratio on every sign of (sigma_{h,xi} i); the
     # first branch observes what the others leave of the unit effect, which
     # also covers the program labels the channel never uses
-    others = [{NodeLabel(processor.program_index[fl], a_labels[i], s1): z
-               for (fl, i), z in table.items() for s1 in signs}
+    others = [int_coeffs({NodeLabel(processor.program_index[fl], a_labels[i], s1): z
+                          for (fl, i), z in table.items() for s1 in signs})
               for table in tables[1:]]
+    den = lcm(*(d for _nums, d in others))
     first = dict.fromkeys(enumerate_pure_labels(processor.output_ancilla,
-                                                DILATION_MAX_DIM), ONE)
-    for c in others:
-        for label, z in c.items():
-            first[label] -= z
-    effects = [EffectVector._trusted(processor.output_ancilla, c) for c in (first, *others)]
+                                                DILATION_MAX_DIM), den)
+    for nums, d in others:
+        for label, n in nums.items():
+            first[label] -= n * (den // d)
+    effects = [EffectVector._trusted(processor.output_ancilla, *c)
+               for c in (lowest_terms(first, den), *others)]
 
     verified = True
     if verify:
-        summed = _summed(effects)
         verified = (_reproduces(processor, sigma,
                                 list(zip(effects, instrument.branches)))
-                    and len(summed) == dimension(processor.output_ancilla)
-                    and all(value == 1 for value in summed.values())
+                    and _sum_to_unit(effects)
                     and sigma.is_deterministic)
 
     return DilationResult(processor, sigma, tuple(effects), instrument.outcomes,
                           dict(mu), dict(zip(instrument.outcomes, tables)), verified)
 
 
-def _summed(effects: Sequence[EffectVector]) -> dict[PureLabel, Fraction]:
-    total: dict[PureLabel, Fraction] = {}
+def _sum_to_unit(effects: Sequence[EffectVector]) -> bool:
+    """The effects sum to the unit effect: one on every label of their system."""
+    den = lcm(*(e.den for e in effects))
+    total: dict[PureLabel, int] = {}
     for e in effects:
-        for label, value in e.coeffs.items():
-            total[label] = total[label] + value if label in total else value
-    return total
+        scale = den // e.den
+        for label, n in e.nums.items():
+            total[label] = total[label] + n * scale if label in total else n * scale
+    return (len(total) == dimension(effects[0].system)
+            and all(n == den for n in total.values()))
 
 
 def _reproduces(processor: UniversalProcessor, sigma: StateVector,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import faults
@@ -37,7 +38,7 @@ from .labels import (
     node_signs,
     regroup,
 )
-from .states import GeneralizedVector, StateVector, ZERO, ONE, sign_shares
+from .states import GeneralizedVector, StateVector, ZERO, ONE, lowest_terms
 from .systems import (
     SystemTree,
     TheoryMode,
@@ -193,8 +194,9 @@ def state_kernel(rho: StateVector) -> Kernel:
     mode = rho.system.mode
     if isinstance(rho.system, Trivial):
         return scalar_kernel(mode, rho[UNIT])
-    row = {(label, tau): share for label, value in rho.coeffs.items()
-           for tau, share in sign_shares(mode, value)}
+    signs = node_signs(mode)
+    den = rho.den * len(signs)
+    row = {(label, tau): Fraction(n, den) for label, n in rho.nums.items() for tau in signs}
     return Kernel(Trivial(mode), rho.system, {UNIT: row})
 
 
@@ -364,18 +366,23 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
     if kernel.in_system != subtree_at(rho.system, at):
         raise ValueError("kernel input does not match the selected subtree")
     image = StateVector if isinstance(rho, StateVector) else GeneralizedVector
-    out: dict[PureLabel, Fraction] = {}
     if at == "":
-        for label, value in rho.coeffs.items():
-            for (b, _tau), w in kernel.row(label).items():
-                out[b] = out[b] + w * value if b in out else w * value
-        return image._trusted(kernel.out_system, out)
-    moves = regroup(rho.system, at)
-    there, back = move_table(moves), move_table(invert_moves(moves))
-    for label, value in rho.coeffs.items():
-        for (b, _flip), w in _act_at(kernel, label, there, back):
-            out[b] = out[b] + w * value if b in out else w * value
-    return image._trusted(_result_system(kernel, rho.system, at), out)
+        system = kernel.out_system
+        terms = [(b, w, n) for label, n in rho.nums.items()
+                 for (b, _tau), w in kernel.row(label).items()]
+    else:
+        system = _result_system(kernel, rho.system, at)
+        moves = regroup(rho.system, at)
+        there, back = move_table(moves), move_table(invert_moves(moves))
+        terms = [(b, w, n) for label, n in rho.nums.items()
+                 for (b, _flip), w in _act_at(kernel, label, there, back)]
+    # each weight's numerator scaled into one output denominator
+    scale = lcm(*(w.denominator for _b, w, _n in terms))
+    out: dict[PureLabel, int] = {}
+    for b, w, n in terms:
+        v = w.numerator * (scale // w.denominator) * n
+        out[b] = out[b] + v if b in out else v
+    return image._trusted(system, *lowest_terms(out, rho.den * scale))
 
 
 # ---------------------------------------------------------------------------

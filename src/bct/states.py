@@ -1,14 +1,23 @@
 """States, effects and generalized vectors over the pure-label basis.
 
-Coefficients are exact rationals; nothing here ever renormalizes.  The null
-state is the empty coefficient map.  Sub-normalized states are first-class
-(they are what instrument branches produce).
+A vector is stored as int numerators keyed by pure label over one positive
+denominator, in canonical form: no numerator is zero, and the denominator
+shares no factor with all the numerators, so equal vectors hold equal ints.
+The composition rule |i>|j> = 1/2 sum_s (ij)_s keeps every product dyadic,
+and the calculus below works on the ints alone.  `coeffs` is a read-only
+view of the same vector as exact `Fraction`s in lowest terms, built anew on
+each read for the API, `serial` and reports.
+
+Nothing here ever renormalizes.  The null state is the empty coefficient
+map.  Sub-normalized states are first-class (they are what instrument
+branches produce).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .labels import (
@@ -23,7 +32,6 @@ from .labels import (
     node_signs,
     regroup,
 )
-from .systems import Node as SysNode
 from .systems import (
     SystemTree,
     TheoryMode,
@@ -36,80 +44,120 @@ from .systems import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Coeffs = Mapping[PureLabel, Fraction]
+Coeffs = Mapping[PureLabel, Fraction | int]
+Nums = dict[PureLabel, int]
 
 
-def _clean(coeffs: Coeffs) -> dict[PureLabel, Fraction]:
-    return {label: value if isinstance(value, Fraction) else Fraction(value)
-            for label, value in coeffs.items() if value != 0}
+def int_coeffs(coeffs: Coeffs) -> tuple[Nums, int]:
+    """Nonzero `coeffs` as int numerators over the LCM of their denominators.
+
+    Each value in lowest terms leaves the LCM no factor common to all the
+    numerators, so the result is in canonical form.
+    """
+    values = {label: value if isinstance(value, Fraction) else Fraction(value)
+              for label, value in coeffs.items() if value != 0}
+    den = lcm(*(value.denominator for value in values.values()))
+    return ({label: value.numerator * (den // value.denominator)
+             for label, value in values.items()}, den)
 
 
-@dataclass(frozen=True)
+def lowest_terms(nums: Nums, den: int) -> tuple[Nums, int]:
+    """`nums` over the positive `den` in canonical form: zero numerators
+    dropped, and the common factor of all the ints divided out."""
+    if 0 in nums.values():
+        nums = {label: n for label, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {label: n // g for label, n in nums.items()}, den // g
+
+
+@dataclass(frozen=True, init=False)
 class GeneralizedVector:
-    """A vector in the real span of the pure labels; no positivity constraint."""
+    """A vector in the real span of the pure labels; no positivity constraint.
+
+    The coefficient of `label` is `nums[label] / den`, in canonical form
+    (see `lowest_terms`).
+    """
 
     system: SystemTree
-    coeffs: dict[PureLabel, Fraction] = field(default_factory=dict)
+    nums: Nums
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
-        for label in self.coeffs:
+    def __init__(self, system: SystemTree, coeffs: Coeffs | None = None) -> None:
+        nums, den = int_coeffs(coeffs or {})
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        self._check()
+
+    def _check(self) -> None:
+        """Every check of the public constructor, made on the stored ints."""
+        for label in self.nums:
             if not label_matches(self.system, label):
                 raise ValueError(f"label {label} does not belong to the system")
 
     @classmethod
-    def _trusted(cls, system: SystemTree, coeffs: Coeffs) -> GeneralizedVector:
+    def _trusted(cls, system: SystemTree, nums: Nums, den: int) -> GeneralizedVector:
         """A vector of class `cls` that the calculus built from validated inputs.
 
         Products, transports, marginals and kernel images keep every
-        invariant the constructors check, so only zero coefficients are
-        dropped here.  Anything built from outside input goes through the
-        constructor.
+        invariant the constructors check, so nothing is checked here; `nums`
+        over `den` must already be in canonical form.  Anything built from
+        outside input goes through the constructor.
         """
         vector = object.__new__(cls)
         object.__setattr__(vector, "system", system)
-        object.__setattr__(vector, "coeffs",
-                           {label: value for label, value in coeffs.items() if value})
+        object.__setattr__(vector, "nums", nums)
+        object.__setattr__(vector, "den", den)
+        return vector
+
+    @classmethod
+    def _checked(cls, system: SystemTree, nums: Nums, den: int) -> GeneralizedVector:
+        """`_trusted` followed by the constructor's checks: for a result some
+        of whose inputs did not pass a constructor as strict as `cls`'s."""
+        vector = cls._trusted(system, nums, den)
+        vector._check()
         return vector
 
     @property
+    def coeffs(self) -> dict[PureLabel, Fraction]:
+        """The coefficients as `Fraction`s in lowest terms (a fresh dict)."""
+        return {label: Fraction(n, self.den) for label, n in self.nums.items()}
+
+    @property
     def weight(self) -> Fraction:
-        return sum(self.coeffs.values(), ZERO)
+        return Fraction(sum(self.nums.values()), self.den)
 
     def __getitem__(self, label: PureLabel) -> Fraction:
-        return self.coeffs.get(label, ZERO)
+        return Fraction(self.nums.get(label, 0), self.den)
 
 
-@dataclass(frozen=True)
 class StateVector(GeneralizedVector):
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for label, value in self.coeffs.items():
-            if value < 0:
-                raise ValueError(f"negative weight {value} at {label}")
-        if self.weight > 1:
+    def _check(self) -> None:
+        super()._check()
+        for label, n in self.nums.items():
+            if n < 0:
+                raise ValueError(f"negative weight {Fraction(n, self.den)} at {label}")
+        if sum(self.nums.values()) > self.den:
             raise ValueError(f"total weight {self.weight} exceeds 1")
 
     @property
     def is_deterministic(self) -> bool:
-        return self.weight == 1
+        return sum(self.nums.values()) == self.den
 
 
-@dataclass(frozen=True)
 class EffectVector(GeneralizedVector):
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for label, value in self.coeffs.items():
-            if not 0 <= value <= 1:
-                raise ValueError(f"effect coefficient {value} outside [0,1] at {label}")
+    def _check(self) -> None:
+        super()._check()
+        for label, n in self.nums.items():
+            if not 0 <= n <= self.den:
+                raise ValueError(f"effect coefficient {Fraction(n, self.den)} "
+                                 f"outside [0,1] at {label}")
 
 
 def pure_state(system: SystemTree, label: PureLabel) -> StateVector:
     return StateVector(system, {label: ONE})
-
-
-def scalar_state(mode: TheoryMode, value: Fraction) -> StateVector:
-    return StateVector(Trivial(mode), {UNIT: Fraction(value)})
 
 
 def unit_effect(system: SystemTree) -> EffectVector:
@@ -120,30 +168,25 @@ def point_effect(system: SystemTree, label: PureLabel) -> EffectVector:
     return EffectVector(system, {label: ONE})
 
 
-def _scalar_product(a: GeneralizedVector, b: GeneralizedVector) -> Coeffs | None:
-    """The coefficients of a (x) b when a factor is trivial (a scalar), else None."""
+def _scalar_product(a: GeneralizedVector, b: GeneralizedVector) -> tuple[Nums, int] | None:
+    """a (x) b when a factor is trivial (a scalar), else None."""
     if isinstance(a.system, Trivial):
-        scalar, vector = a[UNIT], b.coeffs
+        scalar, vector = a, b
     elif isinstance(b.system, Trivial):
-        scalar, vector = b[UNIT], a.coeffs
+        scalar, vector = b, a
     else:
         return None
-    return {label: value * scalar for label, value in vector.items()}
-
-
-def sign_shares(mode: TheoryMode, value: Fraction) -> list[tuple[int, Fraction]]:
-    """|i>|j> = (1/2) sum_s (ij)_s in BCT, (ij) in CT: `value` split over the signs s."""
-    signs = node_signs(mode)
-    share = value / len(signs)
-    return [(s, share) for s in signs]
+    s = scalar.nums.get(UNIT, 0)
+    return lowest_terms({label: n * s for label, n in vector.nums.items()},
+                        scalar.den * vector.den)
 
 
 def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> GeneralizedVector:
     """Parallel composition; |i>|j> = (1/2) sum_s (ij)_s in BCT, (ij) in CT.
 
     Two states compose to a state and two vectors of the span to a vector,
-    both valid by construction; mixed factors go through the constructor of
-    the first one's class.
+    both valid by construction; mixed factors get the checks of the
+    constructor of the first one's class.
     """
     return tensor_products([rho], [sigma])[0]
 
@@ -159,18 +202,22 @@ def tensor_products(rhos: Sequence[GeneralizedVector],
     if x.mode is not y.mode:
         raise ValueError("cannot compose states from different theory modes")
     system = compose_systems(x, y)
+    # each sign s of (ij)_s gets the product of the numerators, and the
+    # denominator one more factor: the number of signs
+    signs = node_signs(system.mode)
     products = []
     for rho in rhos:
         for sigma in sigmas:
             if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
                 raise TypeError("effects compose with tensor_effects, not tensor_states")
-            out = _scalar_product(rho, sigma)
-            if out is None:
-                out = {NodeLabel(la, lb, s): share
-                       for la, va in rho.coeffs.items() for lb, vb in sigma.coeffs.items()
-                       for s, share in sign_shares(system.mode, va * vb)}
-            products.append(type(rho)._trusted(system, out) if type(rho) is type(sigma)
-                            else type(rho)(system, out))
+            out = _scalar_product(rho, sigma) or lowest_terms(
+                {NodeLabel(la, lb, s): na * nb
+                 for la, na in rho.nums.items() for lb, nb in sigma.nums.items()
+                 for s in signs},
+                rho.den * sigma.den * len(signs))
+            cls = type(rho)
+            products.append(cls._trusted(system, *out) if cls is type(sigma)
+                            else cls._checked(system, *out))
     return products
 
 
@@ -179,25 +226,30 @@ def tensor_effects(a: EffectVector, b: EffectVector) -> EffectVector:
     if a.system.mode is not b.system.mode:
         raise ValueError("cannot compose effects from different theory modes")
     system = compose_systems(a.system, b.system)
-    out = _scalar_product(a, b)
-    if out is None:
-        signs = node_signs(system.mode)
-        out = {NodeLabel(la, lb, s): va * vb
-               for la, va in a.coeffs.items() for lb, vb in b.coeffs.items()
-               for s in signs}
+    signs = node_signs(system.mode)
+    out = _scalar_product(a, b) or lowest_terms(
+        {NodeLabel(la, lb, s): na * nb
+         for la, na in a.nums.items() for lb, nb in b.nums.items() for s in signs},
+        a.den * b.den)
     if isinstance(a, EffectVector) and isinstance(b, EffectVector):
-        return EffectVector._trusted(system, out)
-    return EffectVector(system, out)
+        return EffectVector._trusted(system, *out)
+    return EffectVector._checked(system, *out)
 
 
 def pair(effect: GeneralizedVector, rho: GeneralizedVector) -> Fraction:
+    return Fraction(*_paired(effect, rho))
+
+
+def _paired(effect: GeneralizedVector, rho: GeneralizedVector) -> tuple[int, int]:
+    """(effect | rho) as an int over the product of the two denominators."""
     if effect.system != rho.system:
         raise ValueError("effect and state live on different systems")
-    if len(effect.coeffs) < len(rho.coeffs):
-        small, big = effect.coeffs, rho.coeffs
+    if len(effect.nums) < len(rho.nums):
+        small, big = effect.nums, rho.nums
     else:
-        small, big = rho.coeffs, effect.coeffs
-    return sum((value * big[label] for label, value in small.items() if label in big), ZERO)
+        small, big = rho.nums, effect.nums
+    return (sum(n * big[label] for label, n in small.items() if label in big),
+            effect.den * rho.den)
 
 
 def shared_system(vectors: Sequence[GeneralizedVector]) -> SystemTree | None:
@@ -211,13 +263,23 @@ def shared_system(vectors: Sequence[GeneralizedVector]) -> SystemTree | None:
 def apply_moves_to_vectors(vectors: Sequence[GeneralizedVector],
                            moves: Sequence[Move]) -> list[GeneralizedVector]:
     """Transport a family on one system along a move sequence (a bijective
-    relabeling): one tree walk and one move table, one moved system object."""
-    if not vectors:
-        return []
-    system = move_system_sequence(shared_system(vectors), moves)
+    relabeling) into a new list; see `apply_moves_in_place`."""
+    moved = list(vectors)
+    apply_moves_in_place(moved, moves)
+    return moved
+
+
+def apply_moves_in_place(family: list[GeneralizedVector], moves: Sequence[Move]) -> None:
+    """Transport a family on one system along a move sequence, replacing each
+    vector by its image as it goes: one tree walk and one move table, one
+    moved system object, and no second family alive."""
+    if not family:
+        return
+    system = move_system_sequence(shared_system(family), moves)
     table = move_table(moves)
-    return [type(v)._trusted(system, {table[label][0]: w for label, w in v.coeffs.items()})
-            for v in vectors]
+    for i, v in enumerate(family):
+        family[i] = type(v)._trusted(
+            system, {table[label][0]: n for label, n in v.nums.items()}, v.den)
 
 
 def apply_moves_to_vector(vector: GeneralizedVector, moves: list[Move]) -> GeneralizedVector:
@@ -236,17 +298,19 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
     if effect.system != part:
         raise ValueError("effect system does not match the selected subtree")
     if at == "":
-        return scalar_state(rho.system.mode, pair(effect, rho))
-    remainder = delete_at(rho.system, at)
-    out: dict[PureLabel, Fraction] = {}
-    for moved, value in _regrouped(rho, at):
-        weight = effect.coeffs.get(moved.left, ZERO)
-        if weight != 0:
-            rest = moved.right
-            out[rest] = out[rest] + weight * value if rest in out else weight * value
+        num, den = _paired(effect, rho)
+        system, out = Trivial(rho.system.mode), {UNIT: num}
+    else:
+        system, out, den = delete_at(rho.system, at), {}, effect.den * rho.den
+        weights = effect.nums
+        for moved, n in _regrouped(rho, at):
+            e = weights.get(moved.left)
+            if e is not None:
+                rest = moved.right
+                out[rest] = out[rest] + e * n if rest in out else e * n
     if isinstance(effect, EffectVector) and isinstance(rho, StateVector):
-        return StateVector._trusted(remainder, out)
-    return StateVector(remainder, out)
+        return StateVector._trusted(system, *lowest_terms(out, den))
+    return StateVector._checked(system, *lowest_terms(out, den))
 
 
 def marginal(rho: StateVector, keep: str) -> StateVector:
@@ -254,39 +318,20 @@ def marginal(rho: StateVector, keep: str) -> StateVector:
     part = subtree_at(rho.system, keep)
     if keep == "":
         return rho
-    out: dict[PureLabel, Fraction] = {}
-    for moved, value in _regrouped(rho, keep):
-        out[moved.left] = out[moved.left] + value if moved.left in out else value
-    return StateVector._trusted(part, out)
+    out: Nums = {}
+    for moved, n in _regrouped(rho, keep):
+        out[moved.left] = out[moved.left] + n if moved.left in out else n
+    return StateVector._trusted(part, *lowest_terms(out, rho.den))
 
 
-def _regrouped(rho: GeneralizedVector, at: str) -> Iterator[tuple[NodeLabel, Fraction]]:
-    """Each coefficient of `rho` under its label regrouped to the two-factor
+def _regrouped(rho: GeneralizedVector, at: str) -> Iterator[tuple[NodeLabel, int]]:
+    """Each numerator of `rho` under its label regrouped to the two-factor
     form (a e)_u, with a on the subtree at `at` and e on the complement."""
     table = move_table(regroup(rho.system, at))
-    for label, value in rho.coeffs.items():
+    for label, n in rho.nums.items():
         moved = table[label][0]
         assert isinstance(moved, NodeLabel)
-        yield moved, value
-
-
-def partial_pair_state(effect: GeneralizedVector, rho: StateVector) -> GeneralizedVector:
-    """Pair a bipartite effect with a state of the left factor.
-
-    Returns the functional on the right factor b |-> (effect | rho x b).
-    """
-    if not isinstance(effect.system, SysNode):
-        raise ValueError("effect must live on a composite system")
-    left = effect.system.left
-    right = effect.system.right
-    if rho.system != left:
-        raise ValueError("state does not match the left factor")
-    out: dict[PureLabel, Fraction] = {}
-    for label in enumerate_pure_labels(right):
-        value = pair(effect, tensor_states(rho, pure_state(right, label)))
-        if value != 0:
-            out[label] = value
-    return GeneralizedVector(right, out)
+        yield moved, n
 
 
 def is_separable(rho: StateVector, part: str = "0") -> bool:
@@ -301,9 +346,9 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
     if part == "":
         raise ValueError("bipartition selector must pick a proper subtree")
     table = dict(_regrouped(rho, part))
-    for moved, value in table.items():
+    for moved, n in table.items():
         partner = NodeLabel(moved.left, moved.right, -moved.sign)
-        if value != table.get(partner, ZERO):
+        if n != table.get(partner, 0):
             return False
     return True
 
@@ -314,4 +359,4 @@ def discriminating_instrument(system: SystemTree) -> list[EffectVector]:
 
 
 def vectors_equal(a: GeneralizedVector, b: GeneralizedVector) -> bool:
-    return a.system == b.system and a.coeffs == b.coeffs
+    return a.system == b.system and a.den == b.den and a.nums == b.nums

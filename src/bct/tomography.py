@@ -9,8 +9,8 @@ and the tripartite dimension identity balances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Iterable, Iterator, Sequence
 
 from .labels import (
     Move,
@@ -19,7 +19,7 @@ from .labels import (
 )
 from .states import (
     GeneralizedVector,
-    apply_moves_to_vectors,
+    apply_moves_in_place,
     discriminating_instrument,
     pure_state,
     shared_system,
@@ -35,15 +35,11 @@ from .systems import (
 
 
 def _int_rows(vectors: Sequence[GeneralizedVector], index: dict) -> list[dict[int, int]]:
-    """Each vector times its denominators' LCM: int rows in the columns of `index`."""
+    """Each vector's numerators (the vector times its denominator, which
+    leaves the rank as it is) as an int row in the columns of `index`."""
     shared_system(vectors)
-    rows = []
-    for vector in vectors:
-        scale = lcm(*(value.denominator for value in vector.coeffs.values()))
-        rows.append({index.setdefault(label, len(index)):
-                     value.numerator * (scale // value.denominator)
-                     for label, value in vector.coeffs.items()})
-    return rows
+    return [{index.setdefault(label, len(index)): n for label, n in vector.nums.items()}
+            for vector in vectors]
 
 
 def _echelon(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]
@@ -93,9 +89,11 @@ def product_states(x: SystemTree, y: SystemTree,
     """|u>|v> for every pure label u of x (outer) and v of y, carried along
     `moves` as one family.  `delta2` and `corollary_nab` take this family of
     A (x) B, so a caller that needs both builds it once."""
-    out = tensor_products([pure_state(x, u) for u in enumerate_pure_labels(x)],
-                          [pure_state(y, v) for v in enumerate_pure_labels(y)])
-    return apply_moves_to_vectors(out, moves) if moves else out
+    family = tensor_products([pure_state(x, u) for u in enumerate_pure_labels(x)],
+                             [pure_state(y, v) for v in enumerate_pure_labels(y)])
+    if moves:
+        apply_moves_in_place(family, moves)
+    return family
 
 
 def delta2(a: SystemTree, b: SystemTree,
@@ -130,18 +128,17 @@ def verify_strict_bilocality(a: SystemTree, b: SystemTree,
 
 
 def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
-                         ) -> dict[str, list[GeneralizedVector]]:
-    """Spanning families for the four biseparable classes, on ((AB)C)."""
+                         ) -> Iterator[tuple[str, list[GeneralizedVector]]]:
+    """Spanning families for the four biseparable classes, on ((AB)C), by
+    name; each is built when the previous one has been taken."""
     cs = [pure_state(c, lc) for lc in enumerate_pure_labels(c)]
     # A x (BC) reassociated, and (AC) x B braided and reassociated, onto ((AB)C)
     to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
               Move(MoveKind.ASSOC_L, "")]
-    return {
-        "products": tensor_products(product_states(a, b), cs),
-        "ab_c": product_states(compose_systems(a, b), c),
-        "a_bc": product_states(a, compose_systems(b, c), [Move(MoveKind.ASSOC_L, "")]),
-        "ac_b": product_states(compose_systems(a, c), b, to_abc),
-    }
+    yield "products", tensor_products(product_states(a, b), cs)
+    yield "ab_c", product_states(compose_systems(a, b), c)
+    yield "a_bc", product_states(a, compose_systems(b, c), [Move(MoveKind.ASSOC_L, "")])
+    yield "ac_b", product_states(compose_systems(a, c), b, to_abc)
 
 
 @dataclass(frozen=True)
@@ -176,11 +173,13 @@ class SpanReport:
 def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
     abc = compose_systems(compose_systems(a, b), c)
     d_abc = dimension(abc)
-    families = _tripartite_families(a, b, c)
-    shared_system([family[0] for family in families.values()])  # all on ((AB)C)
     index: dict = {}  # one column numbering, so that the families' rows merge
-    echelons = {name: _echelon(_int_rows(family, index), {})
-                for name, family in families.items()}
+    echelons, firsts = {}, []
+    for name, family in _tripartite_families(a, b, c):
+        firsts.append(family[0])
+        echelons[name] = _echelon(_int_rows(family, index), {})
+        del family  # the next family is built with no vector of this one alive
+    shared_system(firsts)  # all on ((AB)C)
     class_ranks = {name: len(echelon) for name, echelon in echelons.items()}
     r = class_ranks["union"] = len(_merged(echelons.values()))
     da, db, dc = dimension(a), dimension(b), dimension(c)
@@ -213,7 +212,7 @@ def corollary_nab(a: SystemTree, b: SystemTree,
     covered: set = set()
     sizes: set[int] = set()
     for product in product_states(a, b) if products is None else products:
-        support = set(product.coeffs)
+        support = set(product.nums)
         sizes.add(len(support))
         covered |= support
     if len(sizes) != 1:

@@ -128,3 +128,46 @@ def test_rank_eliminates_without_fractions():
     for function in functions:
         assert names_used(function) & {"Fraction", "ZERO", "ONE"} == set(), function.name
         assert not any(isinstance(node, ast.Div) for node in ast.walk(function)), function.name
+
+
+INT_BODIES = {
+    "states.py": {"tensor_products", "tensor_states", "tensor_effects", "_scalar_product",
+                  "apply_moves_to_vectors", "apply_moves_in_place", "apply_effect_at",
+                  "marginal", "_regrouped", "pair", "_paired", "is_separable",
+                  "weight", "vectors_equal", "lowest_terms", "_trusted"},
+    "kernels.py": {"apply"},
+    "tomography.py": {"_int_rows"},
+}
+
+
+def int_body_functions(tree: ast.Module, roots: set[str]) -> list[ast.FunctionDef]:
+    """`elimination_functions` that also finds the roots among methods."""
+    methods = {node.name: node for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and node.name in roots}
+    return elimination_functions(tree, roots) + list(methods.values())
+
+
+def fractions_outside_returns(function: ast.FunctionDef) -> list[int]:
+    """Lines of the body, other than its top-level returns, that name `Fraction`."""
+    return sorted({node.lineno for statement in function.body
+                   if not isinstance(statement, ast.Return)
+                   for node in ast.walk(statement)
+                   if isinstance(node, ast.Name) and node.id == "Fraction"})
+
+
+@pytest.mark.parametrize("module", sorted(INT_BODIES))
+def test_vector_calculus_runs_on_ints(module):
+    """A vector is int numerators over one denominator, and the calculus on
+    vectors keeps it so: no function of it (or module function it calls)
+    reads the `coeffs` view, names `ZERO` or `ONE` or has a true division.
+    A function whose result is a rational for the API (`pair`, `weight`)
+    builds that one `Fraction` in its return statement, and no other."""
+    source = next(p for p in SOURCES if p.name == module)
+    functions = int_body_functions(ast.parse(source.read_text()), INT_BODIES[module])
+    assert {f.name for f in functions} >= INT_BODIES[module]
+    for function in functions:
+        body = ast.Module(body=function.body, type_ignores=[])
+        assert names_used(body) & {"coeffs", "ZERO", "ONE"} == set(), function.name
+        assert not any(isinstance(node, ast.Div) for node in ast.walk(body)), function.name
+        assert fractions_outside_returns(function) == [], function.name

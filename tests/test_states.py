@@ -1,11 +1,27 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bct.labels import UNIT, LeafLabel, Move, MoveKind, NodeLabel, enumerate_pure_labels
+from bct import faults
+from bct.kernels import _act_at, _result_system, apply, random_kernel, scale_kernel
+from bct.labels import (
+    UNIT,
+    LeafLabel,
+    Move,
+    MoveKind,
+    NodeLabel,
+    apply_moves_tracked,
+    enumerate_pure_labels,
+    invert_moves,
+    move_system,
+    move_system_sequence,
+    node_signs,
+    regroup,
+)
 from bct.states import (
     EffectVector,
     GeneralizedVector,
@@ -17,17 +33,25 @@ from bct.states import (
     is_separable,
     marginal,
     pair,
-    partial_pair_state,
     point_effect,
     pure_state,
-    scalar_state,
     tensor_effects,
     tensor_products,
     tensor_states,
     unit_effect,
     vectors_equal,
 )
-from bct.systems import TheoryMode, Trivial, bibit, compose_systems, leaf, left_comb
+from bct.systems import (
+    Node,
+    TheoryMode,
+    Trivial,
+    bibit,
+    compose_systems,
+    delete_at,
+    leaf,
+    left_comb,
+    subtree_at,
+)
 
 F = Fraction
 A = bibit()
@@ -137,7 +161,18 @@ class TestSteering:
         assert out.weight == F(1, 3)
 
 
+def partial_pair_state(effect, rho):
+    """The functional b |-> (effect | rho x b) on the right factor of the
+    effect's system, from `pair` and `tensor_states` label by label."""
+    right = effect.system.right
+    return GeneralizedVector(right, {b: pair(effect, tensor_states(rho, pure_state(right, b)))
+                                     for b in enumerate_pure_labels(right)})
+
+
 class TestPartialPair:
+    """A bipartite effect paired with a state of its left factor: the
+    steering weights of the product rule, label by label."""
+
     def test_steering_state_halves(self):
         eff = point_effect(AB, node(lab(1), lab(1), -1))
         out = partial_pair_state(eff, pure_state(A, lab(1)))
@@ -263,7 +298,8 @@ class TestValidation:
     def test_fractions_are_kept_and_other_numbers_converted(self):
         quarter = F(1, 4)
         rho = StateVector(A, {lab(1): quarter, lab(2): 0})
-        assert rho.coeffs == {lab(1): quarter} and rho.coeffs[lab(1)] is quarter
+        assert rho.coeffs == {lab(1): quarter} and type(rho.coeffs[lab(1)]) is F
+        assert (rho.nums, rho.den) == ({lab(1): 1}, 4)
         assert type(StateVector(A, {lab(2): 1}).coeffs[lab(2)]) is F
 
 
@@ -354,13 +390,20 @@ class TestTrustedConstruction:
         with pytest.raises(ValueError, match="negative weight"):
             apply_effect_at(effect, pure_state(AB, node(lab(1), lab(2), 1)), "0")
 
-    def test_trusted_vectors_keep_their_class_and_drop_zeros(self):
-        rho = StateVector._trusted(A, {lab(1): F(1, 2), lab(2): F(0)})
+    def test_trusted_vectors_keep_their_class(self):
+        rho = StateVector._trusted(A, {lab(1): 1}, 2)
         assert type(rho) is StateVector and rho.coeffs == {lab(1): F(1, 2)}
 
     def test_is_validated_under_the_test_suite(self):
         with pytest.raises(ValueError, match="exceeds 1"):
-            StateVector._trusted(A, {lab(1): F(1), lab(2): F(1)})
+            StateVector._trusted(A, {lab(1): 1, lab(2): 1}, 1)
+
+    @pytest.mark.parametrize("nums, den", [({lab(1): 1, lab(2): 0}, 2),
+                                           ({lab(1): 2, lab(2): 2}, 4)],
+                             ids=["zero", "common-factor"])
+    def test_non_canonical_ints_fail_under_the_test_suite(self, nums, den):
+        with pytest.raises(AssertionError):
+            StateVector._trusted(A, nums, den)
 
     def test_product_of_two_effects_builds_no_validated_effect(self, validated_builds):
         point = point_effect(A, lab(2))
@@ -382,7 +425,7 @@ class TestTrivialFactors:
 
     def test_state_product_with_a_scalar_scales(self):
         rho = StateVector(AB, half_pair(1, 2))
-        third = scalar_state(TheoryMode.BCT, F(1, 3))
+        third = StateVector(Trivial(TheoryMode.BCT), {UNIT: F(1, 3)})
         scaled = StateVector(AB, {label: value / 3 for label, value in rho.coeffs.items()})
         assert tensor_states(rho, third) == scaled
         assert tensor_states(third, rho) == scaled
@@ -397,3 +440,237 @@ class TestTrivialFactors:
     def test_marginal_on_the_whole_tree_is_the_state(self):
         rho = StateVector(AB, half_pair(2, 1))
         assert marginal(rho, "") is rho
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the int calculus against frozen copies of the
+# `Fraction` bodies it replaced.  The copies read only `system` and the
+# `coeffs` view, and regroup labels by the label-level calculus
+# (`apply_moves_tracked`), not the move tables.
+
+DENOMINATORS = st.sampled_from((1, 2, 3, 4, 6, 7, 16, 999961, 999979, 999983))
+MODES = st.sampled_from((TheoryMode.BCT, TheoryMode.CT))
+
+
+@st.composite
+def trees(draw, mode, leaves=(1, 3)):
+    def build(k):
+        if k == 1:
+            return leaf(draw(st.sampled_from((2, 3))), mode)
+        split = draw(st.integers(1, k - 1))
+        return compose_systems(build(split), build(k - split))
+    return build(draw(st.integers(*leaves)))
+
+
+@st.composite
+def vectors(draw, system, cls):
+    """A `cls` on `system` with up to five drawn coefficients, over
+    denominators that include three primes near 10**6."""
+    labels = draw(st.lists(st.sampled_from(enumerate_pure_labels(system)),
+                           max_size=5, unique=True))
+    dens = [draw(DENOMINATORS) for _ in labels]
+    if cls is EffectVector:
+        values = [F(draw(st.integers(0, d)), d) for d in dens]
+    elif cls is StateVector:
+        values = [F(draw(st.integers(0, 3 * d)), d) for d in dens]
+        total = sum(values)
+        values = [v / total for v in values] if total > 1 else values
+    else:
+        values = [F(draw(st.integers(-3 * d, 3 * d)), d) for d in dens]
+    return cls(system, dict(zip(labels, values)))
+
+
+def paths(system, path=""):
+    """Every subtree path of `system`, the whole tree first."""
+    yield path
+    if isinstance(system, Node):
+        yield from paths(system.left, path + "0")
+        yield from paths(system.right, path + "1")
+
+
+def assert_canonical(vector):
+    assert type(vector.den) is int and vector.den > 0
+    assert all(type(n) is int and n != 0 for n in vector.nums.values())
+    assert gcd(vector.den, *vector.nums.values()) == 1
+
+
+def assert_matches(vector, system, coeffs):
+    assert_canonical(vector)
+    assert vector.system == system
+    assert vector.coeffs == {label: v for label, v in coeffs.items() if v}
+
+
+class Tracked:
+    """A transport served by the label calculus, in place of a move table."""
+
+    def __init__(self, moves):
+        self.moves = moves
+
+    def __getitem__(self, label):
+        return apply_moves_tracked(label, self.moves)
+
+
+def regrouped(rho, at):
+    moves = regroup(rho.system, at)
+    for label, value in rho.coeffs.items():
+        yield apply_moves_tracked(label, moves)[0], value
+
+
+def fraction_product(rho, sigma):
+    system = compose_systems(rho.system, sigma.system)
+    if isinstance(rho.system, Trivial):
+        return system, {label: value * rho[UNIT] for label, value in sigma.coeffs.items()}
+    if isinstance(sigma.system, Trivial):
+        return system, {label: value * sigma[UNIT] for label, value in rho.coeffs.items()}
+    signs = node_signs(system.mode)
+    return system, {NodeLabel(la, lb, s): va * vb / len(signs)
+                    for la, va in rho.coeffs.items() for lb, vb in sigma.coeffs.items()
+                    for s in signs}
+
+
+def fraction_pair(effect, rho):
+    return sum((value * effect.coeffs.get(label, F(0))
+                for label, value in rho.coeffs.items()), F(0))
+
+
+def fraction_effect_at(effect, rho, at):
+    if at == "":
+        return Trivial(rho.system.mode), {UNIT: fraction_pair(effect, rho)}
+    out = {}
+    for moved, value in regrouped(rho, at):
+        weight = effect.coeffs.get(moved.left, F(0))
+        out[moved.right] = out.get(moved.right, F(0)) + weight * value
+    return delete_at(rho.system, at), out
+
+
+def fraction_marginal(rho, keep):
+    out = {}
+    for moved, value in regrouped(rho, keep):
+        out[moved.left] = out.get(moved.left, F(0)) + value
+    return subtree_at(rho.system, keep), out
+
+
+def fraction_separable(rho, part):
+    if rho.system.mode is TheoryMode.CT:
+        return True
+    table = dict(regrouped(rho, part))
+    return all(value == table.get(NodeLabel(m.left, m.right, -m.sign), F(0))
+               for m, value in table.items())
+
+
+def fraction_apply(kernel, rho, at):
+    out = {}
+    if at == "":
+        for label, value in rho.coeffs.items():
+            for (b, _tau), w in kernel.row(label).items():
+                out[b] = out.get(b, F(0)) + w * value
+        return kernel.out_system, out
+    moves = regroup(rho.system, at)
+    there, back = Tracked(moves), Tracked(invert_moves(moves))
+    for label, value in rho.coeffs.items():
+        for (b, _flip), w in _act_at(kernel, label, there, back):
+            out[b] = out.get(b, F(0)) + w * value
+    return _result_system(kernel, rho.system, at), out
+
+
+def fraction_transport(vector, moves):
+    return (move_system_sequence(vector.system, moves),
+            {apply_moves_tracked(label, moves)[0]: value
+             for label, value in vector.coeffs.items()})
+
+
+DIFFERENTIAL = settings(max_examples=40, deadline=None)
+
+
+@DIFFERENTIAL
+@given(st.data(), MODES)
+def test_tensor_products_match_the_fraction_body(data, mode):
+    x, y = (data.draw(st.one_of(st.just(Trivial(mode)), trees(mode, (1, 2))))
+            for _ in range(2))
+    classes = st.sampled_from((StateVector, GeneralizedVector))
+    rhos = data.draw(st.lists(classes.flatmap(lambda c: vectors(x, c)), min_size=1, max_size=3))
+    sigmas = data.draw(st.lists(classes.flatmap(lambda c: vectors(y, c)),
+                                min_size=1, max_size=3))
+    try:
+        products = tensor_products(rhos, sigmas)
+    except ValueError:  # a state times a vector of the span that is not one
+        return
+    expected = [(rho, sigma) for rho in rhos for sigma in sigmas]
+    for product, (rho, sigma) in zip(products, expected, strict=True):
+        assert type(product) is type(rho)
+        assert_matches(product, *fraction_product(rho, sigma))
+
+
+@DIFFERENTIAL
+@given(st.data(), MODES)
+def test_pair_steering_and_marginals_match_the_fraction_bodies(data, mode):
+    system = data.draw(trees(mode, (2, 3)))
+    rho = data.draw(vectors(system, StateVector))
+    effects = st.sampled_from((EffectVector, GeneralizedVector))
+    whole = data.draw(effects.flatmap(lambda c: vectors(system, c)))
+    assert pair(whole, rho) == fraction_pair(whole, rho)
+    at = data.draw(st.sampled_from(list(paths(system))))
+    effect = data.draw(effects.flatmap(lambda c: vectors(subtree_at(system, at), c)))
+    expected = fraction_effect_at(effect, rho, at)
+    values = expected[1].values()
+    if all(v >= 0 for v in values) and sum(values) <= 1:
+        assert_matches(apply_effect_at(effect, rho, at), *expected)
+    else:  # only a vector of the span that is not an effect gets here
+        assert type(effect) is GeneralizedVector
+        with pytest.raises(ValueError, match="negative weight|exceeds 1"):
+            apply_effect_at(effect, rho, at)
+    if at:
+        assert_matches(marginal(rho, at), *fraction_marginal(rho, at))
+        assert is_separable(rho, at) == fraction_separable(rho, at)
+
+
+@DIFFERENTIAL
+@given(st.data(), MODES, st.sampled_from(("", "subtree")),
+       st.sampled_from((StateVector, GeneralizedVector)))
+def test_kernel_apply_matches_the_fraction_body(data, mode, where, cls):
+    system = data.draw(trees(mode, (2, 3)))
+    at = "" if where == "" else data.draw(st.sampled_from(list(paths(system))[1:]))
+    part = subtree_at(system, at)
+    out = data.draw(st.sampled_from((part, leaf(2, mode), Trivial(mode))))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    den = data.draw(DENOMINATORS)
+    kernel = scale_kernel(random_kernel(rng, part, out), F(data.draw(st.integers(0, den)), den))
+    rho = data.draw(vectors(system, cls))
+    image = apply(kernel, rho, at)
+    assert type(image) is cls
+    assert_matches(image, *fraction_apply(kernel, rho, at))
+
+
+@st.composite
+def move_sequences(draw, system, length=(1, 3)):
+    moves = []
+    for _ in range(draw(st.integers(*length))):
+        candidates = []
+        for kind in MoveKind:
+            for path in paths(system):
+                try:
+                    moved = move_system(system, Move(kind, path))
+                except ValueError:
+                    continue
+                candidates.append((Move(kind, path), moved))
+        move, system = draw(st.sampled_from(candidates))
+        moves.append(move)
+    return moves
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.KNOWN_FAULTS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), mode=MODES)
+def test_transports_match_the_fraction_body(fault, data, mode):
+    system = data.draw(trees(mode, (2, 3)))
+    family = data.draw(st.lists(st.sampled_from((StateVector, EffectVector, GeneralizedVector))
+                                .flatmap(lambda c: vectors(system, c)), min_size=1, max_size=4))
+    moves = data.draw(move_sequences(system))
+    with faults.inject_fault(fault), pytest.MonkeyPatch.context() as patch:
+        if fault:  # a faulted move may leave the label set (a - sign in CT)
+            patch.setattr(GeneralizedVector, "_trusted",
+                          classmethod(GeneralizedVector._trusted.__func__.__wrapped__))
+        moved = apply_moves_to_vectors(family, moves)
+        for image, vector in zip(moved, family, strict=True):
+            assert type(image) is type(vector)
+            assert_matches(image, *fraction_transport(vector, moves))

@@ -90,7 +90,7 @@ class TestRankOracle:
     @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
     def test_families_and_union_match_sympy(self, dims, mode):
-        families = _tripartite_families(*(leaf(d, mode) for d in dims))
+        families = dict(_tripartite_families(*(leaf(d, mode) for d in dims)))
         union = [vector for family in families.values() for vector in family]
         for vectors in (*families.values(), union):
             assert rank(vectors) == sympy_rank(vectors)
@@ -177,7 +177,7 @@ class TestSpanReportRanks:
         """`span_report` eliminates each family once and merges the echelons;
         `rank` eliminates every vector of each family and of their union."""
         systems = [leaf(d, mode) for d in dims]
-        families = _tripartite_families(*systems)
+        families = dict(_tripartite_families(*systems))
         union = [vector for family in families.values() for vector in family]
         assert span_report(*systems).class_ranks == {
             **{name: rank(family) for name, family in families.items()},
@@ -186,8 +186,8 @@ class TestSpanReportRanks:
 
     @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
     def test_each_family_is_on_one_system_object(self, mode):
-        for family in _tripartite_families(leaf(2, mode), leaf(3, mode),
-                                           leaf(2, mode)).values():
+        for _name, family in _tripartite_families(leaf(2, mode), leaf(3, mode),
+                                                  leaf(2, mode)):
             assert all(vector.system is family[0].system for vector in family)
 
 
