@@ -11,8 +11,9 @@ weights mu_{h,xi} program a single fixed reversible processor
 with addition modulo D_B on the output register.  The program system B''
 indexes every (h, xi) pair, so D_B'' = (2 D_B)^{D_A} and R is a bijection
 on pure labels.  R is never tabulated: its kernel serves each row from the
-rule above the first time the row is read, and the bijection is checked by
-index arithmetic (k |-> h(i)+k is a permutation of the output register).
+rule above, on basis indices, whenever the row is read, and the bijection
+is checked by index arithmetic (k |-> h(i)+k is a permutation of the
+output register).
 Arbitrary instruments are realised by the same processor and program
 state, with one observation effect per branch built from the branch/channel
 weight ratios.
@@ -28,8 +29,8 @@ from typing import Iterator, Mapping, Sequence
 
 from .config import DILATION_MAX_DIM
 from .kernels import (
-    Entry,
     Instrument,
+    IntRow,
     Kernel,
     apply,
     is_deterministic,
@@ -39,6 +40,7 @@ from .labels import (
     MoveKind,
     NodeLabel,
     PureLabel,
+    coder,
     enumerate_pure_labels,
     node_signs,
 )
@@ -107,49 +109,42 @@ def _offset_add(m_index: int, k_index: int, d: int) -> int:
     return (m_index - 1 + k_index - 1) % d + 1
 
 
-class _ProcessorRows(Mapping[PureLabel, dict[Entry, Fraction]]):
-    """The rows of R, each worked out from the rule when first read.
+class _ProcessorRows(Mapping[int, IntRow]):
+    """The int rows of R by domain index, each worked out from the rule on read.
 
-    A source ((sigma k)_{s1} i)_{s3} goes to (((sigma i)_{s1} h(i)+k)_{s3},
-    xi(i)) with weight one; a label outside the domain has no row.  Every
-    row is a single weight-one entry, so the rule keeps the invariants a
-    kernel's rows owe.  Iteration walks the domain's basis.
+    The source at index x is ((sigma k)_{s1} i)_{s3}; its row is the single
+    entry (((sigma i)_{s1} h(i)+k)_{s3}, xi(i)) with numerator one over the
+    kernel's denominator one.  A row costs two index splits and two joins
+    (see `labels.Coder`): nothing is enumerated, cached or built as a label.
+    Every row is a single weight-one entry, so the rule keeps the invariants
+    a kernel's rows owe.  An index outside the domain has no row.
     """
 
-    def __init__(self, domain: SystemTree, bound: int,
-                 program_index: dict[FunctionLabel, PureLabel],
-                 a_labels: Sequence[PureLabel], b_labels: Sequence[PureLabel]) -> None:
-        self._domain, self._bound = domain, bound
-        self._signs = node_signs(domain.mode)
-        self._function = {sigma: fl for fl, sigma in program_index.items()}
-        self._k = {label: k for k, label in enumerate(b_labels, 1)}
-        self._i = {label: i for i, label in enumerate(a_labels, 1)}
-        self._b_labels = tuple(b_labels)
-        self._rows: dict[PureLabel, dict[Entry, Fraction]] = {}
+    def __init__(self, domain: SystemTree, image: SystemTree,
+                 functions: Sequence[FunctionLabel], d_b: int) -> None:
+        source, target = coder(domain), coder(image)
+        self._split, self._split_program = source.split, source.left.split
+        self._join, self._join_ancilla = target.join, target.left.join
+        self._functions, self._d_b = functions, d_b
+        self._dim = source.dim
 
-    def __getitem__(self, source: PureLabel) -> dict[Entry, Fraction]:
-        try:
-            return self._rows[source]
-        except KeyError:
-            pass
-        head = source.left if isinstance(source, NodeLabel) else None
-        if not (isinstance(head, NodeLabel) and source.sign in self._signs
-                and head.sign in self._signs and head.left in self._function
-                and head.right in self._k and source.right in self._i):
-            raise KeyError(source)
-        sigma, i_label = head.left, source.right
-        fl, i = self._function[sigma], self._i[i_label]
-        m = _offset_add(fl.h[i - 1], self._k[head.right], len(self._b_labels))
-        target = NodeLabel(NodeLabel(sigma, i_label, head.sign),
-                           self._b_labels[m - 1], source.sign)
-        row = self._rows[source] = {(target, fl.xi[i - 1]): ONE}
-        return row
+    def __getitem__(self, x: int) -> IntRow:
+        if not (type(x) is int and 0 <= x < self._dim):
+            raise KeyError(x)
+        head, i, s3 = self._split(x)
+        sigma, k, s1 = self._split_program(head)
+        fl = self._functions[sigma]
+        m = _offset_add(fl.h[i], k + 1, self._d_b) - 1
+        return {(self._join(self._join_ancilla(sigma, i, s1), m, s3), fl.xi[i]): 1}
 
-    def __iter__(self) -> Iterator[PureLabel]:
-        return iter(enumerate_pure_labels(self._domain, self._bound))
+    def get(self, x: int, default: IntRow | None = None) -> IntRow | None:
+        return self[x] if type(x) is int and 0 <= x < self._dim else default
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._dim))
 
     def __len__(self) -> int:
-        return dimension(self._domain)
+        return self._dim
 
 
 def build_processor(a: SystemTree, b: SystemTree,
@@ -182,9 +177,9 @@ def build_processor(a: SystemTree, b: SystemTree,
         for m in fl.h:
             if sorted(_offset_add(m, k, d_b) for k in register) != register:
                 raise AssertionError("processor kernel failed the bijection check")
-    rows = _ProcessorRows(domain, bound, program_index,
-                          enumerate_pure_labels(a), enumerate_pure_labels(b))
-    kernel = Kernel._trusted(domain, compose_systems(aprime, b), rows)
+    image = compose_systems(aprime, b)
+    rows = _ProcessorRows(domain, image, list(program_index), d_b)
+    kernel = Kernel._trusted(domain, image, rows, 1)
     return UniversalProcessor(a, b, program, bprime, aprime, kernel, program_index)
 
 

@@ -6,35 +6,47 @@ with.  Rows are sub-stochastic; a kernel is deterministic when every row
 sums to one, atomic when it has a single nonzero entry, reversible when it
 is a weight-one signed bijection of pure labels.
 
+A kernel is stored on basis indices (see `labels.Coder`: a label's index is
+its place in the canonical basis order, worked out by closed form): `nums`
+maps an input index to {(output index, tau): int numerator}, all over one
+positive denominator `den`, in canonical form (no zero numerator, no empty
+row, and no factor common to `den` and every numerator), so equal kernels
+hold equal ints.  The calculus below runs on these ints alone.  `rows` is a
+read-only view of the same kernel keyed by label, with `Fraction` weights in
+lowest terms built on each read, for the API, `serial` and reports.
+
 Applying a kernel at a subtree works through the regrouping calculus: bring
 the subtree to the head of a bipartition, replace (a e)_u by (b e)_{tau*u},
-and regroup back.  Effects (trivial output) discard the pairing sign;
-preparations (trivial input) split it evenly, which is exactly the state
-composition rule read as a kernel.  Parallel composition is derived from
-the same extension: k1 (x) k2 = (I (x) k2) o (k1 (x) I), with I (x) k2 the
-braid-conjugate of k2 (x) I.
+and regroup back; on indices the regroupings are the arrays of
+`labels.compiled_transport`, filled from the move tables.  Effects (trivial
+output) discard the pairing sign; preparations (trivial input) split it
+evenly, which is exactly the state composition rule read as a kernel.
+Parallel composition is derived from the same extension: k1 (x) k2 =
+(I (x) k2) o (k1 (x) I), with I (x) k2 the braid-conjugate of k2 (x) I.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from math import gcd, lcm
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import faults
 from .labels import (
-    NodeLabel,
     PLUS,
+    Coder,
     PureLabel,
     UNIT,
-    Transport,
+    basis_size,
+    coder,
+    compiled_transport,
     enumerate_pure_labels,
     invert_moves,
+    joined,
     label_matches,
-    label_sort_key,
-    move_table,
     node_signs,
     regroup,
 )
@@ -52,13 +64,22 @@ from .systems import (
 
 Entry = tuple[PureLabel, int]
 Rows = dict[PureLabel, dict[Entry, Fraction]]
+IntRow = dict[tuple[int, int], int]
+IntRows = Mapping[int, IntRow]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
+    """A kernel from `in_system` to `out_system`.
+
+    The constructor takes label-keyed rows of `Fraction` (or int) weights,
+    checks them and stores them as `nums` over `den` (see the module
+    docstring); `rows` then reads them back as labels and `Fraction`s.
+    """
+
     in_system: SystemTree
     out_system: SystemTree
-    rows: Mapping[PureLabel, dict[Entry, Fraction]] = field(default_factory=dict)
+    rows: Mapping[PureLabel, Mapping[Entry, Fraction]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.in_system.mode is not self.out_system.mode:
@@ -90,33 +111,62 @@ class Kernel:
                 raise ValueError(f"row sum {total} exceeds 1 at {row_label}")
             if row:
                 clean[row_label] = row
-        object.__setattr__(self, "rows", clean)
+        # each weight in lowest terms leaves the LCM no factor common to all
+        # the numerators, so the ints are in canonical form
+        den = lcm(*(w.denominator for row in clean.values() for w in row.values()))
+        a_index, b_index = (c.index for c in self.coders)
+        self._store({a_index(a): {(b_index(b), tau): w.numerator * (den // w.denominator)
+                                  for (b, tau), w in row.items()}
+                     for a, row in clean.items()}, den)
+
+    def _store(self, nums: IntRows, den: int) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", _RowsView(self))
 
     @classmethod
     def _trusted(cls, in_system: SystemTree, out_system: SystemTree,
-                 rows: Mapping[PureLabel, dict[Entry, Fraction]]) -> Kernel:
+                 nums: IntRows, den: int) -> Kernel:
         """A kernel the calculus built from validated kernels.
 
         Composition, extension, transport and inversion keep every invariant
-        the constructor checks, so only zero weights and empty rows are
-        dropped here.  Rows given as a read-only mapping other than a dict
-        (a rule that computes each row, such as the universal processor's)
-        owe those invariants themselves and are kept as they are.  Anything
-        built from outside input goes through the constructor.
+        the constructor checks, so nothing is checked here; `nums` over
+        `den` must already be in canonical form.  Rows given as a read-only
+        mapping other than a dict (a rule that computes each row, such as
+        the universal processor's) owe those invariants themselves.
+        Anything built from outside input goes through the constructor.
         """
         if in_system.mode is not out_system.mode:
             raise ValueError("kernel endpoints must share a theory mode")
         kernel = object.__new__(cls)
         object.__setattr__(kernel, "in_system", in_system)
         object.__setattr__(kernel, "out_system", out_system)
-        object.__setattr__(kernel, "rows", rows if not isinstance(rows, dict) else {
-            a: clean for a, row in rows.items()
-            if (clean := {entry: w for entry, w in row.items() if w})})
+        kernel._store(nums, den)
         return kernel
+
+    @classmethod
+    def _checked(cls, in_system: SystemTree, out_system: SystemTree,
+                 nums: IntRows, den: int) -> Kernel:
+        """`_trusted` followed by the constructor's weight checks, made on
+        the ints: for sums and scalings of valid kernels, whose labels are
+        valid but whose weights may not be."""
+        label = coder(in_system).label
+        for a, row in nums.items():
+            if any(n < 0 for n in row.values()):
+                raise ValueError("kernel weights must be non-negative")
+            total = sum(row.values())
+            if total > den:
+                raise ValueError(f"row sum {Fraction(total, den)} exceeds 1 at {label(a)}")
+        return cls._trusted(in_system, out_system, nums, den)
 
     @property
     def mode(self) -> TheoryMode:
         return self.in_system.mode
+
+    @cached_property
+    def coders(self) -> tuple[Coder, Coder]:
+        """The basis-index coders of the input and the output system."""
+        return coder(self.in_system), coder(self.out_system)
 
     def row(self, label: PureLabel) -> dict[Entry, Fraction]:
         return self.rows.get(label, {})
@@ -124,15 +174,56 @@ class Kernel:
     def row_sum(self, label: PureLabel) -> Fraction:
         return sum(self.row(label).values(), ZERO)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return kernels_equal(self, other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _RowsView(Mapping[PureLabel, dict[Entry, Fraction]]):
+    """A kernel's rows keyed by label, as `Fraction`s built on each read."""
+
+    __slots__ = ("_kernel",)
+
+    def __init__(self, kernel: Kernel) -> None:
+        self._kernel = kernel
+
+    def __getitem__(self, label: PureLabel) -> dict[Entry, Fraction]:
+        kernel = self._kernel
+        source, target = kernel.coders
+        row = (kernel.nums.get(source.index(label))
+               if label_matches(kernel.in_system, label) else None)
+        if row is None:
+            raise KeyError(label)
+        den = kernel.den
+        return {(target.label(b), tau): Fraction(n, den) for (b, tau), n in row.items()}
+
+    def __iter__(self) -> Iterator[PureLabel]:
+        return map(self._kernel.coders[0].label, self._kernel.nums)
+
+    def __len__(self) -> int:
+        return len(self._kernel.nums)
+
+
+def _lowest(nums: dict[int, IntRow], den: int) -> tuple[dict[int, IntRow], int]:
+    """Int rows over the positive `den` with the factor common to all the
+    ints divided out (the rows hold no zero)."""
+    g = gcd(den, *(n for row in nums.values() for n in row.values()))
+    if g == 1:
+        return nums, den
+    return {a: {e: n // g for e, n in row.items()} for a, row in nums.items()}, den // g
+
 
 def kernels_equal(a: Kernel, b: Kernel) -> bool:
     return (a.in_system == b.in_system and a.out_system == b.out_system
-            and a.rows == b.rows)
+            and a.den == b.den and a.nums == b.nums)
 
 
 def identity_kernel(system: SystemTree) -> Kernel:
-    rows = {label: {(label, 1): ONE} for label in enumerate_pure_labels(system)}
-    return Kernel._trusted(system, system, rows)
+    rows = {i: {(i, PLUS): 1} for i in range(basis_size(system))}
+    return Kernel._trusted(system, system, rows, 1)
 
 
 def null_kernel(in_system: SystemTree, out_system: SystemTree) -> Kernel:
@@ -168,21 +259,26 @@ def reversible_kernel(system_in: SystemTree, system_out: SystemTree,
 def braid_kernel(a: SystemTree, b: SystemTree) -> Kernel:
     """The swap AB -> BA; flips the environment by the braided node's sign."""
     ab = compose_systems(a, b)
-    ba = compose_systems(b, a)
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         return identity_kernel(ab)
-    rows = {label: {_braid_entry(label): ONE} for label in enumerate_pure_labels(ab)}
-    return Kernel._trusted(ab, ba, rows)
+    swap = _braid(coder(ab))
+    rows = {i: {swap(i): 1} for i in range(basis_size(ab))}
+    return Kernel._trusted(ab, compose_systems(b, a), rows, 1)
 
 
-def _braid_entry(label: PureLabel) -> Entry:
-    """The braid rule (x y)_s -> ((y x)_s, s).
+def _braid(node: Coder) -> Callable[[int], tuple[int, int]]:
+    """The braid rule (x y)_s -> ((y x)_s, s) on the indices of a node's
+    coder: index -> (index of the swapped label, flip).
 
     Kernel-level braids use this rule directly, so the label-level BRAID
     move (and its fault) stays confined to the regrouping calculus.
     """
-    assert isinstance(label, NodeLabel)
-    return NodeLabel(label.right, label.left, label.sign), label.sign
+    split, join = node.split, joined(node.right, node.left).join
+
+    def swap(index: int) -> tuple[int, int]:
+        i, j, sign = split(index)
+        return join(j, i, sign), sign
+    return swap
 
 
 def state_kernel(rho: StateVector) -> Kernel:
@@ -195,9 +291,10 @@ def state_kernel(rho: StateVector) -> Kernel:
     if isinstance(rho.system, Trivial):
         return scalar_kernel(mode, rho[UNIT])
     signs = node_signs(mode)
-    den = rho.den * len(signs)
-    row = {(label, tau): Fraction(n, den) for label, n in rho.nums.items() for tau in signs}
-    return Kernel(Trivial(mode), rho.system, {UNIT: row})
+    index = coder(rho.system).index
+    row = {(index(label), tau): n for label, n in rho.nums.items() for tau in signs}
+    return Kernel._checked(Trivial(mode), rho.system,
+                           *_lowest({0: row} if row else {}, rho.den * len(signs)))
 
 
 def effect_kernel(effect: GeneralizedVector) -> Kernel:
@@ -217,43 +314,61 @@ def sequential_compose(second: Kernel, first: Kernel) -> Kernel:
     """
     if first.out_system != second.in_system:
         raise ValueError("systems do not chain")
-    effect = isinstance(second.out_system, Trivial)
-    rows: Rows = {}
-    for a, row1 in first.rows.items():
-        out: dict[Entry, Fraction] = {}
-        for (b, tau1), w1 in row1.items():
-            for (c, tau2), w2 in second.row(b).items():
+    rows = _composed(second.nums, first.nums, isinstance(second.out_system, Trivial))
+    return Kernel._trusted(first.in_system, second.out_system,
+                           *_lowest(rows, first.den * second.den))
+
+
+def _composed(second: IntRows, first: IntRows, effect: bool) -> dict[int, IntRow]:
+    """The int rows of (second o first), over the product of their
+    denominators; into a trivial output (`effect`) tau is +1."""
+    rows: dict[int, IntRow] = {}
+    for a, row1 in first.items():
+        out: IntRow = {}
+        for (b, tau1), n1 in row1.items():
+            row2 = second.get(b)
+            if row2 is None:
+                continue
+            for (c, tau2), n2 in row2.items():
                 key = (c, PLUS if effect else tau1 * tau2)
-                out[key] = out[key] + w1 * w2 if key in out else w1 * w2
+                out[key] = out[key] + n1 * n2 if key in out else n1 * n2
         if out:
             rows[a] = out
-    return Kernel._trusted(first.in_system, second.out_system, rows)
+    return rows
 
 
-def _with_identity(kernel: Kernel, other: SystemTree, drop_tau: bool = False) -> Rows:
-    """Rows of kernel (x) I_other: the kernel extended at the head of (A other)."""
+def _with_identity(kernel: Kernel, other: SystemTree, drop_tau: bool = False) -> IntRows:
+    """Int rows of kernel (x) I_other, over the kernel's denominator: the
+    kernel extended at the head of (A other)."""
     if isinstance(other, Trivial):
-        return kernel.rows
+        return kernel.nums
     if not isinstance(kernel.in_system, Trivial):
-        return _extension_rows(kernel, compose_systems(kernel.in_system, other), "0",
-                               drop_tau)
+        system = compose_systems(kernel.in_system, other)
+        source = joined(kernel.coders[0], coder(other))
+        return _act_rows(kernel, system, source, "0", range(source.dim), drop_tau)[0]
     # a preparation opens a fresh node whose sign is the emitted flip
-    return {o: {(NodeLabel(b, o, tau), tau): w for (b, tau), w in kernel.row(UNIT).items()}
-            for o in enumerate_pure_labels(other)}
+    join = joined(kernel.coders[1], coder(other)).join
+    row = kernel.nums.get(0)
+    if row is None:
+        return {}
+    return {o: {(join(b, o, tau), tau): n for (b, tau), n in row.items()}
+            for o in range(basis_size(other))}
 
 
-def _identity_with(other: SystemTree, kernel: Kernel) -> Rows:
-    """Rows of I_other (x) kernel: kernel (x) I_other conjugated by the braids."""
+def _identity_with(other: SystemTree, kernel: Kernel) -> dict[int, IntRow]:
+    """Int rows of I_other (x) kernel: kernel (x) I_other conjugated by the braids."""
     braid_in = not (isinstance(other, Trivial) or isinstance(kernel.in_system, Trivial))
     braid_out = not (isinstance(other, Trivial) or isinstance(kernel.out_system, Trivial))
-    rows: Rows = {}
+    swap_in = _braid(joined(kernel.coders[0], coder(other))) if braid_in else None
+    swap_out = _braid(joined(kernel.coders[1], coder(other))) if braid_out else None
+    rows: dict[int, IntRow] = {}
     for x, row in _with_identity(kernel, other).items():
-        label, flip_in = _braid_entry(x) if braid_in else (x, PLUS)
-        out: dict[Entry, Fraction] = {}
-        for (y, tau), w in row.items():
-            y, flip_out = _braid_entry(y) if braid_out else (y, PLUS)
-            out[(y, flip_in * tau * flip_out)] = w
-        rows[label] = out
+        x, flip_in = swap_in(x) if swap_in else (x, PLUS)
+        out: IntRow = {}
+        for (y, tau), n in row.items():
+            y, flip_out = swap_out(y) if swap_out else (y, PLUS)
+            out[(y, flip_in * tau * flip_out)] = n
+        rows[x] = out
     return rows
 
 
@@ -262,35 +377,52 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     if k1.mode is not k2.mode:
         raise ValueError("cannot compose kernels from different theory modes")
     if isinstance(k1.in_system, Trivial) and isinstance(k1.out_system, Trivial):
-        return scale_kernel(k2, k1.row(UNIT).get((UNIT, 1), ZERO))
+        return _scaled(k2, k1)
     if isinstance(k2.in_system, Trivial) and isinstance(k2.out_system, Trivial):
-        return scale_kernel(k1, k2.row(UNIT).get((UNIT, 1), ZERO))
+        return _scaled(k1, k2)
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
     drop_tau = faults.active_fault() == faults.PARALLEL_DROP_TAU
-    left = Kernel._trusted(compose_systems(a, c), compose_systems(b, c),
-                           _with_identity(k1, c, drop_tau))
-    right = Kernel._trusted(compose_systems(b, c), compose_systems(b, d),
-                            _identity_with(b, k2))
-    return sequential_compose(right, left)
+    out = compose_systems(b, d)
+    rows = _composed(_identity_with(b, k2), _with_identity(k1, c, drop_tau),
+                     isinstance(out, Trivial))
+    return Kernel._trusted(compose_systems(a, c), out, *_lowest(rows, k1.den * k2.den))
+
+
+def _scaled(kernel: Kernel, scalar: Kernel) -> Kernel:
+    """`kernel` times the weight of a scalar kernel."""
+    s = scalar.nums.get(0, {}).get((0, PLUS), 0)
+    if not s:
+        return Kernel._trusted(kernel.in_system, kernel.out_system, {}, 1)
+    rows = {a: {e: n * s for e, n in row.items()} for a, row in kernel.nums.items()}
+    return Kernel._trusted(kernel.in_system, kernel.out_system,
+                           *_lowest(rows, kernel.den * scalar.den))
 
 
 def scale_kernel(kernel: Kernel, factor: Fraction) -> Kernel:
-    rows = {a: {entry: w * factor for entry, w in row.items()}
-            for a, row in kernel.rows.items()}
-    return Kernel(kernel.in_system, kernel.out_system, rows)
+    factor = Fraction(factor)
+    if not factor:
+        return Kernel._trusted(kernel.in_system, kernel.out_system, {}, 1)
+    rows = {a: {e: n * factor.numerator for e, n in row.items()}
+            for a, row in kernel.nums.items()}
+    return Kernel._checked(kernel.in_system, kernel.out_system,
+                           *_lowest(rows, kernel.den * factor.denominator))
 
 
 def add_kernels(first: Kernel, *rest: Kernel) -> Kernel:
-    """The entrywise sum of kernels on the same systems, validated once."""
-    rows: Rows = {label: dict(row) for label, row in first.rows.items()}
+    """The entrywise sum of kernels on the same systems, checked once."""
     for kernel in rest:
         if kernel.in_system != first.in_system or kernel.out_system != first.out_system:
             raise ValueError("system mismatch")
-        for label, row in kernel.rows.items():
-            target = rows.setdefault(label, {})
-            for entry, w in row.items():
-                target[entry] = target[entry] + w if entry in target else w
-    return Kernel(first.in_system, first.out_system, rows)
+    den = lcm(first.den, *(kernel.den for kernel in rest))
+    rows: dict[int, IntRow] = {}
+    for kernel in (first, *rest):
+        scale = den // kernel.den
+        for a, row in kernel.nums.items():
+            target = rows.setdefault(a, {})
+            for entry, n in row.items():
+                n *= scale
+                target[entry] = target[entry] + n if entry in target else n
+    return Kernel._checked(first.in_system, first.out_system, *_lowest(rows, den))
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +439,10 @@ def extend_at(kernel: Kernel, system: SystemTree, at: str) -> Kernel:
         raise ValueError("kernel input does not match the selected subtree")
     if at == "":
         return kernel
+    rows, _target = _act_rows(kernel, system, coder(system), at,
+                              range(basis_size(system)))
     return Kernel._trusted(system, _result_system(kernel, system, at),
-                           _extension_rows(kernel, system, at))
-
-
-def _extension_rows(kernel: Kernel, system: SystemTree, at: str,
-                    drop_tau: bool = False) -> Rows:
-    moves = regroup(system, at)
-    there, back = move_table(moves), move_table(invert_moves(moves))
-    rows: Rows = {}
-    for label in enumerate_pure_labels(system):
-        out: dict[Entry, Fraction] = {}
-        for key, w in _act_at(kernel, label, there, back, drop_tau):
-            out[key] = out[key] + w if key in out else w
-        if out:
-            rows[label] = out
-    return rows
+                           *_lowest(rows, kernel.den))
 
 
 def _result_system(kernel: Kernel, system: SystemTree, at: str) -> SystemTree:
@@ -331,26 +451,57 @@ def _result_system(kernel: Kernel, system: SystemTree, at: str) -> SystemTree:
     return replace_at(system, at, kernel.out_system)
 
 
-def _act_at(kernel: Kernel, label: PureLabel, there: Transport, back: Transport,
-            drop_tau: bool = False) -> Iterator[tuple[Entry, Fraction]]:
-    """One input label through `kernel` at the subtree that `there` regroups.
+def _act_rows(kernel: Kernel, system: SystemTree, source: Coder, at: str,
+              inputs: Iterable[int], drop_tau: bool = False
+              ) -> tuple[dict[int, IntRow], Coder]:
+    """The int rows, for the `inputs` indices of `system` (whose coder is
+    `source`), of `kernel` acting at the subtree at `at`, over the kernel's
+    denominator; and the coder of the system they map into.
 
-    Regroup the label to (a e)_u, replace it by (b e)_{tau*u}, and regroup
-    back; yields ((output label, environment flip), weight).  An effect at
+    Regroup each input to (a e)_u, replace it by (b e)_{tau*u}, and regroup
+    back; an entry is keyed (output index, environment flip).  An effect at
     the head leaves e, and the pairing sign u becomes the flip.  With
     `drop_tau` the new node keeps the sign u (the PARALLEL_DROP_TAU fault).
     """
-    moved, flip = there[label]
-    assert isinstance(moved, NodeLabel)
-    a, rest, u = moved.left, moved.right, moved.sign
+    moves = regroup(system, at)
+    regrouped, there, flips = compiled_transport(system, moves)
+    if there is not None:
+        source = coder(regrouped)
+    split = source.split
     bct = kernel.mode is TheoryMode.BCT
+    rows = kernel.nums
+    out_rows: dict[int, IntRow] = {}
     if isinstance(kernel.out_system, Trivial):
-        for w in kernel.row(a).values():
-            yield (rest, flip * u if bct else PLUS), w
-        return
-    for (b, tau), w in kernel.row(a).items():
-        final, flip_back = back[NodeLabel(b, rest, u if drop_tau else tau * u)]
-        yield (final, flip * tau * flip_back if bct else PLUS), w
+        for x in inputs:
+            a, e, u = split(x if there is None else there[x])
+            row = rows.get(a)
+            if row:
+                flip = (PLUS if there is None else flips[x]) * u if bct else PLUS
+                out_rows[x] = {(e, flip): sum(row.values())}
+        return out_rows, source.right
+    head = joined(kernel.coders[1], source.right)
+    target, back, back_flips = head, None, None
+    if there is not None:
+        moved, back, back_flips = compiled_transport(
+            compose_systems(kernel.out_system, regrouped.right), invert_moves(moves))
+        target = coder(moved)
+    join = head.join
+    for x in inputs:
+        a, e, u = split(x if there is None else there[x])
+        row = rows.get(a)
+        if not row:
+            continue
+        flip = PLUS if there is None else flips[x]
+        out: IntRow = {}
+        for (b, tau), n in row.items():
+            z = join(b, e, u if drop_tau else tau * u)
+            if back is None:
+                key = (z, flip * tau if bct else PLUS)
+            else:
+                key = (back[z], flip * tau * back_flips[z] if bct else PLUS)
+            out[key] = out[key] + n if key in out else n
+        out_rows[x] = out
+    return out_rows, target
 
 
 def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVector:
@@ -366,23 +517,22 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
     if kernel.in_system != subtree_at(rho.system, at):
         raise ValueError("kernel input does not match the selected subtree")
     image = StateVector if isinstance(rho, StateVector) else GeneralizedVector
+    source = coder(rho.system)
+    terms = {source.index(label): n for label, n in rho.nums.items()}
     if at == "":
-        system = kernel.out_system
-        terms = [(b, w, n) for label, n in rho.nums.items()
-                 for (b, _tau), w in kernel.row(label).items()]
+        system, rows, target = kernel.out_system, kernel.nums, kernel.coders[1]
     else:
         system = _result_system(kernel, rho.system, at)
-        moves = regroup(rho.system, at)
-        there, back = move_table(moves), move_table(invert_moves(moves))
-        terms = [(b, w, n) for label, n in rho.nums.items()
-                 for (b, _flip), w in _act_at(kernel, label, there, back)]
-    # each weight's numerator scaled into one output denominator
-    scale = lcm(*(w.denominator for _b, w, _n in terms))
-    out: dict[PureLabel, int] = {}
-    for b, w, n in terms:
-        v = w.numerator * (scale // w.denominator) * n
-        out[b] = out[b] + v if b in out else v
-    return image._trusted(system, *lowest_terms(out, rho.den * scale))
+        rows, target = _act_rows(kernel, rho.system, source, at, terms)
+    out: dict[int, int] = {}
+    for x, n in terms.items():
+        row = rows.get(x)
+        if row:
+            for (b, _tau), w in row.items():
+                out[b] = out[b] + w * n if b in out else w * n
+    label = target.label
+    return image._trusted(system, *lowest_terms({label(b): v for b, v in out.items()},
+                                                rho.den * kernel.den))
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +542,19 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
 def is_deterministic(kernel: Kernel) -> bool:
     """Row sums all equal one (occurs with certainty on every input).
 
-    Row labels are validated and distinct, so a row on every input is a
+    Row indices are distinct basis indices, so a row on every input is a
     count: as many rows as the input dimension.
     """
-    return (len(kernel.rows) == dimension(kernel.in_system)
-            and all(sum(row.values()) == 1 for row in kernel.rows.values()))
+    den = kernel.den
+    return (len(kernel.nums) == dimension(kernel.in_system)
+            and all(sum(row.values()) == den for row in kernel.nums.values()))
 
 
 def is_atomic(kernel: Kernel) -> bool:
     """A single nonzero entry; preparations count distinct target labels."""
-    entries = [(a, e) for a, row in kernel.rows.items() for e in row]
+    entries = [entry for row in kernel.nums.values() for entry in row]
     if isinstance(kernel.in_system, Trivial):
-        return len({out_label for _, (out_label, _) in entries}) == 1
+        return len({b for b, _tau in entries}) == 1
     return len(entries) == 1
 
 
@@ -414,36 +565,22 @@ def is_reversible(kernel: Kernel) -> bool:
     empty), d entries in all, each of weight one, and d distinct targets.
     """
     d = dimension(kernel.in_system)
-    if dimension(kernel.out_system) != d or len(kernel.rows) != d:
+    if dimension(kernel.out_system) != d or len(kernel.nums) != d:
         return False
-    entries = [entry for row in kernel.rows.values() for entry in row.items()]
-    return (len(entries) == d and all(w == 1 for _, w in entries)
-            and len({b for (b, _tau), _w in entries}) == d)
+    entries = [entry for row in kernel.nums.values() for entry in row.items()]
+    return (len(entries) == d and all(n == kernel.den for _, n in entries)
+            and len({b for (b, _tau), _n in entries}) == d)
 
 
 def invert_reversible(kernel: Kernel) -> Kernel:
     """Inverse of a signed permutation; the same flips cancel on composition."""
     if not is_reversible(kernel):
         raise ValueError("only reversible kernels invert")
-    rows: Rows = {}
-    for a, row in kernel.rows.items():
-        ((b, tau), _weight), = row.items()
-        rows[b] = {(a, tau): ONE}
-    return Kernel._trusted(kernel.out_system, kernel.in_system, rows)
-
-
-def atomic_decomposition(kernel: Kernel) -> list[Kernel]:
-    """Split into one atomic kernel per nonzero entry; parts re-sum exactly."""
-    if isinstance(kernel.in_system, Trivial):
-        raise ValueError("preparations do not decompose entrywise")
-    parts = []
-    for a in sorted(kernel.rows, key=label_sort_key):
-        for (b, tau), w in sorted(kernel.rows[a].items(),
-                                  key=lambda item: (label_sort_key(item[0][0]),
-                                                    item[0][1])):
-            parts.append(Kernel(kernel.in_system, kernel.out_system,
-                                {a: {(b, tau): w}}))
-    return parts
+    rows: dict[int, IntRow] = {}
+    for a, row in kernel.nums.items():
+        ((b, tau), _n), = row.items()
+        rows[b] = {(a, tau): 1}
+    return Kernel._trusted(kernel.out_system, kernel.in_system, rows, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +716,6 @@ def random_kernel(rng: random.Random, in_system: SystemTree,
         if factor:
             rows[a] = {entry: w * factor for entry, w in row.items()}
     return Kernel(in_system, out_system, rows)
-
-
-def random_reversible_kernel(rng: random.Random, system: SystemTree) -> Kernel:
-    basis = enumerate_pure_labels(system)
-    shuffled = list(basis)
-    rng.shuffle(shuffled)
-    signs = {a: (rng.choice((-1, 1)) if system.mode is TheoryMode.BCT else 1)
-             for a in basis}
-    return reversible_kernel(system, system, dict(zip(basis, shuffled)), signs)
 
 
 def random_instrument(rng: random.Random, in_system: SystemTree,

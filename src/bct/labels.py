@@ -128,11 +128,18 @@ def enumerate_pure_labels(system: SystemTree, bound: int | None = None) -> list[
     Canonical order sorts by the left-to-right tuple of leaf indices, then by
     the pre-order tuple of node signs with - before +.
     """
+    basis_size(system, bound)
+    return list(_basis(system))
+
+
+def basis_size(system: SystemTree, bound: int | None = None) -> int:
+    """The dimension of `system`, refused above the enumeration bound: the
+    check made before anything walks a whole basis, by label or by index."""
     limit = max_dim() if bound is None else bound
     dim = dimension(system)
     if dim > limit:
         raise ValueError(f"dimension {dim} exceeds enumeration bound {limit}")
-    return list(_basis(system))
+    return dim
 
 
 # Each system's sorted basis, enumerated once; callers get a fresh list.
@@ -179,6 +186,116 @@ def label_sort_key(label: PureLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     walk(label)
     return tuple(leaves), tuple(signs)
+
+
+# ---------------------------------------------------------------------------
+# Basis indices
+
+
+class Coder:
+    """The basis index of each pure label of one system, by closed form.
+
+    A label's index is its position in the canonical order of
+    `enumerate_pure_labels`: its leaf rank times NS plus its sign rank, where
+    NL is the system's number of leaf-index tuples and NS its number of sign
+    patterns.  For a node (l r)_s the leaf rank is lr_l * NL_r + lr_r and the
+    sign rank is (bit(s) * NS_l + sr_l) * NS_r + sr_r, with bit(-) = 0 and
+    bit(+) = 1; in CT every sign is + and NS = 1.  Neither direction
+    enumerates anything.  `left` and `right` are the children's coders (None
+    below a node).  Coders are shared: get one through `coder`, or `joined`
+    for the node of two coders.
+
+    A node coder keeps what it has coded, so that a label decoded again is
+    the same object (its hash already cached) and a label object seen
+    before is found by identity.
+    """
+
+    __slots__ = ("dim", "nl", "ns", "left", "right", "bct", "_leaves", "_labels",
+                 "_indices")
+
+    def __init__(self, bct: bool, nl: int, left: Coder | None = None,
+                 right: Coder | None = None, leaves: tuple[PureLabel, ...] = ()) -> None:
+        self.bct, self.left, self.right = bct, left, right
+        if left is not None:
+            nl = left.nl * right.nl
+        self.nl = nl
+        self.ns = 2 * left.ns * right.ns if bct and left is not None else 1
+        self.dim = self.nl * self.ns
+        # the labels of a leaf are built on its first decode
+        self._leaves = leaves
+        self._labels: dict[int, PureLabel] = {}
+        self._indices: dict[PureLabel, int] = {}
+
+    def index(self, label: PureLabel) -> int:
+        """The basis index of a label of the system."""
+        if self.left is None:
+            return label.index - 1 if isinstance(label, LeafLabel) else 0
+        found = self._indices.get(label)
+        if found is None:
+            found = self._indices[label] = self.join(
+                self.left.index(label.left), self.right.index(label.right), label.sign)
+        return found
+
+    def label(self, index: int) -> PureLabel:
+        """The pure label at a basis index of the system."""
+        if self.left is None:
+            return (self._leaves or self._leaf_labels())[index]
+        found = self._labels.get(index)
+        if found is None:
+            i, j, sign = self.split(index)
+            found = self._labels[index] = NodeLabel(self.left.label(i),
+                                                    self.right.label(j), sign)
+        return found
+
+    def split(self, index: int) -> tuple[int, int, int]:
+        """(left index, right index, sign) of the node label at `index`."""
+        left, right = self.left, self.right
+        rank, signs = divmod(index, self.ns)
+        i, j = divmod(rank, right.nl)
+        if not self.bct:
+            return i, j, PLUS
+        rest, sj = divmod(signs, right.ns)
+        bit, si = divmod(rest, left.ns)
+        return i * left.ns + si, j * right.ns + sj, PLUS if bit else MINUS
+
+    def join(self, i: int, j: int, sign: int) -> int:
+        """The index of the node label with children at indices i and j."""
+        li, lj = self.left.ns, self.right.ns
+        rank = (i // li * self.right.nl + j // lj) * self.ns
+        if not self.bct:
+            return rank
+        return rank + ((sign > 0) * li + i % li) * lj + j % lj
+
+    def _leaf_labels(self) -> tuple[PureLabel, ...]:
+        self._leaves = tuple(LeafLabel(i) for i in range(1, self.nl + 1))
+        return self._leaves
+
+
+_CODERS: dict[SystemTree, Coder] = {}
+_JOINED: dict[tuple[Coder, Coder], Coder] = {}
+
+
+def coder(system: SystemTree) -> Coder:
+    """The (shared) basis-index coder of `system`."""
+    found = _CODERS.get(system)
+    if found is None:
+        bct = system.mode is TheoryMode.BCT
+        if isinstance(system, Node):
+            found = joined(coder(system.left), coder(system.right))
+        elif isinstance(system, Leaf):
+            found = Coder(bct, system.system.dim)
+        else:
+            found = Coder(bct, 1, leaves=(UNIT,))
+        _CODERS[system] = found
+    return found
+
+
+def joined(left: Coder, right: Coder) -> Coder:
+    """The (shared) coder of the node of two systems, from their coders."""
+    found = _JOINED.get((left, right))
+    if found is None:
+        found = _JOINED[(left, right)] = Coder(left.bct, 0, left, right)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +455,32 @@ def move_table(moves: Sequence[Move]) -> Transport:
     if table is None:
         table = _MOVE_TABLES[key] = _MoveTable(key[1])
     return table
+
+
+Compiled = tuple[SystemTree, "list[int] | None", "list[int] | None"]
+_COMPILED: dict[tuple[str | None, SystemTree, tuple[Move, ...]], Compiled] = {}
+
+
+def compiled_transport(system: SystemTree, moves: Sequence[Move]) -> Compiled:
+    """`move_table(moves)` on the basis indices of `system`, as arrays.
+
+    Returns (moved system, perm, flip): the label at index i of `system`
+    moves to index perm[i] of the moved system with environment flip
+    flip[i].  The arrays are filled from the move table once per move
+    sequence, system and active fault; the empty sequence gets none (both
+    None), as it gets no table.
+    """
+    if not moves:
+        return system, None, None
+    key = (faults.active_fault(), system, tuple(moves))
+    found = _COMPILED.get(key)
+    if found is None:
+        moved = move_system_sequence(system, moves)
+        table, index = move_table(moves), coder(moved).index
+        entries = [table[label] for label in enumerate_pure_labels(system)]
+        found = _COMPILED[key] = (moved, [index(label) for label, _flip in entries],
+                                  [flip for _label, flip in entries])
+    return found
 
 
 def move_system(system: SystemTree, move: Move) -> SystemTree:

@@ -9,7 +9,6 @@ from bct.kernels import (
     Kernel,
     add_kernels,
     apply,
-    atomic_decomposition,
     atomic_kernel,
     braid_kernel,
     coarse_grain,
@@ -28,7 +27,6 @@ from bct.kernels import (
     random_deterministic_kernel,
     random_instrument,
     random_kernel,
-    random_reversible_kernel,
     random_state,
     reversible_kernel,
     scalar_kernel,
@@ -38,6 +36,7 @@ from bct.kernels import (
     validate_instrument,
 )
 from bct.labels import LeafLabel, NodeLabel, UNIT, enumerate_pure_labels
+from kernel_helpers import atomic_decomposition, random_reversible_kernel
 from bct.states import (
     EffectVector,
     StateVector,
@@ -527,9 +526,10 @@ class TestRowSumValidation:
         half = F(1, 2)
         k = Kernel(A, A, {lab(1): {(lab(1), 1): half, (lab(2), -1): 0},
                           lab(2): {(lab(2), 1): 1}})
-        assert k.rows[lab(1)][(lab(1), 1)] is half
         assert k.rows == {lab(1): {(lab(1), 1): half}, lab(2): {(lab(2), 1): F(1)}}
-        assert type(k.rows[lab(2)][(lab(2), 1)]) is F
+        assert all(type(w) is F for row in k.rows.values() for w in row.values())
+        # stored as int numerators over one denominator, keyed by basis index
+        assert (k.nums, k.den) == ({0: {(0, 1): 1}, 1: {(1, 1): 2}}, 2)
 
 
 class TestCTMode:
@@ -555,19 +555,25 @@ class TestCTMode:
 class TestTrustedConstruction:
     """`Kernel._trusted` serves the calculus; outside input stays checked."""
 
-    def test_drops_zeros_and_empty_rows_only(self):
-        k = Kernel._trusted(A, A, {lab(1): {(lab(1), -1): F(1, 2), (lab(2), 1): F(0)},
-                                   lab(2): {(lab(2), 1): F(0)}})
+    def test_trusted_kernels_take_canonical_ints(self):
+        k = Kernel._trusted(A, A, {0: {(0, -1): 1}}, 2)
         assert k.rows == {lab(1): {(lab(1), -1): F(1, 2)}}
         assert kernels_equal(k, Kernel(A, A, k.rows))
 
+    @pytest.mark.parametrize("nums, den", [({0: {(0, 1): 0}}, 2), ({0: {}}, 2),
+                                           ({0: {(0, 1): 2}}, 4)],
+                             ids=["zero", "empty-row", "common-factor"])
+    def test_non_canonical_ints_fail_under_the_test_suite(self, nums, den):
+        with pytest.raises(AssertionError):
+            Kernel._trusted(A, A, nums, den)
+
     def test_refuses_mixed_modes(self):
         with pytest.raises(ValueError, match="share a theory mode"):
-            Kernel._trusted(A, bibit(TheoryMode.CT), {})
+            Kernel._trusted(A, bibit(TheoryMode.CT), {}, 1)
 
     def test_is_validated_under_the_test_suite(self):
         with pytest.raises(ValueError, match="negative"):
-            Kernel._trusted(A, A, {lab(1): {(lab(1), 1): F(-1, 2)}})
+            Kernel._trusted(A, A, {0: {(0, 1): -1}}, 2)
 
     def test_compositions_build_no_validated_kernel(self, validated_builds):
         rng = random.Random(21)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bct.cli import main
-from bct.kernels import apply, random_reversible_kernel, sequential_compose
+from bct.kernels import apply, sequential_compose
 from bct.labels import LeafLabel, NodeLabel, enumerate_pure_labels
 from bct.protocols import (
     capacity_report,
@@ -18,6 +18,7 @@ from bct.protocols import (
 )
 from bct.states import StateVector, pair, point_effect, pure_state
 from bct.systems import TheoryMode, bibit, compose_systems, leaf
+from kernel_helpers import random_reversible_kernel
 
 F = Fraction
 A = bibit()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct import faults
-from bct.kernels import _act_at, _result_system, apply, random_kernel, scale_kernel
+from bct.kernels import apply, random_kernel, scale_kernel
 from bct.labels import (
     UNIT,
     LeafLabel,
@@ -16,7 +16,6 @@ from bct.labels import (
     NodeLabel,
     apply_moves_tracked,
     enumerate_pure_labels,
-    invert_moves,
     move_system,
     move_system_sequence,
     node_signs,
@@ -52,6 +51,8 @@ from bct.systems import (
     left_comb,
     subtree_at,
 )
+
+import fraction_kernels
 
 F = Fraction
 A = bibit()
@@ -500,16 +501,6 @@ def assert_matches(vector, system, coeffs):
     assert vector.coeffs == {label: v for label, v in coeffs.items() if v}
 
 
-class Tracked:
-    """A transport served by the label calculus, in place of a move table."""
-
-    def __init__(self, moves):
-        self.moves = moves
-
-    def __getitem__(self, label):
-        return apply_moves_tracked(label, self.moves)
-
-
 def regrouped(rho, at):
     moves = regroup(rho.system, at)
     for label, value in rho.coeffs.items():
@@ -559,18 +550,7 @@ def fraction_separable(rho, part):
 
 
 def fraction_apply(kernel, rho, at):
-    out = {}
-    if at == "":
-        for label, value in rho.coeffs.items():
-            for (b, _tau), w in kernel.row(label).items():
-                out[b] = out.get(b, F(0)) + w * value
-        return kernel.out_system, out
-    moves = regroup(rho.system, at)
-    there, back = Tracked(moves), Tracked(invert_moves(moves))
-    for label, value in rho.coeffs.items():
-        for (b, _flip), w in _act_at(kernel, label, there, back):
-            out[b] = out.get(b, F(0)) + w * value
-    return _result_system(kernel, rho.system, at), out
+    return fraction_kernels.apply(kernel, rho, at)
 
 
 def fraction_transport(vector, moves):
