@@ -110,14 +110,15 @@ def _offset_add(m_index: int, k_index: int, d: int) -> int:
 
 
 class _ProcessorRows(Mapping[int, IntRow]):
-    """The int rows of R by domain index, each worked out from the rule on read.
+    """The int rows of R by domain index, each worked out from the rule when
+    first read and kept.
 
     The source at index x is ((sigma k)_{s1} i)_{s3}; its row is the single
     entry (((sigma i)_{s1} h(i)+k)_{s3}, xi(i)) with numerator one over the
-    kernel's denominator one.  A row costs two index splits and two joins
-    (see `labels.Coder`): nothing is enumerated, cached or built as a label.
-    Every row is a single weight-one entry, so the rule keeps the invariants
-    a kernel's rows owe.  An index outside the domain has no row.
+    kernel's denominator one.  `rule` works a row out with two index splits
+    and two joins (see `labels.Coder`): nothing is enumerated or built as a
+    label.  Every row is a single weight-one entry, so the rule keeps the
+    invariants a kernel's rows owe.  An index outside the domain has no row.
     """
 
     def __init__(self, domain: SystemTree, image: SystemTree,
@@ -127,8 +128,10 @@ class _ProcessorRows(Mapping[int, IntRow]):
         self._join, self._join_ancilla = target.join, target.left.join
         self._functions, self._d_b = functions, d_b
         self._dim = source.dim
+        self._read: dict[int, IntRow] = {}
 
-    def __getitem__(self, x: int) -> IntRow:
+    def rule(self, x: int) -> IntRow:
+        """The row at domain index x, worked out anew."""
         if not (type(x) is int and 0 <= x < self._dim):
             raise KeyError(x)
         head, i, s3 = self._split(x)
@@ -136,6 +139,12 @@ class _ProcessorRows(Mapping[int, IntRow]):
         fl = self._functions[sigma]
         m = _offset_add(fl.h[i], k + 1, self._d_b) - 1
         return {(self._join(self._join_ancilla(sigma, i, s1), m, s3), fl.xi[i]): 1}
+
+    def __getitem__(self, x: int) -> IntRow:
+        row = self._read.get(x)
+        if row is None:
+            row = self._read[x] = self.rule(x)
+        return row
 
     def get(self, x: int, default: IntRow | None = None) -> IntRow | None:
         return self[x] if type(x) is int and 0 <= x < self._dim else default
