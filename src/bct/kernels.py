@@ -398,14 +398,14 @@ def _scaled(kernel: Kernel, scalar: Kernel) -> Kernel:
                            *_lowest(rows, kernel.den * scalar.den))
 
 
-def scale_kernel(kernel: Kernel, factor: Fraction) -> Kernel:
-    factor = Fraction(factor)
-    if not factor:
+def scale_kernel(kernel: Kernel, factor: Fraction | int) -> Kernel:
+    """`kernel` with every weight times `factor`, checked once."""
+    num, den = factor.numerator, factor.denominator
+    if not num:
         return Kernel._trusted(kernel.in_system, kernel.out_system, {}, 1)
-    rows = {a: {e: n * factor.numerator for e, n in row.items()}
-            for a, row in kernel.nums.items()}
+    rows = {a: {e: n * num for e, n in row.items()} for a, row in kernel.nums.items()}
     return Kernel._checked(kernel.in_system, kernel.out_system,
-                           *_lowest(rows, kernel.den * factor.denominator))
+                           *_lowest(rows, kernel.den * den))
 
 
 def add_kernels(first: Kernel, *rest: Kernel) -> Kernel:

@@ -19,9 +19,9 @@ from .labels import (
 )
 from .states import (
     GeneralizedVector,
+    StateVector,
     apply_moves_in_place,
     discriminating_instrument,
-    pure_state,
     shared_system,
     tensor_products,
 )
@@ -84,13 +84,18 @@ def rank(vectors: Sequence[GeneralizedVector]) -> int:
     return len(_echelon(_int_rows(vectors, {}), {}))
 
 
+def _basis_states(system: SystemTree) -> list[GeneralizedVector]:
+    """The pure state |u> of every basis label u: its labels come from the
+    basis, so each is built as the canonical ints ({u: 1}, 1) unchecked."""
+    return [StateVector._trusted(system, {u: 1}, 1) for u in enumerate_pure_labels(system)]
+
+
 def product_states(x: SystemTree, y: SystemTree,
                    moves: Sequence[Move] = ()) -> list[GeneralizedVector]:
     """|u>|v> for every pure label u of x (outer) and v of y, carried along
     `moves` as one family.  `delta2` and `corollary_nab` take this family of
     A (x) B, so a caller that needs both builds it once."""
-    family = tensor_products([pure_state(x, u) for u in enumerate_pure_labels(x)],
-                             [pure_state(y, v) for v in enumerate_pure_labels(y)])
+    family = tensor_products(_basis_states(x), _basis_states(y))
     if moves:
         apply_moves_in_place(family, moves)
     return family
@@ -131,7 +136,7 @@ def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
                          ) -> Iterator[tuple[str, list[GeneralizedVector]]]:
     """Spanning families for the four biseparable classes, on ((AB)C), by
     name; each is built when the previous one has been taken."""
-    cs = [pure_state(c, lc) for lc in enumerate_pure_labels(c)]
+    cs = _basis_states(c)
     # A x (BC) reassociated, and (AC) x B braided and reassociated, onto ((AB)C)
     to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
               Move(MoveKind.ASSOC_L, "")]

@@ -171,3 +171,28 @@ def test_vector_calculus_runs_on_ints(module):
         assert names_used(body) & {"coeffs", "ZERO", "ONE"} == set(), function.name
         assert not any(isinstance(node, ast.Div) for node in ast.walk(body)), function.name
         assert fractions_outside_returns(function) == [], function.name
+
+
+KERNEL_BODIES = {"sequential_compose", "parallel_compose", "extend_at", "apply",
+                 "identity_kernel", "braid_kernel", "kernels_equal", "add_kernels",
+                 "scale_kernel", "is_deterministic", "is_atomic", "is_reversible",
+                 "invert_reversible", "_trusted", "_store"}
+
+
+def test_kernel_calculus_runs_on_ints():
+    """A kernel is int numerators keyed by basis index over one denominator,
+    and its calculus keeps it so: no function of it (or module function it
+    calls) reads the label-keyed `rows`/`row` view or a vector's `coeffs`,
+    names `Fraction`, `ZERO` or `ONE`, has a true division, or builds a
+    `NodeLabel` (labels are decoded by the coder, at the boundary)."""
+    source = next(p for p in SOURCES if p.name == "kernels.py")
+    functions = int_body_functions(ast.parse(source.read_text()), KERNEL_BODIES)
+    assert {f.name for f in functions} >= KERNEL_BODIES | {
+        "_act_rows", "_with_identity", "_identity_with", "_composed", "_braid", "_lowest"}
+    for function in functions:
+        body = ast.Module(body=function.body, type_ignores=[])
+        views = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+        assert views & {"rows", "row", "coeffs"} == set(), function.name
+        names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+        assert names & {"Fraction", "ZERO", "ONE", "NodeLabel"} == set(), function.name
+        assert not any(isinstance(node, ast.Div) for node in ast.walk(body)), function.name

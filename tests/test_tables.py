@@ -29,6 +29,8 @@ from bct.labels import (
     LeafLabel,
     NodeLabel,
     apply_moves_tracked,
+    coder,
+    compiled_transport,
     enumerate_pure_labels,
     invert_moves,
     move_system_sequence,
@@ -77,6 +79,37 @@ def test_tables_match_the_calculus_under_every_fault(shape, mode, pick):
                 assert there_table[label] == apply_moves_tracked(label, moves)
             for label in enumerate_pure_labels(regrouped):
                 assert back_table[label] == apply_moves_tracked(label, back)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes.filter(lambda s: not isinstance(s, int)),
+       mode=st.sampled_from(tuple(TheoryMode)), pick=st.integers(0, 100))
+def test_compiled_transports_match_the_calculus_under_every_fault(shape, mode, pick):
+    """perm[i] and flip[i] of a compiled transport are the index and flip of
+    `apply_moves_tracked` on the label at index i, both ways of a regroup."""
+    system = build(shape, mode)
+    paths = subtree_paths(system)
+    moves = regroup(system, paths[pick % len(paths)])
+    regrouped = move_system_sequence(system, moves)
+    for fault in FAULTS:
+        with faults.inject_fault(fault):
+            for start, sequence in ((system, moves), (regrouped, invert_moves(moves))):
+                moved, perm, flip = compiled_transport(start, sequence)
+                assert moved == move_system_sequence(start, sequence)
+                if not sequence:  # the identity, served without arrays
+                    assert perm is None and flip is None
+                    continue
+                index = coder(moved).index
+                tracked = [apply_moves_tracked(label, sequence)
+                           for label in enumerate_pure_labels(start)]
+                assert perm == [index(label) for label, _flip in tracked]
+                assert flip == [f for _label, f in tracked]
+
+
+def test_the_empty_sequence_compiles_nothing():
+    system = left_comb([2, 3])
+    assert compiled_transport(system, []) == (system, None, None)
+    assert not any(key[1] == system and key[2] == () for key in labels._COMPILED)
 
 
 def test_a_table_belongs_to_its_fault():
