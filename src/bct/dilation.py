@@ -111,7 +111,7 @@ def _offset_add(m_index: int, k_index: int, d: int) -> int:
 
 class _ProcessorRows(Mapping[int, IntRow]):
     """The int rows of R by domain index, each worked out from the rule when
-    first read and kept.
+    first read; the entry it holds is kept.
 
     The source at index x is ((sigma k)_{s1} i)_{s3}; its row is the single
     entry (((sigma i)_{s1} h(i)+k)_{s3}, xi(i)) with numerator one over the
@@ -128,7 +128,7 @@ class _ProcessorRows(Mapping[int, IntRow]):
         self._join, self._join_ancilla = target.join, target.left.join
         self._functions, self._d_b = functions, d_b
         self._dim = source.dim
-        self._read: dict[int, IntRow] = {}
+        self._read: dict[int, tuple[int, int]] = {}  # the entry of each row read
 
     def rule(self, x: int) -> IntRow:
         """The row at domain index x, worked out anew."""
@@ -141,10 +141,11 @@ class _ProcessorRows(Mapping[int, IntRow]):
         return {(self._join(self._join_ancilla(sigma, i, s1), m, s3), fl.xi[i]): 1}
 
     def __getitem__(self, x: int) -> IntRow:
-        row = self._read.get(x)
-        if row is None:
-            row = self._read[x] = self.rule(x)
-        return row
+        entry = self._read.get(x)
+        if entry is None:
+            (entry, _n), = self.rule(x).items()
+            self._read[x] = entry
+        return {entry: 1}
 
     def get(self, x: int, default: IntRow | None = None) -> IntRow | None:
         return self[x] if type(x) is int and 0 <= x < self._dim else default

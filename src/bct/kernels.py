@@ -695,6 +695,13 @@ def random_state(rng: random.Random, system: SystemTree,
 
 def random_deterministic_kernel(rng: random.Random, in_system: SystemTree,
                                 out_system: SystemTree) -> Kernel:
+    return Kernel(in_system, out_system, _random_rows(rng, in_system, out_system))
+
+
+def _random_rows(rng: random.Random, in_system: SystemTree,
+                 out_system: SystemTree) -> Rows:
+    """The rows of a random deterministic kernel: on every input label a
+    dyadic distribution over one to three (output label, tau) targets."""
     in_basis = enumerate_pure_labels(in_system)
     out_basis = enumerate_pure_labels(out_system)
     taus = (PLUS,) if isinstance(out_system, Trivial) else node_signs(in_system.mode)
@@ -703,15 +710,14 @@ def random_deterministic_kernel(rng: random.Random, in_system: SystemTree,
     for a in in_basis:
         support = rng.sample(targets, k=min(len(targets), rng.randrange(1, 4)))
         rows[a] = dict(zip(support, _dyadic_split(rng, len(support))))
-    return Kernel(in_system, out_system, rows)
+    return rows
 
 
 def random_kernel(rng: random.Random, in_system: SystemTree,
                   out_system: SystemTree) -> Kernel:
     """Sub-stochastic in general; rows are scaled dyadic distributions."""
-    base = random_deterministic_kernel(rng, in_system, out_system)
     rows = {}
-    for a, row in base.rows.items():
+    for a, row in _random_rows(rng, in_system, out_system).items():
         factor = Fraction(rng.randrange(0, 17), 16)
         if factor:
             rows[a] = {entry: w * factor for entry, w in row.items()}

@@ -205,9 +205,9 @@ class Coder:
     below a node).  Coders are shared: get one through `coder`, or `joined`
     for the node of two coders.
 
-    A node coder keeps what it has coded, so that a label decoded again is
-    the same object (its hash already cached) and a label object seen
-    before is found by identity.
+    A coder keeps what it has coded: a label decoded again is the same
+    object (its hash already cached, its subtrees shared), and a label
+    object encoded before is found by identity.
     """
 
     __slots__ = ("dim", "nl", "ns", "left", "right", "bct", "_leaves", "_labels",
@@ -228,13 +228,16 @@ class Coder:
 
     def index(self, label: PureLabel) -> int:
         """The basis index of a label of the system."""
-        if self.left is None:
-            return label.index - 1 if isinstance(label, LeafLabel) else 0
         found = self._indices.get(label)
         if found is None:
-            found = self._indices[label] = self.join(
-                self.left.index(label.left), self.right.index(label.right), label.sign)
+            found = self._indices[label] = self._index(label)
         return found
+
+    def _index(self, label: PureLabel) -> int:
+        if self.left is None:
+            return label.index - 1 if isinstance(label, LeafLabel) else 0
+        return self.join(self.left._index(label.left), self.right._index(label.right),
+                         label.sign)
 
     def label(self, index: int) -> PureLabel:
         """The pure label at a basis index of the system."""
