@@ -376,10 +376,12 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     """k1 (x) k2, derived as (I (x) k2) o (k1 (x) I) through the braiding."""
     if k1.mode is not k2.mode:
         raise ValueError("cannot compose kernels from different theory modes")
-    if isinstance(k1.in_system, Trivial) and isinstance(k1.out_system, Trivial):
-        return _scaled(k2, k1)
-    if isinstance(k2.in_system, Trivial) and isinstance(k2.out_system, Trivial):
-        return _scaled(k1, k2)
+    for scalar, kernel in ((k1, k2), (k2, k1)):
+        if isinstance(scalar.in_system, Trivial) and isinstance(scalar.out_system, Trivial):
+            # a scalar factor scales the other; its weight is at most one
+            s = scalar.nums.get(0, {}).get((0, PLUS), 0)
+            return Kernel._trusted(kernel.in_system, kernel.out_system,
+                                   *(_scaled(kernel, s, scalar.den) if s else ({}, 1)))
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
     drop_tau = faults.active_fault() == faults.PARALLEL_DROP_TAU
     out = compose_systems(b, d)
@@ -388,24 +390,18 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     return Kernel._trusted(compose_systems(a, c), out, *_lowest(rows, k1.den * k2.den))
 
 
-def _scaled(kernel: Kernel, scalar: Kernel) -> Kernel:
-    """`kernel` times the weight of a scalar kernel."""
-    s = scalar.nums.get(0, {}).get((0, PLUS), 0)
-    if not s:
-        return Kernel._trusted(kernel.in_system, kernel.out_system, {}, 1)
-    rows = {a: {e: n * s for e, n in row.items()} for a, row in kernel.nums.items()}
-    return Kernel._trusted(kernel.in_system, kernel.out_system,
-                           *_lowest(rows, kernel.den * scalar.den))
+def _scaled(kernel: Kernel, num: int, den: int) -> tuple[dict[int, IntRow], int]:
+    """The int rows of `kernel` times num/den (num > 0), in canonical form."""
+    rows = {a: {e: n * num for e, n in row.items()} for a, row in kernel.nums.items()}
+    return _lowest(rows, kernel.den * den)
 
 
 def scale_kernel(kernel: Kernel, factor: Fraction | int) -> Kernel:
     """`kernel` with every weight times `factor`, checked once."""
-    num, den = factor.numerator, factor.denominator
-    if not num:
+    if not factor.numerator:
         return Kernel._trusted(kernel.in_system, kernel.out_system, {}, 1)
-    rows = {a: {e: n * num for e, n in row.items()} for a, row in kernel.nums.items()}
     return Kernel._checked(kernel.in_system, kernel.out_system,
-                           *_lowest(rows, kernel.den * den))
+                           *_scaled(kernel, factor.numerator, factor.denominator))
 
 
 def add_kernels(first: Kernel, *rest: Kernel) -> Kernel:
