@@ -122,7 +122,8 @@ class Kernel:
     def _store(self, nums: IntRows, den: int) -> None:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", _RowsView(self))
+        object.__setattr__(self, "rows", _RowsView(nums, den, self.in_system,
+                                                   self.out_system))
 
     @classmethod
     def _trusted(cls, in_system: SystemTree, out_system: SystemTree,
@@ -183,28 +184,36 @@ class Kernel:
 
 
 class _RowsView(Mapping[PureLabel, dict[Entry, Fraction]]):
-    """A kernel's rows keyed by label, as `Fraction`s built on each read."""
+    """A kernel's rows keyed by label, as `Fraction`s built on each read.
 
-    __slots__ = ("_kernel",)
+    It holds the kernel's ints and systems, not the kernel, so that a kernel
+    and its view form no reference cycle and are freed as soon as unused.
+    """
 
-    def __init__(self, kernel: Kernel) -> None:
-        self._kernel = kernel
+    __slots__ = ("_nums", "_den", "_in", "_out")
+
+    def __init__(self, nums: IntRows, den: int, in_system: SystemTree,
+                 out_system: SystemTree) -> None:
+        self._nums, self._den, self._in, self._out = nums, den, in_system, out_system
 
     def __getitem__(self, label: PureLabel) -> dict[Entry, Fraction]:
-        kernel = self._kernel
-        source, target = kernel.coders
-        row = (kernel.nums.get(source.index(label))
-               if label_matches(kernel.in_system, label) else None)
+        row = (self._nums.get(coder(self._in).index(label))
+               if label_matches(self._in, label) else None)
         if row is None:
             raise KeyError(label)
-        den = kernel.den
+        target, den = coder(self._out), self._den
         return {(target.label(b), tau): Fraction(n, den) for (b, tau), n in row.items()}
 
     def __iter__(self) -> Iterator[PureLabel]:
-        return map(self._kernel.coders[0].label, self._kernel.nums)
+        return map(coder(self._in).label, self._nums)
 
     def __len__(self) -> int:
-        return len(self._kernel.nums)
+        return len(self._nums)
+
+    def __repr__(self) -> str:
+        if len(self) > 64:
+            return f"<{len(self)} rows>"
+        return repr(dict(self.items()))
 
 
 def _lowest(nums: dict[int, IntRow], den: int) -> tuple[dict[int, IntRow], int]:
@@ -723,10 +732,11 @@ def random_kernel(rng: random.Random, in_system: SystemTree,
 def random_instrument(rng: random.Random, in_system: SystemTree,
                       out_system: SystemTree, branches: int = 2) -> Instrument:
     """Split a random channel's entries among branches; sum stays deterministic."""
-    channel = random_deterministic_kernel(rng, in_system, out_system)
     rows_per_branch: list[Rows] = [{} for _ in range(branches)]
-    for a, row in channel.rows.items():
+    for a, row in _random_rows(rng, in_system, out_system).items():
         for entry, w in row.items():
+            if not w:
+                continue
             shares = _dyadic_split(rng, branches)
             for i, share in enumerate(shares):
                 if share:
