@@ -141,14 +141,19 @@ class _ProcessorRows(Mapping[int, IntRow]):
         return {(self._join(self._join_ancilla(sigma, i, s1), m, s3), fl.xi[i]): 1}
 
     def __getitem__(self, x: int) -> IntRow:
+        row = self.get(x)
+        if row is None:
+            raise KeyError(x)
+        return row
+
+    def get(self, x: int, default: IntRow | None = None) -> IntRow | None:
         entry = self._read.get(x)
         if entry is None:
+            if not (type(x) is int and 0 <= x < self._dim):
+                return default
             (entry, _n), = self.rule(x).items()
             self._read[x] = entry
         return {entry: 1}
-
-    def get(self, x: int, default: IntRow | None = None) -> IntRow | None:
-        return self[x] if type(x) is int and 0 <= x < self._dim else default
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._dim))
@@ -204,13 +209,12 @@ def decompose_channel(channel: Kernel) -> list[tuple[FunctionLabel, Fraction]]:
     """
     if not is_deterministic(channel):
         raise ValueError("decompose_channel needs a deterministic kernel")
-    a_labels = enumerate_pure_labels(channel.in_system)
-    b_labels = enumerate_pure_labels(channel.out_system)
-    remaining = _cell_table(channel, a_labels, b_labels)
+    remaining = _cell_table(channel)
 
     out: list[tuple[FunctionLabel, Fraction]] = []
     guard = 0
-    limit = 2 * len(a_labels) * len(b_labels)  # every step zeroes at least one cell
+    # every step zeroes at least one cell
+    limit = 2 * dimension(channel.in_system) * dimension(channel.out_system)
     while any(remaining):
         guard += 1
         if guard > limit:
@@ -241,12 +245,12 @@ def decompose_channel(channel: Kernel) -> list[tuple[FunctionLabel, Fraction]]:
     return sorted(merged.items(), key=lambda item: (item[0].h, item[0].xi))
 
 
-def _cell_table(kernel: Kernel, a_labels: Sequence[PureLabel],
-                b_labels: Sequence[PureLabel]) -> list[dict[tuple[int, int], Fraction]]:
-    """Row i of `kernel` (the i-th input label) as {(m, tau): w}, m 1-based."""
-    b_index = {label: m for m, label in enumerate(b_labels, 1)}
-    return [{(b_index[b], tau): w for (b, tau), w in kernel.row(a).items()}
-            for a in a_labels]
+def _cell_table(kernel: Kernel) -> list[dict[tuple[int, int], Fraction]]:
+    """Row i of `kernel` (the i-th input label, at basis index i) as
+    {(m, tau): w}, m the 1-based basis index of the output label."""
+    den = kernel.den
+    return [{(b + 1, tau): Fraction(n, den) for (b, tau), n in kernel.nums.get(i, {}).items()}
+            for i in range(dimension(kernel.in_system))]
 
 
 def function_channel(fl: FunctionLabel, in_system: SystemTree,
@@ -318,12 +322,11 @@ def realize_instrument(instrument: Instrument,
     sigma = program_sigma(processor, mu)
 
     a_labels = enumerate_pure_labels(a)
-    b_labels = enumerate_pure_labels(b)
-    channel_cells = _cell_table(channel, a_labels, b_labels)
+    channel_cells = _cell_table(channel)
     signs = node_signs(processor.mode)
     tables: list[dict[tuple[FunctionLabel, int], Fraction]] = []
     for branch in instrument.branches:
-        branch_cells = _cell_table(branch, a_labels, b_labels)
+        branch_cells = _cell_table(branch)
         table: dict[tuple[FunctionLabel, int], Fraction] = {}
         for fl, _weight in mu:
             for i in range(len(a_labels)):

@@ -42,6 +42,7 @@ from .labels import (
     UNIT,
     basis_size,
     coder,
+    coder_around,
     compiled_transport,
     enumerate_pure_labels,
     invert_moves,
@@ -444,8 +445,8 @@ def extend_at(kernel: Kernel, system: SystemTree, at: str) -> Kernel:
         raise ValueError("kernel input does not match the selected subtree")
     if at == "":
         return kernel
-    rows, _target = _act_rows(kernel, system, coder(system), at,
-                              range(basis_size(system)))
+    rows, _target = _act_rows(kernel, system, coder_around(system, at, kernel.coders[0]),
+                              at, range(basis_size(system)))
     return Kernel._trusted(system, _result_system(kernel, system, at),
                            *_lowest(rows, kernel.den))
 
@@ -522,7 +523,7 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
     if kernel.in_system != subtree_at(rho.system, at):
         raise ValueError("kernel input does not match the selected subtree")
     image = StateVector if isinstance(rho, StateVector) else GeneralizedVector
-    source = coder(rho.system)
+    source = coder_around(rho.system, at, kernel.coders[0])
     terms = {source.index(label): n for label, n in rho.nums.items()}
     if at == "":
         system, rows, target = kernel.out_system, kernel.nums, kernel.coders[1]

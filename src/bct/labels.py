@@ -293,6 +293,16 @@ def coder(system: SystemTree) -> Coder:
     return found
 
 
+def coder_around(system: SystemTree, at: str, part: Coder) -> Coder:
+    """The coder of `system`, given `part`, the coder of its subtree at
+    `at`: only the siblings along the path are looked up by system."""
+    if not at:
+        return part
+    if at[0] == "0":
+        return joined(coder_around(system.left, at[1:], part), coder(system.right))
+    return joined(coder(system.left), coder_around(system.right, at[1:], part))
+
+
 def joined(left: Coder, right: Coder) -> Coder:
     """The (shared) coder of the node of two systems, from their coders."""
     found = _JOINED.get((left, right))

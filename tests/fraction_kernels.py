@@ -2,12 +2,13 @@
 
 Before kernels were int numerators keyed by basis index, their rows were
 `{input label: {(output label, tau): Fraction}}` and the calculus below
-worked on them directly.  These bodies are kept here, unchanged but for
-two things, as the oracle the int calculus is compared with entry for
-entry: they regroup labels through the label-level calculus
-(`apply_moves_tracked`) instead of the move tables, and they build a plain
-`FractionKernel` instead of a `Kernel`.  They read a `Kernel` only through
-its `rows` view, so either kind of kernel is a valid input.
+worked on them directly.  These bodies are kept here as the oracle the int
+calculus is compared with entry for entry, changed in three ways only: they
+regroup labels through the label-level calculus (`apply_moves_tracked`)
+instead of the move tables, they build a plain `FractionKernel` instead of
+a `Kernel`, and they drop zero weights and empty rows where the trusted
+constructor used to.  They read a `Kernel` only through its `rows` view,
+so either kind of kernel is a valid input.
 """
 
 from __future__ import annotations
