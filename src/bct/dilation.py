@@ -10,10 +10,10 @@ weights mu_{h,xi} program a single fixed reversible processor
 
 with addition modulo D_B on the output register.  The program system B''
 indexes every (h, xi) pair, so D_B'' = (2 D_B)^{D_A} and R is a bijection
-on pure labels.  R is never tabulated: its kernel serves each row from the
-rule above, on basis indices, whenever the row is read, and the bijection
-is checked by index arithmetic (k |-> h(i)+k is a permutation of the
-output register).
+on pure labels.  R is never tabulated: its kernel works each row out from
+the rule above, on basis indices, when the row is first read, and the
+bijection is checked by index arithmetic (k |-> h(i)+k is a permutation of
+the output register).
 Arbitrary instruments are realised by the same processor and program
 state, with one observation effect per branch built from the branch/channel
 weight ratios.
