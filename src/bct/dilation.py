@@ -11,12 +11,14 @@ weights mu_{h,xi} program a single fixed reversible processor
 with addition modulo D_B on the output register.  The program system B''
 indexes every (h, xi) pair, so D_B'' = (2 D_B)^{D_A} and R is a bijection
 on pure labels.  R is never tabulated: its kernel works each row out from
-the rule above, on basis indices, when the row is first read, and the
+the rule above, on basis indices, whenever the row is read, and the
 bijection is checked by index arithmetic (k |-> h(i)+k is a permutation of
 the output register).
 Arbitrary instruments are realised by the same processor and program
 state, with one observation effect per branch built from the branch/channel
-weight ratios.
+weight ratios; a realisation is verified by composing each sandwich
+(program state, R, effect) as a kernel on basis indices and comparing it
+with its branch.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .kernels import (
     Instrument,
     IntRow,
     Kernel,
+    _composed,
+    _lowest,
     apply,
     is_deterministic,
 )
@@ -55,7 +59,6 @@ from .states import (
     lowest_terms,
     pure_state,
     tensor_states,
-    vectors_equal,
 )
 from .systems import (
     SystemTree,
@@ -110,15 +113,15 @@ def _offset_add(m_index: int, k_index: int, d: int) -> int:
 
 
 class _ProcessorRows(Mapping[int, IntRow]):
-    """The int rows of R by domain index, each worked out from the rule when
-    first read; the entry it holds is kept.
+    """The int rows of R by domain index, each worked out from the rule on
+    every read.
 
     The source at index x is ((sigma k)_{s1} i)_{s3}; its row is the single
     entry (((sigma i)_{s1} h(i)+k)_{s3}, xi(i)) with numerator one over the
-    kernel's denominator one.  `rule` works a row out with two index splits
-    and two joins (see `labels.Coder`): nothing is enumerated or built as a
-    label.  Every row is a single weight-one entry, so the rule keeps the
-    invariants a kernel's rows owe.  An index outside the domain has no row.
+    kernel's denominator one, found with two index splits and two joins (see
+    `labels.Coder`): nothing is enumerated, built as a label or kept.  Every
+    row is a single weight-one entry, so the rule keeps the invariants a
+    kernel's rows owe.  An index outside the domain has no row.
     """
 
     def __init__(self, domain: SystemTree, image: SystemTree,
@@ -128,17 +131,6 @@ class _ProcessorRows(Mapping[int, IntRow]):
         self._join, self._join_ancilla = target.join, target.left.join
         self._functions, self._d_b = functions, d_b
         self._dim = source.dim
-        self._read: dict[int, tuple[int, int]] = {}  # the entry of each row read
-
-    def rule(self, x: int) -> IntRow:
-        """The row at domain index x, worked out anew."""
-        if not (type(x) is int and 0 <= x < self._dim):
-            raise KeyError(x)
-        head, i, s3 = self._split(x)
-        sigma, k, s1 = self._split_program(head)
-        fl = self._functions[sigma]
-        m = _offset_add(fl.h[i], k + 1, self._d_b) - 1
-        return {(self._join(self._join_ancilla(sigma, i, s1), m, s3), fl.xi[i]): 1}
 
     def __getitem__(self, x: int) -> IntRow:
         row = self.get(x)
@@ -147,13 +139,13 @@ class _ProcessorRows(Mapping[int, IntRow]):
         return row
 
     def get(self, x: int, default: IntRow | None = None) -> IntRow | None:
-        entry = self._read.get(x)
-        if entry is None:
-            if not (type(x) is int and 0 <= x < self._dim):
-                return default
-            (entry, _n), = self.rule(x).items()
-            self._read[x] = entry
-        return {entry: 1}
+        if not (type(x) is int and 0 <= x < self._dim):
+            return default
+        head, i, s3 = self._split(x)
+        sigma, k, s1 = self._split_program(head)
+        fl = self._functions[sigma]
+        m = _offset_add(fl.h[i], k + 1, self._d_b) - 1
+        return {(self._join(self._join_ancilla(sigma, i, s1), m, s3), fl.xi[i]): 1}
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._dim))
@@ -376,16 +368,40 @@ def _sum_to_unit(effects: Sequence[EffectVector]) -> bool:
 
 def _reproduces(processor: UniversalProcessor, sigma: StateVector,
                 pairs: Sequence[tuple[EffectVector, Kernel]]) -> bool:
-    """Each sandwich (Sigma, R, effect) agrees with its kernel on every pure
-    label of A (x) E; the processor runs once per probe for all pairs."""
-    ae = compose_systems(processor.a_system, bibit(processor.mode))
-    for label in enumerate_pure_labels(ae):
-        probe = pure_state(ae, label)
-        staged = _staged(processor, sigma, probe)
-        for effect, kernel in pairs:
-            if not vectors_equal(apply(kernel, probe, "0"),
-                                 apply_effect_at(effect, staged, "00")):
-                return False
+    """Each sandwich (Sigma, R, effect) is its kernel.
+
+    The sandwich is the kernel A -> B that prepares Sigma beside A, runs R on
+    (B' A) and observes the effect on A', the head of (A' B):
+    effect o R o (Sigma (x) I_A), composed here on basis indices, with R run
+    once for all pairs.  Two kernels A -> B agree on every pure label of
+    A (x) E, E a bibit, exactly when they are equal, since (b e)_{tau v}
+    tells tau apart; so this is the check that `dilated_apply` and the
+    kernel act alike on every such probe.
+    """
+    kernel = processor.kernel
+    domain, image = kernel.coders
+    signs = node_signs(processor.mode)
+    index = coder(processor.input_ancilla).index
+    program = [(index(label), n) for label, n in sigma.nums.items()]
+    # a preparation beside i opens the node (s i)_t, whose sign t is the
+    # emitted flip, evenly over the signs
+    prepared = {i: {(domain.join(s, i, t), t): n for s, n in program for t in signs}
+                for i in range(dimension(processor.a_system))}
+    staged = _composed(kernel.nums, prepared, False)
+    den = sigma.den * len(signs)
+    ancilla, split = image.left.label, image.split
+    for effect, branch in pairs:
+        # the effect at the head of (A' B): (a b)_s -> (b, s), weighted effect(a)
+        observed: dict[int, IntRow] = {}
+        for row in staged.values():
+            for y, _tau in row:
+                if y not in observed:
+                    a, b, s = split(y)
+                    w = effect.nums.get(ancilla(a))
+                    observed[y] = {(b, s): w} if w else {}
+        rows = _composed(observed, staged, False)
+        if _lowest(rows, den * effect.den) != (branch.nums, branch.den):
+            return False
     return True
 
 

@@ -205,13 +205,12 @@ class Coder:
     below a node).  Coders are shared: get one through `coder`, or `joined`
     for the node of two coders.
 
-    A coder keeps what it has coded: a label decoded again is the same
-    object (its hash already cached, its subtrees shared), and a label
-    object encoded before is found by identity.
+    A coder keeps the labels it decodes: a label decoded again is the same
+    object (its hash already cached, its subtrees shared).  Encoding keeps
+    nothing.
     """
 
-    __slots__ = ("dim", "nl", "ns", "left", "right", "bct", "_leaves", "_labels",
-                 "_indices")
+    __slots__ = ("dim", "nl", "ns", "left", "right", "bct", "_leaves", "_labels")
 
     def __init__(self, bct: bool, nl: int, left: Coder | None = None,
                  right: Coder | None = None, leaves: tuple[PureLabel, ...] = ()) -> None:
@@ -224,19 +223,12 @@ class Coder:
         # the labels of a leaf are built on its first decode
         self._leaves = leaves
         self._labels: dict[int, PureLabel] = {}
-        self._indices: dict[PureLabel, int] = {}
 
     def index(self, label: PureLabel) -> int:
         """The basis index of a label of the system."""
-        found = self._indices.get(label)
-        if found is None:
-            found = self._indices[label] = self._index(label)
-        return found
-
-    def _index(self, label: PureLabel) -> int:
         if self.left is None:
             return label.index - 1 if isinstance(label, LeafLabel) else 0
-        return self.join(self.left._index(label.left), self.right._index(label.right),
+        return self.join(self.left.index(label.left), self.right.index(label.right),
                          label.sign)
 
     def label(self, index: int) -> PureLabel:

@@ -10,8 +10,8 @@ labels and `Fraction`s they stand for, so a result that is not in canonical
 form (a zero numerator, an empty row, or a factor common to all the ints)
 also fails.  A kernel whose rows are a rule (a mapping other than a dict,
 such as the universal processor's) is checked a block of rows at a time,
-streaming over its indices and reading each row from its `rule`, so every
-row is checked without holding them all.  The wrapped originals stay reachable as `__wrapped__`.
+streaming over its indices, so every row is checked without holding them
+all.  The wrapped originals stay reachable as `__wrapped__`.
 """
 
 import functools
@@ -43,10 +43,7 @@ def check_kernel_rows(cls, in_system, out_system, nums, den):
     plus_only = in_system.mode is TheoryMode.CT or isinstance(out_system, Trivial)
     taus = (1,) if plus_only else (-1, 1)
     common = den
-    if isinstance(nums, dict):
-        rows = iter(nums.items())
-    else:  # a rule's rows, worked out without filling what it keeps
-        rows = ((x, nums.rule(x)) for x in nums)
+    rows = iter(nums.items())
     first = True
     while block := dict(itertools.islice(rows, BLOCK)):
         if first or isinstance(nums, dict):

@@ -132,11 +132,15 @@ class TestProcessorRule:
     """The rows the processor serves from its rule equal the whole table."""
 
     @pytest.mark.parametrize("dims, mode", RULE_CASES)
-    def test_rows_read_one_by_one(self, dims, mode, validated_builds):
-        # with the unwrapped trusted constructor no validation reads the rows
-        # first, so each row is worked out here, in shuffled order
+    def test_rows_read_one_by_one(self, dims, mode, validated_builds, monkeypatch):
+        # with the unwrapped trusted constructor no validation reads the rows,
+        # so building works out none of them; each is worked out here, in
+        # shuffled order
+        read, get = [], dilation._ProcessorRows.get
+        monkeypatch.setattr(dilation._ProcessorRows, "get",
+                            lambda self, x, default=None: read.append(x) or get(self, x, default))
         proc = build_processor(leaf(dims[0], mode), leaf(dims[1], mode))
-        assert validated_builds == []
+        assert validated_builds == [] and read == []
         reference = reference_rows(proc)
         labels = list(reference)
         random.Random(sum(dims)).shuffle(labels)
@@ -429,20 +433,33 @@ class TestSandwichConverse:
 
 
 class TestProbeLoop:
-    def test_each_probe_is_staged_once_for_all_branches(self, monkeypatch):
+    def test_the_processor_runs_once_for_all_branches(self, monkeypatch):
         rng = random.Random(21)
         proc = build_processor(A, B)
         inst = random_instrument(rng, A, B, branches=3)
-        staged, compared = [], []
-        stage, equal = dilation._staged, dilation.vectors_equal
-        monkeypatch.setattr(dilation, "_staged",
-                            lambda *args: staged.append(args[-1]) or stage(*args))
-        monkeypatch.setattr(dilation, "vectors_equal",
-                            lambda x, y: compared.append(x) or equal(x, y))
-        assert realize_instrument(inst, processor=proc).verified
-        probes = dimension(compose_systems(A, bibit()))
-        assert len(staged) == len({next(iter(p.coeffs)) for p in staged}) == probes
-        assert len(compared) == 3 * probes
+        read, get = [], dilation._ProcessorRows.get
+        monkeypatch.setattr(dilation._ProcessorRows, "get",
+                            lambda self, x, default=None: read.append(x) or get(self, x, default))
+        result = realize_instrument(inst, processor=proc)
+        assert result.verified
+        # one row of R per entry of Sigma (x) I_A, whatever the branch count
+        entries = dimension(A) * len(result.sigma.nums) * len(node_signs(proc.mode))
+        assert len(read) == entries
+
+    @pytest.mark.parametrize("mode", TheoryMode)
+    def test_the_sandwich_acts_as_its_branch_on_every_probe(self, mode):
+        rng = random.Random(26)
+        a, b = leaf(2, mode), leaf(3, mode)
+        proc = build_processor(a, b)
+        inst = random_instrument(rng, a, b, branches=3)
+        result = realize_instrument(inst, processor=proc)
+        assert result.verified
+        ae = compose_systems(a, bibit(mode))
+        for label in enumerate_pure_labels(ae):
+            probe = pure_state(ae, label)
+            for effect, branch in zip(result.observation, inst.branches):
+                assert vectors_equal(apply(branch, probe, "0"),
+                                     dilated_apply(proc, result.sigma, effect, probe))
 
     def test_every_branch_is_compared(self):
         rng = random.Random(22)
