@@ -92,12 +92,9 @@ class Kernel:
             if not label_matches(self.in_system, row_label):
                 raise ValueError(f"bad input label {row_label}")
             row: dict[Entry, Fraction] = {}
-            total = ZERO
             for (out_label, tau), weight in entries.items():
                 if not isinstance(weight, Fraction):
                     weight = Fraction(weight)
-                if weight < 0:
-                    raise ValueError("kernel weights must be non-negative")
                 if weight == 0:
                     continue
                 if tau not in (-1, 1):
@@ -107,18 +104,17 @@ class Kernel:
                 if not label_matches(self.out_system, out_label):
                     raise ValueError(f"bad output label {out_label}")
                 row[(out_label, tau)] = weight
-                total += weight
-            if total > 1:
-                raise ValueError(f"row sum {total} exceeds 1 at {row_label}")
             if row:
                 clean[row_label] = row
         # each weight in lowest terms leaves the LCM no factor common to all
         # the numerators, so the ints are in canonical form
         den = lcm(*(w.denominator for row in clean.values() for w in row.values()))
         a_index, b_index = (c.index for c in self.coders)
-        self._store({a_index(a): {(b_index(b), tau): w.numerator * (den // w.denominator)
-                                  for (b, tau), w in row.items()}
-                     for a, row in clean.items()}, den)
+        nums = {a_index(a): {(b_index(b), tau): w.numerator * (den // w.denominator)
+                             for (b, tau), w in row.items()}
+                for a, row in clean.items()}
+        _check_weights(self.in_system, nums, den)
+        self._store(nums, den)
 
     def _store(self, nums: IntRows, den: int) -> None:
         object.__setattr__(self, "nums", nums)
@@ -149,16 +145,10 @@ class Kernel:
     @classmethod
     def _checked(cls, in_system: SystemTree, out_system: SystemTree,
                  nums: IntRows, den: int) -> Kernel:
-        """`_trusted` followed by the constructor's weight checks, made on
-        the ints: for sums and scalings of valid kernels, whose labels are
-        valid but whose weights may not be."""
-        label = coder(in_system).label
-        for a, row in nums.items():
-            if any(n < 0 for n in row.values()):
-                raise ValueError("kernel weights must be non-negative")
-            total = sum(row.values())
-            if total > den:
-                raise ValueError(f"row sum {Fraction(total, den)} exceeds 1 at {label(a)}")
+        """`_trusted` after the constructor's weight checks: for sums and
+        scalings of valid kernels, whose labels are valid but whose weights
+        may not be."""
+        _check_weights(in_system, nums, den)
         return cls._trusted(in_system, out_system, nums, den)
 
     @property
@@ -182,6 +172,18 @@ class Kernel:
         return kernels_equal(self, other)
 
     __hash__ = None  # type: ignore[assignment]
+
+
+def _check_weights(in_system: SystemTree, nums: IntRows, den: int) -> None:
+    """The constructor's weight rules, on int rows over `den`: no negative
+    weight, and no row summing above one."""
+    for a, row in nums.items():
+        if any(n < 0 for n in row.values()):
+            raise ValueError("kernel weights must be non-negative")
+        total = sum(row.values())
+        if total > den:
+            raise ValueError(f"row sum {Fraction(total, den)} exceeds 1 "
+                             f"at {coder(in_system).label(a)}")
 
 
 class _RowsView(Mapping[PureLabel, dict[Entry, Fraction]]):
