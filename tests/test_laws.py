@@ -17,7 +17,9 @@ error that a frozen copy of an older implementation would share:
 
 Hypothesis draws canonical trees of 2-4 leaves of dimension 2 or 3 (under a
 dimension cap), subtree paths and seeded kernels, in BCT and in CT.  The
-last test shows that each known fault breaks at least one law.
+last tests show that each known fault breaks at least one law in BCT, and
+that in CT each fault is either caught by the coherence suite or changes
+nothing.
 """
 
 import random
@@ -27,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct import faults
+from bct.coherence import SuiteConfig, run_suite
 from bct.kernels import (
     Kernel,
     apply,
@@ -41,6 +44,7 @@ from bct.kernels import (
     sequential_compose,
     state_kernel,
 )
+from bct.labels import apply_moves_tracked, enumerate_pure_labels, regroup
 from bct.states import (
     GeneralizedVector,
     apply_effect_at,
@@ -275,3 +279,50 @@ def test_each_fault_breaks_a_law(fault, monkeypatch):
                         classmethod(GeneralizedVector._trusted.__func__.__wrapped__))
     with faults.inject_fault(fault):
         assert WITNESSES[fault]()
+
+
+# Fault power in CT.  Every node sign is + in CT, so the associator fault
+# (which keeps one sign of a product of two +'s) and the dropped tau of a
+# parallel factor (every tau is +) rewrite nothing there, and no check can
+# see them.  The braid fault writes a - sign, which no CT label carries (the
+# index calculus reads such a label as its + twin); the suite's hexagon
+# checks, which run the label moves themselves, must catch it.
+
+CT = TheoryMode.CT
+
+
+def unfaulted_in_ct(fault: str) -> bool:
+    """Under `fault`, every regrouping of a CT tree moves every label as it
+    does unfaulted, and parallel composites of random CT kernels are
+    unchanged."""
+    system = build(((2, (2, 2)), (2, 3)), CT)
+    labels = enumerate_pure_labels(system)
+    for at in paths(system)[1:]:
+        moves = regroup(system, at)
+        plain = [apply_moves_tracked(label, moves) for label in labels]
+        with faults.inject_fault(fault):
+            if [apply_moves_tracked(label, moves) for label in labels] != plain:
+                return False
+    for seed in range(5):
+        rng = random.Random(seed)
+        k1 = random_kernel(rng, leaf(2, CT), leaf(3, CT))
+        k2 = random_kernel(rng, build((2, 2), CT), leaf(2, CT))
+        plain = parallel_compose(k1, k2)
+        with faults.inject_fault(fault):
+            if not kernels_equal(parallel_compose(k1, k2), plain):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("fault", faults.KNOWN_FAULTS)
+def test_each_fault_in_ct_is_caught_or_changes_nothing(fault, monkeypatch):
+    monkeypatch.setattr(Kernel, "_trusted", classmethod(Kernel._trusted.__func__.__wrapped__))
+    monkeypatch.setattr(GeneralizedVector, "_trusted",
+                        classmethod(GeneralizedVector._trusted.__func__.__wrapped__))
+    assert all(r.passed for r in run_suite(SuiteConfig(mode=CT, kernel_pairs=5)))
+    reports = run_suite(SuiteConfig(mode=CT, fault=fault, kernel_pairs=5))
+    caught = {r.name for r in reports if not r.passed}
+    if fault == faults.BRAID_SIGN:
+        assert "hexagon" in caught and not unfaulted_in_ct(fault)
+    else:
+        assert not caught and unfaulted_in_ct(fault)
