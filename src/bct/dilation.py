@@ -278,15 +278,10 @@ def program_sigma(processor: UniversalProcessor,
 
 def dilated_apply(processor: UniversalProcessor, sigma: StateVector,
                   effect: EffectVector, rho: StateVector) -> StateVector:
-    """Run the sandwich (Sigma, R, effect) on a state of A (x) E."""
-    return apply_effect_at(effect, _staged(processor, sigma, rho), "00")
-
-
-def _staged(processor: UniversalProcessor, sigma: StateVector,
-            rho: StateVector) -> StateVector:
-    """The processor's output on Sigma (x) rho, before any observation."""
+    """Run the sandwich (Sigma, R, effect) on a state of A (x) E: R acts on
+    (Sigma (x) rho) regrouped to ((B' A) E), and the effect observes A'."""
     full = apply_moves_to_vector(tensor_states(sigma, rho), [Move(MoveKind.ASSOC_L, "")])
-    return apply(processor.kernel, full, "0")
+    return apply_effect_at(effect, apply(processor.kernel, full, "0"), "00")
 
 
 def realize_instrument(instrument: Instrument,
