@@ -150,7 +150,7 @@ def check_bifunctoriality(seed: int, dims: tuple[int, int] = (2, 2),
 def _image(kernel: Kernel, rho: StateVector) -> GeneralizedVector:
     """`kernel` applied to `rho` as a vector of the span, so that the checks
     below, not the `StateVector` constructor, judge its positivity."""
-    return apply(kernel, GeneralizedVector(rho.system, rho.coeffs), "")
+    return apply(kernel, GeneralizedVector._trusted(rho.system, rho.nums, rho.den), "")
 
 
 def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),

@@ -42,14 +42,13 @@ from .kernels import (
 from .labels import (
     Move,
     MoveKind,
-    NodeLabel,
     PureLabel,
+    basis_size,
     coder,
     enumerate_pure_labels,
     node_signs,
 )
 from .states import (
-    ONE,
     ZERO,
     EffectVector,
     StateVector,
@@ -57,14 +56,12 @@ from .states import (
     apply_moves_to_vector,
     int_coeffs,
     lowest_terms,
-    pure_state,
     tensor_states,
 )
 from .systems import (
     SystemTree,
     TheoryMode,
     Trivial,
-    bibit,
     compose_systems,
     dimension,
     leaf,
@@ -245,16 +242,6 @@ def _cell_table(kernel: Kernel) -> list[dict[tuple[int, int], Fraction]]:
             for i in range(dimension(kernel.in_system))]
 
 
-def function_channel(fl: FunctionLabel, in_system: SystemTree,
-                     out_system: SystemTree) -> Kernel:
-    """The deterministic kernel i -> (h(i), xi(i)) with weight one."""
-    a_labels = enumerate_pure_labels(in_system)
-    b_labels = enumerate_pure_labels(out_system)
-    rows = {a: {(b_labels[fl.h[i] - 1], fl.xi[i]): ONE}
-            for i, a in enumerate(a_labels)}
-    return Kernel(in_system, out_system, rows)
-
-
 @dataclass(frozen=True)
 class DilationResult:
     processor: UniversalProcessor
@@ -272,7 +259,7 @@ def program_sigma(processor: UniversalProcessor,
     with |0> the first B label."""
     program = StateVector(processor.program_system,
                           {processor.program_index[fl]: weight for fl, weight in mu})
-    zero = pure_state(processor.b_system, enumerate_pure_labels(processor.b_system)[0])
+    zero = StateVector._trusted(processor.b_system, {0: 1}, 1)
     return tensor_states(program, zero)
 
 
@@ -308,7 +295,7 @@ def realize_instrument(instrument: Instrument,
     mu = decompose_channel(channel)
     sigma = program_sigma(processor, mu)
 
-    a_labels = enumerate_pure_labels(a)
+    d_a = dimension(a)
     channel_cells = _cell_table(channel)
     signs = node_signs(processor.mode)
     tables: list[dict[tuple[FunctionLabel, int], Fraction]] = []
@@ -316,7 +303,7 @@ def realize_instrument(instrument: Instrument,
         branch_cells = _cell_table(branch)
         table: dict[tuple[FunctionLabel, int], Fraction] = {}
         for fl, _weight in mu:
-            for i in range(len(a_labels)):
+            for i in range(d_a):
                 cell = (fl.h[i], fl.xi[i])
                 lam = channel_cells[i].get(cell, ZERO)
                 z = branch_cells[i].get(cell, ZERO) / lam if lam else ZERO
@@ -326,15 +313,15 @@ def realize_instrument(instrument: Instrument,
     # branch k > 0 observes its ratio on every sign of (sigma_{h,xi} i); the
     # first branch observes what the others leave of the unit effect, which
     # also covers the program labels the channel never uses
-    others = [int_coeffs({NodeLabel(processor.program_index[fl], a_labels[i], s1): z
+    program, join = coder(processor.program_system).index, coder(processor.output_ancilla).join
+    others = [int_coeffs({join(program(processor.program_index[fl]), i, s1): z
                           for (fl, i), z in table.items() for s1 in signs})
               for table in tables[1:]]
     den = lcm(*(d for _nums, d in others))
-    first = dict.fromkeys(enumerate_pure_labels(processor.output_ancilla,
-                                                DILATION_MAX_DIM), den)
+    first = dict.fromkeys(range(basis_size(processor.output_ancilla, DILATION_MAX_DIM)), den)
     for nums, d in others:
-        for label, n in nums.items():
-            first[label] -= n * (den // d)
+        for x, n in nums.items():
+            first[x] -= n * (den // d)
     effects = [EffectVector._trusted(processor.output_ancilla, *c)
                for c in (lowest_terms(first, den), *others)]
 
@@ -350,13 +337,13 @@ def realize_instrument(instrument: Instrument,
 
 
 def _sum_to_unit(effects: Sequence[EffectVector]) -> bool:
-    """The effects sum to the unit effect: one on every label of their system."""
+    """The effects sum to the unit effect: one on every index of their system."""
     den = lcm(*(e.den for e in effects))
-    total: dict[PureLabel, int] = {}
+    total: dict[int, int] = {}
     for e in effects:
         scale = den // e.den
-        for label, n in e.nums.items():
-            total[label] = total[label] + n * scale if label in total else n * scale
+        for x, n in e.nums.items():
+            total[x] = total[x] + n * scale if x in total else n * scale
     return (len(total) == dimension(effects[0].system)
             and all(n == den for n in total.values()))
 
@@ -376,15 +363,14 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
     kernel = processor.kernel
     domain, image = kernel.coders
     signs = node_signs(processor.mode)
-    index = coder(processor.input_ancilla).index
-    program = [(index(label), n) for label, n in sigma.nums.items()]
+    program = sigma.nums.items()
     # a preparation beside i opens the node (s i)_t, whose sign t is the
     # emitted flip, evenly over the signs
     prepared = {i: {(domain.join(s, i, t), t): n for s, n in program for t in signs}
                 for i in range(dimension(processor.a_system))}
     staged = _composed(kernel.nums, prepared, False)
     den = sigma.den * len(signs)
-    ancilla, split = image.left.label, image.split
+    split = image.split
     for effect, branch in pairs:
         # the effect at the head of (A' B): (a b)_s -> (b, s), weighted effect(a)
         observed: dict[int, IntRow] = {}
@@ -392,7 +378,7 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
             for y, _tau in row:
                 if y not in observed:
                     a, b, s = split(y)
-                    w = effect.nums.get(ancilla(a))
+                    w = effect.nums.get(a)
                     observed[y] = {(b, s): w} if w else {}
         rows = _composed(observed, staged, False)
         if _lowest(rows, den * effect.den) != (branch.nums, branch.den):
@@ -410,32 +396,3 @@ def program_channel(channel: Kernel,
         processor = build_processor(channel.in_system, channel.out_system)
     mu = decompose_channel(channel)
     return processor, program_sigma(processor, mu)
-
-
-def extract_kernel(processor: UniversalProcessor, sigma: StateVector,
-                   effect: EffectVector) -> Kernel:
-    """The kernel an arbitrary (sigma, R, effect) sandwich induces on A -> B.
-
-    Works for any state of B' and any effect on A', not only program-shaped
-    ones; the construction fails loudly if the sandwich does not define a
-    valid classified kernel (it always does, which tests rely on).
-    """
-    a, b = processor.a_system, processor.b_system
-    environment = bibit(processor.mode)
-    ae = compose_systems(a, environment)
-    e0 = enumerate_pure_labels(environment)[0]
-    rows: dict[PureLabel, dict[tuple[PureLabel, int], Fraction]] = {}
-    for i_label in enumerate_pure_labels(a):
-        probe = pure_state(ae, NodeLabel(i_label, e0, 1))
-        out = dilated_apply(processor, sigma, effect, probe)
-        row: dict[tuple[PureLabel, int], Fraction] = {}
-        for label, value in out.coeffs.items():
-            assert isinstance(label, NodeLabel) and label.right == e0
-            key = (label.left, label.sign)
-            row[key] = row[key] + value if key in row else value
-        if row:
-            rows[i_label] = row
-    kernel = Kernel(a, b, rows)
-    if not _reproduces(processor, sigma, [(effect, kernel)]):
-        raise AssertionError("sandwich is not reproduced by its kernel form")
-    return kernel

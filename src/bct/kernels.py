@@ -17,8 +17,8 @@ lowest terms built on each read, for the API, `serial` and reports.
 
 Applying a kernel at a subtree works through the regrouping calculus: bring
 the subtree to the head of a bipartition, replace (a e)_u by (b e)_{tau*u},
-and regroup back; on indices the regroupings are the arrays of
-`labels.compiled_transport`, filled from the move tables.  Effects (trivial
+and regroup back; on indices the regroupings are read from
+`labels.transport`, as they are for vectors.  Effects (trivial
 output) discard the pairing sign; preparations (trivial input) split it
 evenly, which is exactly the state composition rule read as a kernel.
 Parallel composition is derived from the same extension: k1 (x) k2 =
@@ -43,13 +43,13 @@ from .labels import (
     basis_size,
     coder,
     coder_around,
-    compiled_transport,
     enumerate_pure_labels,
     invert_moves,
     joined,
     label_matches,
     node_signs,
     regroup,
+    transport,
 )
 from .states import GeneralizedVector, StateVector, ZERO, ONE, lowest_terms
 from .systems import (
@@ -303,16 +303,16 @@ def state_kernel(rho: StateVector) -> Kernel:
     if isinstance(rho.system, Trivial):
         return scalar_kernel(mode, rho[UNIT])
     signs = node_signs(mode)
-    index = coder(rho.system).index
-    row = {(index(label), tau): n for label, n in rho.nums.items() for tau in signs}
+    row = {(x, tau): n for x, n in rho.nums.items() for tau in signs}
     return Kernel._checked(Trivial(mode), rho.system,
                            *_lowest({0: row} if row else {}, rho.den * len(signs)))
 
 
 def effect_kernel(effect: GeneralizedVector) -> Kernel:
-    """An effect as a kernel to the trivial system (tau fixed +1)."""
-    rows = {label: {(UNIT, 1): value} for label, value in effect.coeffs.items()}
-    return Kernel(effect.system, Trivial(effect.system.mode), rows)
+    """An effect as a kernel to the trivial system (tau fixed +1); a vector
+    of the span that is not an effect gets the kernel's weight checks."""
+    rows = {x: {(0, PLUS): n} for x, n in effect.nums.items()}
+    return Kernel._checked(effect.system, Trivial(effect.system.mode), rows, effect.den)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,7 @@ def _act_rows(kernel: Kernel, system: SystemTree, source: Coder, at: str,
     `drop_tau` the new node keeps the sign u (the PARALLEL_DROP_TAU fault).
     """
     moves = regroup(system, at)
-    regrouped, there, flips = compiled_transport(system, moves)
+    regrouped, there = transport(system, moves)
     if there is not None:
         source = coder(regrouped)
     split = source.split
@@ -481,32 +481,33 @@ def _act_rows(kernel: Kernel, system: SystemTree, source: Coder, at: str,
     out_rows: dict[int, IntRow] = {}
     if isinstance(kernel.out_system, Trivial):
         for x in inputs:
-            a, e, u = split(x if there is None else there[x])
+            y, flip = (x, PLUS) if there is None else there[x]
+            a, e, u = split(y)
             row = rows.get(a)
             if row:
-                flip = (PLUS if there is None else flips[x]) * u if bct else PLUS
-                out_rows[x] = {(e, flip): sum(row.values())}
+                out_rows[x] = {(e, flip * u if bct else PLUS): sum(row.values())}
         return out_rows, source.right
     head = joined(kernel.coders[1], source.right)
-    target, back, back_flips = head, None, None
+    target, back = head, None
     if there is not None:
-        moved, back, back_flips = compiled_transport(
-            compose_systems(kernel.out_system, regrouped.right), invert_moves(moves))
+        moved, back = transport(compose_systems(kernel.out_system, regrouped.right),
+                                invert_moves(moves))
         target = coder(moved)
     join = head.join
     for x in inputs:
-        a, e, u = split(x if there is None else there[x])
+        y, flip = (x, PLUS) if there is None else there[x]
+        a, e, u = split(y)
         row = rows.get(a)
         if not row:
             continue
-        flip = PLUS if there is None else flips[x]
         out: IntRow = {}
         for (b, tau), n in row.items():
             z = join(b, e, u if drop_tau else tau * u)
             if back is None:
                 key = (z, flip * tau if bct else PLUS)
             else:
-                key = (back[z], flip * tau * back_flips[z] if bct else PLUS)
+                z, back_flip = back[z]
+                key = (z, flip * tau * back_flip if bct else PLUS)
             out[key] = out[key] + n if key in out else n
         out_rows[x] = out
     return out_rows, target
@@ -525,22 +526,19 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
     if kernel.in_system != subtree_at(rho.system, at):
         raise ValueError("kernel input does not match the selected subtree")
     image = StateVector if isinstance(rho, StateVector) else GeneralizedVector
-    source = coder_around(rho.system, at, kernel.coders[0])
-    terms = {source.index(label): n for label, n in rho.nums.items()}
     if at == "":
-        system, rows, target = kernel.out_system, kernel.nums, kernel.coders[1]
+        system, rows = kernel.out_system, kernel.nums
     else:
         system = _result_system(kernel, rho.system, at)
-        rows, target = _act_rows(kernel, rho.system, source, at, terms)
+        rows = _act_rows(kernel, rho.system, coder_around(rho.system, at, kernel.coders[0]),
+                         at, rho.nums)[0]
     out: dict[int, int] = {}
-    for x, n in terms.items():
+    for x, n in rho.nums.items():
         row = rows.get(x)
         if row:
             for (b, _tau), w in row.items():
                 out[b] = out[b] + w * n if b in out else w * n
-    label = target.label
-    return image._trusted(system, *lowest_terms({label(b): v for b, v in out.items()},
-                                                rho.den * kernel.den))
+    return image._trusted(system, *lowest_terms(out, rho.den * kernel.den))
 
 
 # ---------------------------------------------------------------------------

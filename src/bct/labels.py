@@ -19,13 +19,19 @@ the climb.  A flip that leaves the root altogether is returned as an
 environment flip (it lands on whatever the label is later paired with).
 The same propagation rule governs kernel sign flips; coherence of the whole
 calculus (pentagon, hexagon, path independence) is enforced by tests.
+
+Vectors and kernels are stored on basis indices: `Coder` numbers the pure
+labels of a system in the canonical order by closed form, and
+`enumerate_pure_labels` reads the basis off it.  `transport` carries basis
+indices along a move sequence; it is read off the label-level moves, which
+stay the reference semantics, on a few probe labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import faults
 from .config import max_dim
@@ -123,13 +129,17 @@ def label_matches(system: SystemTree, label: PureLabel) -> bool:
 
 
 def enumerate_pure_labels(system: SystemTree, bound: int | None = None) -> list[PureLabel]:
-    """All pure labels of `system` in canonical order.
+    """All pure labels of `system` in canonical order: the labels of its
+    coder's indices, in index order (see `Coder`).
 
     Canonical order sorts by the left-to-right tuple of leaf indices, then by
     the pre-order tuple of node signs with - before +.
     """
-    basis_size(system, bound)
-    return list(_basis(system))
+    size = basis_size(system, bound)
+    basis = _BASES.get(system)
+    if basis is None:
+        basis = _BASES[system] = tuple(map(coder(system).label, range(size)))
+    return list(basis)
 
 
 def basis_size(system: SystemTree, bound: int | None = None) -> int:
@@ -142,50 +152,8 @@ def basis_size(system: SystemTree, bound: int | None = None) -> int:
     return dim
 
 
-# Each system's sorted basis, enumerated once; callers get a fresh list.
+# Each system's basis, decoded once; callers get a fresh list.
 _BASES: dict[SystemTree, tuple[PureLabel, ...]] = {}
-
-
-def _basis(system: SystemTree) -> tuple[PureLabel, ...]:
-    basis = _BASES.get(system)
-    if basis is None:
-        basis = _BASES[system] = tuple(sorted(_enumerate(system), key=label_sort_key))
-    return basis
-
-
-def _enumerate(system: SystemTree) -> Iterator[PureLabel]:
-    """The labels of `system`, unsorted; composites pair the (shared) labels
-    of their children's bases."""
-    if isinstance(system, Trivial):
-        yield UNIT
-        return
-    if isinstance(system, Leaf):
-        for i in range(1, system.system.dim + 1):
-            yield LeafLabel(i)
-        return
-    assert isinstance(system, Node)
-    signs = node_signs(system.mode)
-    rights = _basis(system.right)
-    for l in _basis(system.left):
-        for r in rights:
-            for s in signs:
-                yield NodeLabel(l, r, s)
-
-
-def label_sort_key(label: PureLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    leaves: list[int] = []
-    signs: list[int] = []
-
-    def walk(l: PureLabel) -> None:
-        if isinstance(l, LeafLabel):
-            leaves.append(l.index)
-        elif isinstance(l, NodeLabel):
-            signs.append(l.sign)
-            walk(l.left)
-            walk(l.right)
-
-    walk(label)
-    return tuple(leaves), tuple(signs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +163,9 @@ def label_sort_key(label: PureLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class Coder:
     """The basis index of each pure label of one system, by closed form.
 
-    A label's index is its position in the canonical order of
-    `enumerate_pure_labels`: its leaf rank times NS plus its sign rank, where
+    A label's index is its position in the canonical order (by leaf-index
+    tuple, then by pre-order sign tuple with - before +): its leaf rank
+    times NS plus its sign rank, where
     NL is the system's number of leaf-index tuples and NS its number of sign
     patterns.  For a node (l r)_s the leaf rank is lr_l * NL_r + lr_r and the
     sign rank is (bit(s) * NS_l + sr_l) * NS_r + sr_r, with bit(-) = 0 and
@@ -413,78 +382,82 @@ def apply_moves_tracked(label: PureLabel, moves: list[Move]) -> tuple[PureLabel,
     return label, flip
 
 
-Transport = Mapping[PureLabel, tuple[PureLabel, int]]
+class _Transport:
+    """index -> (moved index, flip) along one move sequence from one system.
+
+    A move sequence carries each leaf of a label to a place that the
+    sequence alone fixes, and it rewrites the signs and emits the flip
+    whatever the leaf indices (see the moves above).  So the label at leaf
+    rank r and sign rank s moves to the moved sign rank of s plus NS times
+    r with each leaf's digit carried to its new place value.  Both parts
+    are read off `apply_moves_tracked` on probe labels, decoded on first
+    need and kept: the label at index s (every leaf at its first index)
+    for each sign rank s met, and for each leaf the label with that leaf at
+    its second index, every other leaf at its first and every sign -.
+    """
+
+    __slots__ = ("_source", "_target", "_moves", "_signs", "_places")
+
+    def __init__(self, source: Coder, target: Coder, moves: tuple[Move, ...]) -> None:
+        self._source, self._target, self._moves = source, target, moves
+        self._signs: dict[int, tuple[int, int]] = {}
+        self._places: list[tuple[int, int, int]] | None = None
+
+    def __getitem__(self, index: int) -> tuple[int, int]:
+        ns = self._source.ns
+        rank, s = divmod(index, ns)
+        sign = self._signs.get(s)
+        if sign is None:
+            sign = self._signs[s] = self._probe(s)
+        places = self._places
+        if places is None:
+            places = self._places = [(place, dim, self._probe(place * ns)[0] // ns)
+                                     for place, dim in _leaf_places(self._source)]
+        moved = 0
+        for place, dim, to in places:
+            moved += rank // place % dim * to
+        return moved * ns + sign[0], sign[1]
+
+    def _probe(self, index: int) -> tuple[int, int]:
+        label, flip = apply_moves_tracked(self._source.label(index), self._moves)
+        return self._target.index(label), flip
 
 
-class _MoveTable(dict):
-    """label -> `apply_moves_tracked(label, moves)`, computed on first lookup."""
-
-    __slots__ = ("moves",)
-
-    def __init__(self, moves: tuple[Move, ...]) -> None:
-        super().__init__()
-        self.moves = moves
-
-    def __missing__(self, label: PureLabel) -> tuple[PureLabel, int]:
-        self[label] = entry = apply_moves_tracked(label, self.moves)
-        return entry
+def _leaf_places(code: Coder) -> list[tuple[int, int]]:
+    """(place value in the leaf rank, dimension) of each leaf, left to right."""
+    if code.left is None:
+        return [(1, code.nl)]
+    right = code.right.nl
+    return [(place * right, dim) for place, dim in _leaf_places(code.left)] + \
+        _leaf_places(code.right)
 
 
-class _IdentityTransport(dict):
-    """label -> (label, +1): the empty move sequence, which stores nothing."""
-
-    __slots__ = ()
-
-    def __missing__(self, label: PureLabel) -> tuple[PureLabel, int]:
-        return label, PLUS
+_TRANSPORTS: dict[tuple[str | None, SystemTree, tuple[Move, ...]],
+                  tuple[SystemTree, _Transport]] = {}
 
 
-_IDENTITY = _IdentityTransport()
-_MOVE_TABLES: dict[tuple[str | None, tuple[Move, ...]], _MoveTable] = {}
+def transport(system: SystemTree, moves: Sequence[Move]) -> tuple[SystemTree, _Transport | None]:
+    """The moved system, and the transport of the basis indices of `system`
+    along `moves`: index -> (index of the moved label in the moved system,
+    environment flip).
 
-
-def move_table(moves: Sequence[Move]) -> Transport:
-    """The transport of labels along `moves`: label -> (moved label, flip).
-
-    One table per move sequence and active fault, shared by every caller and
-    filled by the label-level `apply_moves_tracked`, which stays the
-    reference.  Fetch it inside the operation that uses it, so the fault it
-    is keyed on is the one in force.  The law checks of `coherence` test the
-    calculus itself and call `apply_moves_tracked` directly.  The empty
-    sequence is the identity under every fault and is served without a table.
+    One transport per active fault, system and move sequence, shared by
+    every caller, and read off the label-level `apply_moves_tracked`, which
+    stays the reference, on a few probe labels decoded on first need (see
+    `_Transport`); nothing is enumerated, so a sparse vector on a system of
+    any size is transported by the indices it holds.  Fetch it inside the
+    operation that uses it, so the fault it is keyed on is the one in
+    force.  The law checks of `coherence` test the calculus itself and call
+    `apply_moves_tracked` directly.  The empty sequence is the identity
+    under every fault and gets no transport (None).
     """
     if not moves:
-        return _IDENTITY
-    key = (faults.active_fault(), tuple(moves))
-    table = _MOVE_TABLES.get(key)
-    if table is None:
-        table = _MOVE_TABLES[key] = _MoveTable(key[1])
-    return table
-
-
-Compiled = tuple[SystemTree, "list[int] | None", "list[int] | None"]
-_COMPILED: dict[tuple[str | None, SystemTree, tuple[Move, ...]], Compiled] = {}
-
-
-def compiled_transport(system: SystemTree, moves: Sequence[Move]) -> Compiled:
-    """`move_table(moves)` on the basis indices of `system`, as arrays.
-
-    Returns (moved system, perm, flip): the label at index i of `system`
-    moves to index perm[i] of the moved system with environment flip
-    flip[i].  The arrays are filled from the move table once per move
-    sequence, system and active fault; the empty sequence gets none (both
-    None), as it gets no table.
-    """
-    if not moves:
-        return system, None, None
+        return system, None
     key = (faults.active_fault(), system, tuple(moves))
-    found = _COMPILED.get(key)
+    found = _TRANSPORTS.get(key)
     if found is None:
         moved = move_system_sequence(system, moves)
-        table, index = move_table(moves), coder(moved).index
-        entries = [table[label] for label in enumerate_pure_labels(system)]
-        found = _COMPILED[key] = (moved, [index(label) for label, _flip in entries],
-                                  [flip for _label, flip in entries])
+        found = _TRANSPORTS[key] = (moved, _Transport(coder(system), coder(moved), key[2]))
     return found
 
 

@@ -187,25 +187,6 @@ def state_from_json(doc: dict) -> StateVector:
         raise ParseError(E_SCHEMA, str(exc)) from exc
 
 
-def kernel_to_json(kernel: Kernel) -> dict:
-    rows: dict[str, list] = {}
-    for a, row in kernel.rows.items():
-        entries = [{"to": label_to_str(b), "tau": tau, "w": fraction_to_str(w)}
-                   for (b, tau), w in row.items()]
-        entries.sort(key=lambda e: (e["to"], e["tau"]))
-        rows[label_to_str(a)] = entries
-    return {
-        "mode": kernel.mode.value,
-        "in": system_to_str(kernel.in_system),
-        "out": system_to_str(kernel.out_system),
-        "rows": dict(sorted(rows.items())),
-    }
-
-
-def kernel_from_json(doc: dict) -> Kernel:
-    return _kernel(doc, _checked(doc, "kernel"))
-
-
 def _kernel(doc: dict, mode: TheoryMode) -> Kernel:
     """The kernel of a document that has passed the schema."""
     in_system = parse_system(doc["in"], mode)
@@ -224,14 +205,6 @@ def _kernel(doc: dict, mode: TheoryMode) -> Kernel:
         return Kernel(in_system, out_system, rows)
     except ValueError as exc:
         raise ParseError(E_SCHEMA, str(exc)) from exc
-
-
-def instrument_to_json(instrument: Instrument) -> dict:
-    return {
-        "mode": instrument.in_system.mode.value,
-        "branches": [kernel_to_json(k) for k in instrument.branches],
-        "outcomes": outcomes_to_json(instrument.outcomes),
-    }
 
 
 def outcomes_to_json(outcomes: Sequence[Hashable]) -> list:

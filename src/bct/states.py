@@ -1,12 +1,16 @@
 """States, effects and generalized vectors over the pure-label basis.
 
-A vector is stored as int numerators keyed by pure label over one positive
-denominator, in canonical form: no numerator is zero, and the denominator
-shares no factor with all the numerators, so equal vectors hold equal ints.
-The composition rule |i>|j> = 1/2 sum_s (ij)_s keeps every product dyadic,
-and the calculus below works on the ints alone.  `coeffs` is a read-only
-view of the same vector as exact `Fraction`s in lowest terms, built anew on
-each read for the API, `serial` and reports.
+A vector is stored on basis indices (see `labels.Coder`: a label's index is
+its place in the canonical basis order, worked out by closed form): `nums`
+maps an index to an int numerator, all over one positive denominator `den`,
+in canonical form (no numerator is zero, and the denominator shares no
+factor with all the numerators), so equal vectors hold equal ints.  The
+composition rule |i>|j> = 1/2 sum_s (ij)_s keeps every product dyadic, and
+the calculus below works on the ints alone: products join indices,
+transports read `labels.transport`, and steering and marginals split the
+regrouped index.  The constructors take label-keyed coefficients, and
+`coeffs` and `v[label]` read them back as exact `Fraction`s in lowest
+terms, built anew on each read, for the API, `serial` and reports.
 
 Nothing here ever renormalizes.  The null state is the empty coefficient
 map.  Sub-normalized states are first-class (they are what instrument
@@ -18,19 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .labels import (
+    Coder,
     Move,
-    NodeLabel,
     PureLabel,
-    UNIT,
-    enumerate_pure_labels,
+    basis_size,
+    coder,
     label_matches,
-    move_system_sequence,
-    move_table,
     node_signs,
     regroup,
+    transport,
 )
 from .systems import (
     SystemTree,
@@ -45,39 +48,40 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Coeffs = Mapping[PureLabel, Fraction | int]
-Nums = dict[PureLabel, int]
+Nums = dict[int, int]
 
 
-def int_coeffs(coeffs: Coeffs) -> tuple[Nums, int]:
-    """Nonzero `coeffs` as int numerators over the LCM of their denominators.
+def int_coeffs(coeffs: Mapping[Hashable, Fraction | int]) -> tuple[dict, int]:
+    """Nonzero `coeffs` as int numerators over the LCM of their denominators,
+    under the same keys.
 
     Each value in lowest terms leaves the LCM no factor common to all the
     numerators, so the result is in canonical form.
     """
-    values = {label: value if isinstance(value, Fraction) else Fraction(value)
-              for label, value in coeffs.items() if value != 0}
+    values = {key: value if isinstance(value, Fraction) else Fraction(value)
+              for key, value in coeffs.items() if value != 0}
     den = lcm(*(value.denominator for value in values.values()))
-    return ({label: value.numerator * (den // value.denominator)
-             for label, value in values.items()}, den)
+    return ({key: value.numerator * (den // value.denominator)
+             for key, value in values.items()}, den)
 
 
 def lowest_terms(nums: Nums, den: int) -> tuple[Nums, int]:
     """`nums` over the positive `den` in canonical form: zero numerators
     dropped, and the common factor of all the ints divided out."""
     if 0 in nums.values():
-        nums = {label: n for label, n in nums.items() if n}
+        nums = {x: n for x, n in nums.items() if n}
     g = gcd(den, *nums.values())
     if g == 1:
         return nums, den
-    return {label: n // g for label, n in nums.items()}, den // g
+    return {x: n // g for x, n in nums.items()}, den // g
 
 
 @dataclass(frozen=True, init=False)
 class GeneralizedVector:
     """A vector in the real span of the pure labels; no positivity constraint.
 
-    The coefficient of `label` is `nums[label] / den`, in canonical form
-    (see `lowest_terms`).
+    The coefficient of the label at basis index x is `nums[x] / den`, in
+    canonical form (see `lowest_terms`).
     """
 
     system: SystemTree
@@ -85,17 +89,19 @@ class GeneralizedVector:
     den: int
 
     def __init__(self, system: SystemTree, coeffs: Coeffs | None = None) -> None:
-        nums, den = int_coeffs(coeffs or {})
+        by_label, den = int_coeffs(coeffs or {})
+        for label in by_label:
+            if not label_matches(system, label):
+                raise ValueError(f"label {label} does not belong to the system")
+        index = coder(system).index
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "nums", {index(label): n for label, n in by_label.items()})
         object.__setattr__(self, "den", den)
         self._check()
 
     def _check(self) -> None:
-        """Every check of the public constructor, made on the stored ints."""
-        for label in self.nums:
-            if not label_matches(self.system, label):
-                raise ValueError(f"label {label} does not belong to the system")
+        """The constructor's checks of the stored weights (every index of a
+        vector is a label of its system, by construction)."""
 
     @classmethod
     def _trusted(cls, system: SystemTree, nums: Nums, den: int) -> GeneralizedVector:
@@ -122,23 +128,26 @@ class GeneralizedVector:
 
     @property
     def coeffs(self) -> dict[PureLabel, Fraction]:
-        """The coefficients as `Fraction`s in lowest terms (a fresh dict)."""
-        return {label: Fraction(n, self.den) for label, n in self.nums.items()}
+        """The coefficients by label, as `Fraction`s in lowest terms (a fresh dict)."""
+        label = coder(self.system).label
+        return {label(x): Fraction(n, self.den) for x, n in self.nums.items()}
 
     @property
     def weight(self) -> Fraction:
         return Fraction(sum(self.nums.values()), self.den)
 
     def __getitem__(self, label: PureLabel) -> Fraction:
-        return Fraction(self.nums.get(label, 0), self.den)
+        n = (self.nums.get(coder(self.system).index(label), 0)
+             if label_matches(self.system, label) else 0)
+        return Fraction(n, self.den)
 
 
 class StateVector(GeneralizedVector):
     def _check(self) -> None:
-        super()._check()
-        for label, n in self.nums.items():
+        for x, n in self.nums.items():
             if n < 0:
-                raise ValueError(f"negative weight {Fraction(n, self.den)} at {label}")
+                raise ValueError(f"negative weight {Fraction(n, self.den)} "
+                                 f"at {coder(self.system).label(x)}")
         if sum(self.nums.values()) > self.den:
             raise ValueError(f"total weight {self.weight} exceeds 1")
 
@@ -149,11 +158,10 @@ class StateVector(GeneralizedVector):
 
 class EffectVector(GeneralizedVector):
     def _check(self) -> None:
-        super()._check()
-        for label, n in self.nums.items():
+        for x, n in self.nums.items():
             if not 0 <= n <= self.den:
                 raise ValueError(f"effect coefficient {Fraction(n, self.den)} "
-                                 f"outside [0,1] at {label}")
+                                 f"outside [0,1] at {coder(self.system).label(x)}")
 
 
 def pure_state(system: SystemTree, label: PureLabel) -> StateVector:
@@ -161,7 +169,7 @@ def pure_state(system: SystemTree, label: PureLabel) -> StateVector:
 
 
 def unit_effect(system: SystemTree) -> EffectVector:
-    return EffectVector(system, {label: ONE for label in enumerate_pure_labels(system)})
+    return EffectVector._trusted(system, dict.fromkeys(range(basis_size(system)), 1), 1)
 
 
 def point_effect(system: SystemTree, label: PureLabel) -> EffectVector:
@@ -176,9 +184,17 @@ def _scalar_product(a: GeneralizedVector, b: GeneralizedVector) -> tuple[Nums, i
         scalar, vector = b, a
     else:
         return None
-    s = scalar.nums.get(UNIT, 0)
-    return lowest_terms({label: n * s for label, n in vector.nums.items()},
-                        scalar.den * vector.den)
+    s = scalar.nums.get(0, 0)
+    return lowest_terms({x: n * s for x, n in vector.nums.items()}, scalar.den * vector.den)
+
+
+def _product(join, a: GeneralizedVector, b: GeneralizedVector,
+             signs: tuple[int, ...], den: int) -> tuple[Nums, int]:
+    """The numerators of a (x) b on every sign of (ij), joined to indices
+    of the composite by `join`, over `den`."""
+    return _scalar_product(a, b) or lowest_terms(
+        {join(i, j, s): na * nb
+         for i, na in a.nums.items() for j, nb in b.nums.items() for s in signs}, den)
 
 
 def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> GeneralizedVector:
@@ -205,16 +221,13 @@ def tensor_products(rhos: Sequence[GeneralizedVector],
     # each sign s of (ij)_s gets the product of the numerators, and the
     # denominator one more factor: the number of signs
     signs = node_signs(system.mode)
+    join = coder(system).join
     products = []
     for rho in rhos:
         for sigma in sigmas:
             if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
                 raise TypeError("effects compose with tensor_effects, not tensor_states")
-            out = _scalar_product(rho, sigma) or lowest_terms(
-                {NodeLabel(la, lb, s): na * nb
-                 for la, na in rho.nums.items() for lb, nb in sigma.nums.items()
-                 for s in signs},
-                rho.den * sigma.den * len(signs))
+            out = _product(join, rho, sigma, signs, rho.den * sigma.den * len(signs))
             cls = type(rho)
             products.append(cls._trusted(system, *out) if cls is type(sigma)
                             else cls._checked(system, *out))
@@ -226,11 +239,7 @@ def tensor_effects(a: EffectVector, b: EffectVector) -> EffectVector:
     if a.system.mode is not b.system.mode:
         raise ValueError("cannot compose effects from different theory modes")
     system = compose_systems(a.system, b.system)
-    signs = node_signs(system.mode)
-    out = _scalar_product(a, b) or lowest_terms(
-        {NodeLabel(la, lb, s): na * nb
-         for la, na in a.nums.items() for lb, nb in b.nums.items() for s in signs},
-        a.den * b.den)
+    out = _product(coder(system).join, a, b, node_signs(system.mode), a.den * b.den)
     if isinstance(a, EffectVector) and isinstance(b, EffectVector):
         return EffectVector._trusted(system, *out)
     return EffectVector._checked(system, *out)
@@ -248,7 +257,7 @@ def _paired(effect: GeneralizedVector, rho: GeneralizedVector) -> tuple[int, int
         small, big = effect.nums, rho.nums
     else:
         small, big = rho.nums, effect.nums
-    return (sum(n * big[label] for label, n in small.items() if label in big),
+    return (sum(n * big[x] for x, n in small.items() if x in big),
             effect.den * rho.den)
 
 
@@ -271,15 +280,16 @@ def apply_moves_to_vectors(vectors: Sequence[GeneralizedVector],
 
 def apply_moves_in_place(family: list[GeneralizedVector], moves: Sequence[Move]) -> None:
     """Transport a family on one system along a move sequence, replacing each
-    vector by its image as it goes: one tree walk and one move table, one
-    moved system object, and no second family alive."""
+    vector by its image as it goes: one transport, one moved system object,
+    and no second family alive.  The empty sequence leaves the family as it is."""
     if not family:
         return
-    system = move_system_sequence(shared_system(family), moves)
-    table = move_table(moves)
+    system, table = transport(shared_system(family), moves)
+    if table is None:
+        return
     for i, v in enumerate(family):
-        family[i] = type(v)._trusted(
-            system, {table[label][0]: n for label, n in v.nums.items()}, v.den)
+        family[i] = type(v)._trusted(system, {table[x][0]: n for x, n in v.nums.items()},
+                                     v.den)
 
 
 def apply_moves_to_vector(vector: GeneralizedVector, moves: list[Move]) -> GeneralizedVector:
@@ -299,14 +309,15 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
         raise ValueError("effect system does not match the selected subtree")
     if at == "":
         num, den = _paired(effect, rho)
-        system, out = Trivial(rho.system.mode), {UNIT: num}
+        system, out = Trivial(rho.system.mode), {0: num}
     else:
         system, out, den = delete_at(rho.system, at), {}, effect.den * rho.den
         weights = effect.nums
-        for moved, n in _regrouped(rho, at):
-            e = weights.get(moved.left)
+        regrouped, moved = _regrouped(rho, at)
+        for y, n in moved:
+            a, rest, _u = regrouped.split(y)
+            e = weights.get(a)
             if e is not None:
-                rest = moved.right
                 out[rest] = out[rest] + e * n if rest in out else e * n
     if isinstance(effect, EffectVector) and isinstance(rho, StateVector):
         return StateVector._trusted(system, *lowest_terms(out, den))
@@ -319,19 +330,22 @@ def marginal(rho: StateVector, keep: str) -> StateVector:
     if keep == "":
         return rho
     out: Nums = {}
-    for moved, n in _regrouped(rho, keep):
-        out[moved.left] = out[moved.left] + n if moved.left in out else n
+    regrouped, moved = _regrouped(rho, keep)
+    for y, n in moved:
+        a = regrouped.split(y)[0]
+        out[a] = out[a] + n if a in out else n
     return StateVector._trusted(part, *lowest_terms(out, rho.den))
 
 
-def _regrouped(rho: GeneralizedVector, at: str) -> Iterator[tuple[NodeLabel, int]]:
-    """Each numerator of `rho` under its label regrouped to the two-factor
-    form (a e)_u, with a on the subtree at `at` and e on the complement."""
-    table = move_table(regroup(rho.system, at))
-    for label, n in rho.nums.items():
-        moved = table[label][0]
-        assert isinstance(moved, NodeLabel)
-        yield moved, n
+def _regrouped(rho: GeneralizedVector, at: str) -> tuple[Coder, Iterable[tuple[int, int]]]:
+    """The coder of `rho`'s system regrouped to the two-factor form (a e)_u,
+    with a on the subtree at `at` and e on the complement, and each
+    numerator of `rho` under its regrouped index."""
+    system, table = transport(rho.system, regroup(rho.system, at))
+    moved = rho.nums.items()
+    if table is not None:
+        moved = ((table[x][0], n) for x, n in moved)
+    return coder(system), moved
 
 
 def is_separable(rho: StateVector, part: str = "0") -> bool:
@@ -345,17 +359,18 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
     subtree_at(rho.system, part)
     if part == "":
         raise ValueError("bipartition selector must pick a proper subtree")
-    table = dict(_regrouped(rho, part))
-    for moved, n in table.items():
-        partner = NodeLabel(moved.left, moved.right, -moved.sign)
-        if n != table.get(partner, 0):
+    regrouped, moved = _regrouped(rho, part)
+    table = dict(moved)
+    for y, n in table.items():
+        a, e, u = regrouped.split(y)
+        if n != table.get(regrouped.join(a, e, -u), 0):
             return False
     return True
 
 
 def discriminating_instrument(system: SystemTree) -> list[EffectVector]:
     """The observation-instrument {<x|} jointly discriminating the pure states."""
-    return [point_effect(system, label) for label in enumerate_pure_labels(system)]
+    return [EffectVector._trusted(system, {x: 1}, 1) for x in range(basis_size(system))]
 
 
 def vectors_equal(a: GeneralizedVector, b: GeneralizedVector) -> bool:

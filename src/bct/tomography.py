@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 from .labels import (
     Move,
     MoveKind,
-    enumerate_pure_labels,
+    basis_size,
 )
 from .states import (
     GeneralizedVector,
@@ -34,12 +34,12 @@ from .systems import (
 )
 
 
-def _int_rows(vectors: Sequence[GeneralizedVector], index: dict) -> list[dict[int, int]]:
+def _int_rows(vectors: Sequence[GeneralizedVector]) -> list[dict[int, int]]:
     """Each vector's numerators (the vector times its denominator, which
-    leaves the rank as it is) as an int row in the columns of `index`."""
+    leaves the rank as it is) as a fresh int row, its columns the basis
+    indices of the one system of `vectors`."""
     shared_system(vectors)
-    return [{index.setdefault(label, len(index)): n for label, n in vector.nums.items()}
-            for vector in vectors]
+    return [dict(vector.nums) for vector in vectors]
 
 
 def _echelon(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]
@@ -81,13 +81,13 @@ def _merged(echelons: Iterable[dict[int, dict[int, int]]]) -> dict[int, dict[int
 
 def rank(vectors: Sequence[GeneralizedVector]) -> int:
     """Rank of the coefficient matrix, by fraction-free sparse elimination."""
-    return len(_echelon(_int_rows(vectors, {}), {}))
+    return len(_echelon(_int_rows(vectors), {}))
 
 
 def _basis_states(system: SystemTree) -> list[GeneralizedVector]:
-    """The pure state |u> of every basis label u: its labels come from the
-    basis, so each is built as the canonical ints ({u: 1}, 1) unchecked."""
-    return [StateVector._trusted(system, {u: 1}, 1) for u in enumerate_pure_labels(system)]
+    """The pure state |u> of every basis index u, as the canonical ints
+    ({u: 1}, 1), built unchecked."""
+    return [StateVector._trusted(system, {u: 1}, 1) for u in range(basis_size(system))]
 
 
 def product_states(x: SystemTree, y: SystemTree,
@@ -178,13 +178,12 @@ class SpanReport:
 def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
     abc = compose_systems(compose_systems(a, b), c)
     d_abc = dimension(abc)
-    index: dict = {}  # one column numbering, so that the families' rows merge
     echelons, firsts = {}, []
     for name, family in _tripartite_families(a, b, c):
         firsts.append(family[0])
-        echelons[name] = _echelon(_int_rows(family, index), {})
+        echelons[name] = _echelon(_int_rows(family), {})
         del family  # the next family is built with no vector of this one alive
-    shared_system(firsts)  # all on ((AB)C)
+    shared_system(firsts)  # all on ((AB)C): one column numbering, so the rows merge
     class_ranks = {name: len(echelon) for name, echelon in echelons.items()}
     r = class_ranks["union"] = len(_merged(echelons.values()))
     da, db, dc = dimension(a), dimension(b), dimension(c)

@@ -5,10 +5,11 @@ the calculus builds their inputs from validated parts.  Here both are
 wrapped so that each result is also rebuilt through the validating
 constructor of its class and must come out equal: every kernel and vector
 built inside the calculus during the tests is proven valid.  Both are given
-as int numerators over a positive int denominator and are rebuilt from the
-labels and `Fraction`s they stand for, so a result that is not in canonical
-form (a zero numerator, an empty row, or a factor common to all the ints)
-also fails.  A kernel whose rows are a rule (a mapping other than a dict,
+as int numerators keyed by basis index over a positive int denominator, and
+are rebuilt from the labels their indices decode to and the `Fraction`s
+they stand for, so a key off the basis, or a result that is not in
+canonical form (a zero numerator, an empty row, or a factor common to all
+the ints), also fails.  A kernel whose rows are a rule (a mapping other than a dict,
 such as the universal processor's) is checked a block of rows at a time,
 streaming over its indices, so every row is checked without holding them
 all.  The wrapped originals stay reachable as `__wrapped__`.
@@ -81,8 +82,10 @@ def validate_trusted_constructions(monkeypatch):
     def checked_vector(cls, system, nums, den):
         vector = trusted_vector(cls, system, nums, den)
         assert type(den) is int and den > 0
-        assert all(type(n) is int for n in nums.values())
-        assert cls(system, {label: Fraction(n, den) for label, n in nums.items()}) == vector
+        code = coder(system)
+        assert all(type(x) is int and 0 <= x < code.dim and type(n) is int
+                   for x, n in nums.items())
+        assert cls(system, {code.label(x): Fraction(n, den) for x, n in nums.items()}) == vector
         return vector
 
     monkeypatch.setattr(Kernel, "_trusted", classmethod(checked_kernel))

@@ -1,15 +1,78 @@
-"""Kernel builders that only tests use.
+"""Kernel builders, label orders and writers that only tests use.
 
 `atomic_decomposition` splits a kernel into its atomic parts, and
 `random_reversible_kernel` draws a seeded signed permutation; both are test
 plumbing for the predicates and protocols, built on the public API.
+`function_channel` is the kernel of one (h, xi) pair, the oracle that the
+parts of `dilation.decompose_channel` re-sum to their channel.
+`label_sort_key` states the canonical basis order on labels, and
+`sorted_basis` enumerates a basis by it without the coder, so that the
+coder's order can be held to it.  `kernel_to_json` and
+`instrument_to_json` write the documents that `bct dilate` reads, and
+`kernel_from_json` reads a kernel document as the one branch of an
+instrument document, through the reader the CLI uses.
 """
 
 import random
 
-from bct.kernels import Kernel, reversible_kernel
-from bct.labels import enumerate_pure_labels, label_sort_key
-from bct.systems import SystemTree, TheoryMode, Trivial
+from bct.dilation import FunctionLabel
+from bct.kernels import Instrument, Kernel, reversible_kernel
+from bct.labels import (
+    PLUS,
+    UNIT,
+    LeafLabel,
+    NodeLabel,
+    PureLabel,
+    enumerate_pure_labels,
+    node_signs,
+)
+from bct.serial import (
+    fraction_to_str,
+    instrument_from_json,
+    label_to_str,
+    outcomes_to_json,
+    system_to_str,
+)
+from bct.systems import Leaf, Node, SystemTree, TheoryMode, Trivial
+
+
+def label_sort_key(label: PureLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical order: the left-to-right tuple of leaf indices, then
+    the pre-order tuple of node signs with - before +."""
+    leaves: list[int] = []
+    signs: list[int] = []
+
+    def walk(l: PureLabel) -> None:
+        if isinstance(l, LeafLabel):
+            leaves.append(l.index)
+        elif isinstance(l, NodeLabel):
+            signs.append(l.sign)
+            walk(l.left)
+            walk(l.right)
+
+    walk(label)
+    return tuple(leaves), tuple(signs)
+
+
+def plus(label: PureLabel) -> PureLabel:
+    """`label` with every node sign +."""
+    if isinstance(label, NodeLabel):
+        return NodeLabel(plus(label.left), plus(label.right), PLUS)
+    return label
+
+
+def sorted_basis(system: SystemTree) -> list[PureLabel]:
+    """Every pure label of `system`, built from its shape and sorted by
+    `label_sort_key`."""
+    def labels(t: SystemTree) -> list[PureLabel]:
+        if isinstance(t, Trivial):
+            return [UNIT]
+        if isinstance(t, Leaf):
+            return [LeafLabel(i) for i in range(1, t.system.dim + 1)]
+        assert isinstance(t, Node)
+        return [NodeLabel(l, r, s) for l in labels(t.left) for r in labels(t.right)
+                for s in node_signs(t.mode)]
+    return sorted(labels(system), key=label_sort_key)
 
 
 def atomic_decomposition(kernel: Kernel) -> list[Kernel]:
@@ -34,3 +97,40 @@ def random_reversible_kernel(rng: random.Random, system: SystemTree) -> Kernel:
     signs = {a: (rng.choice((-1, 1)) if system.mode is TheoryMode.BCT else 1)
              for a in basis}
     return reversible_kernel(system, system, dict(zip(basis, shuffled)), signs)
+
+
+def function_channel(fl: FunctionLabel, in_system: SystemTree,
+                     out_system: SystemTree) -> Kernel:
+    """The deterministic kernel i -> (h(i), xi(i)) with weight one."""
+    a_labels = enumerate_pure_labels(in_system)
+    b_labels = enumerate_pure_labels(out_system)
+    rows = {a: {(b_labels[fl.h[i] - 1], fl.xi[i]): 1}
+            for i, a in enumerate(a_labels)}
+    return Kernel(in_system, out_system, rows)
+
+
+def kernel_to_json(kernel: Kernel) -> dict:
+    rows: dict[str, list] = {}
+    for a, row in kernel.rows.items():
+        entries = [{"to": label_to_str(b), "tau": tau, "w": fraction_to_str(w)}
+                   for (b, tau), w in row.items()]
+        entries.sort(key=lambda e: (e["to"], e["tau"]))
+        rows[label_to_str(a)] = entries
+    return {
+        "mode": kernel.mode.value,
+        "in": system_to_str(kernel.in_system),
+        "out": system_to_str(kernel.out_system),
+        "rows": dict(sorted(rows.items())),
+    }
+
+
+def kernel_from_json(doc) -> Kernel:
+    return instrument_from_json({"branches": [doc]}).branches[0]
+
+
+def instrument_to_json(instrument: Instrument) -> dict:
+    return {
+        "mode": instrument.in_system.mode.value,
+        "branches": [kernel_to_json(k) for k in instrument.branches],
+        "outcomes": outcomes_to_json(instrument.outcomes),
+    }

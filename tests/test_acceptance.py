@@ -17,7 +17,6 @@ from bct.coherence import SuiteConfig, run_suite
 from bct.dilation import (
     build_processor,
     decompose_channel,
-    function_channel,
     realize_instrument,
 )
 from bct.faults import KNOWN_FAULTS
@@ -59,6 +58,8 @@ from bct.systems import (
     left_comb,
 )
 from bct.tomography import span_report, verify_strict_bilocality
+
+from kernel_helpers import function_channel
 
 F = Fraction
 

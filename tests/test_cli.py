@@ -9,11 +9,13 @@ import bct.cli
 import bct.tomography
 from bct.cli import main
 from bct.kernels import random_instrument
-from bct.serial import dumps, instrument_to_json, vector_to_json
+from bct.serial import dumps, vector_to_json
 from bct.states import StateVector
 from bct.labels import LeafLabel
 from bct.systems import bibit, leaf
 from fractions import Fraction
+
+from kernel_helpers import instrument_to_json
 
 
 def run(argv, capsys):

@@ -11,8 +11,6 @@ from bct.dilation import (
     decompose_channel,
     dilated_apply,
     enumerate_function_labels,
-    extract_kernel,
-    function_channel,
     program_channel,
     program_sigma,
     realize_instrument,
@@ -34,13 +32,39 @@ from bct.kernels import (
     scale_kernel,
     sequential_compose,
 )
-from bct.labels import UNIT, LeafLabel, NodeLabel, enumerate_pure_labels, node_signs
+from bct.labels import UNIT, LeafLabel, NodeLabel, coder, enumerate_pure_labels, node_signs
 from bct.states import pure_state, unit_effect, vectors_equal
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf
+
+from kernel_helpers import function_channel
 
 F = Fraction
 A = bibit()
 B = bibit()
+
+
+def extract_kernel(processor, sigma, effect):
+    """The kernel an arbitrary (sigma, R, effect) sandwich induces on A -> B,
+    read off `dilated_apply` on the probes |i>|e0> of A (x) E, E a bibit,
+    built through the validating constructor and held to the index-level
+    check of `realize_instrument`."""
+    a, b = processor.a_system, processor.b_system
+    environment = bibit(processor.mode)
+    ae = compose_systems(a, environment)
+    e0 = enumerate_pure_labels(environment)[0]
+    rows = {}
+    for i_label in enumerate_pure_labels(a):
+        out = dilated_apply(processor, sigma, effect, pure_state(ae, NodeLabel(i_label, e0, 1)))
+        row = {}
+        for label, value in out.coeffs.items():
+            assert isinstance(label, NodeLabel) and label.right == e0
+            key = (label.left, label.sign)
+            row[key] = row.get(key, 0) + value
+        if row:
+            rows[i_label] = row
+    kernel = Kernel(a, b, rows)
+    assert dilation._reproduces(processor, sigma, [(effect, kernel)])
+    return kernel
 
 
 def lab(i):
@@ -472,3 +496,25 @@ class TestProbeLoop:
             wrong = list(pairs)
             wrong[k] = (pairs[k][0], inst.branches[(k + 1) % 3])
             assert not dilation._reproduces(proc, result.sigma, wrong)
+
+    def test_effects_short_of_the_unit_effect_are_not_verified(self, monkeypatch):
+        """The observation must sum to the unit effect, which no sandwich
+        shows where the program state puts no weight: drop, from the first
+        effect, a point on a program label the channel does not use, and
+        every branch is still reproduced, but the realisation is refused."""
+        rng = random.Random(27)
+        proc = build_processor(A, B)
+        inst = random_instrument(rng, A, B, branches=2)
+        assert realize_instrument(inst, processor=proc).verified
+        used = {proc.program_index[fl] for fl, _mu in decompose_channel(inst.total())}
+        unused = next(x for x in enumerate_pure_labels(proc.program_system) if x not in used)
+        point = NodeLabel(unused, lab(1), 1)
+        missing = coder(proc.output_ancilla).index(point)
+        real = dilation.lowest_terms
+        monkeypatch.setattr(dilation, "lowest_terms", lambda nums, den: real(
+            {x: n for x, n in nums.items() if x != missing}, den))
+        result = realize_instrument(inst, processor=proc)
+        assert result.observation[0][point] == 0
+        assert dilation._reproduces(proc, result.sigma,
+                                    list(zip(result.observation, inst.branches)))
+        assert not result.verified

@@ -8,7 +8,8 @@ compared entry for entry through the `rows` view, under no fault and under
 each known fault, in BCT and in CT.  (In CT a faulted move can write a -
 sign, off the label set; the index calculus reads it as its + twin, and the
 comparison under a fault in CT does the same to the frozen rows.)  The
-basis-index coder is held to the canonical basis order.
+basis-index coder is held to the canonical basis order, sorted by
+`kernel_helpers.label_sort_key`.
 """
 
 import random
@@ -33,12 +34,13 @@ from bct.kernels import (
     sequential_compose,
     state_kernel,
 )
-from bct.labels import PLUS, NodeLabel, coder, enumerate_pure_labels
+from bct.labels import coder, enumerate_pure_labels
 from bct.states import EffectVector, GeneralizedVector, StateVector
 from bct.systems import Node, SystemTree, TheoryMode, Trivial, compose_systems, leaf, subtree_at
 
 import fraction_kernels
 from fraction_kernels import kernel_rows
+from kernel_helpers import plus, sorted_basis
 
 FAULTS = (None,) + faults.KNOWN_FAULTS
 MODES = st.sampled_from((TheoryMode.BCT, TheoryMode.CT))
@@ -70,13 +72,6 @@ def kernels(draw, in_system, out_system):
     base = random_kernel(random.Random(draw(st.integers(0, 2**16))), in_system, out_system)
     den = draw(DENOMINATORS)
     return scale_kernel(base, Fraction(draw(st.integers(0, den)), den))
-
-
-def plus(label):
-    """`label` with every node sign +."""
-    if isinstance(label, NodeLabel):
-        return NodeLabel(plus(label.left), plus(label.right), PLUS)
-    return label
 
 
 def summed(pairs):
@@ -179,9 +174,12 @@ def test_compositions_match_the_fraction_bodies(fault, data, mode):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), mode=MODES)
 def test_the_coder_follows_the_canonical_order(data, mode):
+    """The coder's index order is the sorted order of `label_sort_key`, on a
+    basis built without the coder; `enumerate_pure_labels` reads the coder."""
     system = data.draw(st.one_of(st.just(Trivial(mode)), trees(mode, (1, 4))))
     code = coder(system)
-    basis = enumerate_pure_labels(system)
+    basis = sorted_basis(system)
+    assert enumerate_pure_labels(system) == basis
     assert code.dim == len(basis)
     assert [code.index(label) for label in basis] == list(range(len(basis)))
     assert [code.label(i) for i in range(len(basis))] == basis

@@ -15,7 +15,6 @@ from bct.labels import (
     enumerate_pure_labels,
     invert_moves,
     label_matches,
-    label_sort_key,
     move_system,
     regroup,
 )
@@ -30,6 +29,8 @@ from bct.systems import (
     subtree_at,
     trivial,
 )
+
+from kernel_helpers import label_sort_key
 
 
 def lab(i):

@@ -7,7 +7,8 @@ check keeps it that way.
 
 The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses.
-The coherence checks use the label-level calculus, never the move tables.
+The coherence checks use the label-level calculus, never the transport
+that memoises it.
 """
 
 import ast
@@ -51,7 +52,7 @@ def test_bounds_come_from_config(path):
     assert bound_literals(ast.parse(path.read_text())) == []
 
 
-TABLE_NAMES = {"move_table", "Transport", "_MoveTable", "_MOVE_TABLES"}
+TABLE_NAMES = {"transport", "_Transport", "_TRANSPORTS"}
 
 
 def names_used(tree: ast.AST) -> set[str]:
@@ -68,7 +69,7 @@ def names_used(tree: ast.AST) -> set[str]:
 
 def test_coherence_checks_the_calculus_without_the_tables():
     """Pentagon and hexagon test the label-level moves themselves, so the
-    coherence module never reaches the move tables that memoise them."""
+    coherence module never reaches the transport that memoises them."""
     source = next(p for p in SOURCES if p.name == "coherence.py")
     used = names_used(ast.parse(source.read_text()))
     assert "apply_moves_tracked" in used
@@ -132,11 +133,13 @@ def test_rank_eliminates_without_fractions():
 
 INT_BODIES = {
     "states.py": {"tensor_products", "tensor_states", "tensor_effects", "_scalar_product",
-                  "apply_moves_to_vectors", "apply_moves_in_place", "apply_effect_at",
-                  "marginal", "_regrouped", "pair", "_paired", "is_separable",
+                  "_product", "apply_moves_to_vectors", "apply_moves_in_place",
+                  "apply_effect_at", "marginal", "_regrouped", "pair", "_paired",
+                  "is_separable", "unit_effect", "discriminating_instrument",
                   "weight", "vectors_equal", "lowest_terms", "_trusted"},
-    "kernels.py": {"apply"},
-    "tomography.py": {"_int_rows"},
+    "kernels.py": {"apply", "state_kernel", "effect_kernel"},
+    "tomography.py": {"_int_rows", "_basis_states"},
+    "dilation.py": {"_sum_to_unit", "_reproduces"},
 }
 
 
@@ -158,17 +161,20 @@ def fractions_outside_returns(function: ast.FunctionDef) -> list[int]:
 
 @pytest.mark.parametrize("module", sorted(INT_BODIES))
 def test_vector_calculus_runs_on_ints(module):
-    """A vector is int numerators over one denominator, and the calculus on
-    vectors keeps it so: no function of it (or module function it calls)
-    reads the `coeffs` view, names `ZERO` or `ONE` or has a true division.
-    A function whose result is a rational for the API (`pair`, `weight`)
-    builds that one `Fraction` in its return statement, and no other."""
+    """A vector is int numerators keyed by basis index over one denominator,
+    and the calculus on vectors keeps it so: no function of it (or module
+    function it calls) reads the `coeffs` view, names `ZERO`, `ONE` or
+    `NodeLabel` (labels are decoded by the coder, at the boundary) or has a
+    true division.  A function whose result is a rational for the API
+    (`pair`, `weight`) builds that one `Fraction` in its return statement,
+    and no other."""
     source = next(p for p in SOURCES if p.name == module)
     functions = int_body_functions(ast.parse(source.read_text()), INT_BODIES[module])
     assert {f.name for f in functions} >= INT_BODIES[module]
     for function in functions:
         body = ast.Module(body=function.body, type_ignores=[])
-        assert names_used(body) & {"coeffs", "ZERO", "ONE"} == set(), function.name
+        assert names_used(body) & {"coeffs", "ZERO", "ONE", "NodeLabel"} == set(), \
+            function.name
         assert not any(isinstance(node, ast.Div) for node in ast.walk(body)), function.name
         assert fractions_outside_returns(function) == [], function.name
 

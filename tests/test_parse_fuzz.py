@@ -30,13 +30,12 @@ from bct.kernels import random_instrument, random_kernel, random_state
 from bct.serial import (
     ParseError,
     instrument_from_json,
-    instrument_to_json,
-    kernel_from_json,
-    kernel_to_json,
     state_from_json,
     vector_to_json,
 )
 from bct.systems import TheoryMode, bibit, compose_systems
+
+from kernel_helpers import instrument_to_json, kernel_from_json, kernel_to_json
 
 _RNG = random.Random(11)
 _AB = compose_systems(bibit(), bibit())

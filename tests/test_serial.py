@@ -22,9 +22,6 @@ from bct.serial import (
     dumps,
     fraction_to_str,
     instrument_from_json,
-    instrument_to_json,
-    kernel_from_json,
-    kernel_to_json,
     label_to_str,
     parse_fraction,
     parse_label,
@@ -37,6 +34,8 @@ from bct.serial import (
 )
 from bct.states import StateVector
 from bct.systems import TheoryMode, Trivial, bibit, compose_systems, dimension, leaf
+
+from kernel_helpers import instrument_to_json, kernel_from_json, kernel_to_json
 
 F = Fraction
 AB = compose_systems(bibit(), bibit())

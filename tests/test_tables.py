@@ -1,12 +1,13 @@
-"""Cached bases and move tables against the label-level calculus.
+"""The one transport and the cached bases against the label-level calculus.
 
-`labels.move_table` serves (moved label, flip) from a table keyed on the
-move sequence and the active fault, filled by `apply_moves_tracked`;
-`enumerate_pure_labels` keeps each system's sorted basis.  These tests hold
-both to the reference: the same transports under every fault, the same
-suite reports in one process as in fresh ones, bases that callers cannot
-change, and hashes that survive pickling into a process with another
-PYTHONHASHSEED.
+`labels.transport` serves (moved index, flip) for the basis indices of a
+system, one transport per active fault, system and move sequence, read off
+`apply_moves_tracked` on a few probe labels; `enumerate_pure_labels` keeps
+each system's basis.  These tests hold both to the reference: the same
+entry as the calculus for every index under every fault, nothing
+enumerated to transport a sparse vector, the same suite reports in one
+process as in fresh ones, bases that callers cannot change, and hashes
+that survive pickling into a process with another PYTHONHASHSEED.
 """
 
 import json
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from bct import faults, labels
 from bct.coherence import SuiteConfig, run_suite
+from bct.config import max_dim
 from bct.dilation import realize_instrument
 from bct.kernels import random_instrument
 from bct.labels import (
@@ -30,14 +32,23 @@ from bct.labels import (
     NodeLabel,
     apply_moves_tracked,
     coder,
-    compiled_transport,
     enumerate_pure_labels,
     invert_moves,
     move_system_sequence,
-    move_table,
     regroup,
+    transport,
 )
-from bct.systems import Node, SystemTree, TheoryMode, compose_systems, leaf, left_comb
+from bct.states import apply_effect_at, apply_moves_to_vector, marginal, point_effect, pure_state
+from bct.systems import (
+    Node,
+    SystemTree,
+    TheoryMode,
+    compose_systems,
+    dimension,
+    leaf,
+    left_comb,
+    subtree_at,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 FAULTS = (None,) + faults.KNOWN_FAULTS
@@ -65,27 +76,8 @@ shapes = st.recursive(st.sampled_from((2, 3)), lambda inner: st.tuples(inner, in
 @settings(max_examples=40, deadline=None)
 @given(shape=shapes.filter(lambda s: not isinstance(s, int)),
        mode=st.sampled_from(tuple(TheoryMode)), pick=st.integers(0, 100))
-def test_tables_match_the_calculus_under_every_fault(shape, mode, pick):
-    system = build(shape, mode)
-    paths = subtree_paths(system)
-    at = paths[pick % len(paths)]
-    moves = regroup(system, at)
-    back = invert_moves(moves)
-    regrouped = move_system_sequence(system, moves)
-    for fault in FAULTS:
-        with faults.inject_fault(fault):
-            there_table, back_table = move_table(moves), move_table(back)
-            for label in enumerate_pure_labels(system):
-                assert there_table[label] == apply_moves_tracked(label, moves)
-            for label in enumerate_pure_labels(regrouped):
-                assert back_table[label] == apply_moves_tracked(label, back)
-
-
-@settings(max_examples=40, deadline=None)
-@given(shape=shapes.filter(lambda s: not isinstance(s, int)),
-       mode=st.sampled_from(tuple(TheoryMode)), pick=st.integers(0, 100))
-def test_compiled_transports_match_the_calculus_under_every_fault(shape, mode, pick):
-    """perm[i] and flip[i] of a compiled transport are the index and flip of
+def test_transports_match_the_calculus_under_every_fault(shape, mode, pick):
+    """The entry at index i of a transport is the index and flip of
     `apply_moves_tracked` on the label at index i, both ways of a regroup."""
     system = build(shape, mode)
     paths = subtree_paths(system)
@@ -94,47 +86,61 @@ def test_compiled_transports_match_the_calculus_under_every_fault(shape, mode, p
     for fault in FAULTS:
         with faults.inject_fault(fault):
             for start, sequence in ((system, moves), (regrouped, invert_moves(moves))):
-                moved, perm, flip = compiled_transport(start, sequence)
+                moved, table = transport(start, sequence)
                 assert moved == move_system_sequence(start, sequence)
-                if not sequence:  # the identity, served without arrays
-                    assert perm is None and flip is None
+                if not sequence:  # the identity, served without a table
+                    assert table is None
                     continue
                 index = coder(moved).index
-                tracked = [apply_moves_tracked(label, sequence)
-                           for label in enumerate_pure_labels(start)]
-                assert perm == [index(label) for label, _flip in tracked]
-                assert flip == [f for _label, f in tracked]
+                for i, label in enumerate(enumerate_pure_labels(start)):
+                    tracked, flip = apply_moves_tracked(label, sequence)
+                    assert table[i] == (index(tracked), flip)
 
 
-def test_the_empty_sequence_compiles_nothing():
-    system = left_comb([2, 3])
-    assert compiled_transport(system, []) == (system, None, None)
-    assert not any(key[1] == system and key[2] == () for key in labels._COMPILED)
-
-
-def test_a_table_belongs_to_its_fault():
-    moves = regroup(left_comb([2, 2, 2]), "01")
+def test_a_transport_belongs_to_its_fault():
+    system = left_comb([2, 2, 2])
+    moves = regroup(system, "01")
     tables = []
     for fault in FAULTS:
         with faults.inject_fault(fault):
-            tables.append(move_table(moves))
-            assert move_table(list(moves)) is tables[-1]
+            tables.append(transport(system, moves)[1])
+            assert transport(system, list(moves))[1] is tables[-1]
     assert len({id(t) for t in tables}) == len(FAULTS)
 
 
-def test_the_empty_sequence_stores_nothing():
+def test_the_empty_sequence_gets_no_transport():
     rng = random.Random(5)
     for dims in ((2, 2), (2, 3)):
         realize_instrument(random_instrument(rng, leaf(dims[0]), leaf(dims[1])))
     system = left_comb([2, 3, 2])
     for fault in FAULTS:
         with faults.inject_fault(fault):
-            empty = move_table(())
-            assert move_table([]) is empty
-            for label in enumerate_pure_labels(system):
-                assert empty[label] == apply_moves_tracked(label, [])
-    assert len(empty) == 0
-    assert not [key for key in labels._MOVE_TABLES if not key[1]]
+            assert transport(system, ()) == transport(system, []) == (system, None)
+    assert not [key for key in labels._TRANSPORTS if not key[2]]
+
+
+def test_a_pure_state_above_the_bound_regroups_and_steers(monkeypatch):
+    """A transport enumerates nothing: a pure state on a system whose basis
+    is refused is regrouped, steered and reduced, and the reference runs on
+    a few probe labels only."""
+    system = left_comb([3] * 6)
+    assert dimension(system) == 23328 > max_dim()
+    with pytest.raises(ValueError, match="exceeds enumeration bound"):
+        enumerate_pure_labels(system)
+    label = LeafLabel(2)
+    for index, sign in ((3, -1), (1, 1), (3, -1), (2, 1), (1, -1)):
+        label = NodeLabel(label, LeafLabel(index), sign)
+    rho = pure_state(system, label)
+    moves = regroup(system, "001")
+    probes = []
+    monkeypatch.setattr(labels, "apply_moves_tracked",
+                        lambda label, moves: probes.append(label) or apply_moves_tracked(label, moves))
+    regrouped = apply_moves_tracked(label, moves)[0]
+    assert apply_moves_to_vector(rho, moves).coeffs == {regrouped: 1}
+    effect = point_effect(subtree_at(system, "001"), regrouped.left)
+    assert apply_effect_at(effect, rho, "001").coeffs == {regrouped.right: 1}
+    assert marginal(rho, "001").coeffs == {regrouped.left: 1}
+    assert 0 < len(probes) <= 8  # one sign pattern, and one label per leaf
 
 
 SMALL_SUITE = dict(kernel_pairs=5)

@@ -113,15 +113,14 @@ class TestRankOracle:
     @given(st.lists(st.tuples(sparse_rows, st.integers(0, 3)), max_size=8),
            st.integers(1, 4))
     def test_merged_group_echelons_match_sympy(self, rows, groups):
-        """Rows split into 1-4 groups, each eliminated alone over one column
-        index: merging the groups' echelons ranks the whole family, and
-        leaves the groups' echelons as they were."""
+        """Rows split into 1-4 groups, each eliminated alone over the basis
+        indices of one system: merging the groups' echelons ranks the whole
+        family, and leaves the groups' echelons as they were."""
         vectors = [GeneralizedVector(SPARSE, {SPARSE_LABELS[i]: v for i, v in row.items()})
                    for row, _ in rows]
         parts = [[vector for vector, (_, g) in zip(vectors, rows) if g % groups == k]
                  for k in range(groups)]
-        index: dict = {}
-        echelons = [_echelon(_int_rows(part, index), {}) for part in parts]
+        echelons = [_echelon(_int_rows(part), {}) for part in parts]
         before = [{col: dict(row) for col, row in echelon.items()} for echelon in echelons]
         assert len(_merged(echelons)) == rank(vectors) == sympy_rank(vectors)
         assert echelons == before
