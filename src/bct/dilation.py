@@ -43,7 +43,7 @@ from .labels import (
     Move,
     MoveKind,
     PureLabel,
-    basis_size,
+    basis_indices,
     coder,
     enumerate_pure_labels,
     node_signs,
@@ -318,7 +318,7 @@ def realize_instrument(instrument: Instrument,
                           for (fl, i), z in table.items() for s1 in signs})
               for table in tables[1:]]
     den = lcm(*(d for _nums, d in others))
-    first = dict.fromkeys(range(basis_size(processor.output_ancilla, DILATION_MAX_DIM)), den)
+    first = dict.fromkeys(basis_indices(processor.output_ancilla, DILATION_MAX_DIM), den)
     for nums, d in others:
         for x, n in nums.items():
             first[x] -= n * (den // d)

@@ -156,6 +156,20 @@ def basis_size(system: SystemTree, bound: int | None = None) -> int:
 _BASES: dict[SystemTree, tuple[PureLabel, ...]] = {}
 
 
+# The ints 0, 1, ... up to the largest basis asked for, shared by every caller.
+_INDICES: list[int] = []
+
+
+def basis_indices(system: SystemTree, bound: int | None = None) -> list[int]:
+    """The basis indices of `system` in order, refused above the bound as in
+    `basis_size`.  The ints are shared by every caller, so a dict keyed by a
+    whole basis (an effect kept in a result) holds no int of its own."""
+    size = basis_size(system, bound)
+    if len(_INDICES) < size:
+        _INDICES.extend(range(len(_INDICES), size))
+    return _INDICES[:size]
+
+
 # ---------------------------------------------------------------------------
 # Basis indices
 

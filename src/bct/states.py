@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .labels import (
     Coder,
     Move,
     PureLabel,
+    basis_indices,
     basis_size,
     coder,
     label_matches,
@@ -169,7 +170,7 @@ def pure_state(system: SystemTree, label: PureLabel) -> StateVector:
 
 
 def unit_effect(system: SystemTree) -> EffectVector:
-    return EffectVector._trusted(system, dict.fromkeys(range(basis_size(system)), 1), 1)
+    return EffectVector._trusted(system, dict.fromkeys(basis_indices(system), 1), 1)
 
 
 def point_effect(system: SystemTree, label: PureLabel) -> EffectVector:
@@ -188,8 +189,8 @@ def _scalar_product(a: GeneralizedVector, b: GeneralizedVector) -> tuple[Nums, i
     return lowest_terms({x: n * s for x, n in vector.nums.items()}, scalar.den * vector.den)
 
 
-def _product(join, a: GeneralizedVector, b: GeneralizedVector,
-             signs: tuple[int, ...], den: int) -> tuple[Nums, int]:
+def _product(join: Callable[[int, int, int], int], a: GeneralizedVector,
+             b: GeneralizedVector, signs: tuple[int, ...], den: int) -> tuple[Nums, int]:
     """The numerators of a (x) b on every sign of (ij), joined to indices
     of the composite by `join`, over `den`."""
     return _scalar_product(a, b) or lowest_terms(

@@ -9,10 +9,10 @@ as int numerators keyed by basis index over a positive int denominator, and
 are rebuilt from the labels their indices decode to and the `Fraction`s
 they stand for, so a key off the basis, or a result that is not in
 canonical form (a zero numerator, an empty row, or a factor common to all
-the ints), also fails.  A kernel whose rows are a rule (a mapping other than a dict,
-such as the universal processor's) is checked a block of rows at a time,
-streaming over its indices, so every row is checked without holding them
-all.  The wrapped originals stay reachable as `__wrapped__`.
+the ints), also fails.  A kernel whose rows are a rule (a mapping other
+than a dict, such as the universal processor's) is checked a block of rows
+at a time, streaming over its indices, so every row is checked without
+holding them all.  The wrapped originals stay reachable as `__wrapped__`.
 """
 
 import functools

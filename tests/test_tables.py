@@ -31,6 +31,7 @@ from bct.labels import (
     LeafLabel,
     NodeLabel,
     apply_moves_tracked,
+    basis_indices,
     coder,
     enumerate_pure_labels,
     invert_moves,
@@ -191,6 +192,17 @@ def test_callers_get_a_fresh_basis(monkeypatch):
     monkeypatch.setenv("BCT_MAX_DIM", "11")
     with pytest.raises(ValueError, match="exceeds enumeration bound 11"):
         enumerate_pure_labels(system)
+
+
+def test_basis_indices_are_ints_shared_by_every_caller():
+    big, small = left_comb([3, 3, 3, 3]), left_comb([3, 3, 2, 2])
+    first = basis_indices(big)
+    assert first == list(range(dimension(big))) and dimension(small) > 256
+    assert all(a is b for a, b in zip(basis_indices(small), first))
+    first.clear()
+    assert len(basis_indices(big)) == dimension(big)
+    with pytest.raises(ValueError, match="exceeds enumeration bound 11"):
+        basis_indices(big, bound=11)
 
 
 def test_label_hash_is_cached_and_structural():
