@@ -33,14 +33,19 @@ from .kernels import (
     validate_instrument,
 )
 from .labels import (
-    UNIT,
     Move,
     MoveKind,
     apply_moves_tracked,
     enumerate_pure_labels,
     label_to_str,
 )
-from .states import GeneralizedVector, StateVector, pair, point_effect
+from .states import (
+    GeneralizedVector,
+    StateVector,
+    discriminating_instrument,
+    pair,
+    vectors_equal,
+)
 from .systems import (
     TheoryMode,
     bibit,
@@ -168,10 +173,10 @@ def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
     for _ in range(10):
         rho = random_state(rng, a)
         sigma = random_state(rng, a)
-        if rho.coeffs == sigma.coeffs:
+        if vectors_equal(rho, sigma):
             continue
-        separated = any(pair(point_effect(a, x), rho) != pair(point_effect(a, x), sigma)
-                        for x in enumerate_pure_labels(a))
+        separated = any(pair(effect, rho) != pair(effect, sigma)
+                        for effect in discriminating_instrument(a))
         if not separated:
             return CheckReport("probabilistic", params, False,
                                {"stage": "separation"})
@@ -180,8 +185,7 @@ def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
     # probability distributions
     half = scalar_kernel(mode, Fraction(1, 2))
     third = scalar_kernel(mode, Fraction(1, 3))
-    product = parallel_compose(half, third)
-    if product.row(UNIT).get((UNIT, 1)) != Fraction(1, 6):
+    if not kernels_equal(parallel_compose(half, third), scalar_kernel(mode, Fraction(1, 6))):
         return CheckReport("probabilistic", params, False, {"stage": "scalars"})
     weights = [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
     trivial_instrument = Instrument(tuple(scalar_kernel(mode, w) for w in weights))
@@ -201,10 +205,10 @@ def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
     if not validate_instrument(merged):
         return CheckReport("probabilistic", params, False, {"stage": "coarse"})
     rho = random_state(rng, a)
-    for x in enumerate_pure_labels(b):
-        direct = sum((pair(point_effect(b, x), _image(inst3.branches[i], rho))
-                      for i in (0, 2)), Fraction(0))
-        if direct != pair(point_effect(b, x), _image(merged.branches[0], rho)):
+    *parts, joint = (_image(kernel, rho) for kernel in
+                     (inst3.branches[0], inst3.branches[2], merged.branches[0]))
+    for effect in discriminating_instrument(b):
+        if sum(pair(effect, part) for part in parts) != pair(effect, joint):
             return CheckReport("probabilistic", params, False,
                                {"stage": "coarse-additivity"})
 
@@ -222,7 +226,7 @@ def check_probabilistic_compatibility(seed: int, dims: tuple[int, int] = (2, 2),
     for branch in inst.branches:
         ext = extend_at(branch, ae, "0")
         outputs.extend(_image(ext, p) for p in preparation)
-    if any(any(v < 0 for v in out.coeffs.values()) or out.weight > 1
+    if any(any(n < 0 for n in out.nums.values()) or sum(out.nums.values()) > out.den
            for out in outputs):
         return CheckReport("probabilistic", params, False,
                            {"stage": "extension-positivity"})

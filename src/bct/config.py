@@ -7,7 +7,8 @@ its domain (`DILATION_MAX_DIM`), checked by arithmetic before anything of it
 is built; the processor's own systems are enumerated under that bound.
 
 Parsed system and label strings are capped at `MAX_NESTING` levels of
-parentheses.
+parentheses, and the systems the CLI builds itself nest no deeper: `protocol
+capacity` takes at most `MAX_NESTING + 1` carriers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ DILATION_MAX_DIM = 262144
 
 # System and label strings nest at most this deep: every tree walker
 # (parsing, hashing, printing, label matching) recurses once per level, and
-# the cap keeps them all well inside the interpreter's recursion limit.
+# the cap keeps them all well inside the interpreter's recursion limit.  The
+# left comb of `protocol capacity` on n carriers nests n - 1 deep, so n is
+# capped at MAX_NESTING + 1.
 MAX_NESTING = 200
 
 

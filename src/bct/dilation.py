@@ -14,9 +14,10 @@ on pure labels.  R is never tabulated: its kernel works each row out from
 the rule above, on basis indices, whenever the row is read, and the
 bijection is checked by index arithmetic (k |-> h(i)+k is a permutation of
 the output register).
-Arbitrary instruments are realised by the same processor and program
-state, with one observation effect per branch built from the branch/channel
-weight ratios; a realisation is verified by composing each sandwich
+The decomposition and the branch/channel weight ratios run on the
+kernels' int rows.  Arbitrary instruments are realised by the same processor
+and program state, with one observation effect per branch built from those
+ratios; a realisation is verified by composing each sandwich
 (program state, R, effect) as a kernel on basis indices and comparing it
 with its branch.
 """
@@ -36,8 +37,10 @@ from .kernels import (
     Kernel,
     _composed,
     _lowest,
+    _with_identity,
     apply,
     is_deterministic,
+    state_kernel,
 )
 from .labels import (
     Move,
@@ -49,7 +52,6 @@ from .labels import (
     node_signs,
 )
 from .states import (
-    ZERO,
     EffectVector,
     StateVector,
     apply_effect_at,
@@ -158,8 +160,8 @@ def build_processor(a: SystemTree, b: SystemTree,
     The systems are sized by the dimension rule, and the domain is checked
     against `bound`, before any label is enumerated.  The kernel's rows come
     from the rule on demand (see `_ProcessorRows`); the bijection is checked
-    on the indices: for every program label and input index i, k |-> h(i)+k
-    must hit each output index exactly once.
+    on the indices: for every register value m, k |-> m+k must hit each
+    output index exactly once (every h(i) is such an m).
     """
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         raise ValueError("the processor needs non-trivial input and output systems")
@@ -176,11 +178,11 @@ def build_processor(a: SystemTree, b: SystemTree,
             f"processor domain dimension {dimension(domain)} exceeds bound {bound}")
     program_index = dict(zip(enumerate_function_labels(d_a, d_b, mode),
                              enumerate_pure_labels(program, bound)))
+    # every register value is the h(i) of some program label
     register = list(range(1, d_b + 1))
-    for fl in program_index:
-        for m in fl.h:
-            if sorted(_offset_add(m, k, d_b) for k in register) != register:
-                raise AssertionError("processor kernel failed the bijection check")
+    for m in register:
+        if sorted(_offset_add(m, k, d_b) for k in register) != register:
+            raise AssertionError("processor kernel failed the bijection check")
     image = compose_systems(aprime, b)
     rows = _ProcessorRows(domain, image, list(program_index), d_b)
     kernel = Kernel._trusted(domain, image, rows, 1)
@@ -194,13 +196,15 @@ def decompose_channel(channel: Kernel) -> list[tuple[FunctionLabel, Fraction]]:
     assembles a function hitting a nonzero entry in every row (the smallest
     such target per row, the minimum cell anchoring its own row), subtracts,
     and records the weight.  Ties pick the lexicographically least (i, m,
-    tau).  The parts re-sum to the channel and the weights sum to one.
+    tau).  The steps run on copies of the channel's int rows, cell (m, tau)
+    keyed by the 0-based output index m, over its one denominator; only the
+    returned weights are `Fraction`s.  The parts re-sum to the channel and
+    the weights sum to one.
     """
     if not is_deterministic(channel):
         raise ValueError("decompose_channel needs a deterministic kernel")
-    remaining = _cell_table(channel)
-
-    out: list[tuple[FunctionLabel, Fraction]] = []
+    remaining = [dict(channel.nums[i]) for i in range(dimension(channel.in_system))]
+    weights: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     guard = 0
     # every step zeroes at least one cell
     limit = 2 * dimension(channel.in_system) * dimension(channel.out_system)
@@ -208,38 +212,18 @@ def decompose_channel(channel: Kernel) -> list[tuple[FunctionLabel, Fraction]]:
         guard += 1
         if guard > limit:
             raise AssertionError("greedy decomposition failed to terminate")
-        cells = [(i, m, tau)
-                 for i, row in enumerate(remaining) for (m, tau) in sorted(row)]
-        anchor = min(cells, key=lambda c: (remaining[c[0]][(c[1], c[2])],
-                                           c[0], c[1], c[2]))
-        i0, m0, tau0 = anchor
-        lam0 = remaining[i0][(m0, tau0)]
-        h, xi = [], []
-        for i, row in enumerate(remaining):
-            if i == i0:
-                m, tau = m0, tau0
+        lam, i0, m0, tau0 = min((n, i, m, tau) for i, row in enumerate(remaining)
+                                for (m, tau), n in row.items())
+        cells = [(m0, tau0) if i == i0 else min(row) for i, row in enumerate(remaining)]
+        for row, cell in zip(remaining, cells):
+            if row[cell] == lam:
+                del row[cell]
             else:
-                m, tau = min(row)
-            h.append(m)
-            xi.append(tau)
-            new = row[(m, tau)] - lam0
-            if new:
-                row[(m, tau)] = new
-            else:
-                del row[(m, tau)]
-        out.append((FunctionLabel(tuple(h), tuple(xi)), lam0))
-    merged: dict[FunctionLabel, Fraction] = {}
-    for fl, mu in out:
-        merged[fl] = merged[fl] + mu if fl in merged else mu
-    return sorted(merged.items(), key=lambda item: (item[0].h, item[0].xi))
-
-
-def _cell_table(kernel: Kernel) -> list[dict[tuple[int, int], Fraction]]:
-    """Row i of `kernel` (the i-th input label, at basis index i) as
-    {(m, tau): w}, m the 1-based basis index of the output label."""
-    den = kernel.den
-    return [{(b + 1, tau): Fraction(n, den) for (b, tau), n in kernel.nums.get(i, {}).items()}
-            for i in range(dimension(kernel.in_system))]
+                row[cell] -= lam
+        key = (tuple(m + 1 for m, _tau in cells), tuple(tau for _m, tau in cells))
+        weights[key] = weights[key] + lam if key in weights else lam
+    return [(FunctionLabel(h, xi), Fraction(n, channel.den))
+            for (h, xi), n in sorted(weights.items())]
 
 
 @dataclass(frozen=True)
@@ -295,24 +279,23 @@ def realize_instrument(instrument: Instrument,
     mu = decompose_channel(channel)
     sigma = program_sigma(processor, mu)
 
-    d_a = dimension(a)
-    channel_cells = _cell_table(channel)
-    signs = node_signs(processor.mode)
+    # zeta of branch k at (h, xi, i) is its weight over the channel's at the
+    # cell (h(i), xi(i)); a chosen function's cells are all nonzero channel
+    # cells, and a branch cell is nonzero only where the channel's is
     tables: list[dict[tuple[FunctionLabel, int], Fraction]] = []
     for branch in instrument.branches:
-        branch_cells = _cell_table(branch)
         table: dict[tuple[FunctionLabel, int], Fraction] = {}
         for fl, _weight in mu:
-            for i in range(d_a):
-                cell = (fl.h[i], fl.xi[i])
-                lam = channel_cells[i].get(cell, ZERO)
-                z = branch_cells[i].get(cell, ZERO) / lam if lam else ZERO
-                if z:
-                    table[(fl, i)] = z
+            for i, (m, tau) in enumerate(zip(fl.h, fl.xi)):
+                n = branch.nums.get(i, {}).get((m - 1, tau))
+                if n:
+                    table[(fl, i)] = Fraction(n * channel.den,
+                                              branch.den * channel.nums[i][(m - 1, tau)])
         tables.append(table)
     # branch k > 0 observes its ratio on every sign of (sigma_{h,xi} i); the
     # first branch observes what the others leave of the unit effect, which
     # also covers the program labels the channel never uses
+    signs = node_signs(processor.mode)
     program, join = coder(processor.program_system).index, coder(processor.output_ancilla).join
     others = [int_coeffs({join(program(processor.program_index[fl]), i, s1): z
                           for (fl, i), z in table.items() for s1 in signs})
@@ -352,25 +335,18 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
                 pairs: Sequence[tuple[EffectVector, Kernel]]) -> bool:
     """Each sandwich (Sigma, R, effect) is its kernel.
 
-    The sandwich is the kernel A -> B that prepares Sigma beside A, runs R on
-    (B' A) and observes the effect on A', the head of (A' B):
-    effect o R o (Sigma (x) I_A), composed here on basis indices, with R run
-    once for all pairs.  Two kernels A -> B agree on every pure label of
-    A (x) E, E a bibit, exactly when they are equal, since (b e)_{tau v}
-    tells tau apart; so this is the check that `dilated_apply` and the
-    kernel act alike on every such probe.
+    The sandwich is the kernel A -> B that prepares Sigma beside A (its
+    state kernel (x) I_A), runs R on (B' A) and observes the effect on A',
+    the head of (A' B): effect o R o (Sigma (x) I_A), composed here on basis
+    indices, with R run once for all pairs.  Two kernels A -> B agree on
+    every pure label of A (x) E, E a bibit, exactly when they are equal,
+    since (b e)_{tau v} tells tau apart; so this is the check that
+    `dilated_apply` and the kernel act alike on every such probe.
     """
     kernel = processor.kernel
-    domain, image = kernel.coders
-    signs = node_signs(processor.mode)
-    program = sigma.nums.items()
-    # a preparation beside i opens the node (s i)_t, whose sign t is the
-    # emitted flip, evenly over the signs
-    prepared = {i: {(domain.join(s, i, t), t): n for s, n in program for t in signs}
-                for i in range(dimension(processor.a_system))}
-    staged = _composed(kernel.nums, prepared, False)
-    den = sigma.den * len(signs)
-    split = image.split
+    prepared = state_kernel(sigma)
+    staged = _composed(kernel.nums, _with_identity(prepared, processor.a_system), False)
+    split = kernel.coders[1].split
     for effect, branch in pairs:
         # the effect at the head of (A' B): (a b)_s -> (b, s), weighted effect(a)
         observed: dict[int, IntRow] = {}
@@ -381,7 +357,7 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
                     w = effect.nums.get(a)
                     observed[y] = {(b, s): w} if w else {}
         rows = _composed(observed, staged, False)
-        if _lowest(rows, den * effect.den) != (branch.nums, branch.den):
+        if _lowest(rows, prepared.den * effect.den) != (branch.nums, branch.den):
             return False
     return True
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .config import max_dim
+from .config import MAX_NESTING, max_dim
 from .kernels import (
     Instrument,
     Kernel,
@@ -138,9 +138,16 @@ def dense_coding(mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport:
 
 
 def capacity_report(n: int, mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport:
-    """Distinguishable-message count of n carriers: 2^(2n-1) in BCT, 2^n in CT."""
+    """Distinguishable-message count of n carriers: 2^(2n-1) in BCT, 2^n in CT.
+
+    The carriers form a left comb nested n - 1 deep, so n is refused above
+    MAX_NESTING + 1 before anything is built.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_NESTING + 1:
+        raise ValueError(f"n must be at most {MAX_NESTING + 1} "
+                         f"(carriers nest at most {MAX_NESTING} deep)")
     system = left_comb([2] * n, mode)
     d = dimension(system)
     expected = 2 ** (2 * n - 1) if mode is TheoryMode.BCT else 2 ** n

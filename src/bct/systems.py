@@ -103,15 +103,6 @@ def compose_systems(a: SystemTree, b: SystemTree) -> SystemTree:
     return Node(a.mode, a, b)
 
 
-def leaves(system: SystemTree) -> list[ElementarySystem]:
-    if isinstance(system, Trivial):
-        return []
-    if isinstance(system, Leaf):
-        return [system.system]
-    assert isinstance(system, Node)
-    return leaves(system.left) + leaves(system.right)
-
-
 def subtree_at(system: SystemTree, path: str) -> SystemTree:
     node = system
     for step in path:

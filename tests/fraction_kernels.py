@@ -9,6 +9,14 @@ instead of the move tables, they build a plain `FractionKernel` instead of
 a `Kernel`, and they drop zero weights and empty rows where the trusted
 constructor used to.  They read a `Kernel` only through its `rows` view,
 so either kind of kernel is a valid input.
+
+`decompose_channel` and `ratio_tables` are the `Fraction` bodies of
+`dilation.decompose_channel` and of the branch/channel ratio tables of
+`dilation.realize_instrument` from before those ran on int rows: both work on
+cell tables, row i the i-th input label as {(m, tau): Fraction}, m the
+1-based place of the output label in the basis order.  They return the
+weights as sorted (FunctionLabel, Fraction) pairs and the tables as
+{(FunctionLabel, i): Fraction} per branch, as the dilation module does.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bct import faults
+from bct.dilation import FunctionLabel
 from bct.labels import (
     PLUS,
     UNIT,
@@ -190,3 +199,68 @@ def apply(kernel, rho, at=""):
         for (b, _flip), w in _act_at(kernel, label, there, back):
             out[b] = out.get(b, ZERO) + w * value
     return _result_system(kernel, rho.system, at), {b: v for b, v in out.items() if v}
+
+
+def _cell_table(kernel):
+    """Row i of `kernel` (the i-th input label) as {(m, tau): w}, m the
+    1-based place of the output label in the basis order."""
+    place = {b: m for m, b in enumerate(enumerate_pure_labels(kernel.out_system), 1)}
+    return [{(place[b], tau): w for (b, tau), w in kernel.row(a).items()}
+            for a in enumerate_pure_labels(kernel.in_system)]
+
+
+def decompose_channel(channel):
+    """Greedy split of a deterministic channel; ties pick the least (i, m, tau)."""
+    remaining = _cell_table(channel)
+    if not all(sum(row.values()) == 1 for row in remaining):
+        raise ValueError("decompose_channel needs a deterministic kernel")
+    out = []
+    guard = 0
+    limit = 2 * len(remaining) * len(enumerate_pure_labels(channel.out_system))
+    while any(remaining):
+        guard += 1
+        if guard > limit:
+            raise AssertionError("greedy decomposition failed to terminate")
+        cells = [(i, m, tau)
+                 for i, row in enumerate(remaining) for (m, tau) in sorted(row)]
+        anchor = min(cells, key=lambda c: (remaining[c[0]][(c[1], c[2])],
+                                           c[0], c[1], c[2]))
+        i0, m0, tau0 = anchor
+        lam0 = remaining[i0][(m0, tau0)]
+        h, xi = [], []
+        for i, row in enumerate(remaining):
+            if i == i0:
+                m, tau = m0, tau0
+            else:
+                m, tau = min(row)
+            h.append(m)
+            xi.append(tau)
+            new = row[(m, tau)] - lam0
+            if new:
+                row[(m, tau)] = new
+            else:
+                del row[(m, tau)]
+        out.append((FunctionLabel(tuple(h), tuple(xi)), lam0))
+    merged = {}
+    for fl, mu in out:
+        merged[fl] = merged[fl] + mu if fl in merged else mu
+    return sorted(merged.items(), key=lambda item: (item[0].h, item[0].xi))
+
+
+def ratio_tables(instrument, mu):
+    """Per branch, zeta at (h, xi, i): the branch weight over the channel
+    weight at the cell (h(i), xi(i)), kept where it is nonzero."""
+    channel_cells = _cell_table(instrument.total())
+    tables = []
+    for branch in instrument.branches:
+        branch_cells = _cell_table(branch)
+        table = {}
+        for fl, _weight in mu:
+            for i in range(len(channel_cells)):
+                cell = (fl.h[i], fl.xi[i])
+                lam = channel_cells[i].get(cell, ZERO)
+                z = branch_cells[i].get(cell, ZERO) / lam if lam else ZERO
+                if z:
+                    table[(fl, i)] = z
+        tables.append(table)
+    return tables

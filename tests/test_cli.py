@@ -197,6 +197,12 @@ GOLDEN = Path(__file__).parent / "data"
      ["protocol", "swap", "--i", "1", "--j", "2", "--s", "-", "--k", "1",
       "--l", "1", "--t", "+", "--quiet"]),
     ("golden_spans.json", ["verify-dims", "--triples", "2,2,2", "--quiet"]),
+    # a 3-branch 2 -> 3 instrument in BCT (A' has 144 labels) and a
+    # 2-branch 2 -> 2 instrument in CT, each read from the document beside it
+    ("golden_dilate_bct.json",
+     ["dilate", str(GOLDEN / "dilate_bct_instrument.json"), "--quiet"]),
+    ("golden_dilate_ct.json",
+     ["dilate", str(GOLDEN / "dilate_ct_instrument.json"), "--quiet"]),
 ])
 def test_reports_match_golden_bytes(name, args, capsys):
     code, out = run(args, capsys)

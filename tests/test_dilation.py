@@ -36,6 +36,7 @@ from bct.labels import UNIT, LeafLabel, NodeLabel, coder, enumerate_pure_labels,
 from bct.states import pure_state, unit_effect, vectors_equal
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf
 
+import fraction_kernels
 from kernel_helpers import function_channel
 
 F = Fraction
@@ -251,6 +252,48 @@ class TestDecomposition:
         fls = enumerate_function_labels(1, 2, TheoryMode.BCT)
         assert fls == [FunctionLabel((1,), (-1,)), FunctionLabel((1,), (1,)),
                        FunctionLabel((2,), (-1,)), FunctionLabel((2,), (1,))]
+
+
+ORACLE_CASES = [(dims, mode) for dims in [(2, 2), (2, 3), (3, 2), (3, 3)]
+                for mode in TheoryMode]
+
+
+class TestFractionOracle:
+    """The decomposition and the ratio tables on int rows against their
+    frozen `Fraction` bodies on cell tables (`fraction_kernels`)."""
+
+    @pytest.mark.parametrize("dims, mode", ORACLE_CASES)
+    def test_decomposition_matches_the_fraction_body(self, dims, mode):
+        rng = random.Random(31 * sum(dims) + len(mode.value))
+        a, b = leaf(dims[0], mode), leaf(dims[1], mode)
+        for _ in range(25):
+            channel = random_deterministic_kernel(rng, a, b)
+            assert decompose_channel(channel) == fraction_kernels.decompose_channel(channel)
+
+    @pytest.mark.parametrize("dims, mode", ORACLE_CASES)
+    def test_ratio_tables_match_the_fraction_body(self, dims, mode):
+        rng = random.Random(37 * sum(dims) + len(mode.value))
+        a, b = leaf(dims[0], mode), leaf(dims[1], mode)
+        proc = build_processor(a, b)
+        for _ in range(10):
+            inst = random_instrument(rng, a, b, branches=rng.randrange(1, 4))
+            result = realize_instrument(inst, processor=proc, verify=False)
+            mu = fraction_kernels.decompose_channel(inst.total())
+            assert list(result.mu.items()) == mu
+            assert result.zeta == dict(zip(inst.outcomes,
+                                           fraction_kernels.ratio_tables(inst, mu)))
+
+    def test_ties_across_rows_pick_the_least_row_first(self):
+        # the minimum 1/4 sits at (i, m) = (1, 2) and at (2, 1): the anchor
+        # is the first row's cell, which leaves h = (2, 1) then h = (1, 2);
+        # anchoring the least output index first would give three parts
+        rows = {lab(1): {(lab(2), 1): F(1, 4), (lab(1), 1): F(3, 4)},
+                lab(2): {(lab(1), 1): F(1, 4), (lab(2), 1): F(3, 4)}}
+        channel = Kernel(A, B, rows)
+        out = decompose_channel(channel)
+        assert out == [(FunctionLabel((1, 2), (1, 1)), F(3, 4)),
+                       (FunctionLabel((2, 1), (1, 1)), F(1, 4))]
+        assert out == fraction_kernels.decompose_channel(channel)
 
 
 class TestRealization:

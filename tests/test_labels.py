@@ -24,7 +24,6 @@ from bct.systems import (
     bibit,
     compose_systems,
     leaf,
-    leaves,
     left_comb,
     subtree_at,
     trivial,
@@ -202,8 +201,12 @@ def _random_walk(rng, tree, n):
     return moves, cur
 
 
+def _leaf_count(tree):
+    return 1 if not isinstance(tree, Node) else _leaf_count(tree.left) + _leaf_count(tree.right)
+
+
 def _leaf_permutation(tree, moves):
-    perm = tuple(range(len(leaves(tree))))
+    perm = tuple(range(_leaf_count(tree)))
     cur = tree
     for m in moves:
         if m.kind is MoveKind.BRAID:
@@ -212,10 +215,10 @@ def _leaf_permutation(tree, moves):
                 if step == "0":
                     node_at = node_at.left
                 else:
-                    offset += len(leaves(node_at.left))
+                    offset += _leaf_count(node_at.left)
                     node_at = node_at.right
-            nl = len(leaves(node_at.left))
-            nr = len(leaves(node_at.right))
+            nl = _leaf_count(node_at.left)
+            nr = _leaf_count(node_at.right)
             perm = (perm[:offset] + perm[offset + nl:offset + nl + nr]
                     + perm[offset:offset + nl] + perm[offset + nl + nr:])
         cur = move_system(cur, m)

@@ -139,7 +139,7 @@ INT_BODIES = {
                   "weight", "vectors_equal", "lowest_terms", "_trusted"},
     "kernels.py": {"apply", "state_kernel", "effect_kernel"},
     "tomography.py": {"_int_rows", "_basis_states"},
-    "dilation.py": {"_sum_to_unit", "_reproduces"},
+    "dilation.py": {"_sum_to_unit", "_reproduces", "decompose_channel"},
 }
 
 
@@ -202,3 +202,17 @@ def test_kernel_calculus_runs_on_ints():
         names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
         assert names & {"Fraction", "ZERO", "ONE", "NodeLabel"} == set(), function.name
         assert not any(isinstance(node, ast.Div) for node in ast.walk(body)), function.name
+
+
+def test_probabilistic_check_runs_on_ints():
+    """`coherence.check_probabilistic_compatibility` compares states, kernels
+    and images by their ints: no function of it (or module function it
+    calls) reads a label-keyed view (`coeffs`, `row`, `rows`) or builds an
+    effect or a scalar entry by label (`point_effect`, `UNIT`)."""
+    source = next(p for p in SOURCES if p.name == "coherence.py")
+    functions = elimination_functions(ast.parse(source.read_text()),
+                                      {"check_probabilistic_compatibility"})
+    assert {f.name for f in functions} >= {"check_probabilistic_compatibility", "_image"}
+    for function in functions:
+        assert names_used(function) & {"coeffs", "row", "rows", "UNIT", "point_effect"} \
+            == set(), function.name

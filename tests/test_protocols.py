@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from bct import protocols
 from bct.cli import main
+from bct.config import MAX_NESTING
 from bct.kernels import apply, sequential_compose
 from bct.labels import LeafLabel, NodeLabel, enumerate_pure_labels
 from bct.protocols import (
@@ -83,6 +86,26 @@ class TestCapacity:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             capacity_report(0)
+
+    def test_n_up_to_the_nesting_cap_runs(self, capsys):
+        assert main(["protocol", "capacity", "--n", str(MAX_NESTING + 1), "--quiet"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["outcomes"] == [{"n": MAX_NESTING + 1, "messages": 2 ** (2 * MAX_NESTING + 1),
+                                       "expected": 2 ** (2 * MAX_NESTING + 1)}]
+
+    @pytest.mark.parametrize("n", [MAX_NESTING + 2, 10 ** 12])
+    def test_n_beyond_the_nesting_cap_is_refused_before_building(self, n, monkeypatch,
+                                                                 capsys):
+        built = []
+
+        def refuse(*args):
+            built.append(args)
+            raise RuntimeError("left_comb reached")
+
+        monkeypatch.setattr(protocols, "left_comb", refuse)
+        assert main(["protocol", "capacity", "--n", str(n), "--quiet"]) == 2
+        assert built == []
+        assert f"at most {MAX_NESTING + 1}" in capsys.readouterr().err
 
 
 class TestSwapping:
