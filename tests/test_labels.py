@@ -202,7 +202,9 @@ def _random_walk(rng, tree, n):
 
 
 def _leaf_count(tree):
-    return 1 if not isinstance(tree, Node) else _leaf_count(tree.left) + _leaf_count(tree.right)
+    if not isinstance(tree, Node):
+        return 1
+    return _leaf_count(tree.left) + _leaf_count(tree.right)
 
 
 def _leaf_permutation(tree, moves):
