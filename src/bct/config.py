@@ -26,9 +26,7 @@ DILATION_MAX_DIM = 262144
 
 # System and label strings nest at most this deep: every tree walker
 # (parsing, hashing, printing, label matching) recurses once per level, and
-# the cap keeps them all well inside the interpreter's recursion limit.  The
-# left comb of `protocol capacity` on n carriers nests n - 1 deep, so n is
-# capped at MAX_NESTING + 1.
+# the cap keeps them all well inside the interpreter's recursion limit.
 MAX_NESTING = 200
 
 
