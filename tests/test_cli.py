@@ -197,6 +197,17 @@ GOLDEN = Path(__file__).parent / "data"
      ["protocol", "swap", "--i", "1", "--j", "2", "--s", "-", "--k", "1",
       "--l", "1", "--t", "+", "--quiet"]),
     ("golden_spans.json", ["verify-dims", "--triples", "2,2,2", "--quiet"]),
+    # unequal dims, so that the moves carrying the tripartite families onto
+    # ((AB)C) permute leaves of different dimensions; and the bipartite
+    # reports, in both modes
+    ("golden_spans_unequal_bct.json",
+     ["verify-dims", "--triples", "2,3,4;3,2,2", "--mode", "bct", "--quiet"]),
+    ("golden_spans_unequal_ct.json",
+     ["verify-dims", "--triples", "2,3,4;3,2,2", "--mode", "ct", "--quiet"]),
+    ("golden_tomography_bct.json",
+     ["tomography", "--pairs", "2,2;2,3;3,2", "--mode", "bct", "--quiet"]),
+    ("golden_tomography_ct.json",
+     ["tomography", "--pairs", "2,2;2,3;3,2", "--mode", "ct", "--quiet"]),
     # a 3-branch 2 -> 3 instrument in BCT (A' has 144 labels) and a
     # 2-branch 2 -> 2 instrument in CT, each read from the document beside it
     ("golden_dilate_bct.json",
