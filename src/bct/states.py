@@ -189,13 +189,11 @@ def _scalar_product(a: GeneralizedVector, b: GeneralizedVector) -> tuple[Nums, i
     return lowest_terms({x: n * s for x, n in vector.nums.items()}, scalar.den * vector.den)
 
 
-def _product(join: Callable[[int, int, int], int], a: GeneralizedVector,
-             b: GeneralizedVector, signs: tuple[int, ...], den: int) -> tuple[Nums, int]:
-    """The numerators of a (x) b on every sign of (ij), joined to indices
-    of the composite by `join`, over `den`."""
-    return _scalar_product(a, b) or lowest_terms(
-        {join(i, j, s): na * nb
-         for i, na in a.nums.items() for j, nb in b.nums.items() for s in signs}, den)
+def product_nums(join: Callable[[int, int, int], int], signs: tuple[int, ...],
+                 a: Nums, b: Nums) -> Nums:
+    """The product rule on numerators: na * nb on every sign s of (ij)_s
+    (`node_signs`), at `join(i, j, s)`, the composite coder's join."""
+    return {join(i, j, s): na * nb for i, na in a.items() for j, nb in b.items() for s in signs}
 
 
 def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> GeneralizedVector:
@@ -228,7 +226,8 @@ def tensor_products(rhos: Sequence[GeneralizedVector],
         for sigma in sigmas:
             if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
                 raise TypeError("effects compose with tensor_effects, not tensor_states")
-            out = _product(join, rho, sigma, signs, rho.den * sigma.den * len(signs))
+            out = _scalar_product(rho, sigma) or lowest_terms(
+                product_nums(join, signs, rho.nums, sigma.nums), rho.den * sigma.den * len(signs))
             cls = type(rho)
             products.append(cls._trusted(system, *out) if cls is type(sigma)
                             else cls._checked(system, *out))
@@ -240,7 +239,8 @@ def tensor_effects(a: EffectVector, b: EffectVector) -> EffectVector:
     if a.system.mode is not b.system.mode:
         raise ValueError("cannot compose effects from different theory modes")
     system = compose_systems(a.system, b.system)
-    out = _product(coder(system).join, a, b, node_signs(system.mode), a.den * b.den)
+    out = _scalar_product(a, b) or lowest_terms(product_nums(
+        coder(system).join, node_signs(system.mode), a.nums, b.nums), a.den * b.den)
     if isinstance(a, EffectVector) and isinstance(b, EffectVector):
         return EffectVector._trusted(system, *out)
     return EffectVector._checked(system, *out)
@@ -273,24 +273,15 @@ def shared_system(vectors: Sequence[GeneralizedVector]) -> SystemTree | None:
 def apply_moves_to_vectors(vectors: Sequence[GeneralizedVector],
                            moves: Sequence[Move]) -> list[GeneralizedVector]:
     """Transport a family on one system along a move sequence (a bijective
-    relabeling) into a new list; see `apply_moves_in_place`."""
-    moved = list(vectors)
-    apply_moves_in_place(moved, moves)
-    return moved
-
-
-def apply_moves_in_place(family: list[GeneralizedVector], moves: Sequence[Move]) -> None:
-    """Transport a family on one system along a move sequence, replacing each
-    vector by its image as it goes: one transport, one moved system object,
-    and no second family alive.  The empty sequence leaves the family as it is."""
-    if not family:
-        return
-    system, table = transport(shared_system(family), moves)
+    relabeling) into a new list: one transport, and one moved system object
+    for the whole family.  The empty sequence leaves each vector as it is."""
+    if not vectors:
+        return []
+    system, table = transport(shared_system(vectors), moves)
     if table is None:
-        return
-    for i, v in enumerate(family):
-        family[i] = type(v)._trusted(system, {table[x][0]: n for x, n in v.nums.items()},
-                                     v.den)
+        return list(vectors)
+    return [type(v)._trusted(system, {table[x][0]: n for x, n in v.nums.items()}, v.den)
+            for v in vectors]
 
 
 def apply_moves_to_vector(vector: GeneralizedVector, moves: list[Move]) -> GeneralizedVector:

@@ -4,6 +4,11 @@ delta2(A,B) = D_AB - D_A*D_B measures how far product states fall short of
 spanning the bipartite space; delta3 is the tripartite analogue relative to
 the four biseparable classes.  Bilocal tomography holds iff delta3 vanishes
 and the tripartite dimension identity balances.
+
+The product families are read only for ranks and supports, so each is built
+as int rows by `states.product_nums`, with no vector object: |u>|v> =
+1/2 sum_s (uv)_s is {(uv)_s: 1 for each s}.  The 1/2 (1/4 for a triple, 1
+in CT) scales every row alike, so dropping it changes no rank or support.
 """
 
 from __future__ import annotations
@@ -16,14 +21,15 @@ from .labels import (
     Move,
     MoveKind,
     basis_size,
+    coder,
+    node_signs,
+    transport,
 )
 from .states import (
     GeneralizedVector,
-    StateVector,
-    apply_moves_in_place,
-    discriminating_instrument,
+    Nums,
+    product_nums,
     shared_system,
-    tensor_products,
 )
 from .systems import (
     SystemTree,
@@ -32,14 +38,6 @@ from .systems import (
     compose_systems,
     dimension,
 )
-
-
-def _int_rows(vectors: Sequence[GeneralizedVector]) -> list[dict[int, int]]:
-    """Each vector's numerators (the vector times its denominator, which
-    leaves the rank as it is) as a fresh int row, its columns the basis
-    indices of the one system of `vectors`."""
-    shared_system(vectors)
-    return [dict(vector.nums) for vector in vectors]
 
 
 def _echelon(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]
@@ -79,30 +77,43 @@ def _merged(echelons: Iterable[dict[int, dict[int, int]]]) -> dict[int, dict[int
                     dict(largest))
 
 
+def _rank(rows: Iterable[Nums]) -> int:
+    """The rank of int rows over one column index, leaving them unchanged."""
+    return len(_echelon([dict(row) for row in rows], {}))
+
+
 def rank(vectors: Sequence[GeneralizedVector]) -> int:
     """Rank of the coefficient matrix, by fraction-free sparse elimination."""
-    return len(_echelon(_int_rows(vectors), {}))
+    shared_system(vectors)
+    return _rank(vector.nums for vector in vectors)
 
 
-def _basis_states(system: SystemTree) -> list[GeneralizedVector]:
-    """The pure state |u> of every basis index u, as the canonical ints
-    ({u: 1}, 1), built unchecked."""
-    return [StateVector._trusted(system, {u: 1}, 1) for u in range(basis_size(system))]
+def _basis(system: SystemTree) -> list[Nums]:
+    """The row {u: 1} of each basis index u of `system`, within the bound."""
+    return [{u: 1} for u in range(basis_size(system))]
 
 
-def product_states(x: SystemTree, y: SystemTree,
-                   moves: Sequence[Move] = ()) -> list[GeneralizedVector]:
-    """|u>|v> for every pure label u of x (outer) and v of y, carried along
-    `moves` as one family.  `delta2` and `corollary_nab` take this family of
-    A (x) B, so a caller that needs both builds it once."""
-    family = tensor_products(_basis_states(x), _basis_states(y))
+def _products(x: SystemTree, xs: list[Nums], y: SystemTree, ys: list[Nums],
+              moves: Sequence[Move] = ()) -> list[Nums]:
+    """The int rows of |r>|t> for every row r of `xs` on x (outer) and t of
+    `ys` on y, carried along `moves`."""
+    system = compose_systems(x, y)
+    signs, join = node_signs(system.mode), coder(system).join
+    rows = [product_nums(join, signs, r, t) for r in xs for t in ys]
     if moves:
-        apply_moves_in_place(family, moves)
-    return family
+        table = transport(system, moves)[1]
+        rows = [{table[i][0]: n for i, n in row.items()} for row in rows]
+    return rows
 
 
-def delta2(a: SystemTree, b: SystemTree,
-           products: Sequence[GeneralizedVector] | None = None) -> int:
+def product_states(x: SystemTree, y: SystemTree) -> list[Nums]:
+    """|u>|v> for every basis index u of x (outer) and v of y, as int rows on
+    x (x) y: the family `delta2`, `verify_strict_bilocality` and
+    `corollary_nab` take, so that a caller of all three builds it once."""
+    return _products(x, _basis(x), y, _basis(y))
+
+
+def delta2(a: SystemTree, b: SystemTree, products: Sequence[Nums] | None = None) -> int:
     """Dimension excess of AB over the span of the separable states.
 
     The arithmetic value D_AB - D_A*D_B is cross-checked against the rank of
@@ -113,7 +124,7 @@ def delta2(a: SystemTree, b: SystemTree,
         raise ValueError("delta2 needs two non-trivial systems")
     ab = compose_systems(a, b)
     arithmetic = dimension(ab) - dimension(a) * dimension(b)
-    separable_rank = rank(product_states(a, b) if products is None else products)
+    separable_rank = _rank(product_states(a, b) if products is None else products)
     by_rank = dimension(ab) - separable_rank
     if arithmetic != by_rank:
         raise AssertionError(
@@ -122,28 +133,29 @@ def delta2(a: SystemTree, b: SystemTree,
 
 
 def verify_strict_bilocality(a: SystemTree, b: SystemTree,
-                             products: Sequence[GeneralizedVector] | None = None
-                             ) -> bool:
-    """Local tomography fails (delta2 > 0) yet bipartite effects span the dual."""
+                             products: Sequence[Nums] | None = None) -> bool:
+    """Local tomography fails (delta2 > 0) yet bipartite effects span the
+    dual: the rows of the observation-instrument {<x|} have full rank."""
     ab = compose_systems(a, b)
-    effect_rank = rank(discriminating_instrument(ab))
+    effect_rank = _rank(_basis(ab))
     if a.mode is TheoryMode.CT:
         return delta2(a, b, products) == 0 and effect_rank == dimension(ab)
     return delta2(a, b, products) > 0 and effect_rank == dimension(ab)
 
 
 def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
-                         ) -> Iterator[tuple[str, list[GeneralizedVector]]]:
+                         ) -> Iterator[tuple[str, list[Nums]]]:
     """Spanning families for the four biseparable classes, on ((AB)C), by
-    name; each is built when the previous one has been taken."""
-    cs = _basis_states(c)
+    name; every bound is checked before the first family is built, and
+    each family when the previous one has been taken."""
+    ab, bc, ac = compose_systems(a, b), compose_systems(b, c), compose_systems(a, c)
+    cs, as_, bs, abs_, bcs, acs = [_basis(system) for system in (c, a, b, ab, bc, ac)]
     # A x (BC) reassociated, and (AC) x B braided and reassociated, onto ((AB)C)
-    to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
-              Move(MoveKind.ASSOC_L, "")]
-    yield "products", tensor_products(product_states(a, b), cs)
-    yield "ab_c", product_states(compose_systems(a, b), c)
-    yield "a_bc", product_states(a, compose_systems(b, c), [Move(MoveKind.ASSOC_L, "")])
-    yield "ac_b", product_states(compose_systems(a, c), b, to_abc)
+    to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"), Move(MoveKind.ASSOC_L, "")]
+    yield "products", _products(ab, _products(a, as_, b, bs), c, cs)
+    yield "ab_c", _products(ab, abs_, c, cs)
+    yield "a_bc", _products(a, as_, bc, bcs, [Move(MoveKind.ASSOC_L, "")])
+    yield "ac_b", _products(ac, acs, b, bs, to_abc)
 
 
 @dataclass(frozen=True)
@@ -176,14 +188,11 @@ class SpanReport:
 
 
 def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
-    abc = compose_systems(compose_systems(a, b), c)
-    d_abc = dimension(abc)
-    echelons, firsts = {}, []
+    d_abc = dimension(compose_systems(compose_systems(a, b), c))
+    echelons = {}  # every family on ((AB)C): one column numbering, so the rows merge
     for name, family in _tripartite_families(a, b, c):
-        firsts.append(family[0])
-        echelons[name] = _echelon(_int_rows(family), {})
-        del family  # the next family is built with no vector of this one alive
-    shared_system(firsts)  # all on ((AB)C): one column numbering, so the rows merge
+        echelons[name] = _echelon(family, {})
+        del family  # the next family is built with no row of this one alive
     class_ranks = {name: len(echelon) for name, echelon in echelons.items()}
     r = class_ranks["union"] = len(_merged(echelons.values()))
     da, db, dc = dimension(a), dimension(b), dimension(c)
@@ -206,8 +215,7 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
 
 
 def corollary_nab(a: SystemTree, b: SystemTree,
-                  products: Sequence[GeneralizedVector] | None = None
-                  ) -> tuple[int, int]:
+                  products: Sequence[Nums] | None = None) -> tuple[int, int]:
     """(n, l): pure labels per product support, labels missed by all products.
 
     Strict bilocality corresponds to n = 2 and l = 0; local tomography (CT)
@@ -216,7 +224,7 @@ def corollary_nab(a: SystemTree, b: SystemTree,
     covered: set = set()
     sizes: set[int] = set()
     for product in product_states(a, b) if products is None else products:
-        support = set(product.nums)
+        support = set(product)
         sizes.add(len(support))
         covered |= support
     if len(sizes) != 1:
@@ -226,7 +234,7 @@ def corollary_nab(a: SystemTree, b: SystemTree,
 
 
 def verify_corollary_nab(a: SystemTree, b: SystemTree,
-                         products: Sequence[GeneralizedVector] | None = None) -> bool:
+                         products: Sequence[Nums] | None = None) -> bool:
     n, l = corollary_nab(a, b, products)
     if a.mode is TheoryMode.CT:
         return n == 1 and l == 0

@@ -233,14 +233,14 @@ def test_deep_nesting_is_usage_error(tmp_path, capsys, system, label):
 
 def test_tomography_builds_each_product_once(monkeypatch, capsys):
     products = []
-    real = bct.tomography.tensor_products
+    real = bct.tomography._products
 
     def counted(*args):
-        out = real(*args)
-        products.extend(out)
-        return out
+        rows = real(*args)
+        products.extend(rows)
+        return rows
 
-    monkeypatch.setattr(bct.tomography, "tensor_products", counted)
+    monkeypatch.setattr(bct.tomography, "_products", counted)
     code, out = run(["tomography", "--pairs", "3,3", "--quiet"], capsys)
     assert code == 0
     assert len(products) == 9
@@ -248,6 +248,26 @@ def test_tomography_builds_each_product_once(monkeypatch, capsys):
         '[\n  {\n    "corollary_nab": true,\n    "d_ab": 18,\n    "delta2": 9,\n'
         '    "dims": [\n      3,\n      3\n    ],\n    "mode": "BCT",\n'
         '    "strict_bilocality": true\n  }\n]\n')
+
+
+def test_verify_dims_checks_every_bound_before_building_a_family(monkeypatch, capsys):
+    """(AB) of 99,99,99 is over the bound: refused before the 970 299
+    triple products are built, with the message of the first check."""
+    built = []
+    monkeypatch.setattr(bct.tomography, "_products", lambda *args: built.append(args))
+    assert main(["verify-dims", "--triples", "99,99,99", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dimension 19602 exceeds enumeration bound 4096" in captured.err
+    assert built == []
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify-dims", "--triples", "16,16,16"], 0),
+    (["tomography", "--pairs", "64,64"], 2),
+])
+def test_largest_tomography_inputs_keep_their_exit_codes(capsys, args, code):
+    assert main([*args, "--quiet"]) == code
 
 
 @pytest.mark.parametrize("field, value", [

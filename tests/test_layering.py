@@ -120,12 +120,15 @@ def elimination_functions(tree: ast.Module, roots: set[str]) -> list[ast.Functio
 
 
 def test_rank_eliminates_without_fractions():
-    """`tomography.rank` and the union merge of `span_report` work on integer
-    rows: no function of the elimination names a rational constant or
-    constructor, or has a true division, which on ints gives a float."""
+    """`tomography.rank` and `span_report` work on integer rows: no function
+    of the elimination (the families, each family's echelon and the union
+    merge) names a rational constant or constructor, or has a true
+    division, which on ints gives a float."""
     source = next(p for p in SOURCES if p.name == "tomography.py")
-    functions = elimination_functions(ast.parse(source.read_text()), {"rank", "_merged"})
-    assert {f.name for f in functions} >= {"rank", "_int_rows", "_echelon", "_merged"}
+    functions = elimination_functions(ast.parse(source.read_text()), {"rank", "span_report"})
+    assert {f.name for f in functions} >= {"rank", "_rank", "_echelon", "_merged",
+                                           "span_report", "_tripartite_families",
+                                           "_products", "_basis"}
     for function in functions:
         assert names_used(function) & {"Fraction", "ZERO", "ONE"} == set(), function.name
         assert not any(isinstance(node, ast.Div) for node in ast.walk(function)), function.name
@@ -133,12 +136,13 @@ def test_rank_eliminates_without_fractions():
 
 INT_BODIES = {
     "states.py": {"tensor_products", "tensor_states", "tensor_effects", "_scalar_product",
-                  "_product", "apply_moves_to_vectors", "apply_moves_in_place",
+                  "product_nums", "apply_moves_to_vectors",
                   "apply_effect_at", "marginal", "_regrouped", "pair", "_paired",
                   "is_separable", "unit_effect", "discriminating_instrument",
                   "weight", "vectors_equal", "lowest_terms", "_trusted"},
     "kernels.py": {"apply", "state_kernel", "effect_kernel"},
-    "tomography.py": {"_int_rows", "_basis_states"},
+    "tomography.py": {"rank", "_rank", "_basis", "_products", "product_states",
+                      "_tripartite_families", "corollary_nab"},
     "dilation.py": {"_sum_to_unit", "_reproduces", "decompose_channel"},
 }
 
@@ -177,6 +181,26 @@ def test_vector_calculus_runs_on_ints(module):
             function.name
         assert not any(isinstance(node, ast.Div) for node in ast.walk(body)), function.name
         assert fractions_outside_returns(function) == [], function.name
+
+
+VECTOR_NAMES = {"StateVector", "GeneralizedVector", "EffectVector", "_trusted",
+                "tensor_products", "apply_moves_to_vectors", "discriminating_instrument"}
+
+
+def test_tomography_families_build_no_vector():
+    """The product families of tomography are int rows built from the basis
+    indices: no function that builds, ranks or reads them (or module
+    function it calls) names a vector class, the trusted constructor or a
+    function that returns vectors."""
+    source = next(p for p in SOURCES if p.name == "tomography.py")
+    functions = elimination_functions(ast.parse(source.read_text()), {
+        "product_states", "span_report", "delta2", "verify_strict_bilocality",
+        "verify_corollary_nab"})
+    assert {f.name for f in functions} >= {
+        "product_states", "_products", "_basis", "_tripartite_families", "span_report",
+        "delta2", "verify_strict_bilocality", "corollary_nab", "verify_corollary_nab"}
+    for function in functions:
+        assert names_used(function) & VECTOR_NAMES == set(), function.name
 
 
 KERNEL_BODIES = {"sequential_compose", "parallel_compose", "extend_at", "apply",

@@ -7,16 +7,24 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bct.labels import LeafLabel, enumerate_pure_labels
-from bct.states import GeneralizedVector, pure_state, tensor_states
-from bct.systems import TheoryMode, bibit, leaf
+from bct import faults
+from bct.labels import LeafLabel, Move, MoveKind, enumerate_pure_labels
+from bct.states import (
+    GeneralizedVector,
+    apply_moves_to_vectors,
+    pure_state,
+    tensor_products,
+    tensor_states,
+)
+from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf
 from bct.tomography import (
     _echelon,
-    _int_rows,
     _merged,
+    _rank,
     _tripartite_families,
     corollary_nab,
     delta2,
+    product_states,
     rank,
     span_report,
     verify_corollary_nab,
@@ -66,16 +74,19 @@ class TestRank:
             rank([v, v, w, w])
 
 
-def sympy_rank(vectors):
-    """The rank over QQ of the coefficient matrix, by sympy."""
+def sympy_rank(rows):
+    """The rank over QQ of the matrix of `rows`, by sympy: vectors read by
+    their coefficients, or int rows keyed by column."""
+    rows = [row.coeffs if isinstance(row, GeneralizedVector) else row for row in rows]
     columns = {}
-    for vector in vectors:
-        for label in vector.coeffs:
-            columns.setdefault(label, len(columns))
-    matrix = sympy.zeros(len(vectors), len(columns))
-    for i, vector in enumerate(vectors):
-        for label, value in vector.coeffs.items():
-            matrix[i, columns[label]] = sympy.Rational(value.numerator, value.denominator)
+    for row in rows:
+        for key in row:
+            columns.setdefault(key, len(columns))
+    matrix = sympy.zeros(len(rows), len(columns))
+    for i, row in enumerate(rows):
+        for key, value in row.items():
+            value = F(value)
+            matrix[i, columns[key]] = sympy.Rational(value.numerator, value.denominator)
     return matrix.rank()
 
 
@@ -90,13 +101,13 @@ class TestRankOracle:
     @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
     def test_families_and_union_match_sympy(self, dims, mode):
-        families = dict(_tripartite_families(*(leaf(d, mode) for d in dims)))
-        union = [vector for family in families.values() for vector in family]
-        for vectors in (*families.values(), union):
-            assert rank(vectors) == sympy_rank(vectors)
+        rows = dict(_tripartite_families(*(leaf(d, mode) for d in dims)))
+        union = [row for family in rows.values() for row in family]
+        for family in (*rows.values(), union):
+            assert _rank(family) == sympy_rank(family)
         report = span_report(*(leaf(d, mode) for d in dims))
         assert report.class_ranks == {
-            **{name: sympy_rank(family) for name, family in families.items()},
+            **{name: sympy_rank(family) for name, family in rows.items()},
             "union": sympy_rank(union)}
 
     @given(st.lists(sparse_rows, max_size=6), st.lists(st.integers(0, 9), max_size=4),
@@ -120,7 +131,7 @@ class TestRankOracle:
                    for row, _ in rows]
         parts = [[vector for vector, (_, g) in zip(vectors, rows) if g % groups == k]
                  for k in range(groups)]
-        echelons = [_echelon(_int_rows(part), {}) for part in parts]
+        echelons = [_echelon([dict(vector.nums) for vector in part], {}) for part in parts]
         before = [{col: dict(row) for col, row in echelon.items()} for echelon in echelons]
         assert len(_merged(echelons)) == rank(vectors) == sympy_rank(vectors)
         assert echelons == before
@@ -174,20 +185,72 @@ class TestSpanReportRanks:
     @pytest.mark.parametrize("dims", list(itertools.product((2, 3), repeat=3)))
     def test_class_ranks_match_rank_of_each_family_and_the_union(self, dims, mode):
         """`span_report` eliminates each family once and merges the echelons;
-        `rank` eliminates every vector of each family and of their union."""
+        `_rank` eliminates every row of each family and of their union."""
         systems = [leaf(d, mode) for d in dims]
-        families = dict(_tripartite_families(*systems))
-        union = [vector for family in families.values() for vector in family]
+        rows = dict(_tripartite_families(*systems))
+        union = [row for family in rows.values() for row in family]
         assert span_report(*systems).class_ranks == {
-            **{name: rank(family) for name, family in families.items()},
-            "union": rank(union)}
-
+            **{name: _rank(family) for name, family in rows.items()},
+            "union": _rank(union)}
 
     @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
-    def test_each_family_is_on_one_system_object(self, mode):
-        for _name, family in _tripartite_families(leaf(2, mode), leaf(3, mode),
-                                                  leaf(2, mode)):
-            assert all(vector.system is family[0].system for vector in family)
+    def test_each_family_is_on_the_basis_of_abc(self, mode):
+        a, b, c = leaf(2, mode), leaf(3, mode), leaf(2, mode)
+        size = dimension(compose_systems(compose_systems(a, b), c))
+        for _name, rows in _tripartite_families(a, b, c):
+            assert all(0 <= x < size for row in rows for x in row)
+
+
+def basis_states(system):
+    return [pure_state(system, label) for label in enumerate_pure_labels(system)]
+
+
+def vector_families(a, b, c):
+    """The four biseparable families of `_tripartite_families`, built as
+    vectors with the public product and transport."""
+    ab, bc, ac = compose_systems(a, b), compose_systems(b, c), compose_systems(a, c)
+    to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
+              Move(MoveKind.ASSOC_L, "")]
+    return {
+        "products": tensor_products(tensor_products(basis_states(a), basis_states(b)),
+                                    basis_states(c)),
+        "ab_c": tensor_products(basis_states(ab), basis_states(c)),
+        "a_bc": apply_moves_to_vectors(tensor_products(basis_states(a), basis_states(bc)),
+                                       [Move(MoveKind.ASSOC_L, "")]),
+        "ac_b": apply_moves_to_vectors(tensor_products(basis_states(ac), basis_states(b)),
+                                       to_abc),
+    }
+
+
+class TestIntRowFamilies:
+    """Each int-row family is the numerators of the vector family it stands
+    for: the product rule's 1/2 (1/4 for a triple; 1 in CT) is the whole
+    denominator of every product of basis states, so the rows are the
+    vectors' canonical ints as they are."""
+
+    @pytest.mark.parametrize("fault", (None,) + faults.KNOWN_FAULTS)
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 2, 2)])
+    def test_families_are_the_vectors_numerators(self, dims, mode, fault):
+        systems = [leaf(d, mode) for d in dims]
+        with faults.inject_fault(fault):
+            built = list(_tripartite_families(*systems))
+            vectors = vector_families(*systems)
+        abc = compose_systems(compose_systems(*systems[:2]), systems[2])
+        assert [name for name, _rows in built] == list(vectors)
+        for name, rows in built:
+            family = vectors[name]
+            assert all(vector.system == abc for vector in family), name
+            assert rows == [vector.nums for vector in family], name
+            half = 1 if mode is TheoryMode.CT else 4 if name == "products" else 2
+            assert {vector.den for vector in family} == {half}, name
+
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+    def test_bipartite_products_are_the_vectors_numerators(self, dims, mode):
+        a, b = (leaf(d, mode) for d in dims)
+        vectors = tensor_products(basis_states(a), basis_states(b))
+        assert product_states(a, b) == [vector.nums for vector in vectors]
 
 
 class TestDelta2:
