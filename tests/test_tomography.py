@@ -16,7 +16,7 @@ from bct.states import (
     tensor_products,
     tensor_states,
 )
-from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf
+from bct.systems import TheoryMode, bibit, compose_systems, leaf
 from bct.tomography import (
     _echelon,
     _merged,
@@ -192,13 +192,6 @@ class TestSpanReportRanks:
         assert span_report(*systems).class_ranks == {
             **{name: _rank(family) for name, family in rows.items()},
             "union": _rank(union)}
-
-    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
-    def test_each_family_is_on_the_basis_of_abc(self, mode):
-        a, b, c = leaf(2, mode), leaf(3, mode), leaf(2, mode)
-        size = dimension(compose_systems(compose_systems(a, b), c))
-        for _name, rows in _tripartite_families(a, b, c):
-            assert all(0 <= x < size for row in rows for x in row)
 
 
 def basis_states(system):
