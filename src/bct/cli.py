@@ -19,6 +19,7 @@ from . import serial
 from .coherence import SuiteConfig, run_suite
 from .dilation import realize_instrument
 from .faults import KNOWN_FAULTS
+from .labels import basis_size
 from .protocols import (
     capacity_report,
     clone_state,
@@ -130,6 +131,10 @@ def cmd_tomography(args) -> int:
     ok = True
     for dims in _dims_list(args.pairs, (2,)):
         a, b = (leaf(d, mode) for d in dims)
+        # the bases the checks enumerate, refused above the bound in the
+        # order the checks meet them, before any product of A (x) B is built
+        for system in (a, b, compose_systems(a, b)):
+            basis_size(system)
         products = product_states(a, b)
         strict = verify_strict_bilocality(a, b, products)
         corollary = verify_corollary_nab(a, b, products)

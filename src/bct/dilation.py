@@ -360,15 +360,3 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
         if _lowest(rows, prepared.den * effect.den) != (branch.nums, branch.den):
             return False
     return True
-
-
-def program_channel(channel: Kernel,
-                    processor: UniversalProcessor | None = None
-                    ) -> tuple[UniversalProcessor, StateVector]:
-    """Program state realizing a channel through the fixed processor."""
-    if not is_deterministic(channel):
-        raise ValueError("program_channel needs a deterministic kernel")
-    if processor is None:
-        processor = build_processor(channel.in_system, channel.out_system)
-    mu = decompose_channel(channel)
-    return processor, program_sigma(processor, mu)

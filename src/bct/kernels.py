@@ -51,7 +51,7 @@ from .labels import (
     regroup,
     transport,
 )
-from .states import GeneralizedVector, StateVector, ZERO, ONE, lowest_terms
+from .states import GeneralizedVector, StateVector, ONE, lowest_terms
 from .systems import (
     SystemTree,
     TheoryMode,
@@ -160,12 +160,6 @@ class Kernel:
         """The basis-index coders of the input and the output system."""
         return coder(self.in_system), coder(self.out_system)
 
-    def row(self, label: PureLabel) -> dict[Entry, Fraction]:
-        return self.rows.get(label, {})
-
-    def row_sum(self, label: PureLabel) -> Fraction:
-        return sum(self.row(label).values(), ZERO)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Kernel):
             return NotImplemented
@@ -247,11 +241,6 @@ def scalar_kernel(mode: TheoryMode, value: Fraction) -> Kernel:
     return Kernel(t, t, {UNIT: {(UNIT, 1): Fraction(value)}})
 
 
-def atomic_kernel(in_system: SystemTree, out_system: SystemTree, source: PureLabel,
-                  target: PureLabel, tau: int = 1, weight: Fraction = ONE) -> Kernel:
-    return Kernel(in_system, out_system, {source: {(target, tau): Fraction(weight)}})
-
-
 def reversible_kernel(system_in: SystemTree, system_out: SystemTree,
                       perm: Mapping[PureLabel, PureLabel],
                       signs: Mapping[PureLabel, int] | None = None) -> Kernel:
@@ -306,13 +295,6 @@ def state_kernel(rho: StateVector) -> Kernel:
     row = {(x, tau): n for x, n in rho.nums.items() for tau in signs}
     return Kernel._checked(Trivial(mode), rho.system,
                            *_lowest({0: row} if row else {}, rho.den * len(signs)))
-
-
-def effect_kernel(effect: GeneralizedVector) -> Kernel:
-    """An effect as a kernel to the trivial system (tau fixed +1); a vector
-    of the span that is not an effect gets the kernel's weight checks."""
-    rows = {x: {(0, PLUS): n} for x, n in effect.nums.items()}
-    return Kernel._checked(effect.system, Trivial(effect.system.mode), rows, effect.den)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +388,6 @@ def _scaled(kernel: Kernel, num: int, den: int) -> tuple[dict[int, IntRow], int]
     """The int rows of `kernel` times num/den (num > 0), in canonical form."""
     rows = {a: {e: n * num for e, n in row.items()} for a, row in kernel.nums.items()}
     return _lowest(rows, kernel.den * den)
-
-
-def scale_kernel(kernel: Kernel, factor: Fraction | int) -> Kernel:
-    """`kernel` with every weight times `factor`, checked once."""
-    if not factor.numerator:
-        return Kernel._trusted(kernel.in_system, kernel.out_system, {}, 1)
-    return Kernel._checked(kernel.in_system, kernel.out_system,
-                           *_scaled(kernel, factor.numerator, factor.denominator))
 
 
 def add_kernels(first: Kernel, *rest: Kernel) -> Kernel:
@@ -578,17 +552,6 @@ def is_reversible(kernel: Kernel) -> bool:
             and len({b for (b, _tau), _n in entries}) == d)
 
 
-def invert_reversible(kernel: Kernel) -> Kernel:
-    """Inverse of a signed permutation; the same flips cancel on composition."""
-    if not is_reversible(kernel):
-        raise ValueError("only reversible kernels invert")
-    rows: dict[int, IntRow] = {}
-    for a, row in kernel.nums.items():
-        ((b, tau), _n), = row.items()
-        rows[b] = {(a, tau): 1}
-    return Kernel._trusted(kernel.out_system, kernel.in_system, rows, 1)
-
-
 # ---------------------------------------------------------------------------
 # Instruments
 
@@ -697,11 +660,6 @@ def random_state(rng: random.Random, system: SystemTree,
     if not deterministic:
         weights = [w * Fraction(rng.randrange(1, 17), 16) for w in weights]
     return StateVector(system, dict(zip(basis, weights)))
-
-
-def random_deterministic_kernel(rng: random.Random, in_system: SystemTree,
-                                out_system: SystemTree) -> Kernel:
-    return Kernel(in_system, out_system, _random_rows(rng, in_system, out_system))
 
 
 def _random_rows(rng: random.Random, in_system: SystemTree,

@@ -225,25 +225,13 @@ def tensor_products(rhos: Sequence[GeneralizedVector],
     for rho in rhos:
         for sigma in sigmas:
             if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
-                raise TypeError("effects compose with tensor_effects, not tensor_states")
+                raise TypeError("tensor_states takes states and vectors of the span, not effects")
             out = _scalar_product(rho, sigma) or lowest_terms(
                 product_nums(join, signs, rho.nums, sigma.nums), rho.den * sigma.den * len(signs))
             cls = type(rho)
             products.append(cls._trusted(system, *out) if cls is type(sigma)
                             else cls._checked(system, *out))
     return products
-
-
-def tensor_effects(a: EffectVector, b: EffectVector) -> EffectVector:
-    """Product effect; <a|<b| pairs to a(i)*b(j) on every sign of (ij)."""
-    if a.system.mode is not b.system.mode:
-        raise ValueError("cannot compose effects from different theory modes")
-    system = compose_systems(a.system, b.system)
-    out = _scalar_product(a, b) or lowest_terms(product_nums(
-        coder(system).join, node_signs(system.mode), a.nums, b.nums), a.den * b.den)
-    if isinstance(a, EffectVector) and isinstance(b, EffectVector):
-        return EffectVector._trusted(system, *out)
-    return EffectVector._checked(system, *out)
 
 
 def pair(effect: GeneralizedVector, rho: GeneralizedVector) -> Fraction:

@@ -58,9 +58,6 @@ class FractionKernel:
     def mode(self) -> TheoryMode:
         return self.in_system.mode
 
-    def row(self, label):
-        return self.rows.get(label, {})
-
 
 def kernel_rows(kernel) -> dict:
     """The rows of either kind of kernel as a plain dict."""
@@ -93,7 +90,7 @@ def sequential_compose(second, first):
     for a, row1 in first.rows.items():
         out = {}
         for (b, tau1), w1 in row1.items():
-            for (c, tau2), w2 in second.row(b).items():
+            for (c, tau2), w2 in second.rows.get(b, {}).items():
                 key = (c, PLUS if effect else tau1 * tau2)
                 out[key] = out[key] + w1 * w2 if key in out else w1 * w2
         if out:
@@ -107,7 +104,8 @@ def _with_identity(kernel, other, drop_tau=False):
     if not isinstance(kernel.in_system, Trivial):
         return _extension_rows(kernel, compose_systems(kernel.in_system, other), "0",
                                drop_tau)
-    return {o: {(NodeLabel(b, o, tau), tau): w for (b, tau), w in kernel.row(UNIT).items()}
+    row = kernel.rows.get(UNIT, {})
+    return {o: {(NodeLabel(b, o, tau), tau): w for (b, tau), w in row.items()}
             for o in enumerate_pure_labels(other)}
 
 
@@ -132,9 +130,9 @@ def _scaled(kernel, factor):
 
 def parallel_compose(k1, k2):
     if isinstance(k1.in_system, Trivial) and isinstance(k1.out_system, Trivial):
-        return _scaled(k2, k1.row(UNIT).get((UNIT, 1), ZERO))
+        return _scaled(k2, k1.rows.get(UNIT, {}).get((UNIT, 1), ZERO))
     if isinstance(k2.in_system, Trivial) and isinstance(k2.out_system, Trivial):
-        return _scaled(k1, k2.row(UNIT).get((UNIT, 1), ZERO))
+        return _scaled(k1, k2.rows.get(UNIT, {}).get((UNIT, 1), ZERO))
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
     drop_tau = faults.active_fault() == faults.PARALLEL_DROP_TAU
     left = FractionKernel(compose_systems(a, c), compose_systems(b, c),
@@ -177,10 +175,10 @@ def _act_at(kernel, label, there, back, drop_tau=False):
     a, rest, u = moved.left, moved.right, moved.sign
     bct = kernel.mode is TheoryMode.BCT
     if isinstance(kernel.out_system, Trivial):
-        for w in kernel.row(a).values():
+        for w in kernel.rows.get(a, {}).values():
             yield (rest, flip * u if bct else PLUS), w
         return
-    for (b, tau), w in kernel.row(a).items():
+    for (b, tau), w in kernel.rows.get(a, {}).items():
         final, flip_back = back[NodeLabel(b, rest, u if drop_tau else tau * u)]
         yield (final, flip * tau * flip_back if bct else PLUS), w
 
@@ -190,7 +188,7 @@ def apply(kernel, rho, at=""):
     out = {}
     if at == "":
         for label, value in rho.coeffs.items():
-            for (b, _tau), w in kernel.row(label).items():
+            for (b, _tau), w in kernel.rows.get(label, {}).items():
                 out[b] = out.get(b, ZERO) + w * value
         return kernel.out_system, {b: v for b, v in out.items() if v}
     moves = regroup(rho.system, at)
@@ -205,7 +203,7 @@ def _cell_table(kernel):
     """Row i of `kernel` (the i-th input label) as {(m, tau): w}, m the
     1-based place of the output label in the basis order."""
     place = {b: m for m, b in enumerate(enumerate_pure_labels(kernel.out_system), 1)}
-    return [{(place[b], tau): w for (b, tau), w in kernel.row(a).items()}
+    return [{(place[b], tau): w for (b, tau), w in kernel.rows.get(a, {}).items()}
             for a in enumerate_pure_labels(kernel.in_system)]
 
 

@@ -2,7 +2,9 @@
 
 `atomic_decomposition` splits a kernel into its atomic parts, and
 `random_reversible_kernel` draws a seeded signed permutation; both are test
-plumbing for the predicates and protocols, built on the public API.
+plumbing for the predicates and protocols, built on the public API, as are
+`random_deterministic_kernel`, `scaled`, `effect_kernel` and `inverse`.
+`faulted` puts a fault in force for the tests that run the calculus under one.
 `function_channel` is the kernel of one (h, xi) pair, the oracle that the
 parts of `dilation.decompose_channel` re-sum to their channel.
 `label_sort_key` states the canonical basis order on labels, and
@@ -14,9 +16,22 @@ instrument document, through the reader the CLI uses.
 """
 
 import random
+from contextlib import contextmanager
+from fractions import Fraction
 
+import pytest
+
+from bct import faults
 from bct.dilation import FunctionLabel
-from bct.kernels import Instrument, Kernel, reversible_kernel
+from bct.kernels import (
+    Instrument,
+    Kernel,
+    _random_rows,
+    is_reversible,
+    parallel_compose,
+    reversible_kernel,
+    scalar_kernel,
+)
 from bct.labels import (
     PLUS,
     UNIT,
@@ -33,6 +48,7 @@ from bct.serial import (
     outcomes_to_json,
     system_to_str,
 )
+from bct.states import GeneralizedVector
 from bct.systems import Leaf, Node, SystemTree, TheoryMode, Trivial
 
 
@@ -97,6 +113,46 @@ def random_reversible_kernel(rng: random.Random, system: SystemTree) -> Kernel:
     signs = {a: (rng.choice((-1, 1)) if system.mode is TheoryMode.BCT else 1)
              for a in basis}
     return reversible_kernel(system, system, dict(zip(basis, shuffled)), signs)
+
+
+def random_deterministic_kernel(rng: random.Random, in_system: SystemTree,
+                                out_system: SystemTree) -> Kernel:
+    """A deterministic kernel: on every input label a dyadic distribution
+    over one to three (output label, tau) targets."""
+    return Kernel(in_system, out_system, _random_rows(rng, in_system, out_system))
+
+
+def scaled(kernel: Kernel, factor: Fraction) -> Kernel:
+    """`kernel` with every weight times `factor`, at most one: its parallel
+    composite with that scalar."""
+    return parallel_compose(scalar_kernel(kernel.mode, factor), kernel)
+
+
+def effect_kernel(effect: GeneralizedVector) -> Kernel:
+    """An effect as a kernel to the trivial system, tau fixed +1; a vector of
+    the span that is not an effect gets the constructor's weight checks."""
+    return Kernel(effect.system, Trivial(effect.system.mode),
+                  {x: {(UNIT, PLUS): w} for x, w in effect.coeffs.items()})
+
+
+def inverse(kernel: Kernel) -> Kernel:
+    """The inverse of a reversible kernel: the entry (b, tau) of row a
+    becomes the entry (a, tau) of row b, and the flips cancel on composition."""
+    assert is_reversible(kernel)
+    return Kernel(kernel.out_system, kernel.in_system,
+                  {b: {(a, tau): 1} for a, row in kernel.rows.items() for b, tau in row})
+
+
+@contextmanager
+def faulted(fault):
+    """`fault` in force; a faulted calculus may build what a validating
+    constructor refuses (a - sign in CT), so the trusted constructors go
+    unchecked under a fault."""
+    with faults.inject_fault(fault), pytest.MonkeyPatch.context() as patch:
+        if fault:
+            for cls in (Kernel, GeneralizedVector):
+                patch.setattr(cls, "_trusted", classmethod(cls._trusted.__func__.__wrapped__))
+        yield
 
 
 def function_channel(fl: FunctionLabel, in_system: SystemTree,

@@ -22,9 +22,9 @@ from bct.dilation import (
 from bct.faults import KNOWN_FAULTS
 from bct.kernels import (
     Instrument,
+    Kernel,
     add_kernels,
     apply,
-    atomic_kernel,
     extend_at,
     is_atomic,
     is_deterministic,
@@ -32,11 +32,9 @@ from bct.kernels import (
     kernels_equal,
     null_kernel,
     parallel_compose,
-    random_deterministic_kernel,
     random_instrument,
     random_kernel,
     reversible_kernel,
-    scale_kernel,
     sequential_compose,
     validate_instrument,
 )
@@ -59,7 +57,7 @@ from bct.systems import (
 )
 from bct.tomography import span_report, verify_strict_bilocality
 
-from kernel_helpers import function_channel
+from kernel_helpers import function_channel, random_deterministic_kernel, scaled
 
 F = Fraction
 
@@ -195,7 +193,7 @@ def test_ac08_channel_decomposition_200_channels():
         ok &= len(parts) <= 2 * da * db
         resum = null_kernel(a, b)
         for fl, mu in parts:
-            resum = add_kernels(resum, scale_kernel(function_channel(fl, a, b), mu))
+            resum = add_kernels(resum, scaled(function_channel(fl, a, b), mu))
         ok &= kernels_equal(resum, channel)
     elapsed = time.time() - start
     report(8, "200 greedy decompositions: positive weights, sum 1, exact re-sum",
@@ -206,7 +204,7 @@ def test_ac09_classification_predicates_exhaustive():
     start = time.time()
     a = bibit()
     lab = LeafLabel
-    atomics = [atomic_kernel(a, a, lab(i), lab(l), tau=t)
+    atomics = [Kernel(a, a, {lab(i): {(lab(l), t): 1}})
                for i in (1, 2) for l in (1, 2) for t in (-1, 1)]
     reversibles = []
     for perm in ({1: 1, 2: 2}, {1: 2, 2: 1}):

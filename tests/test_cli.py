@@ -262,6 +262,26 @@ def test_verify_dims_checks_every_bound_before_building_a_family(monkeypatch, ca
     assert built == []
 
 
+@pytest.mark.parametrize("pairs, dim", [("512,512", 524288), ("5000,2", 5000),
+                                       ("2,5000", 5000)])
+def test_tomography_checks_every_bound_before_building_the_products(
+        monkeypatch, capsys, pairs, dim):
+    """A (x) B of 512,512 is over the bound: refused before its 262 144
+    products are built, with the message of the first check."""
+    built = []
+
+    def refused(*args):
+        built.append(args)
+        raise AssertionError("products built")
+
+    monkeypatch.setattr(bct.tomography, "_products", refused)
+    assert main(["tomography", "--pairs", pairs, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dimension {dim} exceeds enumeration bound 4096" in captured.err
+    assert built == []
+
+
 @pytest.mark.parametrize("args, code", [
     (["verify-dims", "--triples", "16,16,16"], 0),
     (["tomography", "--pairs", "64,64"], 2),

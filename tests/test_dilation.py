@@ -11,7 +11,6 @@ from bct.dilation import (
     decompose_channel,
     dilated_apply,
     enumerate_function_labels,
-    program_channel,
     program_sigma,
     realize_instrument,
 )
@@ -21,23 +20,20 @@ from bct.kernels import (
     add_kernels,
     apply,
     identity_kernel,
-    invert_reversible,
     is_deterministic,
     is_reversible,
     kernels_equal,
     null_kernel,
-    random_deterministic_kernel,
     random_instrument,
     reversible_kernel,
-    scale_kernel,
     sequential_compose,
 )
 from bct.labels import UNIT, LeafLabel, NodeLabel, coder, enumerate_pure_labels, node_signs
-from bct.states import pure_state, unit_effect, vectors_equal
+from bct.states import marginal, pure_state, unit_effect, vectors_equal
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf
 
 import fraction_kernels
-from kernel_helpers import function_channel
+from kernel_helpers import function_channel, inverse, random_deterministic_kernel, scaled
 
 F = Fraction
 A = bibit()
@@ -93,8 +89,7 @@ class TestProcessor:
 
     def test_processor_with_its_inverse_is_the_identity(self):
         proc = build_processor(A, B)
-        inverse = invert_reversible(proc.kernel)
-        round_trip = sequential_compose(inverse, proc.kernel)
+        round_trip = sequential_compose(inverse(proc.kernel), proc.kernel)
         assert kernels_equal(round_trip, identity_kernel(proc.kernel.in_system))
 
     def test_identity_program_holds_offsets(self):
@@ -104,7 +99,7 @@ class TestProcessor:
         # with k = 0 (first label) the output register holds h(i)
         for i in (1, 2):
             source = NodeLabel(NodeLabel(sigma, lab(1), 1), lab(i), 1)
-            ((target, tau), weight), = proc.kernel.row(source).items()
+            ((target, tau), weight), = proc.kernel.rows.get(source, {}).items()
             assert weight == 1 and tau == 1
             assert target == NodeLabel(NodeLabel(sigma, lab(i), 1), lab(i), 1)
 
@@ -170,7 +165,7 @@ class TestProcessorRule:
         labels = list(reference)
         random.Random(sum(dims)).shuffle(labels)
         for label in labels:
-            assert proc.kernel.row(label) == reference[label]
+            assert proc.kernel.rows.get(label, {}) == reference[label]
 
     @pytest.mark.parametrize("dims, mode", RULE_CASES)
     def test_rows_read_as_a_whole(self, dims, mode):
@@ -181,7 +176,7 @@ class TestProcessorRule:
         assert set(rows) == set(reference)
         assert dict(rows.items()) == reference
         assert is_reversible(proc.kernel)
-        round_trip = sequential_compose(invert_reversible(proc.kernel), proc.kernel)
+        round_trip = sequential_compose(inverse(proc.kernel), proc.kernel)
         assert len(round_trip.rows) == len(reference)
         assert all(row == {(label, 1): F(1)} for label, row in round_trip.rows.items())
 
@@ -200,7 +195,7 @@ class TestProcessorRule:
             outside += [NodeLabel(NodeLabel(sigma, k, -1), i),
                         NodeLabel(NodeLabel(sigma, k), i, -1)]
         for label in outside:
-            assert proc.kernel.row(label) == {}
+            assert proc.kernel.rows.get(label, {}) == {}
             assert label not in proc.kernel.rows
 
     @pytest.mark.parametrize("offset", [
@@ -231,7 +226,7 @@ class TestDecomposition:
 
     def test_non_deterministic_rejected(self):
         with pytest.raises(ValueError):
-            decompose_channel(scale_kernel(identity_kernel(A), F(1, 2)))
+            decompose_channel(scaled(identity_kernel(A), F(1, 2)))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_seeded_resum_oracle(self, dims):
@@ -245,7 +240,7 @@ class TestDecomposition:
             assert len(parts) <= 2 * dimension(a) * dimension(b)
             resum = null_kernel(a, b)
             for fl, mu in parts:
-                resum = add_kernels(resum, scale_kernel(function_channel(fl, a, b), mu))
+                resum = add_kernels(resum, scaled(function_channel(fl, a, b), mu))
             assert kernels_equal(resum, channel)
 
     def test_function_label_enumeration_order(self):
@@ -322,8 +317,7 @@ class TestRealization:
 
     def test_invalid_instrument_rejected(self):
         with pytest.raises(ValueError):
-            realize_instrument(Instrument((scale_kernel(identity_kernel(A),
-                                                        F(1, 2)),)))
+            realize_instrument(Instrument((scaled(identity_kernel(A), F(1, 2)),)))
 
     def test_weights_stay_fractions(self):
         proc = build_processor(A, B)
@@ -360,7 +354,7 @@ class TestRealization:
         assert sum(mu for _, mu in parts) == 1
         resum = null_kernel(ab, A)
         for fl, mu in parts:
-            resum = add_kernels(resum, scale_kernel(function_channel(fl, ab, A), mu))
+            resum = add_kernels(resum, scaled(function_channel(fl, ab, A), mu))
         assert kernels_equal(resum, channel)
 
     def test_four_to_three_realizes(self):
@@ -380,9 +374,16 @@ class TestRealization:
         assert realize_instrument(inst, processor=proc).verified
 
 
+def programmed(channel: Kernel):
+    """The processor of a channel's systems and the program state that
+    realises the channel on it."""
+    proc = build_processor(channel.in_system, channel.out_system)
+    return proc, program_sigma(proc, decompose_channel(channel))
+
+
 class TestProgramming:
     def test_program_identity(self):
-        proc, sigma = program_channel(identity_kernel(A))
+        proc, sigma = programmed(identity_kernel(A))
         env = compose_systems(A, bibit())
         for label in enumerate_pure_labels(env):
             probe = pure_state(env, label)
@@ -393,11 +394,9 @@ class TestProgramming:
     def test_program_permutation_is_pure_program(self):
         channel = reversible_kernel(A, A, {lab(1): lab(2), lab(2): lab(1)},
                                     {lab(1): 1, lab(2): -1})
-        proc, sigma = program_channel(channel)
+        proc, sigma = programmed(channel)
         assert len(decompose_channel(channel)) == 1
         # program marginal concentrates on a single program label
-        from bct.states import marginal
-
         program_part = marginal(sigma, "0")
         assert len(program_part.coeffs) == 1
         env = compose_systems(A, bibit())
@@ -412,7 +411,7 @@ class TestProgramming:
                          (lab(2), 1): F(1, 4), (lab(2), -1): F(1, 4)}
                 for i in (1, 2)}
         channel = Kernel(A, A, rows)
-        proc, sigma = program_channel(channel)
+        proc, sigma = programmed(channel)
         assert len(decompose_channel(channel)) > 1
         env = compose_systems(A, bibit())
         for label in enumerate_pure_labels(env):
@@ -420,10 +419,6 @@ class TestProgramming:
             assert vectors_equal(
                 apply(channel, probe, "0"),
                 dilated_apply(proc, sigma, unit_effect(proc.output_ancilla), probe))
-
-    def test_non_deterministic_rejected(self):
-        with pytest.raises(ValueError):
-            program_channel(scale_kernel(identity_kernel(A), F(1, 2)))
 
 
 class TestProgrammedAtomics:
@@ -477,7 +472,7 @@ class TestSandwichConverse:
                       if rng.random() < 0.3}
             effect = EffectVector(proc.output_ancilla, coeffs)
             kernel = extract_kernel(proc, sigma, effect)
-            assert all(kernel.row_sum(x) <= 1
+            assert all(sum(kernel.rows.get(x, {}).values()) <= 1
                        for x in enumerate_pure_labels(A))
 
     def test_unit_effect_sandwich_is_deterministic(self):

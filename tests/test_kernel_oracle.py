@@ -13,7 +13,6 @@ basis-index coder is held to the canonical basis order, sorted by
 """
 
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -22,25 +21,22 @@ from hypothesis import strategies as st
 
 from bct import faults
 from bct.kernels import (
-    Kernel,
     apply,
-    effect_kernel,
     extend_at,
     parallel_compose,
     random_kernel,
     random_state,
     scalar_kernel,
-    scale_kernel,
     sequential_compose,
     state_kernel,
 )
 from bct.labels import coder, enumerate_pure_labels
-from bct.states import EffectVector, GeneralizedVector, StateVector
+from bct.states import EffectVector, StateVector
 from bct.systems import Node, SystemTree, TheoryMode, Trivial, compose_systems, leaf, subtree_at
 
 import fraction_kernels
 from fraction_kernels import kernel_rows
-from kernel_helpers import plus, sorted_basis
+from kernel_helpers import effect_kernel, faulted, plus, scaled, sorted_basis
 
 FAULTS = (None,) + faults.KNOWN_FAULTS
 MODES = st.sampled_from((TheoryMode.BCT, TheoryMode.CT))
@@ -71,7 +67,7 @@ def kernels(draw, in_system, out_system):
     """A seeded random kernel scaled by a drawn, usually non-dyadic, factor."""
     base = random_kernel(random.Random(draw(st.integers(0, 2**16))), in_system, out_system)
     den = draw(DENOMINATORS)
-    return scale_kernel(base, Fraction(draw(st.integers(0, den)), den))
+    return scaled(base, Fraction(draw(st.integers(0, den)), den))
 
 
 def summed(pairs):
@@ -98,18 +94,6 @@ def assert_same(kernel, old):
     if kernel.mode is TheoryMode.CT and faults.active_fault():
         rows = read_by_index(rows)
     assert kernel_rows(kernel) == rows
-
-
-@contextmanager
-def faulted(fault):
-    """`fault` in force; a faulted calculus may build what a validating
-    constructor refuses (a - sign in CT), so the trusted constructors go
-    unchecked under a fault."""
-    with faults.inject_fault(fault), pytest.MonkeyPatch.context() as patch:
-        if fault:
-            for cls in (Kernel, GeneralizedVector):
-                patch.setattr(cls, "_trusted", classmethod(cls._trusted.__func__.__wrapped__))
-        yield
 
 
 @pytest.mark.parametrize("fault", FAULTS)

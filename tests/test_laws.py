@@ -13,7 +13,10 @@ error that a frozen copy of an older implementation would share:
 - interchange and sliding hold on random trees, not only on the suite's
   fixed dimensions;
 - the parallel composite of two state kernels is the state kernel of their
-  product.
+  product;
+- a probe environment tells no two kernels apart that their ints do not:
+  kernels are equal exactly when their extensions by a bibit are, which is
+  why the coherence suite compares the law sides as they are.
 
 Hypothesis draws canonical trees of 2-4 leaves of dimension 2 or 3 (under a
 dimension cap), subtree paths and seeded kernels, in BCT and in CT.  The
@@ -34,11 +37,9 @@ from bct.kernels import (
     Kernel,
     apply,
     braid_kernel,
-    effect_kernel,
     extend_at,
     kernels_equal,
     parallel_compose,
-    random_deterministic_kernel,
     random_kernel,
     random_state,
     sequential_compose,
@@ -64,6 +65,8 @@ from bct.systems import (
     replace_at,
     subtree_at,
 )
+
+from kernel_helpers import effect_kernel, faulted, random_deterministic_kernel
 
 MODES = st.sampled_from((TheoryMode.BCT, TheoryMode.CT))
 LAWS = settings(max_examples=25, deadline=None)
@@ -161,6 +164,30 @@ def probed(kernel: Kernel) -> Kernel:
     return extend_at(kernel, compose_systems(kernel.in_system, bibit(kernel.mode)), "0")
 
 
+def tau_flipped(kernel: Kernel, rng: random.Random) -> Kernel:
+    """`kernel` with the tau of one entry flipped, where its row has no
+    entry at the flipped key; `kernel` itself when no entry can flip."""
+    rows = {a: dict(row) for a, row in kernel.rows.items()}
+    free = [(a, entry) for a, row in rows.items() for entry in row
+            if (entry[0], -entry[1]) not in row]
+    if kernel.mode is TheoryMode.CT or isinstance(kernel.out_system, Trivial) or not free:
+        return kernel
+    a, (b, tau) = rng.choice(free)
+    rows[a][(b, -tau)] = rows[a].pop((b, tau))
+    return Kernel(kernel.in_system, kernel.out_system, rows)
+
+
+def probe_separates_as_ints(system: SystemTree, seed: int, out: int, variant: int) -> bool:
+    """kernels_equal(k, k') == kernels_equal(probed(k), probed(k')), for k'
+    an independent draw, a rebuild of k, or k with one tau flipped."""
+    rng = random.Random(seed)
+    k = random_kernel(rng, system, outputs(system)[out])
+    other = (random_kernel(rng, system, k.out_system),
+             Kernel(k.in_system, k.out_system, k.rows),
+             tau_flipped(k, rng))[variant]
+    return kernels_equal(k, other) == kernels_equal(probed(k), probed(other))
+
+
 def interchange(a: SystemTree, b: SystemTree, seed: int) -> bool:
     """(k2 o k1) (x) (k4 o k3) = (k2 (x) k4) o (k1 (x) k3)."""
     rng = random.Random(seed)
@@ -247,6 +274,23 @@ def test_parallel_states_are_the_product_state(data, mode, seed):
     x = data.draw(trees(mode, (1, 2)))
     y = data.draw(trees(mode, (1, 2)))
     assert states_compose(x, y, seed)
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.KNOWN_FAULTS)
+@LAWS
+@given(st.data(), MODES, seeds())
+def test_kernels_are_equal_exactly_when_their_probed_extensions_are(fault, data, mode, seed):
+    system = data.draw(trees(mode, (1, 3)))
+    out, variant = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    with faulted(fault):
+        assert probe_separates_as_ints(system, seed, out, variant)
+
+
+def test_a_flipped_tau_is_seen_with_and_without_the_probe():
+    k = random_kernel(random.Random(3), leaf(2), leaf(3))
+    flipped = tau_flipped(k, random.Random(0))
+    assert not kernels_equal(k, flipped)
+    assert not kernels_equal(probed(k), probed(flipped))
 
 
 # ---------------------------------------------------------------------------

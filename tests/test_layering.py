@@ -8,17 +8,24 @@ check keeps it that way.
 The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses.
 The coherence checks use the label-level calculus, never the transport
-that memoises it.
+that memoises it.  Every definition in the package is reached from the
+package, the benchmark or the public API, or is kept for a stated reason.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
+import bct
 from bct.config import DEFAULT_MAX_DIM, DILATION_MAX_DIM
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "bct").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "bct").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def function_local_imports(tree: ast.AST) -> list[int]:
@@ -135,12 +142,12 @@ def test_rank_eliminates_without_fractions():
 
 
 INT_BODIES = {
-    "states.py": {"tensor_products", "tensor_states", "tensor_effects", "_scalar_product",
+    "states.py": {"tensor_products", "tensor_states", "_scalar_product",
                   "product_nums", "apply_moves_to_vectors",
                   "apply_effect_at", "marginal", "_regrouped", "pair", "_paired",
                   "is_separable", "unit_effect", "discriminating_instrument",
                   "weight", "vectors_equal", "lowest_terms", "_trusted"},
-    "kernels.py": {"apply", "state_kernel", "effect_kernel"},
+    "kernels.py": {"apply", "state_kernel"},
     "tomography.py": {"rank", "_rank", "_basis", "_products", "product_states",
                       "_tripartite_families", "corollary_nab"},
     "dilation.py": {"_sum_to_unit", "_reproduces", "decompose_channel"},
@@ -205,14 +212,13 @@ def test_tomography_families_build_no_vector():
 
 KERNEL_BODIES = {"sequential_compose", "parallel_compose", "extend_at", "apply",
                  "identity_kernel", "braid_kernel", "kernels_equal", "add_kernels",
-                 "scale_kernel", "is_deterministic", "is_atomic", "is_reversible",
-                 "invert_reversible", "_trusted", "_store"}
+                 "is_deterministic", "is_atomic", "is_reversible", "_trusted", "_store"}
 
 
 def test_kernel_calculus_runs_on_ints():
     """A kernel is int numerators keyed by basis index over one denominator,
     and its calculus keeps it so: no function of it (or module function it
-    calls) reads the label-keyed `rows`/`row` view or a vector's `coeffs`,
+    calls) reads the label-keyed `rows` view or a vector's `coeffs`,
     names `Fraction`, `ZERO` or `ONE`, has a true division, or builds a
     `NodeLabel` (labels are decoded by the coder, at the boundary)."""
     source = next(p for p in SOURCES if p.name == "kernels.py")
@@ -222,7 +228,7 @@ def test_kernel_calculus_runs_on_ints():
     for function in functions:
         body = ast.Module(body=function.body, type_ignores=[])
         views = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
-        assert views & {"rows", "row", "coeffs"} == set(), function.name
+        assert views & {"rows", "coeffs"} == set(), function.name
         names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
         assert names & {"Fraction", "ZERO", "ONE", "NodeLabel"} == set(), function.name
         assert not any(isinstance(node, ast.Div) for node in ast.walk(body)), function.name
@@ -240,3 +246,68 @@ def test_probabilistic_check_runs_on_ints():
     for function in functions:
         assert names_used(function) & {"coeffs", "row", "rows", "UNIT", "point_effect"} \
             == set(), function.name
+
+
+# Definitions that nothing in the package or the benchmark names, kept for
+# the paper statement their tests pin: "module.qualified_name" -> that reason.
+KEPT: dict[str, str] = {}
+
+
+def definitions(tree: ast.Module) -> Iterator[tuple[str, ast.FunctionDef | ast.ClassDef]]:
+    """The module's top-level functions and classes, and its classes'
+    methods, by qualified name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{node.name}.{method.name}", method
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often `tree` names each identifier, as a `Name` or an `Attribute`."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def benchmark_words() -> set[str]:
+    """Every identifier the benchmark names, and every word of its strings:
+    it names the layers it traces as "module.function"."""
+    words: set[str] = set()
+    for path in PERFBENCH:
+        tree = ast.parse(path.read_text())
+        words |= set(references(tree))
+        words |= {word for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  for word in re.findall(r"\w+", node.value)}
+    return words
+
+
+def unreached() -> list[str]:
+    """The definitions of the package named nowhere in it but inside
+    themselves, nor by the benchmark, nor in `bct.__all__`, nor in `KEPT`.
+    Python calls the dunder methods itself, and `cli.main` looks the
+    `cmd_*` functions up in its globals."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    exempt = benchmark_words() | set(bct.__all__)
+    found = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")
+                    or module == "cli" and name.startswith("cmd_")):
+                continue
+            if (everywhere[name] > references(node)[name] or name in exempt
+                    or f"{module}.{qualname}" in KEPT):
+                continue
+            found.append(f"{module}.{qualname}")
+    return found
+
+
+def test_every_definition_is_reached():
+    defined = {f"{path.stem}.{qualname}" for path in SOURCES
+               for qualname, _node in definitions(ast.parse(path.read_text()))}
+    assert set(KEPT) <= defined
+    assert unreached() == []

@@ -6,7 +6,6 @@ import pytest
 from bct.config import MAX_NESTING
 from bct.kernels import (
     kernels_equal,
-    random_deterministic_kernel,
     random_instrument,
     random_kernel,
 )
@@ -35,7 +34,12 @@ from bct.serial import (
 from bct.states import StateVector
 from bct.systems import TheoryMode, Trivial, bibit, compose_systems, dimension, leaf
 
-from kernel_helpers import instrument_to_json, kernel_from_json, kernel_to_json
+from kernel_helpers import (
+    instrument_to_json,
+    kernel_from_json,
+    kernel_to_json,
+    random_deterministic_kernel,
+)
 
 F = Fraction
 AB = compose_systems(bibit(), bibit())

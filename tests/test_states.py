@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct import faults
-from bct.kernels import apply, random_kernel, scale_kernel
+from bct.kernels import apply, random_kernel
 from bct.labels import (
     UNIT,
     LeafLabel,
@@ -34,7 +34,6 @@ from bct.states import (
     pair,
     point_effect,
     pure_state,
-    tensor_effects,
     tensor_products,
     tensor_states,
     unit_effect,
@@ -53,7 +52,7 @@ from bct.systems import (
 )
 
 import fraction_kernels
-from kernel_helpers import plus
+from kernel_helpers import plus, scaled
 
 F = Fraction
 A = bibit()
@@ -117,6 +116,10 @@ class TestTensor:
                                     [Move(MoveKind.BRAID, "")])
         rhs = tensor_states(sigma, rho)
         assert lhs.coeffs == rhs.coeffs
+
+    def test_effects_have_no_tensor_product(self):
+        with pytest.raises(TypeError, match="not effects"):
+            tensor_states(pure_state(A, lab(1)), point_effect(B, lab(2)))
 
 
 class TestPairing:
@@ -273,12 +276,6 @@ class TestEffects:
             assert any(pair(e, rho) != pair(e, sigma)
                        for e in discriminating_instrument(AB))
 
-    def test_product_effect_is_sign_insensitive(self):
-        eff = tensor_effects(point_effect(A, lab(1)), point_effect(B, lab(2)))
-        for s in (-1, 1):
-            assert pair(eff, pure_state(AB, node(lab(1), lab(2), s))) == 1
-        assert pair(eff, pure_state(AB, node(lab(1), lab(1), 1))) == 0
-
 
 class TestValidation:
     def test_state_weight_bound(self):
@@ -406,20 +403,6 @@ class TestTrustedConstruction:
         with pytest.raises(AssertionError):
             StateVector._trusted(A, nums, den)
 
-    def test_product_of_two_effects_builds_no_validated_effect(self, validated_builds):
-        point = point_effect(A, lab(2))
-        half = EffectVector(B, {lab(1): F(1, 2), lab(2): F(1)})
-        validated_builds.clear()
-        product = tensor_effects(point, half)
-        assert validated_builds == [] and type(product) is EffectVector
-        assert product.coeffs == {node(lab(2), b, s): w
-                                  for b, w in half.coeffs.items() for s in (-1, 1)}
-
-    def test_effect_product_with_a_generalized_vector_is_checked(self):
-        double = GeneralizedVector(B, {lab(1): F(2)})
-        with pytest.raises(ValueError, match="outside"):
-            tensor_effects(point_effect(A, lab(1)), double)
-
 
 class TestTrivialFactors:
     """A scalar factor scales; the whole tree as a subtree is the state."""
@@ -430,13 +413,6 @@ class TestTrivialFactors:
         scaled = StateVector(AB, {label: value / 3 for label, value in rho.coeffs.items()})
         assert tensor_states(rho, third) == scaled
         assert tensor_states(third, rho) == scaled
-
-    def test_effect_product_with_a_scalar_scales(self):
-        effect = EffectVector(A, {lab(1): F(1, 2), lab(2): F(1)})
-        half = EffectVector(Trivial(TheoryMode.BCT), {UNIT: F(1, 2)})
-        scaled = EffectVector(A, {lab(1): F(1, 4), lab(2): F(1, 2)})
-        assert tensor_effects(effect, half) == scaled
-        assert tensor_effects(half, effect) == scaled
 
     def test_marginal_on_the_whole_tree_is_the_state(self):
         rho = StateVector(AB, half_pair(2, 1))
@@ -614,7 +590,7 @@ def test_kernel_apply_matches_the_fraction_body(data, mode, where, cls):
     out = data.draw(st.sampled_from((part, leaf(2, mode), Trivial(mode))))
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     den = data.draw(DENOMINATORS)
-    kernel = scale_kernel(random_kernel(rng, part, out), F(data.draw(st.integers(0, den)), den))
+    kernel = scaled(random_kernel(rng, part, out), F(data.draw(st.integers(0, den)), den))
     rho = data.draw(vectors(system, cls))
     image = apply(kernel, rho, at)
     assert type(image) is cls
