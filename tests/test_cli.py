@@ -214,6 +214,15 @@ GOLDEN = Path(__file__).parent / "data"
      ["dilate", str(GOLDEN / "dilate_bct_instrument.json"), "--quiet"]),
     ("golden_dilate_ct.json",
      ["dilate", str(GOLDEN / "dilate_ct_instrument.json"), "--quiet"]),
+    # the pair marginals of a moved tripartite state, in both modes
+    ("golden_monogamy_bct.json", ["protocol", "monogamy", "--mode", "bct", "--quiet"]),
+    ("golden_monogamy_ct.json", ["protocol", "monogamy", "--mode", "ct", "--quiet"]),
+    # a mixed state on (2*2) in BCT and on (2*3) in CT, each read from the
+    # document beside it, against its clone's expected products
+    ("golden_clone_bct.json",
+     ["protocol", "clone", "--state", str(GOLDEN / "clone_bct_state.json"), "--quiet"]),
+    ("golden_clone_ct.json",
+     ["protocol", "clone", "--state", str(GOLDEN / "clone_ct_state.json"), "--quiet"]),
 ])
 def test_reports_match_golden_bytes(name, args, capsys):
     code, out = run(args, capsys)
