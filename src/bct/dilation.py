@@ -308,12 +308,10 @@ def realize_instrument(instrument: Instrument,
     effects = [EffectVector._trusted(processor.output_ancilla, *c)
                for c in (lowest_terms(first, den), *others)]
 
-    verified = True
-    if verify:
-        verified = (_reproduces(processor, sigma,
-                                list(zip(effects, instrument.branches)))
-                    and _sum_to_unit(effects)
-                    and sigma.is_deterministic)
+    verified = verify and (_reproduces(processor, sigma,
+                                       list(zip(effects, instrument.branches)))
+                           and _sum_to_unit(effects)
+                           and sigma.is_deterministic)
 
     return DilationResult(processor, sigma, tuple(effects), instrument.outcomes,
                           dict(mu), dict(zip(instrument.outcomes, tables)), verified)

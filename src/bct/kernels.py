@@ -339,7 +339,7 @@ def _with_identity(kernel: Kernel, other: SystemTree, drop_tau: bool = False) ->
     if not isinstance(kernel.in_system, Trivial):
         system = compose_systems(kernel.in_system, other)
         source = joined(kernel.coders[0], coder(other))
-        return _act_rows(kernel, system, source, "0", range(source.dim), drop_tau)[0]
+        return _act_rows(kernel, system, source, "0", range(source.dim), drop_tau)
     # a preparation opens a fresh node whose sign is the emitted flip
     join = joined(kernel.coders[1], coder(other)).join
     row = kernel.nums.get(0)
@@ -421,8 +421,8 @@ def extend_at(kernel: Kernel, system: SystemTree, at: str) -> Kernel:
         raise ValueError("kernel input does not match the selected subtree")
     if at == "":
         return kernel
-    rows, _target = _act_rows(kernel, system, coder_around(system, at, kernel.coders[0]),
-                              at, range(basis_size(system)))
+    rows = _act_rows(kernel, system, coder_around(system, at, kernel.coders[0]),
+                     at, range(basis_size(system)))
     return Kernel._trusted(system, _result_system(kernel, system, at),
                            *_lowest(rows, kernel.den))
 
@@ -434,11 +434,10 @@ def _result_system(kernel: Kernel, system: SystemTree, at: str) -> SystemTree:
 
 
 def _act_rows(kernel: Kernel, system: SystemTree, source: Coder, at: str,
-              inputs: Iterable[int], drop_tau: bool = False
-              ) -> tuple[dict[int, IntRow], Coder]:
+              inputs: Iterable[int], drop_tau: bool = False) -> dict[int, IntRow]:
     """The int rows, for the `inputs` indices of `system` (whose coder is
     `source`), of `kernel` acting at the subtree at `at`, over the kernel's
-    denominator; and the coder of the system they map into.
+    denominator.
 
     Regroup each input to (a e)_u, replace it by (b e)_{tau*u}, and regroup
     back; an entry is keyed (output index, environment flip).  An effect at
@@ -460,14 +459,12 @@ def _act_rows(kernel: Kernel, system: SystemTree, source: Coder, at: str,
             row = rows.get(a)
             if row:
                 out_rows[x] = {(e, flip * u if bct else PLUS): sum(row.values())}
-        return out_rows, source.right
-    head = joined(kernel.coders[1], source.right)
-    target, back = head, None
+        return out_rows
+    join = joined(kernel.coders[1], source.right).join
+    back = None
     if there is not None:
-        moved, back = transport(compose_systems(kernel.out_system, regrouped.right),
-                                invert_moves(moves))
-        target = coder(moved)
-    join = head.join
+        back = transport(compose_systems(kernel.out_system, regrouped.right),
+                         invert_moves(moves))[1]
     for x in inputs:
         y, flip = (x, PLUS) if there is None else there[x]
         a, e, u = split(y)
@@ -484,7 +481,7 @@ def _act_rows(kernel: Kernel, system: SystemTree, source: Coder, at: str,
                 key = (z, flip * tau * back_flip if bct else PLUS)
             out[key] = out[key] + n if key in out else n
         out_rows[x] = out
-    return out_rows, target
+    return out_rows
 
 
 def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVector:
@@ -505,7 +502,7 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
     else:
         system = _result_system(kernel, rho.system, at)
         rows = _act_rows(kernel, rho.system, coder_around(rho.system, at, kernel.coders[0]),
-                         at, rho.nums)[0]
+                         at, rho.nums)
     out: dict[int, int] = {}
     for x, n in rho.nums.items():
         row = rows.get(x)
@@ -641,8 +638,9 @@ def discriminating_measurement(system: SystemTree) -> Instrument:
 # Seeded random generators (documented test plumbing; dyadic weights)
 
 
-def _dyadic_split(rng: random.Random, parts: int, grain: int = 16) -> list[Fraction]:
+def _dyadic_split(rng: random.Random, parts: int) -> list[Fraction]:
     """A dyadic probability vector of the given length summing to one."""
+    grain = 16
     cuts = sorted(rng.randrange(grain + 1) for _ in range(parts - 1))
     values = []
     previous = 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .labels import (
     Coder,
@@ -45,7 +45,6 @@ from .systems import (
     subtree_at,
 )
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Coeffs = Mapping[PureLabel, Fraction | int]
@@ -203,35 +202,19 @@ def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> Generaliz
     both valid by construction; mixed factors get the checks of the
     constructor of the first one's class.
     """
-    return tensor_products([rho], [sigma])[0]
-
-
-def tensor_products(rhos: Sequence[GeneralizedVector],
-                    sigmas: Sequence[GeneralizedVector]) -> list[GeneralizedVector]:
-    """`tensor_states(rho, sigma)` for every rho of `rhos` (outer) and sigma
-    of `sigmas`, each family on one system; the system of the products is
-    composed once, and every product holds that one object."""
-    if not rhos or not sigmas:
-        return []
-    x, y = shared_system(rhos), shared_system(sigmas)
-    if x.mode is not y.mode:
+    if rho.system.mode is not sigma.system.mode:
         raise ValueError("cannot compose states from different theory modes")
-    system = compose_systems(x, y)
+    if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
+        raise TypeError("tensor_states takes states and vectors of the span, not effects")
+    system = compose_systems(rho.system, sigma.system)
     # each sign s of (ij)_s gets the product of the numerators, and the
     # denominator one more factor: the number of signs
     signs = node_signs(system.mode)
-    join = coder(system).join
-    products = []
-    for rho in rhos:
-        for sigma in sigmas:
-            if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
-                raise TypeError("tensor_states takes states and vectors of the span, not effects")
-            out = _scalar_product(rho, sigma) or lowest_terms(
-                product_nums(join, signs, rho.nums, sigma.nums), rho.den * sigma.den * len(signs))
-            cls = type(rho)
-            products.append(cls._trusted(system, *out) if cls is type(sigma)
-                            else cls._checked(system, *out))
-    return products
+    out = _scalar_product(rho, sigma) or lowest_terms(
+        product_nums(coder(system).join, signs, rho.nums, sigma.nums),
+        rho.den * sigma.den * len(signs))
+    cls = type(rho)
+    return cls._trusted(system, *out) if cls is type(sigma) else cls._checked(system, *out)
 
 
 def pair(effect: GeneralizedVector, rho: GeneralizedVector) -> Fraction:
@@ -250,31 +233,14 @@ def _paired(effect: GeneralizedVector, rho: GeneralizedVector) -> tuple[int, int
             effect.den * rho.den)
 
 
-def shared_system(vectors: Sequence[GeneralizedVector]) -> SystemTree | None:
-    """The one system of `vectors` (None for none); raises naming the first vector off it."""
-    for i, vector in enumerate(vectors):
-        if vector.system is not vectors[0].system and vector.system != vectors[0].system:
-            raise ValueError(f"vectors must share a system: vector {i} differs from vector 0")
-    return vectors[0].system if vectors else None
-
-
-def apply_moves_to_vectors(vectors: Sequence[GeneralizedVector],
-                           moves: Sequence[Move]) -> list[GeneralizedVector]:
-    """Transport a family on one system along a move sequence (a bijective
-    relabeling) into a new list: one transport, and one moved system object
-    for the whole family.  The empty sequence leaves each vector as it is."""
-    if not vectors:
-        return []
-    system, table = transport(shared_system(vectors), moves)
-    if table is None:
-        return list(vectors)
-    return [type(v)._trusted(system, {table[x][0]: n for x, n in v.nums.items()}, v.den)
-            for v in vectors]
-
-
 def apply_moves_to_vector(vector: GeneralizedVector, moves: list[Move]) -> GeneralizedVector:
-    """Transport a vector along a move sequence (a bijective relabeling)."""
-    return apply_moves_to_vectors([vector], moves)[0]
+    """Transport a vector along a move sequence (a bijective relabeling).
+    The empty sequence leaves the vector as it is."""
+    system, table = transport(vector.system, moves)
+    if table is None:
+        return vector
+    return type(vector)._trusted(system, {table[x][0]: n for x, n in vector.nums.items()},
+                                 vector.den)
 
 
 def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> StateVector:
@@ -334,11 +300,11 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
     A state is separable iff its regrouped coefficient table is symmetric
     under the pairing sign; in CT every state is separable.
     """
-    if rho.system.mode is TheoryMode.CT:
-        return True
     subtree_at(rho.system, part)
     if part == "":
         raise ValueError("bipartition selector must pick a proper subtree")
+    if rho.system.mode is TheoryMode.CT:
+        return True
     regrouped, moved = _regrouped(rho, part)
     table = dict(moved)
     for y, n in table.items():

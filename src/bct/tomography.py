@@ -29,7 +29,6 @@ from .states import (
     GeneralizedVector,
     Nums,
     product_nums,
-    shared_system,
 )
 from .systems import (
     SystemTree,
@@ -84,7 +83,9 @@ def _rank(rows: Iterable[Nums]) -> int:
 
 def rank(vectors: Sequence[GeneralizedVector]) -> int:
     """Rank of the coefficient matrix, by fraction-free sparse elimination."""
-    shared_system(vectors)
+    for i, vector in enumerate(vectors):
+        if vector.system is not vectors[0].system and vector.system != vectors[0].system:
+            raise ValueError(f"vectors must share a system: vector {i} differs from vector 0")
     return _rank(vector.nums for vector in vectors)
 
 

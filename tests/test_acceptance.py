@@ -11,8 +11,6 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
 from bct.coherence import SuiteConfig, run_suite
 from bct.dilation import (
     build_processor,
@@ -21,7 +19,6 @@ from bct.dilation import (
 )
 from bct.faults import KNOWN_FAULTS
 from bct.kernels import (
-    Instrument,
     Kernel,
     add_kernels,
     apply,

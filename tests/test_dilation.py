@@ -5,7 +5,6 @@ import pytest
 
 from bct import dilation
 from bct.dilation import (
-    DilationResult,
     FunctionLabel,
     build_processor,
     decompose_channel,
@@ -302,6 +301,12 @@ class TestRealization:
         # a single deterministic branch is observed with the unit effect
         assert result.observation[0].coeffs == \
             unit_effect(proc.output_ancilla).coeffs
+
+    def test_an_unverified_realisation_is_not_reported_verified(self):
+        proc = build_processor(A, A)
+        inst = Instrument((identity_kernel(A),))
+        assert realize_instrument(inst, processor=proc, verify=False).verified is False
+        assert realize_instrument(inst, processor=proc).verified is True
 
     def test_two_outcome_measurement_roundtrip(self):
         proc = build_processor(A, A)

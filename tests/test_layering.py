@@ -9,7 +9,8 @@ The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses.
 The coherence checks use the label-level calculus, never the transport
 that memoises it.  Every definition in the package is reached from the
-package, the benchmark or the public API, or is kept for a stated reason.
+package, the benchmark or the public API, or is kept for a stated reason,
+and no module of the package or the tests imports a name it never reads.
 """
 
 import ast
@@ -26,6 +27,7 @@ from bct.config import DEFAULT_MAX_DIM, DILATION_MAX_DIM
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bct").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def function_local_imports(tree: ast.AST) -> list[int]:
@@ -142,8 +144,8 @@ def test_rank_eliminates_without_fractions():
 
 
 INT_BODIES = {
-    "states.py": {"tensor_products", "tensor_states", "_scalar_product",
-                  "product_nums", "apply_moves_to_vectors",
+    "states.py": {"tensor_states", "_scalar_product",
+                  "product_nums", "apply_moves_to_vector",
                   "apply_effect_at", "marginal", "_regrouped", "pair", "_paired",
                   "is_separable", "unit_effect", "discriminating_instrument",
                   "weight", "vectors_equal", "lowest_terms", "_trusted"},
@@ -191,7 +193,7 @@ def test_vector_calculus_runs_on_ints(module):
 
 
 VECTOR_NAMES = {"StateVector", "GeneralizedVector", "EffectVector", "_trusted",
-                "tensor_products", "apply_moves_to_vectors", "discriminating_instrument"}
+                "tensor_states", "apply_moves_to_vector", "discriminating_instrument"}
 
 
 def test_tomography_families_build_no_vector():
@@ -311,3 +313,25 @@ def test_every_definition_is_reached():
                for qualname, _node in definitions(ast.parse(path.read_text()))}
     assert set(KEPT) <= defined
     assert unreached() == []
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    """The names `tree` imports and never reads: a read is a `Name` anywhere
+    in the module, or a string in its `__all__`."""
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= {item.value for item in ast.walk(node.value)
+                     if isinstance(item, ast.Constant) and isinstance(item.value, str)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    assert unread_imports(ast.parse(path.read_text())) == []

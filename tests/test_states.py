@@ -27,17 +27,14 @@ from bct.states import (
     StateVector,
     apply_effect_at,
     apply_moves_to_vector,
-    apply_moves_to_vectors,
     discriminating_instrument,
     is_separable,
     marginal,
     pair,
     point_effect,
     pure_state,
-    tensor_products,
     tensor_states,
     unit_effect,
-    vectors_equal,
 )
 from bct.systems import (
     Node,
@@ -97,14 +94,6 @@ class TestTensor:
         rho = StateVector(A, {lab(1): F(1, 3)})
         sigma = StateVector(B, {lab(2): F(1, 2)})
         assert tensor_states(rho, sigma).weight == F(1, 6)
-
-    def test_products_of_families_share_one_system(self):
-        rhos = [pure_state(A, lab(1)), StateVector(A, {lab(1): F(1, 2), lab(2): F(1, 4)})]
-        sigmas = [pure_state(B, x) for x in enumerate_pure_labels(B)]
-        products = tensor_products(rhos, sigmas)
-        assert products == [tensor_states(r, s) for r in rhos for s in sigmas]
-        assert all(p.system is products[0].system for p in products)
-        assert tensor_products(rhos, []) == tensor_products([], sigmas) == []
 
     def test_braid_symmetry(self):
         from bct.labels import Move, MoveKind
@@ -226,6 +215,18 @@ class TestSeparability:
         ct = compose_systems(bibit(TheoryMode.CT), bibit(TheoryMode.CT))
         assert is_separable(pure_state(ct, node(lab(1), lab(1), 1)))
 
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    @pytest.mark.parametrize("leaves, part, message", [
+        (2, "0101", "path '0101' leaves the tree"),
+        (2, "", "bipartition selector must pick a proper subtree"),
+        (1, "0", "path '0' leaves the tree"),
+    ])
+    def test_refuses_a_bad_selector_in_either_mode(self, mode, leaves, part, message):
+        system = left_comb([2] * leaves, mode)
+        rho = pure_state(system, enumerate_pure_labels(system)[0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            is_separable(rho, part)
+
     def test_every_separable_state_mixes_entangled_labels(self):
         rng = random.Random(1)
         from bct.kernels import random_state
@@ -341,39 +342,6 @@ def test_every_tripartite_pure_label_has_entangled_pair_marginals():
             moved = apply_moves_to_vector(rho, moves)
             reduced = marginal(StateVector(moved.system, moved.coeffs), keep)
             assert not is_separable(reduced)
-
-
-class TestFamilyTransport:
-    """`apply_moves_to_vectors` moves a family with one tree walk and one
-    move table; vector by vector, `apply_moves_to_vector` is the reference."""
-
-    MOVES = [[], [Move(MoveKind.ASSOC_R, "")], [Move(MoveKind.BRAID, "0")],
-             [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
-              Move(MoveKind.ASSOC_L, "")]]
-
-    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
-    @pytest.mark.parametrize("moves", MOVES, ids=range(len(MOVES)))
-    def test_equals_the_transport_of_each_vector(self, moves, mode):
-        tree = left_comb([2, 3, 2], mode)
-        basis = enumerate_pure_labels(tree)
-        family = [pure_state(tree, label) for label in basis]
-        family += [StateVector(tree, {basis[0]: F(1, 3), basis[-1]: F(1, 2)}),
-                   GeneralizedVector(tree, {basis[1]: F(-7, 5), basis[2]: F(2)}),
-                   EffectVector(tree, {basis[3]: F(1, 2)}),
-                   GeneralizedVector(tree, {})]
-        moved = apply_moves_to_vectors(family, moves)
-        assert moved == [apply_moves_to_vector(vector, moves) for vector in family]
-        assert [type(v) for v in moved] == [type(v) for v in family]
-        assert all(v.system is moved[0].system for v in moved)
-
-    def test_empty_family(self):
-        assert apply_moves_to_vectors([], [Move(MoveKind.BRAID, "")]) == []
-
-    def test_refuses_a_family_on_two_systems_naming_the_vector(self):
-        family = [pure_state(AB, node(lab(1), lab(2), 1))] * 3 + [pure_state(A, lab(1))]
-        with pytest.raises(ValueError, match="^vectors must share a system: "
-                                             "vector 3 differs from vector 0$"):
-            apply_moves_to_vectors(family, [Move(MoveKind.BRAID, "")])
 
 
 class TestTrustedConstruction:
@@ -548,7 +516,7 @@ def test_tensor_products_match_the_fraction_body(data, mode):
     sigmas = data.draw(st.lists(classes.flatmap(lambda c: vectors(y, c)),
                                 min_size=1, max_size=3))
     try:
-        products = tensor_products(rhos, sigmas)
+        products = [tensor_states(rho, sigma) for rho in rhos for sigma in sigmas]
     except ValueError:  # a state times a vector of the span that is not one
         return
     expected = [(rho, sigma) for rho in rhos for sigma in sigmas]
@@ -623,7 +591,7 @@ def test_transports_match_the_fraction_body(fault, data, mode):
                                 .flatmap(lambda c: vectors(system, c)), min_size=1, max_size=4))
     moves = data.draw(move_sequences(system))
     with faults.inject_fault(fault):
-        moved = apply_moves_to_vectors(family, moves)
+        moved = [apply_moves_to_vector(vector, moves) for vector in family]
         for image, vector in zip(moved, family, strict=True):
             assert type(image) is type(vector)
             system, coeffs = fraction_transport(vector, moves)

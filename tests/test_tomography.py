@@ -11,9 +11,8 @@ from bct import faults
 from bct.labels import LeafLabel, Move, MoveKind, enumerate_pure_labels
 from bct.states import (
     GeneralizedVector,
-    apply_moves_to_vectors,
+    apply_moves_to_vector,
     pure_state,
-    tensor_products,
     tensor_states,
 )
 from bct.systems import TheoryMode, bibit, compose_systems, leaf
@@ -198,6 +197,13 @@ def basis_states(system):
     return [pure_state(system, label) for label in enumerate_pure_labels(system)]
 
 
+def products(rhos, sigmas, moves=()):
+    """`tensor_states(rho, sigma)` for every rho (outer) and sigma, carried
+    along `moves`."""
+    return [apply_moves_to_vector(tensor_states(rho, sigma), moves)
+            for rho in rhos for sigma in sigmas]
+
+
 def vector_families(a, b, c):
     """The four biseparable families of `_tripartite_families`, built as
     vectors with the public product and transport."""
@@ -205,13 +211,10 @@ def vector_families(a, b, c):
     to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
               Move(MoveKind.ASSOC_L, "")]
     return {
-        "products": tensor_products(tensor_products(basis_states(a), basis_states(b)),
-                                    basis_states(c)),
-        "ab_c": tensor_products(basis_states(ab), basis_states(c)),
-        "a_bc": apply_moves_to_vectors(tensor_products(basis_states(a), basis_states(bc)),
-                                       [Move(MoveKind.ASSOC_L, "")]),
-        "ac_b": apply_moves_to_vectors(tensor_products(basis_states(ac), basis_states(b)),
-                                       to_abc),
+        "products": products(products(basis_states(a), basis_states(b)), basis_states(c)),
+        "ab_c": products(basis_states(ab), basis_states(c)),
+        "a_bc": products(basis_states(a), basis_states(bc), [Move(MoveKind.ASSOC_L, "")]),
+        "ac_b": products(basis_states(ac), basis_states(b), to_abc),
     }
 
 
@@ -242,7 +245,7 @@ class TestIntRowFamilies:
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
     def test_bipartite_products_are_the_vectors_numerators(self, dims, mode):
         a, b = (leaf(d, mode) for d in dims)
-        vectors = tensor_products(basis_states(a), basis_states(b))
+        vectors = products(basis_states(a), basis_states(b))
         assert product_states(a, b) == [vector.nums for vector in vectors]
 
 
