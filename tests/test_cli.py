@@ -223,6 +223,20 @@ GOLDEN = Path(__file__).parent / "data"
      ["protocol", "clone", "--state", str(GOLDEN / "clone_bct_state.json"), "--quiet"]),
     ("golden_clone_ct.json",
      ["protocol", "clone", "--state", str(GOLDEN / "clone_ct_state.json"), "--quiet"]),
+    # the encodings applied at "0", the basis enumerations and the kernels
+    # built from label rows, in both modes
+    ("golden_dense_coding_bct.json",
+     ["protocol", "dense-coding", "--mode", "bct", "--quiet"]),
+    ("golden_dense_coding_ct.json",
+     ["protocol", "dense-coding", "--mode", "ct", "--quiet"]),
+    ("golden_capacity_bct.json",
+     ["protocol", "capacity", "--n", "3", "--mode", "bct", "--quiet"]),
+    ("golden_capacity_ct.json",
+     ["protocol", "capacity", "--n", "3", "--mode", "ct", "--quiet"]),
+    ("golden_hypersignal_bct.json",
+     ["protocol", "hypersignal", "--dims", "3,2", "--mode", "bct", "--quiet"]),
+    ("golden_hypersignal_ct.json",
+     ["protocol", "hypersignal", "--dims", "3,2", "--mode", "ct", "--quiet"]),
 ])
 def test_reports_match_golden_bytes(name, args, capsys):
     code, out = run(args, capsys)
