@@ -42,7 +42,6 @@ from .labels import (
     UNIT,
     basis_size,
     coder,
-    coder_around,
     enumerate_pure_labels,
     invert_moves,
     joined,
@@ -51,7 +50,7 @@ from .labels import (
     regroup,
     transport,
 )
-from .states import GeneralizedVector, StateVector, ONE, lowest_terms
+from .states import GeneralizedVector, StateVector, ONE, int_coeffs, lowest_terms
 from .systems import (
     SystemTree,
     TheoryMode,
@@ -87,14 +86,13 @@ class Kernel:
             raise ValueError("kernel endpoints must share a theory mode")
         ct = self.in_system.mode is TheoryMode.CT
         out_trivial = isinstance(self.out_system, Trivial)
-        clean: Rows = {}
+        a_index, b_index = (c.index for c in self.coders)
+        weights: dict[tuple[int, int, int], Fraction | int] = {}
         for row_label, entries in self.rows.items():
             if not label_matches(self.in_system, row_label):
                 raise ValueError(f"bad input label {row_label}")
-            row: dict[Entry, Fraction] = {}
+            a = a_index(row_label)
             for (out_label, tau), weight in entries.items():
-                if not isinstance(weight, Fraction):
-                    weight = Fraction(weight)
                 if weight == 0:
                     continue
                 if tau not in (-1, 1):
@@ -103,16 +101,11 @@ class Kernel:
                     raise ValueError("tau is fixed +1 for effects and in CT mode")
                 if not label_matches(self.out_system, out_label):
                     raise ValueError(f"bad output label {out_label}")
-                row[(out_label, tau)] = weight
-            if row:
-                clean[row_label] = row
-        # each weight in lowest terms leaves the LCM no factor common to all
-        # the numerators, so the ints are in canonical form
-        den = lcm(*(w.denominator for row in clean.values() for w in row.values()))
-        a_index, b_index = (c.index for c in self.coders)
-        nums = {a_index(a): {(b_index(b), tau): w.numerator * (den // w.denominator)
-                             for (b, tau), w in row.items()}
-                for a, row in clean.items()}
+                weights[(a, b_index(out_label), tau)] = weight
+        ints, den = int_coeffs(weights)
+        nums: dict[int, IntRow] = {}
+        for (a, b, tau), n in ints.items():
+            nums.setdefault(a, {})[(b, tau)] = n
         _check_weights(self.in_system, nums, den)
         self._store(nums, den)
 
@@ -338,8 +331,7 @@ def _with_identity(kernel: Kernel, other: SystemTree, drop_tau: bool = False) ->
         return kernel.nums
     if not isinstance(kernel.in_system, Trivial):
         system = compose_systems(kernel.in_system, other)
-        source = joined(kernel.coders[0], coder(other))
-        return _act_rows(kernel, system, source, "0", range(source.dim), drop_tau)
+        return _act_rows(kernel, system, "0", range(dimension(system)), drop_tau)
     # a preparation opens a fresh node whose sign is the emitted flip
     join = joined(kernel.coders[1], coder(other)).join
     row = kernel.nums.get(0)
@@ -421,8 +413,7 @@ def extend_at(kernel: Kernel, system: SystemTree, at: str) -> Kernel:
         raise ValueError("kernel input does not match the selected subtree")
     if at == "":
         return kernel
-    rows = _act_rows(kernel, system, coder_around(system, at, kernel.coders[0]),
-                     at, range(basis_size(system)))
+    rows = _act_rows(kernel, system, at, range(basis_size(system)))
     return Kernel._trusted(system, _result_system(kernel, system, at),
                            *_lowest(rows, kernel.den))
 
@@ -433,22 +424,21 @@ def _result_system(kernel: Kernel, system: SystemTree, at: str) -> SystemTree:
     return replace_at(system, at, kernel.out_system)
 
 
-def _act_rows(kernel: Kernel, system: SystemTree, source: Coder, at: str,
-              inputs: Iterable[int], drop_tau: bool = False) -> dict[int, IntRow]:
-    """The int rows, for the `inputs` indices of `system` (whose coder is
-    `source`), of `kernel` acting at the subtree at `at`, over the kernel's
-    denominator.
+def _act_rows(kernel: Kernel, system: SystemTree, at: str, inputs: Iterable[int],
+              drop_tau: bool = False) -> dict[int, IntRow]:
+    """The int rows, for the `inputs` indices of `system`, of `kernel` acting
+    at the subtree at `at`, over the kernel's denominator.
 
-    Regroup each input to (a e)_u, replace it by (b e)_{tau*u}, and regroup
-    back; an entry is keyed (output index, environment flip).  An effect at
-    the head leaves e, and the pairing sign u becomes the flip.  With
-    `drop_tau` the new node keeps the sign u (the PARALLEL_DROP_TAU fault).
+    Regroup each input to (a e)_u, split by the coder of the regrouped
+    system, replace it by (b e)_{tau*u}, and regroup back; an entry is keyed
+    (output index, environment flip).  An effect at the head leaves e, and
+    the pairing sign u becomes the flip.  With `drop_tau` the new node keeps
+    the sign u (the PARALLEL_DROP_TAU fault).
     """
     moves = regroup(system, at)
     regrouped, there = transport(system, moves)
-    if there is not None:
-        source = coder(regrouped)
-    split = source.split
+    target = coder(regrouped)
+    split = target.split
     bct = kernel.mode is TheoryMode.BCT
     rows = kernel.nums
     out_rows: dict[int, IntRow] = {}
@@ -460,7 +450,7 @@ def _act_rows(kernel: Kernel, system: SystemTree, source: Coder, at: str,
             if row:
                 out_rows[x] = {(e, flip * u if bct else PLUS): sum(row.values())}
         return out_rows
-    join = joined(kernel.coders[1], source.right).join
+    join = joined(kernel.coders[1], target.right).join
     back = None
     if there is not None:
         back = transport(compose_systems(kernel.out_system, regrouped.right),
@@ -501,8 +491,7 @@ def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVe
         system, rows = kernel.out_system, kernel.nums
     else:
         system = _result_system(kernel, rho.system, at)
-        rows = _act_rows(kernel, rho.system, coder_around(rho.system, at, kernel.coders[0]),
-                         at, rho.nums)
+        rows = _act_rows(kernel, rho.system, at, rho.nums)
     out: dict[int, int] = {}
     for x, n in rho.nums.items():
         row = rows.get(x)

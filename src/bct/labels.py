@@ -135,11 +135,7 @@ def enumerate_pure_labels(system: SystemTree, bound: int | None = None) -> list[
     Canonical order sorts by the left-to-right tuple of leaf indices, then by
     the pre-order tuple of node signs with - before +.
     """
-    size = basis_size(system, bound)
-    basis = _BASES.get(system)
-    if basis is None:
-        basis = _BASES[system] = tuple(map(coder(system).label, range(size)))
-    return list(basis)
+    return list(map(coder(system).label, range(basis_size(system, bound))))
 
 
 def basis_size(system: SystemTree, bound: int | None = None) -> int:
@@ -150,10 +146,6 @@ def basis_size(system: SystemTree, bound: int | None = None) -> int:
     if dim > limit:
         raise ValueError(f"dimension {dim} exceeds enumeration bound {limit}")
     return dim
-
-
-# Each system's basis, decoded once; callers get a fresh list.
-_BASES: dict[SystemTree, tuple[PureLabel, ...]] = {}
 
 
 # The ints 0, 1, ... up to the largest basis asked for, shared by every caller.
@@ -266,16 +258,6 @@ def coder(system: SystemTree) -> Coder:
             found = Coder(bct, 1, leaves=(UNIT,))
         _CODERS[system] = found
     return found
-
-
-def coder_around(system: SystemTree, at: str, part: Coder) -> Coder:
-    """The coder of `system`, given `part`, the coder of its subtree at
-    `at`: only the siblings along the path are looked up by system."""
-    if not at:
-        return part
-    if at[0] == "0":
-        return joined(coder_around(system.left, at[1:], part), coder(system.right))
-    return joined(coder(system.left), coder_around(system.right, at[1:], part))
 
 
 def joined(left: Coder, right: Coder) -> Coder:

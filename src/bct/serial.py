@@ -2,7 +2,7 @@
 
 System syntax:  `2`, `(2*3)`, `((2*2)*2)`; `1` is the trivial system.
 Label syntax:   leaf `3`, node `(x y)+` / `(x y)-`, unit `*`.
-Rationals are strings in lowest terms (`1/2`, `3`); `2/4` normalizes on
+Rationals are strings `[+-]p/q` or `[+-]p` (`1/2`, `-3`); `2/4` normalizes on
 input.  Parse failures raise ParseError with a machine-readable code.
 """
 
@@ -35,6 +35,7 @@ E_SYSTEM_SYNTAX = "E_SYSTEM_SYNTAX"
 E_MODE = "E_MODE"
 E_SCHEMA = "E_SCHEMA"
 
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
 _DIMENSION = re.compile(r"\d+")
 _LABEL_LEAF = re.compile(r"\*|\d+")
 
@@ -57,11 +58,12 @@ def fraction_to_str(value: Fraction) -> str:
 def parse_fraction(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(E_RATIONAL, f"rational must be a string, got {text!r}")
-    try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(E_RATIONAL, f"bad rational {text!r}") from exc
-    return value
+    if _RATIONAL.fullmatch(text.strip()):
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or more digits than `int` reads
+    raise ParseError(E_RATIONAL, f"bad rational {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +111,12 @@ def _parse_tree(text: str, code: str, separator: str, closers: dict[str, Any],
         match = pattern.match(text, pos)
         if match is None:
             fail(f"expected {leaf_name}")
+        try:
+            tree = make_leaf(match.group())
+        except ValueError as exc:
+            fail(str(exc))
         pos = match.end()
-        return make_leaf(match.group())
+        return tree
 
     tree = term(0)
     if pos != len(text):

@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Mapping
 
 from .labels import (
-    Coder,
     Move,
     PureLabel,
     basis_indices,
@@ -52,17 +51,17 @@ Nums = dict[int, int]
 
 
 def int_coeffs(coeffs: Mapping[Hashable, Fraction | int]) -> tuple[dict, int]:
-    """Nonzero `coeffs` as int numerators over the LCM of their denominators,
-    under the same keys.
+    """Nonzero `coeffs` as int numerators over the LCM of their denominators
+    (a zero's is 1), under the same keys.
 
     Each value in lowest terms leaves the LCM no factor common to all the
     numerators, so the result is in canonical form.
     """
     values = {key: value if isinstance(value, Fraction) else Fraction(value)
-              for key, value in coeffs.items() if value != 0}
+              for key, value in coeffs.items()}
     den = lcm(*(value.denominator for value in values.values()))
     return ({key: value.numerator * (den // value.denominator)
-             for key, value in values.items()}, den)
+             for key, value in values.items() if value}, den)
 
 
 def lowest_terms(nums: Nums, den: int) -> tuple[Nums, int]:
@@ -259,9 +258,10 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
     else:
         system, out, den = delete_at(rho.system, at), {}, effect.den * rho.den
         weights = effect.nums
-        regrouped, moved = _regrouped(rho, at)
-        for y, n in moved:
-            a, rest, _u = regrouped.split(y)
+        moved = apply_moves_to_vector(rho, regroup(rho.system, at))
+        split = coder(moved.system).split
+        for y, n in moved.nums.items():
+            a, rest, _u = split(y)
             e = weights.get(a)
             if e is not None:
                 out[rest] = out[rest] + e * n if rest in out else e * n
@@ -276,22 +276,12 @@ def marginal(rho: StateVector, keep: str) -> StateVector:
     if keep == "":
         return rho
     out: Nums = {}
-    regrouped, moved = _regrouped(rho, keep)
-    for y, n in moved:
-        a = regrouped.split(y)[0]
+    moved = apply_moves_to_vector(rho, regroup(rho.system, keep))
+    split = coder(moved.system).split
+    for y, n in moved.nums.items():
+        a = split(y)[0]
         out[a] = out[a] + n if a in out else n
     return StateVector._trusted(part, *lowest_terms(out, rho.den))
-
-
-def _regrouped(rho: GeneralizedVector, at: str) -> tuple[Coder, Iterable[tuple[int, int]]]:
-    """The coder of `rho`'s system regrouped to the two-factor form (a e)_u,
-    with a on the subtree at `at` and e on the complement, and each
-    numerator of `rho` under its regrouped index."""
-    system, table = transport(rho.system, regroup(rho.system, at))
-    moved = rho.nums.items()
-    if table is not None:
-        moved = ((table[x][0], n) for x, n in moved)
-    return coder(system), moved
 
 
 def is_separable(rho: StateVector, part: str = "0") -> bool:
@@ -305,8 +295,8 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
         raise ValueError("bipartition selector must pick a proper subtree")
     if rho.system.mode is TheoryMode.CT:
         return True
-    regrouped, moved = _regrouped(rho, part)
-    table = dict(moved)
+    moved = apply_moves_to_vector(rho, regroup(rho.system, part))
+    regrouped, table = coder(moved.system), moved.nums
     for y, n in table.items():
         a, e, u = regrouped.split(y)
         if n != table.get(regrouped.join(a, e, -u), 0):

@@ -146,7 +146,7 @@ def test_rank_eliminates_without_fractions():
 INT_BODIES = {
     "states.py": {"tensor_states", "_scalar_product",
                   "product_nums", "apply_moves_to_vector",
-                  "apply_effect_at", "marginal", "_regrouped", "pair", "_paired",
+                  "apply_effect_at", "marginal", "pair", "_paired",
                   "is_separable", "unit_effect", "discriminating_instrument",
                   "weight", "vectors_equal", "lowest_terms", "_trusted"},
     "kernels.py": {"apply", "state_kernel"},
@@ -248,6 +248,26 @@ def test_probabilistic_check_runs_on_ints():
     for function in functions:
         assert names_used(function) & {"coeffs", "row", "rows", "UNIT", "point_effect"} \
             == set(), function.name
+
+
+def test_vectors_have_one_transport():
+    """Steering, marginals and separability regroup a vector through
+    `apply_moves_to_vector`: it is the one function of `states` that reads
+    the index transport."""
+    source = next(p for p in SOURCES if p.name == "states.py")
+    readers = [name for name, node in definitions(ast.parse(source.read_text()))
+               if isinstance(node, ast.FunctionDef) and "transport" in names_used(node)]
+    assert readers == ["apply_moves_to_vector"]
+
+
+def test_kernel_weights_become_ints_as_vector_weights_do():
+    """The kernel constructor turns its weights into ints over one
+    denominator with `states.int_coeffs`, not with an LCM of its own."""
+    source = next(p for p in SOURCES if p.name == "kernels.py")
+    post_init = dict(definitions(ast.parse(source.read_text())))["Kernel.__post_init__"]
+    used = names_used(post_init)
+    assert "int_coeffs" in used
+    assert "lcm" not in used
 
 
 # Definitions that nothing in the package or the benchmark names, kept for

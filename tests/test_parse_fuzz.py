@@ -46,10 +46,12 @@ CT_STATE = vector_to_json(random_state(_RNG, compose_systems(bibit(TheoryMode.CT
                                                               bibit(TheoryMode.CT))))
 
 # values a field may be retyped to or added as: every JSON type, plus
-# strings that parse as systems, labels, rationals and modes
+# strings that parse as systems, labels, rationals and modes, and strings
+# that come close (a dimension below 2, a decimal)
 VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3),
-    st.sampled_from(["", "1", "2", "-1", "1/2", "*", "(1 1)+", "(2*2)", "CT", "QX"]),
+    st.sampled_from(["", "0", "1", "2", "-1", "1/2", "0.5", "*", "(1 1)+", "(2*2)", "(2*0)",
+                     "CT", "QX"]),
     st.just([]), st.just({}), st.just(["1"]), st.just({"1": "1"}),
 )
 KEYS = st.sampled_from(["mode", "system", "coeffs", "in", "out", "rows", "to",

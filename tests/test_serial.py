@@ -57,9 +57,11 @@ class TestRationals:
 
     def test_normalizes_to_lowest_terms(self):
         assert fraction_to_str(parse_fraction("2/4")) == "1/2"
+        assert parse_fraction(" +4/6 ") == F(2, 3) and parse_fraction("-3") == -3
 
     def test_malformed(self):
-        for text in ("", "a/b", "1/0", "1.5.2", None):
+        for text in ("", "a/b", "1/0", "1.5.2", None, "0.5", "1e-3", "1_000",
+                     "1/-2", "1/", "/2", "1" * 5000):
             with pytest.raises(ParseError) as err:
                 parse_fraction(text)
             assert err.value.code == E_RATIONAL
@@ -84,6 +86,15 @@ class TestSystems:
                 parse_system(text)
             assert err.value.code == E_SYSTEM_SYNTAX
 
+    @pytest.mark.parametrize("text, position", [
+        ("0", 0), ("(2*0)", 3), ("9" * 5000, 0), ("(2*" + "3" * 5000 + ")", 3)],
+        ids=["0", "(2*0)", "long", "(2*long)"])
+    def test_a_refused_leaf_is_a_syntax_error_at_its_token(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert err.value.code == E_SYSTEM_SYNTAX
+        assert f" at position {position} in " in str(err.value)
+
 
 class TestLabels:
     def test_round_trip(self):
@@ -106,6 +117,12 @@ class TestLabels:
             with pytest.raises(ParseError) as err:
                 parse_label(text)
             assert err.value.code == E_LABEL_SYNTAX
+
+    def test_an_index_too_long_to_read_is_a_syntax_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_label("(1 " + "2" * 5000 + ")+", AB)
+        assert err.value.code == E_LABEL_SYNTAX
+        assert " at position 3 in " in str(err.value)
 
 
 class TestNesting:
@@ -153,6 +170,17 @@ class TestStates:
         with pytest.raises(ParseError) as err:
             state_from_json({**doc, "mode": "QX"})
         assert err.value.code == E_MODE
+
+    @pytest.mark.parametrize("doc, code", [
+        ({"system": "(2*0)", "coeffs": {}}, E_SYSTEM_SYNTAX),
+        ({"system": "2", "coeffs": {"2" * 5000: "1"}}, E_LABEL_SYNTAX),
+        ({"system": "2", "coeffs": {"1": "0.5"}}, E_RATIONAL),
+        ({"system": "2", "coeffs": {"1": "1e-999"}}, E_RATIONAL),
+    ], ids=["dimension-0", "long-index", "decimal", "exponent"])
+    def test_bad_fields_are_parse_errors(self, doc, code):
+        with pytest.raises(ParseError) as err:
+            state_from_json(doc)
+        assert err.value.code == code
 
     def test_overweight_rejected(self):
         doc = {"system": "2", "coeffs": {"1": "1", "2": "1"}}

@@ -1,13 +1,14 @@
-"""The one transport and the cached bases against the label-level calculus.
+"""The one transport and the decoded bases against the label-level calculus.
 
 `labels.transport` serves (moved index, flip) for the basis indices of a
 system, one transport per active fault, system and move sequence, read off
-`apply_moves_tracked` on a few probe labels; `enumerate_pure_labels` keeps
-each system's basis.  These tests hold both to the reference: the same
-entry as the calculus for every index under every fault, nothing
-enumerated to transport a sparse vector, the same suite reports in one
-process as in fresh ones, bases that callers cannot change, and hashes
-that survive pickling into a process with another PYTHONHASHSEED.
+`apply_moves_tracked` on a few probe labels; `enumerate_pure_labels` decodes
+a system's basis with its coder, which keeps the labels it decodes.  These
+tests hold both to the reference: the same entry as the calculus for every
+index under every fault, nothing enumerated to transport a sparse vector,
+the same suite reports in one process as in fresh ones, bases that callers
+cannot change, and hashes that survive pickling into a process with another
+PYTHONHASHSEED.
 """
 
 import json
