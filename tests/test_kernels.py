@@ -528,6 +528,9 @@ class TestRowSumValidation:
         assert all(type(w) is F for row in k.rows.values() for w in row.values())
         # stored as int numerators over one denominator, keyed by basis index
         assert (k.nums, k.den) == ({0: {(0, 1): 1}, 1: {(1, 1): 2}}, 2)
+        # a weight is zero when its Fraction is, whatever its type
+        k = Kernel(A, A, {lab(1): {(lab(1), 1): "1/2", (lab(2), 1): "0"}})
+        assert (k.nums, k.den) == ({0: {(0, 1): 1}}, 2)
 
 
 class TestCTMode:

@@ -301,6 +301,9 @@ class TestValidation:
         assert rho.coeffs == {lab(1): quarter} and type(rho.coeffs[lab(1)]) is F
         assert (rho.nums, rho.den) == ({0: 1}, 4)
         assert type(StateVector(A, {lab(2): 1}).coeffs[lab(2)]) is F
+        # a coefficient is zero when its Fraction is, whatever its type
+        rho = StateVector(A, {lab(1): "0", lab(2): "1/2"})
+        assert (rho.nums, rho.den) == ({1: 1}, 2)
 
 
 @given(st.sampled_from((1, 2)), st.sampled_from((1, 2)))
