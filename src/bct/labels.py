@@ -66,23 +66,31 @@ class LeafLabel(PureLabel):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NodeLabel(PureLabel):
     """A composite label; it hashes its tree once, on the first `hash`.
 
     The hash is made of ints only (leaf indices and signs), so a cached hash
     stays valid in a process with another PYTHONHASHSEED.  It is not computed
     at construction: the coherence checks build many labels they never hash.
+    `__init__` is written by hand because the coherence sweeps build hundreds
+    of thousands of labels: it sets the slots through their member
+    descriptors, where the generated one makes an `object.__setattr__` call
+    per field and then calls `__post_init__`.
     """
 
-    left: PureLabel = field(default=None)  # type: ignore[assignment]
-    right: PureLabel = field(default=None)  # type: ignore[assignment]
+    left: PureLabel
+    right: PureLabel
     sign: int = PLUS
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.sign not in SIGNS:
-            raise ValueError(f"sign must be -1 or +1, got {self.sign}")
+    def __init__(self, left: PureLabel, right: PureLabel, sign: int = PLUS) -> None:
+        if sign not in SIGNS:
+            raise ValueError(f"sign must be -1 or +1, got {sign}")
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_sign(self, sign)
+        _set_hash(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -91,6 +99,12 @@ class NodeLabel(PureLabel):
             object.__setattr__(self, "_hash", h)
         return h
 
+
+# The slots' own setters, which a frozen dataclass's `__setattr__` refuses.
+_set_left = NodeLabel.left.__set__
+_set_right = NodeLabel.right.__set__
+_set_sign = NodeLabel.sign.__set__
+_set_hash = NodeLabel._hash.__set__
 
 UNIT = UnitLabel()
 
@@ -276,6 +290,10 @@ class MoveKind(Enum):
     ASSOC_L = "assoc_l"
     ASSOC_R = "assoc_r"
     BRAID = "braid"
+
+    # Members are singletons compared by identity, so they hash by identity
+    # too: in C, where `Enum.__hash__` is a Python call per `_REWRITERS` lookup.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

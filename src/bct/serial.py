@@ -39,6 +39,14 @@ _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
 _DIMENSION = re.compile(r"\d+")
 _LABEL_LEAF = re.compile(r"\*|\d+")
 
+# A leaf's number may have at most as many digits as `int` reads under the
+# least digit limit an interpreter can set, 640 (see
+# `sys.int_info.str_digits_check_threshold`), so the parser refuses a longer
+# one itself, with its own message, whatever the limit in force.
+_MAX_DIGITS = 640
+# An error message echoes at most this many characters of the input.
+_SHOWN = 80
+
 
 class ParseError(ValueError):
     def __init__(self, code: str, message: str):
@@ -82,13 +90,13 @@ def _parse_tree(text: str, code: str, separator: str, closers: dict[str, Any],
     """
     if not isinstance(text, str):
         raise ParseError(code, f"expected a string, got {text!r}")
-    shown = text
+    shown = repr(text) if len(text) <= _SHOWN else repr(text[:_SHOWN]) + "..."
     text = text.strip()
     pattern, leaf_name, make_leaf = leaf_syntax
     pos = 0
 
     def fail(message: str):
-        raise ParseError(code, f"{message} at position {pos} in {shown!r}")
+        raise ParseError(code, f"{message} at position {pos} in {shown}")
 
     def term(depth: int) -> Any:
         nonlocal pos
@@ -111,6 +119,8 @@ def _parse_tree(text: str, code: str, separator: str, closers: dict[str, Any],
         match = pattern.match(text, pos)
         if match is None:
             fail(f"expected {leaf_name}")
+        if match.end() - pos > _MAX_DIGITS:
+            fail(f"number too long ({match.end() - pos} digits)")
         try:
             tree = make_leaf(match.group())
         except ValueError as exc:

@@ -8,9 +8,9 @@ is canonical: the trivial system is a whole tree or absent, never the child
 of a `Node` (`compose_systems` strips it, IA = A = AI, and `Node` refuses it).
 
 Trees are slotted and hash their whole structure on every call.  Unlike
-labels they keep no cached hash: `TheoryMode` hashes by its name, which
-PYTHONHASHSEED varies between processes, so a cached hash would travel with
-a pickled tree and miss every dict of the process that loads it.
+labels they keep no cached hash: `TheoryMode` hashes by identity, in C, and
+an identity hash differs between processes, so a cached hash would travel
+with a pickled tree and miss every dict of the process that loads it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from enum import Enum
 class TheoryMode(Enum):
     BCT = "BCT"
     CT = "CT"
+
+    # Members are singletons compared by identity, so they hash by identity
+    # too: in C, where `Enum.__hash__` is a Python call at every tree node.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, slots=True)

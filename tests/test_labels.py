@@ -1,5 +1,9 @@
+import copy
+import pickle
 import random
 import re
+import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -266,3 +270,99 @@ def test_non_canonical_trees_are_refused():
         assert enumerate_pure_labels(tree) == [lab(1), lab(2)]
         assert label_matches(tree, lab(1))
         assert not label_matches(tree, node(lab(1), lab(1), 1))
+
+
+class TestNodeLabelContract:
+    """`NodeLabel` keeps the frozen-dataclass contract under its own `__init__`."""
+
+    @pytest.fixture(params=[TheoryMode.BCT, TheoryMode.CT], ids=["BCT", "CT"])
+    def parts(self, request):
+        """(left, right, sign) of a label of ((2 3) 2) in the mode."""
+        sign = -1 if request.param is TheoryMode.BCT else 1
+        left = node(lab(2), lab(3), sign)
+        assert label_matches(left_comb([2, 3, 2], request.param), node(left, lab(1), 1))
+        return left, lab(1), 1
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_a_sign_off_plus_or_minus_one_is_refused(self, parts, sign):
+        left, right, _ = parts
+        message = re.escape(f"sign must be -1 or +1, got {sign}")
+        with pytest.raises(ValueError, match=message):
+            NodeLabel(left, right, sign)
+        with pytest.raises(ValueError, match=message):
+            NodeLabel(left=left, right=right, sign=sign)
+
+    def test_keyword_and_positional_construction_agree(self, parts):
+        left, right, sign = parts
+        label = NodeLabel(left, right, sign)
+        assert (label.left, label.right, label.sign) == parts
+        assert NodeLabel(left=left, right=right, sign=sign) == label
+        assert NodeLabel(left, right=right, sign=sign) == label
+        assert NodeLabel(left, right).sign == 1
+        assert NodeLabel(right=right, left=left) == label
+
+    def test_the_hash_is_not_a_parameter(self, parts):
+        with pytest.raises(TypeError):
+            NodeLabel(*parts, _hash=0)
+        with pytest.raises(TypeError):
+            NodeLabel(*parts, 0)
+
+    @pytest.mark.parametrize("name", ["left", "right", "sign", "_hash"])
+    def test_fields_can_be_neither_set_nor_deleted(self, parts, name):
+        label = NodeLabel(*parts)
+        with pytest.raises(FrozenInstanceError):
+            setattr(label, name, getattr(label, name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(label, name)
+        assert NodeLabel(*parts) == label
+
+    def test_equality_ignores_the_cached_hash(self, parts):
+        hashed, fresh = NodeLabel(*parts), NodeLabel(*parts)
+        hash(hashed)
+        assert hashed._hash is not None and fresh._hash is None
+        assert hashed == fresh and fresh == hashed
+        assert hash(fresh) == hash(hashed)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda label: pickle.loads(pickle.dumps(label))],
+        ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "hashed"])
+    def test_copies_are_equal_and_hash_alike(self, parts, clone, cached):
+        label = NodeLabel(*parts)
+        if cached:
+            hash(label)
+        copied = clone(label)
+        assert copied == label
+        assert hash(copied) == hash(label)
+        assert repr(copied) == repr(label)
+
+
+def python_calls(fn, *args, **kwargs) -> list[str]:
+    """The Python functions entered while `fn(*args, **kwargs)` runs, in order."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_building_a_label_enters_one_python_frame():
+    """A frame count, not a timing: a `__post_init__` or a Python-level
+    `__setattr__` per field would show here as more frames."""
+    left = node(lab(1), lab(2), -1)
+    assert python_calls(NodeLabel, left, lab(1), 1) == ["__init__"]
+    assert python_calls(NodeLabel, left=left, right=lab(1)) == ["__init__"]
+
+
+@pytest.mark.parametrize("member", [TheoryMode.BCT, TheoryMode.CT, MoveKind.ASSOC_L,
+                                    MoveKind.ASSOC_R, MoveKind.BRAID])
+def test_mode_and_move_kind_hash_in_c(member):
+    """Every tree node and every move lookup hashes one of these."""
+    assert python_calls(hash, member) == []

@@ -49,6 +49,18 @@ def lab(i):
     return LeafLabel(i)
 
 
+ECHO_CAP = 80
+
+
+def assert_echo_capped(message, text):
+    """A parse error echoes the input, cut to ECHO_CAP characters."""
+    echoed = message.rsplit(" in ", 1)[1]
+    if len(text) <= ECHO_CAP:
+        assert echoed == repr(text)
+    else:
+        assert echoed == repr(text[:ECHO_CAP]) + "..."
+
+
 class TestRationals:
     def test_round_trip(self):
         assert parse_fraction("1/2") == F(1, 2)
@@ -86,14 +98,19 @@ class TestSystems:
                 parse_system(text)
             assert err.value.code == E_SYSTEM_SYNTAX
 
-    @pytest.mark.parametrize("text, position", [
-        ("0", 0), ("(2*0)", 3), ("9" * 5000, 0), ("(2*" + "3" * 5000 + ")", 3)],
+    @pytest.mark.parametrize("text, position, message", [
+        ("0", 0, "elementary systems need dim >= 2, got 0"),
+        ("(2*0)", 3, "elementary systems need dim >= 2, got 0"),
+        ("9" * 5000, 0, "number too long (5000 digits)"),
+        ("(2*" + "3" * 5000 + ")", 3, "number too long (5000 digits)")],
         ids=["0", "(2*0)", "long", "(2*long)"])
-    def test_a_refused_leaf_is_a_syntax_error_at_its_token(self, text, position):
+    def test_a_refused_leaf_is_a_syntax_error_at_its_token(self, text, position, message):
         with pytest.raises(ParseError) as err:
             parse_system(text)
         assert err.value.code == E_SYSTEM_SYNTAX
-        assert f" at position {position} in " in str(err.value)
+        assert str(err.value).startswith(
+            f"{E_SYSTEM_SYNTAX}: {message} at position {position} in ")
+        assert_echo_capped(str(err.value), text)
 
 
 class TestLabels:
@@ -119,10 +136,20 @@ class TestLabels:
             assert err.value.code == E_LABEL_SYNTAX
 
     def test_an_index_too_long_to_read_is_a_syntax_error(self):
+        text = "(1 " + "2" * 5000 + ")+"
         with pytest.raises(ParseError) as err:
-            parse_label("(1 " + "2" * 5000 + ")+", AB)
+            parse_label(text, AB)
         assert err.value.code == E_LABEL_SYNTAX
-        assert " at position 3 in " in str(err.value)
+        assert str(err.value).startswith(
+            f"{E_LABEL_SYNTAX}: number too long (5000 digits) at position 3 in ")
+        assert_echo_capped(str(err.value), text)
+
+    def test_the_longest_number_int_always_reads_is_accepted(self):
+        digits = 640  # int's least digit limit: sys.int_info.str_digits_check_threshold
+        assert parse_label("(1 " + "0" * (digits - 1) + "1)+") == \
+            NodeLabel(lab(1), lab(1), 1)
+        with pytest.raises(ParseError, match=rf"number too long \({digits + 1} digits\)"):
+            parse_label("(1 " + "0" * digits + "1)+")
 
 
 class TestNesting:
