@@ -237,10 +237,15 @@ GOLDEN = Path(__file__).parent / "data"
      ["protocol", "hypersignal", "--dims", "3,2", "--mode", "bct", "--quiet"]),
     ("golden_hypersignal_ct.json",
      ["protocol", "hypersignal", "--dims", "3,2", "--mode", "ct", "--quiet"]),
+    # a faulted CT run, which fails its checks (exit 1): the braid writes a -
+    # sign that CT labels cannot carry, and the transports read the moved
+    # label as its + twin
+    ("golden_coherence_ct_braid_sign.json",
+     ["coherence", "--mode", "CT", "--fault", "braid-sign", "--pairs", "5", "--quiet"]),
 ])
 def test_reports_match_golden_bytes(name, args, capsys):
     code, out = run(args, capsys)
-    assert code == 0
+    assert code == (1 if "--fault" in args else 0)
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
