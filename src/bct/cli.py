@@ -60,7 +60,7 @@ def _load_config(path: str | None) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(serial.E_SCHEMA, f"bad config line {line!r}")
+            raise ParseError(serial.E_SCHEMA, f"bad config line {serial.shown(line)}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -75,7 +75,7 @@ def _dims_list(text: str, arities: tuple[int, ...]) -> list[tuple[int, ...]]:
             groups.append(tuple(int(x) for x in chunk.split(",")))
     if not groups or any(len(g) not in arities for g in groups):
         raise ParseError(serial.E_SCHEMA, "need tuples of "
-                         f"{' or '.join(map(str, arities))} dims, got {text!r}")
+                         f"{' or '.join(map(str, arities))} dims, got {serial.shown(text)}")
     return groups
 
 

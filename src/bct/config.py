@@ -25,7 +25,7 @@ DEFAULT_MAX_DIM = 4096
 DILATION_MAX_DIM = 262144
 
 # System and label strings nest at most this deep: every tree walker
-# (parsing, hashing, printing, label matching) recurses once per level, and
+# (parsing, label hashing, printing, label coding) recurses once per level, and
 # the cap keeps them all well inside the interpreter's recursion limit.
 MAX_NESTING = 200
 

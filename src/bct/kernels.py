@@ -45,7 +45,6 @@ from .labels import (
     enumerate_pure_labels,
     invert_moves,
     joined,
-    label_matches,
     node_signs,
     regroup,
     transport,
@@ -89,9 +88,9 @@ class Kernel:
         a_index, b_index = (c.index for c in self.coders)
         weights: dict[tuple[int, int, int], Fraction | int] = {}
         for row_label, entries in self.rows.items():
-            if not label_matches(self.in_system, row_label):
-                raise ValueError(f"bad input label {row_label}")
             a = a_index(row_label)
+            if a is None:
+                raise ValueError(f"bad input label {row_label}")
             for (out_label, tau), weight in entries.items():
                 if weight == 0:
                     continue
@@ -99,9 +98,10 @@ class Kernel:
                     raise ValueError("tau must be -1 or +1")
                 if (ct or out_trivial) and tau != 1:
                     raise ValueError("tau is fixed +1 for effects and in CT mode")
-                if not label_matches(self.out_system, out_label):
+                b = b_index(out_label)
+                if b is None:
                     raise ValueError(f"bad output label {out_label}")
-                weights[(a, b_index(out_label), tau)] = weight
+                weights[(a, b, tau)] = weight
         ints, den = int_coeffs(weights)
         nums: dict[int, IntRow] = {}
         for (a, b, tau), n in ints.items():
@@ -187,8 +187,8 @@ class _RowsView(Mapping[PureLabel, dict[Entry, Fraction]]):
         self._nums, self._den, self._in, self._out = nums, den, in_system, out_system
 
     def __getitem__(self, label: PureLabel) -> dict[Entry, Fraction]:
-        row = (self._nums.get(coder(self._in).index(label))
-               if label_matches(self._in, label) else None)
+        a = coder(self._in).index(label)
+        row = None if a is None else self._nums.get(a)
         if row is None:
             raise KeyError(label)
         target, den = coder(self._out), self._den

@@ -40,7 +40,6 @@ from .systems import (
     Node,
     SystemTree,
     TheoryMode,
-    Trivial,
     dimension,
     replace_at,
     subtree_at,
@@ -128,20 +127,6 @@ def label_to_str(label: PureLabel) -> str:
     return f"({label_to_str(label.left)} {label_to_str(label.right)}){sign}"
 
 
-def label_matches(system: SystemTree, label: PureLabel) -> bool:
-    """Shape/index/sign validity of `label` for `system`."""
-    if isinstance(system, Trivial):
-        return isinstance(label, UnitLabel)
-    if isinstance(system, Leaf):
-        return isinstance(label, LeafLabel) and 1 <= label.index <= system.system.dim
-    assert isinstance(system, Node)
-    if not isinstance(label, NodeLabel):
-        return False
-    if system.mode is TheoryMode.CT and label.sign != PLUS:
-        return False
-    return label_matches(system.left, label.left) and label_matches(system.right, label.right)
-
-
 def enumerate_pure_labels(system: SystemTree, bound: int | None = None) -> list[PureLabel]:
     """All pure labels of `system` in canonical order: the labels of its
     coder's indices, in index order (see `Coder`).
@@ -194,6 +179,10 @@ class Coder:
     below a node).  Coders are shared: get one through `coder`, or `joined`
     for the node of two coders.
 
+    `index` is the one check that a label belongs to the system: it checks
+    the label as it encodes it (shape, leaf indices in 1..dim, and only +
+    signs in CT) and returns None for anything else.
+
     A coder keeps the labels it decodes: a label decoded again is the same
     object (its hash already cached, its subtrees shared).  Encoding keeps
     nothing.
@@ -213,12 +202,19 @@ class Coder:
         self._leaves = leaves
         self._labels: dict[int, PureLabel] = {}
 
-    def index(self, label: PureLabel) -> int:
-        """The basis index of a label of the system."""
+    def index(self, label: object) -> int | None:
+        """The basis index of `label`, or None if it is not a label of the system."""
         if self.left is None:
-            return label.index - 1 if isinstance(label, LeafLabel) else 0
-        return self.join(self.left.index(label.left), self.right.index(label.right),
-                         label.sign)
+            if self.nl == 1:  # the trivial system
+                return 0 if isinstance(label, UnitLabel) else None
+            if isinstance(label, LeafLabel) and 1 <= label.index <= self.nl:
+                return label.index - 1
+            return None
+        if not isinstance(label, NodeLabel) or not (self.bct or label.sign == PLUS):
+            return None
+        i = self.left.index(label.left)
+        j = None if i is None else self.right.index(label.right)
+        return None if j is None else self.join(i, j, label.sign)
 
     def label(self, index: int) -> PureLabel:
         """The pure label at a basis index of the system."""
@@ -408,6 +404,11 @@ class _Transport:
     need and kept: the label at index s (every leaf at its first index)
     for each sign rank s met, and for each leaf the label with that leaf at
     its second index, every other leaf at its first and every sign -.
+
+    In CT a faulted braid (BRAID_SIGN) writes a - sign, which no CT label
+    carries.  The probe reads such a moved label as its + twin, by setting
+    every sign to + before it codes the label: this is the one place where
+    the index calculus reads a label that is not of its system.
     """
 
     __slots__ = ("_source", "_target", "_moves", "_signs", "_places")
@@ -434,7 +435,16 @@ class _Transport:
 
     def _probe(self, index: int) -> tuple[int, int]:
         label, flip = apply_moves_tracked(self._source.label(index), self._moves)
+        if not self._target.bct:
+            label = _plus_twin(label)
         return self._target.index(label), flip
+
+
+def _plus_twin(label: PureLabel) -> PureLabel:
+    """`label` with every sign set to +."""
+    if not isinstance(label, NodeLabel):
+        return label
+    return NodeLabel(_plus_twin(label.left), _plus_twin(label.right))
 
 
 def _leaf_places(code: Coder) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from .config import MAX_NESTING
 from .kernels import Instrument, Kernel
-from .labels import LeafLabel, NodeLabel, PureLabel, UNIT, label_matches, label_to_str
+from .labels import LeafLabel, NodeLabel, PureLabel, UNIT, coder, label_to_str
 from .states import GeneralizedVector, StateVector
 from .systems import (
     Leaf,
@@ -54,6 +54,15 @@ class ParseError(ValueError):
         self.code = code
 
 
+def shown(value: Any, quoted: bool = True) -> str:
+    """`value` as an error message echoes it, cut after _SHOWN characters
+    and marked "..." where cut: a string's repr (the string itself if not
+    `quoted`), or any other value's repr."""
+    text = value if isinstance(value, str) else repr(value)
+    cut = repr(text[:_SHOWN]) if quoted and isinstance(value, str) else text[:_SHOWN]
+    return cut + "..." if len(text) > _SHOWN else cut
+
+
 # ---------------------------------------------------------------------------
 # Rationals
 
@@ -65,13 +74,13 @@ def fraction_to_str(value: Fraction) -> str:
 
 def parse_fraction(text: str) -> Fraction:
     if not isinstance(text, str):
-        raise ParseError(E_RATIONAL, f"rational must be a string, got {text!r}")
+        raise ParseError(E_RATIONAL, f"rational must be a string, got {shown(text)}")
     if _RATIONAL.fullmatch(text.strip()):
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError):
             pass  # a zero denominator, or more digits than `int` reads
-    raise ParseError(E_RATIONAL, f"bad rational {text!r}")
+    raise ParseError(E_RATIONAL, f"bad rational {shown(text)}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +98,14 @@ def _parse_tree(text: str, code: str, separator: str, closers: dict[str, Any],
     MAX_NESTING is refused at the parenthesis that passes the cap.
     """
     if not isinstance(text, str):
-        raise ParseError(code, f"expected a string, got {text!r}")
-    shown = repr(text) if len(text) <= _SHOWN else repr(text[:_SHOWN]) + "..."
+        raise ParseError(code, f"expected a string, got {shown(text)}")
+    echo = shown(text)
     text = text.strip()
     pattern, leaf_name, make_leaf = leaf_syntax
     pos = 0
 
     def fail(message: str):
-        raise ParseError(code, f"{message} at position {pos} in {shown}")
+        raise ParseError(code, f"{message} at position {pos} in {echo}")
 
     def term(depth: int) -> Any:
         nonlocal pos
@@ -166,9 +175,9 @@ def parse_label(text: str, system: SystemTree | None = None) -> PureLabel:
                         (_LABEL_LEAF, "an index",
                          lambda token: UNIT if token == "*" else LeafLabel(int(token))),
                         NodeLabel)
-    if system is not None and not label_matches(system, label):
-        raise ParseError(E_LABEL_RANGE,
-                         f"label {text!r} is not a pure label of {system_to_str(system)}")
+    if system is not None and coder(system).index(label) is None:
+        raise ParseError(E_LABEL_RANGE, f"label {shown(text)} is not a pure label of "
+                                        f"{shown(system_to_str(system), quoted=False)}")
     return label
 
 
@@ -180,7 +189,7 @@ def parse_mode(text: str) -> TheoryMode:
     try:
         return TheoryMode(text)
     except ValueError as exc:
-        raise ParseError(E_MODE, f"unknown mode {text!r}") from exc
+        raise ParseError(E_MODE, f"unknown mode {shown(text)}") from exc
 
 
 def vector_to_json(vector: GeneralizedVector) -> dict:
@@ -212,7 +221,7 @@ def _kernel(doc: dict, mode: TheoryMode) -> Kernel:
         row: dict = {}
         for entry in entries:
             if set(entry) != {"to", "tau", "w"}:
-                raise ParseError(E_SCHEMA, f"bad row entry {entry!r}")
+                raise ParseError(E_SCHEMA, f"bad row entry {shown(entry)}")
             key = (parse_label(entry["to"], out_system), entry["tau"])
             w = parse_fraction(entry["w"])
             row[key] = row[key] + w if key in row else w
@@ -255,7 +264,7 @@ def _by_label(doc: dict, system: SystemTree) -> Iterator[tuple[PureLabel, Any]]:
     for text, value in doc.items():
         label = parse_label(text, system)
         if label in spelled:
-            raise ParseError(E_SCHEMA, f"keys {spelled[label]!r} and {text!r} "
+            raise ParseError(E_SCHEMA, f"keys {shown(spelled[label])} and {shown(text)} "
                                        "name the same label")
         spelled[label] = text
         yield label, value
@@ -379,7 +388,7 @@ def validate_document(doc: Any, kind: str) -> None:
                 raise ParseError(E_SCHEMA, f"{where}: expected {expected}")
         if "enum" in spec and node not in spec["enum"]:
             code = E_MODE if where.endswith(".mode") else E_SCHEMA
-            raise ParseError(code, f"{where}: {node!r} not in {spec['enum']}")
+            raise ParseError(code, f"{where}: {shown(node)} not in {spec['enum']}")
         if isinstance(node, dict):
             for key in spec.get("required", ()):
                 if key not in node:
@@ -389,7 +398,7 @@ def validate_document(doc: Any, kind: str) -> None:
                     check(node[key], sub, f"{where}.{key}")
             if "values" in spec:
                 for key, value in node.items():
-                    check(value, spec["values"], f"{where}.{key}")
+                    check(value, spec["values"], f"{where}.{shown(key, quoted=False)}")
         if isinstance(node, list) and "items" in spec:
             for i, item in enumerate(node):
                 check(item, spec["items"], f"{where}[{i}]")

@@ -30,7 +30,6 @@ from .labels import (
     basis_indices,
     basis_size,
     coder,
-    label_matches,
     node_signs,
     regroup,
     transport,
@@ -89,12 +88,15 @@ class GeneralizedVector:
 
     def __init__(self, system: SystemTree, coeffs: Coeffs | None = None) -> None:
         by_label, den = int_coeffs(coeffs or {})
-        for label in by_label:
-            if not label_matches(system, label):
-                raise ValueError(f"label {label} does not belong to the system")
         index = coder(system).index
+        nums = {}
+        for label, n in by_label.items():
+            x = index(label)
+            if x is None:
+                raise ValueError(f"label {label} does not belong to the system")
+            nums[x] = n
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "nums", {index(label): n for label, n in by_label.items()})
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
         self._check()
 
@@ -136,9 +138,8 @@ class GeneralizedVector:
         return Fraction(sum(self.nums.values()), self.den)
 
     def __getitem__(self, label: PureLabel) -> Fraction:
-        n = (self.nums.get(coder(self.system).index(label), 0)
-             if label_matches(self.system, label) else 0)
-        return Fraction(n, self.den)
+        x = coder(self.system).index(label)
+        return Fraction(0 if x is None else self.nums.get(x, 0), self.den)
 
 
 class StateVector(GeneralizedVector):

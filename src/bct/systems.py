@@ -7,10 +7,12 @@ with the same shape, leaf dimensions and mode are the same system.  A tree
 is canonical: the trivial system is a whole tree or absent, never the child
 of a `Node` (`compose_systems` strips it, IA = A = AI, and `Node` refuses it).
 
-Trees are slotted and hash their whole structure on every call.  Unlike
-labels they keep no cached hash: `TheoryMode` hashes by identity, in C, and
-an identity hash differs between processes, so a cached hash would travel
-with a pickled tree and miss every dict of the process that loads it.
+Trees are slotted, and a `Node` hashes once, at construction, from its
+children's hashes: a coder lookup of a fresh composite costs one tuple hash,
+whatever its depth.  The hash is made of ints only (leaf dimensions, shape
+and a mode bit), not of the mode's identity hash or of a leaf's name, which
+differ between processes, so a cached hash travels with a pickled tree and
+still hits the dicts of the process that loads it, as a label's does.
 """
 
 from __future__ import annotations
@@ -56,11 +58,15 @@ class Leaf(SystemTree):
         if self.system is None:
             raise ValueError("Leaf requires an ElementarySystem")
 
+    def __hash__(self) -> int:
+        return hash((self.system.dim, self.mode is TheoryMode.BCT))
+
 
 @dataclass(frozen=True, slots=True)
 class Node(SystemTree):
     left: SystemTree = field(default=None)  # type: ignore[assignment]
     right: SystemTree = field(default=None)  # type: ignore[assignment]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.left is None or self.right is None:
@@ -69,6 +75,11 @@ class Node(SystemTree):
             raise ValueError("children must share the parent's theory mode")
         if isinstance(self.left, Trivial) or isinstance(self.right, Trivial):
             raise ValueError("a Node has no trivial child; compose_systems strips it")
+        object.__setattr__(self, "_hash", hash((self.left, self.right,
+                                                self.mode is TheoryMode.BCT)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def trivial(mode: TheoryMode = TheoryMode.BCT) -> SystemTree:

@@ -237,9 +237,8 @@ GOLDEN = Path(__file__).parent / "data"
      ["protocol", "hypersignal", "--dims", "3,2", "--mode", "bct", "--quiet"]),
     ("golden_hypersignal_ct.json",
      ["protocol", "hypersignal", "--dims", "3,2", "--mode", "ct", "--quiet"]),
-    # a faulted CT run, which fails its checks (exit 1): the braid writes a -
-    # sign that CT labels cannot carry, and the transports read the moved
-    # label as its + twin
+    # a faulted CT run, which fails its checks (exit 1): the faulted braid
+    # writes a - sign, which no CT label carries
     ("golden_coherence_ct_braid_sign.json",
      ["coherence", "--mode", "CT", "--fault", "braid-sign", "--pairs", "5", "--quiet"]),
 ])

@@ -9,19 +9,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bct.kernels import Kernel
 from bct.labels import (
     LeafLabel,
     Move,
     MoveKind,
     NodeLabel,
+    UNIT,
     apply_move_tracked,
     apply_moves_tracked,
+    coder,
     enumerate_pure_labels,
     invert_moves,
-    label_matches,
+    label_to_str,
     move_system,
     regroup,
 )
+from bct.serial import E_LABEL_RANGE, ParseError, parse_label
+from bct.states import StateVector
 from bct.systems import (
     Node,
     TheoryMode,
@@ -65,7 +70,7 @@ def test_enumerate_is_a_bijection():
     tree = left_comb([2, 3, 2])
     out = enumerate_pure_labels(tree)
     assert len(out) == len(set(out)) == 48
-    assert all(label_matches(tree, l) for l in out)
+    assert [coder(tree).index(l) for l in out] == list(range(48))
 
 
 def test_enumerate_bound():
@@ -268,8 +273,8 @@ def test_non_canonical_trees_are_refused():
             Node(TheoryMode.BCT, *children)
         tree = compose_systems(*children)
         assert enumerate_pure_labels(tree) == [lab(1), lab(2)]
-        assert label_matches(tree, lab(1))
-        assert not label_matches(tree, node(lab(1), lab(1), 1))
+        assert coder(tree).index(lab(1)) == 0
+        assert coder(tree).index(node(lab(1), lab(1), 1)) is None
 
 
 class TestNodeLabelContract:
@@ -280,7 +285,8 @@ class TestNodeLabelContract:
         """(left, right, sign) of a label of ((2 3) 2) in the mode."""
         sign = -1 if request.param is TheoryMode.BCT else 1
         left = node(lab(2), lab(3), sign)
-        assert label_matches(left_comb([2, 3, 2], request.param), node(left, lab(1), 1))
+        assert coder(left_comb([2, 3, 2], request.param)).index(node(left, lab(1), 1)) \
+            is not None
         return left, lab(1), 1
 
     @pytest.mark.parametrize("sign", [0, 2, -2])
@@ -366,3 +372,79 @@ def test_building_a_label_enters_one_python_frame():
 def test_mode_and_move_kind_hash_in_c(member):
     """Every tree node and every move lookup hashes one of these."""
     assert python_calls(hash, member) == []
+
+
+BCT, CT = TheoryMode.BCT, TheoryMode.CT
+
+
+def hash_frames(a, b):
+    """The `__hash__` frames a warm `coder(compose_systems(a, b))` enters."""
+    coder(compose_systems(a, b))
+    return python_calls(lambda: coder(compose_systems(a, b))).count("__hash__")
+
+
+def test_a_coder_lookup_hashes_no_frame_per_node():
+    """A frame count: a fresh composite hashes its two (cached) children once,
+    so a lookup costs as many frames for a depth-6 tree as for depth 2."""
+    shallow = hash_frames(left_comb([3, 2]), leaf(2))
+    deep = hash_frames(left_comb([3, 2, 2, 2, 2, 2]), leaf(2))
+    assert shallow == deep <= 3
+
+
+@pytest.mark.parametrize("mode", [BCT, CT], ids=["BCT", "CT"])
+@pytest.mark.parametrize("dims, label", [
+    ([3], lab(0)),
+    ([3], lab(4)),
+    ([3], UNIT),
+    ([3], node(lab(1), lab(1), 1)),
+    ([3, 2], lab(1)),
+    ([3, 2], UNIT),
+    ([3, 2], node(lab(4), lab(1), 1)),
+    ([3, 2], node(lab(1), lab(0), 1)),
+    ([3, 2], node(node(lab(1), lab(1), 1), lab(1), 1)),
+    ([3, 2, 2], node(lab(1), node(lab(1), lab(1), 1), 1)),
+    ([], lab(1)),
+    ([], node(lab(1), lab(1), 1)),
+    ([3], "1"), ([3], 1), ([3], None), ([3, 2], (lab(1), lab(1), 1)), ([], "*"),
+], ids=["leaf-0", "leaf-dim+1", "unit-on-leaf", "node-on-leaf", "leaf-on-node",
+        "unit-on-node", "left-past-dim", "right-0", "node-too-deep", "wrong-shape",
+        "leaf-on-trivial", "node-on-trivial", "str", "int", "None", "tuple",
+        "str-on-trivial"])
+def test_index_refuses_what_is_not_a_label_of_the_system(mode, dims, label):
+    assert coder(left_comb(dims, mode)).index(label) is None
+
+
+@pytest.mark.parametrize("label", [
+    node(lab(1), lab(2), -1),
+    node(node(lab(1), lab(2), 1), lab(1), -1),
+    node(node(lab(1), lab(2), -1), lab(1), 1),
+], ids=["root", "outer", "inner"])
+def test_index_refuses_a_minus_sign_in_ct_only(label):
+    dims = [2, 2] if isinstance(label.left, LeafLabel) else [2, 2, 2]
+    assert coder(left_comb(dims, CT)).index(label) is None
+    bct = coder(left_comb(dims))
+    assert bct.label(bct.index(label)) == label
+
+
+@pytest.mark.parametrize("mode, foreign", [
+    (BCT, lab(1)), (CT, lab(1)), (BCT, node(lab(3), lab(1), 1)), (CT, node(lab(3), lab(1), 1)),
+    (CT, node(lab(1), lab(1), -1)), (BCT, "(1 1)+"), (CT, "(1 1)+"),
+], ids=["leaf-BCT", "leaf-CT", "past-dim-BCT", "past-dim-CT", "minus-CT", "str-BCT", "str-CT"])
+def test_every_label_boundary_refuses_a_foreign_label(mode, foreign):
+    """The constructors, the two readers and the parser each refuse a label
+    of another system, with their own message."""
+    system = left_comb([2, 2], mode)
+    good = coder(system).label(0)
+    with pytest.raises(ValueError, match="does not belong to the system"):
+        StateVector(system, {foreign: 1})
+    assert StateVector(system, {good: 1})[foreign] == 0
+    with pytest.raises(ValueError, match="bad input label"):
+        Kernel(system, system, {foreign: {(good, 1): 1}})
+    with pytest.raises(ValueError, match="bad output label"):
+        Kernel(system, system, {good: {(foreign, 1): 1}})
+    with pytest.raises(KeyError):
+        Kernel(system, system, {good: {(good, 1): 1}}).rows[foreign]
+    if not isinstance(foreign, str):
+        with pytest.raises(ParseError) as err:
+            parse_label(label_to_str(foreign), system)
+        assert err.value.code == E_LABEL_RANGE

@@ -7,7 +7,9 @@ and the commands that read such documents (`protocol clone --state` and
 `dilate`) exit 0 or 2: a bad document is a usage error, never a crash
 and never a failed check.  `main` reports any exception it has no rule
 for as an internal error with exit 2, so the fuzz also reads stderr: a
-crash fails here rather than passing as a usage error.
+crash fails here rather than passing as a usage error.  Some of the drawn
+strings are thousands of characters long, and no error message, raised or
+printed, may repeat them whole: each stays under LINE_LIMIT characters.
 
 The command line is fuzzed the same way: every subcommand, with flags and
 values drawn from all of them and a mutated `key=value` config file, exits
@@ -45,17 +47,26 @@ INSTRUMENT = instrument_to_json(random_instrument(_RNG, bibit(), bibit(), branch
 CT_STATE = vector_to_json(random_state(_RNG, compose_systems(bibit(TheoryMode.CT),
                                                               bibit(TheoryMode.CT))))
 
+# no error message repeats its input whole: it stays under this length
+LINE_LIMIT = 400
+# long strings: a number past int's digit limit, a label and a system nested
+# 150 deep (a label of no system here, a system of 151 leaves), and a mode
+LONG = ["1" * 5000, "(" * 150 + "1" + " 1)+" * 150, "(" * 150 + "2" + "*2)" * 150,
+        "Q" * 5000]
+
 # values a field may be retyped to or added as: every JSON type, plus
-# strings that parse as systems, labels, rationals and modes, and strings
-# that come close (a dimension below 2, a decimal)
+# strings that parse as systems, labels, rationals and modes, strings that
+# come close (a dimension below 2, a decimal), and long strings
 VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3),
     st.sampled_from(["", "0", "1", "2", "-1", "1/2", "0.5", "*", "(1 1)+", "(2*2)", "(2*0)",
                      "CT", "QX"]),
     st.just([]), st.just({}), st.just(["1"]), st.just({"1": "1"}),
+    st.sampled_from(LONG), st.just([LONG[0]]), st.just({LONG[1]: LONG[0]}),
 )
 KEYS = st.sampled_from(["mode", "system", "coeffs", "in", "out", "rows", "to",
-                        "tau", "w", "branches", "outcomes", "1", "(1 1)-", "extra"])
+                        "tau", "w", "branches", "outcomes", "1", "(1 1)-", "extra",
+                        *LONG])
 
 
 def _slots(node, out):
@@ -105,16 +116,18 @@ def test_parsers_raise_only_parse_errors(state, ct_state, kernel, instrument):
                        (kernel_from_json, kernel), (instrument_from_json, instrument)):
         try:
             parse(doc)
-        except ParseError:
-            pass
+        except ParseError as exc:
+            assert len(str(exc)) < LINE_LIMIT
 
 
 def exit_code(argv):
-    """`main(argv)`, which must not have reported an internal error."""
+    """`main(argv)`, which must not have reported an internal error, nor
+    printed a line of LINE_LIMIT characters or more."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     assert "internal error" not in err.getvalue()
+    assert all(len(line) < LINE_LIMIT for line in err.getvalue().splitlines())
     return code
 
 
