@@ -204,9 +204,26 @@ def cmd_schema(args) -> int:
     return 0
 
 
+# argparse's own error messages are cut after this many characters: room to
+# spare for its longest text (121 characters, the subcommands' choice list)
+# around one echoed value of 80, so that only a longer value is cut
+_PARSER_SHOWN = 240
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser (and, as their class, its subparsers), whose error
+    message is cut after _PARSER_SHOWN characters and marked "..." where
+    cut, so that no refused value of the command line is echoed whole."""
+
+    def error(self, message: str):
+        if len(message) > _PARSER_SHOWN:
+            message = message[:_PARSER_SHOWN] + "..."
+        super().error(message)
+
+
 @functools.cache  # built on the first `main` call, then shared by every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bct",
         description="Exact checks and protocols for a bilocal classical theory.")
     parser.add_argument("--config", help="flat key=value file mirroring flags")

@@ -5,10 +5,10 @@ suite can demonstrate it has power, and each alters exactly one code path:
 
 - ASSOC_SIGN: the associator moves in `labels` (`_assoc_r`, `_assoc_l`);
 - BRAID_SIGN: the label-level BRAID move in `labels` (`_braid`); kernel-level
-  braids (`braid_kernel`, the right factor of `parallel_compose`) do not
-  use it;
-- PARALLEL_DROP_TAU: the left factor k1 (x) I inside
-  `kernels.parallel_compose`, never `extend_at` itself.
+  braids (`braid_kernel`) do not use it;
+- PARALLEL_DROP_TAU: tau1 left out of the node sign in
+  `kernels.parallel_compose`, when A and B are non-trivial; never
+  `extend_at`.
 
 The active fault is a context variable: `inject_fault` scopes it to the
 current context, so a thread started inside the block (which begins with a
@@ -23,7 +23,7 @@ from contextvars import ContextVar
 
 ASSOC_SIGN = "assoc-sign"        # associator inner sign s1*s2 replaced by s2
 BRAID_SIGN = "braid-sign"        # braid flips the swapped node's own sign
-PARALLEL_DROP_TAU = "parallel-drop-tau"  # left extension drops tau from the node sign
+PARALLEL_DROP_TAU = "parallel-drop-tau"  # k1's tau left out of the node sign
 
 KNOWN_FAULTS = (ASSOC_SIGN, BRAID_SIGN, PARALLEL_DROP_TAU)
 

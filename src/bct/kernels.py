@@ -21,8 +21,11 @@ and regroup back; on indices the regroupings are read from
 `labels.transport`, as they are for vectors.  Effects (trivial
 output) discard the pairing sign; preparations (trivial input) split it
 evenly, which is exactly the state composition rule read as a kernel.
-Parallel composition is derived from the same extension: k1 (x) k2 =
-(I (x) k2) o (k1 (x) I), with I (x) k2 the braid-conjugate of k2 (x) I.
+Parallel composition is one rule on indices: input (i j)_s pairs the
+entries (y1, tau1) of row i of k1 and (y2, tau2) of row j of k2, and goes
+to ((y1 y2)_{s*tau1*tau2}, tau1), so the flip of k1 escapes and that of k2
+is absorbed by the node; it equals (I (x) k2) o (k1 (x) I) built from the
+extension above, with I (x) k2 the braid-conjugate of k2 (x) I.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -324,42 +328,33 @@ def _composed(second: IntRows, first: IntRows, effect: bool) -> dict[int, IntRow
     return rows
 
 
-def _with_identity(kernel: Kernel, other: SystemTree, drop_tau: bool = False) -> IntRows:
-    """Int rows of kernel (x) I_other, over the kernel's denominator: the
-    kernel extended at the head of (A other)."""
+def _with_identity(prepared: Kernel, other: SystemTree) -> IntRows:
+    """Int rows of prepared (x) I_other, over the preparation's denominator:
+    a preparation opens a fresh node whose sign is the emitted flip."""
     if isinstance(other, Trivial):
-        return kernel.nums
-    if not isinstance(kernel.in_system, Trivial):
-        system = compose_systems(kernel.in_system, other)
-        return _act_rows(kernel, system, "0", range(dimension(system)), drop_tau)
-    # a preparation opens a fresh node whose sign is the emitted flip
-    join = joined(kernel.coders[1], coder(other)).join
-    row = kernel.nums.get(0)
+        return prepared.nums
+    join = joined(prepared.coders[1], coder(other)).join
+    row = prepared.nums.get(0)
     if row is None:
         return {}
     return {o: {(join(b, o, tau), tau): n for (b, tau), n in row.items()}
             for o in range(basis_size(other))}
 
 
-def _identity_with(other: SystemTree, kernel: Kernel) -> dict[int, IntRow]:
-    """Int rows of I_other (x) kernel: kernel (x) I_other conjugated by the braids."""
-    braid_in = not (isinstance(other, Trivial) or isinstance(kernel.in_system, Trivial))
-    braid_out = not (isinstance(other, Trivial) or isinstance(kernel.out_system, Trivial))
-    swap_in = _braid(joined(kernel.coders[0], coder(other))) if braid_in else None
-    swap_out = _braid(joined(kernel.coders[1], coder(other))) if braid_out else None
-    rows: dict[int, IntRow] = {}
-    for x, row in _with_identity(kernel, other).items():
-        x, flip_in = swap_in(x) if swap_in else (x, PLUS)
-        out: IntRow = {}
-        for (y, tau), n in row.items():
-            y, flip_out = swap_out(y) if swap_out else (y, PLUS)
-            out[(y, flip_in * tau * flip_out)] = n
-        rows[x] = out
-    return rows
-
-
 def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
-    """k1 (x) k2, derived as (I (x) k2) o (k1 (x) I) through the braiding."""
+    """k1 (x) k2, in one pass over the basis of A (x) C.
+
+    Input (i j)_s pairs each entry (y1, tau1): n1 of row i of k1 with each
+    entry (y2, tau2): n2 of row j of k2, and the pair goes to
+    ((y1 y2)_u, tau1) with u = s * tau1 * tau2 and weight n1 * n2: the flip
+    of the left factor escapes and that of the right one is absorbed by the
+    node.  A trivial factor has index 0 and no node, so with A trivial the
+    input x is (0, x, +) and with C trivial (x, 0, +); into a trivial D the
+    pair goes to (y1, tau1), and into a trivial B to (y2, u), summed.  With
+    C trivial k2 prepares a fresh node, whose sign is tau2 alone (u leaves
+    tau1 out), and so does k1 (x) I under PARALLEL_DROP_TAU when A and B are
+    non-trivial.  In CT every sign and flip is +.
+    """
     if k1.mode is not k2.mode:
         raise ValueError("cannot compose kernels from different theory modes")
     for scalar, kernel in ((k1, k2), (k2, k1)):
@@ -369,11 +364,41 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
             return Kernel._trusted(kernel.in_system, kernel.out_system,
                                    *(_scaled(kernel, s, scalar.den) if s else ({}, 1)))
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
-    drop_tau = faults.active_fault() == faults.PARALLEL_DROP_TAU
-    out = compose_systems(b, d)
-    rows = _composed(_identity_with(b, k2), _with_identity(k1, c, drop_tau),
-                     isinstance(out, Trivial))
-    return Kernel._trusted(compose_systems(a, c), out, *_lowest(rows, k1.den * k2.den))
+    size = basis_size(compose_systems(a, c))
+    if isinstance(a, Trivial):
+        inputs: Iterable[tuple[int, int, int]] = zip(repeat(0), range(size), repeat(PLUS))
+    elif isinstance(c, Trivial):
+        inputs = zip(range(size), repeat(0), repeat(PLUS))
+    else:
+        inputs = map(joined(k1.coders[0], k2.coders[0]).split, range(size))
+    without_tau1 = isinstance(c, Trivial) or (
+        faults.active_fault() == faults.PARALLEL_DROP_TAU
+        and not (isinstance(a, Trivial) or isinstance(b, Trivial)))
+    join = None
+    if not (isinstance(b, Trivial) or isinstance(d, Trivial)):
+        join = joined(k1.coders[1], k2.coders[1]).join
+    only_b = isinstance(d, Trivial)
+    nums1, nums2 = k1.nums, k2.nums
+    rows: dict[int, IntRow] = {}
+    for x, (i, j, s) in enumerate(inputs):
+        row1, row2 = nums1.get(i), nums2.get(j)
+        if not (row1 and row2):
+            continue
+        out: IntRow = {}
+        for (y1, tau1), n1 in row1.items():
+            sign = s if without_tau1 else s * tau1
+            for (y2, tau2), n2 in row2.items():
+                if join is not None:
+                    key = (join(y1, y2, sign * tau2), tau1)
+                elif only_b:
+                    key = (y1, tau1)
+                else:
+                    key = (y2, sign * tau2)
+                n = n1 * n2
+                out[key] = out[key] + n if key in out else n
+        rows[x] = out
+    return Kernel._trusted(compose_systems(a, c), compose_systems(b, d),
+                           *_lowest(rows, k1.den * k2.den))
 
 
 def _scaled(kernel: Kernel, num: int, den: int) -> tuple[dict[int, IntRow], int]:
@@ -424,16 +449,15 @@ def _result_system(kernel: Kernel, system: SystemTree, at: str) -> SystemTree:
     return replace_at(system, at, kernel.out_system)
 
 
-def _act_rows(kernel: Kernel, system: SystemTree, at: str, inputs: Iterable[int],
-              drop_tau: bool = False) -> dict[int, IntRow]:
+def _act_rows(kernel: Kernel, system: SystemTree, at: str,
+              inputs: Iterable[int]) -> dict[int, IntRow]:
     """The int rows, for the `inputs` indices of `system`, of `kernel` acting
     at the subtree at `at`, over the kernel's denominator.
 
     Regroup each input to (a e)_u, split by the coder of the regrouped
     system, replace it by (b e)_{tau*u}, and regroup back; an entry is keyed
     (output index, environment flip).  An effect at the head leaves e, and
-    the pairing sign u becomes the flip.  With `drop_tau` the new node keeps
-    the sign u (the PARALLEL_DROP_TAU fault).
+    the pairing sign u becomes the flip.
     """
     moves = regroup(system, at)
     regrouped, there = transport(system, moves)
@@ -463,7 +487,7 @@ def _act_rows(kernel: Kernel, system: SystemTree, at: str, inputs: Iterable[int]
             continue
         out: IntRow = {}
         for (b, tau), n in row.items():
-            z = join(b, e, u if drop_tau else tau * u)
+            z = join(b, e, tau * u)
             if back is None:
                 key = (z, flip * tau if bct else PLUS)
             else:

@@ -209,7 +209,7 @@ def state_from_json(doc: dict) -> StateVector:
     try:
         return StateVector(system, coeffs)
     except ValueError as exc:
-        raise ParseError(E_SCHEMA, str(exc)) from exc
+        raise ParseError(E_SCHEMA, shown(str(exc), quoted=False)) from exc
 
 
 def _kernel(doc: dict, mode: TheoryMode) -> Kernel:
@@ -229,7 +229,7 @@ def _kernel(doc: dict, mode: TheoryMode) -> Kernel:
     try:
         return Kernel(in_system, out_system, rows)
     except ValueError as exc:
-        raise ParseError(E_SCHEMA, str(exc)) from exc
+        raise ParseError(E_SCHEMA, shown(str(exc), quoted=False)) from exc
 
 
 def outcomes_to_json(outcomes: Sequence[Hashable]) -> list:
@@ -248,7 +248,7 @@ def instrument_from_json(doc: dict) -> Instrument:
     try:
         return Instrument(branches, outcomes)
     except ValueError as exc:
-        raise ParseError(E_SCHEMA, str(exc)) from exc
+        raise ParseError(E_SCHEMA, shown(str(exc), quoted=False)) from exc
 
 
 def _checked(doc: Any, kind: str) -> TheoryMode:

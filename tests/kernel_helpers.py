@@ -7,6 +7,8 @@ plumbing for the predicates and protocols, built on the public API, as are
 `faulted` puts a fault in force for the tests that run the calculus under one.
 `function_channel` is the kernel of one (h, xi) pair, the oracle that the
 parts of `dilation.decompose_channel` re-sum to their channel.
+`parallel_oracle` is k1 (x) k2 built as (I (x) k2) o (k1 (x) I) on basis
+indices, the index-level oracle of the one-pass `parallel_compose`.
 `label_sort_key` states the canonical basis order on labels, and
 `sorted_basis` enumerates a basis by it without the coder, so that the
 coder's order can be held to it.  `kernel_to_json` and
@@ -26,7 +28,11 @@ from bct.dilation import FunctionLabel
 from bct.kernels import (
     Instrument,
     Kernel,
+    _braid,
+    _composed,
+    _lowest,
     _random_rows,
+    _scaled,
     is_reversible,
     parallel_compose,
     reversible_kernel,
@@ -38,8 +44,12 @@ from bct.labels import (
     LeafLabel,
     NodeLabel,
     PureLabel,
+    basis_size,
+    coder,
     enumerate_pure_labels,
+    joined,
     node_signs,
+    regroup,
 )
 from bct.serial import (
     fraction_to_str,
@@ -49,7 +59,15 @@ from bct.serial import (
     system_to_str,
 )
 from bct.states import GeneralizedVector
-from bct.systems import Leaf, Node, SystemTree, TheoryMode, Trivial
+from bct.systems import (
+    Leaf,
+    Node,
+    SystemTree,
+    TheoryMode,
+    Trivial,
+    compose_systems,
+    dimension,
+)
 
 
 def label_sort_key(label: PureLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -153,6 +171,82 @@ def faulted(fault):
             for cls in (Kernel, GeneralizedVector):
                 patch.setattr(cls, "_trusted", classmethod(cls._trusted.__func__.__wrapped__))
         yield
+
+
+def _head_rows(kernel: Kernel, system: SystemTree, drop_tau: bool) -> dict:
+    """Int rows of `kernel` acting at the head "0" of `system`, whose
+    regrouping is empty: (a e)_u -> (b e)_{tau*u} with flip tau, an effect
+    giving (e, u); with `drop_tau` the new node keeps the sign u."""
+    assert regroup(system, "0") == []
+    split = coder(system).split
+    bct = kernel.mode is TheoryMode.BCT
+    effect = isinstance(kernel.out_system, Trivial)
+    join = None if effect else joined(kernel.coders[1], coder(system).right).join
+    rows = {}
+    for x in range(dimension(system)):
+        a, e, u = split(x)
+        row = kernel.nums.get(a)
+        if not row:
+            continue
+        if effect:
+            rows[x] = {(e, u if bct else PLUS): sum(row.values())}
+            continue
+        out = {}
+        for (b, tau), n in row.items():
+            key = (join(b, e, u if drop_tau else tau * u), tau if bct else PLUS)
+            out[key] = out[key] + n if key in out else n
+        rows[x] = out
+    return rows
+
+
+def _with_identity(kernel: Kernel, other: SystemTree, drop_tau: bool = False) -> dict:
+    """Int rows of kernel (x) I_other, over the kernel's denominator."""
+    if isinstance(other, Trivial):
+        return kernel.nums
+    if not isinstance(kernel.in_system, Trivial):
+        return _head_rows(kernel, compose_systems(kernel.in_system, other), drop_tau)
+    # a preparation opens a fresh node whose sign is the emitted flip
+    join = joined(kernel.coders[1], coder(other)).join
+    row = kernel.nums.get(0)
+    if row is None:
+        return {}
+    return {o: {(join(b, o, tau), tau): n for (b, tau), n in row.items()}
+            for o in range(basis_size(other))}
+
+
+def _identity_with(other: SystemTree, kernel: Kernel) -> dict:
+    """Int rows of I_other (x) kernel: kernel (x) I_other conjugated by the braids."""
+    braid_in = not (isinstance(other, Trivial) or isinstance(kernel.in_system, Trivial))
+    braid_out = not (isinstance(other, Trivial) or isinstance(kernel.out_system, Trivial))
+    swap_in = _braid(joined(kernel.coders[0], coder(other))) if braid_in else None
+    swap_out = _braid(joined(kernel.coders[1], coder(other))) if braid_out else None
+    rows = {}
+    for x, row in _with_identity(kernel, other).items():
+        x, flip_in = swap_in(x) if swap_in else (x, PLUS)
+        out = {}
+        for (y, tau), n in row.items():
+            y, flip_out = swap_out(y) if swap_out else (y, PLUS)
+            out[(y, flip_in * tau * flip_out)] = n
+        rows[x] = out
+    return rows
+
+
+def parallel_oracle(k1: Kernel, k2: Kernel) -> Kernel:
+    """k1 (x) k2 as (I (x) k2) o (k1 (x) I), I (x) k2 the braid-conjugate
+    of k2 (x) I; under PARALLEL_DROP_TAU the left factor's new node keeps
+    the input sign."""
+    assert k1.mode is k2.mode
+    for scalar, kernel in ((k1, k2), (k2, k1)):
+        if isinstance(scalar.in_system, Trivial) and isinstance(scalar.out_system, Trivial):
+            s = scalar.nums.get(0, {}).get((0, PLUS), 0)
+            return Kernel._trusted(kernel.in_system, kernel.out_system,
+                                   *(_scaled(kernel, s, scalar.den) if s else ({}, 1)))
+    a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
+    drop_tau = faults.active_fault() == faults.PARALLEL_DROP_TAU
+    out = compose_systems(b, d)
+    rows = _composed(_identity_with(b, k2), _with_identity(k1, c, drop_tau),
+                     isinstance(out, Trivial))
+    return Kernel._trusted(compose_systems(a, c), out, *_lowest(rows, k1.den * k2.den))
 
 
 def function_channel(fl: FunctionLabel, in_system: SystemTree,

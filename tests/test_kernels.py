@@ -30,7 +30,7 @@ from bct.kernels import (
     state_kernel,
     validate_instrument,
 )
-from bct.labels import LeafLabel, NodeLabel, UNIT, enumerate_pure_labels
+from bct.labels import Coder, LeafLabel, NodeLabel, UNIT, enumerate_pure_labels
 from kernel_helpers import (
     atomic_decomposition,
     effect_kernel,
@@ -229,6 +229,16 @@ class TestParallel:
                     extend_at(parallel_compose(e1, e), abe, "0"),
                     sequential_compose(extend_at(e, be, "0"),
                                        extend_at(extend_at(e1, ab, "0"), abe, "0")))
+
+    def test_the_composite_input_is_refused_above_the_enumeration_bound(self, monkeypatch):
+        # leaf(64) (x) leaf(64) has 8192 labels in BCT, above the default
+        # bound of 4096: the bound refuses it before any input is split
+        monkeypatch.delenv("BCT_MAX_DIM", raising=False)
+        rng = random.Random(0)
+        k1, k2 = (random_kernel(rng, leaf(64), leaf(64)) for _ in range(2))
+        monkeypatch.setattr(Coder, "split", lambda *args: pytest.fail("an input was split"))
+        with pytest.raises(ValueError, match="dimension 8192 exceeds enumeration bound 4096"):
+            parallel_compose(k1, k2)
 
     def test_scalars_multiply(self):
         out = parallel_compose(scalar_kernel(TheoryMode.BCT, F(1, 2)),

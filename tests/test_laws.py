@@ -14,6 +14,10 @@ error that a frozen copy of an older implementation would share:
   fixed dimensions;
 - the parallel composite of two state kernels is the state kernel of their
   product;
+- parallel composition in one pass over the input basis is the two-step
+  form (I (x) k2) o (k1 (x) I) of `kernel_helpers.parallel_oracle`, int for
+  int and in row and entry order, on a grid of systems with trivial
+  factors, under each fault;
 - a probe environment tells no two kernels apart that their ints do not:
   kernels are equal exactly when their extensions by a bibit are, which is
   why the coherence suite compares the law sides as they are.
@@ -25,6 +29,7 @@ that in CT each fault is either caught by the coherence suite or changes
 nothing.
 """
 
+import itertools
 import random
 
 import pytest
@@ -66,7 +71,12 @@ from bct.systems import (
     subtree_at,
 )
 
-from kernel_helpers import effect_kernel, faulted, random_deterministic_kernel
+from kernel_helpers import (
+    effect_kernel,
+    faulted,
+    parallel_oracle,
+    random_deterministic_kernel,
+)
 
 MODES = st.sampled_from((TheoryMode.BCT, TheoryMode.CT))
 LAWS = settings(max_examples=25, deadline=None)
@@ -274,6 +284,27 @@ def test_parallel_states_are_the_product_state(data, mode, seed):
     x = data.draw(trees(mode, (1, 2)))
     y = data.draw(trees(mode, (1, 2)))
     assert states_compose(x, y, seed)
+
+
+def layout(kernel: Kernel) -> tuple[list, int]:
+    """A kernel's ints, its rows and each row's entries in their order."""
+    return [(x, list(row.items())) for x, row in kernel.nums.items()], kernel.den
+
+
+@pytest.mark.parametrize("fault", (None,) + faults.KNOWN_FAULTS)
+@pytest.mark.parametrize("mode", (TheoryMode.BCT, TheoryMode.CT))
+def test_parallel_composition_is_its_two_step_form(fault, mode):
+    """On every (A, B, C, D) in {trivial, 2, (2 2)}^4, so with scalar,
+    preparation and effect factors and empty rows, k1 (x) k2 equals the
+    oracle in its ints and in the order of its rows and entries."""
+    systems = (Trivial(mode), build(2, mode), build((2, 2), mode))
+    for seed, (a, b, c, d) in enumerate(itertools.product(systems, repeat=4)):
+        rng = random.Random(seed)
+        k1, k2 = random_kernel(rng, a, b), random_kernel(rng, c, d)
+        with faulted(fault):
+            one, two = parallel_compose(k1, k2), parallel_oracle(k1, k2)
+        assert (one.in_system, one.out_system) == (two.in_system, two.out_system)
+        assert layout(one) == layout(two), (a, b, c, d)
 
 
 @pytest.mark.parametrize("fault", (None,) + faults.KNOWN_FAULTS)

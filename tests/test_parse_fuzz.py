@@ -16,6 +16,7 @@ values drawn from all of them and a mutated `key=value` config file, exits
 0 or 2, and 1 only when a fault is injected.
 """
 
+import argparse
 import contextlib
 import copy
 import io
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bct.cli import main
+from bct.cli import _PARSER_SHOWN, _Parser, main
 from bct.faults import KNOWN_FAULTS
 from bct.kernels import random_instrument, random_kernel, random_state
 from bct.serial import (
@@ -120,14 +121,20 @@ def test_parsers_raise_only_parse_errors(state, ct_state, kernel, instrument):
             assert len(str(exc)) < LINE_LIMIT
 
 
-def exit_code(argv):
-    """`main(argv)`, which must not have reported an internal error, nor
-    printed a line of LINE_LIMIT characters or more."""
+def stderr_of(argv):
+    """(exit code, stderr) of `main(argv)`."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    assert "internal error" not in err.getvalue()
-    assert all(len(line) < LINE_LIMIT for line in err.getvalue().splitlines())
+    return code, err.getvalue()
+
+
+def exit_code(argv):
+    """`main(argv)`, which must not have reported an internal error, nor
+    printed a line of LINE_LIMIT characters or more."""
+    code, err = stderr_of(argv)
+    assert "internal error" not in err
+    assert all(len(line) < LINE_LIMIT for line in err.splitlines())
     return code
 
 
@@ -223,3 +230,56 @@ def test_argv_and_config_exit_zero_or_two(cli_files, line):
     code = exit_code(argv)
     faulted = any(f in token for f in KNOWN_FAULTS for token in [*argv, config or ""])
     assert code in ((0, 1, 2) if faulted else (0, 2))
+
+
+# ---------------------------------------------------------------------------
+# Long echoes pinned: a constructor's message on a huge weight, and
+# argparse's on a refused flag value
+
+
+@pytest.mark.parametrize(("weight", "message"), [
+    ("1" * 4000, "total weight " + "1" * 67 + "..."),
+    ("3/2", "total weight 3/2 exceeds 1"),
+])
+def test_a_constructor_message_is_passed_on_cut(doc_path, weight, message):
+    """A 4 000-digit coefficient, which int reads, overweighs the state: the
+    constructor's message quotes it whole, and E_SCHEMA passes on its first
+    80 characters; a message of at most 80 is passed on as it is."""
+    doc_path.write_text(json.dumps({"mode": "BCT", "system": "2", "coeffs": {"1": weight}}))
+    code, err = stderr_of(["protocol", "clone", "--state", str(doc_path), "--quiet"])
+    assert (code, err) == (2, f"error E_SCHEMA: E_SCHEMA: {message}\n")
+    kernel = {"mode": "BCT", "in": "2", "out": "2",
+              "rows": {"1": [{"to": "1", "tau": 1, "w": weight}]}}
+    with pytest.raises(ParseError) as refused:
+        kernel_from_json(kernel)
+    assert len(str(refused.value)) <= len("E_SCHEMA: ") + 83
+
+
+# every flag whose value argparse itself checks, the subcommand and the
+# protocol name, and an argument no parser takes; "{}" is the value
+REFUSED = [["coherence", "--seed", "{}"], ["coherence", "--mode", "{}"],
+           ["coherence", "--fault", "{}"], ["coherence", "--pairs", "{}"],
+           ["protocol", "swap", "--i", "{}"], ["protocol", "{}"], ["{}"], ["schema", "{}"]]
+
+
+@pytest.mark.parametrize("argv", REFUSED)
+@pytest.mark.parametrize("value", ["1" * 5000, LONG[1], "Q" * 5000],
+                         ids=["digits", "spaced", "letters"])
+def test_argparse_refuses_a_long_value_with_a_bounded_line(argv, value):
+    assert exit_code([value if token == "{}" else token for token in argv]) == 2
+
+
+def test_a_long_negative_count_is_refused_with_a_bounded_line():
+    # an int of 4 000 digits, which `_positive` reads and refuses, quoting it
+    code, err = stderr_of(["coherence", "--pairs", "-" + "1" * 4000])
+    message = "argument --pairs: must be at least 1, got -" + "1" * 4000
+    assert code == 2 and err.endswith(f": error: {message[:_PARSER_SHOWN]}...\n")
+
+
+@pytest.mark.parametrize("argv", REFUSED)
+def test_argparse_messages_on_values_of_80_characters_are_its_own(argv, monkeypatch):
+    argv = ["Q" * 80 if token == "{}" else token for token in argv]
+    code, err = stderr_of(argv)
+    monkeypatch.setattr(_Parser, "error", argparse.ArgumentParser.error)
+    assert (code, err) == stderr_of(argv)
+    assert code == 2 and "Q" * 80 in err
