@@ -51,6 +51,14 @@ def _emit(doc, out: str | None, quiet: bool, summary: str) -> None:
         print(summary)
 
 
+def _message(exc: Exception) -> str:
+    """`exc` as its text, with the path of an `OSError` echoed as
+    `serial.shown` echoes an input: the same text for a short path."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {serial.shown(exc.filename)}"
+    return str(exc)
+
+
 def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
@@ -285,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         defaults = _load_config(getattr(preliminary, "config", None))
     except (OSError, ParseError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_message(exc)}", file=sys.stderr)
         return USAGE_ERROR
     if defaults and preliminary.command is not None:
         # appended after argv, config flags land in the subcommand's scope;
@@ -314,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # a crash is never reported as a failed check
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

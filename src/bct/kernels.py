@@ -49,6 +49,7 @@ from .labels import (
     enumerate_pure_labels,
     invert_moves,
     joined,
+    label_to_str,
     node_signs,
     regroup,
     transport,
@@ -122,7 +123,8 @@ class Kernel:
     @classmethod
     def _trusted(cls, in_system: SystemTree, out_system: SystemTree,
                  nums: IntRows, den: int) -> Kernel:
-        """A kernel the calculus built from validated kernels.
+        """A kernel the calculus built from validated kernels, or a seeded
+        generator from its draws.
 
         Composition, extension, transport and inversion keep every invariant
         the constructor checks, so nothing is checked here; `nums` over
@@ -174,7 +176,7 @@ def _check_weights(in_system: SystemTree, nums: IntRows, den: int) -> None:
         total = sum(row.values())
         if total > den:
             raise ValueError(f"row sum {Fraction(total, den)} exceeds 1 "
-                             f"at {coder(in_system).label(a)}")
+                             f"at {label_to_str(coder(in_system).label(a))}")
 
 
 class _RowsView(Mapping[PureLabel, dict[Entry, Fraction]]):
@@ -329,14 +331,11 @@ def _composed(second: IntRows, first: IntRows, effect: bool) -> dict[int, IntRow
 
 
 def _with_identity(prepared: Kernel, other: SystemTree) -> IntRows:
-    """Int rows of prepared (x) I_other, over the preparation's denominator:
-    a preparation opens a fresh node whose sign is the emitted flip."""
-    if isinstance(other, Trivial):
-        return prepared.nums
+    """Int rows of prepared (x) I_other, over the preparation's denominator,
+    for a deterministic preparation and a non-trivial `other`: a preparation
+    opens a fresh node whose sign is the emitted flip."""
     join = joined(prepared.coders[1], coder(other)).join
-    row = prepared.nums.get(0)
-    if row is None:
-        return {}
+    row = prepared.nums[0]
     return {o: {(join(b, o, tau), tau): n for (b, tau), n in row.items()}
             for o in range(basis_size(other))}
 
@@ -353,16 +352,12 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     pair goes to (y1, tau1), and into a trivial B to (y2, u), summed.  With
     C trivial k2 prepares a fresh node, whose sign is tau2 alone (u leaves
     tau1 out), and so does k1 (x) I under PARALLEL_DROP_TAU when A and B are
-    non-trivial.  In CT every sign and flip is +.
+    non-trivial.  In CT every sign and flip is +.  A scalar factor needs no
+    case of its own: these rules send each entry of the other factor to
+    itself, times the scalar.
     """
     if k1.mode is not k2.mode:
         raise ValueError("cannot compose kernels from different theory modes")
-    for scalar, kernel in ((k1, k2), (k2, k1)):
-        if isinstance(scalar.in_system, Trivial) and isinstance(scalar.out_system, Trivial):
-            # a scalar factor scales the other; its weight is at most one
-            s = scalar.nums.get(0, {}).get((0, PLUS), 0)
-            return Kernel._trusted(kernel.in_system, kernel.out_system,
-                                   *(_scaled(kernel, s, scalar.den) if s else ({}, 1)))
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
     size = basis_size(compose_systems(a, c))
     if isinstance(a, Trivial):
@@ -399,12 +394,6 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
         rows[x] = out
     return Kernel._trusted(compose_systems(a, c), compose_systems(b, d),
                            *_lowest(rows, k1.den * k2.den))
-
-
-def _scaled(kernel: Kernel, num: int, den: int) -> tuple[dict[int, IntRow], int]:
-    """The int rows of `kernel` times num/den (num > 0), in canonical form."""
-    rows = {a: {e: n * num for e, n in row.items()} for a, row in kernel.nums.items()}
-    return _lowest(rows, kernel.den * den)
 
 
 def add_kernels(first: Kernel, *rest: Kernel) -> Kernel:
@@ -649,42 +638,42 @@ def discriminating_measurement(system: SystemTree) -> Instrument:
 
 # ---------------------------------------------------------------------------
 # Seeded random generators (documented test plumbing; dyadic weights)
+#
+# Every draw is an int: a split is numerators over 16, a scaled one (a
+# sub-normalized state, a `random_kernel` row, a branch's share) over 256.
+
+_GRAIN = 16
 
 
-def _dyadic_split(rng: random.Random, parts: int) -> list[Fraction]:
-    """A dyadic probability vector of the given length summing to one."""
-    grain = 16
-    cuts = sorted(rng.randrange(grain + 1) for _ in range(parts - 1))
-    values = []
-    previous = 0
-    for c in cuts:
-        values.append(Fraction(c - previous, grain))
-        previous = c
-    values.append(Fraction(grain - previous, grain))
-    return values
+def _dyadic_split(rng: random.Random, parts: int) -> list[int]:
+    """A dyadic probability vector of the given length: numerators over
+    16 summing to 16."""
+    cuts = sorted(rng.randrange(_GRAIN + 1) for _ in range(parts - 1))
+    return [c - previous for previous, c in zip([0, *cuts], [*cuts, _GRAIN])]
 
 
 def random_state(rng: random.Random, system: SystemTree,
                  deterministic: bool = True) -> StateVector:
-    basis = enumerate_pure_labels(system)
-    weights = _dyadic_split(rng, len(basis))
+    weights = _dyadic_split(rng, basis_size(system))
+    den = _GRAIN
     if not deterministic:
-        weights = [w * Fraction(rng.randrange(1, 17), 16) for w in weights]
-    return StateVector(system, dict(zip(basis, weights)))
+        weights = [w * rng.randrange(1, _GRAIN + 1) for w in weights]
+        den *= _GRAIN
+    return StateVector._trusted(system, *lowest_terms(dict(enumerate(weights)), den))
 
 
 def _random_rows(rng: random.Random, in_system: SystemTree,
-                 out_system: SystemTree) -> Rows:
-    """The rows of a random deterministic kernel: on every input label a
-    dyadic distribution over one to three (output label, tau) targets."""
-    in_basis = enumerate_pure_labels(in_system)
-    out_basis = enumerate_pure_labels(out_system)
+                 out_system: SystemTree) -> dict[int, IntRow]:
+    """The int rows, over 16, of a random deterministic kernel: on every
+    input index a dyadic distribution over one to three (output index, tau)
+    targets."""
+    inputs = basis_size(in_system)
     taus = (PLUS,) if isinstance(out_system, Trivial) else node_signs(in_system.mode)
-    targets = [(b, t) for b in out_basis for t in taus]
-    rows: Rows = {}
-    for a in in_basis:
+    targets = [(b, t) for b in range(basis_size(out_system)) for t in taus]
+    rows: dict[int, IntRow] = {}
+    for a in range(inputs):
         support = rng.sample(targets, k=min(len(targets), rng.randrange(1, 4)))
-        rows[a] = dict(zip(support, _dyadic_split(rng, len(support))))
+        rows[a] = {e: n for e, n in zip(support, _dyadic_split(rng, len(support))) if n}
     return rows
 
 
@@ -693,23 +682,21 @@ def random_kernel(rng: random.Random, in_system: SystemTree,
     """Sub-stochastic in general; rows are scaled dyadic distributions."""
     rows = {}
     for a, row in _random_rows(rng, in_system, out_system).items():
-        factor = Fraction(rng.randrange(0, 17), 16)
+        factor = rng.randrange(0, _GRAIN + 1)
         if factor:
-            rows[a] = {entry: w * factor for entry, w in row.items()}
-    return Kernel(in_system, out_system, rows)
+            rows[a] = {entry: n * factor for entry, n in row.items()}
+    return Kernel._trusted(in_system, out_system, *_lowest(rows, _GRAIN * _GRAIN))
 
 
 def random_instrument(rng: random.Random, in_system: SystemTree,
                       out_system: SystemTree, branches: int = 2) -> Instrument:
     """Split a random channel's entries among branches; sum stays deterministic."""
-    rows_per_branch: list[Rows] = [{} for _ in range(branches)]
+    rows_per_branch: list[dict[int, IntRow]] = [{} for _ in range(branches)]
     for a, row in _random_rows(rng, in_system, out_system).items():
-        for entry, w in row.items():
-            if not w:
-                continue
-            shares = _dyadic_split(rng, branches)
-            for i, share in enumerate(shares):
+        for entry, n in row.items():
+            for i, share in enumerate(_dyadic_split(rng, branches)):
                 if share:
-                    rows_per_branch[i].setdefault(a, {})[entry] = w * share
-    kernels = tuple(Kernel(in_system, out_system, rows) for rows in rows_per_branch)
-    return Instrument(kernels)
+                    rows_per_branch[i].setdefault(a, {})[entry] = n * share
+    return Instrument(tuple(Kernel._trusted(in_system, out_system,
+                                            *_lowest(rows, _GRAIN * _GRAIN))
+                            for rows in rows_per_branch))

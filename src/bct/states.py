@@ -30,6 +30,7 @@ from .labels import (
     basis_indices,
     basis_size,
     coder,
+    label_to_str,
     node_signs,
     regroup,
     transport,
@@ -147,7 +148,7 @@ class StateVector(GeneralizedVector):
         for x, n in self.nums.items():
             if n < 0:
                 raise ValueError(f"negative weight {Fraction(n, self.den)} "
-                                 f"at {coder(self.system).label(x)}")
+                                 f"at {label_to_str(coder(self.system).label(x))}")
         if sum(self.nums.values()) > self.den:
             raise ValueError(f"total weight {self.weight} exceeds 1")
 
@@ -161,7 +162,7 @@ class EffectVector(GeneralizedVector):
         for x, n in self.nums.items():
             if not 0 <= n <= self.den:
                 raise ValueError(f"effect coefficient {Fraction(n, self.den)} "
-                                 f"outside [0,1] at {coder(self.system).label(x)}")
+                                 f"outside [0,1] at {label_to_str(coder(self.system).label(x))}")
 
 
 def pure_state(system: SystemTree, label: PureLabel) -> StateVector:

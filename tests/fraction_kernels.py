@@ -17,15 +17,24 @@ cell tables, row i the i-th input label as {(m, tau): Fraction}, m the
 1-based place of the output label in the basis order.  They return the
 weights as sorted (FunctionLabel, Fraction) pairs and the tables as
 {(FunctionLabel, i): Fraction} per branch, as the dilation module does.
+
+The seeded generators at the end (`random_state`, `random_kernel`,
+`random_instrument` and `random_deterministic_kernel`) are the bodies from
+before the generators drew ints: they draw label-keyed `Fraction` rows and
+build them through the validating constructors, so that what they build
+can be compared int for int with what the int generators build from the
+same draws.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from bct import faults
 from bct.dilation import FunctionLabel
+from bct.kernels import Instrument, Kernel
 from bct.labels import (
     PLUS,
     UNIT,
@@ -33,8 +42,10 @@ from bct.labels import (
     apply_moves_tracked,
     enumerate_pure_labels,
     invert_moves,
+    node_signs,
     regroup,
 )
+from bct.states import StateVector
 from bct.systems import (
     SystemTree,
     TheoryMode,
@@ -262,3 +273,62 @@ def ratio_tables(instrument, mu):
                     table[(fl, i)] = z
         tables.append(table)
     return tables
+
+
+def _dyadic_split(rng: random.Random, parts: int) -> list[Fraction]:
+    grain = 16
+    cuts = sorted(rng.randrange(grain + 1) for _ in range(parts - 1))
+    values = []
+    previous = 0
+    for c in cuts:
+        values.append(Fraction(c - previous, grain))
+        previous = c
+    values.append(Fraction(grain - previous, grain))
+    return values
+
+
+def random_state(rng, system, deterministic=True):
+    basis = enumerate_pure_labels(system)
+    weights = _dyadic_split(rng, len(basis))
+    if not deterministic:
+        weights = [w * Fraction(rng.randrange(1, 17), 16) for w in weights]
+    return StateVector(system, dict(zip(basis, weights)))
+
+
+def _random_rows(rng, in_system, out_system):
+    in_basis = enumerate_pure_labels(in_system)
+    out_basis = enumerate_pure_labels(out_system)
+    taus = (PLUS,) if isinstance(out_system, Trivial) else node_signs(in_system.mode)
+    targets = [(b, t) for b in out_basis for t in taus]
+    rows = {}
+    for a in in_basis:
+        support = rng.sample(targets, k=min(len(targets), rng.randrange(1, 4)))
+        rows[a] = dict(zip(support, _dyadic_split(rng, len(support))))
+    return rows
+
+
+def random_deterministic_kernel(rng, in_system, out_system):
+    return Kernel(in_system, out_system, _random_rows(rng, in_system, out_system))
+
+
+def random_kernel(rng, in_system, out_system):
+    rows = {}
+    for a, row in _random_rows(rng, in_system, out_system).items():
+        factor = Fraction(rng.randrange(0, 17), 16)
+        if factor:
+            rows[a] = {entry: w * factor for entry, w in row.items()}
+    return Kernel(in_system, out_system, rows)
+
+
+def random_instrument(rng, in_system, out_system, branches=2):
+    rows_per_branch = [{} for _ in range(branches)]
+    for a, row in _random_rows(rng, in_system, out_system).items():
+        for entry, w in row.items():
+            if not w:
+                continue
+            shares = _dyadic_split(rng, branches)
+            for i, share in enumerate(shares):
+                if share:
+                    rows_per_branch[i].setdefault(a, {})[entry] = w * share
+    kernels = tuple(Kernel(in_system, out_system, rows) for rows in rows_per_branch)
+    return Instrument(kernels)

@@ -32,7 +32,6 @@ from bct.kernels import (
     _composed,
     _lowest,
     _random_rows,
-    _scaled,
     is_reversible,
     parallel_compose,
     reversible_kernel,
@@ -137,7 +136,8 @@ def random_deterministic_kernel(rng: random.Random, in_system: SystemTree,
                                 out_system: SystemTree) -> Kernel:
     """A deterministic kernel: on every input label a dyadic distribution
     over one to three (output label, tau) targets."""
-    return Kernel(in_system, out_system, _random_rows(rng, in_system, out_system))
+    return Kernel._trusted(in_system, out_system,
+                           *_lowest(_random_rows(rng, in_system, out_system), 16))
 
 
 def scaled(kernel: Kernel, factor: Fraction) -> Kernel:
@@ -229,6 +229,12 @@ def _identity_with(other: SystemTree, kernel: Kernel) -> dict:
             out[(y, flip_in * tau * flip_out)] = n
         rows[x] = out
     return rows
+
+
+def _scaled(kernel: Kernel, num: int, den: int) -> tuple[dict, int]:
+    """The int rows of `kernel` times num/den (num > 0), in canonical form."""
+    rows = {a: {e: n * num for e, n in row.items()} for a, row in kernel.nums.items()}
+    return _lowest(rows, kernel.den * den)
 
 
 def parallel_oracle(k1: Kernel, k2: Kernel) -> Kernel:

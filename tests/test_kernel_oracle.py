@@ -9,7 +9,9 @@ each known fault, in BCT and in CT.  (In CT a faulted move can write a -
 sign, off the label set; the index calculus reads it as its + twin, and the
 comparison under a fault in CT does the same to the frozen rows.)  The
 basis-index coder is held to the canonical basis order, sorted by
-`kernel_helpers.label_sort_key`.
+`kernel_helpers.label_sort_key`.  The seeded generators, which draw ints,
+are held to the frozen `Fraction` generators: the same seed builds the same
+ints and leaves the generator in the same state.
 """
 
 import random
@@ -21,9 +23,11 @@ from hypothesis import strategies as st
 
 from bct import faults
 from bct.kernels import (
+    Instrument,
     apply,
     extend_at,
     parallel_compose,
+    random_instrument,
     random_kernel,
     random_state,
     scalar_kernel,
@@ -36,7 +40,14 @@ from bct.systems import Node, SystemTree, TheoryMode, Trivial, compose_systems, 
 
 import fraction_kernels
 from fraction_kernels import kernel_rows
-from kernel_helpers import effect_kernel, faulted, plus, scaled, sorted_basis
+from kernel_helpers import (
+    effect_kernel,
+    faulted,
+    plus,
+    random_deterministic_kernel,
+    scaled,
+    sorted_basis,
+)
 
 FAULTS = (None,) + faults.KNOWN_FAULTS
 MODES = st.sampled_from((TheoryMode.BCT, TheoryMode.CT))
@@ -170,3 +181,40 @@ def test_the_coder_follows_the_canonical_order(data, mode):
     if isinstance(system, Node):
         for i in range(code.dim):
             assert code.join(*code.split(i)) == i
+
+
+def drawn(built):
+    """The ints of a kernel, a vector or each branch of an instrument, each
+    dict in its order."""
+    if isinstance(built, Instrument):
+        return list(map(drawn, built.branches))
+    return built.den, [(x, list(row.items()) if isinstance(row, dict) else row)
+                       for x, row in built.nums.items()]
+
+
+@pytest.mark.parametrize("mode", (TheoryMode.BCT, TheoryMode.CT), ids=lambda m: m.value)
+def test_generators_draw_as_the_fraction_bodies(mode):
+    """Seeds 0-49 on the trivial system, 2, 3, (2 2) and ((2 3) 2), each
+    into the trivial system, into 2 and into itself for the kernels: the int
+    generators build the ints of the `Fraction` bodies, and leave the
+    generator in the same state, after every draw."""
+    two, three = leaf(2, mode), leaf(3, mode)
+    systems = (Trivial(mode), two, three, compose_systems(two, two),
+               compose_systems(compose_systems(two, three), two))
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+
+        def same(draw, old, *args):
+            assert drawn(draw(ours, *args)) == drawn(old(theirs, *args)), (seed, args)
+            assert ours.getstate() == theirs.getstate(), (seed, args)
+
+        for system in systems:
+            for deterministic in (True, False):
+                same(random_state, fraction_kernels.random_state, system, deterministic)
+            for out in dict.fromkeys((Trivial(mode), two, system)):
+                same(random_kernel, fraction_kernels.random_kernel, system, out)
+                same(random_deterministic_kernel,
+                     fraction_kernels.random_deterministic_kernel, system, out)
+                for branches in (1, 2, 3):
+                    same(random_instrument, fraction_kernels.random_instrument,
+                         system, out, branches)

@@ -7,6 +7,7 @@ check keeps it that way.
 
 The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses.
+README states every bound as configured.
 The coherence checks use the label-level calculus, never the transport
 that memoises it.  Every definition in the package is reached from the
 package, the benchmark or the public API, or is kept for a stated reason,
@@ -22,7 +23,8 @@ from typing import Iterator
 import pytest
 
 import bct
-from bct.config import DEFAULT_MAX_DIM, DILATION_MAX_DIM
+from bct import serial
+from bct.config import DEFAULT_MAX_DIM, DILATION_MAX_DIM, MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bct").glob("*.py"))
@@ -59,6 +61,16 @@ def bound_literals(tree: ast.AST) -> list[int]:
                          ids=lambda p: p.name)
 def test_bounds_come_from_config(path):
     assert bound_literals(ast.parse(path.read_text())) == []
+
+
+def test_readme_states_each_bound_as_configured():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    for statement in (f"default basis-enumeration bound ({DEFAULT_MAX_DIM})",
+                      f"its own bound on its domain ({DILATION_MAX_DIM})",
+                      f"nest at most {MAX_NESTING} levels",
+                      f"`MAX_NESTING + 1` carriers ({MAX_NESTING + 1})",
+                      f"more than {serial._MAX_DIGITS} digits"):
+        assert statement in text
 
 
 TABLE_NAMES = {"transport", "_Transport", "_TRANSPORTS"}
@@ -214,19 +226,22 @@ def test_tomography_families_build_no_vector():
 
 KERNEL_BODIES = {"sequential_compose", "parallel_compose", "extend_at", "apply",
                  "identity_kernel", "braid_kernel", "kernels_equal", "add_kernels",
-                 "is_deterministic", "is_atomic", "is_reversible", "_trusted", "_store"}
+                 "is_deterministic", "is_atomic", "is_reversible", "_trusted", "_store",
+                 "_dyadic_split", "random_state", "_random_rows", "random_kernel",
+                 "random_instrument"}
 
 
 def test_kernel_calculus_runs_on_ints():
     """A kernel is int numerators keyed by basis index over one denominator,
-    and its calculus keeps it so: no function of it (or module function it
-    calls) reads the label-keyed `rows` view or a vector's `coeffs`,
-    names `Fraction`, `ZERO` or `ONE`, has a true division, or builds a
-    `NodeLabel` (labels are decoded by the coder, at the boundary)."""
+    and its calculus and the seeded generators keep it so: no function of
+    them (or module function they call) reads the label-keyed `rows` view or
+    a vector's `coeffs`, names `Fraction`, `ZERO` or `ONE`, has a true
+    division, or builds a `NodeLabel` (labels are decoded by the coder, at
+    the boundary)."""
     source = next(p for p in SOURCES if p.name == "kernels.py")
     functions = int_body_functions(ast.parse(source.read_text()), KERNEL_BODIES)
     assert {f.name for f in functions} >= KERNEL_BODIES | {
-        "_act_rows", "_composed", "_scaled", "_braid", "_lowest"}
+        "_act_rows", "_composed", "_braid", "_lowest"}
     for function in functions:
         body = ast.Module(body=function.body, type_ignores=[])
         views = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}

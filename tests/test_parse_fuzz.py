@@ -10,6 +10,8 @@ for as an internal error with exit 2, so the fuzz also reads stderr: a
 crash fails here rather than passing as a usage error.  Some of the drawn
 strings are thousands of characters long, and no error message, raised or
 printed, may repeat them whole: each stays under LINE_LIMIT characters.
+Nor may the message on a path that cannot be opened, given to `--config`,
+`--state`, `--out` or `dilate`.
 
 The command line is fuzzed the same way: every subcommand, with flags and
 values drawn from all of them and a mutated `key=value` config file, exits
@@ -233,8 +235,8 @@ def test_argv_and_config_exit_zero_or_two(cli_files, line):
 
 
 # ---------------------------------------------------------------------------
-# Long echoes pinned: a constructor's message on a huge weight, and
-# argparse's on a refused flag value
+# Long echoes pinned: a constructor's message on a huge weight, argparse's on
+# a refused flag value, and a path that cannot be opened
 
 
 @pytest.mark.parametrize(("weight", "message"), [
@@ -283,3 +285,24 @@ def test_argparse_messages_on_values_of_80_characters_are_its_own(argv, monkeypa
     monkeypatch.setattr(_Parser, "error", argparse.ArgumentParser.error)
     assert (code, err) == stderr_of(argv)
     assert code == 2 and "Q" * 80 in err
+
+
+# every command that opens a path it is given; "{}" is the path
+OPENED = [["--config", "{}", "schema"], ["protocol", "clone", "--state", "{}"],
+          ["dilate", "{}"], ["schema", "--out", "{}"]]
+
+
+@pytest.mark.parametrize("argv", OPENED)
+def test_a_long_path_is_refused_with_a_bounded_line(argv):
+    # a 5 000-character file name, which the system refuses as too long
+    assert exit_code(["p" * 5000 if token == "{}" else token for token in argv]) == 2
+
+
+@pytest.mark.parametrize("argv", OPENED)
+def test_a_path_of_80_characters_is_echoed_as_python_writes_it(argv):
+    path = "no-such-directory/" + "p" * 62
+    assert len(path) == 80
+    with pytest.raises(OSError) as refused:
+        open(path)
+    code, err = stderr_of([path if token == "{}" else token for token in argv])
+    assert code == 2 and err.endswith(f"error: {refused.value}\n")

@@ -215,6 +215,12 @@ class TestStates:
             state_from_json(doc)
         assert err.value.code == E_SCHEMA
 
+    def test_a_negative_weight_is_refused_at_its_label_text(self):
+        doc = {"system": "(2*2)", "coeffs": {"(1 2)+": "-1/2"}}
+        with pytest.raises(ParseError) as err:
+            state_from_json(doc)
+        assert str(err.value) == "E_SCHEMA: negative weight -1/2 at (1 2)+"
+
     def test_two_spellings_of_one_label_are_refused(self):
         doc = {"system": "2", "coeffs": {"1": "1", " 1": "1"}}
         with pytest.raises(ParseError, match="'1' and ' 1' name the same label") as err:
@@ -266,7 +272,7 @@ class TestKernels:
                               {"to": "2", "tau": 1, "w": "1/2"}]}}
         with pytest.raises(ParseError) as err:
             kernel_from_json(doc)
-        assert err.value.code == E_SCHEMA
+        assert str(err.value) == "E_SCHEMA: row sum 3/2 exceeds 1 at 1"
 
 
 class TestInstruments:

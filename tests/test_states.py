@@ -291,6 +291,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             EffectVector(A, {lab(1): F(3, 2)})
 
+    def test_messages_write_the_label_as_its_text(self):
+        with pytest.raises(ValueError) as refused:
+            EffectVector(AB, {node(lab(1), lab(2), 1): F(3, 2)})
+        assert str(refused.value) == "effect coefficient 3/2 outside [0,1] at (1 2)+"
+        with pytest.raises(ValueError) as refused:
+            StateVector(AB, {node(lab(2), lab(1), -1): F(-1, 4)})
+        assert str(refused.value) == "negative weight -1/4 at (2 1)-"
+
     def test_label_shape_checked(self):
         with pytest.raises(ValueError):
             StateVector(A, {node(lab(1), lab(1), 1): F(1)})
