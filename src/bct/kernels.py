@@ -18,9 +18,10 @@ lowest terms built on each read, for the API, `serial` and reports.
 Applying a kernel at a subtree works through the regrouping calculus: bring
 the subtree to the head of a bipartition, replace (a e)_u by (b e)_{tau*u},
 and regroup back; on indices the regroupings are read from
-`labels.transport`, as they are for vectors.  Effects (trivial
-output) discard the pairing sign; preparations (trivial input) split it
-evenly, which is exactly the state composition rule read as a kernel.
+`labels.transport`, as they are for vectors.  An effect (trivial
+output) joins no node, so u becomes its flip; a preparation (trivial
+input) splits the fresh sign evenly (a scalar has the one sign +), which is
+exactly the state composition rule read as a kernel.
 Parallel composition is one rule on indices: input (i j)_s pairs the
 entries (y1, tau1) of row i of k1 and (y2, tau2) of row j of k2, and goes
 to ((y1 y2)_{s*tau1*tau2}, tau1), so the flip of k1 escapes and that of k2
@@ -49,6 +50,7 @@ from .labels import (
     enumerate_pure_labels,
     invert_moves,
     joined,
+    label_text,
     label_to_str,
     node_signs,
     regroup,
@@ -95,7 +97,7 @@ class Kernel:
         for row_label, entries in self.rows.items():
             a = a_index(row_label)
             if a is None:
-                raise ValueError(f"bad input label {row_label}")
+                raise ValueError(f"bad input label {label_text(row_label)}")
             for (out_label, tau), weight in entries.items():
                 if weight == 0:
                     continue
@@ -105,7 +107,7 @@ class Kernel:
                     raise ValueError("tau is fixed +1 for effects and in CT mode")
                 b = b_index(out_label)
                 if b is None:
-                    raise ValueError(f"bad output label {out_label}")
+                    raise ValueError(f"bad output label {label_text(out_label)}")
                 weights[(a, b, tau)] = weight
         ints, den = int_coeffs(weights)
         nums: dict[int, IntRow] = {}
@@ -285,12 +287,11 @@ def state_kernel(rho: StateVector) -> Kernel:
     """A state as a kernel from the trivial system.
 
     The tau of each entry is the fresh pairing sign toward the environment;
-    preparing a pure label splits it evenly, matching state composition.
+    preparing a pure label splits it evenly, matching state composition (a
+    scalar opens no node: one sign, +).
     """
     mode = rho.system.mode
-    if isinstance(rho.system, Trivial):
-        return scalar_kernel(mode, rho[UNIT])
-    signs = node_signs(mode)
+    signs = (PLUS,) if isinstance(rho.system, Trivial) else node_signs(mode)
     row = {(x, tau): n for x, n in rho.nums.items() for tau in signs}
     return Kernel._checked(Trivial(mode), rho.system,
                            *_lowest({0: row} if row else {}, rho.den * len(signs)))
@@ -445,8 +446,8 @@ def _act_rows(kernel: Kernel, system: SystemTree, at: str,
 
     Regroup each input to (a e)_u, split by the coder of the regrouped
     system, replace it by (b e)_{tau*u}, and regroup back; an entry is keyed
-    (output index, environment flip).  An effect at the head leaves e, and
-    the pairing sign u becomes the flip.
+    (output index, environment flip).  An effect joins no node: (0, +)
+    goes to (e, flip * u), as a trivial B does in `parallel_compose`.
     """
     moves = regroup(system, at)
     regrouped, there = transport(system, moves)
@@ -454,20 +455,13 @@ def _act_rows(kernel: Kernel, system: SystemTree, at: str,
     split = target.split
     bct = kernel.mode is TheoryMode.BCT
     rows = kernel.nums
+    join = back = None
+    if not isinstance(kernel.out_system, Trivial):
+        join = joined(kernel.coders[1], target.right).join
+        if there is not None:
+            back = transport(compose_systems(kernel.out_system, regrouped.right),
+                             invert_moves(moves))[1]
     out_rows: dict[int, IntRow] = {}
-    if isinstance(kernel.out_system, Trivial):
-        for x in inputs:
-            y, flip = (x, PLUS) if there is None else there[x]
-            a, e, u = split(y)
-            row = rows.get(a)
-            if row:
-                out_rows[x] = {(e, flip * u if bct else PLUS): sum(row.values())}
-        return out_rows
-    join = joined(kernel.coders[1], target.right).join
-    back = None
-    if there is not None:
-        back = transport(compose_systems(kernel.out_system, regrouped.right),
-                         invert_moves(moves))[1]
     for x in inputs:
         y, flip = (x, PLUS) if there is None else there[x]
         a, e, u = split(y)
@@ -476,12 +470,14 @@ def _act_rows(kernel: Kernel, system: SystemTree, at: str,
             continue
         out: IntRow = {}
         for (b, tau), n in row.items():
-            z = join(b, e, tau * u)
-            if back is None:
-                key = (z, flip * tau if bct else PLUS)
+            if join is None:
+                z, tau = e, tau * u
             else:
-                z, back_flip = back[z]
-                key = (z, flip * tau * back_flip if bct else PLUS)
+                z = join(b, e, tau * u)
+                if back is not None:
+                    z, back_flip = back[z]
+                    tau *= back_flip
+            key = (z, flip * tau if bct else PLUS)
             out[key] = out[key] + n if key in out else n
         out_rows[x] = out
     return out_rows

@@ -127,6 +127,19 @@ def label_to_str(label: PureLabel) -> str:
     return f"({label_to_str(label.left)} {label_to_str(label.right)}){sign}"
 
 
+def label_text(key: object) -> str:
+    """A key given as a label, as a message echoes it: a well-formed label
+    tree as `label_to_str` writes it, anything else by its repr, so that
+    the string '1' does not read as label 1."""
+    return label_to_str(key) if _is_label_tree(key) else repr(key)
+
+
+def _is_label_tree(key: object) -> bool:
+    if isinstance(key, NodeLabel):
+        return _is_label_tree(key.left) and _is_label_tree(key.right)
+    return isinstance(key, (UnitLabel, LeafLabel))
+
+
 def enumerate_pure_labels(system: SystemTree, bound: int | None = None) -> list[PureLabel]:
     """All pure labels of `system` in canonical order: the labels of its
     coder's indices, in index order (see `Coder`).

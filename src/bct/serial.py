@@ -280,7 +280,8 @@ def dumps(doc: Any) -> str:
 
 
 def schema() -> dict:
-    rational = {"type": "string", "pattern": "rational p/q in lowest terms"}
+    rational = {"type": "string", "pattern": "rational: 'p' or 'p/q' in decimal digits, "
+                "with an optional sign, q not 0 ('2/4' reads as 1/2)"}
     label = {"type": "string", "pattern": "label: index, '*', or '(x y)+/-'"}
     system = {"type": "string", "pattern": "system: dim, '1', or '(a*b)'"}
     mode = {"type": "string", "enum": ["BCT", "CT"]}

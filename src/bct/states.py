@@ -6,9 +6,10 @@ maps an index to an int numerator, all over one positive denominator `den`,
 in canonical form (no numerator is zero, and the denominator shares no
 factor with all the numerators), so equal vectors hold equal ints.  The
 composition rule |i>|j> = 1/2 sum_s (ij)_s keeps every product dyadic, and
-the calculus below works on the ints alone: products join indices,
-transports read `labels.transport`, and steering and marginals split the
-regrouped index.  The constructors take label-keyed coefficients, and
+the calculus below works on the ints alone: products join indices (a
+scalar factor needs no case of its own: the trivial system's one index is
+0), transports read `labels.transport`, and steering and marginals split
+the regrouped index.  The constructors take label-keyed coefficients, and
 `coeffs` and `v[label]` read them back as exact `Fraction`s in lowest
 terms, built anew on each read, for the API, `serial` and reports.
 
@@ -25,11 +26,13 @@ from math import gcd, lcm
 from typing import Callable, Hashable, Mapping
 
 from .labels import (
+    PLUS,
     Move,
     PureLabel,
     basis_indices,
     basis_size,
     coder,
+    label_text,
     label_to_str,
     node_signs,
     regroup,
@@ -37,7 +40,6 @@ from .labels import (
 )
 from .systems import (
     SystemTree,
-    TheoryMode,
     Trivial,
     compose_systems,
     delete_at,
@@ -94,7 +96,7 @@ class GeneralizedVector:
         for label, n in by_label.items():
             x = index(label)
             if x is None:
-                raise ValueError(f"label {label} does not belong to the system")
+                raise ValueError(f"label {label_text(label)} does not belong to the system")
             nums[x] = n
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "nums", nums)
@@ -177,18 +179,6 @@ def point_effect(system: SystemTree, label: PureLabel) -> EffectVector:
     return EffectVector(system, {label: ONE})
 
 
-def _scalar_product(a: GeneralizedVector, b: GeneralizedVector) -> tuple[Nums, int] | None:
-    """a (x) b when a factor is trivial (a scalar), else None."""
-    if isinstance(a.system, Trivial):
-        scalar, vector = a, b
-    elif isinstance(b.system, Trivial):
-        scalar, vector = b, a
-    else:
-        return None
-    s = scalar.nums.get(0, 0)
-    return lowest_terms({x: n * s for x, n in vector.nums.items()}, scalar.den * vector.den)
-
-
 def product_nums(join: Callable[[int, int, int], int], signs: tuple[int, ...],
                  a: Nums, b: Nums) -> Nums:
     """The product rule on numerators: na * nb on every sign s of (ij)_s
@@ -201,19 +191,22 @@ def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> Generaliz
 
     Two states compose to a state and two vectors of the span to a vector,
     both valid by construction; mixed factors get the checks of the
-    constructor of the first one's class.
+    constructor of the first one's class.  A scalar factor opens no node:
+    one sign, +, and a join at i + j, the trivial index being 0.
     """
     if rho.system.mode is not sigma.system.mode:
         raise ValueError("cannot compose states from different theory modes")
     if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
         raise TypeError("tensor_states takes states and vectors of the span, not effects")
     system = compose_systems(rho.system, sigma.system)
+    if isinstance(rho.system, Trivial) or isinstance(sigma.system, Trivial):
+        join, signs = (lambda i, j, _sign: i + j), (PLUS,)
+    else:
+        join, signs = coder(system).join, node_signs(system.mode)
     # each sign s of (ij)_s gets the product of the numerators, and the
     # denominator one more factor: the number of signs
-    signs = node_signs(system.mode)
-    out = _scalar_product(rho, sigma) or lowest_terms(
-        product_nums(coder(system).join, signs, rho.nums, sigma.nums),
-        rho.den * sigma.den * len(signs))
+    out = lowest_terms(product_nums(join, signs, rho.nums, sigma.nums),
+                       rho.den * sigma.den * len(signs))
     cls = type(rho)
     return cls._trusted(system, *out) if cls is type(sigma) else cls._checked(system, *out)
 
@@ -290,13 +283,12 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
     """Separability across the bipartition (subtree at `part`, complement).
 
     A state is separable iff its regrouped coefficient table is symmetric
-    under the pairing sign; in CT every state is separable.
+    under the pairing sign.  CT passes the same check: its coder's `join`
+    ignores the sign, so every CT state is separable.
     """
     subtree_at(rho.system, part)
     if part == "":
         raise ValueError("bipartition selector must pick a proper subtree")
-    if rho.system.mode is TheoryMode.CT:
-        return True
     moved = apply_moves_to_vector(rho, regroup(rho.system, part))
     regrouped, table = coder(moved.system), moved.nums
     for y, n in table.items():

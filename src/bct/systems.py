@@ -138,16 +138,12 @@ def replace_at(system: SystemTree, path: str, new: SystemTree) -> SystemTree:
 
 
 def delete_at(system: SystemTree, path: str) -> SystemTree:
-    """Remove the subtree at `path`, collapsing its parent node."""
+    """Remove the subtree at `path`: its parent gives way to its sibling."""
+    subtree_at(system, path)
     if path == "":
         return Trivial(system.mode)
-    if not isinstance(system, Node):
-        raise ValueError(f"path {path!r} leaves the tree")
-    if len(path) == 1:
-        return system.right if path == "0" else system.left
-    if path[0] == "0":
-        return Node(system.mode, delete_at(system.left, path[1:]), system.right)
-    return Node(system.mode, system.left, delete_at(system.right, path[1:]))
+    parent, sibling = path[:-1], path[:-1] + ("1" if path[-1] == "0" else "0")
+    return replace_at(system, parent, subtree_at(system, sibling))
 
 
 def left_comb(dims: list[int] | tuple[int, ...], mode: TheoryMode = TheoryMode.BCT) -> SystemTree:

@@ -236,7 +236,6 @@ def corollary_nab(a: SystemTree, b: SystemTree,
 
 def verify_corollary_nab(a: SystemTree, b: SystemTree,
                          products: Sequence[Nums] | None = None) -> bool:
+    """A product spreads over as many labels as a node has signs, and l = 0."""
     n, l = corollary_nab(a, b, products)
-    if a.mode is TheoryMode.CT:
-        return n == 1 and l == 0
-    return n == 2 and l == 0
+    return n == len(node_signs(a.mode)) and l == 0

@@ -8,6 +8,7 @@ import pytest
 import bct.cli
 import bct.tomography
 from bct.cli import main
+from bct.coherence import DEFAULT_HEXAGON_DIMS
 from bct.kernels import random_instrument
 from bct.serial import dumps, vector_to_json
 from bct.states import StateVector
@@ -60,6 +61,22 @@ def test_coherence_pass_and_fault(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     failing = [r for r in doc["reports"] if not r["passed"]]
     assert failing and all(r["counterexample"] for r in failing)
+
+
+def test_out_without_quiet_prints_the_summary_line(tmp_path, capsys):
+    out_path = tmp_path / "schema.json"
+    code, out = run(["schema", "--out", str(out_path)], capsys)
+    assert (code, out) == (0, "schema written\n")
+    assert "kernel" in json.loads(out_path.read_text())
+
+
+def test_quadruples_alone_keep_the_default_hexagon_dims(monkeypatch, capsys):
+    configs = []
+    monkeypatch.setattr(bct.cli, "run_suite", lambda config: configs.append(config) or [])
+    assert run(["coherence", "--dims-matrix", "2,3,2,2", "--quiet"], capsys)[0] == 0
+    [config] = configs
+    assert config.pentagon_dims == ((2, 3, 2, 2),)
+    assert config.hexagon_dims == DEFAULT_HEXAGON_DIMS
 
 
 def test_verify_dims(capsys):

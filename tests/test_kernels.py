@@ -245,6 +245,12 @@ class TestParallel:
                                scalar_kernel(TheoryMode.BCT, F(1, 3)))
         assert out.rows.get(UNIT, {}) == {(UNIT, 1): F(1, 6)}
 
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    @pytest.mark.parametrize("weight", [F(0), F(1, 3), F(1)], ids=["0", "1/3", "1"])
+    def test_a_scalar_state_prepares_the_scalar_kernel_of_its_weight(self, mode, weight):
+        scalar = StateVector(Trivial(mode), {UNIT: weight})
+        assert state_kernel(scalar) == scalar_kernel(mode, weight)
+
     def test_state_in_parallel_matches_tensor(self):
         rho = StateVector(A, {lab(1): F(1, 2), lab(2): F(1, 2)})
         prep = state_kernel(rho)
@@ -296,6 +302,22 @@ class TestPredicates:
             k = Kernel(A, A, {lab(1): {(lab(2), -1): F(1, 2)}})
             assert is_atomic(sequential_compose(r, k))
             assert is_atomic(sequential_compose(k, r))
+
+    def test_a_preparation_is_atomic_when_it_prepares_one_label(self):
+        """A pure preparation has an entry on each fresh sign, one label."""
+        pure = state_kernel(pure_state(A, lab(1)))
+        assert sum(map(len, pure.nums.values())) == 2 and is_atomic(pure)
+        assert not is_atomic(state_kernel(StateVector(A, {lab(1): F(1, 2), lab(2): F(1, 2)})))
+
+    def test_ct_reversible_kernel_ignores_the_signs_given(self):
+        ct = bibit(TheoryMode.CT)
+        swap = {lab(1): lab(2), lab(2): lab(1)}
+        assert reversible_kernel(ct, ct, swap, {lab(1): -1, lab(2): -1}) == \
+            reversible_kernel(ct, ct, swap)
+
+    def test_a_non_bijection_is_not_a_reversible_kernel(self):
+        with pytest.raises(ValueError, match="permutation table is not a reversible kernel"):
+            reversible_kernel(A, A, {lab(1): lab(1), lab(2): lab(1)})
 
     def test_braid_kernel_reversible(self):
         k = braid_kernel(A, C3)
@@ -510,6 +532,15 @@ class TestExtension:
             inv = inverse(r)
             assert kernels_equal(sequential_compose(inv, r), identity_kernel(AB))
             assert kernels_equal(sequential_compose(r, inv), identity_kernel(AB))
+
+
+class TestEquality:
+    def test_kernels_are_equal_on_equal_systems_and_weights(self):
+        k = Kernel(A, A, {lab(1): {(lab(2), -1): F(1, 2)}})
+        assert k == Kernel(A, A, {lab(1): {(lab(2), -1): F(2, 4)}})
+        assert k != Kernel(A, A, {lab(1): {(lab(2), 1): F(1, 2)}})
+        assert k != Kernel(A, C3, {lab(1): {(lab(2), -1): F(1, 2)}})
+        assert k.__eq__(k.rows) is NotImplemented and k != k.rows
 
 
 class TestRowSumValidation:

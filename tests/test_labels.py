@@ -426,6 +426,30 @@ def test_index_refuses_a_minus_sign_in_ct_only(label):
     assert bct.label(bct.index(label)) == label
 
 
+A_BIT = bibit()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Kernel(A_BIT, A_BIT, {lab(3): {}}), "bad input label 3"),
+    (lambda: Kernel(A_BIT, A_BIT, {lab(1): {(node(lab(1), lab(1), 1), 1): 1}}),
+     "bad output label (1 1)+"),
+    (lambda: StateVector(A_BIT, {"1": 1}), "label '1' does not belong to the system"),
+    (lambda: StateVector(A_BIT, {node(lab(1), 5, -1): 1}),
+     "label NodeLabel(left=LeafLabel(index=1), right=5, sign=-1) does not belong to the system"),
+], ids=["input", "output", "string", "non-label-child"])
+def test_a_refused_label_is_echoed_as_its_text(build, message):
+    """A label tree is echoed as `label_to_str` writes it, anything else by
+    its repr, so that the string '1' does not read as label 1."""
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_the_unit_label_is_written_as_a_star():
+    assert label_to_str(UNIT) == "*"
+    assert parse_label("*", trivial()) == UNIT
+
+
 @pytest.mark.parametrize("mode, foreign", [
     (BCT, lab(1)), (CT, lab(1)), (BCT, node(lab(3), lab(1), 1)), (CT, node(lab(3), lab(1), 1)),
     (CT, node(lab(1), lab(1), -1)), (BCT, "(1 1)+"), (CT, "(1 1)+"),

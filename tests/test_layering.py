@@ -156,7 +156,7 @@ def test_rank_eliminates_without_fractions():
 
 
 INT_BODIES = {
-    "states.py": {"tensor_states", "_scalar_product",
+    "states.py": {"tensor_states",
                   "product_nums", "apply_moves_to_vector",
                   "apply_effect_at", "marginal", "pair", "_paired",
                   "is_separable", "unit_effect", "discriminating_instrument",

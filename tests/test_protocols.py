@@ -136,6 +136,14 @@ class TestSwapping:
         with pytest.raises(ValueError):
             entanglement_swapping(3, 1, "+", 1, 1, "+")
 
+    def test_a_sign_may_be_given_as_an_int(self):
+        assert entanglement_swapping(1, 2, -1, 2, 1, 1) == \
+            entanglement_swapping(1, 2, "-", 2, 1, "+")
+
+    def test_a_bad_sign_is_refused(self):
+        with pytest.raises(ValueError, match="^bad sign 'x'$"):
+            entanglement_swapping(1, 1, "x", 1, 1, "+")
+
 
 class TestCloning:
     def test_pure_state_clones_exactly(self):

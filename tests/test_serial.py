@@ -89,6 +89,11 @@ class TestSystems:
         for text in ("2", "(2*3)", "((2*2)*2)", "(2*(3*2))"):
             assert system_to_str(parse_system(text)) == text
 
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    def test_the_trivial_system_is_written_1(self, mode):
+        assert system_to_str(Trivial(mode)) == "1"
+        assert parse_system("1", mode) == Trivial(mode)
+
     def test_trivial_strips(self):
         assert parse_system("(2*1)") == bibit()
 
@@ -325,6 +330,12 @@ class TestSchema:
 
     def test_schema_is_json_serializable(self):
         dumps(schema())
+
+    def test_schema_states_the_rational_grammar_the_parser_enforces(self):
+        rational = schema()["state"]["properties"]["coeffs"]["values"]
+        assert rational == {"type": "string",
+                            "pattern": "rational: 'p' or 'p/q' in decimal digits, "
+                                       "with an optional sign, q not 0 ('2/4' reads as 1/2)"}
 
 
 class TestFieldTypes:

@@ -393,6 +393,20 @@ class TestTrivialFactors:
         assert tensor_states(rho, third) == scaled
         assert tensor_states(third, rho) == scaled
 
+    @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+    @pytest.mark.parametrize("cls", [StateVector, GeneralizedVector])
+    @pytest.mark.parametrize("weight", [F(0), F(1, 3), F(1)], ids=["0", "1/3", "1"])
+    @pytest.mark.parametrize("dims", [(), (3,), (2, 3)], ids=["trivial", "3", "(2 3)"])
+    def test_a_scalar_on_either_side_scales_the_other_factor(self, mode, cls, weight, dims):
+        system = left_comb(dims, mode)
+        labels = enumerate_pure_labels(system)
+        coeffs = ({labels[0]: F(1, 4), labels[-1]: F(1, 2)} if cls is StateVector
+                  else {labels[0]: F(-3, 4), labels[-1]: F(5, 2)})
+        vector, scalar = cls(system, coeffs), cls(Trivial(mode), {UNIT: weight})
+        scaled = cls(system, {label: weight * value for label, value in coeffs.items()})
+        assert tensor_states(vector, scalar) == scaled
+        assert tensor_states(scalar, vector) == scaled
+
     def test_marginal_on_the_whole_tree_is_the_state(self):
         rho = StateVector(AB, half_pair(2, 1))
         assert marginal(rho, "") is rho

@@ -67,6 +67,18 @@ def test_paths():
     assert delete_at(tree, "1") == compose_systems(bibit(), leaf(3))
 
 
+@pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+def test_deleting_the_whole_tree_leaves_the_trivial_system(mode):
+    assert delete_at(left_comb([2, 3], mode), "") == trivial(mode)
+    assert delete_at(leaf(3, mode), "") == trivial(mode)
+
+
+@pytest.mark.parametrize("path", ["000", "011", "10"])
+def test_a_deletion_off_the_tree_names_the_whole_path(path):
+    with pytest.raises(ValueError, match=f"^path '{path}' leaves the tree$"):
+        delete_at(left_comb([2, 3, 2]), path)
+
+
 @given(st.integers(2, 7), st.integers(2, 7))
 def test_dimension_commutes(da, db):
     a, b = leaf(da), leaf(db)
