@@ -129,15 +129,16 @@ def label_to_str(label: PureLabel) -> str:
 
 def label_text(key: object) -> str:
     """A key given as a label, as a message echoes it: a well-formed label
-    tree as `label_to_str` writes it, anything else by its repr, so that
-    the string '1' does not read as label 1."""
+    tree (its leaf indices ints) as `label_to_str` writes it, anything else
+    by its repr, so that neither the string '1' nor a leaf `LeafLabel('1')`
+    reads as label 1."""
     return label_to_str(key) if _is_label_tree(key) else repr(key)
 
 
 def _is_label_tree(key: object) -> bool:
     if isinstance(key, NodeLabel):
         return _is_label_tree(key.left) and _is_label_tree(key.right)
-    return isinstance(key, (UnitLabel, LeafLabel))
+    return isinstance(key, UnitLabel) or isinstance(key, LeafLabel) and type(key.index) is int
 
 
 def enumerate_pure_labels(system: SystemTree, bound: int | None = None) -> list[PureLabel]:
@@ -193,8 +194,8 @@ class Coder:
     for the node of two coders.
 
     `index` is the one check that a label belongs to the system: it checks
-    the label as it encodes it (shape, leaf indices in 1..dim, and only +
-    signs in CT) and returns None for anything else.
+    the label as it encodes it (shape, leaf indices ints in 1..dim, and
+    only + signs in CT) and returns None for anything else.
 
     A coder keeps the labels it decodes: a label decoded again is the same
     object (its hash already cached, its subtrees shared).  Encoding keeps
@@ -220,7 +221,9 @@ class Coder:
         if self.left is None:
             if self.nl == 1:  # the trivial system
                 return 0 if isinstance(label, UnitLabel) else None
-            if isinstance(label, LeafLabel) and 1 <= label.index <= self.nl:
+            # an int index only: 1.0 and True compare equal to 1, "1" not at all
+            if (isinstance(label, LeafLabel) and type(label.index) is int
+                    and 1 <= label.index <= self.nl):
                 return label.index - 1
             return None
         if not isinstance(label, NodeLabel) or not (self.bct or label.sign == PLUS):

@@ -9,6 +9,15 @@ The product families are read only for ranks and supports, so each is built
 as int rows by `states.product_nums`, with no vector object: |u>|v> =
 1/2 sum_s (uv)_s is {(uv)_s: 1 for each s}.  The 1/2 (1/4 for a triple, 1
 in CT) scales every row alike, so dropping it changes no rank or support.
+
+`span_report` ranks the four biseparable families from that structure, with
+no elimination.  No two rows of a family share a column, so a family's rank
+is its row count.  Every row of `ab_c`, `a_bc` and `ac_b` holds two entries
+equal to 1 (one in CT), so their union is an unsigned incidence matrix, of
+rank the columns used minus the bipartite components.  Each `products` row
+is a sum of `ab_c` rows, so it adds nothing to the union.  A family of any
+other structure is refused with an `AssertionError`, never ranked another
+way.
 """
 
 from __future__ import annotations
@@ -68,12 +77,67 @@ def _echelon(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]
     return pivots
 
 
-def _merged(echelons: Iterable[dict[int, dict[int, int]]]) -> dict[int, dict[int, int]]:
-    """An echelon of all rows of `echelons` (over one column index): copies
-    of the others' rows reduced into a copy of the largest one."""
-    largest, *others = sorted(echelons, key=len, reverse=True)
-    return _echelon([dict(row) for echelon in others for row in echelon.values()],
-                    dict(largest))
+def _independent_rows(name: str, rows: Sequence[Nums]) -> int:
+    """The rank of a family whose rows have pairwise disjoint non-empty
+    supports, which makes them independent: its row count.  Any other
+    family is refused with the row and the column at fault."""
+    seen: set[int] = set()
+    for k, row in enumerate(rows):
+        if not row:
+            raise AssertionError(f"family {name!r}: row {k} is empty")
+        if not seen.isdisjoint(row):
+            raise AssertionError(f"family {name!r}: row {k} shares column "
+                                 f"{min(seen.intersection(row))} with an earlier row")
+        seen.update(row)
+    return len(rows)
+
+
+def _incidence_rank(families: Iterable[tuple[str, Iterable[Nums]]], n: int) -> int:
+    """The rank of rows of one or two entries equal to 1 on columns in
+    range(n), named by family: an unsigned incidence matrix, the columns
+    its vertices and a row an edge, or a half-edge when it has one entry.
+    Over Q its rank is the number of columns used minus the number of
+    bipartite components, found by union-find with parity: a half-edge or
+    an odd cycle leaves a component non-bipartite.  A row of any other
+    shape is refused with the entry at fault."""
+    parent = list(range(n))
+    parity = [0] * n  # a column's colour relative to its parent's
+    size = [1] * n
+    odd = [0] * n  # at a root: 1 if its component is not bipartite
+    used = [0] * n
+    for name, rows in families:
+        for k, row in enumerate(rows):
+            if not 0 < len(row) < 3:
+                raise AssertionError(f"family {name!r}: row {k} has {len(row)} entries, "
+                                     "not 1 or 2")
+            roots = []
+            for col, value in row.items():
+                if value != 1 or not 0 <= col < n:
+                    raise AssertionError(f"family {name!r}: row {k} has entry {value} "
+                                         f"at column {col}, not 1 in range({n})")
+                used[col] = 1
+                colour = 0
+                while parent[col] != col:
+                    colour ^= parity[col]
+                    col = parent[col]
+                roots.append((col, colour))
+            if len(roots) == 1:
+                odd[roots[0][0]] = 1
+                continue
+            (r, cr), (t, ct) = roots
+            if r == t:
+                if cr == ct:  # both ends one colour: the row closes an odd cycle
+                    odd[r] = 1
+                continue
+            if size[r] < size[t]:
+                r, t = t, r
+            # t joins r with the colour that gives the two ends different colours
+            parent[t], parity[t] = r, cr ^ ct ^ 1
+            size[r] += size[t]
+            odd[r] |= odd[t]
+        del rows  # let the family go before the next one is drawn
+    bipartite = sum(1 for col in range(n) if parent[col] == col and used[col] and not odd[col])
+    return sum(used) - bipartite
 
 
 def _rank(rows: Iterable[Nums]) -> int:
@@ -189,13 +253,22 @@ class SpanReport:
 
 
 def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
+    """Delta3 and the biseparable class ranks of ((AB)C), from the families'
+    structure (see the module docstring), each family dropped once it is
+    counted.  The union leaves `products` out: `product_nums` is bilinear
+    and neither family is transported, so the row of |u>|v>|w> is the sum
+    over s of the `ab_c` rows of ((uv)_s, w), under every fault."""
     d_abc = dimension(compose_systems(compose_systems(a, b), c))
-    echelons = {}  # every family on ((AB)C): one column numbering, so the rows merge
-    for name, family in _tripartite_families(a, b, c):
-        echelons[name] = _echelon(family, {})
-        del family  # the next family is built with no row of this one alive
-    class_ranks = {name: len(echelon) for name, echelon in echelons.items()}
-    r = class_ranks["union"] = len(_merged(echelons.values()))
+    class_ranks = {}
+
+    def counted():
+        for name, family in _tripartite_families(a, b, c):
+            class_ranks[name] = _independent_rows(name, family)
+            if name != "products":
+                yield name, family
+            del family  # the next family is built with no row of this one alive
+
+    r = class_ranks["union"] = _incidence_rank(counted(), d_abc)
     da, db, dc = dimension(a), dimension(b), dimension(c)
     d2 = {
         "AB": dimension(compose_systems(a, b)) - da * db,

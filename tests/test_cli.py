@@ -417,6 +417,37 @@ def test_verify_dims_exits_one_when_delta3_is_not_zero(tmp_path, monkeypatch, ca
     assert [r["delta3"] for r in reports] == [1]
 
 
+def _shared_column(rows):
+    return rows + rows[:1]
+
+
+def _four_entries(rows):
+    return [{**rows[0], **rows[1]}, *rows[2:]]
+
+
+def _an_entry_of_two(rows):
+    return [{col: 2 for col in rows[0]}, *rows[1:]]
+
+
+@pytest.mark.parametrize("name, spoil, fault", [
+    ("a_bc", _shared_column, "row 16 shares column 1 with an earlier row"),
+    ("ac_b", _four_entries, "row 0 has 4 entries, not 1 or 2"),
+    ("ab_c", _an_entry_of_two, "row 0 has entry 2 at column 0, not 1 in range(32)"),
+], ids=["shared-column", "four-entries", "entry-of-two"])
+def test_verify_dims_refuses_a_family_of_another_structure(monkeypatch, capsys,
+                                                           name, spoil, fault):
+    """A family the structural ranks do not hold for is a crash, exit 2 and
+    never a failed check, and is not ranked by elimination instead."""
+    real = bct.tomography._tripartite_families
+    monkeypatch.setattr(bct.tomography, "_tripartite_families", lambda *systems: (
+        (each, spoil(rows) if each == name else rows) for each, rows in real(*systems)))
+    monkeypatch.setattr(bct.tomography, "_echelon", None)
+    assert main(["verify-dims", "--triples", "2,2,2", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: AssertionError: family {name!r}: {fault}\n"
+
+
 def test_tomography_exits_one_when_strict_bilocality_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bct.cli, "verify_strict_bilocality", lambda *args: False)
     reports = assert_check_failed(["tomography", "--pairs", "2,2"],

@@ -472,3 +472,30 @@ def test_every_label_boundary_refuses_a_foreign_label(mode, foreign):
         with pytest.raises(ParseError) as err:
             parse_label(label_to_str(foreign), system)
         assert err.value.code == E_LABEL_RANGE
+
+
+@pytest.mark.parametrize("mode", [BCT, CT], ids=["BCT", "CT"])
+@pytest.mark.parametrize("index, text", [
+    (1.0, "LeafLabel(index=1.0)"), ("1", "LeafLabel(index='1')"), (True, "LeafLabel(index=True)"),
+], ids=["float", "str", "bool"])
+def test_a_leaf_index_that_is_not_an_int_is_a_foreign_label(mode, index, text):
+    """1.0 and True compare equal to 1, and '1' compares with no int: the
+    constructors refuse each as a label of another system, echoed by its
+    repr, where 1.0 was stored as index 0.0, '1' raised a `TypeError` and
+    True read as label 1."""
+    system = leaf(2, mode)
+    bad = lab(index)
+    assert coder(system).index(bad) is None
+    for build, message in [
+        (lambda: StateVector(system, {bad: 1}), f"label {text} does not belong to the system"),
+        (lambda: Kernel(system, system, {bad: {}}), f"bad input label {text}"),
+        (lambda: Kernel(system, system, {lab(1): {(bad, 1): 1}}), f"bad output label {text}"),
+    ]:
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
+    pair = left_comb([2, 2], mode)
+    with pytest.raises(ValueError, match="does not belong to the system"):
+        StateVector(pair, {node(lab(1), bad, 1): 1})
+    with pytest.raises(ValueError, match="bad input label"):
+        Kernel(pair, pair, {node(bad, lab(2), 1): {}})

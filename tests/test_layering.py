@@ -142,14 +142,14 @@ def elimination_functions(tree: ast.Module, roots: set[str]) -> list[ast.Functio
 
 def test_rank_eliminates_without_fractions():
     """`tomography.rank` and `span_report` work on integer rows: no function
-    of the elimination (the families, each family's echelon and the union
-    merge) names a rational constant or constructor, or has a true
-    division, which on ints gives a float."""
+    of the ranks (the families, the elimination, each family's count and
+    the union's incidence rank) names a rational constant or constructor,
+    or has a true division, which on ints gives a float."""
     source = next(p for p in SOURCES if p.name == "tomography.py")
     functions = elimination_functions(ast.parse(source.read_text()), {"rank", "span_report"})
-    assert {f.name for f in functions} >= {"rank", "_rank", "_echelon", "_merged",
-                                           "span_report", "_tripartite_families",
-                                           "_products", "_basis"}
+    assert {f.name for f in functions} >= {"rank", "_rank", "_echelon", "_independent_rows",
+                                           "_incidence_rank", "span_report",
+                                           "_tripartite_families", "_products", "_basis"}
     for function in functions:
         assert names_used(function) & {"Fraction", "ZERO", "ONE"} == set(), function.name
         assert not any(isinstance(node, ast.Div) for node in ast.walk(function)), function.name

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from bct.states import (
 )
 from bct.systems import TheoryMode, bibit, compose_systems, leaf
 from bct.tomography import (
-    _echelon,
-    _merged,
+    _incidence_rank,
+    _independent_rows,
     _rank,
     _tripartite_families,
     corollary_nab,
@@ -96,6 +97,25 @@ sparse_rows = st.dictionaries(
     st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3)
 
 
+@st.composite
+def incidence_families(draw):
+    """(n, rows on range(n), cut points): edges and one-entry rows, a cycle
+    (odd or even) and repeats of drawn rows, shuffled."""
+    n = draw(st.integers(1, 8))
+    column = st.integers(0, n - 1)
+    ends = draw(st.lists(st.one_of(st.tuples(column),
+                                   st.tuples(column, column).filter(lambda e: e[0] != e[1])),
+                         max_size=10))
+    cycle = draw(st.lists(column, unique=True, max_size=5))
+    if len(cycle) >= 3:
+        ends += zip(cycle, cycle[1:] + cycle[:1])
+    if ends:
+        ends += [ends[i % len(ends)] for i in draw(st.lists(st.integers(0, 9), max_size=4))]
+    draw(st.randoms(use_true_random=False)).shuffle(ends)
+    cuts = sorted(draw(st.lists(st.integers(0, len(ends)), max_size=2)))
+    return n, [dict.fromkeys(e, 1) for e in ends], cuts
+
+
 class TestRankOracle:
     @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
@@ -120,20 +140,53 @@ class TestRankOracle:
         rnd.shuffle(vectors)
         assert rank(vectors) == sympy_rank(vectors)
 
-    @given(st.lists(st.tuples(sparse_rows, st.integers(0, 3)), max_size=8),
-           st.integers(1, 4))
-    def test_merged_group_echelons_match_sympy(self, rows, groups):
-        """Rows split into 1-4 groups, each eliminated alone over the basis
-        indices of one system: merging the groups' echelons ranks the whole
-        family, and leaves the groups' echelons as they were."""
-        vectors = [GeneralizedVector(SPARSE, {SPARSE_LABELS[i]: v for i, v in row.items()})
-                   for row, _ in rows]
-        parts = [[vector for vector, (_, g) in zip(vectors, rows) if g % groups == k]
-                 for k in range(groups)]
-        echelons = [_echelon([dict(vector.nums) for vector in part], {}) for part in parts]
-        before = [{col: dict(row) for col, row in echelon.items()} for echelon in echelons]
-        assert len(_merged(echelons)) == rank(vectors) == sympy_rank(vectors)
-        assert echelons == before
+    @given(incidence_families())
+    def test_incidence_rank_matches_sympy(self, drawn):
+        """Rows of one or two entries equal to 1, with repeats, one-entry
+        rows and cycles of three to five columns, split into up to three
+        families: one union-find runs over all of them."""
+        n, rows, cuts = drawn
+        families = [(f"part{k}", rows[start:end])
+                    for k, (start, end) in enumerate(zip([0, *cuts], [*cuts, len(rows)]))]
+        assert _incidence_rank(families, n) == sympy_rank(rows) == _rank(rows)
+
+
+class TestStructureRefusals:
+    """A family that the structural ranks do not hold for is refused with
+    its name, the row's position and the column or entry at fault."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([{0: 1, 1: 1}, {2: 1, 1: 1}], "row 1 shares column 1 with an earlier row"),
+        ([{3: 1}, {0: 1, 3: 1}], "row 1 shares column 3 with an earlier row"),
+        ([{0: 1}, {}], "row 1 is empty"),
+    ], ids=["overlap", "overlap-at-its-first-column", "empty"])
+    def test_a_family_is_counted_only_if_its_supports_are_disjoint(self, rows, message):
+        with pytest.raises(AssertionError, match=f"^family 'a_bc': {message}$"):
+            _independent_rows("a_bc", rows)
+
+    @pytest.mark.parametrize("row, message", [
+        ({}, "row 1 has 0 entries, not 1 or 2"),
+        ({0: 1, 2: 1, 4: 1}, "row 1 has 3 entries, not 1 or 2"),
+        ({0: 1, 3: 2}, "row 1 has entry 2 at column 3, not 1 in range(5)"),
+        ({0: -1}, "row 1 has entry -1 at column 0, not 1 in range(5)"),
+        ({5: 1}, "row 1 has entry 1 at column 5, not 1 in range(5)"),
+        ({-1: 1, 0: 1}, "row 1 has entry 1 at column -1, not 1 in range(5)"),
+    ], ids=["no-entry", "three-entries", "entry-of-two", "negative-entry", "column-n",
+            "column-negative"])
+    def test_a_union_row_of_another_shape_is_refused(self, row, message):
+        families = [("ab_c", [{0: 1, 1: 1}]), ("ac_b", [{1: 1, 2: 1}, row])]
+        with pytest.raises(AssertionError, match=f"^family 'ac_b': {re.escape(message)}$"):
+            _incidence_rank(families, 5)
+
+    def test_the_counts_are_exact_on_the_families_they_accept(self):
+        assert _independent_rows("ab_c", [{0: 3, 1: -1}, {2: 1}, {5: 7}]) == 3
+        assert _independent_rows("ab_c", []) == 0
+        assert _incidence_rank([], 4) == 0
+        triangle = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+        square = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {0: 1, 3: 1}]
+        assert _incidence_rank([("odd", triangle)], 3) == 3
+        assert _incidence_rank([("even", square)], 4) == 3
+        assert _incidence_rank([("even", square), ("half", [{3: 1}])], 4) == 4
 
 
 WIDE = leaf(8)
@@ -180,17 +233,24 @@ class TestWideRankOracle:
 
 
 class TestSpanReportRanks:
+    @pytest.mark.parametrize("fault", (None,) + faults.KNOWN_FAULTS)
     @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
-    @pytest.mark.parametrize("dims", list(itertools.product((2, 3), repeat=3)))
-    def test_class_ranks_match_rank_of_each_family_and_the_union(self, dims, mode):
-        """`span_report` eliminates each family once and merges the echelons;
-        `_rank` eliminates every row of each family and of their union."""
-        systems = [leaf(d, mode) for d in dims]
-        rows = dict(_tripartite_families(*systems))
-        union = [row for family in rows.values() for row in family]
-        assert span_report(*systems).class_ranks == {
-            **{name: _rank(family) for name, family in rows.items()},
-            "union": _rank(union)}
+    def test_class_ranks_match_rank_of_each_family_and_the_union(self, mode, fault):
+        """`span_report` counts each family's rows and ranks the union of
+        three families as an incidence matrix; `_rank` eliminates every
+        row of each family and of all four, `products` included, on every
+        triple of {2,3,4,5}^3."""
+        for dims in itertools.product((2, 3, 4, 5), repeat=3):
+            systems = [leaf(d, mode) for d in dims]
+            with faults.inject_fault(fault):
+                report = span_report(*systems)
+                rows = dict(_tripartite_families(*systems))
+            union = _rank(row for family in rows.values() for row in family)
+            assert report.class_ranks == {
+                **{name: _rank(family) for name, family in rows.items()},
+                "union": union}, dims
+            assert union == _rank(row for name, family in rows.items() if name != "products"
+                                  for row in family), dims
 
 
 def basis_states(system):
