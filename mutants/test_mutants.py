@@ -1,0 +1,125 @@
+"""A committed mutation catalogue: each mutant must fail the tests named for it.
+
+    python -m pytest mutants -q
+
+Each mutant is (name, file under `src/bct`, exact old text, new text, test
+selection).  For each, `src/` and `tests/` are copied to a temporary
+directory, the old text (which must occur exactly once, so that the
+catalogue cannot rot quietly) is replaced, and the selection is run in one
+subprocess, which must end with failed tests (exit 1): an import or
+collection error does not count as a kill.  Each selection must first pass
+once on the unmutated copy.  Subprocesses run one at a time, with a fixed
+hypothesis seed.  This is not part of the tier-1 suite (`tests/`).
+
+A change that claims "the tests catch X" adds X here as a mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    selection: tuple[str, ...]
+
+
+CATALOGUE = [
+    Mutant("incidence-parity-without-xor-1", "tomography.py",
+           "parent[t], parity[t] = r, cr ^ ct ^ 1",
+           "parent[t], parity[t] = r, cr ^ ct",
+           ("tests/test_tomography.py::TestRankOracle::test_incidence_rank_matches_sympy",)),
+    Mutant("parallel-keeps-tau1-for-a-trivial-c", "kernels.py",
+           "without_tau1 = isinstance(c, Trivial) or (",
+           "without_tau1 = (",
+           ("tests/test_laws.py::test_parallel_composition_is_its_two_step_form",)),
+    Mutant("ct-probe-keeps-the-minus-sign", "labels.py",
+           "return self.join(self.left.raw_index(left), self.right.raw_index(right), sign)",
+           "return self.join(self.left.raw_index(left), self.right.raw_index(right), sign) "
+           "if self.bct or sign == PLUS else None",
+           ("tests/test_tables.py::test_transports_match_the_calculus_under_every_fault",)),
+    Mutant("leaf-hash-reads-the-name", "systems.py",
+           "return hash((self.system.dim, self.mode is TheoryMode.BCT))",
+           "return hash((self.system.dim, self.system.name, self.mode is TheoryMode.BCT))",
+           ("tests/test_tables.py::test_pickles_hit_a_dict_under_another_hash_seed",)),
+    Mutant("transport-key-without-the-fault", "labels.py",
+           "key = (faults.active_fault(), system, tuple(moves))",
+           "key = (None, system, tuple(moves))",
+           ("tests/test_tables.py::test_a_transport_belongs_to_its_fault",)),
+    Mutant("effect-entry-without-u", "kernels.py",
+           "z, tau = e, tau * u",
+           "z, tau = e, tau",
+           ("tests/test_kernels.py::TestParallel::test_effects_commute_with_extension",)),
+    Mutant("scalar-with-two-signs", "states.py",
+           "join, signs = (lambda i, j, _sign: i + j), (PLUS,)",
+           "join, signs = (lambda i, j, _sign: i + j), (-1, 1)",
+           ("tests/test_states.py::TestTrivialFactors",)),
+    Mutant("left-link-absorbs-the-flip", "labels.py",
+           "return (child, right, sign * escaping), escaping",
+           "return (child, right, sign * escaping), PLUS",
+           ("tests/test_label_calculus.py",)),
+    Mutant("associator-drops-s1-s2", "labels.py",
+           "return (x, (y, z, s2 if fault == faults.ASSOC_SIGN else s1 * s2), s1), PLUS",
+           "return (x, (y, z, s2), s1), PLUS",
+           ("tests/test_label_calculus.py",)),
+]
+
+IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+
+
+def copy_tree(into: Path) -> Path:
+    """`src/` and `tests/` copied under `into`."""
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, into / part, ignore=IGNORED)
+    return into
+
+
+def run_selection(copy: Path, selection: tuple[str, ...]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *selection],
+        cwd=copy, env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture(scope="session")
+def passes_unmutated(tmp_path_factory):
+    """The run of a selection on an unmutated copy, made once per selection."""
+    copy = copy_tree(tmp_path_factory.mktemp("unmutated"))
+    results: dict[tuple[str, ...], subprocess.CompletedProcess] = {}
+
+    def check(selection: tuple[str, ...]) -> subprocess.CompletedProcess:
+        if selection not in results:
+            results[selection] = run_selection(copy, selection)
+        return results[selection]
+    return check
+
+
+def test_mutant_names_are_unique():
+    assert len({m.name for m in CATALOGUE}) == len(CATALOGUE)
+
+
+@pytest.mark.parametrize("mutant", CATALOGUE, ids=[m.name for m in CATALOGUE])
+def test_mutant_is_killed(mutant, passes_unmutated, tmp_path):
+    unmutated = passes_unmutated(mutant.selection)
+    assert unmutated.returncode == 0, unmutated.stdout[-2000:]
+    copy = copy_tree(tmp_path)
+    path = copy / "src" / "bct" / mutant.file
+    text = path.read_text()
+    assert text.count(mutant.old) == 1, f"{mutant.file}: the old text occurs " \
+        f"{text.count(mutant.old)} times"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    mutated = run_selection(copy, mutant.selection)
+    assert mutated.returncode == 1, mutated.stdout[-2000:]

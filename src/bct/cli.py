@@ -195,7 +195,11 @@ def cmd_protocol(args) -> int:
     elif name == "monogamy":
         report = monogamy_demo(mode)
     elif name == "hypersignal":
-        [(a, b)] = _dims_list(args.dims, (2,))
+        pairs = _dims_list(args.dims, (2,))
+        if len(pairs) != 1:
+            raise ParseError(serial.E_SCHEMA, "hypersignal takes one pair of dims, "
+                             f"got {serial.shown(args.dims)}")
+        [(a, b)] = pairs
         report = hypersignaling_report(leaf(a, mode), leaf(b, mode))
     elif name == "capacity":
         report = capacity_report(args.n, mode)

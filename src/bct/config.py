@@ -9,6 +9,9 @@ is built; the processor's own systems are enumerated under that bound.
 Parsed system and label strings are capped at `MAX_NESTING` levels of
 parentheses, and the systems the CLI builds itself nest no deeper: `protocol
 capacity` takes at most `MAX_NESTING + 1` carriers.
+
+An error message echoes an input value through `shown`, so that it prints at
+most `_SHOWN` characters of it, in every module.
 """
 
 from __future__ import annotations
@@ -28,6 +31,18 @@ DILATION_MAX_DIM = 262144
 # (parsing, label hashing, printing, label coding) recurses once per level, and
 # the cap keeps them all well inside the interpreter's recursion limit.
 MAX_NESTING = 200
+
+# An error message echoes at most this many characters of the input.
+_SHOWN = 80
+
+
+def shown(value: object, quoted: bool = True) -> str:
+    """`value` as an error message echoes it, cut after _SHOWN characters
+    and marked "..." where cut: a string's repr (the string itself if not
+    `quoted`), or any other value's repr."""
+    text = value if isinstance(value, str) else repr(value)
+    cut = repr(text[:_SHOWN]) if quoted and isinstance(value, str) else text[:_SHOWN]
+    return cut + "..." if len(text) > _SHOWN else cut
 
 
 def max_dim() -> int:

@@ -3,8 +3,8 @@
 Each documented mutation breaks one leg of the coherence structure so the
 suite can demonstrate it has power, and each alters exactly one code path:
 
-- ASSOC_SIGN: the associator moves in `labels` (`_assoc_r`, `_assoc_l`);
-- BRAID_SIGN: the label-level BRAID move in `labels` (`_braid`); kernel-level
+- ASSOC_SIGN: the associator moves of the raw calculus (`labels._assoc_r`, `_assoc_l`);
+- BRAID_SIGN: the BRAID move of the raw calculus (`labels._braid`); kernel-level
   braids (`braid_kernel`) do not use it;
 - PARALLEL_DROP_TAU: tau1 left out of the node sign in
   `kernels.parallel_compose`, when A and B are non-trivial; never

@@ -20,28 +20,32 @@ environment flip (it lands on whatever the label is later paired with).
 The same propagation rule governs kernel sign flips; coherence of the whole
 calculus (pentagon, hexagon, path independence) is enforced by tests.
 
+The calculus has one body, `apply_moves_raw`, on raw labels: a leaf is its
+int index, the unit is 0 and a node is a (left, right, sign) tuple.  Label
+objects are built only at the boundary: `apply_moves_tracked` moves a label
+tree through its raw form, and `Coder.label` builds the label of a decoded
+raw label.
+
 Vectors and kernels are stored on basis indices: `Coder` numbers the pure
 labels of a system in the canonical order by closed form, and
 `enumerate_pure_labels` reads the basis off it.  `transport` carries basis
-indices along a move sequence; it is read off the label-level moves, which
-stay the reference semantics, on a few probe labels.
+indices along a move sequence; it is read off the calculus, which stays the
+reference semantics, on a few raw probe labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 from . import faults
-from .config import max_dim
+from .config import max_dim, shown
 from .systems import (
-    Leaf,
     Node,
     SystemTree,
     TheoryMode,
     dimension,
-    replace_at,
     subtree_at,
 )
 
@@ -65,45 +69,20 @@ class LeafLabel(PureLabel):
     index: int
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class NodeLabel(PureLabel):
-    """A composite label; it hashes its tree once, on the first `hash`.
-
-    The hash is made of ints only (leaf indices and signs), so a cached hash
-    stays valid in a process with another PYTHONHASHSEED.  It is not computed
-    at construction: the coherence checks build many labels they never hash.
-    `__init__` is written by hand because the coherence sweeps build hundreds
-    of thousands of labels: it sets the slots through their member
-    descriptors, where the generated one makes an `object.__setattr__` call
-    per field and then calls `__post_init__`.
-    """
+    """A composite label.  Its generated hash is made of ints only (leaf
+    indices and signs), so a label hashes alike in a process with another
+    PYTHONHASHSEED."""
 
     left: PureLabel
     right: PureLabel
     sign: int = PLUS
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, left: PureLabel, right: PureLabel, sign: int = PLUS) -> None:
-        if sign not in SIGNS:
-            raise ValueError(f"sign must be -1 or +1, got {sign}")
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_sign(self, sign)
-        _set_hash(self, None)
+    def __post_init__(self) -> None:
+        if self.sign not in SIGNS:
+            raise ValueError(f"sign must be -1 or +1, got {self.sign}")
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.left, self.right, self.sign))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-
-# The slots' own setters, which a frozen dataclass's `__setattr__` refuses.
-_set_left = NodeLabel.left.__set__
-_set_right = NodeLabel.right.__set__
-_set_sign = NodeLabel.sign.__set__
-_set_hash = NodeLabel._hash.__set__
 
 UNIT = UnitLabel()
 
@@ -141,6 +120,27 @@ def _is_label_tree(key: object) -> bool:
     return isinstance(key, UnitLabel) or isinstance(key, LeafLabel) and type(key.index) is int
 
 
+# A raw label: a leaf is its int index, the unit is 0 and a node is a
+# (left, right, sign) tuple.  The calculus runs on this form, and reads
+# anything but a tuple as a leaf (`move_system` moves a tree's shape by it).
+Raw = int | tuple
+
+
+def raw_of(label: PureLabel) -> Raw:
+    """The raw form of a label tree."""
+    if isinstance(label, NodeLabel):
+        return raw_of(label.left), raw_of(label.right), label.sign
+    return label.index if isinstance(label, LeafLabel) else 0
+
+
+def label_of(raw: Raw) -> PureLabel:
+    """The label tree of a raw label."""
+    if type(raw) is tuple:
+        left, right, sign = raw
+        return NodeLabel(label_of(left), label_of(right), sign)
+    return LeafLabel(raw) if raw else UNIT
+
+
 def enumerate_pure_labels(system: SystemTree, bound: int | None = None) -> list[PureLabel]:
     """All pure labels of `system` in canonical order: the labels of its
     coder's indices, in index order (see `Coder`).
@@ -157,7 +157,7 @@ def basis_size(system: SystemTree, bound: int | None = None) -> int:
     limit = max_dim() if bound is None else bound
     dim = dimension(system)
     if dim > limit:
-        raise ValueError(f"dimension {dim} exceeds enumeration bound {limit}")
+        raise ValueError(f"dimension {shown(dim)} exceeds enumeration bound {limit}")
     return dim
 
 
@@ -195,26 +195,22 @@ class Coder:
 
     `index` is the one check that a label belongs to the system: it checks
     the label as it encodes it (shape, leaf indices ints in 1..dim, and
-    only + signs in CT) and returns None for anything else.
-
-    A coder keeps the labels it decodes: a label decoded again is the same
-    object (its hash already cached, its subtrees shared).  Encoding keeps
-    nothing.
+    only + signs in CT) and returns None for anything else.  `raw` and
+    `raw_index` code raw labels (see `Raw`) and check nothing; `label`
+    decodes the raw label and builds its label tree.  A coder keeps nothing
+    it codes.
     """
 
-    __slots__ = ("dim", "nl", "ns", "left", "right", "bct", "_leaves", "_labels")
+    __slots__ = ("dim", "nl", "ns", "left", "right", "bct")
 
     def __init__(self, bct: bool, nl: int, left: Coder | None = None,
-                 right: Coder | None = None, leaves: tuple[PureLabel, ...] = ()) -> None:
+                 right: Coder | None = None) -> None:
         self.bct, self.left, self.right = bct, left, right
         if left is not None:
             nl = left.nl * right.nl
         self.nl = nl
         self.ns = 2 * left.ns * right.ns if bct and left is not None else 1
         self.dim = self.nl * self.ns
-        # the labels of a leaf are built on its first decode
-        self._leaves = leaves
-        self._labels: dict[int, PureLabel] = {}
 
     def index(self, label: object) -> int | None:
         """The basis index of `label`, or None if it is not a label of the system."""
@@ -234,14 +230,22 @@ class Coder:
 
     def label(self, index: int) -> PureLabel:
         """The pure label at a basis index of the system."""
+        return label_of(self.raw(index))
+
+    def raw(self, index: int) -> Raw:
+        """The raw label at a basis index of the system."""
         if self.left is None:
-            return (self._leaves or self._leaf_labels())[index]
-        found = self._labels.get(index)
-        if found is None:
-            i, j, sign = self.split(index)
-            found = self._labels[index] = NodeLabel(self.left.label(i),
-                                                    self.right.label(j), sign)
-        return found
+            return index + 1 if self.nl > 1 else 0
+        i, j, sign = self.split(index)
+        return self.left.raw(i), self.right.raw(j), sign
+
+    def raw_index(self, raw: Raw) -> int:
+        """The basis index of a raw label of the system's shape.  In CT no
+        sign is read, so a - sign reads as +."""
+        if self.left is None:
+            return raw - 1 if raw else 0
+        left, right, sign = raw
+        return self.join(self.left.raw_index(left), self.right.raw_index(right), sign)
 
     def split(self, index: int) -> tuple[int, int, int]:
         """(left index, right index, sign) of the node label at `index`."""
@@ -262,10 +266,6 @@ class Coder:
             return rank
         return rank + ((sign > 0) * li + i % li) * lj + j % lj
 
-    def _leaf_labels(self) -> tuple[PureLabel, ...]:
-        self._leaves = tuple(LeafLabel(i) for i in range(1, self.nl + 1))
-        return self._leaves
-
 
 _CODERS: dict[SystemTree, Coder] = {}
 _JOINED: dict[tuple[Coder, Coder], Coder] = {}
@@ -275,13 +275,10 @@ def coder(system: SystemTree) -> Coder:
     """The (shared) basis-index coder of `system`."""
     found = _CODERS.get(system)
     if found is None:
-        bct = system.mode is TheoryMode.BCT
         if isinstance(system, Node):
             found = joined(coder(system.left), coder(system.right))
-        elif isinstance(system, Leaf):
-            found = Coder(bct, system.system.dim)
-        else:
-            found = Coder(bct, 1, leaves=(UNIT,))
+        else:  # a leaf, or the trivial system and its one label
+            found = Coder(system.mode is TheoryMode.BCT, dimension(system))
         _CODERS[system] = found
     return found
 
@@ -304,7 +301,8 @@ class MoveKind(Enum):
     BRAID = "braid"
 
     # Members are singletons compared by identity, so they hash by identity
-    # too: in C, where `Enum.__hash__` is a Python call per `_REWRITERS` lookup.
+    # too: in C, where `Enum.__hash__` is a Python call per hash of a `Move`,
+    # which every `transport` key lookup makes.
     __hash__ = object.__hash__
 
 
@@ -312,9 +310,6 @@ class MoveKind(Enum):
 class Move:
     kind: MoveKind
     path: str = ""
-
-
-Rewriter = Callable[[PureLabel], tuple[PureLabel, int]]
 
 
 def invert_move(move: Move) -> Move:
@@ -329,83 +324,66 @@ def invert_moves(moves: list[Move]) -> list[Move]:
     return [invert_move(m) for m in reversed(moves)]
 
 
-def _shape_assoc_r(t: PureLabel | SystemTree, node: type) -> None:
-    if not isinstance(t, node) or not isinstance(t.left, node):
+def _assoc_r(raw: Raw, fault: str | None) -> tuple[Raw, int]:
+    if type(raw) is not tuple or type(raw[0]) is not tuple:
         raise ValueError("assoc right needs shape ((x y) z)")
+    (x, y, s1), z, s2 = raw
+    return (x, (y, z, s2 if fault == faults.ASSOC_SIGN else s1 * s2), s1), PLUS
 
 
-def _shape_assoc_l(t: PureLabel | SystemTree, node: type) -> None:
-    if not isinstance(t, node) or not isinstance(t.right, node):
+def _assoc_l(raw: Raw, fault: str | None) -> tuple[Raw, int]:
+    if type(raw) is not tuple or type(raw[1]) is not tuple:
         raise ValueError("assoc left needs shape (x (y z))")
+    x, (y, z, v), w = raw
+    return ((x, y, w), z, v if fault == faults.ASSOC_SIGN else v * w), PLUS
 
 
-def _shape_braid(t: PureLabel | SystemTree, node: type) -> None:
-    if not isinstance(t, node):
+def _braid(raw: Raw, fault: str | None) -> tuple[Raw, int]:
+    if type(raw) is not tuple:
         raise ValueError("braid needs a node")
+    x, y, s = raw
+    return (y, x, -s if fault == faults.BRAID_SIGN else s), s
 
 
-def _assoc_r(label: PureLabel) -> tuple[PureLabel, int]:
-    _shape_assoc_r(label, NodeLabel)
-    inner = label.left
-    new_inner_sign = label.sign if faults.active_fault() == faults.ASSOC_SIGN \
-        else inner.sign * label.sign
-    return NodeLabel(inner.left, NodeLabel(inner.right, label.right, new_inner_sign),
-                     inner.sign), PLUS
-
-
-def _assoc_l(label: PureLabel) -> tuple[PureLabel, int]:
-    _shape_assoc_l(label, NodeLabel)
-    inner = label.right
-    new_outer_sign = inner.sign if faults.active_fault() == faults.ASSOC_SIGN \
-        else inner.sign * label.sign
-    return NodeLabel(NodeLabel(label.left, inner.left, label.sign), inner.right,
-                     new_outer_sign), PLUS
-
-
-def _braid(label: PureLabel) -> tuple[PureLabel, int]:
-    _shape_braid(label, NodeLabel)
-    sign = label.sign
-    new_sign = -sign if faults.active_fault() == faults.BRAID_SIGN else sign
-    return NodeLabel(label.right, label.left, new_sign), sign
-
-
-def _climb(label: PureLabel, path: str, rewrite: Rewriter,
-           depth: int = 0) -> tuple[PureLabel, int]:
+def _climb(raw: Raw, path: str, depth: int, rewrite: Callable[[Raw, str | None], tuple[Raw, int]],
+           fault: str | None) -> tuple[Raw, int]:
     """Rewrite the subtree at `path` and carry its flip toward the root.
 
     Ancestors reached through left-child links are flipped and the climb
     continues; the first right-child link flips its node and absorbs the
-    flip.  Returns (new label, environment flip).
+    flip.  Returns (new raw label, environment flip).
     """
     if depth == len(path):
-        return rewrite(label)
-    if not isinstance(label, NodeLabel):
+        return rewrite(raw, fault)
+    if type(raw) is not tuple:
         raise ValueError(f"path {path!r} leaves the label")
+    left, right, sign = raw
     if path[depth] == "0":
-        child, escaping = _climb(label.left, path, rewrite, depth + 1)
-        return NodeLabel(child, label.right, label.sign * escaping), escaping
-    child, escaping = _climb(label.right, path, rewrite, depth + 1)
-    return NodeLabel(label.left, child, label.sign * escaping), PLUS
+        child, escaping = _climb(left, path, depth + 1, rewrite, fault)
+        return (child, right, sign * escaping), escaping
+    child, escaping = _climb(right, path, depth + 1, rewrite, fault)
+    return (left, child, sign * escaping), PLUS
 
 
-_REWRITERS: dict[MoveKind, Rewriter] = {
-    MoveKind.ASSOC_R: _assoc_r,
-    MoveKind.ASSOC_L: _assoc_l,
-    MoveKind.BRAID: _braid,
-}
-
-
-def apply_move_tracked(label: PureLabel, move: Move) -> tuple[PureLabel, int]:
-    """Apply one move; returns (new label, environment flip in {-1,+1})."""
-    return _climb(label, move.path, _REWRITERS[move.kind])
+def apply_moves_raw(raw: Raw, moves: Sequence[Move]) -> tuple[Raw, int]:
+    """The calculus: `moves` applied to a raw label, in order, under the
+    active fault.  Returns (moved raw label, environment flip in {-1,+1})."""
+    fault = faults.active_fault()
+    flip = PLUS
+    for move in moves:
+        kind = move.kind
+        rewrite = _braid if kind is MoveKind.BRAID else \
+            _assoc_r if kind is MoveKind.ASSOC_R else _assoc_l
+        raw, escaping = _climb(raw, move.path, 0, rewrite, fault)
+        flip *= escaping
+    return raw, flip
 
 
 def apply_moves_tracked(label: PureLabel, moves: list[Move]) -> tuple[PureLabel, int]:
-    flip = PLUS
-    for move in moves:
-        label, f = apply_move_tracked(label, move)
-        flip *= f
-    return label, flip
+    """`moves` applied to a label tree: (moved label, environment flip), by
+    `apply_moves_raw` on its raw form."""
+    raw, flip = apply_moves_raw(raw_of(label), moves)
+    return label_of(raw), flip
 
 
 class _Transport:
@@ -416,15 +394,14 @@ class _Transport:
     whatever the leaf indices (see the moves above).  So the label at leaf
     rank r and sign rank s moves to the moved sign rank of s plus NS times
     r with each leaf's digit carried to its new place value.  Both parts
-    are read off `apply_moves_tracked` on probe labels, decoded on first
+    are read off `apply_moves_raw` on raw probe labels, decoded on first
     need and kept: the label at index s (every leaf at its first index)
     for each sign rank s met, and for each leaf the label with that leaf at
     its second index, every other leaf at its first and every sign -.
 
     In CT a faulted braid (BRAID_SIGN) writes a - sign, which no CT label
-    carries.  The probe reads such a moved label as its + twin, by setting
-    every sign to + before it codes the label: this is the one place where
-    the index calculus reads a label that is not of its system.
+    carries.  The CT coder reads no sign, so the probe codes such a moved
+    label as its + twin.
     """
 
     __slots__ = ("_source", "_target", "_moves", "_signs", "_places")
@@ -450,17 +427,8 @@ class _Transport:
         return moved * ns + sign[0], sign[1]
 
     def _probe(self, index: int) -> tuple[int, int]:
-        label, flip = apply_moves_tracked(self._source.label(index), self._moves)
-        if not self._target.bct:
-            label = _plus_twin(label)
-        return self._target.index(label), flip
-
-
-def _plus_twin(label: PureLabel) -> PureLabel:
-    """`label` with every sign set to +."""
-    if not isinstance(label, NodeLabel):
-        return label
-    return NodeLabel(_plus_twin(label.left), _plus_twin(label.right))
+        raw, flip = apply_moves_raw(self._source.raw(index), self._moves)
+        return self._target.raw_index(raw), flip
 
 
 def _leaf_places(code: Coder) -> list[tuple[int, int]]:
@@ -482,14 +450,14 @@ def transport(system: SystemTree, moves: Sequence[Move]) -> tuple[SystemTree, _T
     environment flip).
 
     One transport per active fault, system and move sequence, shared by
-    every caller, and read off the label-level `apply_moves_tracked`, which
+    every caller, and read off the calculus (`apply_moves_raw`), which
     stays the reference, on a few probe labels decoded on first need (see
     `_Transport`); nothing is enumerated, so a sparse vector on a system of
     any size is transported by the indices it holds.  Fetch it inside the
     operation that uses it, so the fault it is keyed on is the one in
     force.  The law checks of `coherence` test the calculus itself and call
-    `apply_moves_tracked` directly.  The empty sequence is the identity
-    under every fault and gets no transport (None).
+    `apply_moves_raw` directly.  The empty sequence is the identity under
+    every fault and gets no transport (None).
     """
     if not moves:
         return system, None
@@ -502,18 +470,25 @@ def transport(system: SystemTree, moves: Sequence[Move]) -> tuple[SystemTree, _T
 
 
 def move_system(system: SystemTree, move: Move) -> SystemTree:
-    """Shape transport: the system tree a move carries labels onto."""
-    t = subtree_at(system, move.path)
-    if move.kind is MoveKind.BRAID:
-        _shape_braid(t, Node)
-        moved = Node(t.mode, t.right, t.left)
-    elif move.kind is MoveKind.ASSOC_R:
-        _shape_assoc_r(t, Node)
-        moved = Node(t.mode, t.left.left, Node(t.mode, t.left.right, t.right))
-    else:
-        _shape_assoc_l(t, Node)
-        moved = Node(t.mode, Node(t.mode, t.left, t.right.left), t.right.right)
-    return replace_at(system, move.path, moved)
+    """Shape transport: the system tree a move carries labels onto, moved by
+    the calculus itself, so that each move's shape rule is stated once."""
+    subtree_at(system, move.path)  # raises on a path that leaves the tree
+    return _tree(system.mode, apply_moves_raw(_shape(system), [move])[0])
+
+
+def _shape(system: SystemTree) -> object:
+    """`system` as a raw label of its shape: a node is a (left, right, +)
+    tuple, and a leaf or the trivial system is itself."""
+    if isinstance(system, Node):
+        return _shape(system.left), _shape(system.right), PLUS
+    return system
+
+
+def _tree(mode: TheoryMode, shape: object) -> SystemTree:
+    """The system tree of a shape."""
+    if type(shape) is tuple:
+        return Node(mode, _tree(mode, shape[0]), _tree(mode, shape[1]))
+    return shape
 
 
 def move_system_sequence(system: SystemTree, moves: list[Move]) -> SystemTree:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .config import MAX_NESTING, max_dim
+from .config import MAX_NESTING, max_dim, shown
 from .kernels import (
     Instrument,
     Kernel,
@@ -74,7 +74,7 @@ def _sign(ch: str | int) -> int:
         return -1
     if ch in ("+", "+1", "1"):
         return 1
-    raise ValueError(f"bad sign {ch!r}")
+    raise ValueError(f"bad sign {shown(ch)}")
 
 
 def dense_coding(mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport:
@@ -189,7 +189,7 @@ def entanglement_swapping(i: int, j: int, s: int | str, k: int, l: int,
     t = _sign(t)
     for index in (i, j, k, l):
         if index not in (1, 2):
-            raise ValueError(f"index {index} out of range for a bibit")
+            raise ValueError(f"index {shown(index)} out of range for a bibit")
     ab = compose_systems(bibit(), bibit())
     cd = compose_systems(bibit(), bibit())
     state = tensor_states(

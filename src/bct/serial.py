@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
-from .config import MAX_NESTING
+from .config import MAX_NESTING, shown
 from .kernels import Instrument, Kernel
 from .labels import LeafLabel, NodeLabel, PureLabel, UNIT, coder, label_to_str
 from .states import GeneralizedVector, StateVector
@@ -44,23 +44,12 @@ _LABEL_LEAF = re.compile(r"\*|\d+")
 # `sys.int_info.str_digits_check_threshold`), so the parser refuses a longer
 # one itself, with its own message, whatever the limit in force.
 _MAX_DIGITS = 640
-# An error message echoes at most this many characters of the input.
-_SHOWN = 80
 
 
 class ParseError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
-
-
-def shown(value: Any, quoted: bool = True) -> str:
-    """`value` as an error message echoes it, cut after _SHOWN characters
-    and marked "..." where cut: a string's repr (the string itself if not
-    `quoted`), or any other value's repr."""
-    text = value if isinstance(value, str) else repr(value)
-    cut = repr(text[:_SHOWN]) if quoted and isinstance(value, str) else text[:_SHOWN]
-    return cut + "..." if len(text) > _SHOWN else cut
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .config import shown
+
 
 class TheoryMode(Enum):
     BCT = "BCT"
@@ -37,7 +39,7 @@ class ElementarySystem:
 
     def __post_init__(self) -> None:
         if self.dim < 2:
-            raise ValueError(f"elementary systems need dim >= 2, got {self.dim}")
+            raise ValueError(f"elementary systems need dim >= 2, got {shown(self.dim)}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,9 @@ equal to 1 (one in CT), so their union is an unsigned incidence matrix, of
 rank the columns used minus the bipartite components.  Each `products` row
 is a sum of `ab_c` rows, so it adds nothing to the union.  A family of any
 other structure is refused with an `AssertionError`, never ranked another
-way.
+way.  `delta2` and `verify_strict_bilocality` count their families the same
+way (the product states of AB, and its unit basis), so only the public
+`rank` eliminates.
 """
 
 from __future__ import annotations
@@ -140,17 +142,12 @@ def _incidence_rank(families: Iterable[tuple[str, Iterable[Nums]]], n: int) -> i
     return sum(used) - bipartite
 
 
-def _rank(rows: Iterable[Nums]) -> int:
-    """The rank of int rows over one column index, leaving them unchanged."""
-    return len(_echelon([dict(row) for row in rows], {}))
-
-
 def rank(vectors: Sequence[GeneralizedVector]) -> int:
     """Rank of the coefficient matrix, by fraction-free sparse elimination."""
     for i, vector in enumerate(vectors):
         if vector.system is not vectors[0].system and vector.system != vectors[0].system:
             raise ValueError(f"vectors must share a system: vector {i} differs from vector 0")
-    return _rank(vector.nums for vector in vectors)
+    return len(_echelon([dict(vector.nums) for vector in vectors], {}))
 
 
 def _basis(system: SystemTree) -> list[Nums]:
@@ -183,13 +180,15 @@ def delta2(a: SystemTree, b: SystemTree, products: Sequence[Nums] | None = None)
 
     The arithmetic value D_AB - D_A*D_B is cross-checked against the rank of
     the product-state family (`product_states(a, b)` unless given), which
-    spans the separable subspace.
+    spans the separable subspace: its rows have disjoint supports, so the
+    rank is their count.
     """
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         raise ValueError("delta2 needs two non-trivial systems")
     ab = compose_systems(a, b)
     arithmetic = dimension(ab) - dimension(a) * dimension(b)
-    separable_rank = _rank(product_states(a, b) if products is None else products)
+    separable_rank = _independent_rows(
+        "products", product_states(a, b) if products is None else products)
     by_rank = dimension(ab) - separable_rank
     if arithmetic != by_rank:
         raise AssertionError(
@@ -200,9 +199,10 @@ def delta2(a: SystemTree, b: SystemTree, products: Sequence[Nums] | None = None)
 def verify_strict_bilocality(a: SystemTree, b: SystemTree,
                              products: Sequence[Nums] | None = None) -> bool:
     """Local tomography fails (delta2 > 0) yet bipartite effects span the
-    dual: the rows of the observation-instrument {<x|} have full rank."""
+    dual: the rows of the observation-instrument {<x|} have full rank (they
+    have disjoint supports, so the rank is their count)."""
     ab = compose_systems(a, b)
-    effect_rank = _rank(_basis(ab))
+    effect_rank = _independent_rows("effects", _basis(ab))
     if a.mode is TheoryMode.CT:
         return delta2(a, b, products) == 0 and effect_rank == dimension(ab)
     return delta2(a, b, products) > 0 and effect_rank == dimension(ab)
@@ -211,16 +211,20 @@ def verify_strict_bilocality(a: SystemTree, b: SystemTree,
 def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
                          ) -> Iterator[tuple[str, list[Nums]]]:
     """Spanning families for the four biseparable classes, on ((AB)C), by
-    name; every bound is checked before the first family is built, and
-    each family when the previous one has been taken."""
+    name; every bound is checked in this call, before the first family is
+    built, and each family is built when the previous one has been taken."""
     ab, bc, ac = compose_systems(a, b), compose_systems(b, c), compose_systems(a, c)
     cs, as_, bs, abs_, bcs, acs = [_basis(system) for system in (c, a, b, ab, bc, ac)]
     # A x (BC) reassociated, and (AC) x B braided and reassociated, onto ((AB)C)
     to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"), Move(MoveKind.ASSOC_L, "")]
-    yield "products", _products(ab, _products(a, as_, b, bs), c, cs)
-    yield "ab_c", _products(ab, abs_, c, cs)
-    yield "a_bc", _products(a, as_, bc, bcs, [Move(MoveKind.ASSOC_L, "")])
-    yield "ac_b", _products(ac, acs, b, bs, to_abc)
+
+    def families():
+        yield "products", _products(ab, _products(a, as_, b, bs), c, cs)
+        yield "ab_c", _products(ab, abs_, c, cs)
+        yield "a_bc", _products(a, as_, bc, bcs, [Move(MoveKind.ASSOC_L, "")])
+        yield "ac_b", _products(ac, acs, b, bs, to_abc)
+
+    return families()
 
 
 @dataclass(frozen=True)
@@ -255,14 +259,16 @@ class SpanReport:
 def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
     """Delta3 and the biseparable class ranks of ((AB)C), from the families'
     structure (see the module docstring), each family dropped once it is
-    counted.  The union leaves `products` out: `product_nums` is bilinear
-    and neither family is transported, so the row of |u>|v>|w> is the sum
-    over s of the `ab_c` rows of ((uv)_s, w), under every fault."""
+    counted.  Every bound is checked before the union-find arrays over
+    ((AB)C) are made.  The union leaves `products` out: `product_nums` is
+    bilinear and neither family is transported, so the row of |u>|v>|w> is
+    the sum over s of the `ab_c` rows of ((uv)_s, w), under every fault."""
     d_abc = dimension(compose_systems(compose_systems(a, b), c))
+    families = _tripartite_families(a, b, c)
     class_ranks = {}
 
     def counted():
-        for name, family in _tripartite_families(a, b, c):
+        for name, family in families:
             class_ranks[name] = _independent_rows(name, family)
             if name != "products":
                 yield name, family

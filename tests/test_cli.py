@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -309,14 +310,23 @@ def test_tomography_builds_each_product_once(monkeypatch, capsys):
 
 def test_verify_dims_checks_every_bound_before_building_a_family(monkeypatch, capsys):
     """(AB) of 99,99,99 is over the bound: refused before the 970 299
-    triple products are built, with the message of the first check."""
+    triple products are built, and before anything of the size of
+    ((AB)C) (3 881 196) is allocated, with the message of the first check."""
+    main(["verify-dims", "--triples", "2,2,2", "--quiet"])  # the parser, built once
+    capsys.readouterr()
     built = []
     monkeypatch.setattr(bct.tomography, "_products", lambda *args: built.append(args))
-    assert main(["verify-dims", "--triples", "99,99,99", "--quiet"]) == 2
+    tracemalloc.start()
+    try:
+        code = main(["verify-dims", "--triples", "99,99,99", "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "dimension 19602 exceeds enumeration bound 4096" in captured.err
-    assert built == []
+    assert built == [] and peak < 2 ** 20
 
 
 @pytest.mark.parametrize("pairs, dim", [("512,512", 524288), ("5000,2", 5000),
@@ -387,6 +397,31 @@ def test_tomography_refuses_pairs_that_run_no_check(capsys, pairs):
 def test_hypersignal_refuses_dims_that_are_not_one_pair(capsys, dims):
     assert main(["protocol", "hypersignal", "--dims", dims, "--quiet"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_hypersignal_says_it_takes_one_pair(capsys):
+    assert main(["protocol", "hypersignal", "--dims", "2,2;3,3", "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error E_SCHEMA: E_SCHEMA: hypersignal takes one pair of dims, got '2,2;3,3'\n")
+
+
+DIGITS = "9" * 4000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["protocol", "swap", "--s", "x" * 5000], f"bad sign '{'x' * 80}'..."),
+    (["protocol", "swap", "--i", DIGITS], f"index {DIGITS[:80]}... out of range for a bibit"),
+    (["coherence", "--dims-matrix", f"2,2,{DIGITS}"],
+     f"dimension {str(16 * int(DIGITS))[:80]}... exceeds enumeration bound 4096"),
+    (["coherence", "--dims-matrix", f"2,2,-{DIGITS}"],
+     f"elementary systems need dim >= 2, got -{DIGITS[:79]}..."),
+], ids=["sign", "index", "dimension", "elementary-dim"])
+def test_a_long_value_is_echoed_cut(capsys, argv, message):
+    """A value the command line gives whole is echoed as `serial.shown`
+    cuts it: its first 80 characters, then "..."."""
+    assert main([*argv, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_an_exception_without_a_rule_is_an_internal_error(monkeypatch, capsys):

@@ -498,7 +498,7 @@ class TestExtension:
     def test_extended_braid_kernel_matches_braid_move(self):
         """Two routes to an inner braid: the label rewrite with its flip,
         and the braid kernel pushed through the extension machinery."""
-        from bct.labels import Move, MoveKind, apply_move_tracked
+        from bct.labels import Move, MoveKind, apply_moves_tracked
         from bct.systems import subtree_at
 
         tree = compose_systems(
@@ -510,7 +510,7 @@ class TestExtension:
             via_extension = extend_at(swap, tree, path)
             move = Move(MoveKind.BRAID, path)
             for label in enumerate_pure_labels(tree):
-                moved, flip = apply_move_tracked(label, move)
+                moved, flip = apply_moves_tracked(label, [move])
                 assert via_extension.rows.get(label, {}) == {(moved, flip): Fraction(1)}
 
     def test_reversible_above_the_enumeration_bound(self):

@@ -1,0 +1,150 @@
+"""The raw rewriting body against the frozen object calculus.
+
+`label_calculus_oracle` keeps the moves as they were on `NodeLabel` trees.
+Here hypothesis draws system trees of up to 5 leaves (and the trivial
+system) in BCT and CT, labels of them by basis index, and move sequences:
+every single move at every path of the tree, walks of moves the tree's shape
+admits, and arbitrary moves that may leave the label or not fit it.  Under
+no fault and under each known fault, `apply_moves_raw` on the raw label,
+`apply_moves_tracked` on the label object and the oracle give the same label
+and flip, or the same refusal; and the moved raw label codes to the index
+that the transport's probe once read off the oracle's label (its + twin in
+CT).
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bct import faults
+from bct.labels import (
+    Move,
+    MoveKind,
+    apply_moves_raw,
+    apply_moves_tracked,
+    coder,
+    label_of,
+    move_system,
+    raw_of,
+)
+from bct.systems import Node, SystemTree, TheoryMode, compose_systems, leaf, trivial
+
+import label_calculus_oracle as oracle
+
+FAULTS = (None,) + faults.KNOWN_FAULTS
+KINDS = tuple(MoveKind)
+ORACLE = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def systems(draw, leaves=(0, 5)):
+    """A system tree of up to 5 leaves of dims 2 or 3, or the trivial system."""
+    mode = draw(st.sampled_from(tuple(TheoryMode)))
+
+    def build(k):
+        if k == 1:
+            return leaf(draw(st.sampled_from((2, 3))), mode)
+        split = draw(st.integers(1, k - 1))
+        return compose_systems(build(split), build(k - split))
+
+    k = draw(st.integers(*leaves))
+    return trivial(mode) if k == 0 else build(k)
+
+
+def paths(system: SystemTree, prefix: str = "") -> list[str]:
+    """Every subtree path of `system`, the whole tree first."""
+    out = [prefix]
+    if isinstance(system, Node):
+        out += paths(system.left, prefix + "0") + paths(system.right, prefix + "1")
+    return out
+
+
+def fitting(system: SystemTree) -> list[Move]:
+    """The moves the shape of `system` admits."""
+    moves = []
+    for path in paths(system):
+        for kind in KINDS:
+            try:
+                move_system(system, Move(kind, path))
+            except ValueError:
+                continue
+            moves.append(Move(kind, path))
+    return moves
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except ValueError as refused:
+        return "refused", str(refused)
+
+
+def assert_agree(system: SystemTree, index: int, moves: list[Move]) -> None:
+    """The raw body, its label wrapper and the oracle agree on the label at
+    `index` of `system` moved along `moves`, under every fault."""
+    raw = coder(system).raw(index)
+    label = coder(system).label(index)
+    assert raw_of(label) == raw and label_of(raw) == label
+    for fault in FAULTS:
+        with faults.inject_fault(fault):
+            expected = outcome(oracle.apply_moves_tracked, label, moves)
+            moved = outcome(apply_moves_raw, raw, moves)
+            tracked = outcome(apply_moves_tracked, label, moves)
+        assert tracked == expected, (fault, moves)
+        if expected[0] == "refused":
+            assert moved == expected, (fault, moves)
+            continue
+        assert moved == (raw_of(expected[0]), expected[1]), (fault, moves)
+        target = system
+        for move in moves:
+            target = move_system(target, move)
+        twin = expected[0] if target.mode is TheoryMode.BCT else oracle.plus_twin(expected[0])
+        assert coder(target).raw_index(moved[0]) == coder(target).index(twin)
+
+
+@ORACLE
+@given(system=systems(), pick=st.integers(0, 10 ** 6))
+def test_every_single_move_at_every_path(system, pick):
+    index = pick % coder(system).dim
+    for path in paths(system) + ["0", "1", "00"]:
+        for kind in KINDS:
+            assert_agree(system, index, [Move(kind, path)])
+
+
+@ORACLE
+@given(system=systems(leaves=(2, 5)), data=st.data())
+def test_walks_the_shape_admits(system, data):
+    index = data.draw(st.integers(0, coder(system).dim - 1))
+    moves, shape = [], system
+    for _ in range(data.draw(st.integers(1, 8))):
+        move = data.draw(st.sampled_from(fitting(shape)))
+        moves.append(move)
+        shape = move_system(shape, move)
+    assert_agree(system, index, moves)
+
+
+arbitrary_moves = st.lists(st.builds(Move, st.sampled_from(KINDS),
+                                     st.text(alphabet="01", max_size=4)), max_size=6)
+
+
+@ORACLE
+@given(system=systems(), pick=st.integers(0, 10 ** 6), moves=arbitrary_moves)
+def test_arbitrary_moves_agree_or_are_refused_alike(system, pick, moves):
+    assert_agree(system, pick % coder(system).dim, moves)
+
+
+@pytest.mark.parametrize("raw, kind, path, message", [
+    (1, MoveKind.BRAID, "", "braid needs a node"),
+    (0, MoveKind.ASSOC_L, "", "assoc left needs shape (x (y z))"),
+    ((1, (2, 3, -1), 1), MoveKind.ASSOC_R, "", "assoc right needs shape ((x y) z)"),
+    (((1, 2, -1), 3, 1), MoveKind.ASSOC_L, "", "assoc left needs shape (x (y z))"),
+    (((1, 2, -1), 3, 1), MoveKind.BRAID, "10", "path '10' leaves the label"),
+], ids=["braid-leaf", "assoc-unit", "assoc-r-flat-left", "assoc-l-flat-right", "path-off"])
+def test_each_shape_error_is_kept(raw, kind, path, message):
+    for run, arg in ((apply_moves_raw, raw), (apply_moves_tracked, label_of(raw)),
+                     (oracle.apply_moves_tracked, label_of(raw))):
+        with pytest.raises(ValueError) as refused:
+            run(arg, [Move(kind, path)])
+        assert str(refused.value) == message

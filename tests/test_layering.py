@@ -8,7 +8,7 @@ check keeps it that way.
 The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses.
 README states every bound as configured.
-The coherence checks use the label-level calculus, never the transport
+The coherence checks use the calculus itself, never the transport
 that memoises it.  Every definition in the package is reached from the
 package, the benchmark or the public API, or is kept for a stated reason,
 and no module of the package or the tests imports a name it never reads.
@@ -89,11 +89,12 @@ def names_used(tree: ast.AST) -> set[str]:
 
 
 def test_coherence_checks_the_calculus_without_the_tables():
-    """Pentagon and hexagon test the label-level moves themselves, so the
-    coherence module never reaches the transport that memoises them."""
+    """Pentagon and hexagon test the moves themselves (the calculus's one
+    body, on raw labels), so the coherence module never reaches the
+    transport that memoises them."""
     source = next(p for p in SOURCES if p.name == "coherence.py")
     used = names_used(ast.parse(source.read_text()))
-    assert "apply_moves_tracked" in used
+    assert "apply_moves_raw" in used
     assert used & TABLE_NAMES == set()
 
 
@@ -141,13 +142,15 @@ def elimination_functions(tree: ast.Module, roots: set[str]) -> list[ast.Functio
 
 
 def test_rank_eliminates_without_fractions():
-    """`tomography.rank` and `span_report` work on integer rows: no function
-    of the ranks (the families, the elimination, each family's count and
-    the union's incidence rank) names a rational constant or constructor,
-    or has a true division, which on ints gives a float."""
+    """`tomography.rank`, `span_report`, `delta2` and
+    `verify_strict_bilocality` work on integer rows: no function of the
+    ranks (the families, the elimination, each family's count and the
+    union's incidence rank) names a rational constant or constructor, or has
+    a true division, which on ints gives a float."""
     source = next(p for p in SOURCES if p.name == "tomography.py")
-    functions = elimination_functions(ast.parse(source.read_text()), {"rank", "span_report"})
-    assert {f.name for f in functions} >= {"rank", "_rank", "_echelon", "_independent_rows",
+    functions = elimination_functions(ast.parse(source.read_text()), {
+        "rank", "span_report", "delta2", "verify_strict_bilocality"})
+    assert {f.name for f in functions} >= {"rank", "_echelon", "_independent_rows",
                                            "_incidence_rank", "span_report",
                                            "_tripartite_families", "_products", "_basis"}
     for function in functions:
@@ -162,7 +165,7 @@ INT_BODIES = {
                   "is_separable", "unit_effect", "discriminating_instrument",
                   "weight", "vectors_equal", "lowest_terms", "_trusted"},
     "kernels.py": {"apply", "state_kernel"},
-    "tomography.py": {"rank", "_rank", "_basis", "_products", "product_states",
+    "tomography.py": {"rank", "_basis", "_products", "product_states",
                       "_tripartite_families", "corollary_nab"},
     "dilation.py": {"_sum_to_unit", "_reproduces", "decompose_channel"},
 }

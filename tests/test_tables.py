@@ -2,9 +2,9 @@
 
 `labels.transport` serves (moved index, flip) for the basis indices of a
 system, one transport per active fault, system and move sequence, read off
-`apply_moves_tracked` on a few probe labels; `enumerate_pure_labels` decodes
-a system's basis with its coder, which keeps the labels it decodes.  These
-tests hold both to the reference: the same entry as the calculus for every
+the calculus on a few raw probe labels; `enumerate_pure_labels` decodes a
+system's basis with its coder.  These tests hold both to the reference: the
+same entry as the frozen object calculus (`label_calculus_oracle`) for every
 index under every fault, nothing enumerated to transport a sparse vector,
 the same suite reports in one process as in fresh ones, bases that callers
 cannot change, and hashes that survive pickling into a process with another
@@ -31,7 +31,6 @@ from bct.kernels import random_instrument
 from bct.labels import (
     LeafLabel,
     NodeLabel,
-    PureLabel,
     apply_moves_tracked,
     basis_indices,
     coder,
@@ -53,6 +52,8 @@ from bct.systems import (
     subtree_at,
 )
 
+import label_calculus_oracle as oracle
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 FAULTS = (None,) + faults.KNOWN_FAULTS
 
@@ -72,13 +73,6 @@ def subtree_paths(system: SystemTree, prefix: str = "") -> list[str]:
             *subtree_paths(system.right, prefix + "1")]
 
 
-def plus_twin(label: PureLabel) -> PureLabel:
-    """`label` with every sign set to +."""
-    if not isinstance(label, NodeLabel):
-        return label
-    return NodeLabel(plus_twin(label.left), plus_twin(label.right), 1)
-
-
 shapes = st.recursive(st.sampled_from((2, 3)), lambda inner: st.tuples(inner, inner),
                       max_leaves=4)
 
@@ -87,8 +81,8 @@ shapes = st.recursive(st.sampled_from((2, 3)), lambda inner: st.tuples(inner, in
 @given(shape=shapes.filter(lambda s: not isinstance(s, int)),
        mode=st.sampled_from(tuple(TheoryMode)), pick=st.integers(0, 100))
 def test_transports_match_the_calculus_under_every_fault(shape, mode, pick):
-    """The entry at index i of a transport is the index and flip of
-    `apply_moves_tracked` on the label at index i, both ways of a regroup.
+    """The entry at index i of a transport is the index and flip of the
+    frozen object calculus on the label at index i, both ways of a regroup.
     In CT a faulted braid writes a - sign, and the transport reads the moved
     label as its + twin."""
     system = build(shape, mode)
@@ -105,9 +99,9 @@ def test_transports_match_the_calculus_under_every_fault(shape, mode, pick):
                     continue
                 index = coder(moved).index
                 for i, label in enumerate(enumerate_pure_labels(start)):
-                    tracked, flip = apply_moves_tracked(label, sequence)
+                    tracked, flip = oracle.apply_moves_tracked(label, sequence)
                     if mode is TheoryMode.CT:
-                        tracked = plus_twin(tracked)
+                        tracked = oracle.plus_twin(tracked)
                     assert table[i] == (index(tracked), flip)
 
 
@@ -146,10 +140,10 @@ def test_a_pure_state_above_the_bound_regroups_and_steers(monkeypatch):
         label = NodeLabel(label, LeafLabel(index), sign)
     rho = pure_state(system, label)
     moves = regroup(system, "001")
-    probes = []
-    monkeypatch.setattr(labels, "apply_moves_tracked",
-                        lambda label, moves: probes.append(label) or apply_moves_tracked(label, moves))
     regrouped = apply_moves_tracked(label, moves)[0]
+    probes, probe = [], labels._Transport._probe
+    monkeypatch.setattr(labels._Transport, "_probe",
+                        lambda table, index: probes.append(index) or probe(table, index))
     assert apply_moves_to_vector(rho, moves).coeffs == {regrouped: 1}
     effect = point_effect(subtree_at(system, "001"), regrouped.left)
     assert apply_effect_at(effect, rho, "001").coeffs == {regrouped.right: 1}
@@ -218,11 +212,9 @@ def test_basis_indices_are_ints_shared_by_every_caller():
         basis_indices(big, bound=11)
 
 
-def test_label_hash_is_cached_and_structural():
+def test_label_hash_is_structural():
     label = NodeLabel(LeafLabel(1), NodeLabel(LeafLabel(2), LeafLabel(1), -1), 1)
-    assert label._hash is None
     assert hash(label) == hash((label.left, label.right, label.sign))
-    assert label._hash == hash(label)
     twin = NodeLabel(LeafLabel(1), NodeLabel(LeafLabel(2), LeafLabel(1), -1), 1)
     assert twin == label and {label: 1}[twin] == 1
     assert repr(twin) == ("NodeLabel(left=LeafLabel(index=1), right=NodeLabel("
@@ -271,7 +263,6 @@ def test_pickles_hit_a_dict_under_another_hash_seed():
 
     data = run(PICKLE_WRITER, "1")
     label, system = pickle.loads(data)
-    assert label._hash is not None
     # the system carries the hash cached in the writer, made of ints only
     assert system._hash == hash(compose_systems(left_comb([2, 3]),
                                                 leaf(3, name="program")))

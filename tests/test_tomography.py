@@ -18,9 +18,9 @@ from bct.states import (
 )
 from bct.systems import TheoryMode, bibit, compose_systems, leaf
 from bct.tomography import (
+    _echelon,
     _incidence_rank,
     _independent_rows,
-    _rank,
     _tripartite_families,
     corollary_nab,
     delta2,
@@ -90,6 +90,11 @@ def sympy_rank(rows):
     return matrix.rank()
 
 
+def eliminated_rank(rows):
+    """The rank of int rows by the elimination of `rank`, leaving them unchanged."""
+    return len(_echelon([dict(row) for row in rows], {}))
+
+
 SPARSE = leaf(5)
 SPARSE_LABELS = enumerate_pure_labels(SPARSE)
 sparse_rows = st.dictionaries(
@@ -123,7 +128,7 @@ class TestRankOracle:
         rows = dict(_tripartite_families(*(leaf(d, mode) for d in dims)))
         union = [row for family in rows.values() for row in family]
         for family in (*rows.values(), union):
-            assert _rank(family) == sympy_rank(family)
+            assert eliminated_rank(family) == sympy_rank(family)
         report = span_report(*(leaf(d, mode) for d in dims))
         assert report.class_ranks == {
             **{name: sympy_rank(family) for name, family in rows.items()},
@@ -148,7 +153,7 @@ class TestRankOracle:
         n, rows, cuts = drawn
         families = [(f"part{k}", rows[start:end])
                     for k, (start, end) in enumerate(zip([0, *cuts], [*cuts, len(rows)]))]
-        assert _incidence_rank(families, n) == sympy_rank(rows) == _rank(rows)
+        assert _incidence_rank(families, n) == sympy_rank(rows) == eliminated_rank(rows)
 
 
 class TestStructureRefusals:
@@ -237,20 +242,20 @@ class TestSpanReportRanks:
     @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
     def test_class_ranks_match_rank_of_each_family_and_the_union(self, mode, fault):
         """`span_report` counts each family's rows and ranks the union of
-        three families as an incidence matrix; `_rank` eliminates every
-        row of each family and of all four, `products` included, on every
-        triple of {2,3,4,5}^3."""
+        three families as an incidence matrix; `eliminated_rank` eliminates
+        every row of each family and of all four, `products` included, on
+        every triple of {2,3,4,5}^3."""
         for dims in itertools.product((2, 3, 4, 5), repeat=3):
             systems = [leaf(d, mode) for d in dims]
             with faults.inject_fault(fault):
                 report = span_report(*systems)
                 rows = dict(_tripartite_families(*systems))
-            union = _rank(row for family in rows.values() for row in family)
+            union = eliminated_rank(row for family in rows.values() for row in family)
             assert report.class_ranks == {
-                **{name: _rank(family) for name, family in rows.items()},
+                **{name: eliminated_rank(family) for name, family in rows.items()},
                 "union": union}, dims
-            assert union == _rank(row for name, family in rows.items() if name != "products"
-                                  for row in family), dims
+            assert union == eliminated_rank(row for name, family in rows.items()
+                                            if name != "products" for row in family), dims
 
 
 def basis_states(system):
