@@ -58,10 +58,15 @@ CATALOGUE = [
            "key = (faults.active_fault(), system, tuple(moves))",
            "key = (None, system, tuple(moves))",
            ("tests/test_tables.py::test_a_transport_belongs_to_its_fault",)),
-    Mutant("effect-entry-without-u", "kernels.py",
+    Mutant("effect-entry-without-u", "labels.py",
            "z, tau = e, tau * u",
            "z, tau = e, tau",
            ("tests/test_kernels.py::TestParallel::test_effects_commute_with_extension",)),
+    Mutant("steering-trusts-a-generalized-effect", "states.py",
+           "    return StateVector._checked(*out)",
+           "    return StateVector._trusted(*out)",
+           ("tests/test_states.py::TestTrustedConstruction::"
+            "test_negative_generalized_effect_is_refused",)),
     Mutant("scalar-with-two-signs", "states.py",
            "join, signs = (lambda i, j, _sign: i + j), (PLUS,)",
            "join, signs = (lambda i, j, _sign: i + j), (-1, 1)",

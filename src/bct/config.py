@@ -39,8 +39,14 @@ _SHOWN = 80
 def shown(value: object, quoted: bool = True) -> str:
     """`value` as an error message echoes it, cut after _SHOWN characters
     and marked "..." where cut: a string's repr (the string itself if not
-    `quoted`), or any other value's repr."""
-    text = value if isinstance(value, str) else repr(value)
+    `quoted`), or any other value's repr.  A far longer int (which `repr`
+    refuses past the interpreter's digit limit) has its digits cut by
+    arithmetic first, keeping a few more than are shown."""
+    if type(value) is int and value.bit_length() > 4 * _SHOWN:
+        drop = value.bit_length() * 30103 // 100000 - _SHOWN - 3  # log10(2) = 0.30103
+        text = "-" * (value < 0) + repr(abs(value) // 10 ** drop)
+    else:
+        text = value if isinstance(value, str) else repr(value)
     cut = repr(text[:_SHOWN]) if quoted and isinstance(value, str) else text[:_SHOWN]
     return cut + "..." if len(text) > _SHOWN else cut
 

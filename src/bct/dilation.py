@@ -58,6 +58,7 @@ from .states import (
     apply_moves_to_vector,
     int_coeffs,
     lowest_terms,
+    sum_to_unit,
     tensor_states,
 )
 from .systems import (
@@ -310,23 +311,11 @@ def realize_instrument(instrument: Instrument,
 
     verified = verify and (_reproduces(processor, sigma,
                                        list(zip(effects, instrument.branches)))
-                           and _sum_to_unit(effects)
+                           and sum_to_unit(effects)
                            and sigma.is_deterministic)
 
     return DilationResult(processor, sigma, tuple(effects), instrument.outcomes,
                           dict(mu), dict(zip(instrument.outcomes, tables)), verified)
-
-
-def _sum_to_unit(effects: Sequence[EffectVector]) -> bool:
-    """The effects sum to the unit effect: one on every index of their system."""
-    den = lcm(*(e.den for e in effects))
-    total: dict[int, int] = {}
-    for e in effects:
-        scale = den // e.den
-        for x, n in e.nums.items():
-            total[x] = total[x] + n * scale if x in total else n * scale
-    return (len(total) == dimension(effects[0].system)
-            and all(n == den for n in total.values()))
 
 
 def _reproduces(processor: UniversalProcessor, sigma: StateVector,

@@ -15,13 +15,11 @@ hold equal ints.  The calculus below runs on these ints alone.  `rows` is a
 read-only view of the same kernel keyed by label, with `Fraction` weights in
 lowest terms built on each read, for the API, `serial` and reports.
 
-Applying a kernel at a subtree works through the regrouping calculus: bring
-the subtree to the head of a bipartition, replace (a e)_u by (b e)_{tau*u},
-and regroup back; on indices the regroupings are read from
-`labels.transport`, as they are for vectors.  An effect (trivial
-output) joins no node, so u becomes its flip; a preparation (trivial
-input) splits the fresh sign evenly (a scalar has the one sign +), which is
-exactly the state composition rule read as a kernel.
+A kernel acts at a subtree through the one regroup-apply engine,
+`labels.act_rows`, and its image of a vector is `states.image`, which
+steering by an effect runs on too.  A preparation (trivial input) splits the
+fresh sign evenly (a scalar has the one sign +), which is exactly the state
+composition rule read as a kernel.
 Parallel composition is one rule on indices: input (i j)_s pairs the
 entries (y1, tau1) of row i of k1 and (y2, tau2) of row j of k2, and goes
 to ((y1 y2)_{s*tau1*tau2}, tau1), so the flip of k1 escapes and that of k2
@@ -43,35 +41,39 @@ from . import faults
 from .labels import (
     PLUS,
     Coder,
+    IntRow,
+    IntRows,
     PureLabel,
     UNIT,
+    act_rows,
     basis_size,
     coder,
     enumerate_pure_labels,
-    invert_moves,
     joined,
     label_text,
     label_to_str,
     node_signs,
-    regroup,
-    transport,
 )
-from .states import GeneralizedVector, StateVector, ONE, int_coeffs, lowest_terms
+from .states import (
+    GeneralizedVector,
+    StateVector,
+    ONE,
+    discriminating_instrument,
+    image,
+    int_coeffs,
+    lowest_terms,
+)
 from .systems import (
     SystemTree,
     TheoryMode,
     Trivial,
     compose_systems,
-    delete_at,
     dimension,
-    replace_at,
     subtree_at,
 )
 
 Entry = tuple[PureLabel, int]
 Rows = dict[PureLabel, dict[Entry, Fraction]]
-IntRow = dict[tuple[int, int], int]
-IntRows = Mapping[int, IntRow]
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,86 +430,21 @@ def extend_at(kernel: Kernel, system: SystemTree, at: str) -> Kernel:
         raise ValueError("kernel input does not match the selected subtree")
     if at == "":
         return kernel
-    rows = _act_rows(kernel, system, at, range(basis_size(system)))
-    return Kernel._trusted(system, _result_system(kernel, system, at),
-                           *_lowest(rows, kernel.den))
-
-
-def _result_system(kernel: Kernel, system: SystemTree, at: str) -> SystemTree:
-    if isinstance(kernel.out_system, Trivial):
-        return delete_at(system, at)
-    return replace_at(system, at, kernel.out_system)
-
-
-def _act_rows(kernel: Kernel, system: SystemTree, at: str,
-              inputs: Iterable[int]) -> dict[int, IntRow]:
-    """The int rows, for the `inputs` indices of `system`, of `kernel` acting
-    at the subtree at `at`, over the kernel's denominator.
-
-    Regroup each input to (a e)_u, split by the coder of the regrouped
-    system, replace it by (b e)_{tau*u}, and regroup back; an entry is keyed
-    (output index, environment flip).  An effect joins no node: (0, +)
-    goes to (e, flip * u), as a trivial B does in `parallel_compose`.
-    """
-    moves = regroup(system, at)
-    regrouped, there = transport(system, moves)
-    target = coder(regrouped)
-    split = target.split
-    bct = kernel.mode is TheoryMode.BCT
-    rows = kernel.nums
-    join = back = None
-    if not isinstance(kernel.out_system, Trivial):
-        join = joined(kernel.coders[1], target.right).join
-        if there is not None:
-            back = transport(compose_systems(kernel.out_system, regrouped.right),
-                             invert_moves(moves))[1]
-    out_rows: dict[int, IntRow] = {}
-    for x in inputs:
-        y, flip = (x, PLUS) if there is None else there[x]
-        a, e, u = split(y)
-        row = rows.get(a)
-        if not row:
-            continue
-        out: IntRow = {}
-        for (b, tau), n in row.items():
-            if join is None:
-                z, tau = e, tau * u
-            else:
-                z = join(b, e, tau * u)
-                if back is not None:
-                    z, back_flip = back[z]
-                    tau *= back_flip
-            key = (z, flip * tau if bct else PLUS)
-            out[key] = out[key] + n if key in out else n
-        out_rows[x] = out
-    return out_rows
+    out, rows = act_rows(kernel.nums, kernel.out_system, system, at,
+                         range(basis_size(system)))
+    return Kernel._trusted(system, out, *_lowest(rows, kernel.den))
 
 
 def apply(kernel: Kernel, rho: GeneralizedVector, at: str = "") -> GeneralizedVector:
-    """Apply a kernel at a subtree of the state's system.
-
-    On the full state environment flips are unobservable; when the output is
-    trivial (an effect) the pairing sign is discarded, and when the whole
-    tree is consumed tau is marginalized.  A state maps to a state, valid
-    because the rows are sub-stochastic; any other vector of the span maps
-    to a `GeneralizedVector`, whose positivity and weight are left to the
-    caller to judge.
-    """
+    """Apply a kernel at a subtree of the state's system: its image
+    (`states.image`), with every flip summed out.  A state maps to a state,
+    valid because the rows are sub-stochastic; any other vector of the span
+    maps to a `GeneralizedVector`, whose positivity and weight are left to
+    the caller to judge."""
     if kernel.in_system != subtree_at(rho.system, at):
         raise ValueError("kernel input does not match the selected subtree")
-    image = StateVector if isinstance(rho, StateVector) else GeneralizedVector
-    if at == "":
-        system, rows = kernel.out_system, kernel.nums
-    else:
-        system = _result_system(kernel, rho.system, at)
-        rows = _act_rows(kernel, rho.system, at, rho.nums)
-    out: dict[int, int] = {}
-    for x, n in rho.nums.items():
-        row = rows.get(x)
-        if row:
-            for (b, _tau), w in row.items():
-                out[b] = out[b] + w * n if b in out else w * n
-    return image._trusted(system, *lowest_terms(out, rho.den * kernel.den))
+    cls = StateVector if isinstance(rho, StateVector) else GeneralizedVector
+    return cls._trusted(*image(kernel.nums, kernel.den, kernel.out_system, rho, at))
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +562,13 @@ def conditional_compose(first: Instrument,
 
 
 def discriminating_measurement(system: SystemTree) -> Instrument:
-    """Measure-and-forget: one effect branch per pure label."""
-    basis = enumerate_pure_labels(system)
-    branches = tuple(Kernel(system, Trivial(system.mode), {label: {(UNIT, 1): ONE}})
-                     for label in basis)
-    return Instrument(branches, tuple(basis))
+    """Measure-and-forget: one effect branch per pure label, the effects of
+    `states.discriminating_instrument` read as kernels into the trivial system."""
+    trivial = Trivial(system.mode)
+    branches = tuple(
+        Kernel._trusted(system, trivial, {a: {(0, PLUS): n} for a, n in e.nums.items()}, e.den)
+        for e in discriminating_instrument(system))
+    return Instrument(branches, tuple(enumerate_pure_labels(system)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,15 @@ Vectors and kernels are stored on basis indices: `Coder` numbers the pure
 labels of a system in the canonical order by closed form, and
 `enumerate_pure_labels` reads the basis off it.  `transport` carries basis
 indices along a move sequence; it is read off the calculus, which stays the
-reference semantics, on a few raw probe labels.
+reference semantics, on a few raw probe labels.  `act_rows`, the one
+regroup-apply engine, composes `regroup` and `transport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import faults
 from .config import max_dim, shown
@@ -45,7 +46,11 @@ from .systems import (
     Node,
     SystemTree,
     TheoryMode,
+    Trivial,
+    compose_systems,
+    delete_at,
     dimension,
+    replace_at,
     subtree_at,
 )
 
@@ -527,3 +532,55 @@ def regroup(system: SystemTree, target: str) -> list[Move]:
 
     return _regroup(system, target, "")
 
+
+IntRow = dict[tuple[int, int], int]
+IntRows = Mapping[int, IntRow]
+
+
+def act_rows(rows: IntRows, out_system: SystemTree, system: SystemTree, at: str,
+             inputs: Iterable[int]) -> tuple[SystemTree, IntRows]:
+    """The one regroup-apply engine: a map with int `rows` from the subtree
+    of `system` at `at` to `out_system`, acting there.  Returns the system
+    it leaves, and its rows on the `inputs` indices of `system` (on the
+    whole tree, its own), over its denominator, keyed (output index, flip).
+
+    Each input is regrouped to (a e)_u (by `transport`), split, replaced by
+    (b e)_{tau*u} and regrouped back.  An effect (trivial output) joins no
+    node: (0, +) goes to (e, flip * u), its node's sign becoming the flip.
+    """
+    if at == "":
+        return out_system, rows
+    moves = regroup(system, at)
+    regrouped, there = transport(system, moves)
+    target = coder(regrouped)
+    split = target.split
+    bct = system.mode is TheoryMode.BCT
+    join = back = None
+    if isinstance(out_system, Trivial):
+        result = delete_at(system, at)
+    else:
+        result = replace_at(system, at, out_system)
+        join = joined(coder(out_system), target.right).join
+        if there is not None:
+            back = transport(compose_systems(out_system, regrouped.right),
+                             invert_moves(moves))[1]
+    out_rows: dict[int, IntRow] = {}
+    for x in inputs:
+        y, flip = (x, PLUS) if there is None else there[x]
+        a, e, u = split(y)
+        row = rows.get(a)
+        if not row:
+            continue
+        out: IntRow = {}
+        for (b, tau), n in row.items():
+            if join is None:
+                z, tau = e, tau * u
+            else:
+                z = join(b, e, tau * u)
+                if back is not None:
+                    z, back_flip = back[z]
+                    tau *= back_flip
+            key = (z, flip * tau if bct else PLUS)
+            out[key] = out[key] + n if key in out else n
+        out_rows[x] = out
+    return result, out_rows

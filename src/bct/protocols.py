@@ -41,8 +41,8 @@ from .states import (
     pair,
     point_effect,
     pure_state,
+    sum_to_unit,
     tensor_states,
-    unit_effect,
 )
 from .systems import (
     SystemTree,
@@ -157,12 +157,7 @@ def capacity_report(n: int, mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport
     if d <= min(512, max_dim()):
         basis = enumerate_pure_labels(system)
         structural = len(basis) == d and len(set(basis)) == d
-        total = unit_effect(system)
-        summed: dict[PureLabel, Fraction] = {}
-        for x in basis:
-            for label, value in point_effect(system, x).coeffs.items():
-                summed[label] = summed[label] + value if label in summed else value
-        structural &= summed == total.coeffs
+        structural &= sum_to_unit([point_effect(system, x) for x in basis])
     if d <= min(64, max_dim()):
         for x in basis:
             for y in basis:

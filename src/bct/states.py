@@ -8,10 +8,12 @@ factor with all the numerators), so equal vectors hold equal ints.  The
 composition rule |i>|j> = 1/2 sum_s (ij)_s keeps every product dyadic, and
 the calculus below works on the ints alone: products join indices (a
 scalar factor needs no case of its own: the trivial system's one index is
-0), transports read `labels.transport`, and steering and marginals split
-the regrouped index.  The constructors take label-keyed coefficients, and
-`coeffs` and `v[label]` read them back as exact `Fraction`s in lowest
-terms, built anew on each read, for the API, `serial` and reports.
+0), transports read `labels.transport`, marginals split the regrouped
+index, and kernel images and steering are one rule, `image`, on the
+regroup-apply engine `labels.act_rows`.  The constructors take label-keyed
+coefficients, and `coeffs` and `v[label]` read them back as exact
+`Fraction`s in lowest terms, built anew on each read, for the API, `serial`
+and reports.
 
 Nothing here ever renormalizes.  The null state is the empty coefficient
 map.  Sub-normalized states are first-class (they are what instrument
@@ -23,12 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .labels import (
     PLUS,
+    IntRows,
     Move,
     PureLabel,
+    act_rows,
     basis_indices,
     basis_size,
     coder,
@@ -42,7 +46,7 @@ from .systems import (
     SystemTree,
     Trivial,
     compose_systems,
-    delete_at,
+    dimension,
     subtree_at,
 )
 
@@ -212,19 +216,14 @@ def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> Generaliz
 
 
 def pair(effect: GeneralizedVector, rho: GeneralizedVector) -> Fraction:
-    return Fraction(*_paired(effect, rho))
-
-
-def _paired(effect: GeneralizedVector, rho: GeneralizedVector) -> tuple[int, int]:
-    """(effect | rho) as an int over the product of the two denominators."""
+    """(effect | rho), summed over the smaller of the two index maps."""
     if effect.system != rho.system:
         raise ValueError("effect and state live on different systems")
     if len(effect.nums) < len(rho.nums):
         small, big = effect.nums, rho.nums
     else:
         small, big = rho.nums, effect.nums
-    return (sum(n * big[x] for x, n in small.items() if x in big),
-            effect.den * rho.den)
+    return Fraction(sum(n * big[x] for x, n in small.items() if x in big), effect.den * rho.den)
 
 
 def apply_moves_to_vector(vector: GeneralizedVector, moves: list[Move]) -> GeneralizedVector:
@@ -237,32 +236,34 @@ def apply_moves_to_vector(vector: GeneralizedVector, moves: list[Move]) -> Gener
                                  vector.den)
 
 
-def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> StateVector:
-    """Contract a local effect against the subtree at `at` (steering).
+def image(rows: IntRows, den: int, out_system: SystemTree, vector: GeneralizedVector,
+          at: str) -> tuple[SystemTree, Nums, int]:
+    """The system and canonical ints of the image of `vector` under a map
+    with int `rows` over `den` into `out_system`, acting at the subtree at
+    `at` (`labels.act_rows`).  Flips are unobservable on the whole image, so
+    each entry's is summed out."""
+    system, rows = act_rows(rows, out_system, vector.system, at, vector.nums)
+    out: Nums = {}
+    for x, n in vector.nums.items():
+        row = rows.get(x)
+        if row:
+            for (b, _tau), w in row.items():
+                out[b] = out[b] + w * n if b in out else w * n
+    return (system, *lowest_terms(out, vector.den * den))
 
-    The pairing sign of the regrouped two-factor form is discarded, matching
-    the sign independence of local effects.  With `at` the whole tree the
-    result is a scalar wrapped as a state of the trivial system.
-    """
-    part = subtree_at(rho.system, at)
-    if effect.system != part:
+
+def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> StateVector:
+    """Contract a local effect against the subtree at `at` (steering): the
+    image of `rho` under the effect read as a map into the trivial system,
+    whose pairing sign is discarded, as local effects are sign independent.
+    With `at` the whole tree the result is a scalar, a trivial state."""
+    if effect.system != subtree_at(rho.system, at):
         raise ValueError("effect system does not match the selected subtree")
-    if at == "":
-        num, den = _paired(effect, rho)
-        system, out = Trivial(rho.system.mode), {0: num}
-    else:
-        system, out, den = delete_at(rho.system, at), {}, effect.den * rho.den
-        weights = effect.nums
-        moved = apply_moves_to_vector(rho, regroup(rho.system, at))
-        split = coder(moved.system).split
-        for y, n in moved.nums.items():
-            a, rest, _u = split(y)
-            e = weights.get(a)
-            if e is not None:
-                out[rest] = out[rest] + e * n if rest in out else e * n
+    rows = {a: {(0, PLUS): n} for a, n in effect.nums.items()}
+    out = image(rows, effect.den, Trivial(rho.system.mode), rho, at)
     if isinstance(effect, EffectVector) and isinstance(rho, StateVector):
-        return StateVector._trusted(system, *lowest_terms(out, den))
-    return StateVector._checked(system, *lowest_terms(out, den))
+        return StateVector._trusted(*out)
+    return StateVector._checked(*out)
 
 
 def marginal(rho: StateVector, keep: str) -> StateVector:
@@ -296,6 +297,17 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
         if n != table.get(regrouped.join(a, e, -u), 0):
             return False
     return True
+
+
+def sum_to_unit(effects: Sequence[EffectVector]) -> bool:
+    """The effects sum to the unit effect: one on every index of their system."""
+    den = lcm(*(e.den for e in effects))
+    total: Nums = {}
+    for e in effects:
+        scale = den // e.den
+        for x, n in e.nums.items():
+            total[x] = total[x] + n * scale if x in total else n * scale
+    return len(total) == dimension(effects[0].system) and all(n == den for n in total.values())
 
 
 def discriminating_instrument(system: SystemTree) -> list[EffectVector]:

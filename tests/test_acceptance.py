@@ -22,6 +22,7 @@ from bct.kernels import (
     Kernel,
     add_kernels,
     apply,
+    conditional_compose,
     extend_at,
     is_atomic,
     is_deterministic,
@@ -31,6 +32,7 @@ from bct.kernels import (
     parallel_compose,
     random_instrument,
     random_kernel,
+    random_state,
     reversible_kernel,
     sequential_compose,
     validate_instrument,
@@ -278,7 +280,6 @@ def test_ac12_separability_structure_exhaustive():
                 ok &= is_separable(product)
                 ok &= all(not is_separable(pure_state(ab, x))
                           for x in product.coeffs)
-        from bct.kernels import random_state
 
         for _ in range(3):
             mixture = tensor_states(random_state(rng, a), random_state(rng, b))
@@ -293,8 +294,6 @@ def test_ac12_separability_structure_exhaustive():
 def test_ac13_conditional_instruments_100_compositions():
     start = time.time()
     rng = random.Random(13)
-    from bct.kernels import conditional_compose
-
     ok = True
     for _ in range(100):
         da, db, dc = (rng.choice((2, 3)) for _ in range(3))

@@ -10,6 +10,7 @@ import bct.cli
 import bct.tomography
 from bct.cli import main
 from bct.coherence import DEFAULT_HEXAGON_DIMS
+from bct.config import shown
 from bct.kernels import random_instrument
 from bct.serial import dumps, vector_to_json
 from bct.states import StateVector
@@ -415,13 +416,41 @@ DIGITS = "9" * 4000
      f"dimension {str(16 * int(DIGITS))[:80]}... exceeds enumeration bound 4096"),
     (["coherence", "--dims-matrix", f"2,2,-{DIGITS}"],
      f"elementary systems need dim >= 2, got -{DIGITS[:79]}..."),
-], ids=["sign", "index", "dimension", "elementary-dim"])
+    # the comb (2 D) D has dimension 8 D^2 = 8 * 10^8000 - 16 * 10^4000 + 8,
+    # 8001 digits, past the 4300 that `str` writes: a 7, then nines
+    (["coherence", "--dims-matrix", f"2,{DIGITS},{DIGITS}"],
+     f"dimension 7{'9' * 79}... exceeds enumeration bound 4096"),
+], ids=["sign", "index", "dimension", "elementary-dim", "dimension-past-the-digit-limit"])
 def test_a_long_value_is_echoed_cut(capsys, argv, message):
     """A value the command line gives whole is echoed as `serial.shown`
     cuts it: its first 80 characters, then "..."."""
     assert main([*argv, "--quiet"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", [
+    0, 7, 10 ** 79, 10 ** 80 - 1, 10 ** 80, 3 ** 167, 2 ** 320, 2 ** 321, 10 ** 96, 10 ** 97,
+    int("1234567890" * 400),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_shown_echoes_an_int_as_its_repr_cut(value, sign):
+    """An int is echoed as the first 80 characters of its repr, then "..."
+    if cut, whichever way `shown` reaches its digits."""
+    text = repr(sign * value)
+    assert shown(sign * value) == text[:80] + ("..." if len(text) > 80 else "")
+
+
+@pytest.mark.parametrize("value, echo", [
+    (10 ** 5000, "1" + "0" * 79),
+    (-(10 ** 5000 - 1), "-" + "9" * 79),
+    (int("1234567890" * 400) * 10 ** 3000, "1234567890" * 8),
+    (2 * (10 ** 4000 - 1) ** 2, "1" + "9" * 79),
+], ids=["power-of-ten", "negative-nines", "digits-then-zeros", "bct-composite"])
+def test_shown_echoes_an_int_past_the_digit_limit(value, echo):
+    """An int too long for `str` to write whole is echoed all the same, as
+    a shorter one is: its first 80 characters, then "..."."""
+    assert shown(value) == echo + "..."
 
 
 def test_an_exception_without_a_rule_is_an_internal_error(monkeypatch, capsys):

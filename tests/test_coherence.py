@@ -120,8 +120,6 @@ def test_reports_deterministic():
 
 
 def test_fault_context_restores_cleanly():
-    from bct.faults import active_fault
-
     assert active_fault() is None
     with pytest.raises(RuntimeError):
         with inject_fault(BRAID_SIGN):

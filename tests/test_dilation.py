@@ -24,12 +24,13 @@ from bct.kernels import (
     kernels_equal,
     null_kernel,
     random_instrument,
+    random_state,
     reversible_kernel,
     sequential_compose,
 )
 from bct.labels import UNIT, LeafLabel, NodeLabel, coder, enumerate_pure_labels, node_signs
-from bct.states import marginal, pure_state, unit_effect, vectors_equal
-from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf
+from bct.states import EffectVector, marginal, pure_state, unit_effect, vectors_equal
+from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf, trivial
 
 import fraction_kernels
 from kernel_helpers import function_channel, inverse, random_deterministic_kernel, scaled
@@ -103,8 +104,6 @@ class TestProcessor:
             assert target == NodeLabel(NodeLabel(sigma, lab(i), 1), lab(i), 1)
 
     def test_trivial_endpoint_rejected(self):
-        from bct.systems import trivial
-
         with pytest.raises(ValueError):
             build_processor(A, trivial())
 
@@ -437,8 +436,6 @@ class TestProgrammedAtomics:
         self.sigma = program_sigma(self.proc, [(self.fl, F(1))])
 
     def test_product_effect_cuts_out_the_atomic(self):
-        from bct.states import EffectVector
-
         for i_pick in (1, 2):
             coeffs = {NodeLabel(self.proc.program_index[self.fl],
                                 lab(i_pick), s): F(1) for s in (-1, 1)}
@@ -448,8 +445,6 @@ class TestProgrammedAtomics:
                 (lab(self.fl.h[i_pick - 1]), self.fl.xi[i_pick - 1]): F(1)}}
 
     def test_point_effect_halves_the_weight(self):
-        from bct.states import EffectVector
-
         for i_pick in (1, 2):
             for s1 in (-1, 1):
                 effect = EffectVector(
@@ -465,8 +460,6 @@ class TestSandwichConverse:
     def test_arbitrary_sandwiches_yield_valid_kernels(self):
         """Any deterministic program state and any effect on the output
         ancilla cut a valid classified kernel out of the processor."""
-        from bct.kernels import random_state
-        from bct.states import EffectVector
 
         rng = random.Random(23)
         proc = build_processor(A, B)
@@ -481,9 +474,6 @@ class TestSandwichConverse:
                        for x in enumerate_pure_labels(A))
 
     def test_unit_effect_sandwich_is_deterministic(self):
-        from bct.kernels import random_state
-        from bct.states import unit_effect
-
         rng = random.Random(24)
         proc = build_processor(A, B)
         for _ in range(10):

@@ -30,7 +30,16 @@ from bct.kernels import (
     state_kernel,
     validate_instrument,
 )
-from bct.labels import Coder, LeafLabel, NodeLabel, UNIT, enumerate_pure_labels
+from bct.labels import (
+    Coder,
+    LeafLabel,
+    Move,
+    MoveKind,
+    NodeLabel,
+    UNIT,
+    apply_moves_tracked,
+    enumerate_pure_labels,
+)
 from kernel_helpers import (
     atomic_decomposition,
     effect_kernel,
@@ -47,8 +56,9 @@ from bct.states import (
     point_effect,
     pure_state,
     tensor_states,
+    vectors_equal,
 )
-from bct.systems import TheoryMode, Trivial, bibit, compose_systems, leaf, left_comb
+from bct.systems import TheoryMode, Trivial, bibit, compose_systems, leaf, left_comb, subtree_at
 
 F = Fraction
 A = bibit()
@@ -97,13 +107,9 @@ class TestApply:
             apply(k, pure_state(AB, node(lab(1), lab(1), 1)), "0")
 
     def test_effect_kernel_agrees_with_apply_effect_at(self):
-        from bct.states import apply_effect_at, vectors_equal
-
         rng = random.Random(16)
         tree = left_comb([2, 2, 2])
         for path in ("0", "1", "00", "01"):
-            from bct.systems import subtree_at
-
             part = subtree_at(tree, path)
             for label in enumerate_pure_labels(part):
                 eff = point_effect(part, label)
@@ -460,8 +466,6 @@ class TestExtension:
     def test_extend_matches_apply_at_every_position(self):
         rng = random.Random(20)
         tree = left_comb([2, 2, 2])
-        from bct.systems import subtree_at
-        from bct.states import vectors_equal
 
         for path in ("0", "1", "00", "01"):
             part = subtree_at(tree, path)
@@ -476,8 +480,6 @@ class TestExtension:
     def test_extend_with_output_shape_change(self):
         rng = random.Random(21)
         tree = left_comb([2, 2, 2])
-        from bct.states import vectors_equal
-
         k = random_kernel(rng, bibit(), C3)
         ext = extend_at(k, tree, "01")
         for label in enumerate_pure_labels(tree):
@@ -498,8 +500,6 @@ class TestExtension:
     def test_extended_braid_kernel_matches_braid_move(self):
         """Two routes to an inner braid: the label rewrite with its flip,
         and the braid kernel pushed through the extension machinery."""
-        from bct.labels import Move, MoveKind, apply_moves_tracked
-        from bct.systems import subtree_at
 
         tree = compose_systems(
             compose_systems(compose_systems(bibit(), bibit()), leaf(3)),

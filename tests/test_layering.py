@@ -1,9 +1,12 @@
-"""Module layering: every import of the package sits at module level.
+"""Module layering: every import of the package and of the tests sits at
+module level.
 
 An import inside a function is how a module dodges an import cycle.  The
 modules form layers (systems, config and faults; then labels, states,
 kernels; then everything built on kernels), so none is needed, and this
-check keeps it that way.
+check keeps it that way.  The one regroup-apply engine sits in `labels`,
+beside the regroup and transport it composes, and only it, `marginal` and
+`is_separable` regroup.
 
 The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses.
@@ -45,7 +48,8 @@ def test_sources_found():
     assert len(SOURCES) > 10
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=lambda p: p.name if p in SOURCES else f"tests/{p.name}")
 def test_no_function_local_imports(path):
     assert function_local_imports(ast.parse(path.read_text())) == []
 
@@ -160,14 +164,15 @@ def test_rank_eliminates_without_fractions():
 
 INT_BODIES = {
     "states.py": {"tensor_states",
-                  "product_nums", "apply_moves_to_vector",
-                  "apply_effect_at", "marginal", "pair", "_paired",
+                  "product_nums", "apply_moves_to_vector", "image",
+                  "apply_effect_at", "marginal", "pair",
                   "is_separable", "unit_effect", "discriminating_instrument",
-                  "weight", "vectors_equal", "lowest_terms", "_trusted"},
+                  "weight", "vectors_equal", "lowest_terms", "_trusted",
+                  "sum_to_unit"},
     "kernels.py": {"apply", "state_kernel"},
     "tomography.py": {"rank", "_basis", "_products", "product_states",
                       "_tripartite_families", "corollary_nab"},
-    "dilation.py": {"_sum_to_unit", "_reproduces", "decompose_channel"},
+    "dilation.py": {"_reproduces", "decompose_channel"},
 }
 
 
@@ -236,16 +241,18 @@ KERNEL_BODIES = {"sequential_compose", "parallel_compose", "extend_at", "apply",
 
 def test_kernel_calculus_runs_on_ints():
     """A kernel is int numerators keyed by basis index over one denominator,
-    and its calculus and the seeded generators keep it so: no function of
-    them (or module function they call) reads the label-keyed `rows` view or
-    a vector's `coeffs`, names `Fraction`, `ZERO` or `ONE`, has a true
-    division, or builds a `NodeLabel` (labels are decoded by the coder, at
-    the boundary)."""
+    and its calculus, the seeded generators and the regroup-apply engine
+    they act through keep it so: no function of them (or module function
+    they call) reads the label-keyed `rows` view or a vector's `coeffs`,
+    names `Fraction`, `ZERO` or `ONE`, has a true division, or builds a
+    `NodeLabel` (labels are decoded by the coder, at the boundary)."""
     source = next(p for p in SOURCES if p.name == "kernels.py")
     functions = int_body_functions(ast.parse(source.read_text()), KERNEL_BODIES)
-    assert {f.name for f in functions} >= KERNEL_BODIES | {
-        "_act_rows", "_composed", "_braid", "_lowest"}
-    for function in functions:
+    assert {f.name for f in functions} >= KERNEL_BODIES | {"_composed", "_braid", "_lowest"}
+    labels = next(p for p in SOURCES if p.name == "labels.py")
+    engine = int_body_functions(ast.parse(labels.read_text()), {"act_rows"})
+    assert {f.name for f in engine} >= {"act_rows", "regroup", "transport", "coder"}
+    for function in functions + engine:
         body = ast.Module(body=function.body, type_ignores=[])
         views = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
         assert views & {"rows", "coeffs"} == set(), function.name
@@ -269,13 +276,31 @@ def test_probabilistic_check_runs_on_ints():
 
 
 def test_vectors_have_one_transport():
-    """Steering, marginals and separability regroup a vector through
-    `apply_moves_to_vector`: it is the one function of `states` that reads
-    the index transport."""
+    """`apply_moves_to_vector` is the one function of `states` that reads
+    the index transport: marginals and separability regroup a vector
+    through it, and kernel images and steering act through the engine."""
     source = next(p for p in SOURCES if p.name == "states.py")
     readers = [name for name, node in definitions(ast.parse(source.read_text()))
                if isinstance(node, ast.FunctionDef) and "transport" in names_used(node)]
     assert readers == ["apply_moves_to_vector"]
+
+
+def test_only_the_engine_marginal_and_separability_regroup():
+    """`labels.act_rows` is the one regroup-apply engine: kernel extension
+    and application and steering all act through it.  Besides it, only
+    `marginal` and `is_separable` call `regroup`, to read the regrouped
+    index of a vector itself."""
+    callers = {f"{path.stem}.{qualname}" for path in SOURCES
+               for qualname, node in definitions(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and "regroup" in called(node)}
+    assert callers == {"labels.act_rows", "states.marginal", "states.is_separable"}
+
+
+def called(tree: ast.AST) -> set[str]:
+    """The names `tree` calls, as a plain name or as an attribute."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
 
 
 def test_kernel_weights_become_ints_as_vector_weights_do():

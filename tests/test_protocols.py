@@ -8,7 +8,7 @@ import pytest
 from bct import protocols
 from bct.cli import main
 from bct.config import MAX_NESTING
-from bct.kernels import apply, sequential_compose
+from bct.kernels import apply, is_deterministic, reversible_kernel, sequential_compose
 from bct.labels import LeafLabel, NodeLabel, enumerate_pure_labels
 from bct.protocols import (
     capacity_report,
@@ -50,8 +50,6 @@ class TestDenseCoding:
         deterministically distinguishable."""
         rng = random.Random(4)
         ab = compose_systems(A, A)
-        from bct.kernels import reversible_kernel
-
         identity = {lab(1): lab(1), lab(2): lab(2)}
         swap = {lab(1): lab(2), lab(2): lab(1)}
         plus = {lab(1): 1, lab(2): 1}
@@ -161,8 +159,6 @@ class TestCloning:
                            "(2 2)-": "1/4", "(2 2)+": "1/4"}
 
     def test_clone_channel_is_deterministic(self):
-        from bct.kernels import is_deterministic
-
         assert is_deterministic(clone_kernel(A))
         assert is_deterministic(clone_kernel(leaf(3)))
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bct.coherence import check_pentagon
 from bct.config import MAX_NESTING
 from bct.kernels import (
     kernels_equal,
@@ -10,6 +11,7 @@ from bct.kernels import (
     random_kernel,
 )
 from bct.labels import LeafLabel, NodeLabel
+from bct.protocols import dense_coding
 from bct.serial import (
     E_LABEL_RANGE,
     E_LABEL_SYNTAX,
@@ -33,6 +35,7 @@ from bct.serial import (
 )
 from bct.states import StateVector
 from bct.systems import TheoryMode, Trivial, bibit, compose_systems, dimension, leaf
+from bct.tomography import span_report
 
 from kernel_helpers import (
     instrument_to_json,
@@ -315,9 +318,6 @@ class TestSchema:
         rng = random.Random(3)
         validate_document(kernel_to_json(random_deterministic_kernel(
             rng, bibit(), bibit())), "kernel")
-        from bct.coherence import check_pentagon
-        from bct.protocols import dense_coding
-        from bct.tomography import span_report
 
         validate_document(check_pentagon((2, 2, 2, 2)).to_json(), "check_report")
         validate_document(dense_coding().to_json(), "protocol_report")

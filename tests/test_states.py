@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct import faults
-from bct.kernels import apply, random_kernel
+from bct.kernels import apply, random_kernel, random_state
 from bct.labels import (
     UNIT,
     LeafLabel,
@@ -96,9 +96,6 @@ class TestTensor:
         assert tensor_states(rho, sigma).weight == F(1, 6)
 
     def test_braid_symmetry(self):
-        from bct.labels import Move, MoveKind
-        from bct.states import apply_moves_to_vector
-
         rho = StateVector(A, {lab(1): F(1, 2), lab(2): F(1, 4)})
         sigma = pure_state(B, lab(2))
         lhs = apply_moves_to_vector(tensor_states(rho, sigma),
@@ -125,8 +122,6 @@ class TestPairing:
 
     def test_unit_pairing_equals_weight(self):
         rng = random.Random(0)
-        from bct.kernels import random_state
-
         for _ in range(20):
             rho = random_state(rng, AB, deterministic=False)
             assert pair(unit_effect(AB), rho) == rho.weight
@@ -229,8 +224,6 @@ class TestSeparability:
 
     def test_every_separable_state_mixes_entangled_labels(self):
         rng = random.Random(1)
-        from bct.kernels import random_state
-
         for _ in range(20):
             a = random_state(rng, A)
             b = random_state(rng, B)
@@ -267,8 +260,6 @@ class TestEffects:
 
     def test_effects_separate_states(self):
         rng = random.Random(2)
-        from bct.kernels import random_state
-
         for _ in range(30):
             rho = random_state(rng, AB)
             sigma = random_state(rng, AB)
@@ -323,9 +314,6 @@ def test_marginals_of_products_recover_factors(i, j):
 
 
 def test_tensor_is_associative_through_the_associator():
-    from bct.labels import Move, MoveKind
-    from bct.states import apply_moves_to_vector
-
     C = leaf(3)
     rho = StateVector(A, {lab(1): F(1, 2), lab(2): F(1, 2)})
     sigma = pure_state(B, lab(2))
@@ -338,9 +326,6 @@ def test_tensor_is_associative_through_the_associator():
 
 
 def test_every_tripartite_pure_label_has_entangled_pair_marginals():
-    from bct.labels import Move, MoveKind
-    from bct.states import apply_moves_to_vector
-
     tree = left_comb([2, 2, 2])
     cases = {
         "AB": ([], "0"),
@@ -363,7 +348,9 @@ class TestTrustedConstruction:
         with pytest.raises(ValueError, match="negative weight"):
             tensor_states(pure_state(A, lab(1)), negative)
 
-    def test_negative_generalized_effect_is_refused(self):
+    def test_negative_generalized_effect_is_refused(self, validated_builds):
+        """Refused by steering's own check, not by the suite's check of
+        every trusted construction (`validated_builds` turns that off)."""
         effect = GeneralizedVector(A, {lab(1): F(-1)})
         with pytest.raises(ValueError, match="negative weight"):
             apply_effect_at(effect, pure_state(AB, node(lab(1), lab(2), 1)), "0")

@@ -16,7 +16,7 @@ from bct.states import (
     pure_state,
     tensor_states,
 )
-from bct.systems import TheoryMode, bibit, compose_systems, leaf
+from bct.systems import TheoryMode, bibit, compose_systems, leaf, trivial
 from bct.tomography import (
     _echelon,
     _incidence_rank,
@@ -325,8 +325,6 @@ class TestDelta2:
         assert delta2(bibit(TheoryMode.CT), leaf(3, TheoryMode.CT)) == 0
 
     def test_trivial_rejected(self):
-        from bct.systems import trivial
-
         with pytest.raises(ValueError):
             delta2(A, trivial())
 
@@ -373,8 +371,6 @@ class TestDelta3:
 
 class TestCompositeFactors:
     def test_delta2_with_a_composite_factor(self):
-        from bct.systems import compose_systems
-
         ab = compose_systems(A, B)
         # D_(AB)C = 2*8*2 = 32, product 8*2 = 16
         assert delta2(ab, leaf(2)) == 16
