@@ -67,6 +67,11 @@ CATALOGUE = [
            "    return StateVector._trusted(*out)",
            ("tests/test_states.py::TestTrustedConstruction::"
             "test_negative_generalized_effect_is_refused",)),
+    Mutant("tensor-states-trusts-mixed-classes", "states.py",
+           "return cls._trusted(system, *out) if cls is type(sigma) else cls._checked(",
+           "return cls._trusted(system, *out) if True else cls._checked(",
+           ("tests/test_states.py::TestTrustedConstruction::"
+            "test_state_with_a_negative_vector_is_refused",)),
     Mutant("scalar-with-two-signs", "states.py",
            "join, signs = (lambda i, j, _sign: i + j), (PLUS,)",
            "join, signs = (lambda i, j, _sign: i + j), (-1, 1)",

@@ -5,6 +5,9 @@ or internal error (an enumeration bound, input nested too deeply, a field
 of the wrong type, a check that would run no trial, any other exception).
 All reports are canonical JSON (sorted keys), byte-stable for a fixed
 configuration and seed.  A key=value config file seeds flags; explicit ones win.
+Each `cmd_*` returns its report, whether its checks passed and a summary;
+`main` parses the command line once (again only when the config adds flags)
+and writes every report and maps every outcome to an exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from . import serial
 from .coherence import SuiteConfig, run_suite
 from .dilation import realize_instrument
 from .faults import KNOWN_FAULTS
-from .labels import basis_size
 from .protocols import (
     capacity_report,
     clone_state,
@@ -29,16 +31,12 @@ from .protocols import (
     monogamy_demo,
 )
 from .serial import ParseError, dumps
-from .systems import TheoryMode, compose_systems, dimension, leaf
-from .tomography import (
-    product_states,
-    span_report,
-    verify_corollary_nab,
-    verify_strict_bilocality,
-)
+from .systems import TheoryMode, leaf
+from .tomography import pair_report, span_report
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+Outcome = tuple[object, bool, str]  # a command's report, pass flag and summary
 
 
 def _emit(doc, out: str | None, quiet: bool, summary: str) -> None:
@@ -74,13 +72,21 @@ def _load_config(path: str | None) -> dict[str, str]:
     return values
 
 
+def _dim(text: str) -> int:
+    """`text` as an int; a refusal echoes it through `serial.shown`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(serial.E_SCHEMA, f"bad dim {serial.shown(text)}") from None
+
+
 def _dims_list(text: str, arities: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Semicolon-separated dim tuples: at least one, each of an arity in `arities`."""
     groups = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk:
-            groups.append(tuple(int(x) for x in chunk.split(",")))
+            groups.append(tuple(map(_dim, chunk.split(","))))
     if not groups or any(len(g) not in arities for g in groups):
         raise ParseError(serial.E_SCHEMA, "need tuples of "
                          f"{' or '.join(map(str, arities))} dims, got {serial.shown(text)}")
@@ -94,8 +100,7 @@ def _positive(text: str) -> int:
     return value
 
 
-def cmd_coherence(args) -> int:
-    mode = TheoryMode(args.mode.upper())
+def cmd_coherence(args) -> Outcome:
     kwargs = {}
     if args.dims_matrix is not None:
         tuples = _dims_list(args.dims_matrix, (3, 4))
@@ -104,63 +109,43 @@ def cmd_coherence(args) -> int:
         kwargs["hexagon_dims"] = tuple(t for t in tuples if len(t) == 3) or \
             SuiteConfig.hexagon_dims
     fault = None if args.fault in (None, "none") else args.fault
-    config = SuiteConfig(mode=mode, seed=args.seed, fault=fault,
+    config = SuiteConfig(mode=args.mode, seed=args.seed, fault=fault,
                          kernel_pairs=args.pairs, **kwargs)
     reports = run_suite(config)
     passed = all(r.passed for r in reports)
-    doc = {"config": {"mode": mode.value, "seed": args.seed,
+    doc = {"config": {"mode": args.mode.value, "seed": args.seed,
                       "fault": fault or "none"},
            "passed": passed,
            "reports": [r.to_json() for r in reports]}
     for entry in doc["reports"]:
         serial.validate_document(entry, "check_report")
-    _emit(doc, args.out, args.quiet,
-          f"coherence: {sum(r.passed for r in reports)}/{len(reports)} checks pass")
-    return 0 if passed else CHECK_FAILED
+    summary = f"coherence: {sum(r.passed for r in reports)}/{len(reports)} checks pass"
+    return doc, passed, summary
 
 
-def cmd_verify_dims(args) -> int:
-    mode = TheoryMode(args.mode.upper())
+def cmd_verify_dims(args) -> Outcome:
     reports = []
     ok = True
     for dims in _dims_list(args.triples, (3,)):
-        rep = span_report(*(leaf(d, mode) for d in dims))
+        rep = span_report(*(leaf(d, args.mode) for d in dims))
         ok &= rep.bilocal
         doc = rep.to_json()
         serial.validate_document(doc, "span_report")
         reports.append(doc)
-    _emit(reports, args.out, args.quiet, f"verify-dims: {len(reports)} triples")
-    return 0 if ok else CHECK_FAILED
+    return reports, ok, f"verify-dims: {len(reports)} triples"
 
 
-def cmd_tomography(args) -> int:
-    mode = TheoryMode(args.mode.upper())
+def cmd_tomography(args) -> Outcome:
     reports = []
     ok = True
     for dims in _dims_list(args.pairs, (2,)):
-        a, b = (leaf(d, mode) for d in dims)
-        # the bases the checks enumerate, refused above the bound in the
-        # order the checks meet them, before any product of A (x) B is built
-        for system in (a, b, compose_systems(a, b)):
-            basis_size(system)
-        products = product_states(a, b)
-        strict = verify_strict_bilocality(a, b, products)
-        corollary = verify_corollary_nab(a, b, products)
-        d_ab = dimension(compose_systems(a, b))
-        reports.append({
-            "dims": list(dims),
-            "mode": mode.value,
-            "d_ab": d_ab,
-            "delta2": d_ab - dimension(a) * dimension(b),
-            "strict_bilocality": strict,
-            "corollary_nab": corollary,
-        })
-        ok &= strict and corollary
-    _emit(reports, args.out, args.quiet, f"tomography: {len(reports)} pairs")
-    return 0 if ok else CHECK_FAILED
+        doc = pair_report(*(leaf(d, args.mode) for d in dims))
+        ok &= doc["strict_bilocality"] and doc["corollary_nab"]
+        reports.append(doc)
+    return reports, ok, f"tomography: {len(reports)} pairs"
 
 
-def cmd_dilate(args) -> int:
+def cmd_dilate(args) -> Outcome:
     doc = json.loads(Path(args.instrument).read_text(encoding="utf-8"))
     instrument = serial.instrument_from_json(doc)
     result = realize_instrument(instrument)
@@ -174,14 +159,11 @@ def cmd_dilate(args) -> int:
                serial.fraction_to_str(w) for fl, w in result.mu.items()},
     }
     serial.validate_document(out_doc, "dilation_result")
-    _emit(out_doc, args.out, args.quiet,
-          f"dilate: verified={result.verified}")
-    return 0 if result.verified else CHECK_FAILED
+    return out_doc, result.verified, f"dilate: verified={result.verified}"
 
 
-def cmd_protocol(args) -> int:
-    mode = TheoryMode(args.mode.upper())
-    name = args.name
+def cmd_protocol(args) -> Outcome:
+    mode, name = args.mode, args.name
     if name == "dense-coding":
         report = dense_coding(mode)
     elif name == "swap":
@@ -201,19 +183,15 @@ def cmd_protocol(args) -> int:
                              f"got {serial.shown(args.dims)}")
         [(a, b)] = pairs
         report = hypersignaling_report(leaf(a, mode), leaf(b, mode))
-    elif name == "capacity":
+    else:  # "capacity", the last name argparse allows
         report = capacity_report(args.n, mode)
-    else:  # pragma: no cover - argparse restricts choices
-        return USAGE_ERROR
     doc = report.to_json()
     serial.validate_document(doc, "protocol_report")
-    _emit(doc, args.out, args.quiet, f"protocol {name}: success={report.success}")
-    return 0 if report.success else CHECK_FAILED
+    return doc, report.success, f"protocol {name}: success={report.success}"
 
 
-def cmd_schema(args) -> int:
-    _emit(serial.schema(), args.out, args.quiet, "schema written")
-    return 0
+def cmd_schema(args) -> Outcome:
+    return serial.schema(), True, "schema written"
 
 
 # argparse's own error messages are cut after this many characters: room to
@@ -291,37 +269,39 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        preliminary, _ = parser.parse_known_args(argv)
-    except SystemExit:
-        return USAGE_ERROR
-    try:
-        defaults = _load_config(getattr(preliminary, "config", None))
-    except (OSError, ParseError) as exc:
-        print(f"config error: {_message(exc)}", file=sys.stderr)
-        return USAGE_ERROR
-    if defaults and preliminary.command is not None:
+        args, extras = parser.parse_known_args(argv)
+        try:
+            defaults = _load_config(args.config)
+        except (OSError, ParseError) as exc:
+            print(f"config error: {_message(exc)}", file=sys.stderr)
+            return USAGE_ERROR
         # appended after argv, config flags land in the subcommand's scope;
         # a flag given as `--name value` or `--name=value` keeps its value
         given = {arg.partition("=")[0] for arg in argv}
+        added = []
         for key, value in defaults.items():
             flag = f"--{key.replace('_', '-')}"
             if flag not in given:
-                argv += [flag, value]
-    try:
-        args = parser.parse_args(argv)
+                added += [flag, value]
+        if added and args.command is not None:
+            args, extras = parser.parse_known_args(argv + added)
+        if extras:  # the message `parse_args` gives
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit:
         return USAGE_ERROR
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_usage()
         return USAGE_ERROR
     # argparse before 3.12 reads `--flag=--` as an empty list, not a value
     if any(isinstance(value, list) for value in vars(args).values()):
         print("error: '--' is not a flag's value", file=sys.stderr)
         return USAGE_ERROR
+    args.mode = TheoryMode(args.mode.upper())
     # looked up per call, not bound into the shared parser
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return command(args)
+        doc, passed, summary = command(args)
+        _emit(doc, args.out, args.quiet, summary)
     except ParseError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -331,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a crash is never reported as a failed check
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return 0 if passed else CHECK_FAILED
 
 
 if __name__ == "__main__":  # pragma: no cover

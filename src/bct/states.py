@@ -102,9 +102,7 @@ class GeneralizedVector:
             if x is None:
                 raise ValueError(f"label {label_text(label)} does not belong to the system")
             nums[x] = n
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        self.__dict__.update(system=system, nums=nums, den=den)  # past the frozen setattr
         self._check()
 
     def _check(self) -> None:
@@ -121,16 +119,16 @@ class GeneralizedVector:
         outside input goes through the constructor.
         """
         vector = object.__new__(cls)
-        object.__setattr__(vector, "system", system)
-        object.__setattr__(vector, "nums", nums)
-        object.__setattr__(vector, "den", den)
+        vector.__dict__.update(system=system, nums=nums, den=den)
         return vector
 
     @classmethod
     def _checked(cls, system: SystemTree, nums: Nums, den: int) -> GeneralizedVector:
-        """`_trusted` followed by the constructor's checks: for a result some
-        of whose inputs did not pass a constructor as strict as `cls`'s."""
-        vector = cls._trusted(system, nums, den)
+        """A vector built as `_trusted` builds it, not through it, then given
+        the constructor's checks: for a result some of whose inputs did not
+        pass a constructor as strict as `cls`'s."""
+        vector = object.__new__(cls)
+        vector.__dict__.update(system=system, nums=nums, den=den)
         vector._check()
         return vector
 

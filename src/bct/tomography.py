@@ -17,9 +17,9 @@ equal to 1 (one in CT), so their union is an unsigned incidence matrix, of
 rank the columns used minus the bipartite components.  Each `products` row
 is a sum of `ab_c` rows, so it adds nothing to the union.  A family of any
 other structure is refused with an `AssertionError`, never ranked another
-way.  `delta2` and `verify_strict_bilocality` count their families the same
-way (the product states of AB, and its unit basis), so only the public
-`rank` eliminates.
+way.  `pair_report`, the `tomography` report of one pair, counts its two
+families the same way (the product states of AB, and its unit basis), so
+only the public `rank` eliminates.
 """
 
 from __future__ import annotations
@@ -170,42 +170,13 @@ def _products(x: SystemTree, xs: list[Nums], y: SystemTree, ys: list[Nums],
 
 def product_states(x: SystemTree, y: SystemTree) -> list[Nums]:
     """|u>|v> for every basis index u of x (outer) and v of y, as int rows on
-    x (x) y: the family `delta2`, `verify_strict_bilocality` and
-    `corollary_nab` take, so that a caller of all three builds it once."""
+    x (x) y: the one family `pair_report` reads."""
     return _products(x, _basis(x), y, _basis(y))
 
 
-def delta2(a: SystemTree, b: SystemTree, products: Sequence[Nums] | None = None) -> int:
-    """Dimension excess of AB over the span of the separable states.
-
-    The arithmetic value D_AB - D_A*D_B is cross-checked against the rank of
-    the product-state family (`product_states(a, b)` unless given), which
-    spans the separable subspace: its rows have disjoint supports, so the
-    rank is their count.
-    """
-    if isinstance(a, Trivial) or isinstance(b, Trivial):
-        raise ValueError("delta2 needs two non-trivial systems")
-    ab = compose_systems(a, b)
-    arithmetic = dimension(ab) - dimension(a) * dimension(b)
-    separable_rank = _independent_rows(
-        "products", product_states(a, b) if products is None else products)
-    by_rank = dimension(ab) - separable_rank
-    if arithmetic != by_rank:
-        raise AssertionError(
-            f"separable span rank {separable_rank} disagrees with the dimension rule")
-    return arithmetic
-
-
-def verify_strict_bilocality(a: SystemTree, b: SystemTree,
-                             products: Sequence[Nums] | None = None) -> bool:
-    """Local tomography fails (delta2 > 0) yet bipartite effects span the
-    dual: the rows of the observation-instrument {<x|} have full rank (they
-    have disjoint supports, so the rank is their count)."""
-    ab = compose_systems(a, b)
-    effect_rank = _independent_rows("effects", _basis(ab))
-    if a.mode is TheoryMode.CT:
-        return delta2(a, b, products) == 0 and effect_rank == dimension(ab)
-    return delta2(a, b, products) > 0 and effect_rank == dimension(ab)
+def _excess(x: SystemTree, y: SystemTree) -> int:
+    """Delta2 of x and y: D_xy - D_x*D_y."""
+    return dimension(compose_systems(x, y)) - dimension(x) * dimension(y)
 
 
 def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
@@ -276,11 +247,7 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
 
     r = class_ranks["union"] = _incidence_rank(counted(), d_abc)
     da, db, dc = dimension(a), dimension(b), dimension(c)
-    d2 = {
-        "AB": dimension(compose_systems(a, b)) - da * db,
-        "BC": dimension(compose_systems(b, c)) - db * dc,
-        "AC": dimension(compose_systems(a, c)) - da * dc,
-    }
+    d2 = {"AB": _excess(a, b), "BC": _excess(b, c), "AC": _excess(a, c)}
     rhs = da * db * dc + d2["AB"] * dc + d2["BC"] * da + d2["AC"] * db
     return SpanReport(
         dims=(da, db, dc),
@@ -294,27 +261,39 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
     )
 
 
-def corollary_nab(a: SystemTree, b: SystemTree,
-                  products: Sequence[Nums] | None = None) -> tuple[int, int]:
-    """(n, l): pure labels per product support, labels missed by all products.
+def pair_report(a: SystemTree, b: SystemTree) -> dict:
+    """The `tomography` report of A (x) B, from one product family.
 
-    Strict bilocality corresponds to n = 2 and l = 0; local tomography (CT)
-    to n = 1 and l = 0.  Raises if the support sizes are not uniform.
+    Delta2 is cross-checked against the rank of the products, which span
+    the separable subspace; strict bilocality is delta2 > 0 (= 0 in CT)
+    with the effects {<x|} of AB of full rank; the corollary is that every
+    product spreads over n pure labels, as many as a node has signs, and
+    that l = 0 labels are missed by all of them.  Both families have
+    disjoint supports, so each rank is a row count.  Every bound is checked
+    before any product is built.
     """
-    covered: set = set()
-    sizes: set[int] = set()
-    for product in product_states(a, b) if products is None else products:
-        support = set(product)
-        sizes.add(len(support))
-        covered |= support
+    if isinstance(a, Trivial) or isinstance(b, Trivial):
+        raise ValueError("delta2 needs two non-trivial systems")
+    ab = compose_systems(a, b)
+    for system in (a, b, ab):
+        basis_size(system)
+    products = product_states(a, b)
+    d_ab, delta2 = dimension(ab), _excess(a, b)
+    effect_rank = _independent_rows("effects", _basis(ab))
+    separable_rank = _independent_rows("products", products)
+    if delta2 != d_ab - separable_rank:
+        raise AssertionError(
+            f"separable span rank {separable_rank} disagrees with the dimension rule")
+    sizes = {len(row) for row in products}
     if len(sizes) != 1:
         raise AssertionError(f"non-uniform product supports: {sizes}")
-    l = dimension(compose_systems(a, b)) - len(covered)
-    return sizes.pop(), l
-
-
-def verify_corollary_nab(a: SystemTree, b: SystemTree,
-                         products: Sequence[Nums] | None = None) -> bool:
-    """A product spreads over as many labels as a node has signs, and l = 0."""
-    n, l = corollary_nab(a, b, products)
-    return n == len(node_signs(a.mode)) and l == 0
+    missed = d_ab - len(set().union(*products))
+    strict = delta2 == 0 if a.mode is TheoryMode.CT else delta2 > 0
+    return {
+        "dims": [dimension(a), dimension(b)],
+        "mode": a.mode.value,
+        "d_ab": d_ab,
+        "delta2": delta2,
+        "strict_bilocality": strict and effect_rank == d_ab,
+        "corollary_nab": sizes == {len(node_signs(a.mode))} and missed == 0,
+    }

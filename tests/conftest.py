@@ -12,7 +12,11 @@ canonical form (a zero numerator, an empty row, or a factor common to all
 the ints), also fails.  A kernel whose rows are a rule (a mapping other
 than a dict, such as the universal processor's) is checked a block of rows
 at a time, streaming over its indices, so every row is checked without
-holding them all.  The wrapped originals stay reachable as `__wrapped__`.
+holding them all.  A rebuild that the constructor refuses is an
+`AssertionError` naming the class, never the constructor's `ValueError`: a
+trusted build of invalid weights is a fault of the calculus, and a test
+that expects a checked path to refuse bad input must not pass because the
+suite refused it.  The wrapped originals stay reachable as `__wrapped__`.
 """
 
 import functools
@@ -28,6 +32,15 @@ from bct.states import GeneralizedVector
 from bct.systems import TheoryMode, Trivial
 
 BLOCK = 4096
+
+
+def rebuilt(cls, *args):
+    """`cls(*args)`, its `ValueError` an `AssertionError` naming `cls`."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise AssertionError(
+            f"trusted {cls.__name__} refused by its constructor: {exc}") from exc
 
 
 def check_kernel_rows(cls, in_system, out_system, nums, den):
@@ -51,10 +64,10 @@ def check_kernel_rows(cls, in_system, out_system, nums, den):
             labelled = {source.label(x): {(target.label(b), tau): Fraction(n, den)
                                           for (b, tau), n in row.items()}
                         for x, row in block.items()}
-            rebuilt = cls(in_system, out_system, labelled)
-            scale, rest = divmod(den, rebuilt.den)
+            kernel = rebuilt(cls, in_system, out_system, labelled)
+            scale, rest = divmod(den, kernel.den)
             assert rest == 0 and block == {x: {e: n * scale for e, n in row.items()}
-                                           for x, row in rebuilt.nums.items()}
+                                           for x, row in kernel.nums.items()}
         first = False
         for x, row in block.items():
             assert type(x) is int and 0 <= x < source.dim and row
@@ -85,7 +98,8 @@ def validate_trusted_constructions(monkeypatch):
         code = coder(system)
         assert all(type(x) is int and 0 <= x < code.dim and type(n) is int
                    for x, n in nums.items())
-        assert cls(system, {code.label(x): Fraction(n, den) for x, n in nums.items()}) == vector
+        labelled = {code.label(x): Fraction(n, den) for x, n in nums.items()}
+        assert rebuilt(cls, system, labelled) == vector
         return vector
 
     monkeypatch.setattr(Kernel, "_trusted", classmethod(checked_kernel))

@@ -54,7 +54,7 @@ from bct.systems import (
     leaf,
     left_comb,
 )
-from bct.tomography import span_report, verify_strict_bilocality
+from bct.tomography import pair_report, span_report
 
 from kernel_helpers import function_channel, random_deterministic_kernel, scaled
 
@@ -98,7 +98,7 @@ def test_ac03_strict_bilocality():
         a, b = leaf(da), leaf(db)
         ab = compose_systems(a, b)
         ok &= dimension(ab) - da * db > 0
-        ok &= verify_strict_bilocality(a, b)
+        ok &= pair_report(a, b)["strict_bilocality"]
     elapsed = time.time() - start
     report(3, "delta2 > 0 while bipartite effects span the dual", ok, elapsed)
 

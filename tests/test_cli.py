@@ -453,6 +453,61 @@ def test_shown_echoes_an_int_past_the_digit_limit(value, echo):
     assert shown(value) == echo + "..."
 
 
+@pytest.mark.parametrize("argv", [
+    ["tomography", "--pairs", f"2,{'x' * 5000}"],
+    ["verify-dims", "--triples", f"2,2,{'9' * 5000}"],
+], ids=["not-an-int", "past-the-digit-limit"])
+def test_a_dimension_int_refuses_is_echoed_cut(capsys, argv):
+    """A dimension `int` refuses is a schema error that echoes it as
+    `serial.shown` cuts it, whether `int` would have echoed 200 characters
+    of it or refused it by its digit limit."""
+    assert main([*argv, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == ""
+    assert line.startswith("error E_SCHEMA: E_SCHEMA: bad dim '") and line.endswith("'...")
+    assert len(line) <= 120 and "set_int_max_str_digits" not in line
+
+
+def count_parses(monkeypatch):
+    """The `parse_known_args` calls made on the shared parser, by argv."""
+    parser, calls = bct.cli.build_parser(), []
+    real = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args",
+                        lambda argv=None, namespace=None: calls.append(list(argv))
+                        or real(argv, namespace))
+    return calls
+
+
+@pytest.mark.parametrize("config, flags, parses", [
+    (None, ["--pairs", "2"], 1),
+    ("pairs=2\n", ["--pairs", "2"], 1),
+    ("pairs=2\n", [], 2),
+], ids=["no-config", "config-already-given", "config-adds-a-flag"])
+def test_a_command_line_is_parsed_once_unless_the_config_adds_flags(
+        tmp_path, monkeypatch, capsys, config, flags, parses):
+    """A second parse is made only for the flags a config adds, after argv."""
+    path = tmp_path / "bct.cfg"
+    path.write_text(config or "")
+    given = [] if config is None else ["--config", str(path)]
+    calls = count_parses(monkeypatch)
+    assert main([*given, "coherence", "--dims-matrix", "2,2,2", "--quiet", *flags]) == 0
+    assert len(calls) == parses
+    assert calls[-1][-2:] == ["--pairs", "2"]
+
+
+def test_an_unrecognized_flag_is_refused_as_parse_args_refuses_it(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = count_parses(monkeypatch)
+    assert main(["tomography", "--pairs", "2,2", "--bogus"]) == 2
+    captured = capsys.readouterr()
+    assert len(calls) == 1
+    assert (captured.out, captured.err) == ("", (
+        "usage: bct [-h] [--config CONFIG]\n"
+        "           {coherence,verify-dims,tomography,dilate,protocol,schema} ...\n"
+        "bct: error: unrecognized arguments: --bogus\n"))
+
+
 def test_an_exception_without_a_rule_is_an_internal_error(monkeypatch, capsys):
     """Exit 1 means a failed check, so a crash exits 2 and says what it was."""
     def crash(args):
@@ -513,7 +568,9 @@ def test_verify_dims_refuses_a_family_of_another_structure(monkeypatch, capsys,
 
 
 def test_tomography_exits_one_when_strict_bilocality_fails(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bct.cli, "verify_strict_bilocality", lambda *args: False)
+    real = bct.cli.pair_report
+    monkeypatch.setattr(bct.cli, "pair_report",
+                        lambda a, b: {**real(a, b), "strict_bilocality": False})
     reports = assert_check_failed(["tomography", "--pairs", "2,2"],
                                   tmp_path / "tomography.json", capsys)
     assert [r["strict_bilocality"] for r in reports] == [False]

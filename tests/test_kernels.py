@@ -614,7 +614,7 @@ class TestTrustedConstruction:
             Kernel._trusted(A, bibit(TheoryMode.CT), {}, 1)
 
     def test_is_validated_under_the_test_suite(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(AssertionError, match="trusted Kernel .*non-negative"):
             Kernel._trusted(A, A, {0: {(0, 1): -1}}, 2)
 
     def test_compositions_build_no_validated_kernel(self, validated_builds):

@@ -146,17 +146,17 @@ def elimination_functions(tree: ast.Module, roots: set[str]) -> list[ast.Functio
 
 
 def test_rank_eliminates_without_fractions():
-    """`tomography.rank`, `span_report`, `delta2` and
-    `verify_strict_bilocality` work on integer rows: no function of the
-    ranks (the families, the elimination, each family's count and the
-    union's incidence rank) names a rational constant or constructor, or has
-    a true division, which on ints gives a float."""
+    """`tomography.rank`, `span_report` and `pair_report` work on integer
+    rows: no function of the ranks (the families, the elimination, each
+    family's count and the union's incidence rank) names a rational constant
+    or constructor, or has a true division, which on ints gives a float."""
     source = next(p for p in SOURCES if p.name == "tomography.py")
     functions = elimination_functions(ast.parse(source.read_text()), {
-        "rank", "span_report", "delta2", "verify_strict_bilocality"})
+        "rank", "span_report", "pair_report"})
     assert {f.name for f in functions} >= {"rank", "_echelon", "_independent_rows",
                                            "_incidence_rank", "span_report",
-                                           "_tripartite_families", "_products", "_basis"}
+                                           "_tripartite_families", "_products", "_basis",
+                                           "pair_report"}
     for function in functions:
         assert names_used(function) & {"Fraction", "ZERO", "ONE"} == set(), function.name
         assert not any(isinstance(node, ast.Div) for node in ast.walk(function)), function.name
@@ -171,7 +171,7 @@ INT_BODIES = {
                   "sum_to_unit"},
     "kernels.py": {"apply", "state_kernel"},
     "tomography.py": {"rank", "_basis", "_products", "product_states",
-                      "_tripartite_families", "corollary_nab"},
+                      "_tripartite_families", "pair_report"},
     "dilation.py": {"_reproduces", "decompose_channel"},
 }
 
@@ -223,11 +223,10 @@ def test_tomography_families_build_no_vector():
     function that returns vectors."""
     source = next(p for p in SOURCES if p.name == "tomography.py")
     functions = elimination_functions(ast.parse(source.read_text()), {
-        "product_states", "span_report", "delta2", "verify_strict_bilocality",
-        "verify_corollary_nab"})
+        "product_states", "span_report", "pair_report"})
     assert {f.name for f in functions} >= {
         "product_states", "_products", "_basis", "_tripartite_families", "span_report",
-        "delta2", "verify_strict_bilocality", "corollary_nab", "verify_corollary_nab"}
+        "pair_report", "_excess"}
     for function in functions:
         assert names_used(function) & VECTOR_NAMES == set(), function.name
 

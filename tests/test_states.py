@@ -360,7 +360,7 @@ class TestTrustedConstruction:
         assert type(rho) is StateVector and rho.coeffs == {lab(1): F(1, 2)}
 
     def test_is_validated_under_the_test_suite(self):
-        with pytest.raises(ValueError, match="exceeds 1"):
+        with pytest.raises(AssertionError, match="trusted StateVector .* exceeds 1"):
             StateVector._trusted(A, {0: 1, 1: 1}, 1)
 
     @pytest.mark.parametrize("nums, den", [({0: 1, 1: 0}, 2), ({0: 2, 1: 2}, 4), ({2: 1}, 2)],

@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -16,19 +18,16 @@ from bct.states import (
     pure_state,
     tensor_states,
 )
-from bct.systems import TheoryMode, bibit, compose_systems, leaf, trivial
+from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf, trivial
 from bct.tomography import (
     _echelon,
     _incidence_rank,
     _independent_rows,
     _tripartite_families,
-    corollary_nab,
-    delta2,
+    pair_report,
     product_states,
     rank,
     span_report,
-    verify_corollary_nab,
-    verify_strict_bilocality,
 )
 
 F = Fraction
@@ -316,22 +315,22 @@ class TestIntRowFamilies:
 
 class TestDelta2:
     def test_bibit_pair(self):
-        assert delta2(A, B) == 4
+        assert pair_report(A, B)["delta2"] == 4
 
     def test_two_three(self):
-        assert delta2(A, leaf(3)) == 6
+        assert pair_report(A, leaf(3))["delta2"] == 6
 
     def test_ct_vanishes(self):
-        assert delta2(bibit(TheoryMode.CT), leaf(3, TheoryMode.CT)) == 0
+        assert pair_report(bibit(TheoryMode.CT), leaf(3, TheoryMode.CT))["delta2"] == 0
 
     def test_trivial_rejected(self):
-        with pytest.raises(ValueError):
-            delta2(A, trivial())
+        with pytest.raises(ValueError, match="delta2 needs two non-trivial systems"):
+            pair_report(A, trivial())
 
     def test_strict_bilocality(self):
-        assert verify_strict_bilocality(A, B)
-        assert verify_strict_bilocality(leaf(3), leaf(3))
-        assert verify_strict_bilocality(bibit(TheoryMode.CT), bibit(TheoryMode.CT))
+        assert pair_report(A, B)["strict_bilocality"]
+        assert pair_report(leaf(3), leaf(3))["strict_bilocality"]
+        assert pair_report(bibit(TheoryMode.CT), bibit(TheoryMode.CT))["strict_bilocality"]
 
 
 class TestDelta3:
@@ -373,8 +372,9 @@ class TestCompositeFactors:
     def test_delta2_with_a_composite_factor(self):
         ab = compose_systems(A, B)
         # D_(AB)C = 2*8*2 = 32, product 8*2 = 16
-        assert delta2(ab, leaf(2)) == 16
-        assert verify_strict_bilocality(ab, leaf(2))
+        report = pair_report(ab, leaf(2))
+        assert report["delta2"] == 16
+        assert report["strict_bilocality"]
 
     def test_triple_with_dim_four(self):
         report = span_report(A, B, leaf(4))
@@ -382,16 +382,30 @@ class TestCompositeFactors:
         assert report.delta3 == 0 and report.bilocal_identity_holds
 
 
+@pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+def test_pair_report_is_the_golden_tomography_entry(mode):
+    golden = Path(__file__).parent / "data" / f"golden_tomography_{mode.value.lower()}.json"
+    [entry] = [doc for doc in json.loads(golden.read_text()) if doc["dims"] == [2, 3]]
+    assert pair_report(leaf(2, mode), leaf(3, mode)) == entry
+
+
+def corollary_nab(a, b):
+    """(n, l) read off the product family: the support sizes of the products
+    (one n when uniform), and the labels of AB that no product covers."""
+    rows = product_states(a, b)
+    return {len(row) for row in rows}, dimension(compose_systems(a, b)) - len(set().union(*rows))
+
+
 class TestCorollary:
     def test_bibit_pair(self):
-        assert corollary_nab(A, B) == (2, 0)
-        assert verify_corollary_nab(A, B)
+        assert corollary_nab(A, B) == ({2}, 0)
+        assert pair_report(A, B)["corollary_nab"]
 
     def test_ct_pair(self):
         a = bibit(TheoryMode.CT)
-        assert corollary_nab(a, a) == (1, 0)
-        assert verify_corollary_nab(a, a)
+        assert corollary_nab(a, a) == ({1}, 0)
+        assert pair_report(a, a)["corollary_nab"]
 
     def test_three_two(self):
-        assert corollary_nab(leaf(3), A) == (2, 0)
-        assert verify_corollary_nab(leaf(3), A)
+        assert corollary_nab(leaf(3), A) == ({2}, 0)
+        assert pair_report(leaf(3), A)["corollary_nab"]
