@@ -84,6 +84,15 @@ CATALOGUE = [
            "return (x, (y, z, s2 if fault == faults.ASSOC_SIGN else s1 * s2), s1), PLUS",
            "return (x, (y, z, s2), s1), PLUS",
            ("tests/test_label_calculus.py",)),
+    Mutant("basis-walk-sign-inside-a-block", "labels.py",
+           "for xs in lefts for ys in rights for s in signs",
+           "for s in signs for ys in rights for xs in lefts",
+           ("tests/test_label_calculus.py::test_the_basis_walk_decodes_each_index_in_order",)),
+    Mutant("sequence-reads-no-fault", "labels.py",
+           "fault = faults.active_fault()",
+           "fault = None",
+           ("tests/test_label_calculus.py::"
+            "test_a_sequence_function_keeps_the_fault_it_was_built_under",)),
 ]
 
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

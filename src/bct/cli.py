@@ -303,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         doc, passed, summary = command(args)
         _emit(doc, args.out, args.quiet, summary)
     except ParseError as exc:
-        print(f"error {exc.code}: {exc}", file=sys.stderr)
+        print(f"error {exc}", file=sys.stderr)  # its text starts with its code
         return USAGE_ERROR
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)

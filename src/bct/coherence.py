@@ -40,12 +40,12 @@ from .kernels import (
 from .labels import (
     Move,
     MoveKind,
-    apply_moves_raw,
     basis_size,
     coder,
     enumerate_pure_labels,
     label_of,
     label_to_str,
+    moves_raw,
 )
 from .states import (
     GeneralizedVector,
@@ -77,16 +77,20 @@ class CheckReport:
 def _paths_agree(name: str, dims: tuple[int, ...], mode: TheoryMode,
                  first: list[Move], second: list[Move],
                  keys: tuple[str, str]) -> CheckReport:
-    """Both move sequences send the raw label of each basis index of the left
-    comb of `dims` to the same label with the same flip; `keys` name the two
-    results in a counterexample, the only labels built."""
+    """Both move sequences send each raw label of the basis of the left comb
+    of `dims` to the same label with the same flip; `keys` name the two
+    results in a counterexample, the only labels built.  After the bound
+    check, each sequence is resolved once, by `moves_raw`, under the fault
+    the check runs in, and both functions run over the basis walk
+    `Coder.raws`, in index order, so the first label that differs is the
+    counterexample."""
     params = {"dims": list(dims), "mode": mode.value}
     system = left_comb(dims, mode)
-    size, raw = basis_size(system), coder(system).raw
-    for index in range(size):
-        label = raw(index)
-        one = apply_moves_raw(label, first)
-        two = apply_moves_raw(label, second)
+    size = basis_size(system)
+    one_of, two_of = moves_raw(first), moves_raw(second)
+    for label in coder(system).raws():
+        one = one_of(label)
+        two = two_of(label)
         if one != two:
             return CheckReport(name, params, False,
                                {"label": label_to_str(label_of(label)),

@@ -20,18 +20,21 @@ environment flip (it lands on whatever the label is later paired with).
 The same propagation rule governs kernel sign flips; coherence of the whole
 calculus (pentagon, hexagon, path independence) is enforced by tests.
 
-The calculus has one body, `apply_moves_raw`, on raw labels: a leaf is its
-int index, the unit is 0 and a node is a (left, right, sign) tuple.  Label
-objects are built only at the boundary: `apply_moves_tracked` moves a label
-tree through its raw form, and `Coder.label` builds the label of a decoded
-raw label.
+The calculus has one body, `moves_raw`, on raw labels: a leaf is its int
+index, the unit is 0 and a node is a (left, right, sign) tuple.  It resolves
+a move sequence once (the active fault and each move's rewrite) and returns
+the function that moves a raw label along it; `apply_moves_raw(raw, moves)`
+is `moves_raw(moves)(raw)`.  Label objects are built only at the boundary:
+`apply_moves_tracked` moves a label tree through its raw form, and
+`Coder.label` builds the label of a decoded raw label.
 
 Vectors and kernels are stored on basis indices: `Coder` numbers the pure
-labels of a system in the canonical order by closed form, and
-`enumerate_pure_labels` reads the basis off it.  `transport` carries basis
-indices along a move sequence; it is read off the calculus, which stays the
-reference semantics, on a few raw probe labels.  `act_rows`, the one
-regroup-apply engine, composes `regroup` and `transport`.
+labels of a system in the canonical order by closed form, `Coder.raws`
+walks its whole basis in that order, and `enumerate_pure_labels` reads the
+basis off that walk.  `transport` carries basis indices along a move
+sequence; it is read off the calculus, which stays the reference semantics,
+on a few raw probe labels.  `act_rows`, the one regroup-apply engine,
+composes `regroup` and `transport`.
 """
 
 from __future__ import annotations
@@ -148,12 +151,13 @@ def label_of(raw: Raw) -> PureLabel:
 
 def enumerate_pure_labels(system: SystemTree, bound: int | None = None) -> list[PureLabel]:
     """All pure labels of `system` in canonical order: the labels of its
-    coder's indices, in index order (see `Coder`).
+    coder's basis walk, in index order (see `Coder.raws`).
 
     Canonical order sorts by the left-to-right tuple of leaf indices, then by
     the pre-order tuple of node signs with - before +.
     """
-    return list(map(coder(system).label, range(basis_size(system, bound))))
+    basis_size(system, bound)
+    return list(map(label_of, coder(system).raws()))
 
 
 def basis_size(system: SystemTree, bound: int | None = None) -> int:
@@ -202,8 +206,9 @@ class Coder:
     the label as it encodes it (shape, leaf indices ints in 1..dim, and
     only + signs in CT) and returns None for anything else.  `raw` and
     `raw_index` code raw labels (see `Raw`) and check nothing; `label`
-    decodes the raw label and builds its label tree.  A coder keeps nothing
-    it codes.
+    decodes the raw label and builds its label tree.  `raws` walks the
+    whole basis in index order, and like `raw` checks nothing: check
+    `basis_size` first.  A coder keeps nothing it codes.
     """
 
     __slots__ = ("dim", "nl", "ns", "left", "right", "bct")
@@ -243,6 +248,25 @@ class Coder:
             return index + 1 if self.nl > 1 else 0
         i, j, sign = self.split(index)
         return self.left.raw(i), self.right.raw(j), sign
+
+    def raws(self) -> Iterable[Raw]:
+        """The raw label of every basis index of the system, in index order.
+
+        The children's lists are paired in the order of the closed form:
+        for each left leaf block (NS_l consecutive raw labels), each right
+        leaf block, each sign (- then +; only + in CT), each x of the left
+        block and each y of the right block, (x, y, sign).  Only the
+        children's lists are built; the node's own level streams.
+        """
+        if self.left is None:
+            return range(1, self.nl + 1) if self.nl > 1 else (0,)
+        left, right = list(self.left.raws()), list(self.right.raws())
+        ls, rs = self.left.ns, self.right.ns
+        lefts = [left[k:k + ls] for k in range(0, len(left), ls)]
+        rights = [right[k:k + rs] for k in range(0, len(right), rs)]
+        signs = SIGNS if self.bct else (PLUS,)
+        return ((x, y, s) for xs in lefts for ys in rights for s in signs
+                for x in xs for y in ys)
 
     def raw_index(self, raw: Raw) -> int:
         """The basis index of a raw label of the system's shape.  In CT no
@@ -370,18 +394,29 @@ def _climb(raw: Raw, path: str, depth: int, rewrite: Callable[[Raw, str | None],
     return (left, child, sign * escaping), PLUS
 
 
+def moves_raw(moves: Sequence[Move]) -> Callable[[Raw], tuple[Raw, int]]:
+    """The calculus for one move sequence: a function that applies `moves`
+    to a raw label, in order, and returns (moved raw label, environment
+    flip in {-1,+1}).  The active fault and each move's rewrite are read
+    once, here: the function keeps the fault in force when it was built."""
+    fault = faults.active_fault()
+    steps = [(move.path, _braid if move.kind is MoveKind.BRAID else
+              _assoc_r if move.kind is MoveKind.ASSOC_R else _assoc_l) for move in moves]
+
+    def run(raw: Raw) -> tuple[Raw, int]:
+        flip = PLUS
+        for path, rewrite in steps:
+            raw, escaping = _climb(raw, path, 0, rewrite, fault)
+            flip *= escaping
+        return raw, flip
+    return run
+
+
 def apply_moves_raw(raw: Raw, moves: Sequence[Move]) -> tuple[Raw, int]:
     """The calculus: `moves` applied to a raw label, in order, under the
-    active fault.  Returns (moved raw label, environment flip in {-1,+1})."""
-    fault = faults.active_fault()
-    flip = PLUS
-    for move in moves:
-        kind = move.kind
-        rewrite = _braid if kind is MoveKind.BRAID else \
-            _assoc_r if kind is MoveKind.ASSOC_R else _assoc_l
-        raw, escaping = _climb(raw, move.path, 0, rewrite, fault)
-        flip *= escaping
-    return raw, flip
+    active fault, by `moves_raw`.  Returns (moved raw label, environment
+    flip in {-1,+1})."""
+    return moves_raw(moves)(raw)
 
 
 def apply_moves_tracked(label: PureLabel, moves: list[Move]) -> tuple[PureLabel, int]:
@@ -460,8 +495,9 @@ def transport(system: SystemTree, moves: Sequence[Move]) -> tuple[SystemTree, _T
     `_Transport`); nothing is enumerated, so a sparse vector on a system of
     any size is transported by the indices it holds.  Fetch it inside the
     operation that uses it, so the fault it is keyed on is the one in
-    force.  The law checks of `coherence` test the calculus itself and call
-    `apply_moves_raw` directly.  The empty sequence is the identity under
+    force.  The law checks of `coherence` test the calculus itself: they
+    build one `moves_raw` function per move sequence and run it over the
+    basis walk `Coder.raws`.  The empty sequence is the identity under
     every fault and gets no transport (None).
     """
     if not moves:

@@ -403,7 +403,24 @@ def test_hypersignal_refuses_dims_that_are_not_one_pair(capsys, dims):
 def test_hypersignal_says_it_takes_one_pair(capsys):
     assert main(["protocol", "hypersignal", "--dims", "2,2;3,3", "--quiet"]) == 2
     assert capsys.readouterr().err == (
-        "error E_SCHEMA: E_SCHEMA: hypersignal takes one pair of dims, got '2,2;3,3'\n")
+        "error E_SCHEMA: hypersignal takes one pair of dims, got '2,2;3,3'\n")
+
+
+@pytest.mark.parametrize(("code", "doc"), [
+    ("E_RATIONAL", {"mode": "BCT", "system": "2", "coeffs": {"1": "x"}}),
+    ("E_LABEL_SYNTAX", {"mode": "BCT", "system": "2", "coeffs": {"(1": "1"}}),
+    ("E_LABEL_RANGE", {"mode": "BCT", "system": "2", "coeffs": {"3": "1"}}),
+    ("E_SYSTEM_SYNTAX", {"mode": "BCT", "system": "(2", "coeffs": {"1": "1"}}),
+    ("E_MODE", {"mode": "XX", "system": "2", "coeffs": {"1": "1"}}),
+    ("E_SCHEMA", {"mode": "BCT", "system": "2", "coeffs": {"1": "3/2"}}),
+])
+def test_a_parse_refusal_names_its_code_once(tmp_path, capsys, code, doc):
+    src = tmp_path / "state.json"
+    src.write_text(json.dumps(doc))
+    assert main(["protocol", "clone", "--state", str(src), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error {code}: ") and captured.err.count(code) == 1
 
 
 DIGITS = "9" * 4000
@@ -465,7 +482,7 @@ def test_a_dimension_int_refuses_is_echoed_cut(capsys, argv):
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
     assert captured.out == ""
-    assert line.startswith("error E_SCHEMA: E_SCHEMA: bad dim '") and line.endswith("'...")
+    assert line.startswith("error E_SCHEMA: bad dim '") and line.endswith("'...")
     assert len(line) <= 120 and "set_int_max_str_digits" not in line
 
 

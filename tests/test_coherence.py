@@ -148,8 +148,8 @@ def _report_bytes(report):
 
 
 def test_failing_path_reports(monkeypatch):
-    monkeypatch.setattr(bct.coherence, "apply_moves_raw",
-                        lambda raw, moves: (raw, len(moves)))
+    monkeypatch.setattr(bct.coherence, "moves_raw",
+                        lambda moves: lambda raw: (raw, len(moves)))
     assert _report_bytes(check_pentagon((2, 2, 2, 2))) == (
         '{"name": "pentagon", "params": {"dims": [2, 2, 2, 2], "mode": "BCT"}, '
         '"passed": false, "counterexample": {"label": "(((1 1)- 1)- 1)-", '

@@ -9,7 +9,9 @@ no fault and under each known fault, `apply_moves_raw` on the raw label,
 `apply_moves_tracked` on the label object and the oracle give the same label
 and flip, or the same refusal; and the moved raw label codes to the index
 that the transport's probe once read off the oracle's label (its + twin in
-CT).
+CT).  One function built by `moves_raw` and run over a tree's whole basis
+walk (`Coder.raws`, which is the decoding of each index in order) agrees
+with both, and keeps the fault in force when it was built.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from bct.labels import (
     MoveKind,
     apply_moves_raw,
     apply_moves_tracked,
+    basis_size,
     coder,
     label_of,
     move_system,
+    moves_raw,
     raw_of,
 )
 from bct.systems import Node, SystemTree, TheoryMode, compose_systems, leaf, trivial
@@ -125,8 +129,8 @@ def test_walks_the_shape_admits(system, data):
     assert_agree(system, index, moves)
 
 
-arbitrary_moves = st.lists(st.builds(Move, st.sampled_from(KINDS),
-                                     st.text(alphabet="01", max_size=4)), max_size=6)
+arbitrary_move = st.builds(Move, st.sampled_from(KINDS), st.text(alphabet="01", max_size=4))
+arbitrary_moves = st.lists(arbitrary_move, max_size=6)
 
 
 @ORACLE
@@ -148,3 +152,51 @@ def test_each_shape_error_is_kept(raw, kind, path, message):
         with pytest.raises(ValueError) as refused:
             run(arg, [Move(kind, path)])
         assert str(refused.value) == message
+
+
+@ORACLE
+@given(system=systems())
+def test_the_basis_walk_decodes_each_index_in_order(system):
+    code = coder(system)
+    assert list(code.raws()) == [code.raw(i) for i in range(basis_size(system))]
+
+
+@ORACLE
+@given(system=systems(leaves=(0, 4)), data=st.data())
+def test_one_sequence_function_moves_a_whole_basis(system, data):
+    """Built once per fault and run on every raw label of the tree, the
+    function of a walk the shape admits (and an arbitrary tail, which may
+    be refused) agrees with `apply_moves_raw` and the oracle."""
+    moves, shape = [], system
+    for _ in range(data.draw(st.integers(0, 6))):
+        admitted = fitting(shape)
+        if not admitted:
+            break
+        moves.append(data.draw(st.sampled_from(admitted)))
+        shape = move_system(shape, moves[-1])
+    moves += data.draw(st.lists(arbitrary_move, max_size=2))
+    for fault in FAULTS:
+        with faults.inject_fault(fault):
+            run = moves_raw(moves)
+            for raw in coder(system).raws():
+                expected = outcome(oracle.apply_moves_tracked, label_of(raw), moves)
+                if expected[0] != "refused":
+                    expected = raw_of(expected[0]), expected[1]
+                assert outcome(run, raw) == outcome(apply_moves_raw, raw, moves) == expected, \
+                    (fault, moves, raw)
+
+
+def test_a_sequence_function_keeps_the_fault_it_was_built_under():
+    """The fault is read when the function is built, not when it runs."""
+    raw, moves = ((1, 2, -1), 1, 1), [Move(MoveKind.BRAID, "0")]
+    with faults.inject_fault(faults.BRAID_SIGN):
+        faulted = moves_raw(moves)
+        label, flip = oracle.apply_moves_tracked(label_of(raw), moves)
+        in_fault = raw_of(label), flip
+    plain = moves_raw(moves)
+    label, flip = oracle.apply_moves_tracked(label_of(raw), moves)
+    no_fault = raw_of(label), flip
+    assert in_fault != no_fault
+    assert faulted(raw) == in_fault
+    with faults.inject_fault(faults.BRAID_SIGN):
+        assert plain(raw) == no_fault

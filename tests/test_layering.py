@@ -98,7 +98,7 @@ def test_coherence_checks_the_calculus_without_the_tables():
     transport that memoises them."""
     source = next(p for p in SOURCES if p.name == "coherence.py")
     used = names_used(ast.parse(source.read_text()))
-    assert "apply_moves_raw" in used
+    assert "moves_raw" in used
     assert used & TABLE_NAMES == set()
 
 

@@ -249,7 +249,7 @@ def test_a_constructor_message_is_passed_on_cut(doc_path, weight, message):
     80 characters; a message of at most 80 is passed on as it is."""
     doc_path.write_text(json.dumps({"mode": "BCT", "system": "2", "coeffs": {"1": weight}}))
     code, err = stderr_of(["protocol", "clone", "--state", str(doc_path), "--quiet"])
-    assert (code, err) == (2, f"error E_SCHEMA: E_SCHEMA: {message}\n")
+    assert (code, err) == (2, f"error E_SCHEMA: {message}\n")
     kernel = {"mode": "BCT", "in": "2", "out": "2",
               "rows": {"1": [{"to": "1", "tau": 1, "w": weight}]}}
     with pytest.raises(ParseError) as refused:
