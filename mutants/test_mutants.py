@@ -77,13 +77,17 @@ CATALOGUE = [
            "join, signs = (lambda i, j, _sign: i + j), (-1, 1)",
            ("tests/test_states.py::TestTrivialFactors",)),
     Mutant("left-link-absorbs-the-flip", "labels.py",
-           "return (child, right, sign * escaping), escaping",
-           "return (child, right, sign * escaping), PLUS",
+           "for c, (_, y, s), f in zip(moved, raws, flips)], flips",
+           "for c, (_, y, s), f in zip(moved, raws, flips)], None",
            ("tests/test_label_calculus.py",)),
     Mutant("associator-drops-s1-s2", "labels.py",
-           "return (x, (y, z, s2 if fault == faults.ASSOC_SIGN else s1 * s2), s1), PLUS",
-           "return (x, (y, z, s2), s1), PLUS",
+           "return [(x, (y, z, s2 if keep else s1 * s2), s1) for (x, y, s1), z, s2 in raws], None",
+           "return [(x, (y, z, s2), s1) for (x, y, s1), z, s2 in raws], None",
            ("tests/test_label_calculus.py",)),
+    Mutant("climb-left-link-drops-flips", "labels.py",
+           "    if flips is None:\n",
+           "    if flips is None or side == 0:\n",
+           ("tests/test_label_calculus.py::test_every_single_move_at_every_path",)),
     Mutant("basis-walk-sign-inside-a-block", "labels.py",
            "for xs in lefts for ys in rights for s in signs",
            "for s in signs for ys in rights for xs in lefts",
@@ -93,6 +97,10 @@ CATALOGUE = [
            "fault = None",
            ("tests/test_label_calculus.py::"
             "test_a_sequence_function_keeps_the_fault_it_was_built_under",)),
+    Mutant("paths-compare-raws-only", "coherence.py",
+           "if ones != twos or one_flips != two_flips:",
+           "if ones != twos:",
+           ("tests/test_coherence.py::test_paths_that_differ_in_one_flip_fail",)),
 ]
 
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

@@ -74,6 +74,11 @@ class CheckReport:
         return asdict(self)
 
 
+# The labels each sequence function of a path check rewrites at a time: a
+# fixed block, so that a check's memory stays flat whatever the bound.
+_BLOCK = 128
+
+
 def _paths_agree(name: str, dims: tuple[int, ...], mode: TheoryMode,
                  first: list[Move], second: list[Move],
                  keys: tuple[str, str]) -> CheckReport:
@@ -81,21 +86,25 @@ def _paths_agree(name: str, dims: tuple[int, ...], mode: TheoryMode,
     of `dims` to the same label with the same flip; `keys` name the two
     results in a counterexample, the only labels built.  After the bound
     check, each sequence is resolved once, by `moves_raw`, under the fault
-    the check runs in, and both functions run over the basis walk
-    `Coder.raws`, in index order, so the first label that differs is the
-    counterexample."""
+    the check runs in, and both functions run on the basis walk
+    `Coder.raws` in blocks of `_BLOCK` labels, in index order.  A block
+    whose results differ is scanned label by label, so the first label
+    that differs is the counterexample."""
     params = {"dims": list(dims), "mode": mode.value}
     system = left_comb(dims, mode)
     size = basis_size(system)
     one_of, two_of = moves_raw(first), moves_raw(second)
-    for label in coder(system).raws():
-        one = one_of(label)
-        two = two_of(label)
-        if one != two:
+    walk = iter(coder(system).raws())
+    while block := list(itertools.islice(walk, _BLOCK)):
+        ones, one_flips = one_of(block)
+        twos, two_flips = two_of(block)
+        if ones != twos or one_flips != two_flips:
+            k = next(k for k in range(len(block))
+                     if ones[k] != twos[k] or one_flips[k] != two_flips[k])
             return CheckReport(name, params, False,
-                               {"label": label_to_str(label_of(label)),
-                                keys[0]: label_to_str(label_of(one[0])),
-                                keys[1]: label_to_str(label_of(two[0]))})
+                               {"label": label_to_str(label_of(block[k])),
+                                keys[0]: label_to_str(label_of(ones[k])),
+                                keys[1]: label_to_str(label_of(twos[k]))})
     return CheckReport(name, {**params, "labels_checked": size}, True)
 
 

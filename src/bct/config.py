@@ -52,10 +52,17 @@ def shown(value: object, quoted: bool = True) -> str:
 
 
 def max_dim() -> int:
+    """The enumeration bound: `BCT_MAX_DIM` if set, else `DEFAULT_MAX_DIM`.
+    A value that is not a positive int (one `int` refuses, by its text or
+    its digit limit, or one below 1) is refused with one message that
+    echoes it through `shown`."""
     env = os.environ.get("BCT_MAX_DIM")
-    if env is not None:
+    if env is None:
+        return DEFAULT_MAX_DIM
+    try:
         value = int(env)
-        if value <= 0:
-            raise ValueError("BCT_MAX_DIM must be positive")
-        return value
-    return DEFAULT_MAX_DIM
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"BCT_MAX_DIM must be a positive integer, got {shown(env)}")
+    return value

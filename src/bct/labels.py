@@ -23,8 +23,9 @@ calculus (pentagon, hexagon, path independence) is enforced by tests.
 The calculus has one body, `moves_raw`, on raw labels: a leaf is its int
 index, the unit is 0 and a node is a (left, right, sign) tuple.  It resolves
 a move sequence once (the active fault and each move's rewrite) and returns
-the function that moves a raw label along it; `apply_moves_raw(raw, moves)`
-is `moves_raw(moves)(raw)`.  Label objects are built only at the boundary:
+the function that moves a block (a list) of raw labels along it, each move
+step one pass over the whole block; `apply_moves_raw(raw, moves)` runs it
+on a block of one.  Label objects are built only at the boundary:
 `apply_moves_tracked` moves a label tree through its raw form, and
 `Coder.label` builds the label of a decoded raw label.
 
@@ -130,7 +131,8 @@ def _is_label_tree(key: object) -> bool:
 
 # A raw label: a leaf is its int index, the unit is 0 and a node is a
 # (left, right, sign) tuple.  The calculus runs on this form, and reads
-# anything but a tuple as a leaf (`move_system` moves a tree's shape by it).
+# anything that is not a triple as a leaf (`move_system` moves a tree's
+# shape by it, its leaves system objects).
 Raw = int | tuple
 
 
@@ -353,70 +355,88 @@ def invert_moves(moves: list[Move]) -> list[Move]:
     return [invert_move(m) for m in reversed(moves)]
 
 
-def _assoc_r(raw: Raw, fault: str | None) -> tuple[Raw, int]:
-    if type(raw) is not tuple or type(raw[0]) is not tuple:
-        raise ValueError("assoc right needs shape ((x y) z)")
-    (x, y, s1), z, s2 = raw
-    return (x, (y, z, s2 if fault == faults.ASSOC_SIGN else s1 * s2), s1), PLUS
+def _assoc_r(raws: list[Raw], fault: str | None) -> tuple[list[Raw], None]:
+    keep = fault == faults.ASSOC_SIGN
+    try:
+        return [(x, (y, z, s2 if keep else s1 * s2), s1) for (x, y, s1), z, s2 in raws], None
+    except TypeError:
+        raise ValueError("assoc right needs shape ((x y) z)") from None
 
 
-def _assoc_l(raw: Raw, fault: str | None) -> tuple[Raw, int]:
-    if type(raw) is not tuple or type(raw[1]) is not tuple:
-        raise ValueError("assoc left needs shape (x (y z))")
-    x, (y, z, v), w = raw
-    return ((x, y, w), z, v if fault == faults.ASSOC_SIGN else v * w), PLUS
+def _assoc_l(raws: list[Raw], fault: str | None) -> tuple[list[Raw], None]:
+    keep = fault == faults.ASSOC_SIGN
+    try:
+        return [((x, y, w), z, v if keep else v * w) for x, (y, z, v), w in raws], None
+    except TypeError:
+        raise ValueError("assoc left needs shape (x (y z))") from None
 
 
-def _braid(raw: Raw, fault: str | None) -> tuple[Raw, int]:
-    if type(raw) is not tuple:
-        raise ValueError("braid needs a node")
-    x, y, s = raw
-    return (y, x, -s if fault == faults.BRAID_SIGN else s), s
+def _braid(raws: list[Raw], fault: str | None) -> tuple[list[Raw], list[int]]:
+    negate = fault == faults.BRAID_SIGN
+    try:
+        return [(y, x, -s if negate else s) for x, y, s in raws], [s for _, _, s in raws]
+    except TypeError:
+        raise ValueError("braid needs a node") from None
 
 
-def _climb(raw: Raw, path: str, depth: int, rewrite: Callable[[Raw, str | None], tuple[Raw, int]],
-           fault: str | None) -> tuple[Raw, int]:
-    """Rewrite the subtree at `path` and carry its flip toward the root.
+# A rule rewrites a block of raw labels under a fault: (moved raw labels,
+# their flips, or None where every flip is +).
+Rule = Callable[[list[Raw], str | None], tuple[list[Raw], list[int] | None]]
+
+
+def _climb(raws: list[Raw], path: str, depth: int, rewrite: Rule,
+           fault: str | None) -> tuple[list[Raw], list[int] | None]:
+    """Rewrite the subtree at `path` of each raw label of a block and carry
+    its flip toward the root.
 
     Ancestors reached through left-child links are flipped and the climb
     continues; the first right-child link flips its node and absorbs the
-    flip.  Returns (new raw label, environment flip).
+    flip.  Returns (new raw labels, environment flips), the flips None
+    where every one is +.
     """
     if depth == len(path):
-        return rewrite(raw, fault)
-    if type(raw) is not tuple:
-        raise ValueError(f"path {path!r} leaves the label")
-    left, right, sign = raw
-    if path[depth] == "0":
-        child, escaping = _climb(left, path, depth + 1, rewrite, fault)
-        return (child, right, sign * escaping), escaping
-    child, escaping = _climb(right, path, depth + 1, rewrite, fault)
-    return (left, child, sign * escaping), PLUS
+        return rewrite(raws, fault)
+    side = 0 if path[depth] == "0" else 1
+    try:
+        children = [raw[side] for raw in raws]
+    except TypeError:
+        raise ValueError(f"path {path!r} leaves the label") from None
+    moved, flips = _climb(children, path, depth + 1, rewrite, fault)
+    if flips is None:
+        return ([(c, y, s) for c, (_, y, s) in zip(moved, raws)] if side == 0 else
+                [(x, c, s) for c, (x, _, s) in zip(moved, raws)]), None
+    if side == 0:
+        return [(c, y, s * f) for c, (_, y, s), f in zip(moved, raws, flips)], flips
+    return [(x, c, s * f) for c, (x, _, s), f in zip(moved, raws, flips)], None
 
 
-def moves_raw(moves: Sequence[Move]) -> Callable[[Raw], tuple[Raw, int]]:
+def moves_raw(moves: Sequence[Move]) -> Callable[[list[Raw]], tuple[list[Raw], list[int]]]:
     """The calculus for one move sequence: a function that applies `moves`
-    to a raw label, in order, and returns (moved raw label, environment
-    flip in {-1,+1}).  The active fault and each move's rewrite are read
-    once, here: the function keeps the fault in force when it was built."""
+    to a block (a list) of raw labels, in order, one move step over the
+    whole block at a time, and returns (moved raw labels, environment flips
+    in {-1,+1}), one of each per label.  The active fault and each move's
+    rewrite are read once, here: the function keeps the fault in force when
+    it was built."""
     fault = faults.active_fault()
     steps = [(move.path, _braid if move.kind is MoveKind.BRAID else
               _assoc_r if move.kind is MoveKind.ASSOC_R else _assoc_l) for move in moves]
 
-    def run(raw: Raw) -> tuple[Raw, int]:
-        flip = PLUS
+    def run(raws: list[Raw]) -> tuple[list[Raw], list[int]]:
+        flips = [PLUS] * len(raws)
         for path, rewrite in steps:
-            raw, escaping = _climb(raw, path, 0, rewrite, fault)
-            flip *= escaping
-        return raw, flip
+            raws, escaping = _climb(raws, path, 0, rewrite, fault)
+            if escaping is not None:
+                flips = [f * e for f, e in zip(flips, escaping)]
+        return raws, flips
     return run
 
 
 def apply_moves_raw(raw: Raw, moves: Sequence[Move]) -> tuple[Raw, int]:
-    """The calculus: `moves` applied to a raw label, in order, under the
-    active fault, by `moves_raw`.  Returns (moved raw label, environment
-    flip in {-1,+1})."""
-    return moves_raw(moves)(raw)
+    """The calculus on one raw label: `moves_raw` on a block of one, under
+    the active fault.  Returns (moved raw label, environment flip in
+    {-1,+1})."""
+    (moved,), (flip,) = moves_raw(moves)([raw])
+    return moved, flip
 
 
 def apply_moves_tracked(label: PureLabel, moves: list[Move]) -> tuple[PureLabel, int]:
@@ -496,8 +516,9 @@ def transport(system: SystemTree, moves: Sequence[Move]) -> tuple[SystemTree, _T
     any size is transported by the indices it holds.  Fetch it inside the
     operation that uses it, so the fault it is keyed on is the one in
     force.  The law checks of `coherence` test the calculus itself: they
-    build one `moves_raw` function per move sequence and run it over the
-    basis walk `Coder.raws`.  The empty sequence is the identity under
+    build one `moves_raw` function per move sequence and run it on the
+    basis walk `Coder.raws`, a block of labels at a time; the probes here
+    run it on blocks of one.  The empty sequence is the identity under
     every fault and gets no transport (None).
     """
     if not moves:

@@ -486,6 +486,23 @@ def test_a_dimension_int_refuses_is_echoed_cut(capsys, argv):
     assert len(line) <= 120 and "set_int_max_str_digits" not in line
 
 
+@pytest.mark.parametrize("value", ["abc", "x" * 5000, "9" * 5000, "0", "-3"],
+                         ids=["word", "long-word", "past-the-digit-limit", "zero", "negative"])
+def test_a_bad_max_dim_is_refused_by_name(monkeypatch, capsys, value):
+    """A `BCT_MAX_DIM` that is not a positive int exits 2 with one line that
+    names the variable and echoes the value as `shown` cuts it, never with
+    the text of `int` (which would echo 200 characters of a word, or name
+    `sys.set_int_max_str_digits` for a number past the digit limit)."""
+    monkeypatch.setenv("BCT_MAX_DIM", value)
+    assert main(["verify-dims", "--triples", "2,2,2", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert captured.out == ""
+    assert line == f"error: BCT_MAX_DIM must be a positive integer, got {shown(value)}"
+    # the message (44 characters) and an echo cut to 80 characters and "..."
+    assert len(line) <= 140 and "set_int_max_str_digits" not in line
+
+
 def count_parses(monkeypatch):
     """The `parse_known_args` calls made on the shared parser, by argv."""
     parser, calls = bct.cli.build_parser(), []

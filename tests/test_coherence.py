@@ -8,6 +8,7 @@ import pytest
 import bct.coherence
 from bct.cli import main
 from bct.coherence import (
+    CheckReport,
     SuiteConfig,
     check_bifunctoriality,
     check_hexagon,
@@ -24,6 +25,7 @@ from bct.faults import (
     inject_fault,
 )
 from bct.kernels import extend_at, kernels_equal, random_kernel
+from bct.labels import coder, label_of, label_to_str
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, left_comb
 
 
@@ -149,7 +151,7 @@ def _report_bytes(report):
 
 def test_failing_path_reports(monkeypatch):
     monkeypatch.setattr(bct.coherence, "moves_raw",
-                        lambda moves: lambda raw: (raw, len(moves)))
+                        lambda moves: lambda raws: (raws, [len(moves)] * len(raws)))
     assert _report_bytes(check_pentagon((2, 2, 2, 2))) == (
         '{"name": "pentagon", "params": {"dims": [2, 2, 2, 2], "mode": "BCT"}, '
         '"passed": false, "counterexample": {"label": "(((1 1)- 1)- 1)-", '
@@ -158,6 +160,67 @@ def test_failing_path_reports(monkeypatch):
         '{"name": "hexagon", "params": {"dims": [2, 2, 2], "mode": "BCT"}, '
         '"passed": false, "counterexample": {"label": "((1 1)- 1)-", '
         '"one_step": "((1 1)- 1)-", "two_step": "((1 1)- 1)-"}}')
+
+
+def _second_path_differs_at(monkeypatch, target, moved, flip):
+    """`coherence.moves_raw` patched so that both pentagon paths leave each
+    raw label as it is with flip +, except that the second (three moves)
+    sends `target` to `moved` with `flip`."""
+    def moves_raw(moves):
+        def run(raws):
+            if len(moves) != 3:
+                return list(raws), [1] * len(raws)
+            return ([moved if raw == target else raw for raw in raws],
+                    [flip if raw == target else 1 for raw in raws])
+        return run
+    monkeypatch.setattr(bct.coherence, "moves_raw", moves_raw)
+    return moves_raw
+
+
+def _scanned_report(dims, moves_raw):
+    """The pentagon report of a scan that runs both patched paths on one
+    label at a time, by index."""
+    system = left_comb(dims)
+    code = coder(system)
+    params = {"dims": list(dims), "mode": "BCT"}
+    one_of, two_of = moves_raw([None] * 2), moves_raw([None] * 3)
+    for index in range(dimension(system)):
+        raw = code.raw(index)
+        one, two = one_of([raw]), two_of([raw])
+        if one != two:
+            return CheckReport("pentagon", params, False, {
+                "label": label_to_str(label_of(raw)),
+                "path1": label_to_str(label_of(one[0][0])),
+                "path2": label_to_str(label_of(two[0][0]))})
+    return CheckReport("pentagon", {**params, "labels_checked": dimension(system)}, True)
+
+
+@pytest.mark.parametrize("index", [127, 128, 300, 647])
+def test_the_first_counterexample_past_the_first_block(monkeypatch, index):
+    """Paths that differ at one label only, in the first block or past it,
+    report that label, with the bytes a label-at-a-time scan gives."""
+    dims = (3, 3, 3, 3)
+    code = coder(left_comb(dims))
+    target = code.raw(index)
+    patched = _second_path_differs_at(monkeypatch, target, code.raw(0), 1)
+    report = check_pentagon(dims)
+    assert not report.passed
+    assert report.counterexample["label"] == label_to_str(code.label(index))
+    assert _report_bytes(report) == _report_bytes(_scanned_report(dims, patched))
+
+
+@pytest.mark.parametrize("index", [0, 5, 200])
+def test_paths_that_differ_in_one_flip_fail(monkeypatch, index):
+    """Two paths that agree on every raw label and differ in the flip of
+    one fail at that label."""
+    dims = (3, 3, 3, 3)
+    code = coder(left_comb(dims))
+    target = code.raw(index)
+    patched = _second_path_differs_at(monkeypatch, target, target, -1)
+    report = check_pentagon(dims)
+    text = label_to_str(code.label(index))
+    assert report.counterexample == {"label": text, "path1": text, "path2": text}
+    assert _report_bytes(report) == _report_bytes(_scanned_report(dims, patched))
 
 
 def test_failing_law_reports(monkeypatch):

@@ -9,9 +9,11 @@ no fault and under each known fault, `apply_moves_raw` on the raw label,
 `apply_moves_tracked` on the label object and the oracle give the same label
 and flip, or the same refusal; and the moved raw label codes to the index
 that the transport's probe once read off the oracle's label (its + twin in
-CT).  One function built by `moves_raw` and run over a tree's whole basis
-walk (`Coder.raws`, which is the decoding of each index in order) agrees
-with both, and keeps the fault in force when it was built.
+CT).  One function built by `moves_raw` and run on a tree's whole basis
+walk (`Coder.raws`, which is the decoding of each index in order) as one
+block agrees with both label by label, and keeps the fault in force when
+it was built; a block with one label a move does not fit is refused as
+that label is.
 """
 
 from __future__ import annotations
@@ -164,9 +166,10 @@ def test_the_basis_walk_decodes_each_index_in_order(system):
 @ORACLE
 @given(system=systems(leaves=(0, 4)), data=st.data())
 def test_one_sequence_function_moves_a_whole_basis(system, data):
-    """Built once per fault and run on every raw label of the tree, the
-    function of a walk the shape admits (and an arbitrary tail, which may
-    be refused) agrees with `apply_moves_raw` and the oracle."""
+    """Built once per fault and run on the whole basis walk of the tree as
+    one block, the function of a walk the shape admits (and an arbitrary
+    tail, which may be refused) agrees label by label with
+    `apply_moves_raw` and the oracle, or is refused alike."""
     moves, shape = [], system
     for _ in range(data.draw(st.integers(0, 6))):
         admitted = fitting(shape)
@@ -177,13 +180,16 @@ def test_one_sequence_function_moves_a_whole_basis(system, data):
     moves += data.draw(st.lists(arbitrary_move, max_size=2))
     for fault in FAULTS:
         with faults.inject_fault(fault):
-            run = moves_raw(moves)
-            for raw in coder(system).raws():
+            raws = list(coder(system).raws())
+            block = outcome(moves_raw(moves), raws)
+            for k, raw in enumerate(raws):
                 expected = outcome(oracle.apply_moves_tracked, label_of(raw), moves)
-                if expected[0] != "refused":
+                if expected[0] == "refused":
+                    assert block == expected, (fault, moves, raw)
+                else:
                     expected = raw_of(expected[0]), expected[1]
-                assert outcome(run, raw) == outcome(apply_moves_raw, raw, moves) == expected, \
-                    (fault, moves, raw)
+                    assert (block[0][k], block[1][k]) == expected, (fault, moves, raw)
+                assert outcome(apply_moves_raw, raw, moves) == expected, (fault, moves, raw)
 
 
 def test_a_sequence_function_keeps_the_fault_it_was_built_under():
@@ -192,11 +198,42 @@ def test_a_sequence_function_keeps_the_fault_it_was_built_under():
     with faults.inject_fault(faults.BRAID_SIGN):
         faulted = moves_raw(moves)
         label, flip = oracle.apply_moves_tracked(label_of(raw), moves)
-        in_fault = raw_of(label), flip
+        in_fault = [raw_of(label)], [flip]
     plain = moves_raw(moves)
     label, flip = oracle.apply_moves_tracked(label_of(raw), moves)
-    no_fault = raw_of(label), flip
+    no_fault = [raw_of(label)], [flip]
     assert in_fault != no_fault
-    assert faulted(raw) == in_fault
+    assert faulted([raw]) == in_fault
     with faults.inject_fault(faults.BRAID_SIGN):
-        assert plain(raw) == no_fault
+        assert plain([raw]) == no_fault
+
+
+def full(depth: int, sign: int = -1) -> object:
+    """The raw label of the full binary tree of `depth`, its signs alternating."""
+    return 1 if depth == 0 else (full(depth - 1, -sign), full(depth - 1, sign), sign)
+
+
+# Raw labels of every shape a rule or a climb of up to two links tells apart,
+# and one (the full tree of depth 4) that each move at each path below fits.
+SHAPES = (0, 1, (1, 2, -1), ((1, 2, -1), 3, 1), (1, (2, 3, 1), -1), full(3), full(4))
+
+
+@pytest.mark.parametrize("path", ["", "0", "1", "01"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_block_is_refused_as_its_offending_label(kind, path):
+    """A block that mixes labels one move fits with one label it does not
+    fit (a leaf among nodes, or a node of another shape), wherever that
+    label stands, raises the `ValueError` that the move raises on that
+    label alone, from the rule or from the climb, and never a `TypeError`."""
+    moves = [Move(kind, path)]
+    alone = {raw: outcome(apply_moves_raw, raw, moves) for raw in SHAPES}
+    fits = [raw for raw in SHAPES if alone[raw][0] != "refused"]
+    assert fits
+    for offender in (raw for raw in SHAPES if alone[raw][0] == "refused"):
+        for at in range(len(fits) + 1):
+            block = fits[:at] + [offender] + fits[at:]
+            with pytest.raises(ValueError) as refused:
+                moves_raw(moves)(block)
+            assert ("refused", str(refused.value)) == alone[offender], (block, moves)
+    moved, flips = moves_raw(moves)(fits)
+    assert list(zip(moved, flips)) == [alone[raw] for raw in fits]
