@@ -50,10 +50,15 @@ CATALOGUE = [
            "return self.join(self.left.raw_index(left), self.right.raw_index(right), sign) "
            "if self.bct or sign == PLUS else None",
            ("tests/test_tables.py::test_transports_match_the_calculus_under_every_fault",)),
-    Mutant("leaf-hash-reads-the-name", "systems.py",
-           "return hash((self.system.dim, self.mode is TheoryMode.BCT))",
-           "return hash((self.system.dim, self.system.name, self.mode is TheoryMode.BCT))",
+    Mutant("a-pickled-tree-loads-as-a-copy", "systems.py",
+           "return type(self), tuple(getattr(self, f.name) for f in fields(self))",
+           "return object.__new__, (type(self),), "
+           "tuple(getattr(self, f.name) for f in fields(self))",
            ("tests/test_tables.py::test_pickles_hit_a_dict_under_another_hash_seed",)),
+    Mutant("shared-tree-key-drops-the-mode", "systems.py",
+           "key = (cls, *values)",
+           "key = (cls, *values[1:])",
+           ("tests/test_systems.py::test_trees_of_two_modes_are_two_trees",)),
     Mutant("transport-key-without-the-fault", "labels.py",
            "key = (faults.active_fault(), system, tuple(moves))",
            "key = (None, system, tuple(moves))",

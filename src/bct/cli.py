@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         args, extras = parser.parse_known_args(argv)
         try:
             defaults = _load_config(args.config)
-        except (OSError, ParseError) as exc:
+        except (OSError, ValueError) as exc:  # a ParseError is a ValueError
             print(f"config error: {_message(exc)}", file=sys.stderr)
             return USAGE_ERROR
         # appended after argv, config flags land in the subcommand's scope;

@@ -333,7 +333,7 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
     kernel = processor.kernel
     prepared = state_kernel(sigma)
     staged = _composed(kernel.nums, _with_identity(prepared, processor.a_system), False)
-    split = kernel.coders[1].split
+    split = coder(kernel.out_system).split
     for effect, branch in pairs:
         # the effect at the head of (A' B): (a b)_s -> (b, s), weighted effect(a)
         observed: dict[int, IntRow] = {}

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -40,7 +39,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from . import faults
 from .labels import (
     PLUS,
-    Coder,
     IntRow,
     IntRows,
     PureLabel,
@@ -49,7 +47,6 @@ from .labels import (
     basis_size,
     coder,
     enumerate_pure_labels,
-    joined,
     label_text,
     label_to_str,
     node_signs,
@@ -94,7 +91,7 @@ class Kernel:
             raise ValueError("kernel endpoints must share a theory mode")
         ct = self.in_system.mode is TheoryMode.CT
         out_trivial = isinstance(self.out_system, Trivial)
-        a_index, b_index = (c.index for c in self.coders)
+        a_index, b_index = coder(self.in_system).index, coder(self.out_system).index
         weights: dict[tuple[int, int, int], Fraction | int] = {}
         for row_label, entries in self.rows.items():
             a = a_index(row_label)
@@ -157,11 +154,6 @@ class Kernel:
     @property
     def mode(self) -> TheoryMode:
         return self.in_system.mode
-
-    @cached_property
-    def coders(self) -> tuple[Coder, Coder]:
-        """The basis-index coders of the input and the output system."""
-        return coder(self.in_system), coder(self.out_system)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Kernel):
@@ -265,19 +257,19 @@ def braid_kernel(a: SystemTree, b: SystemTree) -> Kernel:
     ab = compose_systems(a, b)
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         return identity_kernel(ab)
-    swap = _braid(coder(ab))
+    swap = _braid(a, b)
     rows = {i: {swap(i): 1} for i in range(basis_size(ab))}
     return Kernel._trusted(ab, compose_systems(b, a), rows, 1)
 
 
-def _braid(node: Coder) -> Callable[[int], tuple[int, int]]:
-    """The braid rule (x y)_s -> ((y x)_s, s) on the indices of a node's
-    coder: index -> (index of the swapped label, flip).
+def _braid(a: SystemTree, b: SystemTree) -> Callable[[int], tuple[int, int]]:
+    """The braid rule (x y)_s -> ((y x)_s, s) on the basis indices of the
+    node AB of two non-trivial systems: index -> (index in BA, flip).
 
     Kernel-level braids use this rule directly, so the label-level BRAID
     move (and its fault) stays confined to the regrouping calculus.
     """
-    split, join = node.split, joined(node.right, node.left).join
+    split, join = coder(compose_systems(a, b)).split, coder(compose_systems(b, a)).join
 
     def swap(index: int) -> tuple[int, int]:
         i, j, sign = split(index)
@@ -337,7 +329,7 @@ def _with_identity(prepared: Kernel, other: SystemTree) -> IntRows:
     """Int rows of prepared (x) I_other, over the preparation's denominator,
     for a deterministic preparation and a non-trivial `other`: a preparation
     opens a fresh node whose sign is the emitted flip."""
-    join = joined(prepared.coders[1], coder(other)).join
+    join = coder(compose_systems(prepared.out_system, other)).join
     row = prepared.nums[0]
     return {o: {(join(b, o, tau), tau): n for (b, tau), n in row.items()}
             for o in range(basis_size(other))}
@@ -362,19 +354,20 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     if k1.mode is not k2.mode:
         raise ValueError("cannot compose kernels from different theory modes")
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
-    size = basis_size(compose_systems(a, c))
+    ac, bd = compose_systems(a, c), compose_systems(b, d)
+    size = basis_size(ac)
     if isinstance(a, Trivial):
         inputs: Iterable[tuple[int, int, int]] = zip(repeat(0), range(size), repeat(PLUS))
     elif isinstance(c, Trivial):
         inputs = zip(range(size), repeat(0), repeat(PLUS))
     else:
-        inputs = map(joined(k1.coders[0], k2.coders[0]).split, range(size))
+        inputs = map(coder(ac).split, range(size))
     without_tau1 = isinstance(c, Trivial) or (
         faults.active_fault() == faults.PARALLEL_DROP_TAU
         and not (isinstance(a, Trivial) or isinstance(b, Trivial)))
     join = None
     if not (isinstance(b, Trivial) or isinstance(d, Trivial)):
-        join = joined(k1.coders[1], k2.coders[1]).join
+        join = coder(bd).join
     only_b = isinstance(d, Trivial)
     nums1, nums2 = k1.nums, k2.nums
     rows: dict[int, IntRow] = {}
@@ -395,8 +388,7 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
                 n = n1 * n2
                 out[key] = out[key] + n if key in out else n
         rows[x] = out
-    return Kernel._trusted(compose_systems(a, c), compose_systems(b, d),
-                           *_lowest(rows, k1.den * k2.den))
+    return Kernel._trusted(ac, bd, *_lowest(rows, k1.den * k2.den))
 
 
 def add_kernels(first: Kernel, *rest: Kernel) -> Kernel:

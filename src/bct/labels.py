@@ -201,8 +201,7 @@ class Coder:
     sign rank is (bit(s) * NS_l + sr_l) * NS_r + sr_r, with bit(-) = 0 and
     bit(+) = 1; in CT every sign is + and NS = 1.  Neither direction
     enumerates anything.  `left` and `right` are the children's coders (None
-    below a node).  Coders are shared: get one through `coder`, or `joined`
-    for the node of two coders.
+    below a node).  Coders are shared: get one through `coder`.
 
     `index` is the one check that a label belongs to the system: it checks
     the label as it encodes it (shape, leaf indices ints in 1..dim, and
@@ -299,26 +298,18 @@ class Coder:
 
 
 _CODERS: dict[SystemTree, Coder] = {}
-_JOINED: dict[tuple[Coder, Coder], Coder] = {}
 
 
 def coder(system: SystemTree) -> Coder:
     """The (shared) basis-index coder of `system`."""
     found = _CODERS.get(system)
     if found is None:
+        bct = system.mode is TheoryMode.BCT
         if isinstance(system, Node):
-            found = joined(coder(system.left), coder(system.right))
+            found = Coder(bct, 0, coder(system.left), coder(system.right))
         else:  # a leaf, or the trivial system and its one label
-            found = Coder(system.mode is TheoryMode.BCT, dimension(system))
+            found = Coder(bct, dimension(system))
         _CODERS[system] = found
-    return found
-
-
-def joined(left: Coder, right: Coder) -> Coder:
-    """The (shared) coder of the node of two systems, from their coders."""
-    found = _JOINED.get((left, right))
-    if found is None:
-        found = _JOINED[(left, right)] = Coder(left.bct, 0, left, right)
     return found
 
 
@@ -617,10 +608,10 @@ def act_rows(rows: IntRows, out_system: SystemTree, system: SystemTree, at: str,
         result = delete_at(system, at)
     else:
         result = replace_at(system, at, out_system)
-        join = joined(coder(out_system), target.right).join
+        joint = compose_systems(out_system, regrouped.right)
+        join = coder(joint).join
         if there is not None:
-            back = transport(compose_systems(out_system, regrouped.right),
-                             invert_moves(moves))[1]
+            back = transport(joint, invert_moves(moves))[1]
     out_rows: dict[int, IntRow] = {}
     for x in inputs:
         y, flip = (x, PLUS) if there is None else there[x]

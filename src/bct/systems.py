@@ -2,23 +2,22 @@
 
 A system is a binary tree over elementary carriers.  In BCT mode a composite
 of two non-trivial systems has dimension 2*D_A*D_B; in the CT baseline it is
-the ordinary product D_A*D_B.  Trees are compared structurally: two trees
-with the same shape, leaf dimensions and mode are the same system.  A tree
-is canonical: the trivial system is a whole tree or absent, never the child
-of a `Node` (`compose_systems` strips it, IA = A = AI, and `Node` refuses it).
+the ordinary product D_A*D_B.  A tree is canonical: the trivial system is a
+whole tree or absent, never the child of a `Node` (`compose_systems` strips
+it, IA = A = AI, and `Node` refuses it).
 
-Trees are slotted, and a `Node` hashes once, at construction, from its
-children's hashes: a coder lookup of a fresh composite costs one tuple hash,
-whatever its depth.  The hash is made of ints only (leaf dimensions, shape
-and a mode bit), not of the mode's identity hash or of a leaf's name, which
-differ between processes, so a cached hash travels with a pickled tree and
-still hits the dicts of the process that loads it, as a label's does.
+Trees are shared: two trees with the same shape, leaf dimensions, leaf names
+and mode are the same system, and so the same object.  Every constructor
+(`Trivial`, `Leaf` and `Node`, and each builder below) returns the one tree
+of its class and fields from one table, and a pickled or copied tree loads
+as the shared one.  Trees therefore compare and hash by identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import Any
 
 from .config import shown
 
@@ -38,21 +37,42 @@ class ElementarySystem:
     name: str | None = None
 
     def __post_init__(self) -> None:
+        # an int only: shared trees are found by ==, and 2.0 == 2
+        if type(self.dim) is not int:
+            raise ValueError(f"elementary systems need an int dim, got {shown(self.dim)}")
         if self.dim < 2:
             raise ValueError(f"elementary systems need dim >= 2, got {shown(self.dim)}")
 
 
-@dataclass(frozen=True, slots=True)
-class SystemTree:
+class _Shared(type):
+    """Calling a tree class returns the one tree of that class and those
+    fields (given in order), from one table; a refused tree is never stored."""
+
+    def __call__(cls, *values: object) -> Any:
+        key = (cls, *values)
+        found = _TREES.get(key)
+        if found is None:
+            found = _TREES.setdefault(key, super().__call__(*values))
+        return found
+
+
+_TREES: dict[tuple, SystemTree] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class SystemTree(metaclass=_Shared):
     mode: TheoryMode
 
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Trivial(SystemTree):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Leaf(SystemTree):
     system: ElementarySystem = field(default=None)  # type: ignore[assignment]
 
@@ -60,15 +80,11 @@ class Leaf(SystemTree):
         if self.system is None:
             raise ValueError("Leaf requires an ElementarySystem")
 
-    def __hash__(self) -> int:
-        return hash((self.system.dim, self.mode is TheoryMode.BCT))
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Node(SystemTree):
     left: SystemTree = field(default=None)  # type: ignore[assignment]
     right: SystemTree = field(default=None)  # type: ignore[assignment]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.left is None or self.right is None:
@@ -77,11 +93,6 @@ class Node(SystemTree):
             raise ValueError("children must share the parent's theory mode")
         if isinstance(self.left, Trivial) or isinstance(self.right, Trivial):
             raise ValueError("a Node has no trivial child; compose_systems strips it")
-        object.__setattr__(self, "_hash", hash((self.left, self.right,
-                                                self.mode is TheoryMode.BCT)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def trivial(mode: TheoryMode = TheoryMode.BCT) -> SystemTree:

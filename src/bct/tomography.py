@@ -145,7 +145,7 @@ def _incidence_rank(families: Iterable[tuple[str, Iterable[Nums]]], n: int) -> i
 def rank(vectors: Sequence[GeneralizedVector]) -> int:
     """Rank of the coefficient matrix, by fraction-free sparse elimination."""
     for i, vector in enumerate(vectors):
-        if vector.system is not vectors[0].system and vector.system != vectors[0].system:
+        if vector.system is not vectors[0].system:
             raise ValueError(f"vectors must share a system: vector {i} differs from vector 0")
     return len(_echelon([dict(vector.nums) for vector in vectors], {}))
 

@@ -46,7 +46,6 @@ from bct.labels import (
     basis_size,
     coder,
     enumerate_pure_labels,
-    joined,
     node_signs,
     regroup,
 )
@@ -181,7 +180,7 @@ def _head_rows(kernel: Kernel, system: SystemTree, drop_tau: bool) -> dict:
     split = coder(system).split
     bct = kernel.mode is TheoryMode.BCT
     effect = isinstance(kernel.out_system, Trivial)
-    join = None if effect else joined(kernel.coders[1], coder(system).right).join
+    join = None if effect else coder(compose_systems(kernel.out_system, system.right)).join
     rows = {}
     for x in range(dimension(system)):
         a, e, u = split(x)
@@ -206,7 +205,7 @@ def _with_identity(kernel: Kernel, other: SystemTree, drop_tau: bool = False) ->
     if not isinstance(kernel.in_system, Trivial):
         return _head_rows(kernel, compose_systems(kernel.in_system, other), drop_tau)
     # a preparation opens a fresh node whose sign is the emitted flip
-    join = joined(kernel.coders[1], coder(other)).join
+    join = coder(compose_systems(kernel.out_system, other)).join
     row = kernel.nums.get(0)
     if row is None:
         return {}
@@ -218,8 +217,8 @@ def _identity_with(other: SystemTree, kernel: Kernel) -> dict:
     """Int rows of I_other (x) kernel: kernel (x) I_other conjugated by the braids."""
     braid_in = not (isinstance(other, Trivial) or isinstance(kernel.in_system, Trivial))
     braid_out = not (isinstance(other, Trivial) or isinstance(kernel.out_system, Trivial))
-    swap_in = _braid(joined(kernel.coders[0], coder(other))) if braid_in else None
-    swap_out = _braid(joined(kernel.coders[1], coder(other))) if braid_out else None
+    swap_in = _braid(kernel.in_system, other) if braid_in else None
+    swap_out = _braid(kernel.out_system, other) if braid_out else None
     rows = {}
     for x, row in _with_identity(kernel, other).items():
         x, flip_in = swap_in(x) if swap_in else (x, PLUS)

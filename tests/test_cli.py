@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import bct
 import bct.cli
 import bct.tomography
 from bct.cli import main
@@ -171,6 +175,21 @@ def test_config_file_named_like_the_subcommand(tmp_path, monkeypatch, capsys):
                      "--quiet"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["seed"] == 5
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path):
+    """Through `python -m bct`, as a user runs it: exit 2 and one line, no
+    traceback (an undecodable file raises a `UnicodeDecodeError`)."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed=\xff\xfe\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bct.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "bct", "--config", str(cfg), "coherence",
+                           "--pairs", "1", "--dims-matrix", "2,2,2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

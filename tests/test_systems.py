@@ -1,11 +1,21 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bct import systems
+from bct.labels import invert_moves, move_system_sequence, regroup
+from bct.serial import parse_system, system_to_str
 from bct.systems import (
     ElementarySystem,
+    Leaf,
     Node,
     TheoryMode,
+    Trivial,
     bibit,
     compose_systems,
     delete_at,
@@ -50,6 +60,115 @@ def test_structural_identity():
         bibit(), compose_systems(bibit(), bibit()))
 
 
+@st.composite
+def shapes(draw):
+    """(mode, shape): 0-5 leaves of dims 2 or 3, a shape being a leaf's dim,
+    a pair of shapes, or None for the trivial system."""
+    def build(k):
+        if k == 1:
+            return draw(st.sampled_from((2, 3)))
+        split = draw(st.integers(1, k - 1))
+        return build(split), build(k - split)
+
+    k = draw(st.integers(0, 5))
+    return draw(st.sampled_from(tuple(TheoryMode))), None if k == 0 else build(k)
+
+
+def composed(shape, mode):
+    if shape is None:
+        return trivial(mode)
+    if isinstance(shape, int):
+        return leaf(shape, mode)
+    return compose_systems(composed(shape[0], mode), composed(shape[1], mode))
+
+
+def constructed(shape, mode):
+    """The same tree through the classes' own constructors."""
+    if shape is None:
+        return Trivial(mode)
+    if isinstance(shape, int):
+        return Leaf(mode, ElementarySystem(shape))
+    return Node(mode, constructed(shape[0], mode), constructed(shape[1], mode))
+
+
+def all_paths(system, prefix=""):
+    out = [prefix]
+    if isinstance(system, Node):
+        out += all_paths(system.left, prefix + "0") + all_paths(system.right, prefix + "1")
+    return out
+
+
+def flat(shape):
+    return [] if shape is None else [shape] if isinstance(shape, int) else [
+        *flat(shape[0]), *flat(shape[1])]
+
+
+@given(shapes())
+def test_every_builder_returns_the_shared_tree(mode_shape):
+    mode, shape = mode_shape
+    tree = composed(shape, mode)
+    assert tree.mode is mode
+    assert composed(shape, mode) is tree and constructed(shape, mode) is tree
+    assert left_comb(flat(shape), mode) is left_comb(flat(shape), mode)
+    assert parse_system(system_to_str(tree), mode) is tree
+    assert copy.copy(tree) is tree and copy.deepcopy(tree) is tree
+    assert pickle.loads(pickle.dumps(tree)) is tree
+    for path in all_paths(tree):
+        part = subtree_at(tree, path)
+        assert replace_at(tree, path, part) is tree
+        assert replace_at(tree, path, leaf(2, mode)) is replace_at(tree, path, leaf(2, mode))
+        assert delete_at(tree, path) is delete_at(tree, path)
+        if path:
+            moves = regroup(tree, path)
+            moved = move_system_sequence(tree, moves)
+            assert move_system_sequence(tree, moves) is moved
+            assert move_system_sequence(moved, invert_moves(moves)) is tree
+    other = TheoryMode.CT if mode is TheoryMode.BCT else TheoryMode.BCT
+    refused = (((tree, trivial(mode)), "compose_systems"), ((tree, None), "two children"),
+               ((tree, leaf(2, other)), "theory mode"))
+    size = len(systems._TREES)
+    for children, message in refused:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Node(mode, *children)
+    assert len(systems._TREES) == size
+
+
+def test_leaves_of_two_names_are_two_systems():
+    assert leaf(3, name="program") is not leaf(3)
+    assert leaf(3, name="program") is leaf(3, name="program")
+
+
+def test_threads_that_build_one_new_tree_get_one_object():
+    """Eight threads race to build the same new trees; each gets the one."""
+    barrier = threading.Barrier(8, timeout=30)
+
+    def build(out):
+        barrier.wait()
+        out.extend(compose_systems(leaf(2, name=f"race{k}"), leaf(3)) for k in range(2000))
+
+    outs = [[] for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in outs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(out) == 2000 for out in outs)
+    assert all(tree is first for out in outs[1:] for tree, first in zip(out, outs[0]))
+
+
+def test_trees_of_two_modes_are_two_trees():
+    for build in (trivial, bibit):
+        assert build(TheoryMode.CT) is not build(TheoryMode.BCT)
+        assert build(TheoryMode.CT).mode is TheoryMode.CT
+
+
 def test_mode_mismatch_rejected():
     with pytest.raises(ValueError):
         compose_systems(bibit(), bibit(TheoryMode.CT))
@@ -58,6 +177,9 @@ def test_mode_mismatch_rejected():
 def test_elementary_dim_bound():
     with pytest.raises(ValueError):
         ElementarySystem(1)
+    for dim in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match="need an int dim"):
+            leaf(dim)
 
 
 def test_paths():
