@@ -102,6 +102,14 @@ CATALOGUE = [
            "fault = None",
            ("tests/test_label_calculus.py::"
             "test_a_sequence_function_keeps_the_fault_it_was_built_under",)),
+    Mutant("offset-step-in-ct", "labels.py",
+           "self.step = self.ns // 2",
+           "self.step = self.ns // 2 or 1",
+           ("tests/test_index_arithmetic.py::test_offsets_sum_to_the_closed_form_join",)),
+    Mutant("stored-dimension-drops-the-2", "systems.py",
+           "return 2 * dl * dr if self.mode is TheoryMode.BCT else dl * dr",
+           "return dl * dr if self.mode is TheoryMode.BCT else dl * dr",
+           ("tests/test_index_arithmetic.py::test_every_tree_keeps_the_dimension_of_the_rule",)),
     Mutant("paths-compare-raws-only", "coherence.py",
            "if ones != twos or one_flips != two_flips:",
            "if ones != twos:",

@@ -24,7 +24,9 @@ Parallel composition is one rule on indices: input (i j)_s pairs the
 entries (y1, tau1) of row i of k1 and (y2, tau2) of row j of k2, and goes
 to ((y1 y2)_{s*tau1*tau2}, tau1), so the flip of k1 escapes and that of k2
 is absorbed by the node; it equals (I (x) k2) o (k1 (x) I) built from the
-extension above, with I (x) k2 the braid-conjugate of k2 (x) I.
+extension above, with I (x) k2 the braid-conjugate of k2 (x) I.  It runs on
+index arithmetic: each output index is a sum of offsets of the two factors'
+entries (see `parallel_compose` and `labels.Coder`).
 """
 
 from __future__ import annotations
@@ -328,10 +330,13 @@ def _composed(second: IntRows, first: IntRows, effect: bool) -> dict[int, IntRow
 def _with_identity(prepared: Kernel, other: SystemTree) -> IntRows:
     """Int rows of prepared (x) I_other, over the preparation's denominator,
     for a deterministic preparation and a non-trivial `other`: a preparation
-    opens a fresh node whose sign is the emitted flip."""
-    join = coder(compose_systems(prepared.out_system, other)).join
-    row = prepared.nums[0]
-    return {o: {(join(b, o, tau), tau): n for (b, tau), n in row.items()}
+    opens a fresh node whose sign is the emitted flip.  Its row is rewritten
+    into offsets once (see `labels.Coder`)."""
+    code = coder(compose_systems(prepared.out_system, other))
+    row = [(code.left_offset(b) + (code.step if tau > 0 else 0), tau, n)
+           for (b, tau), n in prepared.nums[0].items()]
+    right = code.right_offset
+    return {o: {(base + right(o), tau): n for base, tau, n in row}
             for o in range(basis_size(other))}
 
 
@@ -350,6 +355,12 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     non-trivial.  In CT every sign and flip is +.  A scalar factor needs no
     case of its own: these rules send each entry of the other factor to
     itself, times the scalar.
+
+    The inputs (i, j, s) come from the index walk `Coder.splits`, and each
+    factor's rows are rewritten once into offsets of B (x) D (see
+    `labels.Coder`): (y1 y2)_u is at left_offset(y1) + right_offset(y2),
+    plus step when u is +.  Without a node (B or D trivial) an output index
+    is its own offset, the other's is 0, and the step is 0.
     """
     if k1.mode is not k2.mode:
         raise ValueError("cannot compose kernels from different theory modes")
@@ -361,30 +372,33 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     elif isinstance(c, Trivial):
         inputs = zip(range(size), repeat(0), repeat(PLUS))
     else:
-        inputs = map(coder(ac).split, range(size))
+        inputs = coder(ac).splits()
     without_tau1 = isinstance(c, Trivial) or (
         faults.active_fault() == faults.PARALLEL_DROP_TAU
         and not (isinstance(a, Trivial) or isinstance(b, Trivial)))
-    join = None
-    if not (isinstance(b, Trivial) or isinstance(d, Trivial)):
-        join = coder(bd).join
-    only_b = isinstance(d, Trivial)
-    nums1, nums2 = k1.nums, k2.nums
+    # with B trivial and D not, the output is D's and u its flip; else tau1 is
+    only_d = isinstance(b, Trivial) and not isinstance(d, Trivial)
+    if isinstance(b, Trivial) or isinstance(d, Trivial):
+        left = right = None
+        step = 0
+    else:
+        code = coder(bd)
+        left, right, step = code.left_offset, code.right_offset, code.step
+    rows1 = {i: [(y if left is None else left(y), tau, n) for (y, tau), n in row.items()]
+             for i, row in k1.nums.items()}
+    rows2 = {j: [(y if right is None else right(y), tau, n) for (y, tau), n in row.items()]
+             for j, row in k2.nums.items()}
     rows: dict[int, IntRow] = {}
     for x, (i, j, s) in enumerate(inputs):
-        row1, row2 = nums1.get(i), nums2.get(j)
+        row1, row2 = rows1.get(i), rows2.get(j)
         if not (row1 and row2):
             continue
         out: IntRow = {}
-        for (y1, tau1), n1 in row1.items():
+        for base, tau1, n1 in row1:
             sign = s if without_tau1 else s * tau1
-            for (y2, tau2), n2 in row2.items():
-                if join is not None:
-                    key = (join(y1, y2, sign * tau2), tau1)
-                elif only_b:
-                    key = (y1, tau1)
-                else:
-                    key = (y2, sign * tau2)
+            for r, tau2, n2 in row2:
+                u = sign * tau2
+                key = (base + r + (step if u > 0 else 0), u if only_d else tau1)
                 n = n1 * n2
                 out[key] = out[key] + n if key in out else n
         rows[x] = out

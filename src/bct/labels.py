@@ -203,16 +203,24 @@ class Coder:
     enumerates anything.  `left` and `right` are the children's coders (None
     below a node).  Coders are shared: get one through `coder`.
 
+    That order is separable: the index of (i j)_s is the sum
+    `left_offset(i) + right_offset(j) + bit(s) * step`, with `step` =
+    NS_l * NS_r in BCT and 0 in CT, each offset worked out from its index
+    by arithmetic (a coder exists for systems far above the enumeration
+    bound, so it keeps no table of them).  `join` is that sum, and a loop
+    that joins the entries of two rows rewrites each row into offsets once.
+
     `index` is the one check that a label belongs to the system: it checks
     the label as it encodes it (shape, leaf indices ints in 1..dim, and
     only + signs in CT) and returns None for anything else.  `raw` and
     `raw_index` code raw labels (see `Raw`) and check nothing; `label`
     decodes the raw label and builds its label tree.  `raws` walks the
     whole basis in index order, and like `raw` checks nothing: check
-    `basis_size` first.  A coder keeps nothing it codes.
+    `basis_size` first; so does `splits`, the same walk on the children's
+    indices.  A coder keeps nothing it codes.
     """
 
-    __slots__ = ("dim", "nl", "ns", "left", "right", "bct")
+    __slots__ = ("dim", "nl", "ns", "step", "left", "right", "bct")
 
     def __init__(self, bct: bool, nl: int, left: Coder | None = None,
                  right: Coder | None = None) -> None:
@@ -221,6 +229,7 @@ class Coder:
             nl = left.nl * right.nl
         self.nl = nl
         self.ns = 2 * left.ns * right.ns if bct and left is not None else 1
+        self.step = self.ns // 2  # the sign rank where + starts (0 if + is the one sign)
         self.dim = self.nl * self.ns
 
     def index(self, label: object) -> int | None:
@@ -251,17 +260,24 @@ class Coder:
         return self.left.raw(i), self.right.raw(j), sign
 
     def raws(self) -> Iterable[Raw]:
-        """The raw label of every basis index of the system, in index order.
-
-        The children's lists are paired in the order of the closed form:
-        for each left leaf block (NS_l consecutive raw labels), each right
-        leaf block, each sign (- then +; only + in CT), each x of the left
-        block and each y of the right block, (x, y, sign).  Only the
-        children's lists are built; the node's own level streams.
-        """
+        """The raw label of every basis index of the system, in index order:
+        the children's raw labels paired by `_pairs`.  Only the children's
+        lists are built; the node's own level streams."""
         if self.left is None:
             return range(1, self.nl + 1) if self.nl > 1 else (0,)
-        left, right = list(self.left.raws()), list(self.right.raws())
+        return self._pairs(list(self.left.raws()), list(self.right.raws()))
+
+    def splits(self) -> Iterable[tuple[int, int, int]]:
+        """`split` of every basis index of a node, in index order: the
+        children's indices paired by `_pairs`."""
+        return self._pairs(range(self.left.dim), range(self.right.dim))
+
+    def _pairs(self, left: Sequence, right: Sequence) -> Iterable[tuple]:
+        """(x, y, sign) for the entries x of `left` and y of `right`, one
+        per basis index of the children in index order, in the order of the
+        closed form: for each left leaf block (NS_l consecutive entries),
+        each right leaf block, each sign (- then +; only + in CT), each x of
+        the left block and each y of the right block."""
         ls, rs = self.left.ns, self.right.ns
         lefts = [left[k:k + ls] for k in range(0, len(left), ls)]
         rights = [right[k:k + rs] for k in range(0, len(right), rs)]
@@ -289,12 +305,21 @@ class Coder:
         return i * left.ns + si, j * right.ns + sj, PLUS if bit else MINUS
 
     def join(self, i: int, j: int, sign: int) -> int:
-        """The index of the node label with children at indices i and j."""
-        li, lj = self.left.ns, self.right.ns
-        rank = (i // li * self.right.nl + j // lj) * self.ns
-        if not self.bct:
-            return rank
-        return rank + ((sign > 0) * li + i % li) * lj + j % lj
+        """The index of the node label with children at indices i and j:
+        `left_offset(i) + right_offset(j) + bit(sign) * step`, inline."""
+        li, lj, ns = self.left.ns, self.right.ns, self.ns
+        return (i // li * self.right.nl * ns + i % li * lj
+                + j // lj * ns + j % lj + (sign > 0) * self.step)
+
+    def left_offset(self, i: int) -> int:
+        """The part of `join(i, j, sign)` that left index i adds."""
+        li = self.left.ns
+        return i // li * self.right.nl * self.ns + i % li * self.right.ns
+
+    def right_offset(self, j: int) -> int:
+        """The part of `join(i, j, sign)` that right index j adds."""
+        lj = self.right.ns
+        return j // lj * self.ns + j % lj
 
 
 _CODERS: dict[SystemTree, Coder] = {}

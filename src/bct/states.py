@@ -298,14 +298,17 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
 
 
 def sum_to_unit(effects: Sequence[EffectVector]) -> bool:
-    """The effects sum to the unit effect: one on every index of their system."""
+    """The effects sum to the unit effect: one on every index of their
+    system.  One pass: the first effect copied scaled to the common
+    denominator, and the others added to it."""
     den = lcm(*(e.den for e in effects))
-    total: Nums = {}
-    for e in effects:
+    scale = den // effects[0].den
+    total = {x: n * scale for x, n in effects[0].nums.items()}
+    for e in effects[1:]:
         scale = den // e.den
         for x, n in e.nums.items():
             total[x] = total[x] + n * scale if x in total else n * scale
-    return len(total) == dimension(effects[0].system) and all(n == den for n in total.values())
+    return len(total) == dimension(effects[0].system) and set(total.values()) == {den}
 
 
 def discriminating_instrument(system: SystemTree) -> list[EffectVector]:

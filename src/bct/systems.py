@@ -10,7 +10,9 @@ Trees are shared: two trees with the same shape, leaf dimensions, leaf names
 and mode are the same system, and so the same object.  Every constructor
 (`Trivial`, `Leaf` and `Node`, and each builder below) returns the one tree
 of its class and fields from one table, and a pickled or copied tree loads
-as the shared one.  Trees therefore compare and hash by identity.
+as the shared one.  Trees therefore compare and hash by identity.  Each
+tree keeps its dimension, worked out from its children's once, when the
+table stores it; `dimension` reads it.
 """
 
 from __future__ import annotations
@@ -46,21 +48,31 @@ class ElementarySystem:
 
 class _Shared(type):
     """Calling a tree class returns the one tree of that class and those
-    fields (given in order), from one table; a refused tree is never stored."""
+    fields (given in order), from one table, its dimension kept on it; a
+    refused tree is never stored."""
 
     def __call__(cls, *values: object) -> Any:
         key = (cls, *values)
         found = _TREES.get(key)
         if found is None:
-            found = _TREES.setdefault(key, super().__call__(*values))
+            tree = super().__call__(*values)
+            object.__setattr__(tree, "_dim", tree._dimension())
+            found = _TREES.setdefault(key, tree)
         return found
 
 
 _TREES: dict[tuple, SystemTree] = {}
 
 
+class _Kept(metaclass=_Shared):
+    """The slot of the dimension a shared tree keeps: not a field, so that
+    no pickle or copy rebuilds it."""
+
+    __slots__ = ("_dim",)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
-class SystemTree(metaclass=_Shared):
+class SystemTree(_Kept):
     mode: TheoryMode
 
     def __reduce__(self) -> tuple:
@@ -69,7 +81,8 @@ class SystemTree(metaclass=_Shared):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Trivial(SystemTree):
-    pass
+    def _dimension(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -79,6 +92,9 @@ class Leaf(SystemTree):
     def __post_init__(self) -> None:
         if self.system is None:
             raise ValueError("Leaf requires an ElementarySystem")
+
+    def _dimension(self) -> int:
+        return self.system.dim
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -94,6 +110,10 @@ class Node(SystemTree):
         if isinstance(self.left, Trivial) or isinstance(self.right, Trivial):
             raise ValueError("a Node has no trivial child; compose_systems strips it")
 
+    def _dimension(self) -> int:
+        dl, dr = self.left._dim, self.right._dim
+        return 2 * dl * dr if self.mode is TheoryMode.BCT else dl * dr
+
 
 def trivial(mode: TheoryMode = TheoryMode.BCT) -> SystemTree:
     return Trivial(mode)
@@ -108,16 +128,8 @@ def bibit(mode: TheoryMode = TheoryMode.BCT) -> SystemTree:
 
 
 def dimension(system: SystemTree) -> int:
-    if isinstance(system, Trivial):
-        return 1
-    if isinstance(system, Leaf):
-        return system.system.dim
-    assert isinstance(system, Node)
-    dl = dimension(system.left)
-    dr = dimension(system.right)
-    if system.mode is TheoryMode.BCT:
-        return 2 * dl * dr
-    return dl * dr
+    """The dimension `system` keeps (see the module docstring)."""
+    return system._dim
 
 
 def compose_systems(a: SystemTree, b: SystemTree) -> SystemTree:

@@ -6,9 +6,10 @@ the four biseparable classes.  Bilocal tomography holds iff delta3 vanishes
 and the tripartite dimension identity balances.
 
 The product families are read only for ranks and supports, so each is built
-as int rows by `states.product_nums`, with no vector object: |u>|v> =
-1/2 sum_s (uv)_s is {(uv)_s: 1 for each s}.  The 1/2 (1/4 for a triple, 1
-in CT) scales every row alike, so dropping it changes no rank or support.
+as int rows by the product rule on basis offsets (`_products`), with no
+vector object: |u>|v> = 1/2 sum_s (uv)_s is {(uv)_s: 1 for each s}.  The
+1/2 (1/4 for a triple, 1 in CT) scales every row alike, so dropping it
+changes no rank or support.
 
 `span_report` ranks the four biseparable families from that structure, with
 no elimination.  No two rows of a family share a column, so a family's rank
@@ -39,7 +40,6 @@ from .labels import (
 from .states import (
     GeneralizedVector,
     Nums,
-    product_nums,
 )
 from .systems import (
     SystemTree,
@@ -158,10 +158,19 @@ def _basis(system: SystemTree) -> list[Nums]:
 def _products(x: SystemTree, xs: list[Nums], y: SystemTree, ys: list[Nums],
               moves: Sequence[Move] = ()) -> list[Nums]:
     """The int rows of |r>|t> for every row r of `xs` on x (outer) and t of
-    `ys` on y, carried along `moves`."""
+    `ys` on y, carried along `moves`.  Both row lists are rewritten into
+    offsets of x (x) y once (see `labels.Coder`), and each product row
+    holds (ij)_s at left_offset(i) + right_offset(j), plus the step for
+    s = +, in the order i, j, then - before +."""
     system = compose_systems(x, y)
-    signs, join = node_signs(system.mode), coder(system).join
-    rows = [product_nums(join, signs, r, t) for r in xs for t in ys]
+    code = coder(system)
+    left, right = code.left_offset, code.right_offset
+    steps = (0, code.step) if code.bct else (0,)
+    lefts = [[(left(i), n) for i, n in r.items()] for r in xs]
+    rights = [[(right(j), n) for j, n in t.items()] for t in ys]
+    rows = [{base + offset + step: na * nb
+             for base, na in r for offset, nb in t for step in steps}
+            for r in lefts for t in rights]
     if moves:
         table = transport(system, moves)[1]
         rows = [{table[i][0]: n for i, n in row.items()} for row in rows]
@@ -231,7 +240,7 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
     """Delta3 and the biseparable class ranks of ((AB)C), from the families'
     structure (see the module docstring), each family dropped once it is
     counted.  Every bound is checked before the union-find arrays over
-    ((AB)C) are made.  The union leaves `products` out: `product_nums` is
+    ((AB)C) are made.  The union leaves `products` out: the product rule is
     bilinear and neither family is transported, so the row of |u>|v>|w> is
     the sum over s of the `ab_c` rows of ((uv)_s, w), under every fault."""
     d_abc = dimension(compose_systems(compose_systems(a, b), c))
