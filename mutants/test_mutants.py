@@ -77,10 +77,15 @@ CATALOGUE = [
            "return cls._trusted(system, *out) if True else cls._checked(",
            ("tests/test_states.py::TestTrustedConstruction::"
             "test_state_with_a_negative_vector_is_refused",)),
-    Mutant("scalar-with-two-signs", "states.py",
-           "join, signs = (lambda i, j, _sign: i + j), (PLUS,)",
-           "join, signs = (lambda i, j, _sign: i + j), (-1, 1)",
+    Mutant("scalar-with-two-signs", "labels.py",
+           "return int, int, 0",
+           "return int, int, 1",
            ("tests/test_states.py::TestTrivialFactors",)),
+    Mutant("product-rule-drops-the-step", "states.py",
+           "base + offset + step",
+           "base + offset",
+           ("tests/test_states.py::TestTensor::test_pure_product",
+            "tests/test_tomography.py::TestCorollary::test_bibit_pair")),
     Mutant("left-link-absorbs-the-flip", "labels.py",
            "for c, (_, y, s), f in zip(moved, raws, flips)], flips",
            "for c, (_, y, s), f in zip(moved, raws, flips)], None",

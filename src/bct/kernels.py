@@ -24,9 +24,8 @@ Parallel composition is one rule on indices: input (i j)_s pairs the
 entries (y1, tau1) of row i of k1 and (y2, tau2) of row j of k2, and goes
 to ((y1 y2)_{s*tau1*tau2}, tau1), so the flip of k1 escapes and that of k2
 is absorbed by the node; it equals (I (x) k2) o (k1 (x) I) built from the
-extension above, with I (x) k2 the braid-conjugate of k2 (x) I.  It runs on
-index arithmetic: each output index is a sum of offsets of the two factors'
-entries (see `parallel_compose` and `labels.Coder`).
+extension above, with I (x) k2 the braid-conjugate of k2 (x) I.  It and
+`_with_identity` read each output index as a sum, by `labels.offsets`.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from .labels import (
     label_text,
     label_to_str,
     node_signs,
+    offsets,
 )
 from .states import (
     GeneralizedVector,
@@ -331,11 +331,10 @@ def _with_identity(prepared: Kernel, other: SystemTree) -> IntRows:
     """Int rows of prepared (x) I_other, over the preparation's denominator,
     for a deterministic preparation and a non-trivial `other`: a preparation
     opens a fresh node whose sign is the emitted flip.  Its row is rewritten
-    into offsets once (see `labels.Coder`)."""
-    code = coder(compose_systems(prepared.out_system, other))
-    row = [(code.left_offset(b) + (code.step if tau > 0 else 0), tau, n)
+    into `labels.offsets` once."""
+    left, right, step = offsets(prepared.out_system, other)
+    row = [(left(b) + (step if tau > 0 else 0), tau, n)
            for (b, tau), n in prepared.nums[0].items()]
-    right = code.right_offset
     return {o: {(base + right(o), tau): n for base, tau, n in row}
             for o in range(basis_size(other))}
 
@@ -357,10 +356,8 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     itself, times the scalar.
 
     The inputs (i, j, s) come from the index walk `Coder.splits`, and each
-    factor's rows are rewritten once into offsets of B (x) D (see
-    `labels.Coder`): (y1 y2)_u is at left_offset(y1) + right_offset(y2),
-    plus step when u is +.  Without a node (B or D trivial) an output index
-    is its own offset, the other's is 0, and the step is 0.
+    factor's rows are rewritten once into `labels.offsets` of B (x) D:
+    (y1 y2)_u is at left(y1) + right(y2), plus step when u is +.
     """
     if k1.mode is not k2.mode:
         raise ValueError("cannot compose kernels from different theory modes")
@@ -378,15 +375,10 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
         and not (isinstance(a, Trivial) or isinstance(b, Trivial)))
     # with B trivial and D not, the output is D's and u its flip; else tau1 is
     only_d = isinstance(b, Trivial) and not isinstance(d, Trivial)
-    if isinstance(b, Trivial) or isinstance(d, Trivial):
-        left = right = None
-        step = 0
-    else:
-        code = coder(bd)
-        left, right, step = code.left_offset, code.right_offset, code.step
-    rows1 = {i: [(y if left is None else left(y), tau, n) for (y, tau), n in row.items()]
+    left, right, step = offsets(b, d)
+    rows1 = {i: [(left(y), tau, n) for (y, tau), n in row.items()]
              for i, row in k1.nums.items()}
-    rows2 = {j: [(y if right is None else right(y), tau, n) for (y, tau), n in row.items()]
+    rows2 = {j: [(right(y), tau, n) for (y, tau), n in row.items()]
              for j, row in k2.nums.items()}
     rows: dict[int, IntRow] = {}
     for x, (i, j, s) in enumerate(inputs):

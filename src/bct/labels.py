@@ -207,8 +207,8 @@ class Coder:
     `left_offset(i) + right_offset(j) + bit(s) * step`, with `step` =
     NS_l * NS_r in BCT and 0 in CT, each offset worked out from its index
     by arithmetic (a coder exists for systems far above the enumeration
-    bound, so it keeps no table of them).  `join` is that sum, and a loop
-    that joins the entries of two rows rewrites each row into offsets once.
+    bound, so it keeps no table of them).  `join` is that sum, and
+    `offsets` hands its parts to a loop that rewrites each row once.
 
     `index` is the one check that a label belongs to the system: it checks
     the label as it encodes it (shape, leaf indices ints in 1..dim, and
@@ -320,6 +320,17 @@ class Coder:
         """The part of `join(i, j, sign)` that right index j adds."""
         lj = self.right.ns
         return j // lj * self.ns + j % lj
+
+
+def offsets(x: SystemTree, y: SystemTree) -> tuple[Callable[[int], int],
+                                                   Callable[[int], int], int]:
+    """(left, right, step), the node coder's parts: the index of (i j)_s in
+    x (x) y is left(i) + right(j) + bit(s) * step.  A trivial factor opens
+    no node: each index is its own offset (`int`) and the step is 0."""
+    if isinstance(x, Trivial) or isinstance(y, Trivial):
+        return int, int, 0
+    code = coder(compose_systems(x, y))
+    return code.left_offset, code.right_offset, code.step
 
 
 _CODERS: dict[SystemTree, Coder] = {}

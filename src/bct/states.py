@@ -6,14 +6,14 @@ maps an index to an int numerator, all over one positive denominator `den`,
 in canonical form (no numerator is zero, and the denominator shares no
 factor with all the numerators), so equal vectors hold equal ints.  The
 composition rule |i>|j> = 1/2 sum_s (ij)_s keeps every product dyadic, and
-the calculus below works on the ints alone: products join indices (a
-scalar factor needs no case of its own: the trivial system's one index is
-0), transports read `labels.transport`, marginals split the regrouped
-index, and kernel images and steering are one rule, `image`, on the
-regroup-apply engine `labels.act_rows`.  The constructors take label-keyed
-coefficients, and `coeffs` and `v[label]` read them back as exact
-`Fraction`s in lowest terms, built anew on each read, for the API, `serial`
-and reports.
+the calculus below works on the ints alone: `product_nums`, on
+`labels.offsets`, is the one product rule, for `tensor_states` and the
+tomography families; transports read `labels.transport`, marginals split
+the regrouped index, and kernel images and steering are one rule, `image`,
+on the regroup-apply engine `labels.act_rows`.  The constructors take
+label-keyed coefficients, and `coeffs` and `v[label]` read them back as
+exact `Fraction`s in lowest terms, built anew on each read, for the API,
+`serial` and reports.
 
 Nothing here ever renormalizes.  The null state is the empty coefficient
 map.  Sub-normalized states are first-class (they are what instrument
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .labels import (
     PLUS,
@@ -38,7 +38,7 @@ from .labels import (
     coder,
     label_text,
     label_to_str,
-    node_signs,
+    offsets,
     regroup,
     transport,
 )
@@ -181,11 +181,19 @@ def point_effect(system: SystemTree, label: PureLabel) -> EffectVector:
     return EffectVector(system, {label: ONE})
 
 
-def product_nums(join: Callable[[int, int, int], int], signs: tuple[int, ...],
-                 a: Nums, b: Nums) -> Nums:
-    """The product rule on numerators: na * nb on every sign s of (ij)_s
-    (`node_signs`), at `join(i, j, s)`, the composite coder's join."""
-    return {join(i, j, s): na * nb for i, na in a.items() for j, nb in b.items() for s in signs}
+def product_nums(x: SystemTree, xs: Sequence[Nums], y: SystemTree,
+                 ys: Sequence[Nums]) -> list[Nums]:
+    """The one product rule, on numerators: the row of |r>|t> on x (x) y for
+    each row r of `xs` on x (outer) and t of `ys` on y, with na * nb on each
+    sign s of (ij)_s, in the order i, j, then - before +; the 1/2 is the
+    caller's.  Each row list is rewritten into `labels.offsets` once."""
+    left, right, plus = offsets(x, y)
+    steps = (0, plus) if plus else (0,)
+    lefts = [[(left(i), n) for i, n in r.items()] for r in xs]
+    rights = [[(right(j), n) for j, n in t.items()] for t in ys]
+    return [{base + offset + step: na * nb
+             for base, na in r for offset, nb in t for step in steps}
+            for r in lefts for t in rights]
 
 
 def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> GeneralizedVector:
@@ -193,22 +201,19 @@ def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> Generaliz
 
     Two states compose to a state and two vectors of the span to a vector,
     both valid by construction; mixed factors get the checks of the
-    constructor of the first one's class.  A scalar factor opens no node:
-    one sign, +, and a join at i + j, the trivial index being 0.
+    constructor of the first one's class.
     """
-    if rho.system.mode is not sigma.system.mode:
+    x, y = rho.system, sigma.system
+    if x.mode is not y.mode:
         raise ValueError("cannot compose states from different theory modes")
     if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
         raise TypeError("tensor_states takes states and vectors of the span, not effects")
-    system = compose_systems(rho.system, sigma.system)
-    if isinstance(rho.system, Trivial) or isinstance(sigma.system, Trivial):
-        join, signs = (lambda i, j, _sign: i + j), (PLUS,)
-    else:
-        join, signs = coder(system).join, node_signs(system.mode)
-    # each sign s of (ij)_s gets the product of the numerators, and the
-    # denominator one more factor: the number of signs
-    out = lowest_terms(product_nums(join, signs, rho.nums, sigma.nums),
-                       rho.den * sigma.den * len(signs))
+    system = compose_systems(x, y)
+    # the denominator takes one more factor, the number of signs of the
+    # node: D_xy / (D_x * D_y), 1 for a scalar factor and in CT
+    (nums,) = product_nums(x, [rho.nums], y, [sigma.nums])
+    out = lowest_terms(nums, rho.den * sigma.den
+                       * (dimension(system) // (dimension(x) * dimension(y))))
     cls = type(rho)
     return cls._trusted(system, *out) if cls is type(sigma) else cls._checked(system, *out)
 

@@ -6,10 +6,10 @@ the four biseparable classes.  Bilocal tomography holds iff delta3 vanishes
 and the tripartite dimension identity balances.
 
 The product families are read only for ranks and supports, so each is built
-as int rows by the product rule on basis offsets (`_products`), with no
-vector object: |u>|v> = 1/2 sum_s (uv)_s is {(uv)_s: 1 for each s}.  The
-1/2 (1/4 for a triple, 1 in CT) scales every row alike, so dropping it
-changes no rank or support.
+as int rows by the one product rule, `states.product_nums`, with no vector
+object: |u>|v> = 1/2 sum_s (uv)_s is {(uv)_s: 1 for each s}.  The 1/2 (1/4
+for a triple, 1 in CT) scales every row alike, so dropping it changes no
+rank or support.
 
 `span_report` ranks the four biseparable families from that structure, with
 no elimination.  No two rows of a family share a column, so a family's rank
@@ -33,13 +33,13 @@ from .labels import (
     Move,
     MoveKind,
     basis_size,
-    coder,
     node_signs,
     transport,
 )
 from .states import (
     GeneralizedVector,
     Nums,
+    product_nums,
 )
 from .systems import (
     SystemTree,
@@ -158,21 +158,10 @@ def _basis(system: SystemTree) -> list[Nums]:
 def _products(x: SystemTree, xs: list[Nums], y: SystemTree, ys: list[Nums],
               moves: Sequence[Move] = ()) -> list[Nums]:
     """The int rows of |r>|t> for every row r of `xs` on x (outer) and t of
-    `ys` on y, carried along `moves`.  Both row lists are rewritten into
-    offsets of x (x) y once (see `labels.Coder`), and each product row
-    holds (ij)_s at left_offset(i) + right_offset(j), plus the step for
-    s = +, in the order i, j, then - before +."""
-    system = compose_systems(x, y)
-    code = coder(system)
-    left, right = code.left_offset, code.right_offset
-    steps = (0, code.step) if code.bct else (0,)
-    lefts = [[(left(i), n) for i, n in r.items()] for r in xs]
-    rights = [[(right(j), n) for j, n in t.items()] for t in ys]
-    rows = [{base + offset + step: na * nb
-             for base, na in r for offset, nb in t for step in steps}
-            for r in lefts for t in rights]
+    `ys` on y (`states.product_nums`), carried along `moves`."""
+    rows = product_nums(x, xs, y, ys)
     if moves:
-        table = transport(system, moves)[1]
+        table = transport(compose_systems(x, y), moves)[1]
         rows = [{table[i][0]: n for i, n in row.items()} for row in rows]
     return rows
 

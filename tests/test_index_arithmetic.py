@@ -1,7 +1,8 @@
 """The kernel-law checks on index arithmetic, against the bodies they replace.
 
 A node coder's closed-form join is a sum of offsets,
-`left_offset(i) + right_offset(j) + bit(s) * step`, and its index walk
+`left_offset(i) + right_offset(j) + bit(s) * step`, which `labels.offsets`
+hands out (with a trivial factor, i + j), and its index walk
 `splits` is `split` of each index in order; both are held to the closed
 form of `coder_oracle` on trees of 0 to 5 leaves of dims 2 and 3, of any
 shape, in BCT and CT.  `parallel_compose`, which reads both, is held to the
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from bct import coherence, faults
 from bct.config import MAX_NESTING
 from bct.kernels import parallel_compose, random_kernel
-from bct.labels import SIGNS, LeafLabel, NodeLabel, coder
+from bct.labels import SIGNS, LeafLabel, NodeLabel, coder, offsets
 from bct.states import EffectVector, lowest_terms, sum_to_unit
 from bct.systems import (
     Node,
@@ -83,9 +84,12 @@ def rule(system: SystemTree) -> int:
 def test_offsets_sum_to_the_closed_form_join(system, data):
     """Every left index against one drawn right index and every right index
     against one drawn left index, each under both signs (a CT join reads
-    no sign, so a - sign joins as +)."""
+    no sign, so a - sign joins as +), for the coder's offsets, for
+    `labels.offsets` and for `join`.  With a trivial factor drawn on either
+    side there is no node, and `labels.offsets` sums to i + j."""
     for node in nodes(system):
         code = coder(node)
+        left, right, step = offsets(node.left, node.right)
         i0 = data.draw(st.integers(0, code.left.dim - 1))
         j0 = data.draw(st.integers(0, code.right.dim - 1))
         pairs = [(i, j0) for i in range(code.left.dim)] + \
@@ -95,7 +99,15 @@ def test_offsets_sum_to_the_closed_form_join(system, data):
                 expected = oracle.join(code, i, j, s)
                 assert code.left_offset(i) + code.right_offset(j) + (s > 0) * code.step \
                     == expected, (i, j, s)
+                assert left(i) + right(j) + (s > 0) * step == expected, (i, j, s)
                 assert code.join(i, j, s) == expected, (i, j, s)
+    scalar = trivial(system.mode)
+    x, y = (scalar, system) if data.draw(st.booleans()) else (system, scalar)
+    left, right, step = offsets(x, y)
+    for i in range(dimension(x)):
+        for j in range(dimension(y)):
+            for s in SIGNS:
+                assert left(i) + right(j) + (s > 0) * step == i + j, (i, j, s)
 
 
 @ORACLE

@@ -6,7 +6,8 @@ modules form layers (systems, config and faults; then labels, states,
 kernels; then everything built on kernels), so none is needed, and this
 check keeps it that way.  The one regroup-apply engine sits in `labels`,
 beside the regroup and transport it composes, and only it, `marginal` and
-`is_separable` regroup.
+`is_separable` regroup, and only `labels` reads the parts of a coder's
+offset form.
 
 The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses.
@@ -300,6 +301,20 @@ def called(tree: ast.AST) -> set[str]:
     return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
             for node in ast.walk(tree) if isinstance(node, ast.Call)
             and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+OFFSET_PARTS = {"left_offset", "right_offset", "step"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "labels.py"],
+                         ids=lambda p: p.name)
+def test_only_labels_reads_the_offset_form(path):
+    """How an index of a composite is a sum is read through
+    `labels.offsets`: no other module reads a coder's `left_offset`,
+    `right_offset` or `step`."""
+    reads = sorted({node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and node.attr in OFFSET_PARTS})
+    assert reads == []
 
 
 def test_kernel_weights_become_ints_as_vector_weights_do():
