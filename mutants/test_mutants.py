@@ -85,7 +85,9 @@ CATALOGUE = [
            "base + offset + step",
            "base + offset",
            ("tests/test_states.py::TestTensor::test_pure_product",
-            "tests/test_tomography.py::TestCorollary::test_bibit_pair")),
+            "tests/test_tomography.py::TestCorollary::test_bibit_pair",
+            "tests/test_tomography.py::TestIntRowFamilies::"
+            "test_bipartite_products_are_the_vectors_numerators")),
     Mutant("left-link-absorbs-the-flip", "labels.py",
            "for c, (_, y, s), f in zip(moved, raws, flips)], flips",
            "for c, (_, y, s), f in zip(moved, raws, flips)], None",
@@ -119,6 +121,17 @@ CATALOGUE = [
            "if ones != twos or one_flips != two_flips:",
            "if ones != twos:",
            ("tests/test_coherence.py::test_paths_that_differ_in_one_flip_fail",)),
+    Mutant("unit-check-skips-the-count", "states.py",
+           "len(total) + len(rest) == dimension(first.system)",
+           "True",
+           ("tests/test_index_arithmetic.py::test_the_one_pass_unit_check_gives_the_two_pass_bool",
+            "tests/test_dilation.py::TestProbeLoop::"
+            "test_effects_short_of_the_unit_effect_are_not_verified")),
+    Mutant("first-effect-keeps-its-common-factor", "dilation.py",
+           "g = gcd(den, *(den - n for n in short.values()))",
+           "g = 1",
+           ("tests/test_dilation.py::TestDenseOracle::"
+            "test_instruments_padded_with_a_null_branch",)),
 ]
 
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

@@ -17,9 +17,12 @@ the output register).
 The decomposition and the branch/channel weight ratios run on the
 kernels' int rows.  Arbitrary instruments are realised by the same processor
 and program state, with one observation effect per branch built from those
-ratios; a realisation is verified by composing each sandwich
-(program state, R, effect) as a kernel on basis indices and comparing it
-with its branch.
+ratios.  The first branch's effect is the unit effect less the others'
+sum, written from that shortfall: `den` off the others' supports, in lowest
+terms without a pass over the whole of A'.  A realisation is verified by
+composing each sandwich (program state, R, effect) as a kernel on basis
+indices and comparing it with its branch, R's outputs split once for all
+branches, and by checking that the effects sum to the unit effect.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .config import DILATION_MAX_DIM
@@ -50,6 +53,7 @@ from .labels import (
     coder,
     enumerate_pure_labels,
     node_signs,
+    offsets,
 )
 from .states import (
     EffectVector,
@@ -57,7 +61,7 @@ from .states import (
     apply_effect_at,
     apply_moves_to_vector,
     int_coeffs,
-    lowest_terms,
+    sparse_sum,
     sum_to_unit,
     tensor_states,
 )
@@ -264,8 +268,8 @@ def realize_instrument(instrument: Instrument,
     All branches share one program state (the one programming their sum);
     each branch gets an observation effect built from the branch/channel
     weight ratios; the first branch's effect is the unit effect minus the
-    others, so it also absorbs whatever part of the program basis the
-    channel never uses.
+    others, written from their shortfall, so it also absorbs whatever part
+    of the program basis the channel never uses.
     """
     try:
         channel = instrument.total()
@@ -293,21 +297,31 @@ def realize_instrument(instrument: Instrument,
                     table[(fl, i)] = Fraction(n * channel.den,
                                               branch.den * channel.nums[i][(m - 1, tau)])
         tables.append(table)
-    # branch k > 0 observes its ratio on every sign of (sigma_{h,xi} i); the
-    # first branch observes what the others leave of the unit effect, which
-    # also covers the program labels the channel never uses
-    signs = node_signs(processor.mode)
-    program, join = coder(processor.program_system).index, coder(processor.output_ancilla).join
-    others = [int_coeffs({join(program(processor.program_index[fl]), i, s1): z
-                          for (fl, i), z in table.items() for s1 in signs})
-              for table in tables[1:]]
-    den = lcm(*(d for _nums, d in others))
-    first = dict.fromkeys(basis_indices(processor.output_ancilla, DILATION_MAX_DIM), den)
-    for nums, d in others:
-        for x, n in nums.items():
-            first[x] -= n * (den // d)
-    effects = [EffectVector._trusted(processor.output_ancilla, *c)
-               for c in (lowest_terms(first, den), *others)]
+    # branch k > 0 observes its ratio on every sign of (sigma_{h,xi} i), at
+    # the index (sigma_{h,xi} i)_{s1} of A' written as a sum of offsets
+    program = coder(processor.program_system).index
+    left, right, step = offsets(processor.program_system, processor.a_system)
+    shifts = [step if s1 > 0 else 0 for s1 in node_signs(processor.mode)]
+    aprime = processor.output_ancilla
+    others = []
+    for table in tables[1:]:
+        ratios = {left(program(processor.program_index[fl])) + right(i) + shift: z
+                  for (fl, i), z in table.items() for shift in shifts}
+        others.append(EffectVector._trusted(aprime, *int_coeffs(ratios)))
+    # the first branch observes what the others leave of the unit effect,
+    # which also covers the program labels the channel never uses: `den` off
+    # the support S of their sum `short`, so its common factor is that of den
+    # and den - short on S, and it is written in lowest terms from the start
+    den = lcm(*(e.den for e in others))
+    short = sparse_sum(others, den)
+    g = gcd(den, *(den - n for n in short.values()))
+    first = dict.fromkeys(basis_indices(aprime, DILATION_MAX_DIM), den // g)
+    for x, n in short.items():
+        if n == den:
+            del first[x]
+        else:
+            first[x] = (den - n) // g
+    effects = [EffectVector._trusted(aprime, first, den // g), *others]
 
     verified = verify and (_reproduces(processor, sigma,
                                        list(zip(effects, instrument.branches)))
@@ -333,16 +347,15 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
     kernel = processor.kernel
     prepared = state_kernel(sigma)
     staged = _composed(kernel.nums, _with_identity(prepared, processor.a_system), False)
+    # R is a bijection, so each output (a b)_s of the staged rows is split
+    # once, for all pairs
     split = coder(kernel.out_system).split
+    outputs = {y: split(y) for row in staged.values() for y, _tau in row}
     for effect, branch in pairs:
         # the effect at the head of (A' B): (a b)_s -> (b, s), weighted effect(a)
-        observed: dict[int, IntRow] = {}
-        for row in staged.values():
-            for y, _tau in row:
-                if y not in observed:
-                    a, b, s = split(y)
-                    w = effect.nums.get(a)
-                    observed[y] = {(b, s): w} if w else {}
+        weights = effect.nums
+        observed = {y: {(b, s): w} if (w := weights.get(a)) else {}
+                    for y, (a, b, s) in outputs.items()}
         rows = _composed(observed, staged, False)
         if _lowest(rows, prepared.den * effect.den) != (branch.nums, branch.den):
             return False

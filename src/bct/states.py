@@ -302,18 +302,34 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
     return True
 
 
+def sparse_sum(vectors: Sequence[GeneralizedVector], den: int) -> Nums:
+    """The numerators of the vectors' sum over `den`, a multiple of every
+    denominator, on the union of their supports only."""
+    total: Nums = {}
+    for v in vectors:
+        scale = den // v.den
+        for x, n in v.nums.items():
+            total[x] = total[x] + n * scale if x in total else n * scale
+    return total
+
+
 def sum_to_unit(effects: Sequence[EffectVector]) -> bool:
     """The effects sum to the unit effect: one on every index of their
-    system.  One pass: the first effect copied scaled to the common
-    denominator, and the others added to it."""
+    system.  The others are added into a sparse total over the common
+    denominator; the first is copied, each index of the total is popped
+    from the copy and checked there, what is left of the copy must be one
+    everywhere, and the supports must cover the system.  No effect is
+    assumed to be the dense one."""
     den = lcm(*(e.den for e in effects))
-    scale = den // effects[0].den
-    total = {x: n * scale for x, n in effects[0].nums.items()}
-    for e in effects[1:]:
-        scale = den // e.den
-        for x, n in e.nums.items():
-            total[x] = total[x] + n * scale if x in total else n * scale
-    return len(total) == dimension(effects[0].system) and set(total.values()) == {den}
+    total = sparse_sum(effects[1:], den)
+    first = effects[0]
+    scale = den // first.den
+    rest = dict(first.nums)
+    for x, t in total.items():
+        if rest.pop(x, 0) * scale + t != den:
+            return False
+    return (len(total) + len(rest) == dimension(first.system)
+            and set(rest.values()) <= {first.den})
 
 
 def discriminating_instrument(system: SystemTree) -> list[EffectVector]:

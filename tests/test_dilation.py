@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from bct.labels import UNIT, LeafLabel, NodeLabel, coder, enumerate_pure_labels,
 from bct.states import EffectVector, marginal, pure_state, unit_effect, vectors_equal
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf, trivial
 
+import dilation_oracle
 import fraction_kernels
 from kernel_helpers import function_channel, inverse, random_deterministic_kernel, scaled
 
@@ -543,11 +545,62 @@ class TestProbeLoop:
         unused = next(x for x in enumerate_pure_labels(proc.program_system) if x not in used)
         point = NodeLabel(unused, lab(1), 1)
         missing = coder(proc.output_ancilla).index(point)
-        real = dilation.lowest_terms
-        monkeypatch.setattr(dilation, "lowest_terms", lambda nums, den: real(
-            {x: n for x, n in nums.items() if x != missing}, den))
+        real = dilation.basis_indices
+        monkeypatch.setattr(dilation, "basis_indices", lambda system, bound=None: [
+            x for x in real(system, bound) if x != missing])
         result = realize_instrument(inst, processor=proc)
         assert result.observation[0][point] == 0
         assert dilation._reproduces(proc, result.sigma,
                                     list(zip(result.observation, inst.branches)))
         assert not result.verified
+
+
+@functools.cache
+def shared_processor(dims, mode):
+    return build_processor(leaf(dims[0], mode), leaf(dims[1], mode))
+
+
+class TestDenseOracle:
+    """The observation and the verdict of `realize_instrument` are those of
+    the dense construction it replaced (`dilation_oracle`): the first
+    effect as the unit effect minus the others in lowest terms, the two-pass
+    unit check and R's outputs split per branch."""
+
+    DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+    @staticmethod
+    def assert_matches(proc, inst):
+        result = realize_instrument(inst, processor=proc)
+        expected = dilation_oracle.dense_observation(proc, inst)
+        assert [(e.nums, e.den) for e in result.observation] == [
+            (e.nums, e.den) for e in expected]
+        # in the same key order too
+        assert [list(e.nums) for e in result.observation] == [list(e.nums) for e in expected]
+        assert result.verified == dilation_oracle.dense_verified(proc, inst)
+        return result
+
+    @pytest.mark.parametrize("mode", TheoryMode)
+    @pytest.mark.parametrize("branches", (1, 2, 3))
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_seeded_instruments(self, dims, branches, mode):
+        rng = random.Random(f"{dims} {branches} {mode.name}")
+        proc = shared_processor(dims, mode)
+        a, b = proc.a_system, proc.b_system
+        for _ in range(3):
+            inst = random_instrument(rng, a, b, branches=branches)
+            assert self.assert_matches(proc, inst).verified
+
+    @pytest.mark.parametrize("at", ("first", "last"))
+    @pytest.mark.parametrize("mode", TheoryMode)
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_instruments_padded_with_a_null_branch(self, dims, mode, at):
+        """A null first branch leaves the first effect nothing on the used
+        program labels and a common factor to divide out."""
+        rng = random.Random(f"{dims} {mode.name} {at}")
+        proc = shared_processor(dims, mode)
+        a, b = proc.a_system, proc.b_system
+        for branches in (1, 2, 3):
+            inst = random_instrument(rng, a, b, branches=branches)
+            null = (null_kernel(a, b),)
+            padded = Instrument(null + inst.branches if at == "first" else inst.branches + null)
+            assert self.assert_matches(proc, padded).verified

@@ -10,14 +10,16 @@ frozen `Fraction` body with trivial factors on any side.  Each tree keeps
 the dimension of the recursive rule, and coding the deepest tree a
 document may hold costs little memory: nothing is tabled per index.
 `check_sliding` builds its two braid kernels once per check, under every
-fault, and `sum_to_unit` gives the bool of the two-pass sum it replaced.
+fault, and `sum_to_unit`, which copies the first effect and adds only the
+others, gives the bool of the two-pass sum it replaced with the dense effect
+at any position, sparse supports, and indices that only a later effect
+covers.
 """
 
 from __future__ import annotations
 
 import random
 import tracemalloc
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from bct.systems import (
 
 import coder_oracle as oracle
 import fraction_kernels
+from dilation_oracle import two_pass_sum_to_unit
 from fraction_kernels import kernel_rows
 from kernel_helpers import faulted
 
@@ -183,44 +186,39 @@ def test_sliding_builds_its_two_braids_once_per_check(fault, mode, monkeypatch):
             assert len(built) == 2
 
 
-def two_pass_sum_to_unit(effects) -> bool:
-    """`sum_to_unit` as it was: every effect added into an empty total."""
-    den = lcm(*(e.den for e in effects))
-    total = {}
-    for e in effects:
-        scale = den // e.den
-        for x, n in e.nums.items():
-            total[x] = total[x] + n * scale if x in total else n * scale
-    return len(total) == dimension(effects[0].system) and all(n == den for n in total.values())
-
-
 @ORACLE
 @given(system=systems((0, 2)), data=st.data())
 def test_the_one_pass_unit_check_gives_the_two_pass_bool(system, data):
     """Effects that split the unit effect over a drawn denominator, or miss
-    it by one on one index, or leave an index out."""
+    it by one on one index, or leave an index out.  The dense part, what
+    the others leave, is at a drawn position; the others have sparse drawn
+    supports, and one drawn index is covered by the last effect alone."""
     dim = coder(system).dim
     den = data.draw(st.sampled_from((1, 2, 3, 4)))
-    left = [den] * dim
-    parts = []
     count = data.draw(st.integers(1, 4))
-    for k in range(count):
-        nums = {}
-        for x in range(dim):
-            n = left[x] if k == count - 1 else data.draw(st.integers(0, left[x]))
-            left[x] -= n
-            nums[x] = n
-        parts.append(nums)
+    dense = data.draw(st.integers(0, count - 1))
+    late = data.draw(st.integers(0, dim - 1))
+    left = [den] * dim
+    parts = [{} for _ in range(count)]
+    for k, nums in enumerate(parts):
+        if k == dense:
+            continue
+        for x in sorted(data.draw(st.sets(st.integers(0, dim - 1), max_size=dim))):
+            if x != late:
+                nums[x] = data.draw(st.integers(0, left[x]))
+                left[x] -= nums[x]
+    parts[dense] = {x: n for x, n in enumerate(left) if x != late}
+    parts[-1][late] = den
     change = data.draw(st.sampled_from(("none", "less", "more", "drop")))
     x = data.draw(st.integers(0, dim - 1))
-    nums = parts[-1]
-    if change == "less" and nums[x] > 0:
+    nums = parts[data.draw(st.integers(0, count - 1))]
+    if change == "less" and nums.get(x, 0) > 0:
         nums[x] -= 1
-    elif change == "more" and nums[x] < den:
-        nums[x] += 1
+    elif change == "more" and nums.get(x, 0) < den:
+        nums[x] = nums.get(x, 0) + 1
     elif change == "drop":
         for part in parts:
-            part.pop(x)
+            part.pop(x, None)
     effects = [EffectVector._trusted(system, *lowest_terms(part, den)) for part in parts]
     assert sum_to_unit(effects) == two_pass_sum_to_unit(effects)
     if change == "none":

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct import faults
-from bct.labels import LeafLabel, Move, MoveKind, enumerate_pure_labels
+from bct.labels import LeafLabel, Move, MoveKind, NodeLabel, enumerate_pure_labels, node_signs
 from bct.states import (
     GeneralizedVector,
+    StateVector,
     apply_moves_to_vector,
     pure_state,
     tensor_states,
@@ -308,8 +309,14 @@ class TestIntRowFamilies:
     @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
     def test_bipartite_products_are_the_vectors_numerators(self, dims, mode):
+        """|u>|v> written out label by label, not by the product rule: 1/2 on
+        each of (u v)_- and (u v)_+ in BCT, 1 on (u v)_+ in CT, through the
+        validating constructor."""
         a, b = (leaf(d, mode) for d in dims)
-        vectors = products(basis_states(a), basis_states(b))
+        ab = compose_systems(a, b)
+        weight = F(1) if mode is TheoryMode.CT else F(1, 2)
+        vectors = [StateVector(ab, {NodeLabel(u, v, s): weight for s in node_signs(mode)})
+                   for u in enumerate_pure_labels(a) for v in enumerate_pure_labels(b)]
         assert product_states(a, b) == [vector.nums for vector in vectors]
 
 
