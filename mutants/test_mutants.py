@@ -64,9 +64,13 @@ CATALOGUE = [
            "key = (None, system, tuple(moves))",
            ("tests/test_tables.py::test_a_transport_belongs_to_its_fault",)),
     Mutant("effect-entry-without-u", "labels.py",
-           "z, tau = e, tau * u",
-           "z, tau = e, tau",
+           "flip *= u",
+           "flip *= 1",
            ("tests/test_kernels.py::TestParallel::test_effects_commute_with_extension",)),
+    Mutant("separable-twin-on-the-wrong-side", "states.py",
+           "y - split(y)[2] * step",
+           "y + split(y)[2] * step",
+           ("tests/test_states.py::TestSeparability",)),
     Mutant("steering-trusts-a-generalized-effect", "states.py",
            "    return StateVector._checked(*out)",
            "    return StateVector._trusted(*out)",
@@ -87,7 +91,9 @@ CATALOGUE = [
            ("tests/test_states.py::TestTensor::test_pure_product",
             "tests/test_tomography.py::TestCorollary::test_bibit_pair",
             "tests/test_tomography.py::TestIntRowFamilies::"
-            "test_bipartite_products_are_the_vectors_numerators")),
+            "test_bipartite_products_are_the_vectors_numerators",
+            "tests/test_tomography.py::TestIntRowFamilies::"
+            "test_families_are_the_vectors_numerators")),
     Mutant("left-link-absorbs-the-flip", "labels.py",
            "for c, (_, y, s), f in zip(moved, raws, flips)], flips",
            "for c, (_, y, s), f in zip(moved, raws, flips)], None",

@@ -24,8 +24,8 @@ Parallel composition is one rule on indices: input (i j)_s pairs the
 entries (y1, tau1) of row i of k1 and (y2, tau2) of row j of k2, and goes
 to ((y1 y2)_{s*tau1*tau2}, tau1), so the flip of k1 escapes and that of k2
 is absorbed by the node; it equals (I (x) k2) o (k1 (x) I) built from the
-extension above, with I (x) k2 the braid-conjugate of k2 (x) I.  It and
-`_with_identity` read each output index as a sum, by `labels.offsets`.
+extension above, with I (x) k2 the braid-conjugate of k2 (x) I.  It,
+`_with_identity` and `_braid` read each output index by `labels.offsets`.
 """
 
 from __future__ import annotations
@@ -271,11 +271,12 @@ def _braid(a: SystemTree, b: SystemTree) -> Callable[[int], tuple[int, int]]:
     Kernel-level braids use this rule directly, so the label-level BRAID
     move (and its fault) stays confined to the regrouping calculus.
     """
-    split, join = coder(compose_systems(a, b)).split, coder(compose_systems(b, a)).join
+    split = coder(compose_systems(a, b)).split
+    left, right, step = offsets(b, a)
 
     def swap(index: int) -> tuple[int, int]:
         i, j, sign = split(index)
-        return join(j, i, sign), sign
+        return left(j) + right(i) + (step if sign > 0 else 0), sign
     return swap
 
 

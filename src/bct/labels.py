@@ -35,7 +35,7 @@ walks its whole basis in that order, and `enumerate_pure_labels` reads the
 basis off that walk.  `transport` carries basis indices along a move
 sequence; it is read off the calculus, which stays the reference semantics,
 on a few raw probe labels.  `act_rows`, the one regroup-apply engine,
-composes `regroup` and `transport`.
+composes `regroup`, `transport` and `offsets`.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .systems import (
     SystemTree,
     TheoryMode,
     Trivial,
+    check_path,
     compose_systems,
     delete_at,
     dimension,
@@ -207,8 +208,8 @@ class Coder:
     `left_offset(i) + right_offset(j) + bit(s) * step`, with `step` =
     NS_l * NS_r in BCT and 0 in CT, each offset worked out from its index
     by arithmetic (a coder exists for systems far above the enumeration
-    bound, so it keeps no table of them).  `join` is that sum, and
-    `offsets` hands its parts to a loop that rewrites each row once.
+    bound, so it keeps no table of them).  `join` serves one-entry reads
+    (`index`, `raw_index`); `offsets` hands the parts to every loop.
 
     `index` is the one check that a label belongs to the system: it checks
     the label as it encodes it (shape, leaf indices ints in 1..dim, and
@@ -445,7 +446,7 @@ def moves_raw(moves: Sequence[Move]) -> Callable[[list[Raw]], tuple[list[Raw], l
     rewrite are read once, here: the function keeps the fault in force when
     it was built."""
     fault = faults.active_fault()
-    steps = [(move.path, _braid if move.kind is MoveKind.BRAID else
+    steps = [(check_path(move.path), _braid if move.kind is MoveKind.BRAID else
               _assoc_r if move.kind is MoveKind.ASSOC_R else _assoc_l) for move in moves]
 
     def run(raws: list[Raw]) -> tuple[list[Raw], list[int]]:
@@ -596,10 +597,9 @@ def regroup(system: SystemTree, target: str) -> list[Move]:
     """
     if target == "":
         raise ValueError("cannot regroup the full tree against nothing")
-    subtree_at(system, target)  # raises on a selector that leaves the tree
+    subtree_at(system, target)  # raises on a bad step or a selector that leaves the tree
 
     def _regroup(t: SystemTree, p: str, prefix: str) -> list[Move]:
-        assert isinstance(t, Node), "selector must address a proper subtree"
         if p == "0":
             return []
         if p == "1":
@@ -629,25 +629,21 @@ def act_rows(rows: IntRows, out_system: SystemTree, system: SystemTree, at: str,
     whole tree, its own), over its denominator, keyed (output index, flip).
 
     Each input is regrouped to (a e)_u (by `transport`), split, replaced by
-    (b e)_{tau*u} and regrouped back.  An effect (trivial output) joins no
-    node: (0, +) goes to (e, flip * u), its node's sign becoming the flip.
+    (b e)_{tau*u}, at left(b) + right(e) + (step if tau*u is +) by `offsets`,
+    and regrouped back.  An effect (trivial output) opens no node: the sum
+    is e, and the node sign u becomes the flip.
     """
     if at == "":
         return out_system, rows
     moves = regroup(system, at)
     regrouped, there = transport(system, moves)
-    target = coder(regrouped)
-    split = target.split
+    split = coder(regrouped).split
     bct = system.mode is TheoryMode.BCT
-    join = back = None
-    if isinstance(out_system, Trivial):
-        result = delete_at(system, at)
-    else:
-        result = replace_at(system, at, out_system)
-        joint = compose_systems(out_system, regrouped.right)
-        join = coder(joint).join
-        if there is not None:
-            back = transport(joint, invert_moves(moves))[1]
+    effect = isinstance(out_system, Trivial)
+    result = delete_at(system, at) if effect else replace_at(system, at, out_system)
+    left, right, step = offsets(out_system, regrouped.right)
+    back = None if effect or there is None else transport(
+        compose_systems(out_system, regrouped.right), invert_moves(moves))[1]
     out_rows: dict[int, IntRow] = {}
     for x in inputs:
         y, flip = (x, PLUS) if there is None else there[x]
@@ -655,15 +651,15 @@ def act_rows(rows: IntRows, out_system: SystemTree, system: SystemTree, at: str,
         row = rows.get(a)
         if not row:
             continue
+        if effect:
+            flip *= u
+        base = right(e)
         out: IntRow = {}
         for (b, tau), n in row.items():
-            if join is None:
-                z, tau = e, tau * u
-            else:
-                z = join(b, e, tau * u)
-                if back is not None:
-                    z, back_flip = back[z]
-                    tau *= back_flip
+            z = left(b) + base + (step if tau * u > 0 else 0)
+            if back is not None:
+                z, back_flip = back[z]
+                tau *= back_flip
             key = (z, flip * tau if bct else PLUS)
             out[key] = out[key] + n if key in out else n
         out_rows[x] = out

@@ -286,20 +286,16 @@ def marginal(rho: StateVector, keep: str) -> StateVector:
 def is_separable(rho: StateVector, part: str = "0") -> bool:
     """Separability across the bipartition (subtree at `part`, complement).
 
-    A state is separable iff its regrouped coefficient table is symmetric
-    under the pairing sign.  CT passes the same check: its coder's `join`
-    ignores the sign, so every CT state is separable.
+    A state is separable iff each regrouped entry (a e)_u equals its sign
+    twin (a e)_{-u}, `u * step` below it by `labels.offsets`.  The CT step
+    is 0: each CT index is its own twin, and every CT state is separable.
     """
-    subtree_at(rho.system, part)
     if part == "":
         raise ValueError("bipartition selector must pick a proper subtree")
     moved = apply_moves_to_vector(rho, regroup(rho.system, part))
-    regrouped, table = coder(moved.system), moved.nums
-    for y, n in table.items():
-        a, e, u = regrouped.split(y)
-        if n != table.get(regrouped.join(a, e, -u), 0):
-            return False
-    return True
+    regrouped, table = moved.system, moved.nums
+    split, step = coder(regrouped).split, offsets(regrouped.left, regrouped.right)[2]
+    return all(n == table.get(y - split(y)[2] * step, 0) for y, n in table.items())
 
 
 def sparse_sum(vectors: Sequence[GeneralizedVector], den: int) -> Nums:

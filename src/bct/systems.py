@@ -143,9 +143,17 @@ def compose_systems(a: SystemTree, b: SystemTree) -> SystemTree:
     return Node(a.mode, a, b)
 
 
+def check_path(path: str) -> str:
+    """`path`, refused unless each step is 0 (left) or 1 (right): `subtree_at`,
+    which every selector meets first, and the calculus read no other."""
+    if path.strip("01"):
+        raise ValueError(f"path {shown(path)} has a step other than 0 or 1")
+    return path
+
+
 def subtree_at(system: SystemTree, path: str) -> SystemTree:
     node = system
-    for step in path:
+    for step in check_path(path):
         if not isinstance(node, Node):
             raise ValueError(f"path {path!r} leaves the tree")
         node = node.left if step == "0" else node.right
@@ -153,10 +161,9 @@ def subtree_at(system: SystemTree, path: str) -> SystemTree:
 
 
 def replace_at(system: SystemTree, path: str, new: SystemTree) -> SystemTree:
+    subtree_at(system, path)
     if path == "":
         return new
-    if not isinstance(system, Node):
-        raise ValueError(f"path {path!r} leaves the tree")
     if path[0] == "0":
         return Node(system.mode, replace_at(system.left, path[1:], new), system.right)
     return Node(system.mode, system.left, replace_at(system.right, path[1:], new))

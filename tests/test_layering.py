@@ -7,7 +7,9 @@ kernels; then everything built on kernels), so none is needed, and this
 check keeps it that way.  The one regroup-apply engine sits in `labels`,
 beside the regroup and transport it composes, and only it, `marginal` and
 `is_separable` regroup, and only `labels` reads the parts of a coder's
-offset form.
+offset form.  The engine, `is_separable` and the kernel braid read each
+index of a composite through `labels.offsets`, and `Coder.join` serves
+only one-entry reads.
 
 The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses.
@@ -315,6 +317,33 @@ def test_only_labels_reads_the_offset_form(path):
     reads = sorted({node.lineno for node in ast.walk(ast.parse(path.read_text()))
                     if isinstance(node, ast.Attribute) and node.attr in OFFSET_PARTS})
     assert reads == []
+
+
+@pytest.mark.parametrize("reader", ["labels.act_rows", "states.is_separable",
+                                    "kernels._braid"])
+def test_row_loops_read_the_offset_form_not_join(reader):
+    """The loops that build rows of a composite read each index as a sum
+    through `labels.offsets`, the one statement of it and of its no-node
+    case, and never join entry by entry through a coder's `join`."""
+    module, name = reader.split(".")
+    source = next(p for p in SOURCES if p.stem == module)
+    function = dict(definitions(ast.parse(source.read_text())))[name]
+    assert "offsets" in called(function)
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "join"
+                   for node in ast.walk(function))
+
+
+def test_join_serves_only_one_entry_reads():
+    """A coder's `join` is read by the coder's own one-entry reads and by
+    the universal processor's rows, one entry per read; a string's `join`
+    is not counted."""
+    readers = {f"{path.stem}.{qualname}" for path in SOURCES
+               for qualname, node in definitions(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(n, ast.Attribute) and n.attr == "join"
+                       and not isinstance(n.value, ast.Constant) for n in ast.walk(node))}
+    assert readers == {"labels.Coder.index", "labels.Coder.raw_index",
+                       "dilation._ProcessorRows.__init__"}
 
 
 def test_kernel_weights_become_ints_as_vector_weights_do():

@@ -8,7 +8,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bct import systems
-from bct.labels import invert_moves, move_system_sequence, regroup
+from bct.kernels import apply, extend_at, identity_kernel
+from bct.labels import (
+    Move,
+    MoveKind,
+    apply_moves_raw,
+    enumerate_pure_labels,
+    invert_moves,
+    move_system,
+    move_system_sequence,
+    regroup,
+    transport,
+)
+from bct.states import (
+    apply_effect_at,
+    apply_moves_to_vector,
+    is_separable,
+    marginal,
+    pure_state,
+    unit_effect,
+)
 from bct.serial import parse_system, system_to_str
 from bct.systems import (
     ElementarySystem,
@@ -199,6 +218,47 @@ def test_deleting_the_whole_tree_leaves_the_trivial_system(mode):
 def test_a_deletion_off_the_tree_names_the_whole_path(path):
     with pytest.raises(ValueError, match=f"^path '{path}' leaves the tree$"):
         delete_at(left_comb([2, 3, 2]), path)
+
+
+def braid(path):
+    return [Move(MoveKind.BRAID, path)]
+
+
+# Every function that takes a path, called on a tree of three bibits, a
+# state on it and a kernel or effect on one bibit.
+PATH_TAKERS = {
+    "subtree_at": lambda tree, rho, path: subtree_at(tree, path),
+    "replace_at": lambda tree, rho, path: replace_at(tree, path, bibit(tree.mode)),
+    "delete_at": lambda tree, rho, path: delete_at(tree, path),
+    "move_system": lambda tree, rho, path: move_system(tree, braid(path)[0]),
+    "transport": lambda tree, rho, path: transport(tree, braid(path)),
+    "apply_moves_raw": lambda tree, rho, path: apply_moves_raw(((1, 2, 1), 1, 1), braid(path)),
+    "apply_moves_to_vector": lambda tree, rho, path: apply_moves_to_vector(rho, braid(path)),
+    "regroup": lambda tree, rho, path: regroup(tree, path),
+    "extend_at": lambda tree, rho, path: extend_at(identity_kernel(bibit(tree.mode)), tree, path),
+    "apply": lambda tree, rho, path: apply(identity_kernel(bibit(tree.mode)), rho, path),
+    "apply_effect_at": lambda tree, rho, path: apply_effect_at(unit_effect(bibit(tree.mode)),
+                                                               rho, path),
+    "marginal": lambda tree, rho, path: marginal(rho, path),
+    "is_separable": lambda tree, rho, path: is_separable(rho, path),
+}
+
+
+@pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
+@pytest.mark.parametrize("path", ["2", "x", "0a"])
+@pytest.mark.parametrize("taker", sorted(PATH_TAKERS))
+def test_a_step_other_than_0_or_1_is_refused(taker, path, mode):
+    """No path is read as another: "2" is not the right child, and no
+    selector reaches the regrouping with a step it cannot follow."""
+    tree = left_comb([2, 2, 2], mode)
+    rho = pure_state(tree, enumerate_pure_labels(tree)[0])
+    with pytest.raises(ValueError, match=f"^path '{path}' has a step other than 0 or 1$"):
+        PATH_TAKERS[taker](tree, rho, path)
+
+
+def test_a_long_bad_path_is_echoed_cut():
+    with pytest.raises(ValueError, match=r"^path '0{80}'\.\.\. has a step other than 0 or 1$"):
+        subtree_at(bibit(), "0" * 100 + "2")
 
 
 @given(st.integers(2, 7), st.integers(2, 7))

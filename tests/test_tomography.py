@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 
 from bct import faults
 from bct.labels import LeafLabel, Move, MoveKind, NodeLabel, enumerate_pure_labels, node_signs
-from bct.states import (
-    GeneralizedVector,
-    StateVector,
-    apply_moves_to_vector,
-    pure_state,
-    tensor_states,
-)
+from bct.states import GeneralizedVector, StateVector, pure_state, tensor_states
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf, trivial
 from bct.tomography import (
     _echelon,
@@ -30,6 +24,8 @@ from bct.tomography import (
     rank,
     span_report,
 )
+
+import label_calculus_oracle
 
 F = Fraction
 A = bibit()
@@ -258,28 +254,42 @@ class TestSpanReportRanks:
                                             if name != "products" for row in family), dims
 
 
-def basis_states(system):
-    return [pure_state(system, label) for label in enumerate_pure_labels(system)]
-
-
-def products(rhos, sigmas, moves=()):
-    """`tensor_states(rho, sigma)` for every rho (outer) and sigma, carried
-    along `moves`."""
-    return [apply_moves_to_vector(tensor_states(rho, sigma), moves)
-            for rho in rhos for sigma in sigmas]
+def written_out(system, labels, weight, moves=()):
+    """The state with `weight` on each of `labels`, each carried along
+    `moves` by the frozen label calculus (in CT as its + twin, which a
+    faulted braid's - sign codes as), through the validating constructor."""
+    coeffs = {}
+    for label in labels:
+        moved = label_calculus_oracle.apply_moves_tracked(label, moves)[0]
+        if system.mode is TheoryMode.CT:
+            moved = label_calculus_oracle.plus_twin(moved)
+        coeffs[moved] = coeffs.get(moved, 0) + weight
+    return StateVector(system, coeffs)
 
 
 def vector_families(a, b, c):
-    """The four biseparable families of `_tripartite_families`, built as
-    vectors with the public product and transport."""
+    """The four biseparable families of `_tripartite_families` on ((AB)C),
+    each product written out label by label, not by the product rule:
+    |x>|y> is 1/2 on each of (x y)_- and (x y)_+ (1 on (x y)_+ in CT), and
+    |u>|v>|w> is 1/4 on each ((u v)_s1 w)_s2."""
+    signs = node_signs(a.mode)
+    half = F(1, len(signs))
     ab, bc, ac = compose_systems(a, b), compose_systems(b, c), compose_systems(a, c)
+    abc = compose_systems(ab, c)
     to_abc = [Move(MoveKind.ASSOC_R, ""), Move(MoveKind.BRAID, "1"),
               Move(MoveKind.ASSOC_L, "")]
+
+    def products(x, y, moves=()):
+        return [written_out(abc, [NodeLabel(u, v, s) for s in signs], half, moves)
+                for u in enumerate_pure_labels(x) for v in enumerate_pure_labels(y)]
     return {
-        "products": products(products(basis_states(a), basis_states(b)), basis_states(c)),
-        "ab_c": products(basis_states(ab), basis_states(c)),
-        "a_bc": products(basis_states(a), basis_states(bc), [Move(MoveKind.ASSOC_L, "")]),
-        "ac_b": products(basis_states(ac), basis_states(b), to_abc),
+        "products": [written_out(abc, [NodeLabel(NodeLabel(u, v, s1), w, s2)
+                                       for s1 in signs for s2 in signs], half * half)
+                     for u in enumerate_pure_labels(a) for v in enumerate_pure_labels(b)
+                     for w in enumerate_pure_labels(c)],
+        "ab_c": products(ab, c),
+        "a_bc": products(a, bc, [Move(MoveKind.ASSOC_L, "")]),
+        "ac_b": products(ac, b, to_abc),
     }
 
 
@@ -293,6 +303,8 @@ class TestIntRowFamilies:
     @pytest.mark.parametrize("mode", [TheoryMode.BCT, TheoryMode.CT])
     @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 2, 2)])
     def test_families_are_the_vectors_numerators(self, dims, mode, fault):
+        """Each family against its products written out label by label
+        (`vector_families`), not by the product rule or the transport."""
         systems = [leaf(d, mode) for d in dims]
         with faults.inject_fault(fault):
             built = list(_tripartite_families(*systems))
