@@ -138,6 +138,21 @@ CATALOGUE = [
            "g = 1",
            ("tests/test_dilation.py::TestDenseOracle::"
             "test_instruments_padded_with_a_null_branch",)),
+    # in CT every sign and flip is +, so the killing selections run BCT
+    Mutant("parts-drops-xi", "dilation.py",
+           "- 1, s3, fl.xi[i])",
+           "- 1, s3, 1)",
+           ("tests/test_dilation.py::TestProbeLoop::"
+            "test_the_sandwich_acts_as_its_branch_on_every_probe[TheoryMode.BCT]",
+            "tests/test_dilation.py::TestProcessorRule::"
+            "test_rows_read_as_a_whole[dims0-TheoryMode.BCT]")),
+    Mutant("parts-drops-s3", "dilation.py",
+           "- 1, s3, fl.xi[i])",
+           "- 1, 1, fl.xi[i])",
+           ("tests/test_dilation.py::TestProbeLoop::"
+            "test_the_sandwich_acts_as_its_branch_on_every_probe[TheoryMode.BCT]",
+            "tests/test_dilation.py::TestProcessorRule::"
+            "test_rows_read_as_a_whole[dims0-TheoryMode.BCT]")),
 ]
 
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

@@ -21,8 +21,9 @@ ratios.  The first branch's effect is the unit effect less the others'
 sum, written from that shortfall: `den` off the others' supports, in lowest
 terms without a pass over the whole of A'.  A realisation is verified by
 composing each sandwich (program state, R, effect) as a kernel on basis
-indices and comparing it with its branch, R's outputs split once for all
-branches, and by checking that the effects sum to the unit effect.
+indices and comparing it with its branch, R read once for all branches in
+parts (the head on A' that the effect weighs, and the rest that the branch
+keeps), and by checking that the effects sum to the unit effect.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .kernels import (
     Instrument,
     IntRow,
     Kernel,
-    _composed,
     _lowest,
     _with_identity,
     apply,
@@ -122,10 +122,12 @@ class _ProcessorRows(Mapping[int, IntRow]):
 
     The source at index x is ((sigma k)_{s1} i)_{s3}; its row is the single
     entry (((sigma i)_{s1} h(i)+k)_{s3}, xi(i)) with numerator one over the
-    kernel's denominator one, found with two index splits and two joins (see
-    `labels.Coder`): nothing is enumerated, built as a label or kept.  Every
-    row is a single weight-one entry, so the rule keeps the invariants a
-    kernel's rows owe.  An index outside the domain has no row.
+    kernel's denominator one.  `parts` is the rule: two index splits and the
+    join of the head (sigma i)_{s1} on A' (see `labels.Coder`), the rest
+    left as parts for the dilation check; `get` joins them into a row.
+    Nothing is enumerated, built as a label or kept.  Every row is a single
+    weight-one entry, so the rule keeps the invariants a kernel's rows owe.
+    An index outside the domain has no row.
     """
 
     def __init__(self, domain: SystemTree, image: SystemTree,
@@ -145,11 +147,18 @@ class _ProcessorRows(Mapping[int, IntRow]):
     def get(self, x: int, default: IntRow | None = None) -> IntRow | None:
         if not (type(x) is int and 0 <= x < self._dim):
             return default
+        a, m, s3, xi = self.parts(x)
+        return {(self._join(a, m, s3), xi): 1}
+
+    def parts(self, x: int) -> tuple[int, int, int, int]:
+        """The single entry of the row at the domain index x, unjoined:
+        (index of (sigma i)_{s1} in A', register value h(i)+k as an index
+        of B, outer sign s3, flip xi(i))."""
         head, i, s3 = self._split(x)
         sigma, k, s1 = self._split_program(head)
         fl = self._functions[sigma]
-        m = _offset_add(fl.h[i], k + 1, self._d_b) - 1
-        return {(self._join(self._join_ancilla(sigma, i, s1), m, s3), fl.xi[i]): 1}
+        return (self._join_ancilla(sigma, i, s1),
+                _offset_add(fl.h[i], k + 1, self._d_b) - 1, s3, fl.xi[i])
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._dim))
@@ -339,24 +348,29 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
     The sandwich is the kernel A -> B that prepares Sigma beside A (its
     state kernel (x) I_A), runs R on (B' A) and observes the effect on A',
     the head of (A' B): effect o R o (Sigma (x) I_A), composed here on basis
-    indices, with R run once for all pairs.  Two kernels A -> B agree on
-    every pure label of A (x) E, E a bibit, exactly when they are equal,
-    since (b e)_{tau v} tells tau apart; so this is the check that
-    `dilated_apply` and the kernel act alike on every such probe.
+    indices.  R is read once for all pairs, in parts: an entry (x, tau): n
+    of the prepared rows goes to (a b)_s with flip xi, which the effect
+    weighs by its numerator at a and leaves as (b, s * xi * tau).  Two
+    kernels A -> B agree on every pure label of A (x) E, E a bibit, exactly
+    when they are equal, since (b e)_{tau v} tells tau apart; so this is the
+    check that `dilated_apply` and the kernel act alike on every such probe.
     """
-    kernel = processor.kernel
     prepared = state_kernel(sigma)
-    staged = _composed(kernel.nums, _with_identity(prepared, processor.a_system), False)
-    # R is a bijection, so each output (a b)_s of the staged rows is split
-    # once, for all pairs
-    split = coder(kernel.out_system).split
-    outputs = {y: split(y) for row in staged.values() for y, _tau in row}
+    parts = processor.kernel.nums.parts
+    staged = [(o, [(a, (b, s * xi * tau), n) for (x, tau), n in row.items()
+                   for a, b, s, xi in [parts(x)]])
+              for o, row in _with_identity(prepared, processor.a_system).items()]
     for effect, branch in pairs:
-        # the effect at the head of (A' B): (a b)_s -> (b, s), weighted effect(a)
         weights = effect.nums
-        observed = {y: {(b, s): w} if (w := weights.get(a)) else {}
-                    for y, (a, b, s) in outputs.items()}
-        rows = _composed(observed, staged, False)
+        rows: dict[int, IntRow] = {}
+        for o, entries in staged:
+            out: IntRow = {}
+            for a, key, n in entries:
+                w = weights.get(a)
+                if w:
+                    out[key] = out[key] + n * w if key in out else n * w
+            if out:
+                rows[o] = out
         if _lowest(rows, prepared.den * effect.den) != (branch.nums, branch.den):
             return False
     return True

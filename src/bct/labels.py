@@ -428,7 +428,7 @@ def _climb(raws: list[Raw], path: str, depth: int, rewrite: Rule,
     try:
         children = [raw[side] for raw in raws]
     except TypeError:
-        raise ValueError(f"path {path!r} leaves the label") from None
+        raise ValueError(f"path {shown(path)} leaves the label") from None
     moved, flips = _climb(children, path, depth + 1, rewrite, fault)
     if flips is None:
         return ([(c, y, s) for c, (_, y, s) in zip(moved, raws)] if side == 0 else

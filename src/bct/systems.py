@@ -155,7 +155,7 @@ def subtree_at(system: SystemTree, path: str) -> SystemTree:
     node = system
     for step in check_path(path):
         if not isinstance(node, Node):
-            raise ValueError(f"path {path!r} leaves the tree")
+            raise ValueError(f"path {shown(path)} leaves the tree")
         node = node.left if step == "0" else node.right
     return node
 

@@ -180,6 +180,19 @@ class TestProcessorRule:
         assert len(round_trip.rows) == len(reference)
         assert all(row == {(label, 1): F(1)} for label, row in round_trip.rows.items())
 
+    @pytest.mark.parametrize("dims, mode", RULE_CASES)
+    def test_each_row_is_the_join_of_its_parts(self, dims, mode):
+        """`parts` leaves the entry unjoined, and `get` is its join: the
+        ancilla index and the register value, put into (A' B) as a label."""
+        proc = build_processor(leaf(dims[0], mode), leaf(dims[1], mode))
+        rows = proc.kernel.nums
+        ancilla, register = coder(proc.output_ancilla), coder(proc.b_system)
+        image = coder(proc.kernel.out_system)
+        for x in range(dimension(proc.kernel.in_system)):
+            a, m, s3, xi = rows.parts(x)
+            target = NodeLabel(ancilla.label(a), register.label(m), s3)
+            assert rows.get(x) == {(image.index(target), xi): 1}
+
     @pytest.mark.parametrize("mode", TheoryMode)
     def test_labels_outside_the_domain_have_no_row(self, mode):
         proc = build_processor(leaf(2, mode), leaf(3, mode))
@@ -496,12 +509,12 @@ class TestProbeLoop:
         rng = random.Random(21)
         proc = build_processor(A, B)
         inst = random_instrument(rng, A, B, branches=3)
-        read, get = [], dilation._ProcessorRows.get
-        monkeypatch.setattr(dilation._ProcessorRows, "get",
-                            lambda self, x, default=None: read.append(x) or get(self, x, default))
+        read, parts = [], dilation._ProcessorRows.parts
+        monkeypatch.setattr(dilation._ProcessorRows, "parts",
+                            lambda self, x: read.append(x) or parts(self, x))
         result = realize_instrument(inst, processor=proc)
         assert result.verified
-        # one row of R per entry of Sigma (x) I_A, whatever the branch count
+        # R's rule runs once per entry of Sigma (x) I_A, whatever the branch count
         entries = dimension(A) * len(result.sigma.nums) * len(node_signs(proc.mode))
         assert len(read) == entries
 
@@ -589,6 +602,47 @@ class TestDenseOracle:
         for _ in range(3):
             inst = random_instrument(rng, a, b, branches=branches)
             assert self.assert_matches(proc, inst).verified
+
+    @staticmethod
+    def assert_both_refuse(proc, sigma, pairs):
+        assert not dilation._reproduces(proc, sigma, pairs)
+        assert not dilation_oracle.per_branch_reproduces(proc, sigma, pairs)
+
+    @pytest.mark.parametrize("mode", TheoryMode)
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_branches_rotated_against_their_effects_are_refused(self, dims, mode):
+        rng = random.Random(f"{dims} {mode.name} rotated")
+        proc = shared_processor(dims, mode)
+        inst = random_instrument(rng, proc.a_system, proc.b_system, branches=3)
+        result = realize_instrument(inst, processor=proc)
+        assert result.verified
+        rotated = inst.branches[1:] + inst.branches[:1]
+        self.assert_both_refuse(proc, result.sigma, list(zip(result.observation, rotated)))
+
+    @pytest.mark.parametrize("mode", TheoryMode)
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_an_effect_numerator_moved_to_another_index_is_refused(self, dims, mode):
+        """The second effect's numerator at (sigma i)_{s1}, a program label
+        the program state uses, moves to (sigma i')_{s1}, i' another label
+        of A, where the effect stays at most one: the sandwich's row i loses
+        weight, so the branch is no longer reproduced."""
+        rng = random.Random(f"{dims} {mode.name} moved")
+        proc = shared_processor(dims, mode)
+        inst = random_instrument(rng, proc.a_system, proc.b_system, branches=2)
+        result = realize_instrument(inst, processor=proc)
+        assert result.verified
+        effect = result.observation[1]
+        ancilla = coder(proc.output_ancilla)
+        targets = ((x, ancilla.index(NodeLabel(label.left, other, label.sign)))
+                   for x in effect.nums for label in [ancilla.label(x)]
+                   for other in enumerate_pure_labels(proc.a_system) if other != label.right)
+        x, y = next((x, y) for x, y in targets
+                    if effect.nums[x] + effect.nums.get(y, 0) <= effect.den)
+        nums = dict(effect.nums)
+        nums[y] = nums.get(y, 0) + nums.pop(x)
+        moved = EffectVector._trusted(proc.output_ancilla, nums, effect.den)
+        pairs = [(result.observation[0], inst.branches[0]), (moved, inst.branches[1])]
+        self.assert_both_refuse(proc, result.sigma, pairs)
 
     @pytest.mark.parametrize("at", ("first", "last"))
     @pytest.mark.parametrize("mode", TheoryMode)

@@ -224,6 +224,16 @@ def braid(path):
     return [Move(MoveKind.BRAID, path)]
 
 
+@pytest.mark.parametrize("walk, text", [
+    (lambda path: subtree_at(bibit(), path), "leaves the tree"),
+    (lambda path: apply_moves_raw(1, braid(path)), "leaves the label"),
+], ids=["tree", "label"])
+def test_a_long_path_off_the_tree_is_echoed_cut(walk, text):
+    with pytest.raises(ValueError, match=f"^path '0{{80}}'\\.\\.\\. {text}$") as caught:
+        walk("0" * 5000)
+    assert len(str(caught.value)) < 120
+
+
 # Every function that takes a path, called on a tree of three bibits, a
 # state on it and a kernel or effect on one bibit.
 PATH_TAKERS = {
