@@ -139,20 +139,26 @@ CATALOGUE = [
            ("tests/test_dilation.py::TestDenseOracle::"
             "test_instruments_padded_with_a_null_branch",)),
     # in CT every sign and flip is +, so the killing selections run BCT
-    Mutant("parts-drops-xi", "dilation.py",
-           "- 1, s3, fl.xi[i])",
-           "- 1, s3, 1)",
+    Mutant("rule-drops-xi", "dilation.py",
+           "- 1, fl.xi[i])",
+           "- 1, 1)",
            ("tests/test_dilation.py::TestProbeLoop::"
             "test_the_sandwich_acts_as_its_branch_on_every_probe[TheoryMode.BCT]",
             "tests/test_dilation.py::TestProcessorRule::"
             "test_rows_read_as_a_whole[dims0-TheoryMode.BCT]")),
-    Mutant("parts-drops-s3", "dilation.py",
-           "- 1, s3, fl.xi[i])",
-           "- 1, 1, fl.xi[i])",
+    Mutant("row-join-drops-s3", "dilation.py",
+           "self._join(a, m, s3)",
+           "self._join(a, m, 1)",
+           ("tests/test_dilation.py::TestProcessorRule::"
+            "test_rows_read_as_a_whole[dims0-TheoryMode.BCT]",
+            "tests/test_dilation.py::TestProcessorRule::"
+            "test_each_row_is_the_join_of_its_rule_on_the_parts[dims0-TheoryMode.BCT]")),
+    Mutant("staged-flip-drops-s3", "dilation.py",
+           "(m, s3 * xi * tau), n)",
+           "(m, xi * tau), n)",
            ("tests/test_dilation.py::TestProbeLoop::"
             "test_the_sandwich_acts_as_its_branch_on_every_probe[TheoryMode.BCT]",
-            "tests/test_dilation.py::TestProcessorRule::"
-            "test_rows_read_as_a_whole[dims0-TheoryMode.BCT]")),
+            "tests/test_dilation.py::TestProbeLoop::test_every_branch_is_compared")),
 ]
 
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

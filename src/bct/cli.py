@@ -124,6 +124,8 @@ def cmd_coherence(args) -> Outcome:
 
 
 def cmd_verify_dims(args) -> Outcome:
+    if args.triples is None:  # from neither the command line nor the config
+        raise ParseError(serial.E_SCHEMA, "verify-dims needs --triples TRIPLES")
     reports = []
     ok = True
     for dims in _dims_list(args.triples, (3,)):
@@ -136,6 +138,8 @@ def cmd_verify_dims(args) -> Outcome:
 
 
 def cmd_tomography(args) -> Outcome:
+    if args.pairs is None:  # from neither the command line nor the config
+        raise ParseError(serial.E_SCHEMA, "tomography needs --pairs PAIRS")
     reports = []
     ok = True
     for dims in _dims_list(args.pairs, (2,)):
@@ -235,12 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-dims", help="tripartite dimension identities")
     common(p)
-    p.add_argument("--triples", required=True,
-                   help='e.g. "2,2,2;2,2,3;3,3,2"')
+    p.add_argument("--triples", help='e.g. "2,2,2;2,2,3;3,3,2"')
 
     p = sub.add_parser("tomography", help="bipartite dimension excess reports")
     common(p)
-    p.add_argument("--pairs", required=True, help='e.g. "2,2;2,3"')
+    p.add_argument("--pairs", help='e.g. "2,2;2,3"')
 
     p = sub.add_parser("dilate", help="realize an instrument on the processor")
     common(p)

@@ -21,9 +21,10 @@ ratios.  The first branch's effect is the unit effect less the others'
 sum, written from that shortfall: `den` off the others' supports, in lowest
 terms without a pass over the whole of A'.  A realisation is verified by
 composing each sandwich (program state, R, effect) as a kernel on basis
-indices and comparing it with its branch, R read once for all branches in
-parts (the head on A' that the effect weighs, and the rest that the branch
-keeps), and by checking that the effects sum to the unit effect.
+indices and comparing it with its branch, R's rule run once for all
+branches on the parts of Sigma (x) I_A (the head on A' that the effect
+weighs, and the rest that the branch keeps), and by checking that the
+effects sum to the unit effect.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .kernels import (
     IntRow,
     Kernel,
     _lowest,
-    _with_identity,
     apply,
     is_deterministic,
     state_kernel,
@@ -122,19 +122,21 @@ class _ProcessorRows(Mapping[int, IntRow]):
 
     The source at index x is ((sigma k)_{s1} i)_{s3}; its row is the single
     entry (((sigma i)_{s1} h(i)+k)_{s3}, xi(i)) with numerator one over the
-    kernel's denominator one.  `parts` is the rule: two index splits and the
-    join of the head (sigma i)_{s1} on A' (see `labels.Coder`), the rest
-    left as parts for the dilation check; `get` joins them into a row.
-    Nothing is enumerated, built as a label or kept.  Every row is a single
-    weight-one entry, so the rule keeps the invariants a kernel's rows owe.
-    An index outside the domain has no row.
+    kernel's denominator one.  `rule` states it on the parts of the source,
+    the outer sign s3 passing through; `get` splits x into those parts and
+    joins the entry into (A' B) (see `labels.Coder`).  Nothing is
+    enumerated, built as a label or kept.  Every row is a single weight-one
+    entry, so the rule keeps the invariants a kernel's rows owe.  An index
+    outside the domain has no row.
     """
 
     def __init__(self, domain: SystemTree, image: SystemTree,
                  functions: Sequence[FunctionLabel], d_b: int) -> None:
         source, target = coder(domain), coder(image)
         self._split, self._split_program = source.split, source.left.split
-        self._join, self._join_ancilla = target.join, target.left.join
+        self._join = target.join
+        aprime = image.left
+        self._left, self._right, self._step = offsets(aprime.left, aprime.right)
         self._functions, self._d_b = functions, d_b
         self._dim = source.dim
 
@@ -147,18 +149,17 @@ class _ProcessorRows(Mapping[int, IntRow]):
     def get(self, x: int, default: IntRow | None = None) -> IntRow | None:
         if not (type(x) is int and 0 <= x < self._dim):
             return default
-        a, m, s3, xi = self.parts(x)
+        head, i, s3 = self._split(x)
+        a, m, xi = self.rule(self._split_program(head), i)
         return {(self._join(a, m, s3), xi): 1}
 
-    def parts(self, x: int) -> tuple[int, int, int, int]:
-        """The single entry of the row at the domain index x, unjoined:
-        (index of (sigma i)_{s1} in A', register value h(i)+k as an index
-        of B, outer sign s3, flip xi(i))."""
-        head, i, s3 = self._split(x)
-        sigma, k, s1 = self._split_program(head)
+    def rule(self, program: tuple[int, int, int], i: int) -> tuple[int, int, int]:
+        """R on the parts (sigma, k, s1) of an index of B' and an input i of
+        A: (index of (sigma i)_{s1} in A', h(i)+k as an index of B, xi(i))."""
+        sigma, k, s1 = program
         fl = self._functions[sigma]
-        return (self._join_ancilla(sigma, i, s1),
-                _offset_add(fl.h[i], k + 1, self._d_b) - 1, s3, fl.xi[i])
+        return (self._left(sigma) + self._right(i) + (self._step if s1 > 0 else 0),
+                _offset_add(fl.h[i], k + 1, self._d_b) - 1, fl.xi[i])
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._dim))
@@ -348,18 +349,22 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
     The sandwich is the kernel A -> B that prepares Sigma beside A (its
     state kernel (x) I_A), runs R on (B' A) and observes the effect on A',
     the head of (A' B): effect o R o (Sigma (x) I_A), composed here on basis
-    indices.  R is read once for all pairs, in parts: an entry (x, tau): n
-    of the prepared rows goes to (a b)_s with flip xi, which the effect
-    weighs by its numerator at a and leaves as (b, s * xi * tau).  Two
+    indices.  R is read once for all pairs, by its rule: each entry
+    (b, tau): n of the prepared row is split once on B', and beside each
+    input i of A is R's source (b i)_{s3} with s3 = tau (the preparation
+    opens that node and emits its sign), which goes to (a m)_{s3} with flip
+    xi; the effect weighs it at a and leaves (m, s3 * xi * tau).  Two
     kernels A -> B agree on every pure label of A (x) E, E a bibit, exactly
     when they are equal, since (b e)_{tau v} tells tau apart; so this is the
     check that `dilated_apply` and the kernel act alike on every such probe.
     """
     prepared = state_kernel(sigma)
-    parts = processor.kernel.nums.parts
-    staged = [(o, [(a, (b, s * xi * tau), n) for (x, tau), n in row.items()
-                   for a, b, s, xi in [parts(x)]])
-              for o, row in _with_identity(prepared, processor.a_system).items()]
+    split, rule = coder(processor.input_ancilla).split, processor.kernel.nums.rule
+    # (program part, s3, tau, n), s3 being tau
+    program = [(split(b), tau, tau, n) for (b, tau), n in prepared.nums[0].items()]
+    staged = [(i, [(a, (m, s3 * xi * tau), n) for head, s3, tau, n in program
+                   for a, m, xi in [rule(head, i)]])
+              for i in range(dimension(processor.a_system))]
     for effect, branch in pairs:
         weights = effect.nums
         rows: dict[int, IntRow] = {}

@@ -24,8 +24,8 @@ Parallel composition is one rule on indices: input (i j)_s pairs the
 entries (y1, tau1) of row i of k1 and (y2, tau2) of row j of k2, and goes
 to ((y1 y2)_{s*tau1*tau2}, tau1), so the flip of k1 escapes and that of k2
 is absorbed by the node; it equals (I (x) k2) o (k1 (x) I) built from the
-extension above, with I (x) k2 the braid-conjugate of k2 (x) I.  It,
-`_with_identity` and `_braid` read each output index by `labels.offsets`.
+extension above, with I (x) k2 the braid-conjugate of k2 (x) I.  It and
+`_braid` read each output index by `labels.offsets`.
 """
 
 from __future__ import annotations
@@ -326,18 +326,6 @@ def _composed(second: IntRows, first: IntRows, effect: bool) -> dict[int, IntRow
         if out:
             rows[a] = out
     return rows
-
-
-def _with_identity(prepared: Kernel, other: SystemTree) -> IntRows:
-    """Int rows of prepared (x) I_other, over the preparation's denominator,
-    for a deterministic preparation and a non-trivial `other`: a preparation
-    opens a fresh node whose sign is the emitted flip.  Its row is rewritten
-    into `labels.offsets` once."""
-    left, right, step = offsets(prepared.out_system, other)
-    row = [(left(b) + (step if tau > 0 else 0), tau, n)
-           for (b, tau), n in prepared.nums[0].items()]
-    return {o: {(base + right(o), tau): n for base, tau, n in row}
-            for o in range(basis_size(other))}
 
 
 def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:

@@ -238,6 +238,8 @@ def clone_kernel(system: SystemTree) -> Kernel:
 
 def clone_state(rho: StateVector) -> ProtocolReport:
     """Broadcast an unknown state; both marginals equal the input."""
+    if isinstance(rho.system, Trivial):
+        raise ValueError("cloning needs a non-trivial system")
     if not rho.is_deterministic:
         raise ValueError("cloning expects a deterministic input state")
     cloner = clone_kernel(rho.system)

@@ -6,8 +6,9 @@ by the old body: each other branch's ratios joined entry by entry with
 `Coder.join`, and the first effect the unit effect minus the others over
 every index of A', then put in lowest terms by `lowest_terms`.
 `two_pass_sum_to_unit` adds every effect into an empty total, and
-`per_branch_reproduces` splits R's outputs again for each branch; with the
-program state's determinism they give the old `verified` bool.
+`per_branch_reproduces` stages Sigma (x) I_A by `parallel_compose`, composes
+it with R's rows read whole, and splits R's outputs again for each branch;
+with the program state's determinism they give the old `verified` bool.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import lcm
 
 from bct.config import DILATION_MAX_DIM
 from bct.dilation import decompose_channel, program_sigma
-from bct.kernels import _composed, _lowest, _with_identity, state_kernel
+from bct.kernels import _composed, _lowest, identity_kernel, parallel_compose, state_kernel
 from bct.labels import basis_indices, coder, node_signs
 from bct.states import EffectVector, int_coeffs, lowest_terms
 from bct.systems import dimension
@@ -65,8 +66,8 @@ def dense_observation(processor, instrument) -> list[EffectVector]:
 def per_branch_reproduces(processor, sigma, pairs) -> bool:
     """`dilation._reproduces` as it was: R's outputs split for each pair."""
     kernel = processor.kernel
-    prepared = state_kernel(sigma)
-    staged = _composed(kernel.nums, _with_identity(prepared, processor.a_system), False)
+    prepared = parallel_compose(state_kernel(sigma), identity_kernel(processor.a_system))
+    staged = _composed(kernel.nums, prepared.nums, False)
     split = coder(kernel.out_system).split
     for effect, branch in pairs:
         observed = {}

@@ -177,6 +177,42 @@ def test_config_file_named_like_the_subcommand(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["config"]["seed"] == 5
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("tomography", "pairs", "2,2;2,3"),
+    ("verify-dims", "triples", "2,2,2"),
+])
+def test_a_config_file_supplies_a_subcommands_own_flag(tmp_path, capsys, command, key, value):
+    """The config's keys are flags of the subcommand, the one it needs
+    included: the config form writes the bytes the flag form writes."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    code, out = run([command, f"--{key}", value, "--quiet"], capsys)
+    assert code == 0 and out
+    assert run(["--config", str(cfg), command, "--quiet"], capsys) == (code, out)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("tomography", "--pairs PAIRS"), ("verify-dims", "--triples TRIPLES"),
+])
+def test_a_flag_missing_from_argv_and_config_is_a_usage_error(tmp_path, capsys, command, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode=BCT\n")
+    for config in ([], ["--config", str(cfg)]):
+        assert main([*config, command, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error E_SCHEMA: {command} needs {flag}\n")
+
+
+def test_cloning_a_trivial_state_is_refused_by_name(tmp_path, capsys):
+    """The trivial system has no two halves to clone into: the input is
+    refused as such, not by a marginal on a path the user never gave."""
+    src = tmp_path / "state.json"
+    src.write_text(json.dumps({"system": "1", "coeffs": {"*": "1"}}))
+    assert main(["protocol", "clone", "--state", str(src), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: cloning needs a non-trivial system\n")
+
+
 def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path):
     """Through `python -m bct`, as a user runs it: exit 2 and one line, no
     traceback (an undecodable file raises a `UnicodeDecodeError`)."""

@@ -28,8 +28,17 @@ from bct.kernels import (
     random_state,
     reversible_kernel,
     sequential_compose,
+    state_kernel,
 )
-from bct.labels import UNIT, LeafLabel, NodeLabel, coder, enumerate_pure_labels, node_signs
+from bct.labels import (
+    UNIT,
+    Coder,
+    LeafLabel,
+    NodeLabel,
+    coder,
+    enumerate_pure_labels,
+    node_signs,
+)
 from bct.states import EffectVector, marginal, pure_state, unit_effect, vectors_equal
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf, trivial
 
@@ -181,15 +190,18 @@ class TestProcessorRule:
         assert all(row == {(label, 1): F(1)} for label, row in round_trip.rows.items())
 
     @pytest.mark.parametrize("dims, mode", RULE_CASES)
-    def test_each_row_is_the_join_of_its_parts(self, dims, mode):
-        """`parts` leaves the entry unjoined, and `get` is its join: the
-        ancilla index and the register value, put into (A' B) as a label."""
+    def test_each_row_is_the_join_of_its_rule_on_the_parts(self, dims, mode):
+        """`get` is `rule` on the parts of the source, joined: x split into
+        ((sigma k)_{s1} i)_{s3}, the rule's ancilla index and register value
+        put into (A' B) as a label under the untouched s3, with its flip."""
         proc = build_processor(leaf(dims[0], mode), leaf(dims[1], mode))
         rows = proc.kernel.nums
+        source, bprime = coder(proc.kernel.in_system), coder(proc.input_ancilla)
         ancilla, register = coder(proc.output_ancilla), coder(proc.b_system)
         image = coder(proc.kernel.out_system)
         for x in range(dimension(proc.kernel.in_system)):
-            a, m, s3, xi = rows.parts(x)
+            head, i, s3 = source.split(x)
+            a, m, xi = rows.rule(bprime.split(head), i)
             target = NodeLabel(ancilla.label(a), register.label(m), s3)
             assert rows.get(x) == {(image.index(target), xi): 1}
 
@@ -509,14 +521,43 @@ class TestProbeLoop:
         rng = random.Random(21)
         proc = build_processor(A, B)
         inst = random_instrument(rng, A, B, branches=3)
-        read, parts = [], dilation._ProcessorRows.parts
-        monkeypatch.setattr(dilation._ProcessorRows, "parts",
-                            lambda self, x: read.append(x) or parts(self, x))
+        read, rule = [], dilation._ProcessorRows.rule
+        monkeypatch.setattr(dilation._ProcessorRows, "rule",
+                            lambda self, program, i: read.append(i) or rule(self, program, i))
         result = realize_instrument(inst, processor=proc)
         assert result.verified
         # R's rule runs once per entry of Sigma (x) I_A, whatever the branch count
         entries = dimension(A) * len(result.sigma.nums) * len(node_signs(proc.mode))
         assert len(read) == entries
+
+    @pytest.mark.parametrize("mode", TheoryMode)
+    def test_the_check_splits_each_program_entry_once_and_joins_nothing(
+            self, mode, validated_builds, monkeypatch):
+        """Sigma (x) I_A is staged from the parts R's rule reads: each entry
+        of the program state's kernel is split once on B', and no index of
+        (B' A) is joined to be split back.  The processor binds its coders'
+        methods when it is built, so it is built under the counters; the
+        trusted constructors are the originals, so the suite's own checks,
+        which decode labels, count nothing."""
+        calls = {"split": 0, "join": 0}
+
+        def counted(name):
+            real = getattr(Coder, name)
+
+            def method(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+            return method
+        for name in calls:
+            monkeypatch.setattr(Coder, name, counted(name))
+        a, b = leaf(2, mode), leaf(3, mode)
+        proc = build_processor(a, b)
+        inst = random_instrument(random.Random(28), a, b, branches=3)
+        result = realize_instrument(inst, processor=proc, verify=False)
+        pairs = list(zip(result.observation, inst.branches))
+        calls.update(split=0, join=0)
+        assert dilation._reproduces(proc, result.sigma, pairs)
+        assert calls == {"split": len(state_kernel(result.sigma).nums[0]), "join": 0}
 
     @pytest.mark.parametrize("mode", TheoryMode)
     def test_the_sandwich_acts_as_its_branch_on_every_probe(self, mode):

@@ -175,7 +175,7 @@ INT_BODIES = {
     "kernels.py": {"apply", "state_kernel"},
     "tomography.py": {"rank", "_basis", "_products", "product_states",
                       "_tripartite_families", "pair_report"},
-    "dilation.py": {"_reproduces", "decompose_channel", "parts"},
+    "dilation.py": {"_reproduces", "decompose_channel", "rule"},
 }
 
 
