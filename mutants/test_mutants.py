@@ -153,12 +153,22 @@ CATALOGUE = [
             "test_rows_read_as_a_whole[dims0-TheoryMode.BCT]",
             "tests/test_dilation.py::TestProcessorRule::"
             "test_each_row_is_the_join_of_its_rule_on_the_parts[dims0-TheoryMode.BCT]")),
-    Mutant("staged-flip-drops-s3", "dilation.py",
-           "(m, s3 * xi * tau), n)",
-           "(m, xi * tau), n)",
+    Mutant("staged-flip-drops-xi", "dilation.py",
+           "(a, (m, xi), n)",
+           "(a, (m, 1), n)",
            ("tests/test_dilation.py::TestProbeLoop::"
             "test_the_sandwich_acts_as_its_branch_on_every_probe[TheoryMode.BCT]",
             "tests/test_dilation.py::TestProbeLoop::test_every_branch_is_compared")),
+    Mutant("realize-accepts-any-processor", "dilation.py",
+           "elif (processor.a_system, processor.b_system) != (a, b):",
+           "elif False:",
+           ("tests/test_dilation.py::TestRealization::"
+            "test_a_processor_for_other_systems_is_refused",)),
+    Mutant("instrument-accepts-repeated-outcomes", "kernels.py",
+           "elif len(set(self.outcomes)) != len(self.outcomes):",
+           "elif False:",
+           ("tests/test_kernels.py::TestInstruments::test_repeated_outcomes_are_refused",
+            "tests/test_cli.py::test_dilate_refuses_repeated_outcomes")),
 ]
 
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

@@ -21,10 +21,12 @@ ratios.  The first branch's effect is the unit effect less the others'
 sum, written from that shortfall: `den` off the others' supports, in lowest
 terms without a pass over the whole of A'.  A realisation is verified by
 composing each sandwich (program state, R, effect) as a kernel on basis
-indices and comparing it with its branch, R's rule run once for all
-branches on the parts of Sigma (x) I_A (the head on A' that the effect
-weighs, and the rest that the branch keeps), and by checking that the
-effects sum to the unit effect.
+indices and comparing it with its branch, and by checking that the effects
+sum to the unit effect.  R's rule runs once for all branches, on each label
+of Sigma beside each input of A: Sigma is read as the state it is, since
+the sign its preparation emits cancels R's outer sign.  The effect weighs
+the head on A' and the branch keeps the rest.  A processor passed in must
+be the one for the instrument's own A and B.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .kernels import (
     _lowest,
     apply,
     is_deterministic,
-    state_kernel,
 )
 from .labels import (
     Move,
@@ -291,6 +292,11 @@ def realize_instrument(instrument: Instrument,
     a, b = instrument.in_system, instrument.out_system
     if processor is None:
         processor = build_processor(a, b)
+    elif (processor.a_system, processor.b_system) != (a, b):
+        p, q = processor.a_system, processor.b_system
+        raise ValueError(
+            f"the processor is for {dimension(p)} -> {dimension(q)} in {p.mode.name}, "
+            f"the instrument is {dimension(a)} -> {dimension(b)} in {a.mode.name}")
     mu = decompose_channel(channel)
     sigma = program_sigma(processor, mu)
 
@@ -346,24 +352,23 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
                 pairs: Sequence[tuple[EffectVector, Kernel]]) -> bool:
     """Each sandwich (Sigma, R, effect) is its kernel.
 
-    The sandwich is the kernel A -> B that prepares Sigma beside A (its
-    state kernel (x) I_A), runs R on (B' A) and observes the effect on A',
-    the head of (A' B): effect o R o (Sigma (x) I_A), composed here on basis
-    indices.  R is read once for all pairs, by its rule: each entry
-    (b, tau): n of the prepared row is split once on B', and beside each
-    input i of A is R's source (b i)_{s3} with s3 = tau (the preparation
-    opens that node and emits its sign), which goes to (a m)_{s3} with flip
-    xi; the effect weighs it at a and leaves (m, s3 * xi * tau).  Two
-    kernels A -> B agree on every pure label of A (x) E, E a bibit, exactly
-    when they are equal, since (b e)_{tau v} tells tau apart; so this is the
+    The sandwich is the kernel A -> B that prepares Sigma beside A, runs R
+    on (B' A) and observes the effect on A', the head of (A' B): effect o R
+    o (Sigma (x) I_A), composed here on basis indices.  R is read once for
+    all pairs, by its rule: each label b of Sigma is split once on B', and
+    beside each input i of A is R's source (b i)_{s3}, which goes to
+    (a m)_{s3} with flip xi; the effect weighs it at a and leaves
+    (m, s3 * xi * tau).  The preparation splits b's weight evenly over the
+    signs s3 and emits tau = s3, so every share leaves the same (m, xi) and
+    the shares add back to b's weight: each label of Sigma is staged as it
+    stands, once per input, over Sigma's denominator.  Two kernels
+    A -> B agree on every pure label of A (x) E, E a bibit, exactly when
+    they are equal, since (b e)_{tau v} tells tau apart; so this is the
     check that `dilated_apply` and the kernel act alike on every such probe.
     """
-    prepared = state_kernel(sigma)
     split, rule = coder(processor.input_ancilla).split, processor.kernel.nums.rule
-    # (program part, s3, tau, n), s3 being tau
-    program = [(split(b), tau, tau, n) for (b, tau), n in prepared.nums[0].items()]
-    staged = [(i, [(a, (m, s3 * xi * tau), n) for head, s3, tau, n in program
-                   for a, m, xi in [rule(head, i)]])
+    program = [(split(b), n) for b, n in sigma.nums.items()]
+    staged = [(i, [(a, (m, xi), n) for head, n in program for a, m, xi in [rule(head, i)]])
               for i in range(dimension(processor.a_system))]
     for effect, branch in pairs:
         weights = effect.nums
@@ -376,6 +381,6 @@ def _reproduces(processor: UniversalProcessor, sigma: StateVector,
                     out[key] = out[key] + n * w if key in out else n * w
             if out:
                 rows[o] = out
-        if _lowest(rows, prepared.den * effect.den) != (branch.nums, branch.den):
+        if _lowest(rows, sigma.den * effect.den) != (branch.nums, branch.den):
             return False
     return True

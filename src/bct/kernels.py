@@ -491,6 +491,8 @@ class Instrument:
             object.__setattr__(self, "outcomes", tuple(range(len(self.branches))))
         elif len(self.outcomes) != len(self.branches):
             raise ValueError("one outcome label per branch")
+        elif len(set(self.outcomes)) != len(self.outcomes):
+            raise ValueError("outcome labels must be distinct")
 
     @property
     def in_system(self) -> SystemTree:

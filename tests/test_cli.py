@@ -676,6 +676,17 @@ def test_dilate_exits_one_when_not_verified(tmp_path, monkeypatch, capsys):
     assert doc["verified"] is False
 
 
+def test_dilate_refuses_repeated_outcomes(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "dilate_ct_instrument.json").read_text())
+    doc["outcomes"] = [0, 0]
+    src = tmp_path / "instrument.json"
+    src.write_text(json.dumps(doc))
+    assert main(["dilate", str(src), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error E_SCHEMA: outcome labels must be distinct\n")
+
+
 def test_protocol_exits_one_when_it_does_not_succeed(tmp_path, monkeypatch, capsys):
     real = bct.cli.dense_coding
     monkeypatch.setattr(bct.cli, "dense_coding",

@@ -28,7 +28,6 @@ from bct.kernels import (
     random_state,
     reversible_kernel,
     sequential_compose,
-    state_kernel,
 )
 from bct.labels import (
     UNIT,
@@ -334,6 +333,21 @@ class TestRealization:
         assert realize_instrument(inst, processor=proc, verify=False).verified is False
         assert realize_instrument(inst, processor=proc).verified is True
 
+    @pytest.mark.parametrize("dims, mode", [((2, 3), TheoryMode.BCT),
+                                            ((3, 2), TheoryMode.BCT),
+                                            ((2, 2), TheoryMode.CT)])
+    def test_a_processor_for_other_systems_is_refused(self, dims, mode, monkeypatch):
+        """A processor is programmed for its own A and B: on others it would
+        realise the instrument on the wrong B', or fail to find a function
+        label.  It is refused by name before the channel is decomposed."""
+        inst = random_instrument(random.Random(29), A, A, branches=2)
+        proc = shared_processor(dims, mode)
+        monkeypatch.setattr(dilation, "decompose_channel", None)
+        message = (f"the processor is for {dims[0]} -> {dims[1]} in {mode.name}, "
+                   f"the instrument is 2 -> 2 in BCT")
+        with pytest.raises(ValueError, match=message):
+            realize_instrument(inst, processor=proc)
+
     def test_two_outcome_measurement_roundtrip(self):
         proc = build_processor(A, A)
         branches = tuple(Kernel(A, A, {lab(i): {(lab(i), 1): F(1)}})
@@ -526,16 +540,16 @@ class TestProbeLoop:
                             lambda self, program, i: read.append(i) or rule(self, program, i))
         result = realize_instrument(inst, processor=proc)
         assert result.verified
-        # R's rule runs once per entry of Sigma (x) I_A, whatever the branch count
-        entries = dimension(A) * len(result.sigma.nums) * len(node_signs(proc.mode))
-        assert len(read) == entries
+        # R's rule runs once per label of Sigma beside each input of A, whatever
+        # the branch count
+        assert len(read) == dimension(A) * len(result.sigma.nums)
 
     @pytest.mark.parametrize("mode", TheoryMode)
-    def test_the_check_splits_each_program_entry_once_and_joins_nothing(
+    def test_the_check_splits_each_label_of_sigma_once_and_joins_nothing(
             self, mode, validated_builds, monkeypatch):
-        """Sigma (x) I_A is staged from the parts R's rule reads: each entry
-        of the program state's kernel is split once on B', and no index of
-        (B' A) is joined to be split back.  The processor binds its coders'
+        """Sigma (x) I_A is staged from the parts R's rule reads: each label
+        of the program state is split once on B', and no index of (B' A) is
+        joined to be split back.  The processor binds its coders'
         methods when it is built, so it is built under the counters; the
         trusted constructors are the originals, so the suite's own checks,
         which decode labels, count nothing."""
@@ -557,7 +571,7 @@ class TestProbeLoop:
         pairs = list(zip(result.observation, inst.branches))
         calls.update(split=0, join=0)
         assert dilation._reproduces(proc, result.sigma, pairs)
-        assert calls == {"split": len(state_kernel(result.sigma).nums[0]), "join": 0}
+        assert calls == {"split": len(result.sigma.nums), "join": 0}
 
     @pytest.mark.parametrize("mode", TheoryMode)
     def test_the_sandwich_acts_as_its_branch_on_every_probe(self, mode):

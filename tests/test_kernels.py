@@ -397,6 +397,14 @@ class TestInstruments:
         with pytest.raises(ValueError):
             coarse_grain(inst, [[0]])
 
+    def test_repeated_outcomes_are_refused(self):
+        inst = random_instrument(random.Random(10), A, B, branches=2)
+        with pytest.raises(ValueError, match="outcome labels must be distinct"):
+            Instrument(inst.branches, ("a", "a"))
+        # two empty blocks would both be labelled ()
+        with pytest.raises(ValueError, match="outcome labels must be distinct"):
+            coarse_grain(inst, [[0, 1], [], []])
+
 
 class TestConditional:
     def test_condition_on_identity_relabels(self):
