@@ -119,6 +119,10 @@ CATALOGUE = [
            "self.step = self.ns // 2",
            "self.step = self.ns // 2 or 1",
            ("tests/test_index_arithmetic.py::test_offsets_sum_to_the_closed_form_join",)),
+    Mutant("join-drops-the-step", "labels.py",
+           "self.right_offset(j) + (sign > 0) * self.step",
+           "self.right_offset(j) + 0",
+           ("tests/test_index_arithmetic.py::test_offsets_sum_to_the_closed_form_join",)),
     Mutant("stored-dimension-drops-the-2", "systems.py",
            "return 2 * dl * dr if self.mode is TheoryMode.BCT else dl * dr",
            "return dl * dr if self.mode is TheoryMode.BCT else dl * dr",
@@ -159,6 +163,10 @@ CATALOGUE = [
            ("tests/test_dilation.py::TestProbeLoop::"
             "test_the_sandwich_acts_as_its_branch_on_every_probe[TheoryMode.BCT]",
             "tests/test_dilation.py::TestProbeLoop::test_every_branch_is_compared")),
+    Mutant("span-report-accepts-a-trivial-factor", "tomography.py",
+           "if any(isinstance(system, Trivial) for system in (a, b, c)):",
+           "if False:",
+           ("tests/test_tomography.py::TestDelta3::test_trivial_factor_rejected",)),
     Mutant("realize-accepts-any-processor", "dilation.py",
            "elif (processor.a_system, processor.b_system) != (a, b):",
            "elif False:",

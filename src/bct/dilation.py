@@ -124,11 +124,11 @@ class _ProcessorRows(Mapping[int, IntRow]):
     The source at index x is ((sigma k)_{s1} i)_{s3}; its row is the single
     entry (((sigma i)_{s1} h(i)+k)_{s3}, xi(i)) with numerator one over the
     kernel's denominator one.  `rule` states it on the parts of the source,
-    the outer sign s3 passing through; `get` splits x into those parts and
-    joins the entry into (A' B) (see `labels.Coder`).  Nothing is
-    enumerated, built as a label or kept.  Every row is a single weight-one
-    entry, so the rule keeps the invariants a kernel's rows owe.  An index
-    outside the domain has no row.
+    the outer sign s3 passing through; `__getitem__`, which `get` and `in`
+    read through, splits x into those parts and joins the entry into (A' B)
+    (see `labels.Coder`).  Nothing is enumerated, built as a label or kept.
+    Every row is a single weight-one entry, so the rule keeps the invariants
+    a kernel's rows owe.  An index outside the domain has no row.
     """
 
     def __init__(self, domain: SystemTree, image: SystemTree,
@@ -142,14 +142,8 @@ class _ProcessorRows(Mapping[int, IntRow]):
         self._dim = source.dim
 
     def __getitem__(self, x: int) -> IntRow:
-        row = self.get(x)
-        if row is None:
-            raise KeyError(x)
-        return row
-
-    def get(self, x: int, default: IntRow | None = None) -> IntRow | None:
         if not (type(x) is int and 0 <= x < self._dim):
-            return default
+            raise KeyError(x)
         head, i, s3 = self._split(x)
         a, m, xi = self.rule(self._split_program(head), i)
         return {(self._join(a, m, s3), xi): 1}
@@ -169,15 +163,14 @@ class _ProcessorRows(Mapping[int, IntRow]):
         return self._dim
 
 
-def build_processor(a: SystemTree, b: SystemTree,
-                    bound: int = DILATION_MAX_DIM) -> UniversalProcessor:
+def build_processor(a: SystemTree, b: SystemTree) -> UniversalProcessor:
     """Construct and verify the universal processor for A -> B.
 
     The systems are sized by the dimension rule, and the domain is checked
-    against `bound`, before any label is enumerated.  The kernel's rows come
-    from the rule on demand (see `_ProcessorRows`); the bijection is checked
-    on the indices: for every register value m, k |-> m+k must hit each
-    output index exactly once (every h(i) is such an m).
+    against `DILATION_MAX_DIM` before any label is enumerated.  The kernel's
+    rows come from the rule on demand (see `_ProcessorRows`); the bijection
+    is checked on the indices: for every register value m, k |-> m+k must
+    hit each output index exactly once (every h(i) is such an m).
     """
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         raise ValueError("the processor needs non-trivial input and output systems")
@@ -189,11 +182,11 @@ def build_processor(a: SystemTree, b: SystemTree,
     bprime = compose_systems(program, b)
     aprime = compose_systems(program, a)
     domain = compose_systems(bprime, a)
-    if dimension(domain) > bound:
-        raise ValueError(
-            f"processor domain dimension {dimension(domain)} exceeds bound {bound}")
+    if dimension(domain) > DILATION_MAX_DIM:
+        raise ValueError(f"processor domain dimension {dimension(domain)} "
+                         f"exceeds bound {DILATION_MAX_DIM}")
     program_index = dict(zip(enumerate_function_labels(d_a, d_b, mode),
-                             enumerate_pure_labels(program, bound)))
+                             enumerate_pure_labels(program, DILATION_MAX_DIM)))
     # every register value is the h(i) of some program label
     register = list(range(1, d_b + 1))
     for m in register:

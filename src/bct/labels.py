@@ -307,10 +307,8 @@ class Coder:
 
     def join(self, i: int, j: int, sign: int) -> int:
         """The index of the node label with children at indices i and j:
-        `left_offset(i) + right_offset(j) + bit(sign) * step`, inline."""
-        li, lj, ns = self.left.ns, self.right.ns, self.ns
-        return (i // li * self.right.nl * ns + i % li * lj
-                + j // lj * ns + j % lj + (sign > 0) * self.step)
+        `left_offset(i) + right_offset(j) + bit(sign) * step`."""
+        return self.left_offset(i) + self.right_offset(j) + (sign > 0) * self.step
 
     def left_offset(self, i: int) -> int:
         """The part of `join(i, j, sign)` that left index i adds."""

@@ -20,7 +20,8 @@ is a sum of `ab_c` rows, so it adds nothing to the union.  A family of any
 other structure is refused with an `AssertionError`, never ranked another
 way.  `pair_report`, the `tomography` report of one pair, counts its two
 families the same way (the product states of AB, and its unit basis), so
-only the public `rank` eliminates.
+only the public `rank` eliminates.  Both refuse a trivial factor up front,
+since the families' moves need a node at each place of the product.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
     ((AB)C) are made.  The union leaves `products` out: the product rule is
     bilinear and neither family is transported, so the row of |u>|v>|w> is
     the sum over s of the `ab_c` rows of ((uv)_s, w), under every fault."""
+    if any(isinstance(system, Trivial) for system in (a, b, c)):
+        raise ValueError("delta3 needs three non-trivial systems")
     d_abc = dimension(compose_systems(compose_systems(a, b), c))
     families = _tripartite_families(a, b, c)
     class_ranks = {}

@@ -117,18 +117,17 @@ class TestProcessor:
         with pytest.raises(ValueError):
             build_processor(A, trivial())
 
-    def test_bound_respected(self):
-        with pytest.raises(ValueError):
-            build_processor(leaf(3), leaf(3), bound=100)
-
-    def test_bound_checked_before_building(self, monkeypatch):
-        # (5, 5) would need 10^5 function labels for a 10^7-label domain
+    @pytest.mark.parametrize("d_b, domain", [(5, 10 ** 7), (4, 2621440)])
+    def test_bound_checked_before_building(self, monkeypatch, d_b, domain):
+        # 5 -> 5 would need 10^5 function labels; 5 -> 4 needs 32768, but its
+        # output ancilla of 327680 labels is above the bound realisation
+        # enumerates it under: both are refused before any is enumerated
         def refuse(*args):
             raise AssertionError("function labels enumerated above the bound")
 
         monkeypatch.setattr(dilation, "enumerate_function_labels", refuse)
-        with pytest.raises(ValueError, match="exceeds bound"):
-            build_processor(leaf(5), leaf(5))
+        with pytest.raises(ValueError, match=f"dimension {domain} exceeds bound"):
+            build_processor(leaf(5), leaf(d_b))
 
 
 def reference_rows(proc):
@@ -164,9 +163,9 @@ class TestProcessorRule:
         # with the unwrapped trusted constructor no validation reads the rows,
         # so building works out none of them; each is worked out here, in
         # shuffled order
-        read, get = [], dilation._ProcessorRows.get
-        monkeypatch.setattr(dilation._ProcessorRows, "get",
-                            lambda self, x, default=None: read.append(x) or get(self, x, default))
+        read, getitem = [], dilation._ProcessorRows.__getitem__
+        monkeypatch.setattr(dilation._ProcessorRows, "__getitem__",
+                            lambda self, x: read.append(x) or getitem(self, x))
         proc = build_processor(leaf(dims[0], mode), leaf(dims[1], mode))
         assert validated_builds == [] and read == []
         reference = reference_rows(proc)
@@ -190,7 +189,7 @@ class TestProcessorRule:
 
     @pytest.mark.parametrize("dims, mode", RULE_CASES)
     def test_each_row_is_the_join_of_its_rule_on_the_parts(self, dims, mode):
-        """`get` is `rule` on the parts of the source, joined: x split into
+        """Row x is `rule` on the parts of the source, joined: x split into
         ((sigma k)_{s1} i)_{s3}, the rule's ancilla index and register value
         put into (A' B) as a label under the untouched s3, with its flip."""
         proc = build_processor(leaf(dims[0], mode), leaf(dims[1], mode))
@@ -202,7 +201,18 @@ class TestProcessorRule:
             head, i, s3 = source.split(x)
             a, m, xi = rows.rule(bprime.split(head), i)
             target = NodeLabel(ancilla.label(a), register.label(m), s3)
-            assert rows.get(x) == {(image.index(target), xi): 1}
+            assert rows[x] == {(image.index(target), xi): 1}
+
+    @pytest.mark.parametrize("mode", TheoryMode)
+    def test_indices_outside_the_domain_have_no_row(self, mode):
+        # an index is an int in range: a bool or a float equal to one is not
+        proc = build_processor(leaf(2, mode), leaf(3, mode))
+        rows = proc.kernel.nums
+        for x in (dimension(proc.kernel.in_system), -1, True, 1.0):
+            assert rows.get(x, "none") == "none"
+            with pytest.raises(KeyError):
+                rows[x]
+            assert x not in rows
 
     @pytest.mark.parametrize("mode", TheoryMode)
     def test_labels_outside_the_domain_have_no_row(self, mode):

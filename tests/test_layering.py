@@ -12,7 +12,8 @@ index of a composite through `labels.offsets`, and `Coder.join` serves
 only one-entry reads.
 
 The enumeration bounds are stated once, in `config`; a module that writes
-one of them as a literal has its own bound policy, which this check refuses.
+one of them as a literal has its own bound policy, which this check refuses,
+and only the enumerations of `labels` take a bound as a parameter.
 README states every bound as configured.
 The coherence checks use the calculus itself, never the transport
 that memoises it.  Every definition in the package is reached from the
@@ -68,6 +69,24 @@ def bound_literals(tree: ast.AST) -> list[int]:
                          ids=lambda p: p.name)
 def test_bounds_come_from_config(path):
     assert bound_literals(ast.parse(path.read_text())) == []
+
+
+def bound_parameters() -> list[str]:
+    """Every function of the package, nested or a method too, with a
+    parameter named `bound`, as "module.name"."""
+    return sorted(f"{path.stem}.{node.name}" for path in SOURCES
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(arg.arg == "bound" for arg in ast.walk(node.args)
+                          if isinstance(arg, ast.arg)))
+
+
+def test_only_the_label_enumerations_take_a_bound():
+    """One bound policy: a caller passes a bound to the enumeration it
+    runs, and nothing else takes one, so no module sizes a structure under
+    a bound that a later enumeration of it does not share."""
+    assert bound_parameters() == ["labels.basis_indices", "labels.basis_size",
+                                  "labels.enumerate_pure_labels"]
 
 
 def test_readme_states_each_bound_as_configured():

@@ -352,7 +352,18 @@ class TestDelta2:
         assert pair_report(bibit(TheoryMode.CT), bibit(TheoryMode.CT))["strict_bilocality"]
 
 
+TRIVIAL_PLACEMENTS = [places for n in (1, 2, 3)
+                      for places in itertools.combinations(range(3), n)]
+
+
 class TestDelta3:
+    @pytest.mark.parametrize("mode", TheoryMode)
+    @pytest.mark.parametrize("places", TRIVIAL_PLACEMENTS, ids=str)
+    def test_trivial_factor_rejected(self, mode, places):
+        systems = [trivial(mode) if k in places else leaf(k + 2, mode) for k in range(3)]
+        with pytest.raises(ValueError, match="delta3 needs three non-trivial systems"):
+            span_report(*systems)
+
     @pytest.mark.parametrize("dims", list(itertools.product((2, 3), repeat=3)))
     def test_all_small_triples_are_bilocal(self, dims):
         systems = [leaf(d) for d in dims]
