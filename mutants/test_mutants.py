@@ -167,6 +167,15 @@ CATALOGUE = [
            "if any(isinstance(system, Trivial) for system in (a, b, c)):",
            "if False:",
            ("tests/test_tomography.py::TestDelta3::test_trivial_factor_rejected",)),
+    Mutant("verify-dims-ignores-delta3", "cli.py",
+           'ok &= doc["delta3"] == 0 and doc["bilocal_identity_holds"]',
+           'ok &= doc["bilocal_identity_holds"]',
+           ("tests/test_cli.py::test_verify_dims_exits_one_when_delta3_is_not_zero",)),
+    Mutant("marginal-mints-states", "states.py",
+           "cls = StateVector if isinstance(rho, StateVector) else GeneralizedVector",
+           "cls = StateVector",
+           ("tests/test_states.py::TestTrustedConstruction::"
+            "test_marginal_of_a_non_state_is_a_generalized_vector",)),
     Mutant("realize-accepts-any-processor", "dilation.py",
            "elif (processor.a_system, processor.b_system) != (a, b):",
            "elif False:",

@@ -129,10 +129,9 @@ def cmd_verify_dims(args) -> Outcome:
     reports = []
     ok = True
     for dims in _dims_list(args.triples, (3,)):
-        rep = span_report(*(leaf(d, args.mode) for d in dims))
-        ok &= rep.bilocal
-        doc = rep.to_json()
+        doc = span_report(*(leaf(d, args.mode) for d in dims))
         serial.validate_document(doc, "span_report")
+        ok &= doc["delta3"] == 0 and doc["bilocal_identity_holds"]
         reports.append(doc)
     return reports, ok, f"verify-dims: {len(reports)} triples"
 

@@ -30,7 +30,6 @@ from .labels import (
     enumerate_pure_labels,
     label_to_str,
 )
-from .serial import fraction_to_str
 from .states import (
     ONE,
     StateVector,
@@ -129,7 +128,7 @@ def dense_coding(mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport:
                 "bob_local": b_value,
                 "message": message,
                 "decoded": decoded,
-                "probability": fraction_to_str(probability),
+                "probability": str(probability),
                 "state": label_to_str(next(iter(table))),
             })
     return ProtocolReport(
@@ -213,7 +212,7 @@ def entanglement_swapping(i: int, j: int, s: int | str, k: int, l: int,
         outcomes.append({
             "outcome": [eff_label.left.index, eff_label.right.index,
                         "+" if r == 1 else "-"],
-            "probability": fraction_to_str(probability),
+            "probability": str(probability),
             "ad_state": label_to_str(expected),
         })
     return ProtocolReport(
@@ -254,11 +253,11 @@ def clone_state(rho: StateVector) -> ProtocolReport:
     right = marginal(out, "1")
     success = (out.coeffs == expected and left.coeffs == rho.coeffs
                and right.coeffs == rho.coeffs and is_deterministic(cloner))
-    rows = [{"label": label_to_str(label), "weight": fraction_to_str(value)}
+    rows = [{"label": label_to_str(label), "weight": str(value)}
             for label, value in sorted(out.coeffs.items(),
                                        key=lambda kv: label_to_str(kv[0]))]
     return ProtocolReport(
-        "clone", {"input": {label_to_str(k): fraction_to_str(v) for k, v in rho.coeffs.items()},
+        "clone", {"input": {label_to_str(k): str(v) for k, v in rho.coeffs.items()},
                   "mode": rho.system.mode.value},
         rows, success,
         "conditional measure-and-reprepare; both marginals equal the input")
@@ -289,7 +288,7 @@ def monogamy_demo(mode: TheoryMode = TheoryMode.BCT) -> ProtocolReport:
         entangled_count += entangled
         rows.append({
             "pair": name,
-            "marginal": {label_to_str(k): fraction_to_str(v) for k, v in reduced.coeffs.items()},
+            "marginal": {label_to_str(k): str(v) for k, v in reduced.coeffs.items()},
             "entangled": entangled,
         })
     success = entangled_count >= 2 if mode is TheoryMode.BCT else entangled_count == 0

@@ -269,8 +269,10 @@ def apply_effect_at(effect: GeneralizedVector, rho: StateVector, at: str) -> Sta
     return StateVector._checked(*out)
 
 
-def marginal(rho: StateVector, keep: str) -> StateVector:
-    """Unit effect on the complement of `keep`; unique by causality."""
+def marginal(rho: GeneralizedVector, keep: str) -> GeneralizedVector:
+    """Unit effect on the complement of `keep`; unique by causality.  The
+    marginal of a `StateVector` is a `StateVector`, and of any other vector
+    a `GeneralizedVector`, as for `kernels.apply`."""
     part = subtree_at(rho.system, keep)
     if keep == "":
         return rho
@@ -280,7 +282,8 @@ def marginal(rho: StateVector, keep: str) -> StateVector:
     for y, n in moved.nums.items():
         a = split(y)[0]
         out[a] = out[a] + n if a in out else n
-    return StateVector._trusted(part, *lowest_terms(out, rho.den))
+    cls = StateVector if isinstance(rho, StateVector) else GeneralizedVector
+    return cls._trusted(part, *lowest_terms(out, rho.den))
 
 
 def is_separable(rho: StateVector, part: str = "0") -> bool:

@@ -20,13 +20,14 @@ is a sum of `ab_c` rows, so it adds nothing to the union.  A family of any
 other structure is refused with an `AssertionError`, never ranked another
 way.  `pair_report`, the `tomography` report of one pair, counts its two
 families the same way (the product states of AB, and its unit basis), so
-only the public `rank` eliminates.  Both refuse a trivial factor up front,
-since the families' moves need a node at each place of the product.
+only the public `rank` eliminates.  Each report is the JSON document the
+CLI writes, `span_report` for one triple of `verify-dims`.  Both refuse a
+trivial factor up front, since the families' moves need a node at each
+place of the product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -197,39 +198,12 @@ def _tripartite_families(a: SystemTree, b: SystemTree, c: SystemTree
     return families()
 
 
-@dataclass(frozen=True)
-class SpanReport:
-    dims: tuple[int, ...]
-    mode: str
-    d_systems: tuple[int, ...]
-    d_composite: int
-    delta2_pairs: dict[str, int] = field(default_factory=dict)
-    delta3: int = 0
-    class_ranks: dict[str, int] = field(default_factory=dict)
-    bilocal_identity_holds: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "mode": self.mode,
-            "d_systems": list(self.d_systems),
-            "d_composite": self.d_composite,
-            "delta2": dict(self.delta2_pairs),
-            "delta3": self.delta3,
-            "class_ranks": dict(self.class_ranks),
-            "bilocal_identity_holds": self.bilocal_identity_holds,
-        }
-
-    @property
-    def bilocal(self) -> bool:
-        """Bilocal discriminability: delta3 = 0 and the dimension identity balances."""
-        return self.delta3 == 0 and self.bilocal_identity_holds
-
-
-def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
-    """Delta3 and the biseparable class ranks of ((AB)C), from the families'
-    structure (see the module docstring), each family dropped once it is
-    counted.  Every bound is checked before the union-find arrays over
+def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> dict:
+    """The `verify-dims` report of ((AB)C): delta3 and the biseparable class
+    ranks, from the families' structure (see the module docstring), each
+    family dropped once it is counted.  Bilocal discriminability holds iff
+    `delta3` is 0 and `bilocal_identity_holds`, the dimension identity
+    balancing.  Every bound is checked before the union-find arrays over
     ((AB)C) are made.  The union leaves `products` out: the product rule is
     bilinear and neither family is transported, so the row of |u>|v>|w> is
     the sum over s of the `ab_c` rows of ((uv)_s, w), under every fault."""
@@ -250,16 +224,16 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> SpanReport:
     da, db, dc = dimension(a), dimension(b), dimension(c)
     d2 = {"AB": _excess(a, b), "BC": _excess(b, c), "AC": _excess(a, c)}
     rhs = da * db * dc + d2["AB"] * dc + d2["BC"] * da + d2["AC"] * db
-    return SpanReport(
-        dims=(da, db, dc),
-        mode=a.mode.value,
-        d_systems=(da, db, dc),
-        d_composite=d_abc,
-        delta2_pairs=d2,
-        delta3=d_abc - r,
-        class_ranks=class_ranks,
-        bilocal_identity_holds=(d_abc == rhs),
-    )
+    return {
+        "dims": [da, db, dc],
+        "mode": a.mode.value,
+        "d_systems": [da, db, dc],
+        "d_composite": d_abc,
+        "delta2": d2,
+        "delta3": d_abc - r,
+        "class_ranks": class_ranks,
+        "bilocal_identity_holds": d_abc == rhs,
+    }
 
 
 def pair_report(a: SystemTree, b: SystemTree) -> dict:

@@ -84,8 +84,8 @@ def test_ac02_delta3_vanishes_on_all_small_triples():
     ok = True
     for dims in itertools.product((2, 3), repeat=3):
         rep = span_report(*(leaf(d) for d in dims))
-        ok &= rep.class_ranks["union"] == rep.d_composite
-        ok &= rep.delta3 == 0 and rep.bilocal_identity_holds
+        ok &= rep["class_ranks"]["union"] == rep["d_composite"]
+        ok &= rep["delta3"] == 0 and rep["bilocal_identity_holds"]
     elapsed = time.time() - start
     report(2, "delta3 = 0 and the bilocal identity balances on {2,3}^3",
            ok and elapsed < 60.0, elapsed)

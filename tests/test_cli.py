@@ -19,7 +19,7 @@ from bct.kernels import random_instrument
 from bct.serial import dumps, vector_to_json
 from bct.states import StateVector
 from bct.labels import LeafLabel
-from bct.systems import bibit, leaf
+from bct.systems import TheoryMode, bibit, leaf
 from fractions import Fraction
 
 from kernel_helpers import instrument_to_json
@@ -91,6 +91,16 @@ def test_verify_dims(capsys):
     assert code == 0
     reports = json.loads(out)
     assert [r["delta3"] for r in reports] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("mode", TheoryMode)
+def test_verify_dims_writes_span_report_as_it_is(tmp_path, capsys, mode):
+    """The written report is `span_report`'s document, no key renamed."""
+    out = tmp_path / "spans.json"
+    assert main(["verify-dims", "--triples", "2,3,4", "--mode", mode.value.lower(),
+                 "--quiet", "--out", str(out)]) == 0
+    expected = bct.tomography.span_report(leaf(2, mode), leaf(3, mode), leaf(4, mode))
+    assert json.loads(out.read_text()) == [expected]
 
 
 def test_tomography(capsys):
@@ -619,7 +629,7 @@ def assert_check_failed(argv, out_path, capsys):
 def test_verify_dims_exits_one_when_delta3_is_not_zero(tmp_path, monkeypatch, capsys):
     real = bct.cli.span_report
     monkeypatch.setattr(bct.cli, "span_report",
-                        lambda *systems: dataclasses.replace(real(*systems), delta3=1))
+                        lambda *systems: {**real(*systems), "delta3": 1})
     reports = assert_check_failed(["verify-dims", "--triples", "2,2,2"],
                                   tmp_path / "spans.json", capsys)
     assert [r["delta3"] for r in reports] == [1]

@@ -9,7 +9,7 @@ beside the regroup and transport it composes, and only it, `marginal` and
 `is_separable` regroup, and only `labels` reads the parts of a coder's
 offset form.  The engine, `is_separable` and the kernel braid read each
 index of a composite through `labels.offsets`, and `Coder.join` serves
-only one-entry reads.
+only one-entry reads.  Only `cli` imports `serial`, the JSON boundary.
 
 The enumeration bounds are stated once, in `config`; a module that writes
 one of them as a literal has its own bound policy, which this check refuses,
@@ -87,6 +87,17 @@ def test_only_the_label_enumerations_take_a_bound():
     a bound that a later enumeration of it does not share."""
     assert bound_parameters() == ["labels.basis_indices", "labels.basis_size",
                                   "labels.enumerate_pure_labels"]
+
+
+def test_only_the_cli_imports_the_format_layer():
+    """`serial` is the JSON boundary: the package computes on its own
+    values, and only `cli` turns them into documents and back."""
+    importers = {path.stem for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and (node.module == "serial" or node.module is None
+                      and any(alias.name == "serial" for alias in node.names))}
+    assert importers == {"cli"}
 
 
 def test_readme_states_each_bound_as_configured():

@@ -321,8 +321,7 @@ class TestSchema:
 
         validate_document(check_pentagon((2, 2, 2, 2)).to_json(), "check_report")
         validate_document(dense_coding().to_json(), "protocol_report")
-        validate_document(span_report(bibit(), bibit(), bibit()).to_json(),
-                          "span_report")
+        validate_document(span_report(bibit(), bibit(), bibit()), "span_report")
 
     def test_unknown_kind(self):
         with pytest.raises(ParseError):

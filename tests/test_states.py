@@ -359,6 +359,19 @@ class TestTrustedConstruction:
         rho = StateVector._trusted(A, {0: 1}, 2)
         assert type(rho) is StateVector and rho.coeffs == {lab(1): F(1, 2)}
 
+    @pytest.mark.parametrize("cls, coeffs, expected", [
+        (GeneralizedVector, {node(lab(1), lab(1), -1): F(-1, 2), node(lab(2), lab(1), 1): F(3, 2)},
+         {lab(1): F(-1, 2), lab(2): F(3, 2)}),
+        (EffectVector, {node(lab(1), lab(2), 1): F(1), node(lab(2), lab(2), -1): F(1, 2)},
+         {lab(1): F(1), lab(2): F(1, 2)}),
+    ], ids=["generalized", "effect"])
+    def test_marginal_of_a_non_state_is_a_generalized_vector(self, cls, coeffs, expected):
+        """Only a state's marginal is minted a `StateVector`, as by `kernels.apply`."""
+        out = marginal(cls(AB, coeffs), "0")
+        assert type(out) is GeneralizedVector and out.coeffs == expected
+        state = marginal(StateVector(AB, half_pair(1, 2)), "0")
+        assert type(state) is StateVector and state.coeffs == {lab(1): F(1)}
+
     def test_is_validated_under_the_test_suite(self):
         with pytest.raises(AssertionError, match="trusted StateVector .* exceeds 1"):
             StateVector._trusted(A, {0: 1, 1: 1}, 1)
