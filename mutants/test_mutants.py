@@ -186,6 +186,19 @@ CATALOGUE = [
            "elif False:",
            ("tests/test_kernels.py::TestInstruments::test_repeated_outcomes_are_refused",
             "tests/test_cli.py::test_dilate_refuses_repeated_outcomes")),
+    Mutant("transport-table-drops-the-sign-rank", "labels.py",
+           "return [m * ns + r for m in moved for r in ranks]",
+           "return [m * ns + r for m in moved for r in range(ns)]",
+           ("tests/test_tomography.py",)),
+    Mutant("independent-rows-skips-the-empty-check", "tomography.py",
+           "if all(rows) and len(set().union(*rows)) == sum(map(len, rows)):",
+           "if len(set().union(*rows)) == sum(map(len, rows)):",
+           ("tests/test_cli.py::test_verify_dims_refuses_a_family_of_another_structure"
+            "[empty-row]",)),
+    Mutant("basis-indices-extend-in-place", "labels.py",
+           "indices = _INDICES = indices + list(range(len(indices), size))",
+           "_INDICES.extend(range(len(_INDICES), size))",
+           ("tests/test_tables.py::test_threads_that_grow_the_shared_indices_get_every_index",)),
 ]
 
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

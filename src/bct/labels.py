@@ -181,10 +181,12 @@ def basis_indices(system: SystemTree, bound: int | None = None) -> list[int]:
     """The basis indices of `system` in order, refused above the bound as in
     `basis_size`.  The ints are shared by every caller, so a dict keyed by a
     whole basis (an effect kept in a result) holds no int of its own."""
+    global _INDICES
     size = basis_size(system, bound)
-    if len(_INDICES) < size:
-        _INDICES.extend(range(len(_INDICES), size))
-    return _INDICES[:size]
+    indices = _INDICES  # one read: a thread that grows the table rebinds it whole
+    if len(indices) < size:
+        indices = _INDICES = indices + list(range(len(indices), size))
+    return indices[:size]
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +346,7 @@ def coder(system: SystemTree) -> Coder:
             found = Coder(bct, 0, coder(system.left), coder(system.right))
         else:  # a leaf, or the trivial system and its one label
             found = Coder(bct, dimension(system))
+        # unlocked: a thread that races here stores an equal coder, which keeps nothing
         _CODERS[system] = found
     return found
 
@@ -488,6 +491,11 @@ class _Transport:
     In CT a faulted braid (BRAID_SIGN) writes a - sign, which no CT label
     carries.  The CT coder reads no sign, so the probe codes such a moved
     label as its + twin.
+
+    `table()` is that rule on the whole basis at once, with no flips: only
+    a caller that walks the whole basis anyway, after `basis_size`, reads
+    it, and none keeps it.  The probes fill with no lock: a thread that
+    races here stores an equal value.
     """
 
     __slots__ = ("_source", "_target", "_moves", "_signs", "_places")
@@ -511,6 +519,15 @@ class _Transport:
         for place, dim, to in places:
             moved += rank // place % dim * to
         return moved * ns + sign[0], sign[1]
+
+    def table(self) -> list[int]:
+        """The moved index of every basis index, in order, with no flips."""
+        ns = self._source.ns
+        ranks = [self[s][0] for s in range(ns)]  # leaf rank 0: fills every probe
+        moved = [0]
+        for _, dim, to in self._places:
+            moved = [m + d * to for m in moved for d in range(dim)]
+        return [m * ns + r for m in moved for r in ranks]
 
     def _probe(self, index: int) -> tuple[int, int]:
         raw, flip = apply_moves_raw(self._source.raw(index), self._moves)
@@ -539,13 +556,14 @@ def transport(system: SystemTree, moves: Sequence[Move]) -> tuple[SystemTree, _T
     every caller, and read off the calculus (`apply_moves_raw`), which
     stays the reference, on a few probe labels decoded on first need (see
     `_Transport`); nothing is enumerated, so a sparse vector on a system of
-    any size is transported by the indices it holds.  Fetch it inside the
-    operation that uses it, so the fault it is keyed on is the one in
-    force.  The law checks of `coherence` test the calculus itself: they
-    build one `moves_raw` function per move sequence and run it on the
-    basis walk `Coder.raws`, a block of labels at a time; the probes here
-    run it on blocks of one.  The empty sequence is the identity under
-    every fault and gets no transport (None).
+    any size is transported by the indices it holds (`table()` serves a
+    whole-basis walk, and is not kept).  Fetch it inside the operation that
+    uses it, so the fault it is keyed on is the one in force.  The law
+    checks of `coherence` test the calculus itself: they build one
+    `moves_raw` function per move sequence and run it on the basis walk
+    `Coder.raws`, a block of labels at a time; the probes here run it on
+    blocks of one.  The empty sequence is the identity under every fault
+    and gets no transport (None).
     """
     if not moves:
         return system, None
@@ -553,6 +571,7 @@ def transport(system: SystemTree, moves: Sequence[Move]) -> tuple[SystemTree, _T
     found = _TRANSPORTS.get(key)
     if found is None:
         moved = move_system_sequence(system, moves)
+        # unlocked: a thread that races here stores an equal transport
         found = _TRANSPORTS[key] = (moved, _Transport(coder(system), coder(moved), key[2]))
     return found
 

@@ -9,21 +9,24 @@ The product families are read only for ranks and supports, so each is built
 as int rows by the one product rule, `states.product_nums`, with no vector
 object: |u>|v> = 1/2 sum_s (uv)_s is {(uv)_s: 1 for each s}.  The 1/2 (1/4
 for a triple, 1 in CT) scales every row alike, so dropping it changes no
-rank or support.
+rank or support.  A transported family reads its moved indices from one
+whole-basis table (`_Transport.table`), built for the family and dropped
+with it.
 
 `span_report` ranks the four biseparable families from that structure, with
 no elimination.  No two rows of a family share a column, so a family's rank
-is its row count.  Every row of `ab_c`, `a_bc` and `ac_b` holds two entries
-equal to 1 (one in CT), so their union is an unsigned incidence matrix, of
-rank the columns used minus the bipartite components.  Each `products` row
-is a sum of `ab_c` rows, so it adds nothing to the union.  A family of any
-other structure is refused with an `AssertionError`, never ranked another
-way.  `pair_report`, the `tomography` report of one pair, counts its two
-families the same way (the product states of AB, and its unit basis), so
-only the public `rank` eliminates.  Each report is the JSON document the
-CLI writes, `span_report` for one triple of `verify-dims`.  Both refuse a
-trivial factor up front, since the families' moves need a node at each
-place of the product.
+is its row count: one count checks it (the columns used against the
+entries), and a scan runs only to name the row at fault.  Every row of
+`ab_c`, `a_bc` and `ac_b` holds two entries equal to 1 (one in CT), so
+their union is an unsigned incidence matrix, of rank the columns used minus
+the bipartite components.  Each `products` row is a sum of `ab_c` rows, so
+it adds nothing to the union.  A family of any other structure is refused
+with an `AssertionError`, never ranked another way.  `pair_report`, the
+`tomography` report of one pair, counts its two families the same way (the
+product states of AB, and its unit basis), so only the public `rank`
+eliminates.  Each report is the JSON document the CLI writes, `span_report`
+for one triple of `verify-dims`.  Both refuse a trivial factor up front,
+since the families' moves need a node at each place of the product.
 """
 
 from __future__ import annotations
@@ -83,17 +86,19 @@ def _echelon(rows: list[dict[int, int]], pivots: dict[int, dict[int, int]]
 
 def _independent_rows(name: str, rows: Sequence[Nums]) -> int:
     """The rank of a family whose rows have pairwise disjoint non-empty
-    supports, which makes them independent: its row count.  Any other
-    family is refused with the row and the column at fault."""
+    supports, which makes them independent: its row count.  Disjointness
+    is one count, the columns used against the entries; any other family
+    is refused, and only then a scan names the row and the column at fault."""
+    if all(rows) and len(set().union(*rows)) == sum(map(len, rows)):
+        return len(rows)
     seen: set[int] = set()
-    for k, row in enumerate(rows):
-        if not row:
-            raise AssertionError(f"family {name!r}: row {k} is empty")
-        if not seen.isdisjoint(row):
-            raise AssertionError(f"family {name!r}: row {k} shares column "
-                                 f"{min(seen.intersection(row))} with an earlier row")
+    for k, row in enumerate(rows):  # the count has failed, so this scan stops
+        if not row or not seen.isdisjoint(row):
+            break
         seen.update(row)
-    return len(rows)
+    fault = (f"shares column {min(seen.intersection(row))} with an earlier row" if row
+             else "is empty")
+    raise AssertionError(f"family {name!r}: row {k} {fault}")
 
 
 def _incidence_rank(families: Iterable[tuple[str, Iterable[Nums]]], n: int) -> int:
@@ -163,8 +168,8 @@ def _products(x: SystemTree, xs: list[Nums], y: SystemTree, ys: list[Nums],
     `ys` on y (`states.product_nums`), carried along `moves`."""
     rows = product_nums(x, xs, y, ys)
     if moves:
-        table = transport(compose_systems(x, y), moves)[1]
-        rows = [{table[i][0]: n for i, n in row.items()} for row in rows]
+        table = transport(compose_systems(x, y), moves)[1].table()
+        rows = [{table[i]: n for i, n in row.items()} for row in rows]
     return rows
 
 

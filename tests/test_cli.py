@@ -647,11 +647,16 @@ def _an_entry_of_two(rows):
     return [{col: 2 for col in rows[0]}, *rows[1:]]
 
 
+def _an_empty_row(rows):
+    return [{}, *rows[1:]]
+
+
 @pytest.mark.parametrize("name, spoil, fault", [
     ("a_bc", _shared_column, "row 16 shares column 1 with an earlier row"),
     ("ac_b", _four_entries, "row 0 has 4 entries, not 1 or 2"),
     ("ab_c", _an_entry_of_two, "row 0 has entry 2 at column 0, not 1 in range(32)"),
-], ids=["shared-column", "four-entries", "entry-of-two"])
+    ("products", _an_empty_row, "row 0 is empty"),
+], ids=["shared-column", "four-entries", "entry-of-two", "empty-row"])
 def test_verify_dims_refuses_a_family_of_another_structure(monkeypatch, capsys,
                                                            name, spoil, fault):
     """A family the structural ranks do not hold for is a crash, exit 2 and

@@ -17,6 +17,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -82,7 +83,8 @@ shapes = st.recursive(st.sampled_from((2, 3)), lambda inner: st.tuples(inner, in
        mode=st.sampled_from(tuple(TheoryMode)), pick=st.integers(0, 100))
 def test_transports_match_the_calculus_under_every_fault(shape, mode, pick):
     """The entry at index i of a transport is the index and flip of the
-    frozen object calculus on the label at index i, both ways of a regroup.
+    frozen object calculus on the label at index i, both ways of a regroup,
+    and its whole-basis table is the moved index of every entry, in order.
     In CT a faulted braid writes a - sign, and the transport reads the moved
     label as its + twin."""
     system = build(shape, mode)
@@ -97,12 +99,35 @@ def test_transports_match_the_calculus_under_every_fault(shape, mode, pick):
                 if not sequence:  # the identity, served without a table
                     assert table is None
                     continue
+                assert table.table() == [table[i][0] for i in range(dimension(start))]
                 index = coder(moved).index
                 for i, label in enumerate(enumerate_pure_labels(start)):
                     tracked, flip = oracle.apply_moves_tracked(label, sequence)
                     if mode is TheoryMode.CT:
                         tracked = oracle.plus_twin(tracked)
                     assert table[i] == (index(tracked), flip)
+
+
+@pytest.mark.parametrize("mode", TheoryMode)
+def test_a_table_and_its_entries_probe_each_label_once(monkeypatch, mode):
+    """The whole-basis table fills the probes the entries read, and reads
+    the ones they filled: one label per sign pattern and one per leaf."""
+    system = left_comb([2, 3, 2, 3], mode)
+    moves = regroup(system, "01")
+    moved, shared = transport(system, moves)
+    table, entries = shared.table(), [shared[i] for i in range(dimension(system))]
+    probes, probe = [], labels._Transport._probe
+    monkeypatch.setattr(labels._Transport, "_probe",
+                        lambda self, index: probes.append(index) or probe(self, index))
+    for table_first in (True, False):
+        fresh = labels._Transport(coder(system), coder(moved), tuple(moves))
+        probes.clear()
+        if table_first:
+            assert fresh.table() == table
+        assert [fresh[i] for i in range(dimension(system))] == entries
+        assert fresh.table() == table
+        assert sorted(probes) == sorted(set(probes))
+        assert len(probes) == coder(system).ns + 4
 
 
 def test_a_transport_belongs_to_its_fault():
@@ -210,6 +235,35 @@ def test_basis_indices_are_ints_shared_by_every_caller():
     assert len(basis_indices(big)) == dimension(big)
     with pytest.raises(ValueError, match="exceeds enumeration bound 11"):
         basis_indices(big, bound=11)
+
+
+def test_threads_that_grow_the_shared_indices_get_every_index(monkeypatch):
+    """Four threads race to grow the shared basis indices from empty, 100
+    times over; every basis they get, and the one read after them, is its
+    indices in order, with none repeated or missed."""
+    systems = [leaf(n) for n in range(2, 402)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            monkeypatch.setattr(labels, "_INDICES", [])
+            barrier = threading.Barrier(4, timeout=30)
+            outs = [[] for _ in range(4)]
+
+            def grow(k):
+                barrier.wait()
+                outs[k].extend(basis_indices(system) for system in systems[k::4])
+            threads = [threading.Thread(target=grow, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [len(out) for out in outs] == [100] * 4
+            assert all(got == list(range(len(got))) for out in outs for got in out)
+            assert basis_indices(leaf(450)) == list(range(450))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_label_hash_is_structural():

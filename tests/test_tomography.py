@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bct import faults
+from bct import faults, tomography
 from bct.labels import LeafLabel, Move, MoveKind, NodeLabel, enumerate_pure_labels, node_signs
 from bct.states import GeneralizedVector, StateVector, pure_state, tensor_states
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, leaf, trivial
@@ -350,6 +350,20 @@ class TestDelta2:
         assert pair_report(A, B)["strict_bilocality"]
         assert pair_report(leaf(3), leaf(3))["strict_bilocality"]
         assert pair_report(bibit(TheoryMode.CT), bibit(TheoryMode.CT))["strict_bilocality"]
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda rows: rows[1:], "separable span rank 3 disagrees with the dimension rule"),
+        (lambda rows: [dict([min(rows[0].items())]), *rows[1:]],
+         "non-uniform product supports: {1, 2}"),
+    ], ids=["rank-off-the-rule", "non-uniform-supports"])
+    def test_products_off_the_rule_are_refused(self, monkeypatch, spoil, message):
+        """Each cross-check of the product family against the dimension rule
+        refuses a family that fails it with its own message, and reports
+        nothing."""
+        real = tomography.product_states
+        monkeypatch.setattr(tomography, "product_states", lambda a, b: spoil(real(a, b)))
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            pair_report(A, B)
 
 
 TRIVIAL_PLACEMENTS = [places for n in (1, 2, 3)
