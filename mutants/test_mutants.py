@@ -167,6 +167,10 @@ CATALOGUE = [
            "if any(isinstance(system, Trivial) for system in (a, b, c)):",
            "if False:",
            ("tests/test_tomography.py::TestDelta3::test_trivial_factor_rejected",)),
+    Mutant("span-report-skips-the-composite-bound", "tomography.py",
+           "d_abc = basis_size(compose_systems(compose_systems(a, b), c))",
+           "d_abc = dimension(compose_systems(compose_systems(a, b), c))",
+           ("tests/test_cli.py::test_verify_dims_refuses_a_composite_over_the_bound",)),
     Mutant("verify-dims-ignores-delta3", "cli.py",
            'ok &= doc["delta3"] == 0 and doc["bilocal_identity_holds"]',
            'ok &= doc["bilocal_identity_holds"]',
@@ -195,6 +199,21 @@ CATALOGUE = [
            "if len(set().union(*rows)) == sum(map(len, rows)):",
            ("tests/test_cli.py::test_verify_dims_refuses_a_family_of_another_structure"
             "[empty-row]",)),
+    # (2 2) factors walk their rows out of input index order
+    Mutant("parallel-rows-out-of-order", "kernels.py",
+           "*_lowest(dict(sorted(rows.items())), k1.den * k2.den)",
+           "*_lowest(rows, k1.den * k2.den)",
+           ("tests/test_laws.py::test_parallel_composition_is_its_two_step_form",)),
+    Mutant("parallel-input-step-on-minus", "kernels.py",
+           "rows[x1 + x2 + (in_step if s > 0 else 0)]",
+           "rows[x1 + x2 + (in_step if s < 0 else 0)]",
+           ("tests/test_laws.py::test_parallel_composition_is_its_two_step_form",)),
+    # a kernel left over a common factor of 2: refused by the validation of
+    # every trusted kernel (tests/conftest.py) in the first random draw
+    Mutant("lowest-stops-at-gcd-2", "kernels.py",
+           "        if g == 1:\n            return nums, den",
+           "        if g <= 2:\n            return nums, den",
+           ("tests/test_laws.py::test_parallel_composition_is_its_two_step_form",)),
     Mutant("basis-indices-extend-in-place", "labels.py",
            "indices = _INDICES = indices + list(range(len(indices), size))",
            "_INDICES.extend(range(len(_INDICES), size))",

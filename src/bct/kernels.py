@@ -24,8 +24,9 @@ Parallel composition is one rule on indices: input (i j)_s pairs the
 entries (y1, tau1) of row i of k1 and (y2, tau2) of row j of k2, and goes
 to ((y1 y2)_{s*tau1*tau2}, tau1), so the flip of k1 escapes and that of k2
 is absorbed by the node; it equals (I (x) k2) o (k1 (x) I) built from the
-extension above, with I (x) k2 the braid-conjugate of k2 (x) I.  It and
-`_braid` read each output index by `labels.offsets`.
+extension above, with I (x) k2 the braid-conjugate of k2 (x) I.  It walks
+the rows its factors hold, and reads each input and output index by
+`labels.offsets`, as `_braid` reads each output index.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import faults
+from .config import max_dim
 from .labels import (
     PLUS,
     IntRow,
@@ -115,13 +116,13 @@ class Kernel:
         for (a, b, tau), n in ints.items():
             nums.setdefault(a, {})[(b, tau)] = n
         _check_weights(self.in_system, nums, den)
-        self._store(nums, den)
+        self._store(self.in_system, self.out_system, nums, den)
 
-    def _store(self, nums: IntRows, den: int) -> None:
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", _RowsView(nums, den, self.in_system,
-                                                   self.out_system))
+    def _store(self, in_system: SystemTree, out_system: SystemTree, nums: IntRows,
+               den: int) -> None:
+        """Set the frozen fields at once, `rows` as the view of `nums`."""
+        self.__dict__.update(in_system=in_system, out_system=out_system, nums=nums, den=den,
+                             rows=_RowsView(nums, den, in_system, out_system))
 
     @classmethod
     def _trusted(cls, in_system: SystemTree, out_system: SystemTree,
@@ -139,9 +140,7 @@ class Kernel:
         if in_system.mode is not out_system.mode:
             raise ValueError("kernel endpoints must share a theory mode")
         kernel = object.__new__(cls)
-        object.__setattr__(kernel, "in_system", in_system)
-        object.__setattr__(kernel, "out_system", out_system)
-        kernel._store(nums, den)
+        kernel._store(in_system, out_system, nums, den)
         return kernel
 
     @classmethod
@@ -213,9 +212,11 @@ class _RowsView(Mapping[PureLabel, dict[Entry, Fraction]]):
 def _lowest(nums: dict[int, IntRow], den: int) -> tuple[dict[int, IntRow], int]:
     """Int rows over the positive `den` with the factor common to all the
     ints divided out (the rows hold no zero)."""
-    g = gcd(den, *(n for row in nums.values() for n in row.values()))
-    if g == 1:
-        return nums, den
+    g = den
+    for row in nums.values():
+        g = gcd(g, *row.values())
+        if g == 1:
+            return nums, den
     return {a: {e: n // g for e, n in row.items()} for a, row in nums.items()}, den // g
 
 
@@ -329,7 +330,7 @@ def _composed(second: IntRows, first: IntRows, effect: bool) -> dict[int, IntRow
 
 
 def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
-    """k1 (x) k2, in one pass over the basis of A (x) C.
+    """k1 (x) k2, in one pass over the rows the two factors hold.
 
     Input (i j)_s pairs each entry (y1, tau1): n1 of row i of k1 with each
     entry (y2, tau2): n2 of row j of k2, and the pair goes to
@@ -344,46 +345,45 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     case of its own: these rules send each entry of the other factor to
     itself, times the scalar.
 
-    The inputs (i, j, s) come from the index walk `Coder.splits`, and each
-    factor's rows are rewritten once into `labels.offsets` of B (x) D:
-    (y1 y2)_u is at left(y1) + right(y2), plus step when u is +.
+    Both sides are read in the offset form of `labels.offsets`: each row
+    key of a factor is rewritten once into its part of an index of A (x) C,
+    and each entry into its part of B (x) D, so (i j)_s is at
+    in_left(i) + in_right(j), plus in_step when s is +, and (y1 y2)_u at
+    left(y1) + right(y2), plus step when u is +.  Rows come out in input
+    index order.
     """
     if k1.mode is not k2.mode:
         raise ValueError("cannot compose kernels from different theory modes")
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
     ac, bd = compose_systems(a, c), compose_systems(b, d)
-    size = basis_size(ac)
-    if isinstance(a, Trivial):
-        inputs: Iterable[tuple[int, int, int]] = zip(repeat(0), range(size), repeat(PLUS))
-    elif isinstance(c, Trivial):
-        inputs = zip(range(size), repeat(0), repeat(PLUS))
-    else:
-        inputs = coder(ac).splits()
+    basis_size(ac)
+    in_left, in_right, in_step = offsets(a, c, ac)
+    # the input step is 0 exactly where the one sign is +: no node, or CT
+    signs = node_signs(k1.mode) if in_step else (PLUS,)
     without_tau1 = isinstance(c, Trivial) or (
         faults.active_fault() == faults.PARALLEL_DROP_TAU
         and not (isinstance(a, Trivial) or isinstance(b, Trivial)))
     # with B trivial and D not, the output is D's and u its flip; else tau1 is
     only_d = isinstance(b, Trivial) and not isinstance(d, Trivial)
-    left, right, step = offsets(b, d)
-    rows1 = {i: [(left(y), tau, n) for (y, tau), n in row.items()]
-             for i, row in k1.nums.items()}
-    rows2 = {j: [(right(y), tau, n) for (y, tau), n in row.items()]
-             for j, row in k2.nums.items()}
+    left, right, step = offsets(b, d, bd)
+    rows1 = [(in_left(i), [(left(y), tau, n) for (y, tau), n in row.items()])
+             for i, row in k1.nums.items()]
+    rows2 = [(in_right(j), [(right(y), tau, n) for (y, tau), n in row.items()])
+             for j, row in k2.nums.items()]
     rows: dict[int, IntRow] = {}
-    for x, (i, j, s) in enumerate(inputs):
-        row1, row2 = rows1.get(i), rows2.get(j)
-        if not (row1 and row2):
-            continue
-        out: IntRow = {}
-        for base, tau1, n1 in row1:
-            sign = s if without_tau1 else s * tau1
-            for r, tau2, n2 in row2:
-                u = sign * tau2
-                key = (base + r + (step if u > 0 else 0), u if only_d else tau1)
-                n = n1 * n2
-                out[key] = out[key] + n if key in out else n
-        rows[x] = out
-    return Kernel._trusted(ac, bd, *_lowest(rows, k1.den * k2.den))
+    for x1, row1 in rows1:
+        for x2, row2 in rows2:
+            for s in signs:
+                out: IntRow = {}
+                for base, tau1, n1 in row1:
+                    sign = s if without_tau1 else s * tau1
+                    for r, tau2, n2 in row2:
+                        u = sign * tau2
+                        key = (base + r + (step if u > 0 else 0), u if only_d else tau1)
+                        n = n1 * n2
+                        out[key] = out[key] + n if key in out else n
+                rows[x1 + x2 + (in_step if s > 0 else 0)] = out
+    return Kernel._trusted(ac, bd, *_lowest(dict(sorted(rows.items())), k1.den * k2.den))
 
 
 def add_kernels(first: Kernel, *rest: Kernel) -> Kernel:
@@ -591,9 +591,10 @@ def _random_rows(rng: random.Random, in_system: SystemTree,
     """The int rows, over 16, of a random deterministic kernel: on every
     input index a dyadic distribution over one to three (output index, tau)
     targets."""
-    inputs = basis_size(in_system)
+    bound = max_dim()
+    inputs = basis_size(in_system, bound)
     taus = (PLUS,) if isinstance(out_system, Trivial) else node_signs(in_system.mode)
-    targets = [(b, t) for b in range(basis_size(out_system)) for t in taus]
+    targets = [(b, t) for b in range(basis_size(out_system, bound)) for t in taus]
     rows: dict[int, IntRow] = {}
     for a in range(inputs):
         support = rng.sample(targets, k=min(len(targets), rng.randrange(1, 4)))

@@ -219,8 +219,7 @@ class Coder:
     `raw_index` code raw labels (see `Raw`) and check nothing; `label`
     decodes the raw label and builds its label tree.  `raws` walks the
     whole basis in index order, and like `raw` checks nothing: check
-    `basis_size` first; so does `splits`, the same walk on the children's
-    indices.  A coder keeps nothing it codes.
+    `basis_size` first.  A coder keeps nothing it codes.
     """
 
     __slots__ = ("dim", "nl", "ns", "step", "left", "right", "bct")
@@ -270,11 +269,6 @@ class Coder:
             return range(1, self.nl + 1) if self.nl > 1 else (0,)
         return self._pairs(list(self.left.raws()), list(self.right.raws()))
 
-    def splits(self) -> Iterable[tuple[int, int, int]]:
-        """`split` of every basis index of a node, in index order: the
-        children's indices paired by `_pairs`."""
-        return self._pairs(range(self.left.dim), range(self.right.dim))
-
     def _pairs(self, left: Sequence, right: Sequence) -> Iterable[tuple]:
         """(x, y, sign) for the entries x of `left` and y of `right`, one
         per basis index of the children in index order, in the order of the
@@ -323,14 +317,16 @@ class Coder:
         return j // lj * self.ns + j % lj
 
 
-def offsets(x: SystemTree, y: SystemTree) -> tuple[Callable[[int], int],
-                                                   Callable[[int], int], int]:
+def offsets(x: SystemTree, y: SystemTree, xy: SystemTree | None = None
+            ) -> tuple[Callable[[int], int], Callable[[int], int], int]:
     """(left, right, step), the node coder's parts: the index of (i j)_s in
-    x (x) y is left(i) + right(j) + bit(s) * step.  A trivial factor opens
-    no node: each index is its own offset (`int`) and the step is 0."""
+    x (x) y is left(i) + right(j) + bit(s) * step.  A caller that holds the
+    composite passes it as `xy`, so that it is not composed again.  A
+    trivial factor opens no node: each index is its own offset (`int`) and
+    the step is 0."""
     if isinstance(x, Trivial) or isinstance(y, Trivial):
         return int, int, 0
-    code = coder(compose_systems(x, y))
+    code = coder(compose_systems(x, y) if xy is None else xy)
     return code.left_offset, code.right_offset, code.step
 
 

@@ -297,7 +297,7 @@ def is_separable(rho: StateVector, part: str = "0") -> bool:
         raise ValueError("bipartition selector must pick a proper subtree")
     moved = apply_moves_to_vector(rho, regroup(rho.system, part))
     regrouped, table = moved.system, moved.nums
-    split, step = coder(regrouped).split, offsets(regrouped.left, regrouped.right)[2]
+    split, step = coder(regrouped).split, offsets(regrouped.left, regrouped.right, regrouped)[2]
     return all(n == table.get(y - split(y)[2] * step, 0) for y, n in table.items())
 
 

@@ -208,14 +208,15 @@ def span_report(a: SystemTree, b: SystemTree, c: SystemTree) -> dict:
     ranks, from the families' structure (see the module docstring), each
     family dropped once it is counted.  Bilocal discriminability holds iff
     `delta3` is 0 and `bilocal_identity_holds`, the dimension identity
-    balancing.  Every bound is checked before the union-find arrays over
-    ((AB)C) are made.  The union leaves `products` out: the product rule is
-    bilinear and neither family is transported, so the row of |u>|v>|w> is
-    the sum over s of the `ab_c` rows of ((uv)_s, w), under every fault."""
+    balancing.  Every bound, that of ((AB)C) too, is checked before the
+    first family and the union-find arrays over ((AB)C) are made.  The
+    union leaves `products` out: the product rule is bilinear and neither
+    family is transported, so the row of |u>|v>|w> is the sum over s of
+    the `ab_c` rows of ((uv)_s, w), under every fault."""
     if any(isinstance(system, Trivial) for system in (a, b, c)):
         raise ValueError("delta3 needs three non-trivial systems")
-    d_abc = dimension(compose_systems(compose_systems(a, b), c))
     families = _tripartite_families(a, b, c)
+    d_abc = basis_size(compose_systems(compose_systems(a, b), c))
     class_ranks = {}
 
     def counted():

@@ -416,11 +416,27 @@ def test_tomography_checks_every_bound_before_building_the_products(
 
 
 @pytest.mark.parametrize("args, code", [
-    (["verify-dims", "--triples", "16,16,16"], 0),
+    (["verify-dims", "--triples", "8,8,16"], 0),
+    (["verify-dims", "--triples", "16,16,16"], 2),
     (["tomography", "--pairs", "64,64"], 2),
 ])
 def test_largest_tomography_inputs_keep_their_exit_codes(capsys, args, code):
+    """((AB)C) of 8,8,16 has 4 096 labels, the default bound; of 16,16,16,
+    16 384, refused although each of its parts is under the bound."""
     assert main([*args, "--quiet"]) == code
+
+
+def test_verify_dims_refuses_a_composite_over_the_bound(monkeypatch, capsys):
+    """Under a bound of 100, 5,5,5 passes every check on its parts (AB has
+    50 labels) and its ((AB)C) of 500 is refused before a family is built."""
+    built = []
+    monkeypatch.setattr(bct.tomography, "_products", lambda *args: built.append(args))
+    monkeypatch.setenv("BCT_MAX_DIM", "100")
+    assert main(["verify-dims", "--triples", "5,5,5", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dimension 500 exceeds enumeration bound 100\n"
+    assert built == []
 
 
 @pytest.mark.parametrize("field, value", [

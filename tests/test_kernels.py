@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import bct.kernels
 from bct.kernels import (
     Instrument,
     Kernel,
@@ -31,7 +32,6 @@ from bct.kernels import (
     validate_instrument,
 )
 from bct.labels import (
-    Coder,
     LeafLabel,
     Move,
     MoveKind,
@@ -238,13 +238,30 @@ class TestParallel:
 
     def test_the_composite_input_is_refused_above_the_enumeration_bound(self, monkeypatch):
         # leaf(64) (x) leaf(64) has 8192 labels in BCT, above the default
-        # bound of 4096: the bound refuses it before any input is split
+        # bound of 4096: the bound refuses it before any row is read into
+        # the offset form
         monkeypatch.delenv("BCT_MAX_DIM", raising=False)
         rng = random.Random(0)
         k1, k2 = (random_kernel(rng, leaf(64), leaf(64)) for _ in range(2))
-        monkeypatch.setattr(Coder, "split", lambda *args: pytest.fail("an input was split"))
+        monkeypatch.setattr(bct.kernels, "offsets",
+                            lambda *args: pytest.fail("the offsets were read"))
         with pytest.raises(ValueError, match="dimension 8192 exceeds enumeration bound 4096"):
             parallel_compose(k1, k2)
+
+    def test_the_bound_is_read_on_every_call(self, monkeypatch):
+        # leaf(4) (x) leaf(4) has 32 labels: drawn on and composed under the
+        # default bound, and refused by both on the next call under 31
+        monkeypatch.delenv("BCT_MAX_DIM", raising=False)
+        rng = random.Random(0)
+        a = leaf(4)
+        aa = compose_systems(a, a)
+        k = random_kernel(rng, a, a)
+        assert random_kernel(rng, aa, aa).in_system == parallel_compose(k, k).in_system == aa
+        monkeypatch.setenv("BCT_MAX_DIM", "31")
+        for call in (lambda: random_kernel(rng, aa, aa), lambda: random_kernel(rng, a, aa),
+                     lambda: parallel_compose(k, k)):
+            with pytest.raises(ValueError, match="dimension 32 exceeds enumeration bound 31"):
+                call()
 
     def test_scalars_multiply(self):
         out = parallel_compose(scalar_kernel(TheoryMode.BCT, F(1, 2)),
@@ -553,20 +570,20 @@ class TestEquality:
 
 class TestRowSumValidation:
     def test_row_sum_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="row sum 5/4 exceeds 1 at 1"):
             Kernel(A, A, {lab(1): {(lab(1), 1): F(3, 4), (lab(2), 1): F(1, 2)}})
 
     def test_negative_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kernel weights must be non-negative"):
             Kernel(A, A, {lab(1): {(lab(1), 1): F(-1, 2)}})
 
     def test_ct_mode_rejects_minus_tau(self):
         act = bibit(TheoryMode.CT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau is fixed \\+1 for effects and in CT mode"):
             Kernel(act, act, {lab(1): {(lab(1), -1): F(1)}})
 
     def test_effect_rejects_minus_tau(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau is fixed \\+1 for effects and in CT mode"):
             Kernel(A, Trivial(TheoryMode.BCT), {lab(1): {(UNIT, -1): F(1)}})
 
     def test_fractions_are_kept_and_other_numbers_converted(self):
@@ -580,6 +597,37 @@ class TestRowSumValidation:
         # a weight is zero when its Fraction is, whatever its type
         k = Kernel(A, A, {lab(1): {(lab(1), 1): "1/2", (lab(2), 1): "0"}})
         assert (k.nums, k.den) == ({0: {(0, 1): 1}}, 2)
+
+
+class TestArgumentGuards:
+    """Each refusal of the kernel layer, by its message."""
+
+    def test_kernel_refuses_mixed_modes(self):
+        with pytest.raises(ValueError, match="kernel endpoints must share a theory mode"):
+            Kernel(A, bibit(TheoryMode.CT), {})
+
+    @pytest.mark.parametrize("tau", [0, 2, -2])
+    def test_kernel_refuses_a_tau_other_than_a_sign(self, tau):
+        with pytest.raises(ValueError, match="tau must be -1 or \\+1"):
+            Kernel(A, A, {lab(1): {(lab(1), tau): F(1)}})
+
+    def test_sequential_compose_refuses_systems_that_do_not_chain(self):
+        with pytest.raises(ValueError, match="systems do not chain"):
+            sequential_compose(identity_kernel(C3), identity_kernel(A))
+
+    def test_parallel_compose_refuses_mixed_modes(self):
+        with pytest.raises(ValueError,
+                           match="cannot compose kernels from different theory modes"):
+            parallel_compose(identity_kernel(A), identity_kernel(bibit(TheoryMode.CT)))
+
+    def test_add_kernels_refuses_other_systems(self):
+        with pytest.raises(ValueError, match="system mismatch"):
+            add_kernels(identity_kernel(A), identity_kernel(C3))
+
+    def test_extend_at_refuses_another_subtree(self):
+        with pytest.raises(ValueError,
+                           match="kernel input does not match the selected subtree"):
+            extend_at(identity_kernel(C3), AB, "0")
 
 
 class TestCTMode:

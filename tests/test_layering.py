@@ -350,7 +350,7 @@ def test_only_labels_reads_the_offset_form(path):
 
 
 @pytest.mark.parametrize("reader", ["labels.act_rows", "states.is_separable",
-                                    "kernels._braid"])
+                                    "kernels._braid", "kernels.parallel_compose"])
 def test_row_loops_read_the_offset_form_not_join(reader):
     """The loops that build rows of a composite read each index as a sum
     through `labels.offsets`, the one statement of it and of its no-node
