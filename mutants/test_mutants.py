@@ -218,6 +218,39 @@ CATALOGUE = [
            "indices = _INDICES = indices + list(range(len(indices), size))",
            "_INDICES.extend(range(len(_INDICES), size))",
            ("tests/test_tables.py::test_threads_that_grow_the_shared_indices_get_every_index",)),
+    # without the bound the function labels are enumerated, which the
+    # selected test patches to fail, so no large basis is ever built
+    Mutant("processor-skips-the-domain-bound", "dilation.py",
+           "basis_size(domain, DILATION_MAX_DIM)",
+           "dimension(domain)",
+           ("tests/test_dilation.py::TestProcessor::test_bound_checked_before_building",)),
+    Mutant("compose-accepts-mixed-modes", "systems.py",
+           "if a.mode is not b.mode:",
+           "if False:",
+           ("tests/test_kernels.py::TestArgumentGuards::test_parallel_compose_refuses_mixed_modes",
+            "tests/test_states.py::TestTensor::test_mixed_modes_are_refused_by_compose_systems",
+            "tests/test_dilation.py::TestProcessor::"
+            "test_mixed_modes_are_refused_by_compose_systems")),
+    Mutant("instrument-accepts-no-branch", "kernels.py",
+           "if not self.branches:",
+           "if False:",
+           ("tests/test_kernels.py::TestArgumentGuards::test_instrument_refusals[no-branch]",
+            "tests/test_cli.py::test_bad_document_is_usage_error[no-branch]")),
+    *(Mutant(f"probabilistic-skips-{stage}", "coherence.py", old, "if False:",
+             ("tests/test_coherence.py::"
+              f"test_each_probabilistic_stage_reports_its_failure[{stage}]",))
+      for stage, old in [
+          ("separation", "if not separated:"),
+          ("scalars", "if not kernels_equal(parallel_compose(half, third), "
+                      "scalar_kernel(mode, Fraction(1, 6))):"),
+          ("trivial-instrument", "if not validate_instrument(trivial_instrument):"),
+          ("null", "if not validate_instrument(with_null):"),
+          ("coarse", "if not validate_instrument(merged):"),
+          ("coarse-additivity",
+           "if sum(pair(effect, part) for part in parts) != pair(effect, joint):"),
+          ("extension-normalization",
+           "if sum((out.weight for out in outputs), Fraction(0)) != 1:"),
+      ]),
 ]
 
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

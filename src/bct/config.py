@@ -3,8 +3,8 @@
 One policy holds in every module: a basis is enumerated only when its
 dimension is within `max_dim()`, and whatever is larger is reported from
 the dimension rule or refused.  The universal processor has its own bound on
-its domain (`DILATION_MAX_DIM`), checked by arithmetic before anything of it
-is built; the processor's own systems are enumerated under that bound.
+its domain (`DILATION_MAX_DIM`), checked by `labels.basis_size` before anything
+of it is built; the processor's own systems are enumerated under that bound.
 
 Parsed system and label strings are capped at `MAX_NESTING` levels of
 parentheses, and the systems the CLI builds itself nest no deeper: `protocol

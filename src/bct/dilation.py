@@ -51,6 +51,7 @@ from .labels import (
     MoveKind,
     PureLabel,
     basis_indices,
+    basis_size,
     coder,
     enumerate_pure_labels,
     node_signs,
@@ -137,7 +138,7 @@ class _ProcessorRows(Mapping[int, IntRow]):
         self._split, self._split_program = source.split, source.left.split
         self._join = target.join
         aprime = image.left
-        self._left, self._right, self._step = offsets(aprime.left, aprime.right)
+        self._left, self._right, self._step = offsets(aprime.left, aprime.right, aprime)
         self._functions, self._d_b = functions, d_b
         self._dim = source.dim
 
@@ -166,25 +167,21 @@ class _ProcessorRows(Mapping[int, IntRow]):
 def build_processor(a: SystemTree, b: SystemTree) -> UniversalProcessor:
     """Construct and verify the universal processor for A -> B.
 
-    The systems are sized by the dimension rule, and the domain is checked
-    against `DILATION_MAX_DIM` before any label is enumerated.  The kernel's
-    rows come from the rule on demand (see `_ProcessorRows`); the bijection
-    is checked on the indices: for every register value m, k |-> m+k must
-    hit each output index exactly once (every h(i) is such an m).
+    The systems are sized by the dimension rule, and `basis_size` checks the
+    domain under `DILATION_MAX_DIM` before any label is enumerated.  The
+    kernel's rows come from the rule on demand (see `_ProcessorRows`); the
+    bijection is checked on the indices: for every register value m, k |-> m+k
+    must hit each output index exactly once (every h(i) is such an m).
     """
     if isinstance(a, Trivial) or isinstance(b, Trivial):
         raise ValueError("the processor needs non-trivial input and output systems")
-    if a.mode is not b.mode:
-        raise ValueError("systems must share a theory mode")
     mode = a.mode
     d_a, d_b = dimension(a), dimension(b)
     program = leaf((len(node_signs(mode)) * d_b) ** d_a, mode, name="program")
     bprime = compose_systems(program, b)
     aprime = compose_systems(program, a)
     domain = compose_systems(bprime, a)
-    if dimension(domain) > DILATION_MAX_DIM:
-        raise ValueError(f"processor domain dimension {dimension(domain)} "
-                         f"exceeds bound {DILATION_MAX_DIM}")
+    basis_size(domain, DILATION_MAX_DIM)
     program_index = dict(zip(enumerate_function_labels(d_a, d_b, mode),
                              enumerate_pure_labels(program, DILATION_MAX_DIM)))
     # every register value is the h(i) of some program label
@@ -309,9 +306,9 @@ def realize_instrument(instrument: Instrument,
     # branch k > 0 observes its ratio on every sign of (sigma_{h,xi} i), at
     # the index (sigma_{h,xi} i)_{s1} of A' written as a sum of offsets
     program = coder(processor.program_system).index
-    left, right, step = offsets(processor.program_system, processor.a_system)
-    shifts = [step if s1 > 0 else 0 for s1 in node_signs(processor.mode)]
     aprime = processor.output_ancilla
+    left, right, step = offsets(processor.program_system, processor.a_system, aprime)
+    shifts = [step if s1 > 0 else 0 for s1 in node_signs(processor.mode)]
     others = []
     for table in tables[1:]:
         ratios = {left(program(processor.program_index[fl])) + right(i) + shift: z

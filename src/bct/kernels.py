@@ -90,8 +90,6 @@ class Kernel:
     rows: Mapping[PureLabel, Mapping[Entry, Fraction]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.in_system.mode is not self.out_system.mode:
-            raise ValueError("kernel endpoints must share a theory mode")
         ct = self.in_system.mode is TheoryMode.CT
         out_trivial = isinstance(self.out_system, Trivial)
         a_index, b_index = coder(self.in_system).index, coder(self.out_system).index
@@ -120,7 +118,10 @@ class Kernel:
 
     def _store(self, in_system: SystemTree, out_system: SystemTree, nums: IntRows,
                den: int) -> None:
-        """Set the frozen fields at once, `rows` as the view of `nums`."""
+        """Set the frozen fields at once, `rows` as the view of `nums`; the
+        one check every path makes is that the endpoints share a theory mode."""
+        if in_system.mode is not out_system.mode:
+            raise ValueError("kernel endpoints must share a theory mode")
         self.__dict__.update(in_system=in_system, out_system=out_system, nums=nums, den=den,
                              rows=_RowsView(nums, den, in_system, out_system))
 
@@ -131,14 +132,12 @@ class Kernel:
         generator from its draws.
 
         Composition, extension, transport and inversion keep every invariant
-        the constructor checks, so nothing is checked here; `nums` over
-        `den` must already be in canonical form.  Rows given as a read-only
-        mapping other than a dict (a rule that computes each row, such as
-        the universal processor's) owe those invariants themselves.
+        the constructor checks, so only `_store`'s endpoint modes are checked;
+        `nums` over `den` must already be in canonical form.  Rows given as a
+        read-only mapping other than a dict (a rule that computes each row,
+        such as the universal processor's) owe those invariants themselves.
         Anything built from outside input goes through the constructor.
         """
-        if in_system.mode is not out_system.mode:
-            raise ValueError("kernel endpoints must share a theory mode")
         kernel = object.__new__(cls)
         kernel._store(in_system, out_system, nums, den)
         return kernel
@@ -352,8 +351,6 @@ def parallel_compose(k1: Kernel, k2: Kernel) -> Kernel:
     left(y1) + right(y2), plus step when u is +.  Rows come out in input
     index order.
     """
-    if k1.mode is not k2.mode:
-        raise ValueError("cannot compose kernels from different theory modes")
     a, b, c, d = k1.in_system, k1.out_system, k2.in_system, k2.out_system
     ac, bd = compose_systems(a, c), compose_systems(b, d)
     basis_size(ac)
@@ -507,13 +504,11 @@ class Instrument:
 
 
 def validate_instrument(branches: Sequence[Kernel] | Instrument) -> bool:
-    """Branches are valid kernels whose sum is deterministic."""
-    if isinstance(branches, Instrument):
-        branches = branches.branches
-    if not branches:
-        return False
+    """Branches form an `Instrument` (at least one, all on the same
+    systems) whose sum is deterministic."""
     try:
-        return is_deterministic(add_kernels(*branches))
+        inst = branches if isinstance(branches, Instrument) else Instrument(tuple(branches))
+        return is_deterministic(inst.total())
     except ValueError:
         return False
 
@@ -542,8 +537,6 @@ def conditional_compose(first: Instrument,
         follow = chooser(x)
         if follow is None:
             raise ValueError(f"chooser undefined on outcome {x!r}")
-        if follow.in_system != first.out_system:
-            raise ValueError("conditioned instrument does not chain")
         for y, ky in zip(follow.outcomes, follow.branches):
             branches.append(sequential_compose(ky, kx))
             outcomes.append((x, y))

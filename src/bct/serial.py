@@ -227,13 +227,9 @@ def outcomes_to_json(outcomes: Sequence[Hashable]) -> list:
 
 def instrument_from_json(doc: dict) -> Instrument:
     mode = _checked(doc, "instrument")
-    if not doc["branches"]:
-        raise ParseError(E_SCHEMA, "branches must be a non-empty list")
     branches = tuple(_kernel(b, parse_mode(b.get("mode", mode.value)))
                      for b in doc["branches"])
     outcomes = tuple(doc.get("outcomes", ()))
-    if outcomes and len(outcomes) != len(branches):
-        raise ParseError(E_SCHEMA, "outcomes must match branches")
     try:
         return Instrument(branches, outcomes)
     except ValueError as exc:

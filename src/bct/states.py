@@ -182,12 +182,12 @@ def point_effect(system: SystemTree, label: PureLabel) -> EffectVector:
 
 
 def product_nums(x: SystemTree, xs: Sequence[Nums], y: SystemTree,
-                 ys: Sequence[Nums]) -> list[Nums]:
-    """The one product rule, on numerators: the row of |r>|t> on x (x) y for
-    each row r of `xs` on x (outer) and t of `ys` on y, with na * nb on each
-    sign s of (ij)_s, in the order i, j, then - before +; the 1/2 is the
-    caller's.  Each row list is rewritten into `labels.offsets` once."""
-    left, right, plus = offsets(x, y)
+                 ys: Sequence[Nums], xy: SystemTree) -> list[Nums]:
+    """The one product rule, on numerators: the row of |r>|t> on xy = x (x) y
+    for each row r of `xs` on x (outer) and t of `ys` on y, with na * nb on
+    each sign s of (ij)_s, in the order i, j, then - before +; the 1/2 is
+    the caller's.  Each row list is rewritten into `labels.offsets` once."""
+    left, right, plus = offsets(x, y, xy)
     steps = (0, plus) if plus else (0,)
     lefts = [[(left(i), n) for i, n in r.items()] for r in xs]
     rights = [[(right(j), n) for j, n in t.items()] for t in ys]
@@ -204,14 +204,12 @@ def tensor_states(rho: GeneralizedVector, sigma: GeneralizedVector) -> Generaliz
     constructor of the first one's class.
     """
     x, y = rho.system, sigma.system
-    if x.mode is not y.mode:
-        raise ValueError("cannot compose states from different theory modes")
     if isinstance(rho, EffectVector) or isinstance(sigma, EffectVector):
         raise TypeError("tensor_states takes states and vectors of the span, not effects")
     system = compose_systems(x, y)
     # the denominator takes one more factor, the number of signs of the
     # node: D_xy / (D_x * D_y), 1 for a scalar factor and in CT
-    (nums,) = product_nums(x, [rho.nums], y, [sigma.nums])
+    (nums,) = product_nums(x, [rho.nums], y, [sigma.nums], system)
     out = lowest_terms(nums, rho.den * sigma.den
                        * (dimension(system) // (dimension(x) * dimension(y))))
     cls = type(rho)

@@ -166,9 +166,10 @@ def _products(x: SystemTree, xs: list[Nums], y: SystemTree, ys: list[Nums],
               moves: Sequence[Move] = ()) -> list[Nums]:
     """The int rows of |r>|t> for every row r of `xs` on x (outer) and t of
     `ys` on y (`states.product_nums`), carried along `moves`."""
-    rows = product_nums(x, xs, y, ys)
+    xy = compose_systems(x, y)
+    rows = product_nums(x, xs, y, ys, xy)
     if moves:
-        table = transport(compose_systems(x, y), moves)[1].table()
+        table = transport(xy, moves)[1].table()
         rows = [{table[i]: n for i, n in row.items()} for row in rows]
     return rows
 

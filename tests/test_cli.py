@@ -14,8 +14,8 @@ import bct.cli
 import bct.tomography
 from bct.cli import main
 from bct.coherence import DEFAULT_HEXAGON_DIMS
-from bct.config import shown
-from bct.kernels import random_instrument
+from bct.config import DILATION_MAX_DIM, shown
+from bct.kernels import Instrument, identity_kernel, random_instrument
 from bct.serial import dumps, vector_to_json
 from bct.states import StateVector
 from bct.labels import LeafLabel
@@ -158,10 +158,35 @@ def test_unknown_subcommand_usage_error(capsys):
     assert main([]) == 2
 
 
-def test_bad_document_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("doc, message", [
+    ({"branches": []}, "an instrument needs at least one branch"),
+    ({**instrument_to_json(Instrument((identity_kernel(bibit()),))), "outcomes": [0, 1]},
+     "one outcome label per branch"),
+], ids=["no-branch", "two-outcomes"])
+def test_bad_document_is_usage_error(tmp_path, capsys, doc, message):
+    """The `Instrument` constructor's refusal, as a schema error."""
     src = tmp_path / "broken.json"
-    src.write_text('{"branches": []}')
+    src.write_text(json.dumps(doc))
     assert main(["dilate", str(src), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error E_SCHEMA: {message}\n")
+
+
+@pytest.mark.parametrize("d, digits", [
+    (300, str(4 * 600 ** 300 * 300 ** 2)),
+    # 4 * 4000^2000 * 2000^2 = 2^4004 * 10^6006, past the 4300 digits `str` writes
+    (2000, str(2 ** 4004)),
+])
+def test_dilate_echoes_the_processor_domain_cut(tmp_path, capsys, d, digits):
+    """The processor domain ((B'' B) A) of D -> D has dimension
+    4 (2 D)^D D^2, refused under `DILATION_MAX_DIM` by `basis_size`, which
+    echoes it cut as every bound refusal does."""
+    src = tmp_path / "instrument.json"
+    src.write_text(dumps(instrument_to_json(Instrument((identity_kernel(leaf(d)),)))))
+    assert main(["dilate", str(src), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: dimension {digits[:80]}... exceeds enumeration bound {DILATION_MAX_DIM}\n")
 
 
 def test_config_file_defaults_and_overrides(tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -24,8 +25,15 @@ from bct.faults import (
     active_fault,
     inject_fault,
 )
-from bct.kernels import extend_at, kernels_equal, random_kernel
+from bct.kernels import (
+    coarse_grain,
+    extend_at,
+    kernels_equal,
+    random_kernel,
+    validate_instrument,
+)
 from bct.labels import coder, label_of, label_to_str
+from bct.states import GeneralizedVector, lowest_terms
 from bct.systems import TheoryMode, bibit, compose_systems, dimension, left_comb
 
 
@@ -250,6 +258,47 @@ def test_negative_extension_outputs_fail_positivity(monkeypatch):
         '{"name": "probabilistic", "params": {"dims": [2, 2], "seed": 0, '
         '"mode": "BCT"}, "passed": false, '
         '"counterexample": {"stage": "extension-positivity"}}')
+
+
+def _failing_call(n):
+    """`validate_instrument`, except that its `n`th call is False."""
+    calls = itertools.count(1)
+    return lambda inst: next(calls) != n and validate_instrument(inst)
+
+
+IMAGE = bct.coherence._image
+
+
+def _halved_image(kernel, rho):
+    """`coherence._image` at half weight: still positive, and still additive."""
+    out = IMAGE(kernel, rho)
+    return GeneralizedVector._trusted(out.system, *lowest_terms(out.nums, 2 * out.den))
+
+
+# stage -> (the name patched in `coherence`, a maker of its replacement)
+STAGE_FAULTS = {
+    "separation": ("pair", lambda: lambda effect, rho: Fraction(0)),
+    "scalars": ("kernels_equal", lambda: lambda k1, k2: False),
+    "trivial-instrument": ("validate_instrument", lambda: _failing_call(1)),
+    "null": ("validate_instrument", lambda: _failing_call(2)),
+    "coarse": ("validate_instrument", lambda: _failing_call(3)),
+    # a valid instrument, merged as [[0, 1], [2]] where [[0, 2], [1]] was asked
+    "coarse-additivity": ("coarse_grain",
+                          lambda: lambda inst, partition: coarse_grain(inst, [[0, 1], [2]])),
+    "extension-normalization": ("_image", lambda: _halved_image),
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_FAULTS)
+def test_each_probabilistic_stage_reports_its_failure(monkeypatch, stage):
+    """Each stage of the probabilistic check, made to fail by patching the
+    layer below it, is the stage the report names."""
+    name, replacement = STAGE_FAULTS[stage]
+    monkeypatch.setattr(bct.coherence, name, replacement())
+    assert _report_bytes(check_probabilistic_compatibility(0)) == (
+        '{"name": "probabilistic", "params": {"dims": [2, 2], "seed": 0, '
+        '"mode": "BCT"}, "passed": false, '
+        f'"counterexample": {{"stage": "{stage}"}}}}')
 
 
 def test_positivity_failure_exits_one(monkeypatch, tmp_path, capsys):

@@ -117,6 +117,19 @@ class TestProcessor:
         with pytest.raises(ValueError):
             build_processor(A, trivial())
 
+    def test_mixed_modes_are_refused_by_compose_systems(self):
+        with pytest.raises(ValueError,
+                           match="cannot compose systems from different theory modes"):
+            build_processor(A, bibit(TheoryMode.CT))
+
+    @pytest.mark.parametrize("h, xi, refusal", [
+        ((1, 2), (1,), "h and xi must have the same arity"),
+        ((1, 2), (1, 0), "xi values must be -1 or \\+1"),
+    ], ids=["arity", "sign"])
+    def test_function_label_refusals(self, h, xi, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            FunctionLabel(h, xi)
+
     @pytest.mark.parametrize("d_b, domain", [(5, 10 ** 7), (4, 2621440)])
     def test_bound_checked_before_building(self, monkeypatch, d_b, domain):
         # 5 -> 5 would need 10^5 function labels; 5 -> 4 needs 32768, but its
@@ -126,7 +139,8 @@ class TestProcessor:
             raise AssertionError("function labels enumerated above the bound")
 
         monkeypatch.setattr(dilation, "enumerate_function_labels", refuse)
-        with pytest.raises(ValueError, match=f"dimension {domain} exceeds bound"):
+        with pytest.raises(ValueError,
+                           match=f"dimension {domain} exceeds enumeration bound"):
             build_processor(leaf(5), leaf(d_b))
 
 

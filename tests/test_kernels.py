@@ -616,8 +616,9 @@ class TestArgumentGuards:
             sequential_compose(identity_kernel(C3), identity_kernel(A))
 
     def test_parallel_compose_refuses_mixed_modes(self):
+        """`compose_systems` refuses the factors' input systems."""
         with pytest.raises(ValueError,
-                           match="cannot compose kernels from different theory modes"):
+                           match="cannot compose systems from different theory modes"):
             parallel_compose(identity_kernel(A), identity_kernel(bibit(TheoryMode.CT)))
 
     def test_add_kernels_refuses_other_systems(self):
@@ -628,6 +629,37 @@ class TestArgumentGuards:
         with pytest.raises(ValueError,
                            match="kernel input does not match the selected subtree"):
             extend_at(identity_kernel(C3), AB, "0")
+
+    @pytest.mark.parametrize("systems, outcomes, refusal", [
+        ((), (), "an instrument needs at least one branch"),
+        ((A, C3), (), "branches must share input and output systems"),
+        ((A,), ("a", "b"), "one outcome label per branch"),
+    ], ids=["no-branch", "other-systems", "outcome-count"])
+    def test_instrument_refusals(self, systems, outcomes, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            Instrument(tuple(map(identity_kernel, systems)), outcomes)
+
+    def test_branches_that_form_no_instrument_are_not_valid(self):
+        assert not validate_instrument([])
+        assert not validate_instrument([identity_kernel(A), identity_kernel(C3)])
+
+    def test_conditional_compose_refuses_an_outcome_without_a_sequel(self):
+        with pytest.raises(ValueError, match="chooser undefined on outcome 0"):
+            conditional_compose(Instrument((identity_kernel(A),)), lambda x: None)
+
+    def test_conditional_compose_refuses_a_sequel_on_other_systems(self):
+        """`sequential_compose` refuses each branch of a sequel that does
+        not chain."""
+        with pytest.raises(ValueError, match="systems do not chain"):
+            conditional_compose(Instrument((identity_kernel(A),)),
+                                lambda x: Instrument((identity_kernel(C3),)))
+
+    @pytest.mark.parametrize("d", [64, 65])
+    def test_rows_view_repr(self, d):
+        """Up to 64 rows print as the dict they read as, more as a count."""
+        rows = identity_kernel(leaf(d)).rows
+        assert repr(rows) == (repr({lab(i): {(lab(i), 1): F(1)} for i in range(1, d + 1)})
+                              if d <= 64 else f"<{d} rows>")
 
 
 class TestCTMode:

@@ -162,6 +162,11 @@ def test_regroup_examples():
         assert isinstance(out, NodeLabel) and isinstance(out.left, LeafLabel)
 
 
+def test_regroup_refuses_the_whole_tree():
+    with pytest.raises(ValueError, match="cannot regroup the full tree against nothing"):
+        regroup(compose_systems(bibit(), bibit()), "")
+
+
 def test_regroup_exposes_any_subtree():
     tree = compose_systems(compose_systems(bibit(), leaf(3)),
                            compose_systems(bibit(), bibit()))

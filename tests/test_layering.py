@@ -376,6 +376,28 @@ def test_join_serves_only_one_entry_reads():
                        "dilation._ProcessorRows.__init__"}
 
 
+def mode_comparers() -> list[str]:
+    """Every function of the package, as "module.qualified_name", that
+    compares two `.mode` attributes with each other (a comparison with a
+    `TheoryMode` member reads no second `.mode`)."""
+    return sorted(f"{path.stem}.{qualname}" for path in SOURCES
+                  for qualname, node in definitions(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef)
+                  and any(isinstance(c, ast.Compare)
+                          and sum(isinstance(o, ast.Attribute) and o.attr == "mode"
+                                  for o in (c.left, *c.comparators)) >= 2
+                          for c in ast.walk(node)))
+
+
+def test_each_mode_rule_is_stated_once():
+    """Systems of two theory modes are refused where they are composed
+    (`compose_systems`, and a node of its children), and a kernel's two
+    endpoints where every kernel is stored: every other entry point reaches
+    one of these refusals and restates none of them."""
+    assert mode_comparers() == ["kernels.Kernel._store", "systems.Node.__post_init__",
+                                "systems.compose_systems"]
+
+
 def test_kernel_weights_become_ints_as_vector_weights_do():
     """The kernel constructor turns its weights into ints over one
     denominator with `states.int_coeffs`, not with an LCM of its own."""

@@ -20,7 +20,7 @@ from bct.protocols import (
     monogamy_demo,
 )
 from bct.states import StateVector, pair, point_effect, pure_state
-from bct.systems import TheoryMode, bibit, compose_systems, leaf
+from bct.systems import TheoryMode, bibit, compose_systems, leaf, trivial
 from kernel_helpers import random_reversible_kernel
 
 F = Fraction
@@ -204,6 +204,10 @@ class TestHypersignaling:
     def test_three_two(self):
         row = hypersignaling_report(leaf(3), bibit()).outcomes[0]
         assert (row["d_ab"], row["product"]) == (12, 6)
+
+    def test_a_trivial_factor_is_refused(self):
+        with pytest.raises(ValueError, match="hypersignaling needs two non-trivial systems"):
+            hypersignaling_report(bibit(), trivial())
 
 
 def test_probabilities_sum_to_one_per_run():

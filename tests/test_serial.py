@@ -26,6 +26,7 @@ from bct.serial import (
     label_to_str,
     parse_fraction,
     parse_label,
+    parse_mode,
     parse_system,
     schema,
     state_from_json,
@@ -309,8 +310,13 @@ class TestInstruments:
         rng = random.Random(2)
         doc = instrument_to_json(random_instrument(rng, bibit(), bibit()))
         doc["outcomes"] = ["only-one"]
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="E_SCHEMA: one outcome label per branch"):
             instrument_from_json(doc)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ParseError, match="E_MODE: unknown mode 'QX'") as err:
+            parse_mode("QX")
+        assert err.value.code == E_MODE
 
 
 class TestSchema:

@@ -103,9 +103,16 @@ class TestTensor:
         rhs = tensor_states(sigma, rho)
         assert lhs.coeffs == rhs.coeffs
 
-    def test_effects_have_no_tensor_product(self):
+    @pytest.mark.parametrize("mode", tuple(TheoryMode))
+    def test_effects_have_no_tensor_product(self, mode):
+        """An effect is refused as one before the modes are compared."""
         with pytest.raises(TypeError, match="not effects"):
-            tensor_states(pure_state(A, lab(1)), point_effect(B, lab(2)))
+            tensor_states(pure_state(A, lab(1)), point_effect(bibit(mode), lab(2)))
+
+    def test_mixed_modes_are_refused_by_compose_systems(self):
+        with pytest.raises(ValueError,
+                           match="cannot compose systems from different theory modes"):
+            tensor_states(pure_state(A, lab(1)), pure_state(bibit(TheoryMode.CT), lab(1)))
 
 
 class TestPairing:
@@ -119,6 +126,10 @@ class TestPairing:
 
     def test_orthogonality(self):
         assert pair(point_effect(A, lab(1)), pure_state(A, lab(2))) == 0
+
+    def test_other_systems_are_refused(self):
+        with pytest.raises(ValueError, match="effect and state live on different systems"):
+            pair(point_effect(A, lab(1)), pure_state(AB, node(lab(1), lab(1), 1)))
 
     def test_unit_pairing_equals_weight(self):
         rng = random.Random(0)
@@ -142,6 +153,12 @@ class TestSteering:
         st11 = pure_state(AB, node(lab(1), lab(1), -1))
         out = apply_effect_at(unit_effect(B), st11, "1")
         assert out.coeffs == {lab(1): F(1)}
+
+    def test_an_effect_off_the_subtree_is_refused(self):
+        rho = pure_state(compose_systems(A, leaf(3)), node(lab(1), lab(1), 1))
+        with pytest.raises(ValueError,
+                           match="effect system does not match the selected subtree"):
+            apply_effect_at(point_effect(A, lab(1)), rho, "1")
 
     def test_full_tree_collapses_to_scalar(self):
         rho = StateVector(A, {lab(1): F(1, 3)})
